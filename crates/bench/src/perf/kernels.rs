@@ -284,8 +284,8 @@ pub fn mcf() -> Quality {
     let demand = zipf_demand(&g, 10, 1.0, 4.0, &mut rng);
     let opt: OptResult = match try_max_concurrent_flow(&g, &demand, 0.25) {
         Ok(r) => r,
-        Err(FlowError::Disconnected { s, t }) => {
-            unreachable!("connected instance reported {s}->{t} disconnected")
+        Err(e @ (FlowError::Disconnected { .. } | FlowError::InvalidEpsilon { .. })) => {
+            unreachable!("connected instance at eps 0.25 failed: {e}")
         }
     };
     let grouped = max_concurrent_flow_grouped(&g, &demand, 0.25);

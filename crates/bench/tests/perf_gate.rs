@@ -4,8 +4,15 @@
 
 use sor_bench::perf::{gate, parse_baseline, run_suite, suite_to_json, GatePolicy, PerfConfig};
 use sor_obs::snapshot::DiffStatus;
+use std::sync::{Mutex, PoisonError};
+
+/// Metric capture is process-global, so two suites running at once on
+/// the test harness's threads would count each other's work and fail the
+/// trial-determinism check; the suites in this file take turns.
+static SUITE_LOCK: Mutex<()> = Mutex::new(());
 
 fn quick_subset(filter: &str) -> sor_bench::perf::SuiteRun {
+    let _turn = SUITE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let mut cfg = PerfConfig::new(true);
     cfg.trials = 2;
     cfg.warmup = 0;

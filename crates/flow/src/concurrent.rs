@@ -11,7 +11,7 @@
 
 use crate::demand::Demand;
 use crate::loads::EdgeLoads;
-use sor_graph::{dijkstra, Graph, NodeId, Path};
+use sor_graph::{DijkstraSearch, Graph, NodeId, Path};
 use std::collections::{BTreeMap, HashMap};
 
 /// Result of the OPT-congestion computation for a demand.
@@ -50,7 +50,7 @@ impl OptResult {
 }
 
 /// Why a flow computation could not produce a routing.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FlowError {
     /// A demand pair has positive demand but no path between its
     /// endpoints.
@@ -60,6 +60,12 @@ pub enum FlowError {
         /// Target of the unroutable pair.
         t: NodeId,
     },
+    /// The accuracy parameter ε is outside the open interval (0, 1) or
+    /// NaN.
+    InvalidEpsilon {
+        /// The rejected ε.
+        eps: f64,
+    },
 }
 
 impl std::fmt::Display for FlowError {
@@ -68,6 +74,7 @@ impl std::fmt::Display for FlowError {
             FlowError::Disconnected { s, t } => {
                 write!(f, "demand pair {s}→{t} disconnected")
             }
+            FlowError::InvalidEpsilon { eps } => write!(f, "eps must be in (0,1), got {eps}"),
         }
     }
 }
@@ -78,8 +85,9 @@ impl std::error::Error for FlowError {}
 /// `demand` in `g` (Fleischer's max-concurrent-flow FPTAS, reinterpreted:
 /// min congestion = 1 / max concurrent throughput).
 ///
-/// Panics if some demand pair is disconnected in `g`; use
-/// [`try_max_concurrent_flow`] to get the failure as a value instead.
+/// Panics if some demand pair is disconnected in `g` or `eps` is not in
+/// (0, 1); use [`try_max_concurrent_flow`] to get the failure as a value
+/// instead.
 pub fn max_concurrent_flow(g: &Graph, demand: &Demand, eps: f64) -> OptResult {
     match try_max_concurrent_flow(g, demand, eps) {
         Ok(r) => r,
@@ -89,14 +97,20 @@ pub fn max_concurrent_flow(g: &Graph, demand: &Demand, eps: f64) -> OptResult {
 }
 
 /// Fallible form of [`max_concurrent_flow`]: a disconnected demand pair
-/// is reported as [`FlowError::Disconnected`] instead of a panic, so
-/// solver pipelines can surface it as a `Result`.
+/// is reported as [`FlowError::Disconnected`] and an ε outside (0, 1) as
+/// [`FlowError::InvalidEpsilon`] instead of a panic, so solver pipelines
+/// can surface them as a `Result`.
+///
+/// Each oracle call is one Dijkstra from the commodity's source that stops
+/// once its target is settled, on a search workspace shared by all calls.
 pub fn try_max_concurrent_flow(
     g: &Graph,
     demand: &Demand,
     eps: f64,
 ) -> Result<OptResult, FlowError> {
-    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
+    if !(eps > 0.0 && eps < 1.0) {
+        return Err(FlowError::InvalidEpsilon { eps });
+    }
     let _span = sor_obs::span("flow/opt");
     let m = g.num_edges();
     let entries = demand.entries();
@@ -117,6 +131,7 @@ pub fn try_max_concurrent_flow(
     // Path decomposition accumulated as (commodity, path) -> raw amount.
     let mut path_amounts: HashMap<(usize, Path), f64> = HashMap::new();
     let mut phases: u64 = 0;
+    let mut search = DijkstraSearch::with_nodes(g.num_nodes());
     // Safety valve: phases are Θ(log(m)/ε²) for this normalization; 10^6
     // would indicate a bug, not a hard instance.
     const MAX_PHASES: u64 = 1_000_000;
@@ -129,8 +144,8 @@ pub fn try_max_concurrent_flow(
             let mut remaining = d;
             while remaining > 1e-15 {
                 sor_obs::counter_add!("flow/mwu/oracle_calls");
-                let tree = dijkstra(g, s, &len);
-                let Some(path) = tree.path_to(g, t) else {
+                search.settle(g, s, &len, &[t]);
+                let Some(path) = search.path_to(g, t) else {
                     return Err(FlowError::Disconnected { s, t });
                 };
                 let bottleneck = path
@@ -170,19 +185,19 @@ pub fn try_max_concurrent_flow(
         by_source.entry(s).or_default().push((t, d));
     }
     let mut alpha = 0.0;
-    for (&s, targets) in &by_source {
+    let mut targets: Vec<NodeId> = Vec::with_capacity(entries.len());
+    for (&s, commodities) in &by_source {
         sor_obs::counter_add!("flow/mwu/oracle_calls");
-        let tree = dijkstra(g, s, &len);
-        for &(t, d) in targets {
-            alpha += d * tree.dist[t.index()];
+        targets.clear();
+        targets.extend(commodities.iter().map(|&(t, _)| t));
+        search.settle(g, s, &len, &targets);
+        for &(t, d) in commodities {
+            alpha += d * search.dist(t);
         }
     }
     let congestion_lower = alpha / volume;
 
-    let paths = path_amounts
-        .into_iter()
-        .map(|((j, p), a)| (j, p, a * scale))
-        .collect();
+    let paths = sorted_paths(path_amounts, scale);
 
     Ok(OptResult {
         congestion_upper,
@@ -190,6 +205,22 @@ pub fn try_max_concurrent_flow(
         loads,
         paths,
     })
+}
+
+/// The accumulated path decomposition scaled by `scale`, ordered by
+/// commodity, then node sequence, then edge sequence (parallel edges), so
+/// the order never depends on the hasher.
+fn sorted_paths(path_amounts: HashMap<(usize, Path), f64>, scale: f64) -> Vec<(usize, Path, f64)> {
+    let mut paths: Vec<(usize, Path, f64)> = path_amounts
+        .into_iter()
+        .map(|((j, p), a)| (j, p, a * scale))
+        .collect();
+    paths.sort_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| a.1.nodes().cmp(b.1.nodes()))
+            .then_with(|| a.1.edges().cmp(b.1.edges()))
+    });
+    paths
 }
 
 /// Convenience wrapper returning just the congestion sandwich
@@ -237,6 +268,8 @@ pub fn max_concurrent_flow_grouped(g: &Graph, demand: &Demand, eps: f64) -> OptR
     let mut raw = EdgeLoads::zeros(m);
     let mut path_amounts: HashMap<(usize, Path), f64> = HashMap::new();
     let mut phases: u64 = 0;
+    let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+    let mut targets: Vec<NodeId> = Vec::with_capacity(entries.len());
     const MAX_PHASES: u64 = 1_000_000;
 
     while volume < 1.0 {
@@ -248,12 +281,20 @@ pub fn max_concurrent_flow_grouped(g: &Graph, demand: &Demand, eps: f64) -> OptR
             while remaining.iter().any(|&r| r > 1e-15) {
                 // one Dijkstra serves every commodity of this source
                 sor_obs::counter_add!("flow/mwu/oracle_calls");
-                let tree = dijkstra(g, *s, &len);
+                targets.clear();
+                targets.extend(
+                    commodities
+                        .iter()
+                        .zip(&remaining)
+                        .filter(|&(_, &rem)| rem > 1e-15)
+                        .map(|(&(_, t, _), _)| t),
+                );
+                search.settle(g, *s, &len, &targets);
                 for ((j, t, _), rem) in commodities.iter().zip(remaining.iter_mut()) {
                     if *rem <= 1e-15 {
                         continue;
                     }
-                    let path = tree
+                    let path = search
                         .path_to(g, *t)
                         // sor-check: allow(unwrap, panic-path) — documented contract panic; the fallible reference solver is try_max_concurrent_flow
                         .unwrap_or_else(|| panic!("demand pair {s}→{t} disconnected"));
@@ -285,17 +326,16 @@ pub fn max_concurrent_flow_grouped(g: &Graph, demand: &Demand, eps: f64) -> OptR
 
     let mut alpha = 0.0;
     for (s, commodities) in &by_source {
-        let tree = dijkstra(g, *s, &len);
+        targets.clear();
+        targets.extend(commodities.iter().map(|&(_, t, _)| t));
+        search.settle(g, *s, &len, &targets);
         for &(_, t, d) in commodities {
-            alpha += d * tree.dist[t.index()];
+            alpha += d * search.dist(t);
         }
     }
     let congestion_lower = alpha / volume;
 
-    let paths = path_amounts
-        .into_iter()
-        .map(|((j, p), a)| (j, p, a * scale))
-        .collect();
+    let paths = sorted_paths(path_amounts, scale);
     OptResult {
         congestion_upper,
         congestion_lower,
@@ -456,6 +496,49 @@ mod tests {
             "{}",
             r.congestion_upper
         );
+    }
+
+    #[test]
+    fn invalid_epsilon_is_a_typed_error() {
+        let g = gen::cycle_graph(4);
+        let d = Demand::from_pairs([(NodeId(0), NodeId(2))]);
+        for eps in [0.0, 1.0, f64::NAN] {
+            match try_max_concurrent_flow(&g, &d, eps) {
+                Err(FlowError::InvalidEpsilon { eps: got }) => {
+                    assert_eq!(got.to_bits(), eps.to_bits())
+                }
+                other => panic!("eps {eps}: expected InvalidEpsilon, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "eps must be in (0,1)")]
+    fn facade_panics_on_invalid_epsilon() {
+        let g = gen::cycle_graph(4);
+        let d = Demand::from_pairs([(NodeId(0), NodeId(2))]);
+        max_concurrent_flow(&g, &d, f64::NAN);
+    }
+
+    #[test]
+    fn path_decomposition_order_is_deterministic() {
+        // Two solves of one input in one process: the hasher seeds differ
+        // between the two solves, the returned decomposition must not.
+        let g = gen::grid(4, 4);
+        let d = Demand::from_pairs([
+            (NodeId(0), NodeId(15)),
+            (NodeId(3), NodeId(12)),
+            (NodeId(5), NodeId(10)),
+            (NodeId(6), NodeId(9)),
+            (NodeId(0), NodeId(10)),
+        ]);
+        let a = max_concurrent_flow(&g, &d, 0.1);
+        let b = max_concurrent_flow(&g, &d, 0.1);
+        assert!(a.paths.len() > 5);
+        assert_eq!(a.paths, b.paths);
+        let a = max_concurrent_flow_grouped(&g, &d, 0.1);
+        let b = max_concurrent_flow_grouped(&g, &d, 0.1);
+        assert_eq!(a.paths, b.paths);
     }
 
     #[test]

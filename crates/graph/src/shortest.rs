@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 
 /// Min-heap entry: (distance, node). `BinaryHeap` is a max-heap, so the
 /// ordering is reversed.
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 struct HeapEntry {
     dist: f64,
     node: NodeId,
@@ -54,72 +54,226 @@ impl ShortestPathTree {
     /// Extract the tree path from the source to `t`, or `None` if `t` is
     /// unreachable.
     pub fn path_to(&self, g: &Graph, t: NodeId) -> Option<Path> {
-        if t == self.source {
-            return Some(Path::trivial(t));
+        tree_path(g, self.source, &self.parent, t)
+    }
+}
+
+/// The path from `source` to `t` along `parent` edges, or `None` if the
+/// chain breaks before reaching `source`.
+fn tree_path(g: &Graph, source: NodeId, parent: &[Option<EdgeId>], t: NodeId) -> Option<Path> {
+    if t == source {
+        return Some(Path::trivial(t));
+    }
+    // Count the hops first so the edge list is allocated once, at size.
+    let mut hops = 0;
+    let mut cur = t;
+    while cur != source {
+        let e = parent[cur.index()]?;
+        hops += 1;
+        cur = g.edge(e).other(cur);
+    }
+    let mut rev = Vec::with_capacity(hops);
+    cur = t;
+    for _ in 0..hops {
+        let e = parent[cur.index()]?;
+        rev.push(e);
+        cur = g.edge(e).other(cur);
+    }
+    rev.reverse();
+    Path::from_edges(g, source, rev)
+}
+
+/// A reusable Dijkstra workspace.
+///
+/// One set of distance, parent and heap buffers serves any number of
+/// searches on graphs with the same vertex count. Each search stamps the
+/// vertices it reaches, so starting the next one resets nothing: an older
+/// stamp reads as unreached. A search can stop as soon as a target set is
+/// settled ([`DijkstraSearch::settle`]) or prune vertices through a
+/// predicate ([`DijkstraSearch::settle_pruned`]). Either way every vertex
+/// it settles carries exactly the distance bits and the parent edge a full
+/// [`dijkstra`] run assigns: heap order is total (distance, then vertex
+/// id), so the settled prefix of a run does not depend on when the run
+/// stops.
+#[derive(Debug)]
+pub struct DijkstraSearch {
+    source: NodeId,
+    dist: Vec<f64>,
+    parent: Vec<Option<EdgeId>>,
+    /// `stamp[v]` is `epoch - 1` once the current search reaches `v`
+    /// (`dist` and `parent` are then valid) and `epoch` once it settles
+    /// `v`; anything lower means unreached. `epoch` starts at 1, so a
+    /// fresh workspace has settled nothing.
+    stamp: Vec<u32>,
+    epoch: u32,
+    is_target: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl DijkstraSearch {
+    /// A workspace for graphs on `n` vertices.
+    pub fn with_nodes(n: usize) -> Self {
+        DijkstraSearch {
+            source: NodeId(0),
+            dist: vec![f64::INFINITY; n],
+            parent: vec![None; n],
+            stamp: vec![0; n],
+            epoch: 1,
+            // sized by the first search that has targets
+            is_target: Vec::new(),
+            heap: BinaryHeap::with_capacity(n),
         }
-        self.parent[t.index()]?;
-        let mut rev = Vec::new();
-        let mut cur = t;
-        while cur != self.source {
-            let e = self.parent[cur.index()]?;
-            rev.push(e);
-            cur = g.edge(e).other(cur);
+    }
+
+    /// Search from `src` under per-edge `lengths` until every vertex of
+    /// `targets` is settled or known unreachable. Empty `targets` runs
+    /// the full search.
+    pub fn settle(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]) {
+        self.explore(g, src, lengths, targets, |_, _| true);
+    }
+
+    /// Full search from `src` that settles a vertex only if
+    /// `admit(v, d)` accepts its final distance `d`. A rejected vertex is
+    /// neither settled nor expanded. `admit` sees each vertex at most
+    /// once, in settling order.
+    pub fn settle_pruned(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        lengths: &[f64],
+        admit: impl FnMut(NodeId, f64) -> bool,
+    ) {
+        self.explore(g, src, lengths, &[], admit);
+    }
+
+    /// Distance from the last search's source to `v`, or `f64::INFINITY`
+    /// if that search did not settle `v`.
+    pub fn dist(&self, v: NodeId) -> f64 {
+        if self.stamp[v.index()] == self.epoch {
+            self.dist[v.index()]
+        } else {
+            f64::INFINITY
         }
-        rev.reverse();
-        Path::from_edges(g, self.source, rev)
+    }
+
+    /// Shortest path from the last search's source to `t`, or `None` if
+    /// that search did not settle `t`.
+    pub fn path_to(&self, g: &Graph, t: NodeId) -> Option<Path> {
+        if self.stamp[t.index()] != self.epoch {
+            return None;
+        }
+        tree_path(g, self.source, &self.parent, t)
+    }
+
+    /// The one relaxation loop behind every search in the workspace.
+    fn explore(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        lengths: &[f64],
+        targets: &[NodeId],
+        mut admit: impl FnMut(NodeId, f64) -> bool,
+    ) {
+        assert_eq!(lengths.len(), g.num_edges(), "length vector size mismatch");
+        debug_assert!(
+            lengths.iter().all(|&l| l >= 0.0 && !l.is_nan()),
+            "negative or NaN edge length"
+        );
+        self.epoch = match self.epoch.checked_add(2) {
+            Some(e) => e,
+            None => {
+                self.stamp.fill(0);
+                3
+            }
+        };
+        let (reached, done) = (self.epoch - 1, self.epoch);
+        self.source = src;
+        if !targets.is_empty() {
+            self.is_target.resize(self.stamp.len(), false);
+        }
+        // Slices and a local heap rather than `self.` fields inside the
+        // loop, so heap pushes cannot force buffer pointers and the heap's
+        // length to be reloaded from memory.
+        let (dist, parent, stamp) = (
+            &mut self.dist[..],
+            &mut self.parent[..],
+            &mut self.stamp[..],
+        );
+        let is_target = &mut self.is_target[..];
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.clear();
+        let mut pending = 0usize;
+        for &t in targets {
+            if !is_target[t.index()] {
+                is_target[t.index()] = true;
+                pending += 1;
+            }
+        }
+        dist[src.index()] = 0.0;
+        parent[src.index()] = None;
+        stamp[src.index()] = reached;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: src,
+        });
+        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+            // A vertex first pops at its final distance; later entries
+            // for it are stale.
+            if stamp[u.index()] == done || d > dist[u.index()] || !admit(u, d) {
+                continue;
+            }
+            stamp[u.index()] = done;
+            if pending > 0 && is_target[u.index()] {
+                is_target[u.index()] = false;
+                pending -= 1;
+                if pending == 0 {
+                    break;
+                }
+            }
+            for &(e, v) in g.incident(u) {
+                let seen = stamp[v.index()];
+                if seen == done {
+                    continue;
+                }
+                let nd = d + lengths[e.index()];
+                let known = if seen == reached {
+                    dist[v.index()]
+                } else {
+                    f64::INFINITY
+                };
+                if nd < known {
+                    stamp[v.index()] = reached;
+                    dist[v.index()] = nd;
+                    parent[v.index()] = Some(e);
+                    heap.push(HeapEntry { dist: nd, node: v });
+                }
+            }
+        }
+        // Unreachable targets keep their flag until here.
+        for &t in targets {
+            is_target[t.index()] = false;
+        }
+        self.heap = heap;
     }
 }
 
 /// Dijkstra from `src` under per-edge `lengths` (must be nonnegative and
 /// indexed by `EdgeId`).
 pub fn dijkstra(g: &Graph, src: NodeId, lengths: &[f64]) -> ShortestPathTree {
-    assert_eq!(lengths.len(), g.num_edges(), "length vector size mismatch");
-    debug_assert!(
-        lengths.iter().all(|&l| l >= 0.0 && !l.is_nan()),
-        "negative or NaN edge length"
-    );
-    let n = g.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<EdgeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::with_capacity(n);
-    dist[src.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: src,
-    });
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
-        }
-        done[u.index()] = true;
-        for &(e, v) in g.incident(u) {
-            if done[v.index()] {
-                continue;
-            }
-            let nd = d + lengths[e.index()];
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                parent[v.index()] = Some(e);
-                heap.push(HeapEntry { dist: nd, node: v });
-            }
-        }
-    }
+    let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+    search.settle(g, src, lengths, &[]);
     ShortestPathTree {
         source: src,
-        dist,
-        parent,
+        dist: search.dist,
+        parent: search.parent,
     }
 }
 
 /// Shortest `s`-`t` path under `lengths`, or `None` if disconnected.
 pub fn shortest_path(g: &Graph, s: NodeId, t: NodeId, lengths: &[f64]) -> Option<Path> {
-    dijkstra(g, s, lengths).path_to(g, t)
-}
-
-/// All-pairs shortest-path distances under `lengths` (n Dijkstra runs).
-pub fn all_pairs_dist(g: &Graph, lengths: &[f64]) -> Vec<Vec<f64>> {
-    g.nodes().map(|s| dijkstra(g, s, lengths).dist).collect()
+    let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+    search.settle(g, s, lengths, &[t]);
+    search.path_to(g, t)
 }
 
 #[cfg(test)]
@@ -167,6 +321,35 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_unit_edge(NodeId(0), NodeId(1));
         assert!(shortest_path(&g, NodeId(0), NodeId(2), &g.unit_lengths()).is_none());
+    }
+
+    #[test]
+    fn infinite_lengths_carry_no_path() {
+        // Yen's spur searches ban edges by giving them infinite length.
+        let g = gen::path_graph(3);
+        let t = dijkstra(&g, NodeId(0), &[1.0, f64::INFINITY]);
+        assert_eq!(t.dist[2], f64::INFINITY);
+        assert!(t.path_to(&g, NodeId(2)).is_none());
+        assert!(shortest_path(&g, NodeId(0), NodeId(2), &[1.0, f64::INFINITY]).is_none());
+    }
+
+    #[test]
+    fn stamp_wraparound_forgets_older_searches() {
+        let g = gen::grid(3, 3);
+        let len = g.unit_lengths();
+        let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+        search.settle(&g, NodeId(0), &len, &[]);
+        // The next search exhausts the stamp range and starts over.
+        search.epoch = u32::MAX - 1;
+        search.settle(&g, NodeId(8), &len, &[NodeId(7)]);
+        let full = dijkstra(&g, NodeId(8), &len);
+        assert_eq!(search.dist(NodeId(7)), full.dist[7]);
+        assert_eq!(
+            search.dist(NodeId(0)),
+            f64::INFINITY,
+            "not settled by the stopped search"
+        );
+        assert!(search.path_to(&g, NodeId(0)).is_none());
     }
 
     #[test]

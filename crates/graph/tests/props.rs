@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sor_graph::{
     bfs_dists, bridges, connected_without, dijkstra, gen, global_min_cut, max_flow, spectral_gap,
-    st_min_cut, yen_ksp, Graph, NodeId,
+    st_min_cut, yen_ksp, DijkstraSearch, Graph, NodeId,
 };
 
 fn arb_graph(n: usize, seed: u64) -> Graph {
@@ -114,5 +114,52 @@ proptest! {
         prop_assert_eq!(h.num_nodes(), g.num_nodes());
         prop_assert_eq!(h.num_edges(), g.num_edges() - 1);
         prop_assert!((h.total_cap() - (g.total_cap() - g.cap(victim))).abs() < 1e-9);
+    }
+
+    /// A search stopped once its targets are settled returns the same
+    /// paths and the same distance bits as a full Dijkstra run, for every
+    /// source, on one reused workspace. Unit lengths tie heavily, small
+    /// integer lengths tie some and real lengths rarely; `extra` parallel
+    /// copies of random edges and an isolated last vertex (an unreachable
+    /// target) are added on top of a random connected graph.
+    #[test]
+    fn target_stopped_search_matches_full_dijkstra(
+        seed in 0u64..400,
+        n in 3usize..14,
+        kind in 0u8..3,
+        extra in 0usize..4,
+        k in 1usize..4,
+    ) {
+        let base = arb_graph(n, seed);
+        let mut g = Graph::new(n + 1);
+        for e in base.edges() {
+            g.add_edge(e.u, e.v, e.cap);
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        for _ in 0..extra {
+            let e = base.edges()[rng.gen_range(0..base.num_edges())];
+            g.add_edge(e.u, e.v, e.cap);
+        }
+        let len: Vec<f64> = match kind {
+            0 => g.unit_lengths(),
+            1 => (0..g.num_edges()).map(|_| f64::from(rng.gen_range(1u32..4))).collect(),
+            _ => (0..g.num_edges()).map(|_| 0.05 + rng.gen::<f64>()).collect(),
+        };
+        let isolated = NodeId::from_usize(n);
+        let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+        for s in g.nodes() {
+            let full = dijkstra(&g, s, &len);
+            let mut targets: Vec<NodeId> = (0..k)
+                .map(|_| NodeId::from_usize(rng.gen_range(0..g.num_nodes())))
+                .collect();
+            if rng.gen::<bool>() {
+                targets.push(isolated);
+            }
+            search.settle(&g, s, &len, &targets);
+            for &t in &targets {
+                prop_assert_eq!(search.path_to(&g, t), full.path_to(&g, t));
+                prop_assert_eq!(search.dist(t).to_bits(), full.dist[t.index()].to_bits());
+            }
+        }
     }
 }

@@ -8,7 +8,9 @@
 //!
 //! * random permutation `π` + random `β ∈ [1,2)`,
 //! * level-`i` clusters: each vertex joins the `π`-minimal center within
-//!   distance `β·2^i`, refining the parent partition,
+//!   distance `β·2^i`, refining the parent partition; the center is read
+//!   off the vertex's least-element list, so no all-pairs distance matrix
+//!   is built,
 //! * every cluster gets a physical *leader* vertex inside it; the tree edge
 //!   to the parent cluster is mapped to a shortest physical path between
 //!   the two leaders under the construction metric,
@@ -18,7 +20,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use sor_graph::{dijkstra, shortest::all_pairs_dist, Graph, NodeId, Path};
+use sor_graph::{DijkstraSearch, Graph, NodeId, Path};
 
 /// One node (cluster) of an FRT decomposition tree.
 #[derive(Clone, Debug)]
@@ -37,8 +39,6 @@ pub struct TreeNode {
     pub up_path: Option<Path>,
     /// Total capacity of graph edges leaving the cluster.
     pub cut_capacity: f64,
-    /// Decomposition level (cluster radius scale `β·2^level`).
-    pub level: i32,
 }
 
 /// A rooted FRT decomposition tree with physical path mappings.
@@ -47,6 +47,47 @@ pub struct FrtTree {
     nodes: Vec<TreeNode>,
     /// Leaf (singleton cluster) index of each graph vertex.
     leaf_of: Vec<usize>,
+}
+
+/// Least-element lists (Cohen 1997) for the center order `pi`: entry `v`
+/// lists, in `pi` order, every center `u` whose distance `d(u, v)` is
+/// strictly below that of all earlier centers, together with `d(u, v)`.
+/// The π-first center within any radius `r` of `v` is therefore the
+/// first entry with `d ≤ r`, and each list has O(log n) expected length.
+///
+/// One Dijkstra per center, in `pi` order, settles only the vertices it
+/// reaches strictly closer than every earlier center did. Pruning a
+/// vertex never hides a later list entry: if an earlier center reaches
+/// `w` at least as closely, it reaches every vertex past `w` at least as
+/// closely too. Also returns the eccentricity of `pi[0]`, whose search
+/// nothing prunes.
+fn least_element_lists(
+    g: &Graph,
+    lengths: &[f64],
+    pi: &[NodeId],
+    search: &mut DijkstraSearch,
+) -> (Vec<Vec<(NodeId, f64)>>, f64) {
+    let n = g.num_nodes();
+    let mut best = vec![f64::INFINITY; n];
+    let mut lists: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+    let mut ecc = 0.0;
+    for (i, &u) in pi.iter().enumerate() {
+        search.settle_pruned(g, u, lengths, |v, d| {
+            let b = &mut best[v.index()];
+            if d < *b {
+                *b = d;
+                lists[v.index()].push((u, d));
+                true
+            } else {
+                false
+            }
+        });
+        if i == 0 {
+            ecc = best.iter().copied().fold(0.0, f64::max);
+            assert!(ecc.is_finite(), "FRT needs a connected graph");
+        }
+    }
+    (lists, ecc)
 }
 
 impl FrtTree {
@@ -67,7 +108,6 @@ impl FrtTree {
                 vertices: vec![NodeId(0)],
                 up_path: None,
                 cut_capacity: 0.0,
-                level: 0,
             };
             return FrtTree {
                 nodes: vec![node],
@@ -75,28 +115,24 @@ impl FrtTree {
             };
         }
 
-        let dist = all_pairs_dist(g, lengths);
-        let mut dmax: f64 = 0.0;
-        let mut dmin = f64::INFINITY;
-        for (i, row) in dist.iter().enumerate() {
-            for (j, &d) in row.iter().enumerate() {
-                if i != j {
-                    assert!(d.is_finite(), "FRT needs a connected graph");
-                    dmax = dmax.max(d);
-                    dmin = dmin.min(d);
-                }
-            }
-        }
-
         // Random permutation and β ∈ [1, 2).
         let mut pi: Vec<NodeId> = g.nodes().collect();
         pi.shuffle(rng);
         let beta: f64 = 1.0 + rng.gen::<f64>();
+        let mut rank = vec![0usize; n];
+        for (i, &u) in pi.iter().enumerate() {
+            rank[u.index()] = i;
+        }
 
-        // Top level: β·2^top ≥ dmax so everything fits in one cluster.
+        let mut search = DijkstraSearch::with_nodes(n);
+        let (lists, ecc) = least_element_lists(g, lengths, &pi, &mut search);
+        // Top level: β·2^top ≥ 2·ecc(π₀) ≥ diameter, so everything fits in
+        // one cluster.
         #[allow(clippy::cast_possible_truncation)]
-        let top = dmax.log2().ceil() as i32 + 1;
-        // Bottom level: β·2^bottom < dmin forces singletons.
+        let top = (2.0 * ecc).log2().ceil() as i32 + 1;
+        // Bottom level: β·2^bottom < dmin forces singletons; the closest
+        // pair of vertices is the shortest edge.
+        let dmin = lengths.iter().copied().fold(f64::INFINITY, f64::min);
         #[allow(clippy::cast_possible_truncation)]
         let bottom = (dmin.log2().floor() as i32) - 2;
 
@@ -112,12 +148,13 @@ impl FrtTree {
             vertices: root_vertices,
             up_path: None,
             cut_capacity: 0.0,
-            level: top + 1,
         });
 
         // Refine level by level. `frontier` holds indices of clusters that
-        // are not yet singletons.
+        // are not yet singletons; `group_of[c]` is the index in `groups` of
+        // center `c`'s group within the cluster being split.
         let mut frontier = vec![0usize];
+        let mut group_of = vec![usize::MAX; n];
         let mut level = top;
         while !frontier.is_empty() {
             assert!(level >= bottom, "FRT refinement failed to reach singletons");
@@ -125,22 +162,27 @@ impl FrtTree {
             let mut next_frontier = Vec::new();
             for &ci in &frontier {
                 // Partition nodes[ci].vertices by their first π-center
-                // within `radius`.
-                // take the vertex list (pushing children below needs `nodes`
-                // mutably) and restore it afterwards — no per-level copy.
+                // within `radius`. Take the vertex list (pushing children
+                // below needs `nodes` mutably) and restore it afterwards —
+                // no per-level copy.
                 let verts = std::mem::take(&mut nodes[ci].vertices);
                 let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
                 for &v in &verts {
-                    let center = pi
+                    let (center, _) = *lists[v.index()]
                         .iter()
-                        .copied()
-                        .find(|u| dist[u.index()][v.index()] <= radius)
+                        .find(|&&(_, d)| d <= radius)
                         // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                        .expect("v itself qualifies at any level once radius ≥ 0");
-                    match groups.iter_mut().find(|(c, _)| *c == center) {
-                        Some((_, vs)) => vs.push(v),
-                        None => groups.push((center, vec![v])),
+                        .expect("v's own entry, at distance 0, qualifies at any radius");
+                    match group_of[center.index()] {
+                        usize::MAX => {
+                            group_of[center.index()] = groups.len();
+                            groups.push((center, vec![v]));
+                        }
+                        gi => groups[gi].1.push(v),
                     }
+                }
+                for &(center, _) in &groups {
+                    group_of[center.index()] = usize::MAX;
                 }
                 if groups.len() == 1 && verts.len() > 1 {
                     // No refinement at this level — reuse the node at the
@@ -150,15 +192,18 @@ impl FrtTree {
                     continue;
                 }
                 nodes[ci].vertices = verts;
-                for (center, vs) in groups {
+                for (_, vs) in groups {
                     // Leader: the center itself if inside, else the
-                    // π-minimal member (deterministic given π).
-                    let leader = if vs.contains(&center) {
-                        center
-                    } else {
-                        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                        *pi.iter().find(|u| vs.contains(u)).expect("nonempty group")
-                    };
+                    // π-minimal member. No member precedes the center in π
+                    // (each member is within `radius` of itself), so both
+                    // cases are the π-minimal member.
+                    let leader = vs.iter().copied().fold(vs[0], |a, b| {
+                        if rank[b.index()] < rank[a.index()] {
+                            b
+                        } else {
+                            a
+                        }
+                    });
                     let singleton = vs.len() == 1;
                     let idx = nodes.len();
                     nodes.push(TreeNode {
@@ -168,7 +213,6 @@ impl FrtTree {
                         vertices: vs,
                         up_path: None, // filled below
                         cut_capacity: 0.0,
-                        level,
                     });
                     nodes[ci].children.push(idx);
                     if singleton {
@@ -183,48 +227,48 @@ impl FrtTree {
             level -= 1;
         }
 
-        // Collapse unary chains? Not needed: the frontier-reuse above
-        // already avoids them. Fill cut capacities and physical up-paths.
-        let mut in_cluster = vec![false; n];
-        for node in &mut nodes {
-            for &v in &node.vertices {
-                in_cluster[v.index()] = true;
+        // Cut capacities: an edge leaves exactly the clusters strictly
+        // below the lowest common ancestor of its endpoints' leaves.
+        // Charging edges in edge order adds each cluster's terms in the
+        // same order as a scan over all edges per cluster would.
+        let mut depth = vec![0usize; nodes.len()];
+        for (i, node) in nodes.iter().enumerate() {
+            if let Some(p) = node.parent {
+                depth[i] = depth[p] + 1;
             }
-            let mut cut = 0.0;
-            for e in g.edges() {
-                if in_cluster[e.u.index()] != in_cluster[e.v.index()] {
-                    cut += e.cap;
-                }
-            }
-            node.cut_capacity = cut;
-            for &v in &node.vertices {
-                in_cluster[v.index()] = false;
+        }
+        for e in g.edges() {
+            let (mut a, mut b) = (leaf_of[e.u.index()], leaf_of[e.v.index()]);
+            while a != b {
+                let side = if depth[a] >= depth[b] { &mut a } else { &mut b };
+                nodes[*side].cut_capacity += e.cap;
+                // The deeper side of two distinct clusters is never the root.
+                let Some(p) = nodes[*side].parent else { break };
+                *side = p;
             }
         }
 
-        // Physical paths: group children by their leader's shortest-path
-        // tree toward the parent leader. One Dijkstra per distinct parent
-        // leader is enough (paths extracted toward each child leader and
-        // reversed).
-        let mut by_parent: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, node) in nodes.iter().enumerate() {
-            if let Some(p) = node.parent {
-                by_parent.entry(p).or_default().push(i);
+        // Physical paths: one search per parent leader, stopped once every
+        // child leader is settled (paths extracted toward each child
+        // leader and reversed).
+        let mut targets: Vec<NodeId> = Vec::with_capacity(n);
+        for p in 0..nodes.len() {
+            if nodes[p].children.is_empty() {
+                continue;
             }
-        }
-        for (&p, children) in &by_parent {
-            let pl = nodes[p].leader;
-            let tree = dijkstra(g, pl, lengths);
-            for &c in children {
-                let cl = nodes[c].leader;
-                let path = tree
-                    .path_to(g, cl)
+            let children = std::mem::take(&mut nodes[p].children);
+            targets.clear();
+            targets.extend(children.iter().map(|&c| nodes[c].leader));
+            search.settle(g, nodes[p].leader, lengths, &targets);
+            for &c in &children {
+                let path = search
+                    .path_to(g, nodes[c].leader)
                     // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                     .expect("connected graph")
                     .reversed();
                 nodes[c].up_path = Some(path);
             }
+            nodes[p].children = children;
         }
 
         debug_assert!(leaf_of.iter().all(|&l| l != usize::MAX));
@@ -335,7 +379,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sor_graph::gen;
+    use sor_graph::{dijkstra, gen};
 
     fn check_tree(g: &Graph, tree: &FrtTree) {
         // Root covers everything; leaves are singletons; children
@@ -363,6 +407,164 @@ mod tests {
                 assert!(node.vertices.contains(&node.leader));
             }
         }
+    }
+
+    /// Reference construction: the π-first center within each radius is
+    /// read off an all-pairs distance matrix, and every cut capacity and
+    /// up-path comes from its own full scan or Dijkstra.
+    fn build_apsp<R: Rng + ?Sized>(g: &Graph, lengths: &[f64], rng: &mut R) -> FrtTree {
+        let n = g.num_nodes();
+        let dist: Vec<Vec<f64>> = g.nodes().map(|s| dijkstra(g, s, lengths).dist).collect();
+        let mut dmax: f64 = 0.0;
+        let mut dmin = f64::INFINITY;
+        for (i, row) in dist.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate() {
+                if i != j {
+                    assert!(d.is_finite(), "FRT needs a connected graph");
+                    dmax = dmax.max(d);
+                    dmin = dmin.min(d);
+                }
+            }
+        }
+        let mut pi: Vec<NodeId> = g.nodes().collect();
+        pi.shuffle(rng);
+        let beta: f64 = 1.0 + rng.gen::<f64>();
+        #[allow(clippy::cast_possible_truncation)]
+        let top = dmax.log2().ceil() as i32 + 1;
+        #[allow(clippy::cast_possible_truncation)]
+        let bottom = (dmin.log2().floor() as i32) - 2;
+        let mut nodes = vec![TreeNode {
+            parent: None,
+            children: Vec::new(),
+            leader: pi[0],
+            vertices: g.nodes().collect(),
+            up_path: None,
+            cut_capacity: 0.0,
+        }];
+        let mut leaf_of = vec![usize::MAX; n];
+        let mut frontier = vec![0usize];
+        let mut level = top;
+        while !frontier.is_empty() {
+            assert!(level >= bottom);
+            let radius = beta * (level as f64).exp2();
+            let mut next_frontier = Vec::new();
+            for &ci in &frontier {
+                let verts = nodes[ci].vertices.clone();
+                let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+                for &v in &verts {
+                    let center = *pi
+                        .iter()
+                        .find(|u| dist[u.index()][v.index()] <= radius)
+                        .unwrap();
+                    match groups.iter_mut().find(|(c, _)| *c == center) {
+                        Some((_, vs)) => vs.push(v),
+                        None => groups.push((center, vec![v])),
+                    }
+                }
+                if groups.len() == 1 && verts.len() > 1 {
+                    next_frontier.push(ci);
+                    continue;
+                }
+                for (center, vs) in groups {
+                    let leader = if vs.contains(&center) {
+                        center
+                    } else {
+                        *pi.iter().find(|u| vs.contains(u)).unwrap()
+                    };
+                    let idx = nodes.len();
+                    if vs.len() == 1 {
+                        leaf_of[vs[0].index()] = idx;
+                    } else {
+                        next_frontier.push(idx);
+                    }
+                    nodes.push(TreeNode {
+                        parent: Some(ci),
+                        children: Vec::new(),
+                        leader,
+                        vertices: vs,
+                        up_path: None,
+                        cut_capacity: 0.0,
+                    });
+                    nodes[ci].children.push(idx);
+                }
+            }
+            frontier = next_frontier;
+            level -= 1;
+        }
+        for node in &mut nodes {
+            let inside = |v: NodeId| node.vertices.contains(&v);
+            let mut cut = 0.0;
+            for e in g.edges() {
+                if inside(e.u) != inside(e.v) {
+                    cut += e.cap;
+                }
+            }
+            node.cut_capacity = cut;
+        }
+        for p in 0..nodes.len() {
+            let tree = dijkstra(g, nodes[p].leader, lengths);
+            for c in nodes[p].children.clone() {
+                let path = tree.path_to(g, nodes[c].leader).unwrap().reversed();
+                nodes[c].up_path = Some(path);
+            }
+        }
+        FrtTree { nodes, leaf_of }
+    }
+
+    fn assert_same_tree(a: &FrtTree, b: &FrtTree) {
+        assert_eq!(a.leaf_of, b.leaf_of);
+        assert_eq!(a.nodes.len(), b.nodes.len());
+        for (x, y) in a.nodes.iter().zip(&b.nodes) {
+            assert_eq!(x.parent, y.parent);
+            assert_eq!(x.children, y.children);
+            assert_eq!(x.leader, y.leader);
+            assert_eq!(x.vertices, y.vertices);
+            assert_eq!(x.up_path, y.up_path);
+            assert_eq!(x.cut_capacity.to_bits(), y.cut_capacity.to_bits());
+        }
+    }
+
+    #[test]
+    fn least_element_build_matches_apsp_reference() {
+        let mut grng = StdRng::seed_from_u64(17);
+        let graphs = [
+            gen::grid(5, 6),
+            gen::hypercube(5),
+            gen::cycle_graph(13),
+            gen::path_graph(11),
+            gen::random_regular(40, 4, &mut grng),
+            gen::abilene(),
+        ];
+        for (gi, unit) in graphs.into_iter().enumerate() {
+            // The random-length variant also draws random capacities, so
+            // the order in which cut capacities are summed shows in the
+            // bits.
+            let mut rng = StdRng::seed_from_u64(100 + gi as u64);
+            let mut weighted = Graph::new(unit.num_nodes());
+            for e in unit.edges() {
+                weighted.add_edge(e.u, e.v, 0.1 + rng.gen::<f64>());
+            }
+            let random: Vec<f64> = (0..unit.num_edges())
+                .map(|_| 0.1 + 4.0 * rng.gen::<f64>())
+                .collect();
+            let unit_lengths = unit.unit_lengths();
+            for (g, lengths) in [(&unit, unit_lengths), (&weighted, random)] {
+                for seed in 0..4 {
+                    let fast = FrtTree::build(g, &lengths, &mut StdRng::seed_from_u64(seed));
+                    let reference = build_apsp(g, &lengths, &mut StdRng::seed_from_u64(seed));
+                    assert_same_tree(&fast, &reference);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "FRT needs a connected graph")]
+    fn disconnected_graph_is_rejected() {
+        let mut g = Graph::new(4);
+        g.add_unit_edge(NodeId(0), NodeId(1));
+        g.add_unit_edge(NodeId(2), NodeId(3));
+        FrtTree::build(&g, &g.unit_lengths(), &mut StdRng::seed_from_u64(0));
     }
 
     #[test]
