@@ -25,14 +25,14 @@ run_tsan() {
   host="$(rustc -vV | sed -n 's/^host: //p')"
   mkdir -p target/tsan
   # TSan needs the sanitizer runtime in std, hence -Zbuild-std and an
-  # explicit target triple. The two suites under test are the ones that
-  # actually exercise cross-thread interleavings: the sharded path cache
-  # and the obs metrics registry.
+  # explicit target triple. The suites under test are the ones that
+  # actually exercise cross-thread interleavings: the sharded path cache,
+  # the obs metrics registry, and the lock-free log histogram.
   RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target "$host" \
     -p sor-serve --test cache_concurrency \
     -p sor-obs --test concurrency \
-    -p sor-obs --test window_concurrency \
+    -p sor-obs --test loghist_concurrency \
     -- --test-threads=4 2>&1 | tee target/tsan/tsan.log
 }
 
@@ -82,6 +82,9 @@ echo "==> cargo test -q (tier-1) and workspace tests"
 cargo test -q
 cargo test -q --workspace
 
+echo "==> sorbench tests (its own workspace: the workspace test run does not compile it)"
+cargo test -q --offline --manifest-path sorbench/Cargo.toml
+
 echo "==> instrumented smoke experiment (BENCH_*.json artifact)"
 mkdir -p target/obs
 cargo run -q --release -p sor-bench --bin tables -- \
@@ -128,17 +131,20 @@ grep -q "explicit b/n" target/compact/tradeoff.txt
 
 echo "==> flight recorder smoke (byte-neutral stdout, breach dumps, forensics attribution)"
 mkdir -p target/journal
-# Attaching the journal must not change published output: the same seeded
-# run with and without --journal-out emits byte-identical stdout.
+# Attaching the observer must not change published output: the same
+# seeded run with and without --journal-out/--timeline-out emits
+# byte-identical stdout.
 cargo run -q --release --bin sor -- serve --graph expander:16x4 \
   --epochs 5 --rate 8 --patterns 2 --fail-at 2 --restore-after 2 \
   --seed 9 --quiet > target/journal/plain.out
 cargo run -q --release --bin sor -- serve --graph expander:16x4 \
   --epochs 5 --rate 8 --patterns 2 --fail-at 2 --restore-after 2 \
-  --seed 9 --quiet --journal-out target/journal/journal.json > target/journal/attached.out
+  --seed 9 --quiet --journal-out target/journal/journal.json \
+  --timeline-out target/journal/timeline.json > target/journal/attached.out
 cmp target/journal/plain.out target/journal/attached.out
 test -s target/journal/journal.json
 grep -q '"sor-journal/1"' target/journal/journal.json
+grep -q '"sor-timeline/1"' target/journal/timeline.json
 # An unreachable hit-rate SLO breaches deterministically, so the engine
 # writes breach-stamped ring dumps; forensics must attribute the run's
 # congestion movement to the injected failure.

@@ -149,8 +149,7 @@ const BENCHES: &[(&str, BenchFn)] = &[
     ("kernel/adversary", kernels::adversary),
     ("kernel/serve_warm", kernels::serve_warm_cache),
     ("kernel/serve_failover", kernels::serve_failover),
-    ("kernel/telemetry_overhead", kernels::telemetry_overhead),
-    ("kernel/journal_overhead", kernels::journal_overhead),
+    ("kernel/observer_overhead", kernels::observer_overhead),
     ("kernel/compact_tables", kernels::compact_tables),
 ];
 

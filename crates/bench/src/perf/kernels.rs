@@ -50,8 +50,8 @@ use sor_oblivious::{
 use sor_sched::sim::{try_simulate_released, SimResult};
 use sor_sched::Policy;
 use sor_serve::{
-    graph_fingerprint, matching_patterns, pairs_fingerprint, run_workload_with_patterns,
-    scenario_patterns, CacheKey, CacheStats, Engine, EngineConfig, EpochSnapshot, PathSystemCache,
+    graph_fingerprint, matching_patterns, pairs_fingerprint, run_workload, scenario_patterns,
+    CacheKey, CacheStats, Engine, EngineConfig, EpochSnapshot, Observer, PathSystemCache,
     PublishedRoute, Request, SnapshotFormat, WorkloadConfig, WorkloadReport,
 };
 use sor_te::{
@@ -580,7 +580,7 @@ pub fn serve_warm_cache() -> Quality {
         seed: 0x5f10,
         ..WorkloadConfig::default()
     };
-    let report: WorkloadReport = run_workload_with_patterns(&g, ecfg, &wcfg, &patterns);
+    let report: WorkloadReport = run_workload(&g, ecfg, &wcfg, &patterns, None);
     let stats: CacheStats = report.cache;
     let last: &EpochSnapshot = report.snapshots.last().expect("epochs ran");
     let route: &PublishedRoute = last.routes.first().expect("routes published");
@@ -685,109 +685,20 @@ pub fn serve_failover() -> Quality {
     ]
 }
 
-/// Telemetry-overhead gate: the same seeded serving workload runs once
-/// plain and once with the full live telemetry plane attached (windows,
-/// timeline, wall histograms, armed-but-unbreachable SLO watchdog). The
-/// published outputs must be bit-identical — the deterministic quality
-/// gate — and the instrumented wall stays within a loose multiple of
-/// the plain wall (generous slack: the point is catching a pathological
-/// regression like a lock held across a solve, not a 5% drift).
-pub fn telemetry_overhead() -> Quality {
+/// Observer-overhead gate: the same seeded serving workload runs once
+/// plain and once with an observer attached (journal, timeline, wall
+/// histograms, armed-but-unbreachable SLO watchdog). The published
+/// outputs must be bit-identical — the deterministic quality gate — and
+/// the observed wall stays within a loose multiple of the plain wall
+/// (generous slack: the point is catching a pathological regression like
+/// a lock held across a solve, not a 5% drift). Also pins the stores'
+/// accounting (one timeline row, one watchdog pass and one begin/end
+/// bracket per epoch, zero drops at this scale) and the `sor-journal/1`
+/// dump round-trip through the hand-rolled parser.
+pub fn observer_overhead() -> Quality {
     use std::time::Instant;
 
-    let _span = sor_obs::span("perf/telemetry_overhead");
-    let g = gen::random_regular(24, 4, &mut rng_for(0x5f12));
-    let ecfg = EngineConfig {
-        sparsity: 4,
-        trees: 6,
-        epoch_batch: 24,
-        queue_bound: 48,
-        cache_capacity: 8,
-        compare_fresh: true,
-        seed: 0x5f12,
-        ..EngineConfig::default()
-    };
-    let wcfg = WorkloadConfig {
-        epochs: 6,
-        rate: 10,
-        patterns: 2,
-        pairs_per_pattern: 6,
-        fail_at: Some(3),
-        restore_after: 2,
-        seed: 0x5f12,
-    };
-
-    let t0 = Instant::now();
-    let plain = sor_serve::run_workload(&g, ecfg, &wcfg);
-    let plain_wall = t0.elapsed();
-
-    // ratio threshold the run can never trip deterministically; wall
-    // rules stay disabled so breach counts gate exactly
-    let slo = sor_obs::SloConfig {
-        max_congestion_ratio: Some(1e9),
-        max_p99_epoch_wall_ms: None,
-        min_cache_hit_rate: None,
-        max_fallback_fraction: Some(1.0),
-    };
-    let telemetry = std::sync::Arc::new(sor_serve::ServeTelemetry::new(slo));
-    let t1 = Instant::now();
-    let instrumented =
-        sor_serve::run_workload_with_telemetry(&g, ecfg, &wcfg, Some(telemetry.clone()));
-    let on_wall = t1.elapsed();
-
-    let bits = |r: &WorkloadReport| -> Vec<u64> {
-        r.snapshots
-            .iter()
-            .flat_map(|s| {
-                std::iter::once(s.congestion.to_bits()).chain(
-                    s.routes
-                        .iter()
-                        .flat_map(|pr| pr.paths.iter().map(|&(_, w)| w.to_bits())),
-                )
-            })
-            .collect()
-    };
-    let identical = bits(&plain) == bits(&instrumented);
-    // loose wall tolerance: 10x + 250ms absolute slack absorbs scheduler
-    // noise on tiny kernels while still catching catastrophic overhead
-    let wall_ok = on_wall <= plain_wall * 10 + std::time::Duration::from_millis(250);
-    let summary = telemetry.watchdog().summary();
-    let tail = telemetry.windows().snapshot();
-
-    vec![
-        q("telemetry/epochs", instrumented.snapshots.len() as f64),
-        q("telemetry/bit_identical", b01(identical)),
-        q("telemetry/wall_ok", b01(wall_ok)),
-        q("telemetry/ticks", telemetry.windows().ticks() as f64),
-        q("telemetry/timeline_len", telemetry.timeline().len() as f64),
-        q(
-            "telemetry/epochs_evaluated",
-            summary.epochs_evaluated as f64,
-        ),
-        q("telemetry/breaches", summary.total_breaches as f64),
-        q("telemetry/window_series", tail.len() as f64),
-        q(
-            "telemetry/cache_delta_sum",
-            instrumented
-                .snapshots
-                .iter()
-                .map(|s| s.cache.hits + s.cache.misses)
-                .sum::<u64>() as f64,
-        ),
-    ]
-}
-
-/// Flight-recorder-overhead gate: the same seeded serving workload runs
-/// once plain and once with the journal attached. Published outputs
-/// must be bit-identical — attaching the recorder can never change a
-/// route — and the recorded wall stays within the telemetry gate's
-/// loose tolerance. Also pins the ring's accounting (begin/end brackets
-/// per epoch, zero drops at this scale) and the `sor-journal/1` dump
-/// round-trip through the hand-rolled parser.
-pub fn journal_overhead() -> Quality {
-    use std::time::Instant;
-
-    let _span = sor_obs::span("perf/journal_overhead");
+    let _span = sor_obs::span("perf/observer_overhead");
     let g = gen::random_regular(24, 4, &mut rng_for(0x10aa));
     let ecfg = EngineConfig {
         sparsity: 4,
@@ -808,21 +719,27 @@ pub fn journal_overhead() -> Quality {
         restore_after: 2,
         seed: 0x10aa,
     };
+    let patterns = wcfg.pattern_pool(&g);
 
     let t0 = Instant::now();
-    let plain = sor_serve::run_workload(&g, ecfg, &wcfg);
+    let plain = run_workload(&g, ecfg, &wcfg, &patterns, None);
     let plain_wall = t0.elapsed();
 
-    let journal = std::sync::Arc::new(sor_obs::Journal::new());
+    // ratio threshold the run can never trip deterministically; wall
+    // rules stay disabled so breach counts gate exactly
+    let observer = std::sync::Arc::new(Observer::new(sor_obs::SloConfig {
+        max_congestion_ratio: Some(1e9),
+        max_p99_epoch_wall_ms: None,
+        min_cache_hit_rate: None,
+        max_fallback_fraction: Some(1.0),
+    }));
     let t1 = Instant::now();
-    let recorded = sor_serve::run_workload_with_observers(
+    let observed = run_workload(
         &g,
         ecfg,
         &wcfg,
-        sor_serve::ServeObservers {
-            journal: Some(std::sync::Arc::clone(&journal)),
-            ..sor_serve::ServeObservers::default()
-        },
+        &patterns,
+        Some(std::sync::Arc::clone(&observer)),
     );
     let on_wall = t1.elapsed();
 
@@ -838,24 +755,38 @@ pub fn journal_overhead() -> Quality {
             })
             .collect()
     };
-    let identical = bits(&plain) == bits(&recorded);
+    let identical = bits(&plain) == bits(&observed);
+    // loose wall tolerance: 10x + 250ms absolute slack absorbs scheduler
+    // noise on tiny kernels while still catching catastrophic overhead
     let wall_ok = on_wall <= plain_wall * 10 + std::time::Duration::from_millis(250);
-
+    let summary = observer.watchdog().summary();
+    let journal = observer.journal();
     let events = journal.events();
     let count = |tag: &str| events.iter().filter(|(_, e)| e.type_tag() == tag).count();
     let dump = journal.dump_json(&[("source", "perf")]);
     let round_trip = sor_obs::parse_journal(&dump).is_ok_and(|d| d.events.len() == events.len());
 
     vec![
-        q("journal/epochs", recorded.snapshots.len() as f64),
-        q("journal/bit_identical", b01(identical)),
-        q("journal/wall_ok", b01(wall_ok)),
-        q("journal/events", events.len() as f64),
-        q("journal/epoch_begins", count("epoch_begin") as f64),
-        q("journal/epoch_ends", count("epoch_end") as f64),
-        q("journal/edge_fails", count("edge_fail") as f64),
-        q("journal/dropped", journal.dropped() as f64),
-        q("journal/round_trip", b01(round_trip)),
+        q("observer/epochs", observed.snapshots.len() as f64),
+        q("observer/bit_identical", b01(identical)),
+        q("observer/wall_ok", b01(wall_ok)),
+        q("observer/timeline_len", observer.timeline().len() as f64),
+        q("observer/epochs_evaluated", summary.epochs_evaluated as f64),
+        q("observer/breaches", summary.total_breaches as f64),
+        q(
+            "observer/cache_delta_sum",
+            observed
+                .snapshots
+                .iter()
+                .map(|s| s.cache.hits + s.cache.misses)
+                .sum::<u64>() as f64,
+        ),
+        q("observer/events", events.len() as f64),
+        q("observer/epoch_begins", count("epoch_begin") as f64),
+        q("observer/epoch_ends", count("epoch_end") as f64),
+        q("observer/edge_fails", count("edge_fail") as f64),
+        q("observer/dropped", journal.dropped() as f64),
+        q("observer/round_trip", b01(round_trip)),
     ]
 }
 

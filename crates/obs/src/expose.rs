@@ -5,8 +5,8 @@
 //! `_bucket{le="..."}` series ending in the mandatory `le="+Inf"` bucket
 //! (the PR-3 snapshot's `le: None` overflow bucket — rendering it as
 //! `+Inf` rather than dropping or NaN-ing it is the whole point), plus
-//! `_sum`/`_count`. Callers can append gauges (window rates, streaming
-//! percentiles, SLO breach counts) through [`PromGauges`].
+//! `_sum`/`_count`. Callers can append gauges (streaming percentiles,
+//! SLO breach counts) through [`PromGauges`].
 //!
 //! [`TelemetryServer`] serves the exposition over a plain
 //! `std::net::TcpListener` accept thread — no HTTP framework, HTTP/1.0
@@ -53,8 +53,8 @@ fn push_prom_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Extra gauge samples appended to the exposition (window rates,
-/// percentiles, health counts — anything not in the registry proper).
+/// Extra gauge samples appended to the exposition (percentiles, health
+/// counts — anything not in the registry proper).
 #[derive(Clone, Debug, Default)]
 pub struct PromGauges {
     samples: Vec<(String, f64)>,
@@ -68,7 +68,7 @@ impl PromGauges {
 
     /// Append one gauge; `name` is a registry-style name (it goes
     /// through [`prom_name`]), `labels` is a pre-rendered label body
-    /// such as `window="10"` (empty for none).
+    /// such as `quantile="0.99"` (empty for none).
     pub fn push(&mut self, name: &str, labels: &str, value: f64) {
         let rendered = if labels.is_empty() {
             prom_name(name)
@@ -146,7 +146,7 @@ pub fn render_prometheus(snap: &Snapshot, gauges: &PromGauges) -> String {
 }
 
 /// What the scrape endpoint serves; implemented by the serve crate's
-/// telemetry plane. Implementations must render entirely before
+/// observer. Implementations must render entirely before
 /// returning (no locks escaping, no sockets touched).
 pub trait TelemetryHandler: Send + Sync {
     /// Body for `GET /metrics` (Prometheus text exposition).
@@ -154,12 +154,8 @@ pub trait TelemetryHandler: Send + Sync {
     /// Body for `GET /timeline` (epoch timeline JSON).
     fn timeline_json(&self) -> String;
     /// Body for `GET /timeline?last=N` — the same document truncated to
-    /// the most recent `last` epochs. The default ignores the truncation
-    /// and serves the full timeline.
-    fn timeline_json_last(&self, last: usize) -> String {
-        let _ = last;
-        self.timeline_json()
-    }
+    /// the most recent `last` epochs.
+    fn timeline_json_last(&self, last: usize) -> String;
     /// Body for `GET /health` (SLO health summary, JSON — served with
     /// `Content-Type: application/json`; see
     /// [`crate::slo::HealthSummary::render_json`] for the canonical
@@ -382,7 +378,7 @@ mod tests {
     fn gauges_append_with_labels() {
         let mut g = PromGauges::new();
         assert!(g.is_empty());
-        g.push("serve/cache_hit_rate", "window=\"10\"", 0.875);
+        g.push("serve/cache_hit_rate", "rule=\"min\"", 0.875);
         g.push("serve/epoch_wall_p99_ms", "", 12.0);
         assert_eq!(g.len(), 2);
         let text = render_prometheus(
@@ -394,7 +390,7 @@ mod tests {
             &g,
         );
         assert!(text.contains("# TYPE sor_serve_cache_hit_rate gauge\n"));
-        assert!(text.contains("sor_serve_cache_hit_rate{window=\"10\"} 0.875\n"));
+        assert!(text.contains("sor_serve_cache_hit_rate{rule=\"min\"} 0.875\n"));
         assert!(text.contains("sor_serve_epoch_wall_p99_ms 12\n"));
     }
 

@@ -1,4 +1,4 @@
-//! Flight recorder: a bounded, sharded ring journal of causal events.
+//! Flight recorder: a bounded ring journal of causal events.
 //!
 //! The timeline ([`crate::timeline`]) answers "what were the numbers
 //! around epoch 37"; the journal answers "what *happened*" — the causal
@@ -11,19 +11,18 @@
 //!
 //! Design constraints, in order:
 //!
-//! * **Zero cost detached.** Nothing global: the engine holds an
-//!   `Option<Arc<Journal>>` and emits only behind it. No atomics are
-//!   touched on the detached path.
+//! * **Zero cost detached.** Nothing global: the engine reaches the
+//!   journal only through an attached observer and emits only behind
+//!   it. No lock is touched on the detached path.
 //! * **Bit-output-neutral attached.** Recording is strictly read-only
 //!   over the epoch's outputs — events carry copies of already-published
 //!   data, never feed anything back, and hold no wall clocks on the
 //!   deterministic path (the serve determinism test pins bit-equality of
-//!   published snapshots with the journal attached and detached).
-//! * **Bounded and cheap.** Eight shards, each a pre-sized
-//!   `Mutex<VecDeque>`; a global relaxed sequence counter round-robins
-//!   writers across shards, so concurrent emitters (engine thread vs. a
-//!   `fail_edges` caller) contend at 1/8 the rate. Past capacity the
-//!   oldest event in the shard is dropped and counted.
+//!   published snapshots with and without an observer attached).
+//! * **Bounded and cheap.** One pre-sized `VecDeque` behind one mutex.
+//!   Every write comes from the engine, which holds `&mut Engine` while
+//!   it emits, so the lock is only ever contended by a reader taking a
+//!   dump. Past capacity the oldest event is dropped and counted.
 //!
 //! The dump format is versioned (`sor-journal/1`), hand-rolled like
 //! every JSON writer in the tree, and round-trips through the PR-4
@@ -35,12 +34,8 @@
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of ring shards (writers round-robin by sequence number).
-pub const JOURNAL_SHARDS: usize = 8;
-
-/// Default total event capacity across all shards.
+/// Default event capacity of the ring.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
 /// One edge's load in a top-k congestion record: raw edge id, absolute
@@ -237,13 +232,23 @@ impl JournalEvent {
     }
 }
 
-/// The bounded, sharded ring journal (see module docs).
+/// The bounded ring journal (see module docs).
 pub struct Journal {
-    shards: Vec<Mutex<VecDeque<(u64, JournalEvent)>>>,
-    shard_cap: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    last_epoch: AtomicU64,
+    ring: Mutex<Ring>,
+    capacity: usize,
+}
+
+/// The ring and its counters, kept under one lock so a dump sees a
+/// consistent view.
+struct Ring {
+    /// Retained `(seq, event)` pairs, oldest first.
+    events: VecDeque<(u64, JournalEvent)>,
+    /// Events ever recorded; the next event's sequence number.
+    recorded: u64,
+    /// Events evicted past capacity.
+    dropped: u64,
+    /// Highest epoch tag seen.
+    last_epoch: u64,
 }
 
 impl Default for Journal {
@@ -253,56 +258,45 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Journal with the default total capacity.
+    /// Journal with the default capacity.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Journal retaining roughly `capacity` events total across the
-    /// shards (rounded up to a multiple of [`JOURNAL_SHARDS`]). Each
-    /// shard's buffer is pre-sized so steady-state recording never
+    /// Journal retaining the most recent `capacity` events (at least
+    /// one). The buffer is pre-sized so steady-state recording never
     /// allocates.
     pub fn with_capacity(capacity: usize) -> Self {
-        let shard_cap = capacity.div_ceil(JOURNAL_SHARDS).max(1);
+        let capacity = capacity.max(1);
         Journal {
-            shards: (0..JOURNAL_SHARDS)
-                .map(|_| Mutex::new(VecDeque::with_capacity(shard_cap)))
-                .collect(),
-            shard_cap,
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            last_epoch: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                events: VecDeque::with_capacity(capacity),
+                recorded: 0,
+                dropped: 0,
+                last_epoch: 0,
+            }),
+            capacity,
         }
     }
 
-    /// Append one event: take a global sequence number, push into the
-    /// round-robin shard, drop (and count) the shard's oldest event past
-    /// capacity. One relaxed fetch-add plus one short shard lock.
+    /// Append one event under the next sequence number, dropping (and
+    /// counting) the oldest event past capacity.
     pub fn record(&self, event: JournalEvent) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.last_epoch.fetch_max(event.epoch(), Ordering::Relaxed);
-        let idx = usize::try_from(seq % JOURNAL_SHARDS as u64).unwrap_or(0);
-        let Some(shard) = self.shards.get(idx) else {
-            return; // unreachable: idx < JOURNAL_SHARDS by construction
-        };
-        let evicted = {
-            let mut ring = shard.lock();
-            // sor-check: allow(lock-order) — VecDeque::len on the live guard, not a re-acquisition
-            let full = ring.len() == self.shard_cap;
-            if full {
-                ring.pop_front();
-            }
-            ring.push_back((seq, event));
-            full
-        };
-        if evicted {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut ring = self.ring.lock();
+        let seq = ring.recorded;
+        ring.recorded += 1;
+        ring.last_epoch = ring.last_epoch.max(event.epoch());
+        // sor-check: allow(lock-order) — VecDeque::len on the live guard, not a re-acquisition
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
         }
+        ring.events.push_back((seq, event));
     }
 
-    /// Events currently retained (across all shards).
+    /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.ring.lock().events.len()
     }
 
     /// Whether nothing has been retained.
@@ -312,56 +306,45 @@ impl Journal {
 
     /// Total events ever recorded (including dropped ones).
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.ring.lock().recorded
     }
 
     /// Events evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().dropped
     }
 
-    /// Highest epoch tag seen so far.
-    pub fn last_epoch(&self) -> u64 {
-        self.last_epoch.load(Ordering::Relaxed)
-    }
-
-    /// Merged copy of the retained `(seq, event)` pairs in sequence
-    /// order. Shard locks are taken one at a time and released before
-    /// the sort — nothing expensive happens under a guard.
+    /// Copy of the retained `(seq, event)` pairs in sequence order.
     pub fn events(&self) -> Vec<(u64, JournalEvent)> {
-        let mut all: Vec<(u64, JournalEvent)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let ring = shard.lock();
-            all.extend(ring.iter().cloned());
-        }
-        all.sort_by_key(|&(seq, _)| seq);
-        all
-    }
-
-    /// Retained events tagged with epoch `>= min_epoch`, in sequence
-    /// order.
-    pub fn events_since_epoch(&self, min_epoch: u64) -> Vec<(u64, JournalEvent)> {
-        let mut all = self.events();
-        all.retain(|(_, e)| e.epoch() >= min_epoch);
-        all
+        self.ring.lock().events.iter().cloned().collect()
     }
 
     /// Serialize the whole retained ring as a `sor-journal/1` document
     /// with extra top-level string fields (`meta`).
     pub fn dump_json(&self, meta: &[(&str, &str)]) -> String {
-        events_to_json(&self.events(), self.recorded(), self.dropped(), meta)
+        self.dump_json_last(0, meta)
     }
 
     /// Serialize only the last `epochs` epochs of context (relative to
-    /// the highest epoch seen) — the breach-dump shape.
+    /// the highest epoch seen; 0 = the whole ring) — the breach-dump
+    /// shape.
     pub fn dump_json_last(&self, epochs: u64, meta: &[(&str, &str)]) -> String {
-        let min_epoch = self.last_epoch().saturating_sub(epochs.saturating_sub(1));
-        let events = if epochs == 0 {
-            self.events()
-        } else {
-            self.events_since_epoch(min_epoch)
+        let (events, recorded, dropped) = {
+            let ring = self.ring.lock();
+            let min_epoch = if epochs == 0 {
+                0
+            } else {
+                ring.last_epoch.saturating_sub(epochs - 1)
+            };
+            let events: Vec<(u64, JournalEvent)> = ring
+                .events
+                .iter()
+                .filter(|(_, e)| e.epoch() >= min_epoch)
+                .cloned()
+                .collect();
+            (events, ring.recorded, ring.dropped)
         };
-        events_to_json(&events, self.recorded(), self.dropped(), meta)
+        events_to_json(&events, recorded, dropped, meta)
     }
 }
 
@@ -757,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn record_orders_by_sequence_across_shards() {
+    fn record_keeps_sequence_order() {
         let j = Journal::new();
         for e in sample_events() {
             j.record(e);
@@ -766,7 +749,6 @@ mod tests {
         assert_eq!(events.len(), 15);
         assert_eq!(j.recorded(), 15);
         assert_eq!(j.dropped(), 0);
-        assert_eq!(j.last_epoch(), 2);
         let seqs: Vec<u64> = events.iter().map(|&(s, _)| s).collect();
         assert_eq!(seqs, (0..15).collect::<Vec<_>>());
         assert_eq!(
@@ -777,28 +759,34 @@ mod tests {
 
     #[test]
     fn ring_bounds_capacity_and_counts_drops() {
-        let j = Journal::with_capacity(JOURNAL_SHARDS * 2); // 2 per shard
+        let j = Journal::with_capacity(16);
         for i in 0..40u64 {
             j.record(JournalEvent::CacheHit { epoch: i });
         }
-        assert_eq!(j.len(), JOURNAL_SHARDS * 2);
+        assert_eq!(j.len(), 16);
         assert_eq!(j.recorded(), 40);
-        assert_eq!(j.dropped(), 40 - (JOURNAL_SHARDS as u64) * 2);
-        // survivors are the most recent events
-        let events = j.events();
-        let min_seq = events.iter().map(|&(s, _)| s).min().unwrap_or(0);
-        assert!(min_seq >= 40 - (JOURNAL_SHARDS as u64) * 2);
+        assert_eq!(j.dropped(), 24);
+        // survivors are exactly the most recent events, oldest first
+        let seqs: Vec<u64> = j.events().iter().map(|&(s, _)| s).collect();
+        assert_eq!(seqs, (24..40).collect::<Vec<_>>());
     }
 
     #[test]
-    fn events_since_epoch_filters_context() {
+    fn full_ring_with_drops_round_trips() {
         let j = Journal::new();
-        for e in sample_events() {
-            j.record(e);
+        let events = sample_events();
+        let total = DEFAULT_JOURNAL_CAPACITY + 37;
+        for e in events.iter().cycle().take(total) {
+            j.record(e.clone());
         }
-        let tail = j.events_since_epoch(1);
-        assert_eq!(tail.len(), 7);
-        assert!(tail.iter().all(|(_, e)| e.epoch() >= 1));
+        assert_eq!(j.len(), DEFAULT_JOURNAL_CAPACITY);
+        assert!(j.recorded() > DEFAULT_JOURNAL_CAPACITY as u64);
+        let dump =
+            parse_journal(&j.dump_json(&[("source", "full-ring")])).expect("full ring parses");
+        assert_eq!(dump.recorded, total as u64);
+        assert_eq!(dump.dropped, 37);
+        assert_eq!(dump.events, j.events());
+        assert_eq!(dump.events.first().map(|&(seq, _)| seq), Some(37));
     }
 
     #[test]
@@ -834,6 +822,7 @@ mod tests {
         let json = j.dump_json_last(2, &[]);
         let dump = parse_journal(&json).expect("parse tail dump");
         // last 2 epochs relative to epoch 2 → epochs 1 and 2 only
+        assert_eq!(dump.events.len(), 7);
         assert!(dump.events.iter().all(|(_, e)| e.epoch() >= 1));
         assert!(dump.events.iter().any(|(_, e)| e.epoch() == 2));
         // 0 means "everything"

@@ -388,13 +388,21 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe)
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote or
+                    // escape in one step. Both delimiters are ASCII, so
+                    // they never split a UTF-8 sequence, and each byte is
+                    // validated once: parsing stays linear.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| {
+                        JsonError {
+                            offset: start + e.valid_up_to(),
+                            message: "invalid UTF-8".to_string(),
+                        }
+                    })?;
+                    out.push_str(run);
                 }
             }
         }

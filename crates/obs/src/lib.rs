@@ -40,17 +40,17 @@
 //!
 //! # Live telemetry (v2)
 //!
-//! On top of the cumulative registry sits a live plane for long-running
-//! serving: [`window`] (sliding-window rates over deterministic ticks
-//! plus log-bucketed streaming percentiles), [`timeline`] (a bounded
-//! ring of per-epoch records), [`slo`] (declarative threshold
-//! watchdogs), and [`expose`] (Prometheus-style text exposition over a
-//! plain TCP scrape thread). All of it is read-only over recorded data
-//! — live telemetry can never perturb the bit-determinism contract.
+//! On top of the cumulative registry sit the pieces a long-running
+//! server needs: [`loghist`] (log-bucketed streaming percentiles),
+//! [`timeline`] (a bounded ring of per-epoch records), [`slo`]
+//! (declarative threshold watchdogs), and [`expose`] (Prometheus-style
+//! text exposition over a plain TCP scrape thread). All of it is
+//! read-only over recorded data — live telemetry can never perturb the
+//! bit-determinism contract.
 //!
 //! # Flight recorder & forensics (v3)
 //!
-//! [`journal`] is a bounded, sharded ring of structured *causal* events
+//! [`journal`] is a bounded ring of structured *causal* events
 //! (admissions, cache movements, failures, fallbacks, re-opt summaries,
 //! top-k edge loads, path churn) with a versioned `sor-journal/1` dump
 //! format; [`forensics`] ingests a dump and attributes epoch-over-epoch
@@ -67,12 +67,12 @@ pub mod forensics;
 pub mod journal;
 mod json;
 mod logging;
+pub mod loghist;
 mod metrics;
 pub mod slo;
 pub mod snapshot;
 mod span;
 pub mod timeline;
-pub mod window;
 
 pub use expose::{prom_name, render_prometheus, PromGauges, TelemetryHandler, TelemetryServer};
 pub use forensics::{
@@ -81,12 +81,12 @@ pub use forensics::{
 };
 pub use journal::{
     parse_journal, EdgeLoad, Journal, JournalDump, JournalEvent, DEFAULT_JOURNAL_CAPACITY,
-    JOURNAL_SHARDS,
 };
 pub use json::{parse_json, JsonError, JsonValue};
 pub use logging::{
     log, log_enabled, log_level, set_log_level, set_sink, take_captured, Level, Sink,
 };
+pub use loghist::LogHistogram;
 pub use metrics::{
     count, count_usize, counter, histogram, observe, registry, BucketCount, Counter,
     CounterSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, POW2_BUCKETS, RATIO_BUCKETS,
@@ -94,7 +94,6 @@ pub use metrics::{
 pub use slo::{HealthSummary, SloBreach, SloConfig, SloInputs, SloWatchdog, SLO_RULES};
 pub use span::{phase_report, render_phase_tree, span, Span, SpanSnapshot};
 pub use timeline::{EpochRecord, EpochTimeline};
-pub use window::{LogHistogram, WindowRegistry, WindowSnapshot};
 
 /// Runtime capture switch (compile-time gated by the `capture` feature).
 static ENABLED: AtomicBool = AtomicBool::new(false);

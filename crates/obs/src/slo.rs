@@ -91,8 +91,9 @@ impl SloBreach {
 }
 
 /// Live inputs a single [`EpochRecord`] cannot carry: tail latency from
-/// the epoch-wall [`LogHistogram`](crate::LogHistogram) and the windowed
-/// cache hit rate from the [`WindowRegistry`](crate::WindowRegistry).
+/// the epoch-wall [`LogHistogram`](crate::LogHistogram) and the cache
+/// hit rate over the current epoch and the timeline's most recent
+/// records (the serving layer computes both).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SloInputs {
     /// Current p99 of epoch wall time, milliseconds, if observed.

@@ -121,6 +121,16 @@ impl EpochTimeline {
         ring.iter().cloned().collect()
     }
 
+    /// Copy of the newest `n` retained records, oldest first. Copies
+    /// only those `n`, so a per-epoch reader stays O(n), not
+    /// O(capacity).
+    pub fn last(&self, n: usize) -> Vec<EpochRecord> {
+        let ring = self.ring.lock();
+        // sor-check: allow(lock-order) — `ring.len()` is VecDeque::len on the live guard, not a re-acquisition
+        let skip = ring.len().saturating_sub(n);
+        ring.iter().skip(skip).cloned().collect()
+    }
+
     /// The retained records as a JSON document:
     /// `{"format":"sor-timeline/1","epochs":[...]}`. Hand-rolled like
     /// the snapshot export; `null` for absent fresh baselines.
@@ -132,9 +142,7 @@ impl EpochTimeline {
     /// records (the `/timeline?last=N` endpoint; `last = 0` serves an
     /// empty document).
     pub fn to_json_last(&self, last: usize) -> String {
-        let records = self.records();
-        let tail = records.len().saturating_sub(last);
-        render_records_json(records.get(tail..).unwrap_or(&[]))
+        render_records_json(&self.last(last))
     }
 
     /// Render the retained records as a fixed-width text dashboard.
@@ -282,6 +290,10 @@ mod tests {
             recs.iter().map(|r| r.epoch).collect::<Vec<_>>(),
             vec![2, 3, 4]
         );
+        let epochs = |n| t.last(n).iter().map(|r| r.epoch).collect::<Vec<_>>();
+        assert_eq!(epochs(2), vec![3, 4]);
+        assert_eq!(epochs(10), vec![2, 3, 4]);
+        assert!(epochs(0).is_empty());
     }
 
     #[test]

@@ -425,7 +425,7 @@ mod tests {
         // One packet released at t=5 over a 2-hop path finishes at 7.
         let g = gen::path_graph(3);
         let p = bfs_path(&g, NodeId(0), NodeId(2)).unwrap();
-        let r = simulate_released(&g, &[p.clone()], Some(&[5]), Policy::Fifo);
+        let r = simulate_released(&g, std::slice::from_ref(&p), Some(&[5]), Policy::Fifo);
         assert_eq!(r.makespan, 7);
         // staggered arrivals on a shared edge pipeline cleanly
         let r2 = simulate_released(&g, &[p.clone(), p], Some(&[0, 1]), Policy::Fifo);

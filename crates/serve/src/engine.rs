@@ -22,7 +22,7 @@
 use crate::cache::{
     fnv1a_u64, pairs_fingerprint, CacheDeltas, CacheKey, CacheStats, PathSystemCache, FNV_OFFSET,
 };
-use crate::telemetry::{EpochWalls, ServeTelemetry};
+use crate::observer::{EpochMeasures, Observer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -32,7 +32,7 @@ use sor_core::{PathSystem, SemiObliviousRouting};
 use sor_flow::Demand;
 use sor_graph::{EdgeId, Graph, NodeId};
 use sor_oblivious::RaeckeRouting;
-use sor_obs::{EdgeLoad, Journal, JournalEvent, SloBreach};
+use sor_obs::{EdgeLoad, JournalEvent};
 use sor_te::emergency_path;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -212,42 +212,8 @@ impl EpochSnapshot {
     }
 }
 
-/// Per-epoch sub-phase wall clocks, populated only while telemetry is
-/// attached (wall time never reaches published output).
-#[derive(Clone, Copy, Default)]
-struct EpochTimings {
-    cache_lookup_ns: u64,
-    reopt_ns: u64,
-}
-
 /// Congested edges reported per `top_edges` journal event.
 const TOP_EDGES_K: usize = 8;
-
-/// Breach-triggered flight-recorder dumps: when an epoch trips any SLO
-/// rule and a journal is attached, the engine snapshots the ring's last
-/// `context_epochs` epochs to `{prefix}-epoch{NNNNNN}.json` (the
-/// `sor-journal/1` format `sor forensics` ingests).
-#[derive(Clone, Debug)]
-pub struct BreachDumpConfig {
-    /// Artifact path prefix (`{prefix}-epoch000042.json`).
-    pub prefix: String,
-    /// Epochs of journal context per dump (0 = everything still in the
-    /// ring).
-    pub context_epochs: u64,
-    /// Stop writing after this many dumps (a breach storm must not turn
-    /// the flight recorder into a disk-filling loop).
-    pub max_dumps: usize,
-}
-
-impl Default for BreachDumpConfig {
-    fn default() -> Self {
-        BreachDumpConfig {
-            prefix: "sor-breach".to_string(),
-            context_epochs: 16,
-            max_dumps: 16,
-        }
-    }
-}
 
 /// The long-running engine (see module docs for the lifecycle).
 pub struct Engine {
@@ -262,17 +228,16 @@ pub struct Engine {
     rejected: u64,
     last: Option<SemiObliviousRouting>,
     last_stats: CacheStats,
-    telemetry: Option<Arc<ServeTelemetry>>,
-    /// Enqueue instants mirroring `queue`, kept only while telemetry is
-    /// attached (queue-wait percentiles).
+    observer: Option<Arc<Observer>>,
+    /// Enqueue instants mirroring `queue`, kept only while an observer
+    /// is attached (queue-wait percentiles).
     queue_times: VecDeque<Instant>,
-    timings: EpochTimings,
-    journal: Option<Arc<Journal>>,
-    dump_cfg: Option<BreachDumpConfig>,
-    breach_dumps: Vec<String>,
-    /// Rejection total at the last journaled epoch (reject events carry
-    /// per-epoch deltas).
-    journal_prev_rejected: u64,
+    /// The running epoch's rejection delta and wall clocks, filled only
+    /// while an observer is attached (wall time never reaches published
+    /// output).
+    measures: EpochMeasures,
+    /// Rejection total at the last observed epoch.
+    prev_rejected: u64,
     /// Last published path-set fingerprint per pair — path-churn events
     /// difference against this. BTreeMap: churn events come out in
     /// deterministic pair order.
@@ -295,13 +260,10 @@ impl Engine {
             rejected: 0,
             last: None,
             last_stats: CacheStats::default(),
-            telemetry: None,
+            observer: None,
             queue_times: VecDeque::new(),
-            timings: EpochTimings::default(),
-            journal: None,
-            dump_cfg: None,
-            breach_dumps: Vec::new(),
-            journal_prev_rejected: 0,
+            measures: EpochMeasures::default(),
+            prev_rejected: 0,
             pair_fps: BTreeMap::new(),
             g,
             cfg,
@@ -309,44 +271,27 @@ impl Engine {
         }
     }
 
-    /// Attach the live telemetry plane: every subsequent epoch records
-    /// walls, ticks the window registry, appends to the timeline, and
-    /// runs the SLO watchdog. Telemetry is strictly read-only over the
-    /// epoch's outputs — published routes/rates stay bit-identical with
-    /// or without it (the determinism test pins this).
-    pub fn attach_telemetry(&mut self, telemetry: Arc<ServeTelemetry>) {
-        self.telemetry = Some(telemetry);
+    /// Attach an observer: every subsequent lifecycle step journals a
+    /// causal event, and every epoch closes into its timeline, wall
+    /// histograms and SLO watchdog. Observation is strictly read-only
+    /// over the epoch's outputs — published snapshots stay bit-identical
+    /// with or without it (the determinism test pins this), and an
+    /// engine without one takes no clock reading and builds no event.
+    pub fn attach_observer(&mut self, observer: Arc<Observer>) {
+        self.observer = Some(observer);
     }
 
-    /// The attached telemetry plane, if any.
-    pub fn telemetry(&self) -> Option<&Arc<ServeTelemetry>> {
-        self.telemetry.as_ref()
+    /// The attached observer, if any.
+    pub fn observer(&self) -> Option<&Arc<Observer>> {
+        self.observer.as_ref()
     }
 
-    /// Attach the flight recorder: every subsequent lifecycle step emits
-    /// a causal event into the ring. Like telemetry, the journal is
-    /// strictly read-only over the epoch's outputs — published snapshots
-    /// stay bit-identical with or without it (the determinism test pins
-    /// this), and a detached engine never touches the ring at all.
-    pub fn attach_journal(&mut self, journal: Arc<Journal>) {
-        self.journal = Some(journal);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
-    }
-
-    /// Arm breach-triggered dumps (requires an attached journal to have
-    /// any effect): epochs that trip an SLO rule snapshot the ring to
-    /// disk. See [`BreachDumpConfig`].
-    pub fn set_breach_dump(&mut self, cfg: BreachDumpConfig) {
-        self.dump_cfg = Some(cfg);
-    }
-
-    /// Paths of the breach dumps written so far, in breach order.
-    pub fn breach_dump_paths(&self) -> &[String] {
-        &self.breach_dumps
+    /// Journal a causal event; without an observer the event is never
+    /// built.
+    fn record(&self, event: impl FnOnce() -> JournalEvent) {
+        if let Some(obs) = &self.observer {
+            obs.record(event());
+        }
     }
 
     /// Offer a request. Returns `false` (and counts a rejection) when the
@@ -363,7 +308,7 @@ impl Engine {
             sor_obs::counter_add!("serve/requests_rejected");
             return false;
         }
-        if self.telemetry.is_some() {
+        if self.observer.is_some() {
             self.queue_times.push_back(Instant::now());
         }
         self.queue.push_back(req);
@@ -381,19 +326,17 @@ impl Engine {
         }
         sor_obs::count_usize("serve/edge_failures", edges.len());
         let invalidated = self.cache.invalidate_edges(edges);
-        if let Some(journal) = &self.journal {
-            // Tagged with the *upcoming* epoch index: the failure takes
-            // effect on (and the invalidation misses land in) that epoch.
-            journal.record(JournalEvent::EdgeFail {
+        // Tagged with the *upcoming* epoch index: the failure takes
+        // effect on (and the invalidation misses land in) that epoch.
+        self.record(|| JournalEvent::EdgeFail {
+            epoch: self.epoch,
+            edges: edges.iter().map(|e| e.0).collect(),
+        });
+        if invalidated > 0 {
+            self.record(|| JournalEvent::CacheInvalidate {
                 epoch: self.epoch,
-                edges: edges.iter().map(|e| e.0).collect(),
+                count: invalidated as u64,
             });
-            if invalidated > 0 {
-                journal.record(JournalEvent::CacheInvalidate {
-                    epoch: self.epoch,
-                    count: invalidated as u64,
-                });
-            }
         }
         invalidated
     }
@@ -405,20 +348,18 @@ impl Engine {
         let restored = self.failed.len();
         self.failed.clear();
         if restored > 0 {
-            if let Some(journal) = &self.journal {
-                journal.record(JournalEvent::EdgeRestore {
-                    epoch: self.epoch,
-                    restored,
-                });
-            }
+            self.record(|| JournalEvent::EdgeRestore {
+                epoch: self.epoch,
+                restored,
+            });
         }
     }
 
     /// Run one epoch: admit a batch, solve it on a cached (or freshly
     /// sampled) path system, publish the snapshot.
     pub fn run_epoch(&mut self) -> EpochSnapshot {
-        let epoch_start = (self.telemetry.is_some() || self.journal.is_some()).then(Instant::now);
-        self.timings = EpochTimings::default();
+        let epoch_start = self.observer.is_some().then(Instant::now);
+        self.measures = EpochMeasures::default();
         let mut snap = {
             let _span = sor_obs::span("serve/epoch");
             self.run_epoch_inner()
@@ -429,80 +370,16 @@ impl Engine {
             snap.fresh_congestion = Some(self.fresh_baseline(&snap));
         }
         // Per-epoch cache counter deltas are part of the published
-        // snapshot regardless of telemetry: the movement is exactly as
+        // snapshot regardless of observation: the movement is exactly as
         // deterministic as the lifetime counters it differences.
         let stats = self.cache.stats();
         snap.cache = stats.delta_since(&self.last_stats);
         self.last_stats = stats;
-        let epoch_wall_ns = epoch_start.map_or(0, elapsed_ns);
-        if let Some(journal) = &self.journal {
-            if snap.cache.evictions > 0 {
-                journal.record(JournalEvent::CacheEvict {
-                    epoch: snap.epoch,
-                    count: snap.cache.evictions,
-                });
-            }
-            journal.record(JournalEvent::EpochEnd {
-                epoch: snap.epoch,
-                admitted: snap.admitted,
-                cache_hit: snap.cache_hit,
-                congestion: snap.congestion,
-                fallback_pairs: snap.fallback_pairs,
-                unserved_pairs: snap.unserved_pairs,
-                failed_edges: self.failed.len(),
-                epoch_wall_ns,
-            });
-        }
-        if let Some(telemetry) = &self.telemetry {
-            let walls = EpochWalls {
-                epoch_ns: epoch_wall_ns,
-                reopt_ns: self.timings.reopt_ns,
-                cache_lookup_ns: self.timings.cache_lookup_ns,
-            };
-            let breaches = telemetry.record_epoch(&snap, self.failed.len(), self.rejected, walls);
-            if !breaches.is_empty() {
-                self.dump_on_breach(snap.epoch, &breaches);
-            }
+        if let (Some(obs), Some(t0)) = (&self.observer, epoch_start) {
+            self.measures.epoch_ns = elapsed_ns(t0);
+            obs.close_epoch(&snap, self.failed.len(), self.measures);
         }
         snap
-    }
-
-    /// Breach reaction: snapshot the flight recorder's recent epochs to a
-    /// breach-stamped artifact (no-op without both a journal and an armed
-    /// [`BreachDumpConfig`]; capped at `max_dumps`).
-    fn dump_on_breach(&mut self, epoch: u64, breaches: &[SloBreach]) {
-        let (Some(journal), Some(cfg)) = (&self.journal, &self.dump_cfg) else {
-            return;
-        };
-        if self.breach_dumps.len() >= cfg.max_dumps {
-            return;
-        }
-        let rules = breaches
-            .iter()
-            .map(|b| b.rule)
-            .collect::<Vec<_>>()
-            .join(",");
-        let epoch_str = epoch.to_string();
-        let doc = journal.dump_json_last(
-            cfg.context_epochs,
-            &[
-                ("reason", "slo-breach"),
-                ("breach_epoch", epoch_str.as_str()),
-                ("rules", rules.as_str()),
-            ],
-        );
-        let path = format!("{}-epoch{epoch:06}.json", cfg.prefix);
-        match std::fs::write(&path, doc) {
-            Ok(()) => {
-                sor_obs::warn!("epoch {epoch}: SLO breach ({rules}); journal dumped to {path}");
-                self.breach_dumps.push(path);
-            }
-            Err(e) => {
-                sor_obs::warn!(
-                    "epoch {epoch}: SLO breach ({rules}); journal dump to {path} failed: {e}"
-                );
-            }
-        }
     }
 
     fn run_epoch_inner(&mut self) -> EpochSnapshot {
@@ -510,30 +387,31 @@ impl Engine {
         self.epoch += 1;
         sor_obs::counter_add!("serve/epochs");
 
-        if let Some(journal) = &self.journal {
-            journal.record(JournalEvent::EpochBegin {
+        if let Some(obs) = &self.observer {
+            obs.record(JournalEvent::EpochBegin {
                 epoch,
                 queue_depth: self.queue.len(),
             });
-            let rejected_delta = self.rejected.saturating_sub(self.journal_prev_rejected);
-            if rejected_delta > 0 {
-                journal.record(JournalEvent::Reject {
+            // Rejections only happen at ingest, between epochs, so this
+            // delta is also the one the epoch's timeline row carries.
+            let rejected = self.rejected.saturating_sub(self.prev_rejected);
+            self.prev_rejected = self.rejected;
+            self.measures.rejected = rejected;
+            if rejected > 0 {
+                obs.record(JournalEvent::Reject {
                     epoch,
-                    count: rejected_delta,
+                    count: rejected,
                 });
             }
-            self.journal_prev_rejected = self.rejected;
         }
 
         let take = self.cfg.epoch_batch.min(self.queue.len());
         let admitted: Vec<Request> = self.queue.drain(..take).collect();
-        if let Some(telemetry) = &self.telemetry {
+        if let Some(obs) = &self.observer {
             // queue-wait percentiles for the admitted batch (enqueue
-            // instants are only mirrored while telemetry is attached)
-            for _ in 0..take.min(self.queue_times.len()) {
-                if let Some(t0) = self.queue_times.pop_front() {
-                    telemetry.observe_queue_wait_ns(elapsed_ns(t0));
-                }
+            // instants are only mirrored while an observer is attached)
+            for t0 in self.queue_times.drain(..take.min(self.queue_times.len())) {
+                obs.observe_queue_wait_ns(elapsed_ns(t0));
             }
         }
         sor_obs::count_usize("serve/requests_admitted", admitted.len());
@@ -547,15 +425,13 @@ impl Engine {
 
         let demand = Demand::from_triples(admitted.iter().map(|r| (r.src, r.dst, r.amount)));
         let pairs = demand_pairs(&demand);
-        if let Some(journal) = &self.journal {
-            journal.record(JournalEvent::Admit {
-                epoch,
-                count: admitted.len(),
-                demand_fp: pairs_fingerprint(&pairs),
-            });
-        }
+        self.record(|| JournalEvent::Admit {
+            epoch,
+            count: admitted.len(),
+            demand_fp: pairs_fingerprint(&pairs),
+        });
         let key = CacheKey::new(&self.g, &pairs, self.cfg.sparsity);
-        let lookup_start = self.telemetry.as_ref().map(|_| Instant::now());
+        let lookup_start = self.observer.as_ref().map(|_| Instant::now());
         let Engine {
             cache,
             routing,
@@ -568,15 +444,15 @@ impl Engine {
             sample_k(routing, &pairs, cfg.sparsity, rng).system
         });
         if let Some(t0) = lookup_start {
-            self.timings.cache_lookup_ns = elapsed_ns(t0);
+            self.measures.cache_lookup_ns = elapsed_ns(t0);
         }
-        if let Some(journal) = &self.journal {
-            journal.record(if cache_hit {
+        self.record(|| {
+            if cache_hit {
                 JournalEvent::CacheHit { epoch }
             } else {
                 JournalEvent::CacheMiss { epoch }
-            });
-        }
+            }
+        });
 
         let (system, fallback_pairs, unserved) =
             resolve_failures(&self.g, &sampled, &self.failed, &pairs);
@@ -586,12 +462,10 @@ impl Engine {
                  emergency shortest-path fallback installed"
             );
             sor_obs::count_usize("serve/fallback_pairs", fallback_pairs);
-            if let Some(journal) = &self.journal {
-                journal.record(JournalEvent::Fallback {
-                    epoch,
-                    pairs: fallback_pairs,
-                });
-            }
+            self.record(|| JournalEvent::Fallback {
+                epoch,
+                pairs: fallback_pairs,
+            });
         }
         let demand = if unserved.is_empty() {
             demand
@@ -601,12 +475,10 @@ impl Engine {
                 unserved.len()
             );
             sor_obs::count_usize("serve/unserved_pairs", unserved.len());
-            if let Some(journal) = &self.journal {
-                journal.record(JournalEvent::Unserved {
-                    epoch,
-                    pairs: unserved.len(),
-                });
-            }
+            self.record(|| JournalEvent::Unserved {
+                epoch,
+                pairs: unserved.len(),
+            });
             Demand::from_triples(
                 demand
                     .entries()
@@ -625,7 +497,7 @@ impl Engine {
 
         let sparsity = system.sparsity();
         let sor = SemiObliviousRouting::new(self.g.clone(), system);
-        let reopt_start = self.telemetry.as_ref().map(|_| Instant::now());
+        let reopt_start = self.observer.as_ref().map(|_| Instant::now());
         let integral_solve = self.cfg.integral && demand.is_integral();
         let (weights, congestion, lower_bound) = if integral_solve {
             let sol = sor.route_integral(&demand, self.cfg.eps, &mut self.rng);
@@ -640,7 +512,7 @@ impl Engine {
             (sol.weights, sol.congestion, sol.lower_bound)
         };
         if let Some(t0) = reopt_start {
-            self.timings.reopt_ns = elapsed_ns(t0);
+            self.measures.reopt_ns = elapsed_ns(t0);
         }
 
         // Compact mode: re-encode the epoch's (failure-resolved) system
@@ -698,7 +570,7 @@ impl Engine {
                 .collect(),
         };
 
-        if self.journal.is_some() {
+        if self.observer.is_some() {
             self.journal_solve_events(
                 epoch,
                 &demand,
@@ -730,9 +602,9 @@ impl Engine {
 
     /// Journal the solve's outcome: the re-opt summary, the top-k most
     /// utilized edges of the published assignment, and per-pair path
-    /// churn vs. the previous publication. Only called while a journal is
-    /// attached, so the load/fingerprint passes cost a detached engine
-    /// nothing.
+    /// churn vs. the previous publication. Only called while an observer
+    /// is attached, so the load/fingerprint passes cost an unobserved
+    /// engine nothing.
     fn journal_solve_events(
         &mut self,
         epoch: u64,
@@ -742,10 +614,10 @@ impl Engine {
         lower_bound: f64,
         integral: bool,
     ) {
-        let Some(journal) = &self.journal else {
+        let Some(obs) = &self.observer else {
             return;
         };
-        journal.record(JournalEvent::Reopt {
+        obs.record(JournalEvent::Reopt {
             epoch,
             pairs: demand.support_size(),
             congestion,
@@ -784,7 +656,7 @@ impl Engine {
                 .then(a.edge.cmp(&b.edge))
         });
         top.truncate(TOP_EDGES_K);
-        journal.record(JournalEvent::TopEdges { epoch, edges: top });
+        obs.record(JournalEvent::TopEdges { epoch, edges: top });
         // Path churn: fingerprint each pair's published path set and diff
         // it against the pair's previous publication.
         for r in routes {
@@ -802,7 +674,7 @@ impl Engine {
                 Some(_) => None,
             };
             if let Some(new_pair) = churn {
-                journal.record(JournalEvent::PathChurn {
+                obs.record(JournalEvent::PathChurn {
                     epoch,
                     src: pair.0,
                     dst: pair.1,
@@ -982,6 +854,39 @@ mod tests {
     }
 
     #[test]
+    fn observer_sees_per_epoch_rejection_deltas() {
+        let mut eng = small_engine(false);
+        let observer = Arc::new(Observer::default());
+        eng.attach_observer(Arc::clone(&observer));
+        // offered before each epoch; queue bound 16, epoch batch 8
+        for offered in [20u32, 10, 0, 17] {
+            for i in 0..offered {
+                eng.ingest(Request::unit(NodeId(i % 7), NodeId(7)));
+            }
+            eng.run_epoch();
+        }
+        assert_eq!(eng.rejected_total(), 4 + 2 + 1);
+        let rows: Vec<u64> = observer
+            .timeline()
+            .records()
+            .iter()
+            .map(|r| r.rejected)
+            .collect();
+        assert_eq!(rows, [4, 2, 0, 1], "timeline rows carry deltas, not totals");
+        let rejects: Vec<(u64, u64)> = observer
+            .journal()
+            .events()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                JournalEvent::Reject { epoch, count } => Some((*epoch, *count)),
+                _ => None,
+            })
+            .collect();
+        // one reject event per epoch with rejections, none for epoch 2
+        assert_eq!(rejects, [(0, 4), (1, 2), (3, 1)]);
+    }
+
+    #[test]
     fn snapshots_carry_per_epoch_cache_deltas() {
         let mut eng = small_engine(false);
         for i in 0..4u32 {
@@ -1054,8 +959,9 @@ mod tests {
     #[test]
     fn journal_captures_the_epoch_lifecycle() {
         let mut eng = small_engine(false);
-        let journal = Arc::new(Journal::new());
-        eng.attach_journal(Arc::clone(&journal));
+        let observer = Arc::new(Observer::default());
+        eng.attach_observer(Arc::clone(&observer));
+        let journal = observer.journal();
         for _ in 0..2 {
             for i in 0..4u32 {
                 eng.ingest(Request::unit(NodeId(i), NodeId(7 - i)));
@@ -1112,15 +1018,15 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let journal = Arc::new(Journal::new());
-        eng.attach_journal(Arc::clone(&journal));
+        let observer = Arc::new(Observer::default());
+        eng.attach_observer(Arc::clone(&observer));
         eng.ingest(Request::unit(NodeId(0), NodeId(3)));
         eng.run_epoch();
         eng.fail_edges(&[EdgeId(0)]);
         eng.ingest(Request::unit(NodeId(0), NodeId(3)));
         eng.run_epoch();
         eng.restore_all();
-        let events = journal.events();
+        let events = observer.journal().events();
         let fail = events
             .iter()
             .find_map(|(_, e)| match e {

@@ -20,36 +20,30 @@
 //!   compact snapshots carry their size accounting.
 //! * [`workload`] — deterministic closed-loop arrival processes and
 //!   failure schedules for the CLI, benches, and tests.
-//! * [`telemetry`] — the live plane: per-epoch window rates, streaming
-//!   tail percentiles, the epoch timeline, SLO watchdogs, and the
-//!   Prometheus-style scrape endpoint (`sor serve --telemetry-addr`).
-//!
-//! On top of telemetry sits the flight recorder: an attached
-//! `sor_obs::Journal` receives a causal event for every lifecycle step
-//! (admissions, cache movement, failures, fallbacks, re-opt summaries,
-//! top-k edge loads, path churn), and an armed
-//! [`engine::BreachDumpConfig`] snapshots the ring to disk whenever an
-//! epoch trips an SLO rule — the artifact `sor forensics` ingests.
+//! * [`observer`] — one [`Observer`] owns every observation store: the
+//!   flight-recorder journal of causal events (admissions, cache
+//!   movement, failures, fallbacks, re-opt summaries, top-k edge loads,
+//!   path churn), the epoch timeline, streaming tail percentiles, the
+//!   SLO watchdog, and breach-triggered journal dumps — the artifact
+//!   `sor forensics` ingests. It also serves the Prometheus-style scrape
+//!   endpoint (`sor serve --telemetry-addr`).
 //!
 //! Everything is bit-deterministic for a fixed seed, with or without
-//! `sor-obs` capture, telemetry, *or* the journal attached — the engine
-//! sits under the repo's perf gate.
+//! `sor-obs` capture or an observer attached — the engine sits under the
+//! repo's perf gate.
 
 #![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod engine;
-pub mod telemetry;
+pub mod observer;
 pub mod workload;
 
 pub use cache::{
     graph_fingerprint, pairs_fingerprint, CacheDeltas, CacheKey, CacheStats, PathSystemCache,
 };
-pub use engine::{
-    BreachDumpConfig, Engine, EngineConfig, EpochSnapshot, PublishedRoute, Request, SnapshotFormat,
-};
-pub use telemetry::{EpochWalls, ServeTelemetry};
+pub use engine::{Engine, EngineConfig, EpochSnapshot, PublishedRoute, Request, SnapshotFormat};
+pub use observer::{Observer, MAX_BREACH_DUMPS};
 pub use workload::{
-    matching_patterns, run_workload, run_workload_with_observers, run_workload_with_patterns,
-    run_workload_with_telemetry, scenario_patterns, ServeObservers, WorkloadConfig, WorkloadReport,
+    matching_patterns, run_workload, scenario_patterns, WorkloadConfig, WorkloadReport,
 };

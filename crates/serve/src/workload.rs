@@ -10,14 +10,13 @@
 //! recover path end to end.
 
 use crate::cache::CacheStats;
-use crate::engine::{BreachDumpConfig, Engine, EngineConfig, EpochSnapshot, Request};
-use crate::telemetry::ServeTelemetry;
+use crate::engine::{Engine, EngineConfig, EpochSnapshot, Request};
+use crate::observer::Observer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sor_core::sample::demand_pairs;
 use sor_flow::demand::random_matching;
 use sor_graph::{connected_without, EdgeId, Graph, NodeId};
-use sor_obs::Journal;
 use sor_te::Scenario;
 use std::sync::Arc;
 
@@ -56,27 +55,13 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// Observation planes a closed-loop run can attach to its engine. All of
-/// them are strictly read-only over the published snapshots — attaching
-/// any combination leaves the [`WorkloadReport`] bit-identical.
-#[derive(Clone, Default)]
-pub struct ServeObservers {
-    /// Live telemetry plane (windows, timeline, SLO watchdog).
-    pub telemetry: Option<Arc<ServeTelemetry>>,
-    /// Flight recorder (causal event journal).
-    pub journal: Option<Arc<Journal>>,
-    /// Breach-triggered journal dumps; only fires when a `journal` is
-    /// attached and the `telemetry` plane has SLO rules armed.
-    pub breach_dump: Option<BreachDumpConfig>,
-}
-
-impl ServeObservers {
-    /// Telemetry only — the pre-flight-recorder observation setup.
-    pub fn telemetry(t: Arc<ServeTelemetry>) -> Self {
-        ServeObservers {
-            telemetry: Some(t),
-            ..ServeObservers::default()
-        }
+impl WorkloadConfig {
+    /// The seeded pool of `patterns` random matchings of
+    /// `pairs_per_pattern` pairs each, drawn from `seed` — the pool the
+    /// CLI and the seeded tests run over.
+    pub fn pattern_pool(&self, g: &Graph) -> Vec<Vec<(NodeId, NodeId)>> {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5e57_ab1e);
+        matching_patterns(g, self.patterns, self.pairs_per_pattern, &mut rng)
     }
 }
 
@@ -93,9 +78,6 @@ pub struct WorkloadReport {
     pub rejected: u64,
     /// `(epoch, edge)` failure events the schedule injected.
     pub failures: Vec<(u64, EdgeId)>,
-    /// Breach-dump artifacts the engine wrote, in breach order (empty
-    /// unless [`ServeObservers::breach_dump`] was armed).
-    pub breach_dumps: Vec<String>,
 }
 
 impl WorkloadReport {
@@ -202,63 +184,18 @@ pub fn scenario_patterns<R: Rng>(
         .collect()
 }
 
-/// Run the closed loop with a [`matching_patterns`] pool.
-pub fn run_workload(g: &Graph, ecfg: EngineConfig, wcfg: &WorkloadConfig) -> WorkloadReport {
-    run_workload_with_telemetry(g, ecfg, wcfg, None)
-}
-
-/// [`run_workload`] with a live telemetry plane attached to the engine.
-/// Telemetry never changes the report (bit-identical snapshots either
-/// way); it only populates windows/timeline/SLO state as epochs run.
-pub fn run_workload_with_telemetry(
-    g: &Graph,
-    ecfg: EngineConfig,
-    wcfg: &WorkloadConfig,
-    telemetry: Option<Arc<ServeTelemetry>>,
-) -> WorkloadReport {
-    run_workload_with_observers(
-        g,
-        ecfg,
-        wcfg,
-        ServeObservers {
-            telemetry,
-            ..ServeObservers::default()
-        },
-    )
-}
-
-/// [`run_workload`] with any combination of observation planes attached
-/// (telemetry, flight recorder, breach-triggered dumps). The report stays
-/// bit-identical regardless of what is attached.
-pub fn run_workload_with_observers(
-    g: &Graph,
-    ecfg: EngineConfig,
-    wcfg: &WorkloadConfig,
-    observers: ServeObservers,
-) -> WorkloadReport {
-    let mut rng = StdRng::seed_from_u64(wcfg.seed ^ 0x5e57_ab1e);
-    let patterns = matching_patterns(g, wcfg.patterns, wcfg.pairs_per_pattern, &mut rng);
-    run_workload_inner(g, ecfg, wcfg, &patterns, observers)
-}
-
-/// Run the closed loop over an explicit pattern pool: each epoch picks a
-/// pattern, enqueues `rate` unit requests cycling over its pairs, and
-/// runs the engine; the failure schedule fires as configured.
-pub fn run_workload_with_patterns(
+/// Run the closed loop over a pattern pool: each epoch picks a pattern,
+/// enqueues `rate` unit requests cycling over its pairs, and runs the
+/// engine; the failure schedule fires as configured. An attached
+/// `observer` never changes the report (bit-identical snapshots either
+/// way); it only fills its journal, timeline and SLO state as epochs
+/// run.
+pub fn run_workload(
     g: &Graph,
     ecfg: EngineConfig,
     wcfg: &WorkloadConfig,
     patterns: &[Vec<(NodeId, NodeId)>],
-) -> WorkloadReport {
-    run_workload_inner(g, ecfg, wcfg, patterns, ServeObservers::default())
-}
-
-fn run_workload_inner(
-    g: &Graph,
-    ecfg: EngineConfig,
-    wcfg: &WorkloadConfig,
-    patterns: &[Vec<(NodeId, NodeId)>],
-    observers: ServeObservers,
+    observer: Option<Arc<Observer>>,
 ) -> WorkloadReport {
     assert!(!patterns.is_empty(), "workload needs at least one pattern");
     assert!(patterns.iter().all(|p| !p.is_empty()), "empty pattern");
@@ -267,14 +204,8 @@ fn run_workload_inner(
     // the caller reuses one seed for both.
     let mut rng = StdRng::seed_from_u64(wcfg.seed.wrapping_add(0xa11_1f0));
     let mut engine = Engine::new(g.clone(), ecfg);
-    if let Some(t) = observers.telemetry {
-        engine.attach_telemetry(t);
-    }
-    if let Some(j) = observers.journal {
-        engine.attach_journal(j);
-    }
-    if let Some(d) = observers.breach_dump {
-        engine.set_breach_dump(d);
+    if let Some(obs) = observer {
+        engine.attach_observer(obs);
     }
     let mut snapshots = Vec::new();
     let mut failures = Vec::new();
@@ -310,7 +241,6 @@ fn run_workload_inner(
         admitted,
         rejected: engine.rejected_total(),
         failures,
-        breach_dumps: engine.breach_dump_paths().to_vec(),
     }
 }
 
@@ -359,7 +289,7 @@ mod tests {
             seed: 21,
             ..WorkloadConfig::default()
         };
-        let report = run_workload(&g, ecfg(21), &wcfg);
+        let report = run_workload(&g, ecfg(21), &wcfg, &wcfg.pattern_pool(&g), None);
         assert_eq!(report.snapshots.len(), 10);
         assert!(report.admitted > 0);
         // 2 patterns, 10 epochs: at most 2 misses, the rest hits
@@ -380,7 +310,7 @@ mod tests {
             restore_after: 2,
             seed: 9,
         };
-        let report = run_workload(&g, ecfg(9), &wcfg);
+        let report = run_workload(&g, ecfg(9), &wcfg, &wcfg.pattern_pool(&g), None);
         assert_eq!(report.failures.len(), 1);
         let (fe, _) = report.failures[0];
         assert_eq!(fe, 3);

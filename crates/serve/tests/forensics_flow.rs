@@ -1,6 +1,6 @@
 //! End-to-end flight-recorder forensics: a seeded workload with an
-//! injected failure runs with the journal attached and an impossible SLO
-//! armed, the engine writes breach-triggered dumps automatically, and
+//! injected failure runs with an observer attached and an impossible SLO
+//! armed, the observer writes breach-triggered dumps automatically, and
 //! the forensics analyzer attributes the congestion movement to the
 //! injected failure — the exact offline loop `sor forensics` runs on a
 //! production artifact.
@@ -8,13 +8,9 @@
 use sor_graph::gen;
 use sor_obs::{
     fold_epochs, Cause, CauseAttribution, EdgeShift, EpochStats, EpochTransition, ForensicsReport,
-    Journal, JournalDump, JournalEvent, SloConfig, CAUSES, DEFAULT_JOURNAL_CAPACITY,
-    JOURNAL_SHARDS,
+    JournalDump, JournalEvent, SloConfig, CAUSES, DEFAULT_JOURNAL_CAPACITY,
 };
-use sor_serve::{
-    run_workload_with_observers, BreachDumpConfig, EngineConfig, ServeObservers, ServeTelemetry,
-    WorkloadConfig,
-};
+use sor_serve::{run_workload, EngineConfig, Observer, WorkloadConfig, MAX_BREACH_DUMPS};
 use std::sync::Arc;
 
 #[test]
@@ -57,36 +53,29 @@ fn breach_dump_and_forensics_attribute_injected_failure() {
         min_cache_hit_rate: Some(2.0),
         ..SloConfig::disabled()
     };
-    let journal = Arc::new(Journal::new());
-    let report = run_workload_with_observers(
+    let observer = Arc::new(Observer::new(slo).with_breach_dump(prefix, 16));
+    let report = run_workload(
         &g,
         ecfg,
         &wcfg,
-        ServeObservers {
-            telemetry: Some(Arc::new(ServeTelemetry::new(slo))),
-            journal: Some(Arc::clone(&journal)),
-            breach_dump: Some(BreachDumpConfig {
-                prefix,
-                context_epochs: 16,
-                max_dumps: 4,
-            }),
-        },
+        &wcfg.pattern_pool(&g),
+        Some(Arc::clone(&observer)),
     );
     assert_eq!(report.failures.len(), 1, "schedule injected one failure");
+    let breach_dumps = observer.breach_dumps();
     assert!(
-        !report.breach_dumps.is_empty(),
+        !breach_dumps.is_empty(),
         "SLO breach must write a journal dump"
     );
     assert!(
-        report.breach_dumps.len() <= 4,
-        "dump cap respected: {:?}",
-        report.breach_dumps
+        breach_dumps.len() <= MAX_BREACH_DUMPS,
+        "dump cap respected: {breach_dumps:?}"
     );
 
     // Every artifact is a parseable sor-journal/1 document carrying the
     // breach metadata.
     let mut saw_failure_event = false;
-    for path in &report.breach_dumps {
+    for path in &breach_dumps {
         let text = std::fs::read_to_string(path).expect("breach dump exists on disk");
         assert!(text.starts_with("{\"format\":\"sor-journal/1\""));
         let dump: JournalDump = sor_obs::parse_journal(&text).expect("breach dump parses");
@@ -110,9 +99,10 @@ fn breach_dump_and_forensics_attribute_injected_failure() {
     );
 
     // This short run fits comfortably inside the ring: nothing dropped.
+    let journal = observer.journal();
     let events: Vec<JournalEvent> = journal.events().into_iter().map(|(_, e)| e).collect();
     assert!(
-        events.len() as u64 <= (JOURNAL_SHARDS * DEFAULT_JOURNAL_CAPACITY) as u64,
+        events.len() <= DEFAULT_JOURNAL_CAPACITY,
         "run must fit in the default ring"
     );
     assert_eq!(journal.dropped(), 0, "no eviction in a fitting run");

@@ -13,10 +13,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_graph::gen;
-use sor_obs::{Journal, JournalEvent, SloConfig};
+use sor_obs::{JournalEvent, SloConfig};
 use sor_serve::{
-    run_workload, run_workload_with_observers, EngineConfig, EpochSnapshot, ServeObservers,
-    ServeTelemetry, SnapshotFormat, WorkloadConfig, WorkloadReport,
+    run_workload, EngineConfig, EpochSnapshot, Observer, SnapshotFormat, WorkloadConfig,
+    WorkloadReport,
 };
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -28,21 +28,14 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 fn run_once() -> WorkloadReport {
-    run_once_with(None)
+    run_once_observed(None)
 }
 
-fn run_once_with(telemetry: Option<Arc<ServeTelemetry>>) -> WorkloadReport {
-    run_once_observed(ServeObservers {
-        telemetry,
-        ..ServeObservers::default()
-    })
+fn run_once_observed(observer: Option<Arc<Observer>>) -> WorkloadReport {
+    run_once_formatted(SnapshotFormat::Explicit, observer)
 }
 
-fn run_once_observed(observers: ServeObservers) -> WorkloadReport {
-    run_once_formatted(SnapshotFormat::Explicit, observers)
-}
-
-fn run_once_formatted(format: SnapshotFormat, observers: ServeObservers) -> WorkloadReport {
+fn run_once_formatted(format: SnapshotFormat, observer: Option<Arc<Observer>>) -> WorkloadReport {
     let g = gen::random_regular(20, 4, &mut StdRng::seed_from_u64(3));
     let ecfg = EngineConfig {
         sparsity: 3,
@@ -64,14 +57,7 @@ fn run_once_formatted(format: SnapshotFormat, observers: ServeObservers) -> Work
         restore_after: 2,
         seed: 7,
     };
-    if observers.telemetry.is_none()
-        && observers.journal.is_none()
-        && observers.breach_dump.is_none()
-    {
-        run_workload(&g, ecfg, &wcfg)
-    } else {
-        run_workload_with_observers(&g, ecfg, &wcfg, observers)
-    }
+    run_workload(&g, ecfg, &wcfg, &wcfg.pattern_pool(&g), observer)
 }
 
 /// Everything a run decides, with floats pinned to their bit patterns
@@ -184,41 +170,12 @@ fn instrumented_run_records_serve_metrics() {
 }
 
 #[test]
-fn telemetry_plane_does_not_change_published_routes() {
-    let _guard = serial();
-    sor_obs::set_enabled(false);
-    sor_obs::reset();
-    let plain = run_once();
-
-    // full plane attached: armed SLO watchdog, windows, timeline, wall
-    // histograms — everything wall-clock-dependent stays off the
-    // published path, so the snapshots are still bit-identical
-    sor_obs::set_enabled(true);
-    sor_obs::reset();
-    let telemetry = Arc::new(ServeTelemetry::new(SloConfig::serving_defaults()));
-    let instrumented = run_once_with(Some(Arc::clone(&telemetry)));
-    sor_obs::set_enabled(false);
-
-    assert_eq!(
-        bits(&plain),
-        bits(&instrumented),
-        "attaching the live telemetry plane changed the serving output"
-    );
-    // and the plane actually observed the run: one tick and one timeline
-    // record per epoch
-    assert_eq!(telemetry.windows().ticks(), plain.snapshots.len() as u64);
-    assert_eq!(telemetry.timeline().len(), plain.snapshots.len());
-    let summary = telemetry.watchdog().summary();
-    assert_eq!(summary.epochs_evaluated, plain.snapshots.len() as u64);
-}
-
-#[test]
 fn compact_snapshots_publish_identical_routes() {
     let _guard = serial();
     sor_obs::set_enabled(false);
     sor_obs::reset();
     let explicit = run_once();
-    let compact = run_once_formatted(SnapshotFormat::Compact, ServeObservers::default());
+    let compact = run_once_formatted(SnapshotFormat::Compact, None);
 
     // the codec is verified lossless, so the *published* plane — vertex
     // sequences, rates, congestion — must be bit-identical across formats;
@@ -261,26 +218,34 @@ fn compact_snapshots_publish_identical_routes() {
 }
 
 #[test]
-fn flight_recorder_does_not_change_published_routes() {
+fn observer_does_not_change_published_routes() {
     let _guard = serial();
     sor_obs::set_enabled(false);
     sor_obs::reset();
     let plain = run_once();
 
-    let journal = Arc::new(Journal::new());
-    let recorded = run_once_observed(ServeObservers {
-        journal: Some(Arc::clone(&journal)),
-        ..ServeObservers::default()
-    });
+    // full observer attached: armed SLO watchdog, journal, timeline, wall
+    // histograms — everything wall-clock-dependent stays off the
+    // published path, so the snapshots are still bit-identical
+    sor_obs::set_enabled(true);
+    sor_obs::reset();
+    let observer = Arc::new(Observer::new(SloConfig::serving_defaults()));
+    let observed = run_once_observed(Some(Arc::clone(&observer)));
+    sor_obs::set_enabled(false);
     assert_eq!(
         bits(&plain),
-        bits(&recorded),
-        "attaching the flight recorder changed the serving output"
+        bits(&observed),
+        "attaching an observer changed the serving output"
     );
 
-    // and the recorder actually saw the whole run: one begin/end bracket
-    // per epoch plus the schedule's failure and restore
-    let events = journal.events();
+    // one timeline record and one watchdog pass per epoch
+    assert_eq!(observer.timeline().len(), plain.snapshots.len());
+    let summary = observer.watchdog().summary();
+    assert_eq!(summary.epochs_evaluated, plain.snapshots.len() as u64);
+
+    // and the journal saw the whole run: one begin/end bracket per epoch
+    // plus the schedule's failure and restore
+    let events = observer.journal().events();
     let count = |tag: &str| events.iter().filter(|(_, e)| e.type_tag() == tag).count();
     assert_eq!(count("epoch_begin"), plain.snapshots.len());
     assert_eq!(count("epoch_end"), plain.snapshots.len());
@@ -289,9 +254,6 @@ fn flight_recorder_does_not_change_published_routes() {
     assert!(count("reopt") > 0 && count("top_edges") > 0);
     // the journaled epoch summaries carry the published congestion bits
     for snap in &plain.snapshots {
-        if snap.admitted == 0 {
-            continue;
-        }
         assert!(
             events.iter().any(|(_, e)| matches!(
                 e,
@@ -306,7 +268,20 @@ fn flight_recorder_does_not_change_published_routes() {
         );
     }
     // round-trip: the dump parses and preserves every event
-    let dump = journal.dump_json(&[("source", "serve_determinism")]);
+    let dump = observer
+        .journal()
+        .dump_json(&[("source", "serve_determinism")]);
     let parsed = sor_obs::parse_journal(&dump).expect("journal dump parses");
     assert_eq!(parsed.events.len(), events.len());
+}
+
+#[test]
+fn engine_exposes_its_attached_observer() {
+    let g = gen::hypercube(3);
+    let mut engine = sor_serve::Engine::new(g, EngineConfig::default());
+    assert!(engine.observer().is_none());
+    let observer = Arc::new(Observer::default());
+    engine.attach_observer(Arc::clone(&observer));
+    let attached = engine.observer().expect("observer attached");
+    assert!(Arc::ptr_eq(attached, &observer));
 }

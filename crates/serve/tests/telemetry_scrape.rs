@@ -1,5 +1,5 @@
 //! End-to-end exercise of the live telemetry plane: run a seeded
-//! workload with telemetry attached, scrape the HTTP endpoint with a
+//! workload with an observer attached, scrape the HTTP endpoint with a
 //! plain `std::net::TcpStream` client, and check the exposition,
 //! timeline, and health documents. Also drives the SLO watchdog over a
 //! seeded failure workload and asserts the structured breach events.
@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_graph::gen;
 use sor_obs::SloConfig;
-use sor_serve::{run_workload_with_telemetry, EngineConfig, ServeTelemetry, WorkloadConfig};
+use sor_serve::{run_workload, EngineConfig, Observer, WorkloadConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -25,7 +25,7 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn run_instrumented(slo: SloConfig, fail_at: Option<u64>) -> Arc<ServeTelemetry> {
+fn run_instrumented(slo: SloConfig, fail_at: Option<u64>) -> Arc<Observer> {
     let g = gen::random_regular(16, 4, &mut StdRng::seed_from_u64(11));
     let ecfg = EngineConfig {
         sparsity: 3,
@@ -46,10 +46,16 @@ fn run_instrumented(slo: SloConfig, fail_at: Option<u64>) -> Arc<ServeTelemetry>
         restore_after: 2,
         seed: 11,
     };
-    let telemetry = Arc::new(ServeTelemetry::new(slo));
-    let report = run_workload_with_telemetry(&g, ecfg, &wcfg, Some(Arc::clone(&telemetry)));
+    let observer = Arc::new(Observer::new(slo));
+    let report = run_workload(
+        &g,
+        ecfg,
+        &wcfg,
+        &wcfg.pattern_pool(&g),
+        Some(Arc::clone(&observer)),
+    );
     assert!(report.admitted > 0, "workload admitted nothing");
-    telemetry
+    observer
 }
 
 /// Minimal HTTP/1.0 GET over a std TCP client; returns (status line,
@@ -104,10 +110,10 @@ fn scrape_endpoint_serves_metrics_timeline_and_health() {
     let _guard = serial();
     sor_obs::reset();
     sor_obs::set_enabled(true);
-    let telemetry = run_instrumented(SloConfig::disabled(), None);
+    let observer = run_instrumented(SloConfig::disabled(), None);
     sor_obs::set_enabled(false);
 
-    let mut server = telemetry
+    let mut server = observer
         .serve_http("127.0.0.1:0")
         .expect("bind loopback scrape endpoint");
     let addr = server.local_addr();
@@ -127,6 +133,11 @@ fn scrape_endpoint_serves_metrics_timeline_and_health() {
     assert!(
         body.contains("quantile=\"0.99\""),
         "exposition lacks streaming tail quantiles"
+    );
+    assert!(
+        !body.contains("window="),
+        "per-epoch rates come from the cumulative counters and /timeline, \
+         not window gauges"
     );
 
     let (status, head, body) = get_full(addr, "/timeline");
@@ -224,7 +235,7 @@ fn slo_breaches_on_failure_workload_emit_structured_events() {
         min_cache_hit_rate: Some(2.0),
         max_fallback_fraction: Some(1.0),
     };
-    let telemetry = run_instrumented(slo, Some(2));
+    let observer = run_instrumented(slo, Some(2));
     let captured = sor_obs::take_captured();
     sor_obs::set_sink(sor_obs::Sink::Stderr);
     sor_obs::set_enabled(false);
@@ -259,14 +270,14 @@ fn slo_breaches_on_failure_workload_emit_structured_events() {
         "expected a hit-rate breach among {breach_lines:?}"
     );
 
-    let summary = telemetry.watchdog().summary();
+    let summary = observer.watchdog().summary();
     assert_eq!(summary.epochs_evaluated, 6);
     assert!(!summary.healthy(), "breached run must report degraded");
     assert!(summary.total_breaches >= breach_lines.len() as u64);
     assert!(summary.render().contains("degraded"));
 
     // breaches also land on the matching timeline records
-    let records = telemetry.timeline().records();
+    let records = observer.timeline().records();
     assert!(
         records.iter().any(|r| !r.slo_breaches.is_empty()),
         "no timeline record carries its breaches"

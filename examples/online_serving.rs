@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use semi_oblivious_routing::graph::gen;
 use semi_oblivious_routing::graph::NodeId;
 use semi_oblivious_routing::serve::{
-    matching_patterns, run_workload_with_patterns, Engine, EngineConfig, Request, WorkloadConfig,
+    matching_patterns, run_workload, Engine, EngineConfig, Request, WorkloadConfig,
 };
 
 fn main() {
@@ -75,7 +75,7 @@ fn main() {
     };
     let mut rng = StdRng::seed_from_u64(wcfg.seed);
     let patterns = matching_patterns(&g, wcfg.patterns, wcfg.pairs_per_pattern, &mut rng);
-    let report = run_workload_with_patterns(
+    let report = run_workload(
         &g,
         EngineConfig {
             compare_fresh: true,
@@ -84,6 +84,7 @@ fn main() {
         },
         &wcfg,
         &patterns,
+        None,
     );
     for s in &report.snapshots {
         println!(

@@ -58,12 +58,10 @@ fn main() {
     }
     let trace = args.iter().any(|a| a == "--trace");
     let metrics_out = flag_value(&args, "--metrics-out").map(str::to_string);
-    // Live telemetry implies capture: windows/timeline tick over the
-    // registry, so the registry has to record.
-    let telemetry = flag_value(&args, "--telemetry-addr").is_some()
-        || flag_value(&args, "--timeline-out").is_some()
-        || args.iter().any(|a| a == "--dashboard");
-    if trace || metrics_out.is_some() || telemetry {
+    // The scrape endpoint's /metrics exposes the registry, so serving it
+    // implies capture.
+    let scrape = flag_value(&args, "--telemetry-addr").is_some();
+    if trace || metrics_out.is_some() || scrape {
         semi_oblivious_routing::obs::set_enabled(true);
     }
     {
@@ -267,9 +265,10 @@ fn run(args: &[String]) {
                 ecfg.sparsity,
                 ecfg.trees
             );
-            // Live telemetry plane: any telemetry/SLO flag builds one;
-            // it attaches to the engine but never changes published
-            // output (stdout stays bit-deterministic for a fixed seed).
+            // Any telemetry, SLO or journal flag builds one observer; it
+            // attaches to the engine but never changes published output
+            // (stdout stays bit-deterministic for a fixed seed — CI
+            // cmp-checks exactly that).
             let slo = if args.iter().any(|a| a == "--slo") {
                 semi_oblivious_routing::obs::SloConfig::serving_defaults()
             } else {
@@ -298,19 +297,23 @@ fn run(args: &[String]) {
             let timeline_out = flag_value(args, "--timeline-out");
             let dashboard = args.iter().any(|a| a == "--dashboard");
             let quiet = args.iter().any(|a| a == "--quiet");
-            let telemetry =
-                (telemetry_addr.is_some() || timeline_out.is_some() || dashboard || slo.is_armed())
-                    .then(|| std::sync::Arc::new(serve::ServeTelemetry::new(slo)));
-            // Flight recorder: any journal flag attaches the ring. It
-            // never writes to stdout and never perturbs published output,
-            // so the per-epoch lines stay byte-identical with or without
-            // it (CI cmp-checks exactly that).
             let journal_out = flag_value(args, "--journal-out");
             let journal_epochs: u64 = or_die(flag_parse(args, "--journal-epochs", 16));
             let dump_prefix = flag_value(args, "--dump-on-breach");
-            let journal = (journal_out.is_some() || dump_prefix.is_some())
-                .then(|| std::sync::Arc::new(semi_oblivious_routing::obs::Journal::new()));
-            let server = telemetry.as_ref().zip(telemetry_addr).map(|(t, addr)| {
+            let observer = (telemetry_addr.is_some()
+                || timeline_out.is_some()
+                || dashboard
+                || slo.is_armed()
+                || journal_out.is_some()
+                || dump_prefix.is_some())
+            .then(|| {
+                let observer = serve::Observer::new(slo);
+                std::sync::Arc::new(match dump_prefix {
+                    Some(prefix) => observer.with_breach_dump(prefix, journal_epochs),
+                    None => observer,
+                })
+            });
+            let server = observer.as_ref().zip(telemetry_addr).map(|(t, addr)| {
                 let server = or_die(
                     t.serve_http(addr)
                         .map_err(|e| format!("cannot bind telemetry endpoint {addr}: {e}")),
@@ -324,20 +327,8 @@ fn run(args: &[String]) {
                 server
             });
             let started = std::time::Instant::now();
-            let report: serve::WorkloadReport = serve::run_workload_with_observers(
-                &g,
-                ecfg,
-                &wcfg,
-                serve::ServeObservers {
-                    telemetry: telemetry.clone(),
-                    journal: journal.clone(),
-                    breach_dump: dump_prefix.map(|p| serve::BreachDumpConfig {
-                        prefix: p.to_string(),
-                        context_epochs: journal_epochs,
-                        max_dumps: 16,
-                    }),
-                },
-            );
+            let report: serve::WorkloadReport =
+                serve::run_workload(&g, ecfg, &wcfg, &wcfg.pattern_pool(&g), observer.clone());
             let elapsed = started.elapsed();
             for s in &report.snapshots {
                 let hit = if s.admitted == 0 {
@@ -396,38 +387,38 @@ fn run(args: &[String]) {
                     elapsed.as_secs_f64()
                 );
             }
-            if let Some(t) = &telemetry {
+            if let Some(o) = &observer {
                 // The timeline contains wall clocks, so the dashboard and
                 // the health summary go to stderr like the throughput line.
                 if dashboard && !quiet {
-                    eprint!("{}", t.timeline().render_dashboard());
-                    eprint!("{}", t.watchdog().summary().render());
+                    eprint!("{}", o.timeline().render_dashboard());
+                    eprint!("{}", o.watchdog().summary().render());
                 }
                 if let Some(path) = timeline_out {
-                    if let Err(e) = std::fs::write(path, t.timeline().to_json()) {
+                    if let Err(e) = std::fs::write(path, o.timeline().to_json()) {
                         eprintln!("error: cannot write timeline to {path}: {e}");
                         exit(1);
                     }
                 }
-            }
-            if let (Some(j), Some(path)) = (&journal, journal_out) {
-                let seed_str = seed.to_string();
-                let doc = j.dump_json_last(
-                    journal_epochs,
-                    &[
-                        ("source", "sor-serve"),
-                        ("graph", gspec),
-                        ("seed", seed_str.as_str()),
-                    ],
-                );
-                if let Err(e) = std::fs::write(path, doc) {
-                    eprintln!("error: cannot write journal to {path}: {e}");
-                    exit(1);
+                if let Some(path) = journal_out {
+                    let seed_str = seed.to_string();
+                    let doc = o.journal().dump_json_last(
+                        journal_epochs,
+                        &[
+                            ("source", "sor-serve"),
+                            ("graph", gspec),
+                            ("seed", seed_str.as_str()),
+                        ],
+                    );
+                    if let Err(e) = std::fs::write(path, doc) {
+                        eprintln!("error: cannot write journal to {path}: {e}");
+                        exit(1);
+                    }
                 }
-            }
-            if !quiet {
-                for p in &report.breach_dumps {
-                    eprintln!("breach dump: {p}");
+                if !quiet {
+                    for p in o.breach_dumps() {
+                        eprintln!("breach dump: {p}");
+                    }
                 }
             }
             let hold_ms: u64 = or_die(flag_parse(args, "--hold-ms", 0));

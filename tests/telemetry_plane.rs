@@ -1,25 +1,24 @@
 //! Umbrella-level exercise of the live telemetry plane's public
-//! surface: window constants and snapshots, log-bucket geometry, the
-//! epoch timeline, SLO breach records and health summaries, Prometheus
-//! name mangling, and the serve-side wall/delta carriers. This is the
-//! cross-crate coverage for API items whose natural callers live inside
-//! their own crate (`sor-obs`, `sor-serve`).
+//! surface: the observer's store constants and exposition, log-bucket
+//! geometry, the epoch timeline, SLO breach records and health
+//! summaries, Prometheus name mangling, and the walls and cache deltas
+//! an observed run carries. This is the cross-crate coverage for API
+//! items whose natural callers live inside their own crate (`sor-obs`,
+//! `sor-serve`).
 //!
 //! The tests share the process-global metrics registry, so they
 //! serialize on a local mutex.
 
 use semi_oblivious_routing::graph::gen;
 use semi_oblivious_routing::obs;
-use semi_oblivious_routing::obs::window::{
-    log_bucket_of, SeriesKind, DEFAULT_EWMA_ALPHA, DEFAULT_WINDOW_CAPACITY, SUB_BUCKETS, WINDOWS,
-};
+use semi_oblivious_routing::obs::loghist::{log_bucket_of, SUB_BUCKETS};
+use semi_oblivious_routing::obs::timeline::DEFAULT_TIMELINE_CAPACITY;
 use semi_oblivious_routing::obs::{
-    prom_name, EpochRecord, EpochTimeline, HealthSummary, SloBreach, SloConfig, SloInputs,
-    SloWatchdog, WindowRegistry, WindowSnapshot,
+    prom_name, EpochRecord, EpochTimeline, HealthSummary, JournalEvent, SloBreach, SloConfig,
+    SloInputs, SloWatchdog, TelemetryHandler, DEFAULT_JOURNAL_CAPACITY,
 };
 use semi_oblivious_routing::serve::{
-    run_workload_with_telemetry, CacheDeltas, EngineConfig, EpochWalls, ServeTelemetry,
-    WorkloadConfig,
+    run_workload, CacheDeltas, EngineConfig, Observer, WorkloadConfig, MAX_BREACH_DUMPS,
 };
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -31,40 +30,32 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 #[test]
-fn window_constants_and_snapshots_describe_the_plane() {
+fn observer_constants_and_stores_describe_the_plane() {
     let _guard = serial();
     obs::reset();
     obs::set_enabled(true);
 
-    // the documented defaults: every standard window fits in the ring
-    assert_eq!(WINDOWS, [1, 10, 60]);
-    assert!(DEFAULT_WINDOW_CAPACITY >= *WINDOWS.iter().max().expect("non-empty"));
-    const { assert!(DEFAULT_EWMA_ALPHA > 0.0 && DEFAULT_EWMA_ALPHA <= 1.0) };
+    // the documented bounds: the journal holds far more epochs of events
+    // than the timeline holds rows, and breach storms stop at the cap
+    assert_eq!(DEFAULT_JOURNAL_CAPACITY, 8192);
+    assert_eq!(DEFAULT_TIMELINE_CAPACITY, 256);
+    assert_eq!(MAX_BREACH_DUMPS, 16);
 
-    let w = WindowRegistry::with_config(DEFAULT_WINDOW_CAPACITY, DEFAULT_EWMA_ALPHA);
+    // /metrics exports the registry's cumulative counters and histograms
+    // as they stand; per-epoch rates are the scraper's to derive
+    let observer = Observer::default();
     obs::counter_add!("umbrella/ticked", 5);
     obs::observe_into!("umbrella/obs_hist", &obs::POW2_BUCKETS, 3.0);
-    w.tick(&obs::snapshot());
+    let text = observer.metrics();
     obs::set_enabled(false);
-
-    let snaps: Vec<WindowSnapshot> = w.snapshot();
-    let counter = snaps
-        .iter()
-        .find(|s| s.name == "umbrella/ticked")
-        .expect("counter series ticked in");
-    assert_eq!(counter.kind, SeriesKind::Counter);
-    assert!((counter.rate1 - 5.0).abs() < 1e-9);
-    assert!(
-        (counter.ewma - 5.0).abs() < 1e-9,
-        "EWMA seeds from first delta"
-    );
-    let hist = snaps
-        .iter()
-        .find(|s| s.name == "umbrella/obs_hist")
-        .expect("histogram count series ticked in");
-    assert_eq!(hist.kind, SeriesKind::HistogramCount);
-    assert_eq!(hist.kind.label(), "histogram");
-    assert!((hist.total - 1.0).abs() < 1e-9);
+    assert!(text.contains("# TYPE sor_umbrella_ticked counter\nsor_umbrella_ticked 5\n"));
+    assert!(text.contains("sor_umbrella_obs_hist_count 1\n"));
+    assert!(!text.contains("_rate{"), "no window-rate gauges: {text}");
+    // a fresh observer has evaluated nothing and recorded nothing
+    assert!(text.contains("sor_slo_epochs_evaluated 0\n"));
+    assert!(observer.journal().is_empty());
+    assert!(observer.timeline().is_empty());
+    assert!(observer.breach_dumps().is_empty());
 }
 
 #[test]
@@ -144,8 +135,14 @@ fn serve_walls_and_cache_deltas_flow_through_the_plane() {
         seed: 5,
         ..WorkloadConfig::default()
     };
-    let telemetry = Arc::new(ServeTelemetry::default());
-    let report = run_workload_with_telemetry(&g, ecfg, &wcfg, Some(Arc::clone(&telemetry)));
+    let observer = Arc::new(Observer::default());
+    let report = run_workload(
+        &g,
+        ecfg,
+        &wcfg,
+        &wcfg.pattern_pool(&g),
+        Some(Arc::clone(&observer)),
+    );
     obs::set_enabled(false);
 
     // per-epoch cache deltas sum back to the lifetime counters
@@ -161,17 +158,28 @@ fn serve_walls_and_cache_deltas_flow_through_the_plane() {
     assert_eq!(total.hits, report.cache.hits);
     assert_eq!(total.misses, report.cache.misses);
 
-    // replaying a published snapshot with synthetic walls feeds the tail
-    // histograms of a fresh plane
-    let replay = ServeTelemetry::new(SloConfig::disabled());
-    let walls = EpochWalls {
-        epoch_ns: 5_000_000,
-        reopt_ns: 1_000_000,
-        cache_lookup_ns: 10_000,
-    };
-    let snap = report.snapshots.first().expect("epochs ran");
-    replay.record_epoch(snap, 0, 0, walls);
-    assert_eq!(replay.timeline().len(), 1);
-    let rec = replay.timeline().records().remove(0);
-    assert_eq!(rec.epoch_wall_ns, walls.epoch_ns);
+    // every epoch closes into one timeline row whose wall is the one its
+    // journaled epoch_end carries, and the walls feed the tail gauges
+    let rows = observer.timeline().records();
+    assert_eq!(rows.len(), report.snapshots.len());
+    let ends: Vec<u64> = observer
+        .journal()
+        .events()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            JournalEvent::EpochEnd { epoch_wall_ns, .. } => Some(*epoch_wall_ns),
+            _ => None,
+        })
+        .collect();
+    let walls: Vec<u64> = rows.iter().map(|r| r.epoch_wall_ns).collect();
+    assert_eq!(ends, walls);
+    assert!(walls.iter().all(|&w| w > 0), "observed epochs are timed");
+    for (row, snap) in rows.iter().zip(&report.snapshots) {
+        assert_eq!(row.epoch, snap.epoch);
+        assert_eq!(row.cache_hits, snap.cache.hits);
+        assert_eq!(row.cache_misses, snap.cache.misses);
+    }
+    assert!(observer
+        .metrics()
+        .contains("sor_serve_epoch_wall_ns{quantile=\"0.99\"}"));
 }
