@@ -44,20 +44,20 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --workspace (deny unwrap_used via [workspace.lints])"
+echo "==> cargo clippy --workspace ([workspace.lints]: forbid unsafe_code, deny unwrap_used and truncating casts)"
 cargo clippy --workspace --all-targets
 
 echo "==> sor-check (lexical rules + semantic pass, regression-only baseline gate)"
-cargo run -q -p sor-check -- --baseline check-baseline.json --fail-on-new
+cargo run -q -p sor-check -- --baseline check-baseline.txt
 
 echo "==> sor-check baseline + hot-path cost drift gate (committed files must match a fresh write)"
 mkdir -p target/sor-check
-cargo run -q -p sor-check -- --write-baseline target/sor-check/fresh-baseline.json \
+cargo run -q -p sor-check -- --write-baseline target/sor-check/fresh-baseline.txt \
   --hotpath-report target/sor-check/fresh-hotpath.json || true
-if ! diff -u check-baseline.json target/sor-check/fresh-baseline.json; then
-  echo "check-baseline.json is stale: a fresh --write-baseline differs from the"
+if ! diff -u check-baseline.txt target/sor-check/fresh-baseline.txt; then
+  echo "check-baseline.txt is stale: a fresh --write-baseline differs from the"
   echo "committed file. Either fix the findings or re-run"
-  echo "  cargo run -q -p sor-check -- --write-baseline check-baseline.json"
+  echo "  cargo run -q -p sor-check -- --write-baseline check-baseline.txt"
   echo "and commit the result with a justification."
   exit 1
 fi
@@ -69,11 +69,6 @@ if ! diff -u check-hotpath.json target/sor-check/fresh-hotpath.json; then
   echo "and commit the result."
   exit 1
 fi
-
-echo "==> sor-check SARIF report (artifact)"
-mkdir -p target/sor-check
-cargo run -q -p sor-check -- --format sarif --baseline check-baseline.json \
-  --output target/sor-check/sor-check.sarif || true
 
 echo "==> cargo build --release"
 cargo build --release

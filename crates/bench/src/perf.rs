@@ -878,7 +878,6 @@ pub fn gate(baseline: &Baseline, current: &SuiteRun, policy: &GatePolicy) -> Gat
                 };
                 report.checked += 1;
                 #[allow(clippy::cast_precision_loss)]
-                // sor-check: allow(lossy-cast) — ns fit f64 for ratio purposes
                 let ratio = cw.median_ns as f64 / (bw.median_ns as f64).max(1.0);
                 let status = if ratio > policy.wall_fail_ratio {
                     DiffStatus::Fail
@@ -889,7 +888,6 @@ pub fn gate(baseline: &Baseline, current: &SuiteRun, policy: &GatePolicy) -> Gat
                 };
                 if status != DiffStatus::Pass {
                     #[allow(clippy::cast_precision_loss)]
-                    // sor-check: allow(lossy-cast) — ns fit f64 for reporting
                     report.deltas.push(Delta {
                         metric: format!("{}:{}", base.name, bw.phase),
                         kind: DeltaKind::SpanWall,

@@ -3,12 +3,12 @@
 //! Every kernel is **seeded and size-fixed** — `--quick` never reaches
 //! in here — so the counters and quality values each one produces are
 //! identical run to run and can gate exactly against the committed
-//! baseline. The kernels double as the library's API surface exercise:
-//! between them they drive the analysis entry points (deletion-process
-//! forensics, pattern counting, exact/integral evaluation, the two-star
-//! adversary, TE scheme comparisons, spectral/electrical machinery) that
-//! the experiment tables don't reach, which is what keeps those APIs out
-//! of the dead-api baseline.
+//! baseline. Between them the kernels also drive analysis entry points
+//! (deletion-process forensics, pattern counting, exact/integral
+//! evaluation, the two-star adversary, TE scheme comparisons,
+//! spectral/electrical machinery) that the experiment tables don't
+//! reach. A public API that only a kernel calls is exercised here, not
+//! needed, and is a candidate for removal.
 
 use super::{rng_for, table_quality};
 use sor_core::completion::{CompletionResult, CompletionRouting};
@@ -225,7 +225,6 @@ pub fn deletion() -> Quality {
         .map(|p| is_bad_pattern(p, 1, 2, max_draws.max(1) as u64))
         .unwrap_or(false);
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — tiny combinatorial count, exact in f64
     let bad_count = count_bad_patterns(6, 1, 2, 8) as f64;
     let bound = pattern_count_bound(6, 1, 8);
 

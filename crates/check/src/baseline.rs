@@ -1,247 +1,65 @@
 //! The committed-findings baseline: CI fails only on *regressions*.
 //!
-//! `check-baseline.json` holds the fingerprints of findings that are
-//! known, triaged, and deliberately tolerated (each entry keeps the
-//! rule/file/message context so the file reviews like a TODO list).
-//! [`partition`] splits a fresh run against it; the driver exits
-//! non-zero only for the `new` side. Regenerate with
-//! `cargo run -p sor-check -- --write-baseline check-baseline.json`
+//! `check-baseline.txt` holds the fingerprints of findings that are
+//! known, triaged, and deliberately tolerated: one
+//! `<rule>:<path>:<anchor>` line per finding (see
+//! [`Finding::fingerprint`]), sorted, so the file reviews like a TODO
+//! list and diffs line by line. [`partition`] splits a fresh run
+//! against it; the driver exits non-zero only for the `new` side.
+//! Regenerate with
+//! `cargo run -p sor-check -- --write-baseline check-baseline.txt`
 //! after fixing or triaging findings — shrinking the file is progress,
 //! growing it is a review conversation.
-//!
-//! Reading the file needs a JSON parser; the registry is unreachable
-//! from CI, so a minimal recursive-descent reader for the JSON subset
-//! we emit lives here (objects, arrays, strings, numbers, booleans,
-//! null — no surrogate-pair escapes).
 
 use std::collections::BTreeSet;
+use std::io::ErrorKind;
 use std::path::Path;
 
-use crate::report::{json_escape, Finding};
-
-/// A parsed JSON value (subset; numbers are kept as f64).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object, insertion-ordered as (key, value) pairs.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array payload, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a byte offset.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let v = parse_value(&chars, &mut pos)?;
-    skip_ws(&chars, &mut pos);
-    if pos != chars.len() {
-        return Err(format!("trailing content at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while *pos < chars.len() && chars[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_value(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(chars, pos);
-    match chars.get(*pos) {
-        Some('{') => parse_obj(chars, pos),
-        Some('[') => parse_arr(chars, pos),
-        Some('"') => parse_str(chars, pos).map(Json::Str),
-        Some('t') => parse_lit(chars, pos, "true", Json::Bool(true)),
-        Some('f') => parse_lit(chars, pos, "false", Json::Bool(false)),
-        Some('n') => parse_lit(chars, pos, "null", Json::Null),
-        Some(c) if *c == '-' || c.is_ascii_digit() => parse_num(chars, pos),
-        other => Err(format!("unexpected {other:?} at offset {pos}")),
-    }
-}
-
-fn parse_lit(chars: &[char], pos: &mut usize, lit: &str, val: Json) -> Result<Json, String> {
-    if chars[*pos..].starts_with(&lit.chars().collect::<Vec<_>>()[..]) {
-        *pos += lit.len();
-        Ok(val)
-    } else {
-        Err(format!("bad literal at offset {pos}"))
-    }
-}
-
-fn parse_num(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < chars.len() && matches!(chars[*pos], '-' | '+' | '.' | 'e' | 'E' | '0'..='9') {
-        *pos += 1;
-    }
-    let s: String = chars[start..*pos].iter().collect();
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number `{s}` at offset {start}"))
-}
-
-fn parse_str(chars: &[char], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(chars.get(*pos), Some(&'"'));
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = chars.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(out),
-            '\\' => {
-                let esc = chars.get(*pos).copied().ok_or("eof in escape")?;
-                *pos += 1;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{8}'),
-                    'f' => out.push('\u{c}'),
-                    'u' => {
-                        let hex: String = chars.get(*pos..*pos + 4).unwrap_or(&[]).iter().collect();
-                        *pos += 4;
-                        let code = u32::from_str_radix(&hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape \\{other}")),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("eof in string".to_string())
-}
-
-fn parse_arr(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // [
-    let mut out = Vec::new();
-    loop {
-        skip_ws(chars, pos);
-        if chars.get(*pos) == Some(&']') {
-            *pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        out.push(parse_value(chars, pos)?);
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some(']') => {}
-            other => return Err(format!("expected , or ] got {other:?}")),
-        }
-    }
-}
-
-fn parse_obj(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // {
-    let mut out = Vec::new();
-    loop {
-        skip_ws(chars, pos);
-        if chars.get(*pos) == Some(&'}') {
-            *pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        if chars.get(*pos) != Some(&'"') {
-            return Err(format!("expected key at offset {pos}"));
-        }
-        let key = parse_str(chars, pos)?;
-        skip_ws(chars, pos);
-        if chars.get(*pos) != Some(&':') {
-            return Err(format!("expected : at offset {pos}"));
-        }
-        *pos += 1;
-        out.push((key, parse_value(chars, pos)?));
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some('}') => {}
-            other => return Err(format!("expected , or }} got {other:?}")),
-        }
-    }
-}
+use crate::report::{Finding, RULE_DESCRIPTIONS};
 
 /// Load the baseline fingerprint set from `path`. A missing file is an
-/// empty baseline (everything is new); a malformed file is an error so
-/// a corrupted baseline cannot silently disable the gate.
+/// empty baseline (everything is new). An unreadable file, or a line
+/// that is not `<rule>:<path>:<anchor>` for one of the rules, is an
+/// error naming the line, so a corrupted baseline cannot silently
+/// disable the gate. CRLF line endings and a final newline are fine.
 pub fn load(path: &Path) -> Result<BTreeSet<String>, String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(BTreeSet::new());
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(BTreeSet::new()),
+        Err(e) => return Err(format!("{}: cannot read: {e}", path.display())),
     };
-    let doc = parse_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let findings = doc
-        .get("findings")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{}: missing `findings` array", path.display()))?;
-    let mut out = BTreeSet::new();
-    for f in findings {
-        let fp = f
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{}: entry missing `fingerprint`", path.display()))?;
-        out.insert(fp.to_string());
-    }
-    Ok(out)
+    text.lines()
+        .enumerate()
+        .map(|(idx, line)| {
+            if is_fingerprint(line) {
+                Ok(line.to_string())
+            } else {
+                Err(format!(
+                    "{}:{}: expected `<rule>:<path>:<anchor>` with a known rule id, got `{line}`",
+                    path.display(),
+                    idx + 1
+                ))
+            }
+        })
+        .collect()
 }
 
-/// Serialize findings as a baseline document (sorted, deduplicated by
-/// fingerprint, with enough context to review).
+/// Is `line` a `<rule>:<path>:<anchor>` fingerprint of a known rule?
+fn is_fingerprint(line: &str) -> bool {
+    let Some((rule, rest)) = line.split_once(':') else {
+        return false;
+    };
+    let Some((path, anchor)) = rest.split_once(':') else {
+        return false;
+    };
+    RULE_DESCRIPTIONS.iter().any(|(id, _)| *id == rule) && !path.is_empty() && !anchor.is_empty()
+}
+
+/// Serialize findings as a baseline: their fingerprints, sorted and
+/// de-duplicated, one per line.
 pub fn render(findings: &[Finding]) -> String {
-    let mut entries: Vec<&Finding> = findings.iter().collect();
-    entries.sort_by_key(|f| f.fingerprint());
-    entries.dedup_by_key(|f| f.fingerprint());
-    let mut out = String::from("{\n  \"tool\": \"sor-check\",\n  \"version\": 1,\n");
-    out.push_str("  \"findings\": [\n");
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|f| {
-            format!(
-                "    {{\"fingerprint\": \"{}\", \"rule\": \"{}\", \"file\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&f.fingerprint()),
-                json_escape(&f.rule),
-                json_escape(&f.file.display().to_string()),
-                json_escape(&f.message)
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    let fingerprints: BTreeSet<String> = findings.iter().map(Finding::fingerprint).collect();
+    fingerprints.into_iter().map(|fp| fp + "\n").collect()
 }
 
 /// Split findings into (new, baselined) against a fingerprint set.
@@ -277,37 +95,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_roundtrip() {
-        let doc = parse_json(r#"{"a": [1, "x\n", true, null], "b": {"c": -2.5}}"#).expect("parse");
-        assert_eq!(
-            doc.get("b").and_then(|b| b.get("c")),
-            Some(&Json::Num(-2.5))
-        );
-        let arr = doc.get("a").and_then(Json::as_arr).expect("arr");
-        assert_eq!(arr[1], Json::Str("x\n".into()));
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2] extra").is_err());
+    /// Write `text` to a per-test temp file, load it, clean up.
+    fn load_text(name: &str, text: &str) -> Result<BTreeSet<String>, String> {
+        let tmp = std::env::temp_dir().join(format!(
+            "sor_check_baseline_{name}_{}.txt",
+            std::process::id()
+        ));
+        std::fs::write(&tmp, text).expect("write tmp");
+        let r = load(&tmp);
+        std::fs::remove_file(&tmp).ok();
+        r
     }
 
     #[test]
     fn render_then_load_roundtrip() {
         let fs = vec![
-            finding("dead-api", "sor-flow::a"),
-            finding("panic-path", "sor-core::b"),
+            finding("panic-path", "sor-flow::a"),
+            finding("hash-order", "sor-core::b"),
         ];
-        let text = render(&fs);
-        let tmp = std::env::temp_dir().join("sor_check_baseline_test.json");
-        std::fs::write(&tmp, &text).expect("write tmp");
-        let set = load(&tmp).expect("load");
-        std::fs::remove_file(&tmp).ok();
+        let set = load_text("roundtrip", &render(&fs)).expect("load");
         assert_eq!(set.len(), 2);
         assert!(set.contains(&fs[0].fingerprint()));
     }
 
     #[test]
+    fn render_is_sorted_and_deduplicated() {
+        let fs = vec![
+            finding("panic-path", "b"),
+            finding("layering", "z"),
+            finding("panic-path", "b"),
+            finding("panic-path", "a"),
+        ];
+        assert_eq!(
+            render(&fs),
+            "layering:crates/flow/src/x.rs:z\n\
+             panic-path:crates/flow/src/x.rs:a\n\
+             panic-path:crates/flow/src/x.rs:b\n"
+        );
+        assert_eq!(render(&[]), "");
+    }
+
+    #[test]
     fn partition_splits() {
-        let fs = vec![finding("dead-api", "a"), finding("dead-api", "b")];
+        let fs = vec![finding("layering", "a"), finding("layering", "b")];
         let mut base = BTreeSet::new();
         base.insert(fs[0].fingerprint());
         let (new, old) = partition(fs, &base);
@@ -318,16 +148,19 @@ mod tests {
 
     #[test]
     fn missing_baseline_is_empty() {
-        let set = load(Path::new("/no/such/baseline.json")).expect("empty");
+        let set = load(Path::new("/no/such/baseline.txt")).expect("empty");
         assert!(set.is_empty());
     }
 
     #[test]
     fn malformed_baseline_is_error() {
-        let tmp = std::env::temp_dir().join("sor_check_baseline_bad.json");
-        std::fs::write(&tmp, "{not json").expect("write tmp");
-        let r = load(&tmp);
-        std::fs::remove_file(&tmp).ok();
-        assert!(r.is_err());
+        for (name, text) in [
+            ("no_anchor", "layering:crates/a.rs\n"),
+            ("blank", "layering:crates/a.rs:x\n\n"),
+            ("retired_rule", "dead-api:crates/a.rs:sor-a::f\n"),
+        ] {
+            let err = load_text(name, text).expect_err(name);
+            assert!(err.contains("expected `<rule>:<path>:<anchor>`"), "{err}");
+        }
     }
 }

@@ -2,16 +2,18 @@
 //!
 //! The workspace root carries a `check.toml` naming the crate layering
 //! DAG and the scopes of the semantic rules. The file is parsed with a
-//! deliberately tiny TOML subset reader (sections, `key = value` with
-//! string / bool / integer / string-array values, `#` comments) — the
-//! registry is unreachable from CI, so no `toml` crate.
+//! deliberately tiny TOML subset reader (sections, `key = [..]` with
+//! one-line string-array values, `#` comments) — the registry is
+//! unreachable from CI, so no `toml` crate.
 //!
 //! Missing file ⇒ [`Config::default`]: every semantic rule that needs
-//! configuration (layering, panic scope, determinism scope, dead-API
-//! scope) is simply skipped, which is what the seeded test fixtures
-//! without a `check.toml` rely on.
+//! configuration (layering, panic scope, determinism scope, hot-path
+//! entries) is simply skipped, which is what the seeded test fixtures
+//! without a `check.toml` rely on. Any other read failure is an error,
+//! so an unreadable file cannot switch the rules off silently.
 
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::path::Path;
 
 /// Parsed semantic-pass configuration.
@@ -24,15 +26,11 @@ pub struct Config {
     /// `[panics] public_crates`: crates whose `pub` functions must not
     /// reach a panic site.
     pub panic_public_crates: Vec<String>,
-    /// `[panics] include_indexing`: treat slice/`Vec` indexing as a
-    /// panic source. Off by default — indexing is pervasive in the
-    /// adjacency code and flagging it drowns the signal; the switch
-    /// exists so an audit build can turn it on.
-    pub panic_include_indexing: bool,
-    /// `[panics] index_crates`: crates whose indexing sites count as
-    /// panic sources even while the global `include_indexing` switch is
-    /// off — a per-crate opt-in for code (like the serving layer) where
-    /// an out-of-bounds panic would take down a long-lived process.
+    /// `[panics] index_crates`: crates whose slice/`Vec` indexing sites
+    /// count as panic sources — code (like the serving layer) where an
+    /// out-of-bounds panic would take down a long-lived process.
+    /// Indexing elsewhere is pervasive in the adjacency code and is not
+    /// flagged; an audit build lists more crates here.
     pub panic_index_crates: Vec<String>,
     /// `[determinism] order_crates`: crates where `HashMap`/`HashSet`
     /// iteration order is treated as observable output (samplers and
@@ -43,36 +41,15 @@ pub struct Config {
     /// The bench crate is deliberately out of scope — its hard-coded
     /// seeds *define* the experiments.
     pub rng_crates: Vec<String>,
-    /// `[dead-api] crates`: crates whose `pub` items are audited for
-    /// having at least one reference from elsewhere in the workspace.
-    pub dead_api_crates: Vec<String>,
-    /// `[concurrency] crates`: crates in scope for the lock-order,
-    /// held-lock and atomics rules (the crates that actually share
-    /// state across threads). Empty ⇒ those rules are skipped.
-    pub concurrency_crates: Vec<String>,
-    /// `[concurrency] expensive`: function names treated as expensive
-    /// or blocking (MWU solves, FRT builds, I/O, channel sends) by the
-    /// held-lock rule — calling one while a guard is live is flagged.
-    pub expensive_fns: Vec<String>,
-    /// `[concurrency] parallel_targets`: entry points slated for rayon
-    /// parallelization (plain `name` or `crate::name`); everything
-    /// reachable from them is audited for non-`Send` / interior-mutable
-    /// types by the rayon-readiness rule.
-    pub parallel_targets: Vec<String>,
     /// `[hotpath] entries`: hot entry points (plain `name` or
     /// `crate::name`). The hot-path rules walk the layering-filtered
     /// call graph from each entry and audit everything reachable for
     /// allocation and complexity cost. Empty ⇒ the family is skipped.
     pub hotpath_entries: Vec<String>,
-    /// `[hotpath] alloc_min_depth`: minimum effective loop depth (the
-    /// maximum lexical loop depth along the witness chain, call sites
-    /// included) at which a reachable allocation site becomes an
-    /// `alloc-in-hot` finding. Shallower sites still count in the cost
-    /// report. `None` ⇒ the default of 1.
-    pub hotpath_alloc_min_depth: Option<i64>,
 }
 
-/// A `check.toml` parse failure, with a 1-based line number.
+/// A `check.toml` read or parse failure, with a 1-based line number
+/// (0 when the failure is not tied to one line).
 #[derive(Clone, Debug)]
 pub struct ConfigError {
     /// Line the error was detected on.
@@ -83,28 +60,25 @@ pub struct ConfigError {
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "check.toml:{}: {}", self.line, self.message)
+        match self.line {
+            0 => write!(f, "check.toml: {}", self.message),
+            line => write!(f, "check.toml:{line}: {}", self.message),
+        }
     }
 }
 
-/// One parsed TOML value from the subset grammar.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Str(String),
-    Bool(bool),
-    Int(i64),
-    StrArray(Vec<String>),
-}
-
 impl Config {
-    /// Load `check.toml` from `root`, or the permissive default when the
-    /// file does not exist.
+    /// Load `check.toml` from `root`: the permissive default when the
+    /// file does not exist, an error when it exists but cannot be read.
     pub fn load(root: &Path) -> Result<Config, ConfigError> {
-        let path = root.join("check.toml");
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return Ok(Config::default());
-        };
-        Config::parse(&text)
+        match std::fs::read_to_string(root.join("check.toml")) {
+            Ok(text) => Config::parse(&text),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(Config::default()),
+            Err(e) => Err(ConfigError {
+                line: 0,
+                message: format!("cannot read: {e}"),
+            }),
+        }
     }
 
     /// Parse configuration text (the TOML subset described in the module
@@ -129,112 +103,43 @@ impl Config {
                 });
             };
             let key = unquote(line[..eq].trim());
-            let value = parse_value(line[eq + 1..].trim()).ok_or_else(|| ConfigError {
-                line: line_no,
-                message: format!("unsupported value syntax `{}`", line[eq + 1..].trim()),
-            })?;
-            cfg.apply(&section, &key, value, line_no)?;
+            cfg.apply(&section, &key, line[eq + 1..].trim(), line_no)?;
         }
         cfg.validate_layers()?;
         Ok(cfg)
     }
 
-    /// Route one `key = value` pair into the matching field.
+    /// Route one `key = value` pair into the matching field. Every key
+    /// takes a string array; unknown keys are errors, so a typo or a
+    /// retired knob cannot be ignored silently.
     fn apply(
         &mut self,
         section: &str,
         key: &str,
-        value: Value,
+        value: &str,
         line: usize,
     ) -> Result<(), ConfigError> {
-        let err = |message: String| Err(ConfigError { line, message });
-        match (section, key) {
-            ("layers", krate) => match value {
-                Value::StrArray(deps) => {
-                    self.layers.insert(krate.to_string(), deps);
-                    Ok(())
-                }
-                _ => err(format!("[layers] {krate} must be an array of crate names")),
-            },
-            ("panics", "public_crates") => match value {
-                Value::StrArray(v) => {
-                    self.panic_public_crates = v;
-                    Ok(())
-                }
-                _ => err("panics.public_crates must be an array".into()),
-            },
-            ("panics", "include_indexing") => match value {
-                Value::Bool(b) => {
-                    self.panic_include_indexing = b;
-                    Ok(())
-                }
-                _ => err("panics.include_indexing must be a bool".into()),
-            },
-            ("panics", "index_crates") => match value {
-                Value::StrArray(v) => {
-                    self.panic_index_crates = v;
-                    Ok(())
-                }
-                _ => err("panics.index_crates must be an array".into()),
-            },
-            ("determinism", "order_crates") => match value {
-                Value::StrArray(v) => {
-                    self.order_crates = v;
-                    Ok(())
-                }
-                _ => err("determinism.order_crates must be an array".into()),
-            },
-            ("determinism", "rng_crates") => match value {
-                Value::StrArray(v) => {
-                    self.rng_crates = v;
-                    Ok(())
-                }
-                _ => err("determinism.rng_crates must be an array".into()),
-            },
-            ("dead-api", "crates") => match value {
-                Value::StrArray(v) => {
-                    self.dead_api_crates = v;
-                    Ok(())
-                }
-                _ => err("dead-api.crates must be an array".into()),
-            },
-            ("concurrency", "crates") => match value {
-                Value::StrArray(v) => {
-                    self.concurrency_crates = v;
-                    Ok(())
-                }
-                _ => err("concurrency.crates must be an array".into()),
-            },
-            ("concurrency", "expensive") => match value {
-                Value::StrArray(v) => {
-                    self.expensive_fns = v;
-                    Ok(())
-                }
-                _ => err("concurrency.expensive must be an array".into()),
-            },
-            ("concurrency", "parallel_targets") => match value {
-                Value::StrArray(v) => {
-                    self.parallel_targets = v;
-                    Ok(())
-                }
-                _ => err("concurrency.parallel_targets must be an array".into()),
-            },
-            ("hotpath", "entries") => match value {
-                Value::StrArray(v) => {
-                    self.hotpath_entries = v;
-                    Ok(())
-                }
-                _ => err("hotpath.entries must be an array".into()),
-            },
-            ("hotpath", "alloc_min_depth") => match value {
-                Value::Int(n) if n >= 0 => {
-                    self.hotpath_alloc_min_depth = Some(n);
-                    Ok(())
-                }
-                _ => err("hotpath.alloc_min_depth must be a non-negative integer".into()),
-            },
-            _ => err(format!("unknown configuration key [{section}] {key}")),
-        }
+        let slot = match (section, key) {
+            ("layers", krate) => self.layers.entry(krate.to_string()).or_default(),
+            ("panics", "public_crates") => &mut self.panic_public_crates,
+            ("panics", "index_crates") => &mut self.panic_index_crates,
+            ("determinism", "order_crates") => &mut self.order_crates,
+            ("determinism", "rng_crates") => &mut self.rng_crates,
+            ("hotpath", "entries") => &mut self.hotpath_entries,
+            _ => {
+                return Err(ConfigError {
+                    line,
+                    message: format!("unknown configuration key [{section}] {key}"),
+                })
+            }
+        };
+        *slot = parse_str_array(value).ok_or_else(|| ConfigError {
+            line,
+            message: format!(
+                "[{section}] {key} must be a one-line array of strings, got `{value}`"
+            ),
+        })?;
+        Ok(())
     }
 
     /// The declared layering must itself be a DAG, and every crate named
@@ -307,13 +212,6 @@ impl Config {
         out.sort();
         Some(out)
     }
-
-    /// Effective `[hotpath] alloc_min_depth` (default 1).
-    pub fn alloc_min_depth(&self) -> usize {
-        self.hotpath_alloc_min_depth
-            .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
-            .unwrap_or(1)
-    }
 }
 
 /// Drop a `#` comment, respecting double-quoted strings.
@@ -337,38 +235,15 @@ fn unquote(s: &str) -> String {
         .to_string()
 }
 
-/// Parse the value subset: `"str"`, `true`/`false`, integers, and flat
-/// string arrays (which may span only a single line).
-fn parse_value(s: &str) -> Option<Value> {
-    if s == "true" {
-        return Some(Value::Bool(true));
-    }
-    if s == "false" {
-        return Some(Value::Bool(false));
-    }
-    if let Some(body) = s.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
-        if !body.contains('"') {
-            return Some(Value::Str(body.to_string()));
-        }
-        return None;
-    }
-    if let Some(body) = s.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-        let body = body.trim();
-        if body.is_empty() {
-            return Some(Value::StrArray(Vec::new()));
-        }
-        let mut items = Vec::new();
-        for part in body.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue; // trailing comma
-            }
-            let inner = part.strip_prefix('"')?.strip_suffix('"')?;
-            items.push(inner.to_string());
-        }
-        return Some(Value::StrArray(items));
-    }
-    s.parse::<i64>().ok().map(Value::Int)
+/// Parse a flat one-line string array: `["a", "b"]` (a trailing comma
+/// is fine).
+fn parse_str_array(s: &str) -> Option<Vec<String>> {
+    let body = s.strip_prefix('[')?.strip_suffix(']')?;
+    body.split(',')
+        .map(str::trim)
+        .filter(|part| !part.is_empty())
+        .map(|part| Some(part.strip_prefix('"')?.strip_suffix('"')?.to_string()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -384,18 +259,9 @@ mod tests {
 
 [panics]
 public_crates = ["sor-flow", "sor-core"]
-include_indexing = false
 
 [determinism]
 order_crates = ["sor-core"]
-
-[dead-api]
-crates = ["sor-graph"]
-
-[concurrency]
-crates = ["sor-core"]
-expensive = ["solve", "build"]
-parallel_targets = ["sample_k", "sor-graph::dijkstra"]
 "#;
 
     #[test]
@@ -403,36 +269,23 @@ parallel_targets = ["sample_k", "sor-graph::dijkstra"]
         let cfg = Config::parse(SAMPLE).expect("parse");
         assert_eq!(cfg.layers["sor-flow"], vec!["sor-graph"]);
         assert_eq!(cfg.panic_public_crates, vec!["sor-flow", "sor-core"]);
-        assert!(!cfg.panic_include_indexing);
         assert_eq!(cfg.order_crates, vec!["sor-core"]);
-        assert_eq!(cfg.dead_api_crates, vec!["sor-graph"]);
-        assert_eq!(cfg.concurrency_crates, vec!["sor-core"]);
-        assert_eq!(cfg.expensive_fns, vec!["solve", "build"]);
-        assert_eq!(
-            cfg.parallel_targets,
-            vec!["sample_k", "sor-graph::dijkstra"]
-        );
     }
 
     #[test]
-    fn hotpath_section_parses_with_default_depth() {
+    fn hotpath_section_parses() {
         let cfg = Config::parse("[hotpath]\nentries = [\"sample_k\", \"sor-oblivious::build\"]\n")
             .expect("parse");
         assert_eq!(
             cfg.hotpath_entries,
             vec!["sample_k", "sor-oblivious::build"]
         );
-        assert_eq!(cfg.alloc_min_depth(), 1);
-        let explicit = Config::parse("[hotpath]\nalloc_min_depth = 2\n").expect("parse");
-        assert_eq!(explicit.alloc_min_depth(), 2);
-        assert!(Config::parse("[hotpath]\nalloc_min_depth = -1\n").is_err());
     }
 
     #[test]
     fn panic_index_crates_parse() {
         let cfg = Config::parse("[panics]\nindex_crates = [\"sor-serve\"]\n").expect("parse");
         assert_eq!(cfg.panic_index_crates, vec!["sor-serve"]);
-        assert!(!cfg.panic_include_indexing);
     }
 
     #[test]
@@ -459,6 +312,12 @@ parallel_targets = ["sample_k", "sor-graph::dijkstra"]
     #[test]
     fn unknown_key_is_rejected() {
         assert!(Config::parse("[panics]\nfrobnicate = 3\n").is_err());
+    }
+
+    #[test]
+    fn non_array_value_is_rejected() {
+        let err = Config::parse("[hotpath]\nentries = \"sample_k\"\n").expect_err("scalar");
+        assert_eq!(err.to_string(), "check.toml:2: [hotpath] entries must be a one-line array of strings, got `\"sample_k\"`");
     }
 
     #[test]

@@ -1,30 +1,23 @@
 //! The workspace item graph: every analyzed source file's items plus
-//! resolved intra-workspace call edges and a workspace-wide identifier
-//! index.
+//! resolved intra-workspace call edges.
 //!
 //! Call resolution is name-based with preference tiers (same file →
 //! same crate → crates imported by the file → whole workspace); when a
 //! tier holds several same-named candidates they are *all* linked, so
 //! reachability analyses over-approximate rather than silently miss
-//! paths. The identifier index maps every identifier token appearing
-//! anywhere in the workspace (including tests, benches and examples,
-//! which are not otherwise analyzed) to the set of crates using it —
-//! the dead-API rule's evidence of use.
+//! paths.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use crate::collect_rs_files;
 use crate::items::{parse_file, ItemKind, SourceFile};
-use crate::strip::Stripper;
 
-/// All analyzed files plus the workspace-wide identifier index.
+/// All analyzed files.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Parsed crate sources (`crates/*/src/**`, `src/**`), sorted by path.
     pub files: Vec<SourceFile>,
-    /// identifier → crates whose code (src, tests, benches, examples)
-    /// mentions it.
-    pub ident_crates: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Read the `name = "..."` of the first `[package]` section of a
@@ -48,55 +41,34 @@ fn package_name(manifest: &Path) -> Option<String> {
     None
 }
 
-/// The crate owning a workspace-relative path, in dash form. Falls back
-/// to `sor-<dir>` / the root package name when no manifest is readable
-/// (the test fixtures carry no manifests).
+/// The crate owning an analyzed source file — `crates/<dir>/src/**` or
+/// the root package's `src/**`, fixtures and build output excluded — in
+/// dash form; `None` for any other path. Falls back to `sor-<dir>` /
+/// `root` when no manifest is readable (the test fixtures carry none).
 fn crate_of(root: &Path, rel: &Path) -> Option<String> {
     let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
+    if parts
+        .iter()
+        .any(|p| *p == "fixtures" || *p == "target" || *p == "vendor")
+    {
+        return None;
+    }
     match parts.as_slice() {
-        ["crates", dir, ..] => Some(
+        ["crates", dir, "src", ..] => Some(
             package_name(&root.join("crates").join(dir).join("Cargo.toml"))
                 .unwrap_or_else(|| format!("sor-{dir}")),
         ),
-        ["src", ..] | ["tests", ..] | ["examples", ..] => {
+        ["src", ..] => {
             Some(package_name(&root.join("Cargo.toml")).unwrap_or_else(|| "root".to_string()))
         }
         _ => None,
     }
 }
 
-/// Is this path part of the analyzed sources (crate `src/` trees), as
-/// opposed to the reference-only corpus (tests, benches, examples)?
-fn is_analyzed(rel: &Path) -> bool {
-    let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
-    if parts
-        .iter()
-        .any(|p| *p == "fixtures" || *p == "target" || *p == "vendor")
-    {
-        return false;
-    }
-    matches!(parts.as_slice(), ["crates", _, "src", ..] | ["src", ..])
-}
-
-/// Is this path reference-corpus material (identifiers count as uses)?
-fn is_corpus(rel: &Path) -> bool {
-    let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
-    if parts.iter().any(|p| *p == "fixtures" || *p == "target") {
-        return false;
-    }
-    matches!(
-        parts.as_slice(),
-        ["crates", _, "tests", ..]
-            | ["crates", _, "benches", ..]
-            | ["tests", ..]
-            | ["examples", ..]
-    )
-}
-
 /// Load and parse the workspace under `root`.
 pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
     let mut paths = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    for top in ["crates", "src"] {
         let dir = root.join(top);
         if dir.is_dir() {
             collect_rs_files(&dir, &mut paths)?;
@@ -110,56 +82,10 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
         let Some(krate) = crate_of(root, &rel) else {
             continue;
         };
-        let analyzed = is_analyzed(&rel);
-        if !analyzed && !is_corpus(&rel) {
-            continue;
-        }
         let text = std::fs::read_to_string(&path)?;
-        if analyzed {
-            let parsed = parse_file(&rel, &krate, &text);
-            index_idents(&parsed.stripped, &krate, &mut ws.ident_crates);
-            ws.files.push(parsed);
-        } else {
-            let mut stripper = Stripper::new();
-            let stripped: Vec<String> = text.lines().map(|l| stripper.strip_line(l)).collect();
-            index_idents(&stripped, &krate, &mut ws.ident_crates);
-        }
+        ws.files.push(parse_file(&rel, &krate, &text));
     }
     Ok(ws)
-}
-
-/// Record every identifier token of `lines` as used by `krate`.
-fn index_idents(lines: &[String], krate: &str, index: &mut BTreeMap<String, BTreeSet<String>>) {
-    for line in lines {
-        let mut cur = String::new();
-        for c in line.chars().chain(std::iter::once(' ')) {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                cur.push(c);
-            } else if !cur.is_empty() {
-                if !cur.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-                    index
-                        .entry(std::mem::take(&mut cur))
-                        .or_default()
-                        .insert(krate.to_string());
-                } else {
-                    cur.clear();
-                }
-            }
-        }
-    }
-}
-
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 /// Handle of one function item inside a [`Workspace`].
@@ -279,9 +205,7 @@ mod tests {
     fn ws_of(files: &[(&str, &str, &str)]) -> Workspace {
         let mut ws = Workspace::default();
         for (rel, krate, text) in files {
-            let parsed = parse_file(Path::new(rel), krate, text);
-            index_idents(&parsed.stripped, krate, &mut ws.ident_crates);
-            ws.files.push(parsed);
+            ws.files.push(parse_file(Path::new(rel), krate, text));
         }
         ws
     }
@@ -346,24 +270,6 @@ mod tests {
         assert_eq!(g.calls[caller].len(), 1);
         let callee = g.calls[caller][0];
         assert_eq!(ws.files[g.fns[callee].file].krate, "sor-flow");
-    }
-
-    #[test]
-    fn ident_index_tracks_crates() {
-        let ws = ws_of(&[
-            (
-                "crates/flow/src/a.rs",
-                "sor-flow",
-                "pub fn unique_name_x() {}\n",
-            ),
-            (
-                "crates/te/src/a.rs",
-                "sor-te",
-                "fn f() { unique_name_x(); }\n",
-            ),
-        ]);
-        let users = &ws.ident_crates["unique_name_x"];
-        assert!(users.contains("sor-flow") && users.contains("sor-te"));
     }
 
     #[test]

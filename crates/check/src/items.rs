@@ -68,8 +68,8 @@ pub enum PanicKind {
     /// `.unwrap()` / `.expect(..)`.
     Unwrap,
     /// Slice / `Vec` / map indexing (`x[i]`), which panics in release
-    /// builds on out-of-bounds. Only propagated when
-    /// `panics.include_indexing` is set in `check.toml`.
+    /// builds on out-of-bounds. Only propagated in the crates listed in
+    /// `panics.index_crates` in `check.toml`.
     Indexing,
 }
 
@@ -153,9 +153,6 @@ pub struct Item {
     /// For `fn`s declared inside `impl Foo {..}` / `impl Tr for Foo {..}`:
     /// the `Foo`. Also set for trait-body method signatures.
     pub self_ty: Option<String>,
-    /// Whether the surrounding `impl` is a trait implementation (its
-    /// method names are dictated by the trait, not dead-API candidates).
-    pub in_trait_impl: bool,
     /// For `fn`s: the signature flattened to one line (through `{`/`;`).
     pub signature: String,
     /// For `fn`s: facts found in the body.
@@ -337,10 +334,7 @@ pub fn module_path(rel: &Path) -> String {
 #[derive(Clone, Debug)]
 enum Ctx {
     /// `impl Foo {` / `impl Tr for Foo {` — fns inside get `self_ty`.
-    Impl {
-        self_ty: String,
-        is_trait_impl: bool,
-    },
+    Impl { self_ty: String },
     /// `trait Foo {` — default method bodies live here.
     Trait { name: String },
     /// A function body; the payload indexes into `SourceFile::items`.
@@ -403,14 +397,13 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
                         ItemKind::Fn => join_signature(&stripped, &in_test, idx),
                         _ => (line.clone(), 1),
                     };
-                    let (self_ty, in_trait_impl) = enclosing_impl(&stack);
+                    let self_ty = enclosing_impl(&stack);
                     file.items.push(Item {
                         kind: decl.kind,
                         name: decl.name,
                         vis,
                         line: idx + 1,
                         self_ty,
-                        in_trait_impl,
                         signature: sig,
                         facts: Facts::default(),
                         calls: Vec::new(),
@@ -488,19 +481,13 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
     file
 }
 
-/// `(self_ty, is_trait_impl)` of the innermost enclosing impl/trait.
-fn enclosing_impl(stack: &[(i32, Ctx)]) -> (Option<String>, bool) {
-    for (_, c) in stack.iter().rev() {
-        match c {
-            Ctx::Impl {
-                self_ty,
-                is_trait_impl,
-            } => return (Some(self_ty.clone()), *is_trait_impl),
-            Ctx::Trait { name } => return (Some(name.clone()), true),
-            _ => {}
-        }
-    }
-    (None, false)
+/// `self_ty` of the innermost enclosing impl/trait.
+fn enclosing_impl(stack: &[(i32, Ctx)]) -> Option<String> {
+    stack.iter().rev().find_map(|(_, c)| match c {
+        Ctx::Impl { self_ty } => Some(self_ty.clone()),
+        Ctx::Trait { name } => Some(name.clone()),
+        _ => None,
+    })
 }
 
 /// Track braces across `count` lines starting at `idx`, popping contexts
@@ -674,10 +661,7 @@ fn match_impl_or_trait(rest: &str) -> Option<Ctx> {
             None => head,
         };
         let self_ty = last_path_segment(ty_part.trim());
-        return Some(Ctx::Impl {
-            self_ty,
-            is_trait_impl: head.contains(" for "),
-        });
+        return Some(Ctx::Impl { self_ty });
     }
     if let Some(body) = rest.strip_prefix("trait ") {
         let name: String = body
@@ -905,9 +889,9 @@ fn token_at_boundary(s: &str, pos: usize) -> bool {
 }
 
 /// Identifier ending at byte `pos` of `line`, skipping balanced
-/// `(..)`/`[..]` suffix groups, so `self.shards[i].lock()` and
-/// `shard_for(key).lock()` both yield the ident left of the group.
-pub(crate) fn receiver_before(line: &str, pos: usize) -> Option<String> {
+/// `(..)`/`[..]` suffix groups, so `self.paths[i].clone()` and
+/// `path_for(key).clone()` both yield the ident left of the group.
+fn receiver_before(line: &str, pos: usize) -> Option<String> {
     let bytes = line.as_bytes();
     let mut i = pos;
     while i > 0 && (bytes[i - 1] == b')' || bytes[i - 1] == b']') {
@@ -1092,8 +1076,8 @@ fn collect_calls(item: &mut Item, s: &str, line: usize, depth: usize) {
 /// opening-`{` line, closing-`}` line)`. Mirrors the context discipline
 /// of the main parse: `#[cfg(test)]` regions are skipped and a bodyless
 /// trait-method declaration (a `;` before any `{`) produces no span.
-/// The concurrency rules use this to scan guard scopes and atomic
-/// accesses with correct function attribution.
+/// The hot-path growth and scan rules use this to walk each body with
+/// correct function attribution.
 pub fn body_spans(file: &SourceFile) -> Vec<(usize, usize, usize)> {
     let mut out = Vec::new();
     let mut armed: Option<usize> = None; // fn item waiting for its `{`
@@ -1285,9 +1269,8 @@ mod tests {
         let f = parse("struct S;\nimpl S {\n    pub fn m(&self) {}\n}\nimpl Clone for S {\n    fn clone(&self) -> S { S }\n}\n");
         let m = f.items.iter().find(|i| i.name == "m").expect("m");
         assert_eq!(m.self_ty.as_deref(), Some("S"));
-        assert!(!m.in_trait_impl);
         let c = f.items.iter().find(|i| i.name == "clone").expect("clone");
-        assert!(c.in_trait_impl);
+        assert_eq!(c.self_ty.as_deref(), Some("S"));
     }
 
     #[test]
@@ -1422,6 +1405,16 @@ mod tests {
             .expect("clone");
         assert_eq!(clone.depth, 1);
         assert_eq!(clone.recv.as_deref(), Some("x"));
+    }
+
+    #[test]
+    fn receiver_walks_back_over_groups() {
+        assert_eq!(
+            receiver_before("self.paths[i].clone()", 13).as_deref(),
+            Some("paths")
+        );
+        assert_eq!(receiver_before("x.clone()", 1).as_deref(), Some("x"));
+        assert_eq!(receiver_before(".clone()", 0), None);
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! `sor-check`: the workspace's repo-specific static-analysis pass.
 //!
 //! The generic toolchain cannot express the rules this workspace actually
-//! depends on — that sampled-path code never hides failures behind
-//! `unwrap()`, that congestion/capacity/rate arithmetic never loses
-//! precision through silent `as` casts, that every random draw threads an
-//! explicit seeded [`rand::Rng`] so experiments stay reproducible. This
-//! crate is a std-only source scanner (the registry is unreachable from
-//! CI, so no `syn`), run as `cargo run -p sor-check` and from CI; it exits
-//! non-zero when any rule fires.
+//! depends on — that library code never hides a failure behind
+//! `unwrap()` without a stated invariant, that no public solver entry
+//! point can reach a panic, that every random draw threads an explicit
+//! seeded [`rand::Rng`] so experiments stay reproducible, that hot paths
+//! do not allocate per iteration. This crate is a std-only source scanner
+//! (the registry is unreachable from CI, so no `syn`), run as
+//! `cargo run -p sor-check` and from CI; it exits non-zero when any rule
+//! fires.
 //!
-//! # Rules
+//! # Lexical rules
 //!
 //! | id | scope | meaning |
 //! |----|-------|---------|
 //! | `unwrap` | library crates | no `.unwrap()` / `.expect(..)` / `panic!(..)` outside `#[cfg(test)]` |
-//! | `lossy-cast` | `sor-graph`, `sor-flow`, `sor-core` | no `as` casts to a narrower integer type (use `try_into` or the typed unit constructors) |
-//! | `thread-rng` | everywhere scanned | no `thread_rng()` — all randomness takes an explicit seeded `Rng` |
 //! | `float-eq` | everywhere scanned | no `==` / `!=` against a floating-point literal (compare with a tolerance) |
-//! | `missing-docs` | `sor-core` | every `pub fn` carries a doc comment |
+//!
+//! Checks that need type information are left to the toolchain, which
+//! has it: `unsafe_code = "forbid"` and clippy's `unwrap_used` /
+//! `cast_possible_truncation` in the root `[workspace.lints]`, and
+//! `#![deny(missing_docs)]` in `sor-core`.
 //!
 //! # Allowlist mechanism
 //!
@@ -25,8 +28,8 @@
 //! the line directly above:
 //!
 //! ```text
-//! // sor-check: allow(lossy-cast) — node count < u32::MAX is asserted above
-//! let id = idx as u32;
+//! // sor-check: allow(unwrap) — the queue was checked non-empty above
+//! let head = queue.pop_front().unwrap();
 //! ```
 //!
 //! A whole file opts out of one rule with `sor-check: allow-file(<rule>)`
@@ -36,11 +39,9 @@
 //! # Honest limitations
 //!
 //! This is a lexical scanner with just enough state to strip strings,
-//! comments and `#[cfg(test)]` regions. `lossy-cast` flags every `as
-//! <narrower-int>` (it cannot see the source type), and `float-eq` only
-//! recognizes comparisons where one side is a float *literal*. Both err
-//! toward asking for an allowlist comment rather than silence; `cargo
-//! clippy` (see `[workspace.lints]`) covers the type-aware versions.
+//! comments and `#[cfg(test)]` regions. `float-eq` only recognizes
+//! comparisons where one side is a float *literal*; it errs toward asking
+//! for an allowlist comment rather than silence.
 
 #![forbid(unsafe_code)]
 
@@ -61,40 +62,19 @@ pub use strip::strip_line;
 pub enum Rule {
     /// `.unwrap()` / `.expect(` / `panic!(` in library code.
     Unwrap,
-    /// `as` cast to a narrower integer type in the numeric-core crates.
-    LossyCast,
-    /// `thread_rng()` anywhere — randomness must be seeded and explicit.
-    ThreadRng,
     /// `==` / `!=` against a float literal.
     FloatEq,
-    /// `pub fn` without a doc comment in `sor-core`.
-    MissingDocs,
-    /// Any `unsafe` block/fn/impl — the workspace forbids unsafe code
-    /// (`#![forbid(unsafe_code)]` in every crate root backs this up at
-    /// the compiler level; the rule catches the attribute being removed).
-    Unsafe,
 }
 
 /// Every rule, in reporting order.
-pub const ALL_RULES: [Rule; 6] = [
-    Rule::Unwrap,
-    Rule::LossyCast,
-    Rule::ThreadRng,
-    Rule::FloatEq,
-    Rule::MissingDocs,
-    Rule::Unsafe,
-];
+pub const ALL_RULES: [Rule; 2] = [Rule::Unwrap, Rule::FloatEq];
 
 impl Rule {
     /// Stable identifier used in reports and allowlist comments.
     pub fn id(self) -> &'static str {
         match self {
             Rule::Unwrap => "unwrap",
-            Rule::LossyCast => "lossy-cast",
-            Rule::ThreadRng => "thread-rng",
             Rule::FloatEq => "float-eq",
-            Rule::MissingDocs => "missing-docs",
-            Rule::Unsafe => "unsafe-code",
         }
     }
 
@@ -141,33 +121,13 @@ impl fmt::Display for Violation {
 pub struct FileClass {
     /// Library code: the `unwrap` rule applies.
     pub library: bool,
-    /// Numeric-core crate: the `lossy-cast` rule applies.
-    pub cast_strict: bool,
-    /// `sor-core` public API: the `missing-docs` rule applies.
-    pub docs_required: bool,
 }
 
-/// The library crates (everything algorithmic; the bench harness and
-/// binaries are driver code and may panic on broken input).
-const LIB_CRATES: [&str; 10] = [
-    "graph",
-    "flow",
-    "oblivious",
-    "hop",
-    "core",
-    "sched",
-    "te",
-    "serve",
-    "check",
-    "obs",
-];
-
-/// Crates where congestion/capacity/rate arithmetic lives and lossy `as`
-/// casts are banned.
-const CAST_STRICT_CRATES: [&str; 3] = ["graph", "flow", "core"];
-
 /// Classify a workspace-relative path; `None` means the file is not
-/// scanned at all (tests, benches, fixtures, generated output).
+/// scanned at all (tests, benches, fixtures, generated output). Every
+/// crate under `crates/` is library code except `bench`, the experiment
+/// harness, which like the binaries is driver code and may panic on
+/// broken input.
 pub fn classify(rel: &Path) -> Option<FileClass> {
     let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
     if parts.iter().any(|p| {
@@ -178,24 +138,15 @@ pub fn classify(rel: &Path) -> Option<FileClass> {
     let is_binary = parts.contains(&"bin") || parts.last() == Some(&"main.rs");
     match parts.as_slice() {
         ["crates", krate, "src", ..] => Some(FileClass {
-            library: LIB_CRATES.contains(krate) && !is_binary && *krate != "bench",
-            cast_strict: CAST_STRICT_CRATES.contains(krate),
-            docs_required: *krate == "core",
+            library: *krate != "bench" && !is_binary,
         }),
         // the root package's library sources (src/bin is driver code)
         ["src", ..] => Some(FileClass {
             library: !is_binary,
-            cast_strict: false,
-            docs_required: false,
         }),
         _ => None,
     }
 }
-
-/// Integer types an `as` cast may truncate into.
-const NARROW_INT_TARGETS: [&str; 10] = [
-    "u8", "u16", "u32", "u64", "usize", "i8", "i16", "i32", "i64", "isize",
-];
 
 /// Scan one file's text. `rel` is only used for reporting.
 pub fn scan_file(rel: &Path, text: &str, class: FileClass) -> Vec<Violation> {
@@ -250,44 +201,6 @@ pub fn scan_file(rel: &Path, text: &str, class: FileClass) -> Vec<Violation> {
             }
         }
 
-        if class.cast_strict {
-            for target in lossy_cast_targets(s) {
-                if !allowed(Rule::LossyCast, idx) {
-                    out.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: line_no,
-                        rule: Rule::LossyCast,
-                        message: format!(
-                            "`as {target}` may truncate — use `try_into()` or a typed \
-                             constructor (Capacity/Rate/Congestion, NodeId/EdgeId)"
-                        ),
-                    });
-                }
-            }
-        }
-
-        if contains_word(s, "unsafe") && !allowed(Rule::Unsafe, idx) {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: Rule::Unsafe,
-                message: "`unsafe` is forbidden workspace-wide (see \
-                          `#![forbid(unsafe_code)]` in the crate roots)"
-                    .to_string(),
-            });
-        }
-
-        if s.contains("thread_rng") && !allowed(Rule::ThreadRng, idx) {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: Rule::ThreadRng,
-                message: "`thread_rng()` breaks reproducibility — thread an explicit \
-                          seeded Rng instead"
-                    .to_string(),
-            });
-        }
-
         if let Some(op) = float_literal_comparison(s) {
             if !allowed(Rule::FloatEq, idx) {
                 out.push(Violation {
@@ -299,19 +212,6 @@ pub fn scan_file(rel: &Path, text: &str, class: FileClass) -> Vec<Violation> {
                          almost always a bug; compare with a tolerance"
                     ),
                 });
-            }
-        }
-
-        if class.docs_required {
-            if let Some(name) = undocumented_pub_fn(&stripped, &lines, idx) {
-                if !allowed(Rule::MissingDocs, idx) {
-                    out.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: line_no,
-                        rule: Rule::MissingDocs,
-                        message: format!("public function `{name}` has no doc comment"),
-                    });
-                }
             }
         }
     }
@@ -342,46 +242,6 @@ fn parse_allow(line: &str, marker: &str) -> Vec<Rule> {
         .iter()
         .filter_map(|id| Rule::from_id(id))
         .collect()
-}
-
-/// Is token `word` present with identifier boundaries on both sides?
-fn contains_word(s: &str, word: &str) -> bool {
-    let mut search = 0;
-    while let Some(rel_pos) = s[search..].find(word) {
-        let pos = search + rel_pos;
-        search = pos + word.len();
-        let before_ok = s[..pos]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
-        let after_ok = s[pos + word.len()..]
-            .chars()
-            .next()
-            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
-        if before_ok && after_ok {
-            return true;
-        }
-    }
-    false
-}
-
-/// All narrowing integer `as`-cast targets on a stripped line.
-fn lossy_cast_targets(s: &str) -> Vec<&'static str> {
-    let mut found = Vec::new();
-    let mut search = 0;
-    while let Some(rel_pos) = s[search..].find(" as ") {
-        let pos = search + rel_pos;
-        search = pos + 4;
-        let after = &s[pos + 4..];
-        let token: String = after
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if let Some(t) = NARROW_INT_TARGETS.iter().find(|t| **t == token) {
-            found.push(*t);
-        }
-    }
-    found
 }
 
 /// Returns the comparison operator if the line compares against a float
@@ -452,32 +312,6 @@ fn is_float_literal(token: &str) -> bool {
         && t.chars().any(|c| c.is_ascii_digit())
 }
 
-/// If line `idx` declares a `pub fn` with no doc comment or `#[doc]`
-/// attribute above it, return the function name.
-fn undocumented_pub_fn(stripped: &[String], raw: &[&str], idx: usize) -> Option<String> {
-    let s = stripped[idx].trim_start();
-    let rest = s.strip_prefix("pub fn ")?;
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    // walk upward over attributes/blank lines looking for a doc comment
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let above = raw[i].trim_start();
-        if above.starts_with("///") || above.starts_with("#[doc") || above.starts_with("#![doc") {
-            return None;
-        }
-        if above.starts_with("#[") || above.is_empty() {
-            continue;
-        }
-        let _ = &stripped[i];
-        break;
-    }
-    Some(name)
-}
-
 /// Recursively collect `.rs` files under `root/crates` and `root/src`,
 /// scan each, and return all violations sorted by path and line.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
@@ -501,7 +335,8 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     Ok(out)
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Append every `.rs` file under `dir`, recursively, to `out`.
+pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -545,8 +380,8 @@ impl From<config::ConfigError> for AnalysisError {
     }
 }
 
-/// Run both passes — the lexical rules of PR 1 and the semantic
-/// item-graph rules — over the workspace at `root`, returning every
+/// Run both passes — the lexical rules and the semantic item-graph
+/// rules — over the workspace at `root`, returning every
 /// finding sorted by path, line, and rule. `check.toml` at `root`
 /// configures the semantic rules; without it they are skipped (except
 /// those that need no configuration).
@@ -589,36 +424,17 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(
-            classify(Path::new("crates/graph/src/graph.rs"))
-                .unwrap()
-                .library
-        );
-        assert!(
-            classify(Path::new("crates/graph/src/graph.rs"))
-                .unwrap()
-                .cast_strict
-        );
-        assert!(
-            classify(Path::new("crates/core/src/lib.rs"))
-                .unwrap()
-                .docs_required
-        );
-        assert!(
-            !classify(Path::new("crates/te/src/churn.rs"))
-                .unwrap()
-                .cast_strict
-        );
-        assert!(
-            !classify(Path::new("crates/bench/src/lib.rs"))
-                .unwrap()
-                .library
-        );
-        assert!(classify(Path::new("crates/graph/tests/props.rs")).is_none());
-        assert!(classify(Path::new("crates/bench/benches/kernels.rs")).is_none());
-        assert!(!classify(Path::new("src/bin/sor.rs")).unwrap().library);
-        assert!(classify(Path::new("src/cli.rs")).unwrap().library);
-        assert!(classify(Path::new("README.md")).is_none());
+        let library = |p: &str| classify(Path::new(p)).map(|c| c.library);
+        assert_eq!(library("crates/graph/src/graph.rs"), Some(true));
+        assert_eq!(library("crates/compact/src/codec.rs"), Some(true));
+        assert_eq!(library("crates/check/src/lib.rs"), Some(true));
+        assert_eq!(library("crates/bench/src/lib.rs"), Some(false));
+        assert_eq!(library("crates/serve/src/bin/x.rs"), Some(false));
+        assert_eq!(library("crates/graph/tests/props.rs"), None);
+        assert_eq!(library("crates/bench/benches/kernels.rs"), None);
+        assert_eq!(library("src/bin/sor.rs"), Some(false));
+        assert_eq!(library("src/cli.rs"), Some(true));
+        assert_eq!(library("README.md"), None);
     }
 
     #[test]
@@ -643,28 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_cast_rule() {
-        let v = scan("crates/flow/src/x.rs", "fn f(x: f64) -> u32 { x as u32 }\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::LossyCast);
-        // f64 targets stay legal (widening for metrics)
-        assert!(scan(
-            "crates/flow/src/x.rs",
-            "fn f(n: usize) -> f64 { n as f64 }\n"
-        )
-        .is_empty());
-        // non-strict crates unaffected
-        assert!(scan("crates/te/src/x.rs", "fn f(x: f64) -> u32 { x as u32 }\n").is_empty());
-    }
-
-    #[test]
-    fn thread_rng_rule() {
-        let v = scan("crates/te/src/x.rs", "let mut rng = rand::thread_rng();\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::ThreadRng);
-    }
-
-    #[test]
     fn float_eq_rule() {
         let v = scan("crates/sched/src/x.rs", "if x == 1.0 { }\n");
         assert_eq!(v.len(), 1);
@@ -673,21 +467,6 @@ mod tests {
         // integers, <=, >= are fine
         assert!(scan("crates/sched/src/x.rs", "if x == 1 && y <= 2.0 { }\n").is_empty());
         assert!(scan("crates/sched/src/x.rs", "if (a - b).abs() < 1e-9 { }\n").is_empty());
-    }
-
-    #[test]
-    fn missing_docs_rule() {
-        let bad = "impl X {\n    pub fn frob(&self) {}\n}\n";
-        let v = scan("crates/core/src/x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::MissingDocs);
-        assert!(v[0].message.contains("frob"));
-        let good = "impl X {\n    /// Frobs.\n    pub fn frob(&self) {}\n}\n";
-        assert!(scan("crates/core/src/x.rs", good).is_empty());
-        let attr = "impl X {\n    /// Frobs.\n    #[inline]\n    pub fn frob(&self) {}\n}\n";
-        assert!(scan("crates/core/src/x.rs", attr).is_empty());
-        // other crates don't require docs
-        assert!(scan("crates/sched/src/x.rs", bad).is_empty());
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! Unified findings and the three output formats.
+//! Unified findings, the text report, and the rule catalogue.
 //!
-//! Both passes funnel into [`Finding`]: the lexical rules of PR 1 (via
+//! Both passes funnel into [`Finding`]: the lexical rules (via
 //! [`crate::Violation`]) and the semantic rules built on the item
 //! graph. A finding carries an optional *witness* — for
 //! panic-reachability, the shortest call chain from the reported public
 //! function to the offending site — and a stable [`Finding::fingerprint`]
 //! that the baseline mechanism keys on (deliberately line-free, so
 //! unrelated edits that shift line numbers do not churn the baseline).
-//!
-//! Formats: `text` for humans, `json` for scripting, `sarif` (2.1.0)
-//! for code-scanning UIs. All three are hand-rolled writers — the
-//! registry is unreachable from CI, so no `serde`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -18,23 +14,11 @@ use std::path::PathBuf;
 use crate::Violation;
 
 /// Identifier and one-line description of every rule either pass can
-/// fire, in reporting order (used for SARIF rule metadata and `--help`).
-pub const RULE_DESCRIPTIONS: [(&str, &str); 19] = [
+/// fire, in reporting order (used by `--explain` and to validate
+/// baseline lines).
+pub const RULE_DESCRIPTIONS: [(&str, &str); 10] = [
     ("unwrap", "no .unwrap()/.expect()/panic! in library code"),
-    (
-        "lossy-cast",
-        "no narrowing `as` casts in numeric-core crates",
-    ),
-    (
-        "thread-rng",
-        "no thread_rng(); randomness is seeded and explicit",
-    ),
     ("float-eq", "no ==/!= against float literals"),
-    (
-        "missing-docs",
-        "sor-core public functions carry doc comments",
-    ),
-    ("unsafe-code", "no unsafe blocks anywhere in the workspace"),
     (
         "layering",
         "crate references respect the declared layer DAG",
@@ -52,28 +36,8 @@ pub const RULE_DESCRIPTIONS: [(&str, &str); 19] = [
         "no HashMap/HashSet iteration order in solver/sampler output",
     ),
     (
-        "dead-api",
-        "public items are referenced somewhere outside their crate",
-    ),
-    (
-        "lock-order",
-        "lock acquisition order forms a DAG across the call graph",
-    ),
-    (
-        "held-lock",
-        "no expensive or blocking calls while a lock guard is live",
-    ),
-    (
-        "atomics",
-        "atomic orderings are minimal, justified, and consistent per field",
-    ),
-    (
-        "rayon-ready",
-        "parallel-target call trees avoid non-Send and interior-mutable state",
-    ),
-    (
         "alloc-in-hot",
-        "no heap allocation at loop depth >= alloc_min_depth reachable from a hot entry",
+        "no heap allocation at loop depth >= 1 reachable from a hot entry",
     ),
     (
         "clone-in-loop",
@@ -94,34 +58,14 @@ pub const RULE_DESCRIPTIONS: [(&str, &str); 19] = [
 pub fn explain(id: &str) -> Option<String> {
     let (doc, keys): (&str, &str) = match id {
         "unwrap" => (
-            "Library code must not call .unwrap()/.expect() or panic!/unreachable!/\n\
-             todo!/unimplemented!. Propagate a Result or handle the None arm; tests,\n\
-             benches and examples are exempt.",
-            "none (lexical; scope is the LIB_CRATES list)",
-        ),
-        "lossy-cast" => (
-            "Numeric-core crates must not use narrowing `as` casts (u64 as u32,\n\
-             f64 as f32, usize as u32, ...). Use NodeId::from_usize-style checked\n\
-             constructors or try_into.",
-            "none (lexical)",
-        ),
-        "thread-rng" => (
-            "thread_rng() draws from ambient entropy and destroys reproducibility.\n\
-             All randomness flows from an explicit seed.",
-            "none (lexical)",
+            "Library code must not call .unwrap()/.expect() or panic!. Propagate a\n\
+             Result or handle the None arm; tests, benches, examples and binaries\n\
+             are exempt.",
+            "none (lexical; scope: every crate under crates/ but sor-bench, and src/)",
         ),
         "float-eq" => (
             "Float == / != against literals is almost never what a solver means;\n\
              compare against a tolerance.",
-            "none (lexical)",
-        ),
-        "missing-docs" => (
-            "Public functions of sor-core carry /// doc comments.",
-            "none (lexical)",
-        ),
-        "unsafe-code" => (
-            "The workspace forbids unsafe blocks; every crate root also carries\n\
-             #![forbid(unsafe_code)].",
             "none (lexical)",
         ),
         "layering" => (
@@ -132,7 +76,7 @@ pub fn explain(id: &str) -> Option<String> {
         "panic-path" => (
             "No panic site may be reachable from a pub fn of the configured crates,\n\
              over the workspace call graph; the witness is the shortest call chain.",
-            "[panics] public_crates, include_indexing, index_crates",
+            "[panics] public_crates, index_crates",
         ),
         "unseeded-rng" => (
             "Functions of the configured crates that construct an RNG must take a\n\
@@ -144,42 +88,14 @@ pub fn explain(id: &str) -> Option<String> {
              order — switch to BTreeMap or sort before iterating.",
             "[determinism] order_crates",
         ),
-        "dead-api" => (
-            "pub items of the configured crates must be referenced somewhere outside\n\
-             their own crate.",
-            "[dead-api] crates",
-        ),
-        "lock-order" => (
-            "Lock acquisitions (lexical .lock()/.read()/.write() sites, closed over\n\
-             the layering-filtered call graph) must form a DAG; each strongly\n\
-             connected tangle reports one shortest witness cycle.",
-            "[concurrency] crates",
-        ),
-        "held-lock" => (
-            "No call reaching a function named in `expensive` may run while a lock\n\
-             guard is lexically live. Guard-producing acquisition calls are\n\
-             recognized by site, so io::Write::write/flush can be listed.",
-            "[concurrency] crates, expensive",
-        ),
-        "atomics" => (
-            "Atomic orderings are audited per field: SeqCst needs a justified allow,\n\
-             counters may relax, and one field must not mix orderings.",
-            "[concurrency] crates",
-        ),
-        "rayon-ready" => (
-            "Everything reachable from the configured parallel targets must avoid\n\
-             non-Send and interior-mutable state (Rc, RefCell, Cell, raw pointers,\n\
-             thread_local!).",
-            "[concurrency] parallel_targets",
-        ),
         "alloc-in-hot" => (
             "Walks the layering-filtered call graph from each [hotpath] entry; every\n\
              non-clone heap-allocation site (Vec::new, vec![, String::new, Box::new,\n\
              .collect(), .to_vec(), ...) whose effective loop depth — the maximum\n\
              lexical loop depth along the shortest witness chain, call sites\n\
-             included — reaches alloc_min_depth is reported. Shallower sites still\n\
-             count in the per-entry cost report (--hotpath-report).",
-            "[hotpath] entries, alloc_min_depth (default 1)",
+             included — reaches 1 is reported. Depth-0 sites still count in the\n\
+             per-entry cost report (--hotpath-report).",
+            "[hotpath] entries",
         ),
         "clone-in-loop" => (
             ".clone() at effective loop depth >= 1 anywhere in a hot tree — a clone\n\
@@ -290,121 +206,6 @@ pub fn render_text(new: &[Finding], baselined: usize) -> String {
     out
 }
 
-/// Escape a string for a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Write one finding as a JSON object.
-fn finding_json(f: &Finding, indent: &str) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{indent}{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"symbol\": \"{}\", \"message\": \"{}\"",
-        json_escape(&f.rule),
-        json_escape(&f.file.display().to_string()),
-        f.line,
-        json_escape(&f.symbol),
-        json_escape(&f.message),
-    );
-    if !f.witness.is_empty() {
-        let steps: Vec<String> = f
-            .witness
-            .iter()
-            .map(|w| format!("\"{}\"", json_escape(w)))
-            .collect();
-        let _ = write!(out, ", \"witness\": [{}]", steps.join(", "));
-    }
-    out.push('}');
-    out
-}
-
-/// Render the machine-readable JSON report (new and baselined findings,
-/// separated).
-pub fn render_json(new: &[Finding], baselined: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"tool\": \"sor-check\",\n  \"new\": [\n");
-    let items: Vec<String> = new.iter().map(|f| finding_json(f, "    ")).collect();
-    out.push_str(&items.join(",\n"));
-    out.push_str("\n  ],\n  \"baselined\": [\n");
-    let items: Vec<String> = baselined.iter().map(|f| finding_json(f, "    ")).collect();
-    out.push_str(&items.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Render a SARIF 2.1.0 log. Baselined findings are included with
-/// `"baselineState": "unchanged"`; new ones with `"new"` — code-scanning
-/// UIs use the distinction the same way `--fail-on-new` does.
-pub fn render_sarif(new: &[Finding], baselined: &[Finding]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"sor-check\",\n");
-    out.push_str(
-        "          \"informationUri\": \"https://example.invalid/semi-oblivious-routing\",\n",
-    );
-    out.push_str("          \"rules\": [\n");
-    let rules: Vec<String> = RULE_DESCRIPTIONS
-        .iter()
-        .map(|(id, desc)| {
-            format!(
-                "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-                json_escape(id),
-                json_escape(desc)
-            )
-        })
-        .collect();
-    out.push_str(&rules.join(",\n"));
-    out.push_str("\n          ]\n        }\n      },\n      \"results\": [\n");
-    let mut results = Vec::new();
-    for (state, set) in [("new", new), ("unchanged", baselined)] {
-        for f in set {
-            let mut r = String::new();
-            let _ = write!(
-                r,
-                "        {{\"ruleId\": \"{}\", \"level\": \"error\", \"baselineState\": \"{}\", \
-                 \"message\": {{\"text\": \"{}\"}}, \"partialFingerprints\": \
-                 {{\"sorCheck/v1\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": \
-                 {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
-                json_escape(&f.rule),
-                state,
-                json_escape(&full_message(f)),
-                json_escape(&f.fingerprint()),
-                json_escape(&f.file.display().to_string()),
-                f.line.max(1),
-            );
-            results.push(r);
-        }
-    }
-    out.push_str(&results.join(",\n"));
-    out.push_str("\n      ]\n    }\n  ]\n}\n");
-    out
-}
-
-/// Message with the witness chain folded in (SARIF has one text field).
-fn full_message(f: &Finding) -> String {
-    if f.witness.is_empty() {
-        return f.message.clone();
-    }
-    format!("{} [via {}]", f.message, f.witness.join(" → "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,29 +240,5 @@ mod tests {
         assert!(text.contains("1 new finding(s) (2 baselined)"), "{text}");
         let clean = render_text(&[], 0);
         assert!(clean.contains("clean"));
-    }
-
-    #[test]
-    fn json_is_shaped() {
-        let json = render_json(&[sample()], &[]);
-        assert!(json.contains("\"rule\": \"panic-path\""));
-        assert!(json.contains("\"witness\": ["));
-        assert!(json.contains("\"baselined\": ["));
-    }
-
-    #[test]
-    fn sarif_has_schema_rules_and_states() {
-        let s = render_sarif(&[sample()], &[sample()]);
-        assert!(s.contains("sarif-2.1.0.json"));
-        assert!(s.contains("\"baselineState\": \"new\""));
-        assert!(s.contains("\"baselineState\": \"unchanged\""));
-        for (id, _) in RULE_DESCRIPTIONS {
-            assert!(s.contains(&format!("\"id\": \"{id}\"")), "{id} missing");
-        }
-    }
-
-    #[test]
-    fn escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

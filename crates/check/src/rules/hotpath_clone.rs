@@ -10,7 +10,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::Config;
 use crate::graph::{ItemGraph, Workspace};
 use crate::items::AllocKind;
 use crate::report::Finding;
@@ -19,8 +18,7 @@ use super::allows;
 use super::hotpath::{witness_to, Hot};
 
 /// Run the clone-in-loop rule.
-pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot, cfg: &Config) -> Vec<Finding> {
-    let _ = cfg;
+pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut seen: BTreeSet<(usize, usize, String)> = BTreeSet::new();
     for tree in &hot.trees {
@@ -88,8 +86,8 @@ pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot, cfg: &Config) -> Vec<Fi
 
 #[cfg(test)]
 mod tests {
-    use super::super::concurrency::Model;
     use super::*;
+    use crate::config::Config;
     use crate::items::parse_file;
     use std::path::Path;
 
@@ -102,9 +100,8 @@ mod tests {
         ));
         let cfg = Config::parse("[hotpath]\nentries = [\"entry\"]\n").expect("cfg");
         let graph = ItemGraph::build(&w);
-        let model = Model::build(&w, &graph, &cfg);
-        let hot = Hot::build(&w, &graph, &model, &cfg);
-        run(&w, &graph, &hot, &cfg)
+        let hot = Hot::build(&w, &graph, &cfg);
+        run(&w, &graph, &hot)
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use std::collections::BTreeSet;
 
-use crate::config::Config;
 use crate::graph::{ItemGraph, Workspace};
 use crate::items::{body_spans, ident_after_let, loop_depths};
 use crate::report::Finding;
@@ -34,8 +33,7 @@ const GROWABLE_CTORS: [&str; 6] = [
 const GROW_CALLS: [&str; 3] = [".push(", ".insert(", ".push_str("];
 
 /// Run the growth-without-capacity rule.
-pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot, cfg: &Config) -> Vec<Finding> {
-    let _ = cfg;
+pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut seen: BTreeSet<(usize, usize, String)> = BTreeSet::new();
     // (file, item) → body span, for files that host hot-tree fns.
@@ -128,8 +126,8 @@ pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot, cfg: &Config) -> Vec<Fi
 
 #[cfg(test)]
 mod tests {
-    use super::super::concurrency::Model;
     use super::*;
+    use crate::config::Config;
     use crate::items::parse_file;
     use std::path::Path;
 
@@ -142,9 +140,8 @@ mod tests {
         ));
         let cfg = Config::parse("[hotpath]\nentries = [\"entry\"]\n").expect("cfg");
         let graph = ItemGraph::build(&w);
-        let model = Model::build(&w, &graph, &cfg);
-        let hot = Hot::build(&w, &graph, &model, &cfg);
-        run(&w, &graph, &hot, &cfg)
+        let hot = Hot::build(&w, &graph, &cfg);
+        run(&w, &graph, &hot)
     }
 
     #[test]

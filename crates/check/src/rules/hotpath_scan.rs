@@ -11,7 +11,6 @@
 
 use std::collections::BTreeSet;
 
-use crate::config::Config;
 use crate::graph::{ItemGraph, Workspace};
 use crate::items::{body_spans, ident_after_let, loop_depths, SourceFile};
 use crate::report::Finding;
@@ -114,8 +113,7 @@ fn loop_end(file: &SourceFile, l0: usize, fn_close: usize) -> usize {
 }
 
 /// Run the quadratic-scan rule.
-pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot, cfg: &Config) -> Vec<Finding> {
-    let _ = cfg;
+pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut seen: BTreeSet<(usize, usize, String)> = BTreeSet::new();
     for (f, fref) in graph.fns.iter().enumerate() {
@@ -214,8 +212,8 @@ pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot, cfg: &Config) -> Vec<Fi
 
 #[cfg(test)]
 mod tests {
-    use super::super::concurrency::Model;
     use super::*;
+    use crate::config::Config;
     use crate::items::parse_file;
     use std::path::Path;
 
@@ -228,9 +226,8 @@ mod tests {
         ));
         let cfg = Config::parse("[hotpath]\nentries = [\"entry\"]\n").expect("cfg");
         let graph = ItemGraph::build(&w);
-        let model = Model::build(&w, &graph, &cfg);
-        let hot = Hot::build(&w, &graph, &model, &cfg);
-        run(&w, &graph, &hot, &cfg)
+        let hot = Hot::build(&w, &graph, &cfg);
+        run(&w, &graph, &hot)
     }
 
     #[test]

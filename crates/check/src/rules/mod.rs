@@ -6,11 +6,6 @@
 //! | `panic-path` | no panic reachable from `pub` fns of the configured crates, with a shortest witness call chain |
 //! | `unseeded-rng` | functions constructing an RNG take a seed/`Rng` parameter |
 //! | `hash-order` | no `HashMap`/`HashSet` iteration order observable in sampler/solver code |
-//! | `dead-api` | `pub` items are referenced somewhere outside their own crate |
-//! | `lock-order` | lock acquisitions form a DAG across the call graph |
-//! | `held-lock` | no expensive/blocking calls while a guard is live |
-//! | `atomics` | atomic orderings are minimal, justified, consistent |
-//! | `rayon-ready` | parallel targets reach no non-`Send` state |
 //! | `alloc-in-hot` | no deep heap allocation reachable from a hot entry |
 //! | `clone-in-loop` | no `.clone()` at loop depth ≥ 1 in a hot tree |
 //! | `growth-without-capacity` | collections grown in a loop are pre-sized |
@@ -22,7 +17,7 @@
 //! pass, a semantic allow is valid only when it carries a justification
 //! string after the closing parenthesis (`// sor-check: allow(id) —
 //! reason`). A bare allow is ignored. Anything deliberately tolerated
-//! long-term goes in `check-baseline.json` instead.
+//! long-term goes in `check-baseline.txt` instead.
 
 use crate::config::Config;
 use crate::graph::{ItemGraph, Workspace};
@@ -30,11 +25,6 @@ use crate::items::SourceFile;
 use crate::parse_allow_ids;
 use crate::report::Finding;
 
-pub mod concurrency;
-pub mod concurrency_atomics;
-pub mod concurrency_held;
-pub mod concurrency_rayon;
-pub mod dead_api;
 pub mod determinism;
 pub mod hotpath;
 pub mod hotpath_clone;
@@ -55,28 +45,22 @@ pub fn run_semantic_with_cost(
     cfg: &Config,
 ) -> (Vec<Finding>, Vec<hotpath::EntryCost>) {
     let graph = ItemGraph::build(ws);
-    let model = concurrency::Model::build(ws, &graph, cfg);
-    let hot = hotpath::Hot::build(ws, &graph, &model, cfg);
+    let hot = hotpath::Hot::build(ws, &graph, cfg);
     let mut out = layering::run(ws, cfg);
     out.extend(panics::run(ws, &graph, cfg));
     out.extend(determinism::run(ws, cfg));
-    out.extend(dead_api::run(ws, cfg));
-    out.extend(concurrency::run(ws, &graph, &model, cfg));
-    out.extend(concurrency_held::run(ws, &graph, &model, cfg));
-    out.extend(concurrency_atomics::run(ws, cfg));
-    out.extend(concurrency_rayon::run(ws, &graph, &model, cfg));
-    out.extend(hotpath::run(ws, &graph, &hot, cfg));
-    out.extend(hotpath_clone::run(ws, &graph, &hot, cfg));
-    out.extend(hotpath_growth::run(ws, &graph, &hot, cfg));
-    out.extend(hotpath_scan::run(ws, &graph, &hot, cfg));
-    let cost = hotpath::cost_report(ws, &graph, &hot, cfg);
+    out.extend(hotpath::run(ws, &graph, &hot));
+    out.extend(hotpath_clone::run(ws, &graph, &hot));
+    out.extend(hotpath_growth::run(ws, &graph, &hot));
+    out.extend(hotpath_scan::run(ws, &graph, &hot));
+    let cost = hotpath::cost_report(ws, &graph, &hot);
     (out, cost)
 }
 
 /// Does the text after `marker`'s closing parenthesis on `line` carry a
 /// justification — at least three alphanumeric characters of prose?
-/// `// sor-check: allow(atomics) — epoch flip needs total order` does;
-/// a bare `// sor-check: allow(atomics)` does not.
+/// `// sor-check: allow(hash-order) — keys are sorted below` does; a
+/// bare `// sor-check: allow(hash-order)` does not.
 fn justified(line: &str, marker: &str) -> bool {
     let Some(pos) = line.find(marker) else {
         return false;
@@ -120,29 +104,28 @@ mod tests {
 
     #[test]
     fn justified_allow_is_honored() {
-        let f = file(
-            "// sor-check: allow(lock-order) — shards are index-ordered by construction\nfn f() {}\n",
-        );
-        assert!(allows(&f, 2, "lock-order"));
-        assert!(!allows(&f, 2, "held-lock"));
+        let f =
+            file("// sor-check: allow(hash-order) — keys are sorted before output\nfn f() {}\n");
+        assert!(allows(&f, 2, "hash-order"));
+        assert!(!allows(&f, 2, "panic-path"));
     }
 
     #[test]
     fn bare_allow_is_ignored() {
-        let f = file("// sor-check: allow(lock-order)\nfn f() {}\n");
-        assert!(!allows(&f, 2, "lock-order"));
+        let f = file("// sor-check: allow(hash-order)\nfn f() {}\n");
+        assert!(!allows(&f, 2, "hash-order"));
         // trailing punctuation alone is not a justification
-        let g = file("// sor-check: allow(lock-order) --\nfn f() {}\n");
-        assert!(!allows(&g, 2, "lock-order"));
+        let g = file("// sor-check: allow(hash-order) --\nfn f() {}\n");
+        assert!(!allows(&g, 2, "hash-order"));
     }
 
     #[test]
     fn allow_file_requires_justification_too() {
-        let bare = file("// sor-check: allow-file(atomics)\nfn f() {}\n");
-        assert!(!allows(&bare, 2, "atomics"));
+        let bare = file("// sor-check: allow-file(hash-order)\nfn f() {}\n");
+        assert!(!allows(&bare, 2, "hash-order"));
         let just = file(
-            "// sor-check: allow-file(atomics) — generated table, audited manually\nfn f() {}\n",
+            "// sor-check: allow-file(hash-order) — generated table, audited manually\nfn f() {}\n",
         );
-        assert!(allows(&just, 2, "atomics"));
+        assert!(allows(&just, 2, "hash-order"));
     }
 }

@@ -1,8 +1,8 @@
 //! `panic-path`: transitive panic-reachability over the call graph.
 //!
 //! Direct panic facts (`panic!`-family macros, `.unwrap()`/`.expect()`,
-//! and — when `panics.include_indexing` is set — slice indexing) are
-//! propagated backwards along resolved call edges. Every `pub` function
+//! and slice indexing in the crates listed in `panics.index_crates`)
+//! are propagated backwards along resolved call edges. Every `pub` function
 //! of a crate listed in `check.toml [panics] public_crates` from which
 //! a panic site is reachable is reported once, with the *shortest*
 //! witness call chain (BFS) ending in the concrete site.
@@ -38,7 +38,6 @@ pub fn run(ws: &Workspace, graph: &ItemGraph, cfg: &Config) -> Vec<Finding> {
                 .iter()
                 .filter(|site| {
                     (site.kind != PanicKind::Indexing
-                        || cfg.panic_include_indexing
                         || cfg.panic_index_crates.iter().any(|c| c == &file.krate))
                         && !allows(file, site.line, "panic-path")
                 })
@@ -245,7 +244,7 @@ mod tests {
         let graph = ItemGraph::build(&ws1);
         assert!(run(&ws1, &graph, &cfg()).is_empty());
         let mut with_idx = cfg();
-        with_idx.panic_include_indexing = true;
+        with_idx.panic_index_crates = vec!["sor-flow".into()];
         assert_eq!(run(&ws1, &graph, &with_idx).len(), 1);
     }
 }

@@ -2,8 +2,8 @@
 //! reaches one violation of each of the four hotpath rules — an
 //! allocation in a helper called under its loop, a per-iteration
 //! clone, an un-pre-sized growing collection, and a quadratic scan.
-//! Everything is private so the seeds stay invisible to the
-//! missing-docs and dead-api rules.
+//! Everything is private so the seeds stay out of the panic-path
+//! rule's public scope.
 
 /// Hot entry: loops over queries calling the allocating helper, then
 /// fans out to the lexical seeds.

@@ -1,11 +1,3 @@
-// Seeded missing-docs violation: sor-core requires doc comments on
-// every `pub fn`.
-
-pub fn undocumented() {}
-
-/// This one is documented and must not fire.
-pub fn documented() {}
-
 /// Seeded panic-path violation: a public solver entry reaching a panic
 /// two private calls deep (exercises the BFS witness chain).
 pub fn solver_entry(x: Option<u32>) -> u32 {
@@ -38,6 +30,3 @@ pub fn order_leak() -> u32 {
     }
     s
 }
-
-/// Seeded dead-api violation: a public item no other crate references.
-pub struct OrphanKnob;

@@ -4,18 +4,10 @@
 
 pub fn seeded(x: f64, o: Option<u32>) -> u32 {
     let v = o.unwrap();
-    let t = x as u32;
-    let mut rng = rand::thread_rng();
     if x == 1.0 {
         panic!("boom");
     }
-    let _ = rng.gen_range(0..4);
-    v + t
-}
-
-// Seeded unsafe-code violation.
-pub fn read_raw(p: *const u32) -> u32 {
-    unsafe { *p }
+    v
 }
 
 // Seeded layering violation: sor-graph is the bottom layer and may not

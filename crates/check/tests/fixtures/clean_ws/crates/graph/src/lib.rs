@@ -1,14 +1,14 @@
 // A clean fixture: every would-be violation is either absent, inside
 // #[cfg(test)], inside a string/comment, or carries an allowlist comment.
 
-/// Allowed: node counts are asserted < u32::MAX at graph construction.
-pub fn narrowing(idx: usize) -> u32 {
-    // sor-check: allow(lossy-cast) — bound asserted by the caller
-    idx as u32
+/// Allowed: callers check `is_some()` first.
+pub fn checked(o: Option<u32>) -> u32 {
+    // sor-check: allow(unwrap) — callers check is_some() first
+    o.unwrap()
 }
 
 pub fn strings_and_comments() {
-    let _s = ".unwrap() and panic!( and thread_rng";
+    let _s = ".unwrap() and panic!( and x == 1.0";
     // .expect( here is commentary, x == 1.0 too
 }
 

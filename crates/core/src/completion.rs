@@ -55,7 +55,6 @@ impl CompletionRouting {
         trees: usize,
         rng: &mut R,
     ) -> Self {
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         let diam = diameter(g) as usize;
         let mut scales = Vec::new();
         let mut h = 1usize;

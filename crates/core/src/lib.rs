@@ -56,6 +56,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod completion;
 pub mod eval;

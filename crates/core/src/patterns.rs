@@ -24,7 +24,6 @@ pub fn pattern_of_run(deleted_at: &[f64], theta: f64, total_draws: usize) -> Opt
             .iter()
             .map(
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                // sor-check: allow(lossy-cast) — floor of a non-negative bounded ratio
                 |&w| (w / theta + 1e-9).floor() as u64,
             )
             .collect(),
@@ -46,7 +45,6 @@ pub fn count_bad_patterns(m: usize, min_nonzero: u64, min_sum: u64, total: u64) 
     assert!(min_nonzero >= 1);
     // dp[s] = number of tuples over the edges processed so far with sum s.
     #[allow(clippy::cast_possible_truncation)]
-    // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
     let cap = total as usize;
     let mut dp = vec![0u128; cap + 1];
     dp[0] = 1;
@@ -57,7 +55,6 @@ pub fn count_bad_patterns(m: usize, min_nonzero: u64, min_sum: u64, total: u64) 
                 continue;
             }
             #[allow(clippy::cast_possible_truncation)]
-            // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
             let mut c = min_nonzero as usize;
             while s + c <= cap {
                 next[s + c] += ways;
@@ -68,7 +65,6 @@ pub fn count_bad_patterns(m: usize, min_nonzero: u64, min_sum: u64, total: u64) 
     }
     dp.iter()
         .enumerate()
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         .filter(|&(s, _)| s as u64 >= min_sum)
         .map(|(_, &w)| w)
         .sum()
@@ -80,12 +76,10 @@ pub fn count_bad_patterns(m: usize, min_nonzero: u64, min_sum: u64, total: u64) 
 /// values by stars-and-bars majorization). Loose but union-bound-friendly.
 pub fn pattern_count_bound(m: usize, min_nonzero: u64, total: u64) -> f64 {
     #[allow(clippy::cast_possible_truncation)]
-    // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
     let k = (total / min_nonzero.max(1)) as usize;
     let mut bound = 0.0f64;
     for j in 0..=k.min(m) {
         #[allow(clippy::cast_possible_truncation)]
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         let t = total as usize;
         bound += binom_f64(m, j) * binom_f64(t, j);
     }

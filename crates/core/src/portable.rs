@@ -74,7 +74,6 @@ pub fn system_from_text(g: &Graph, text: &str) -> Result<PathSystem, String> {
             .ok_or("missing path count")?
             .parse()
             .map_err(|_| "bad path count")?;
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         if s as usize >= g.num_nodes() || t as usize >= g.num_nodes() {
             return Err(format!("pair {s}→{t}: endpoint out of range"));
         }
@@ -87,7 +86,6 @@ pub fn system_from_text(g: &Graph, text: &str) -> Result<PathSystem, String> {
             let mut edges = Vec::new();
             for tok in parts {
                 let e: u32 = tok.parse().map_err(|_| format!("bad edge id '{tok}'"))?;
-                // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
                 if e as usize >= g.num_edges() {
                     return Err(format!("edge id {e} out of range"));
                 }

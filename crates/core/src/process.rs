@@ -118,7 +118,6 @@ pub fn deletion_process_detailed(
     #[allow(clippy::cast_possible_truncation)]
     for (i, d) in draws.iter().enumerate() {
         for &e in d.path.edges() {
-            // sor-check: allow(lossy-cast) — draw count < u32::MAX by construction
             crossing[e.index()].push(i as u32);
         }
         loads.add_path(d.path, d.weight);
@@ -132,7 +131,6 @@ pub fn deletion_process_detailed(
             overcongested.push(e);
             let mut deleted_here = 0.0;
             for &di in &crossing[e.index()] {
-                // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
                 let d = &mut draws[di as usize];
                 if d.alive {
                     d.alive = false;
@@ -178,7 +176,6 @@ pub fn weak_failure_rate<O: ObliviousRouting>(
     let pairs = demand_pairs(demand);
     let mut failures = 0usize;
     for t in 0..trials {
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
         let sampled = sample_k(routing, &pairs, k, &mut rng);
         let outcome = deletion_process(g, &sampled, demand, tau);

@@ -66,7 +66,6 @@ pub fn sample_k_plus_cut<O: ObliviousRouting, R: Rng + ?Sized>(
         .iter()
         .map(|&(s, t)| {
             #[allow(clippy::cast_possible_truncation)]
-            // sor-check: allow(lossy-cast) — ceil of a small non-negative cut value
             let cut = st_min_cut(g, s, t).ceil() as usize;
             ((s, t), k + cut)
         })

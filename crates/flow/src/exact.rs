@@ -21,7 +21,6 @@ pub fn exact_integral_restricted(g: &Graph, entries: &[RestrictedEntry<'_>]) -> 
         let d = e.demand.round();
         assert!((e.demand - d).abs() < 1e-9, "integral demands required");
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sor-check: allow(lossy-cast) — integrality and range asserted above
         for _ in 0..d as u64 {
             assert!(!e.paths.is_empty(), "entry with demand but no paths");
             slots.push(e.paths);

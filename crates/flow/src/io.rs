@@ -58,7 +58,6 @@ pub fn demand_from_text(text: &str, num_nodes: usize) -> Result<Demand, String> 
             .ok_or("missing amount")?
             .parse()
             .map_err(|_| format!("line {}: bad amount", i + 2))?;
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         if s as usize >= num_nodes || t as usize >= num_nodes {
             return Err(format!("line {}: vertex out of range", i + 2));
         }

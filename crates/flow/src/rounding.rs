@@ -61,7 +61,6 @@ pub fn round_and_improve<R: Rng>(
             entry.demand
         );
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sor-check: allow(lossy-cast) — integrality and range asserted above
         let units = d as u32;
         let mut c = vec![0u32; entry.paths.len()];
         if units > 0 {

@@ -71,7 +71,6 @@ pub fn transpose_perm(d: usize) -> Vec<(NodeId, NodeId)> {
 /// of two.
 pub fn dim_of(n: usize) -> Option<usize> {
     if n.is_power_of_two() {
-        // sor-check: allow(lossy-cast) — u32 → usize never truncates on supported targets
         Some(n.trailing_zeros() as usize)
     } else {
         None

@@ -18,13 +18,12 @@ impl NodeId {
     /// The vertex index as a `usize`, for container indexing.
     #[inline]
     pub fn index(self) -> usize {
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         self.0 as usize
     }
 
     /// The checked typed constructor from a container index: the sanctioned
-    /// way to build ids from `usize` arithmetic (a bare `idx as u32` is a
-    /// `lossy-cast` lint violation under `sor-check`).
+    /// way to build ids from `usize` arithmetic (a bare `idx as u32` fails
+    /// clippy's `cast_possible_truncation`, which the workspace denies).
     #[inline]
     pub fn from_usize(idx: usize) -> NodeId {
         // sor-check: allow(unwrap, panic-path) — checked-constructor contract: overflow past u32 ids is unrecoverable
@@ -36,7 +35,6 @@ impl EdgeId {
     /// The edge index as a `usize`, for container indexing.
     #[inline]
     pub fn index(self) -> usize {
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         self.0 as usize
     }
 
@@ -108,7 +106,6 @@ impl Graph {
     /// An empty graph on `n` isolated vertices.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "graph must have at least one vertex");
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         let max_n = u32::MAX as usize;
         assert!(n < max_n, "vertex count exceeds u32 index space");
         Graph {

@@ -65,7 +65,6 @@ pub fn graph_from_text(text: &str) -> Result<Graph, String> {
             .ok_or("missing cap")?
             .parse()
             .map_err(|_| format!("line {}: bad cap", i + 2))?;
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         if u as usize >= n || v as usize >= n {
             return Err(format!("line {}: endpoint out of range", i + 2));
         }

@@ -61,11 +61,8 @@ impl Dinic {
         q.push_back(s);
         while let Some(u) = q.pop_front() {
             for a in &self.arcs[u] {
-                // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
                 if a.cap > EPS && self.level[a.to as usize] < 0 {
-                    // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
                     self.level[a.to as usize] = self.level[u] + 1;
-                    // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
                     q.push_back(a.to as usize);
                 }
             }
@@ -81,7 +78,6 @@ impl Dinic {
             let i = self.iter[u];
             let (to, cap, rev) = {
                 let a = &self.arcs[u][i];
-                // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
                 (a.to as usize, a.cap, a.rev as usize)
             };
             if cap > EPS && self.level[to] == self.level[u] + 1 {

@@ -423,7 +423,6 @@ pub fn analyze(events: &[JournalEvent], top_k: usize) -> ForensicsReport {
             }
         }
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — wall deltas are approximate by nature
         let wall_delta_ns = to.epoch_wall_ns as f64 - from.epoch_wall_ns as f64;
         transitions.push(EpochTransition {
             from: from.epoch,

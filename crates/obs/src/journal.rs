@@ -286,7 +286,6 @@ impl Journal {
         let seq = ring.recorded;
         ring.recorded += 1;
         ring.last_epoch = ring.last_epoch.max(event.epoch());
-        // sor-check: allow(lock-order) — VecDeque::len on the live guard, not a re-acquisition
         if ring.events.len() == self.capacity {
             ring.events.pop_front();
             ring.dropped += 1;

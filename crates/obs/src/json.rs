@@ -1,5 +1,5 @@
-//! Hand-rolled JSON for [`crate::Snapshot`] — same no-serde discipline
-//! as `sor-check`'s SARIF writer. The writer half serializes snapshots;
+//! Hand-rolled JSON for [`crate::Snapshot`] (the registry is unreachable
+//! from CI, so no serde). The writer half serializes snapshots;
 //! the reader half ([`parse_json`] / [`JsonValue`]) is a small
 //! recursive-descent parser so the exports can be consumed back
 //! (baseline gating in `sor-bench`'s `perf` harness, the
@@ -186,7 +186,6 @@ impl JsonValue {
         // sor-check: allow(float-eq) — fract()==0.0 is an exact integrality test
         if x >= 0.0 && x.fract() == 0.0 && x < u64::MAX as f64 {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            // sor-check: allow(lossy-cast) — integrality and range checked above
             Some(x as u64)
         } else {
             None

@@ -33,10 +33,10 @@
 //!
 //! [`snapshot`] collects every registered counter, histogram, and span
 //! into a deterministic, name-sorted [`Snapshot`]; `Snapshot::to_json`
-//! hand-rolls the machine-readable export (no serde in the tree — same
-//! discipline as `sor-check`'s SARIF writer). The `sor` CLI exposes it
-//! as `--metrics-out FILE` / `--trace`, and `sor-bench` writes
-//! `BENCH_<experiment>.json` next to its result tables.
+//! hand-rolls the machine-readable export (no serde in the tree). The
+//! `sor` CLI exposes it as `--metrics-out FILE` / `--trace`, and
+//! `sor-bench` writes `BENCH_<experiment>.json` next to its result
+//! tables.
 //!
 //! # Live telemetry (v2)
 //!

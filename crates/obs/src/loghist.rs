@@ -49,10 +49,8 @@ pub fn log_bucket_of(v: f64) -> Option<usize> {
         return None;
     }
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — SUB_BUCKETS is a small constant
     let scaled = v.log2() * SUB_BUCKETS as f64;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    // sor-check: allow(lossy-cast) — non-negative and clamped below the bucket count
     let idx = scaled.floor().max(0.0) as usize;
     Some(idx.min(NUM_LOG_BUCKETS - 1))
 }
@@ -60,7 +58,6 @@ pub fn log_bucket_of(v: f64) -> Option<usize> {
 /// Inclusive-exclusive upper edge of log bucket `i`.
 fn log_bucket_upper(i: usize) -> f64 {
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — bucket indices are tiny
     let exp = (i + 1) as f64 / SUB_BUCKETS as f64;
     exp.exp2()
 }
@@ -116,10 +113,8 @@ impl LogHistogram {
             return None;
         }
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — observation counts are far below 2^52
         let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sor-check: allow(lossy-cast) — rank is in [1, count]
         let rank = rank as u64;
         let mut seen = self.underflow.load(Ordering::Relaxed);
         if seen >= rank {

@@ -225,7 +225,6 @@ impl SloWatchdog {
         if let Some(max) = self.cfg.max_fallback_fraction {
             if rec.admitted > 0 {
                 #[allow(clippy::cast_precision_loss)]
-                // sor-check: allow(lossy-cast) — pair counts are tiny
                 let frac = rec.fallback_pairs as f64 / rec.admitted as f64;
                 if frac > max {
                     breaches.push(SloBreach {

@@ -422,7 +422,6 @@ pub fn diff(base: &Snapshot, cur: &Snapshot, policy: &DiffPolicy) -> SnapshotDif
             if policy.compare_wall && b.total_ns >= policy.min_wall_ns {
                 out.checked += 1;
                 #[allow(clippy::cast_precision_loss)]
-                // sor-check: allow(lossy-cast) — ns fit f64 for ratio purposes
                 let (bns, cns) = (b.total_ns as f64, c.total_ns as f64);
                 let ratio = if bns > 0.0 { cns / bns } else { 1.0 };
                 let status = if ratio > policy.wall_fail_ratio {
@@ -455,7 +454,6 @@ pub fn diff(base: &Snapshot, cur: &Snapshot, policy: &DiffPolicy) -> SnapshotDif
 fn compare_u64(out: &mut SnapshotDiff, name: &str, kind: DeltaKind, base: u64, cur: u64, tol: f64) {
     out.checked += 1;
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — work counters are far below 2^53
     let (b, c) = (base as f64, cur as f64);
     if base != cur && rel_dev(b, c) > tol {
         out.deltas.push(Delta {

@@ -98,7 +98,6 @@ impl EpochTimeline {
     /// Append one epoch, evicting the oldest past capacity.
     pub fn push(&self, rec: EpochRecord) {
         let mut ring = self.ring.lock();
-        // sor-check: allow(lock-order) — `ring.len()` is VecDeque::len on the live guard, not a re-acquisition
         if ring.len() == self.capacity {
             ring.pop_front();
         }
@@ -126,7 +125,6 @@ impl EpochTimeline {
     /// O(capacity).
     pub fn last(&self, n: usize) -> Vec<EpochRecord> {
         let ring = self.ring.lock();
-        // sor-check: allow(lock-order) — `ring.len()` is VecDeque::len on the live guard, not a re-acquisition
         let skip = ring.len().saturating_sub(n);
         ring.iter().skip(skip).cloned().collect()
     }
@@ -161,7 +159,6 @@ impl EpochTimeline {
                 .congestion_ratio()
                 .map_or_else(|| "    -".to_string(), |x| format!("{x:5.2}"));
             #[allow(clippy::cast_precision_loss)]
-            // sor-check: allow(lossy-cast) — display only
             let wall_ms = r.epoch_wall_ns as f64 / 1e6;
             let slo = if r.slo_breaches.is_empty() {
                 "-".to_string()

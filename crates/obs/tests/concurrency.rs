@@ -60,7 +60,6 @@ fn threads_hammering_macros_sum_exactly() {
                     sor_obs::counter_add!("conc/hammer/adds");
                     sor_obs::counter_add!("conc/hammer/weighted", t + 1);
                     #[allow(clippy::cast_precision_loss)]
-                    // sor-check: allow(lossy-cast) — i < 10^4 is exact in f64
                     let value = i as f64;
                     sor_obs::observe_into!("conc/hammer/histo", &[64.0, 4096.0], value);
                 }
@@ -89,7 +88,6 @@ fn threads_hammering_macros_sum_exactly() {
     assert_eq!(h.buckets[2].count, THREADS * (ITERS - 4097)); // overflow
                                                               // sum of 0..ITERS per thread, exact in f64 well below 2^53
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — bounded by THREADS*ITERS^2 < 2^53
     let expect_sum = (THREADS * ITERS * (ITERS - 1) / 2) as f64;
     assert!((h.sum - expect_sum).abs() < 1e-6);
 }

@@ -26,7 +26,6 @@ fn log_histogram_counts_exactly_under_concurrent_observe() {
             s.spawn(move || {
                 for i in 0..PER_ROUND {
                     #[allow(clippy::cast_precision_loss)]
-                    // sor-check: allow(lossy-cast) — i < 2^11
                     h.observe((t * PER_ROUND + i + 1) as f64);
                 }
             });
@@ -35,7 +34,6 @@ fn log_histogram_counts_exactly_under_concurrent_observe() {
     assert_eq!(h.count(), THREADS * PER_ROUND);
     let p999 = h.quantile(0.999).expect("non-empty");
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — counts are far below 2^52
     let max = (THREADS * PER_ROUND) as f64;
     assert!(p999 <= max * 2.0, "tail estimate stays within one bucket");
 }
@@ -50,7 +48,6 @@ fn sample(seed: u64, i: u64) -> f64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — reduced below 2^20 first
     let v = (z % (1 << 20)) as f64;
     v + 1.0
 }
@@ -71,7 +68,6 @@ proptest! {
         sorted.sort_by(f64::total_cmp);
         for q in [0.5, 0.9, 0.99, 0.999] {
             #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            // sor-check: allow(lossy-cast) — n < 400, rank in [1, n]
             let rank = ((q * n as f64).ceil().max(1.0)) as usize;
             // sor-check: allow(panic-path) — rank is in [1, n] by construction
             let exact = sorted[rank.min(sorted.len()) - 1];

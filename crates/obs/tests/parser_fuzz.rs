@@ -51,7 +51,6 @@ fn epoch_events(seed: u64, epoch: u64) -> Vec<JournalEvent> {
             'E' => doc.push_str(&epoch.to_string()),
             'N' => doc.push_str(&(r % 1000).to_string()),
             #[allow(clippy::cast_precision_loss)]
-            // sor-check: allow(lossy-cast) — reduced below 2^20 first
             'F' => doc.push_str(&((r % (1 << 20)) as f64 / 64.0).to_string()),
             c => doc.push(c),
         }

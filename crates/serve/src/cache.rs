@@ -97,7 +97,6 @@ impl CacheKey {
         let mut h = fnv1a_u64(FNV_OFFSET, self.graph_fp);
         h = fnv1a_u64(h, self.pairs_fp);
         h = fnv1a_u64(h, self.sparsity as u64);
-        // sor-check: allow(lossy-cast) — value is reduced mod `shards` first
         #[allow(clippy::cast_possible_truncation)]
         {
             (h % shards.max(1) as u64) as usize
@@ -230,7 +229,6 @@ impl PathSystemCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         sor_obs::counter_add!("serve/cache_misses");
-        // sor-check: allow(held-lock) — single-flight by design: the shard stays locked through the build so concurrent misses on one key cost one solve
         let system = Arc::new(build());
         map.insert(
             key,

@@ -416,7 +416,6 @@ impl Engine {
         }
         sor_obs::count_usize("serve/requests_admitted", admitted.len());
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — queue depths are far below 2^52
         let depth = self.queue.len() as f64;
         sor_obs::observe_into!("serve/queue_depth", &sor_obs::POW2_BUCKETS, depth);
         if admitted.is_empty() {

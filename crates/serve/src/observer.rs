@@ -111,7 +111,6 @@ impl Observer {
     /// Record one queued request's wait (engine ingest → admission).
     pub(crate) fn observe_queue_wait_ns(&self, ns: u64) {
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — wall clocks are approximate by nature
         self.queue_wait.observe(ns as f64);
     }
 
@@ -136,7 +135,6 @@ impl Observer {
             epoch_wall_ns: m.epoch_ns,
         });
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — wall clocks are approximate by nature
         {
             self.epoch_wall.observe(m.epoch_ns as f64);
             if m.reopt_ns > 0 {
@@ -190,7 +188,6 @@ impl Observer {
             return None;
         }
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — lookup counts are far below 2^52
         Some(hits as f64 / lookups as f64)
     }
 
@@ -282,7 +279,6 @@ impl TelemetryHandler for Observer {
         }
         let health = self.watchdog.summary();
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — breach counts are far below 2^52
         {
             gauges.push("slo/epochs_evaluated", "", health.epochs_evaluated as f64);
             gauges.push("slo/breaches_total", "", health.total_breaches as f64);
