@@ -41,6 +41,19 @@ if [ "${SOR_TSAN_ONLY:-0}" = "1" ]; then
   exit 0
 fi
 
+# The gate must leave the work tree as it found it. Record its state
+# (status plus a hash of the diff, so edits to an already-modified file
+# count too) and compare at the end; outside a git work tree there is
+# nothing to compare.
+tree_state() {
+  git status --porcelain
+  git diff | sha256sum
+}
+tree_before=""
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  tree_before="$(tree_state)"
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -162,17 +175,17 @@ grep -q '"top_cause":"failure"' target/journal/forensics.json
 echo "==> telemetry scrape smoke (loopback HTTP exposition via std TCP client)"
 cargo test -q --release -p sor-serve --test telemetry_scrape
 
-echo "==> perf gate (work + quality vs BENCH_BASELINE.json; wall excluded = noise-proof)"
-mkdir -p target/perf
-cargo run -q --release -p sor-bench --bin perf -- \
-  --quick --gate --no-wall \
-  --report-json target/perf/perf-report.json \
-  --report-md target/perf/perf-report.md \
-  --trajectory BENCH_TRAJECTORY.jsonl
-cp BENCH_TRAJECTORY.jsonl target/perf/ 2>/dev/null || true
+echo "==> perf gate (exact work + quality vs BENCH_BASELINE.json)"
+cargo run -q --release -p sor-bench --bin perf
 
 if [ "${SOR_TSAN:-0}" = "1" ]; then
   run_tsan
+fi
+
+if [ -n "$tree_before" ] && [ "$(tree_state)" != "$tree_before" ]; then
+  echo "ci.sh changed the tracked tree; every artifact belongs under target/:"
+  git status --short
+  exit 1
 fi
 
 echo "CI OK"

@@ -1,140 +1,59 @@
-//! `perf`: the performance-trajectory and regression-gate binary.
+//! `perf`: the exact work-and-quality regression gate.
 //!
 //! Runs the fixed seeded benchmark suite from [`sor_bench::perf`] and
-//! either prints a summary, writes a new `BENCH_BASELINE.json`, or gates
-//! the run against the committed baseline — failing the process (exit 1)
-//! when a deterministic work counter or quality ratio moved, and, with
-//! `--wall`, when a phase's median wall time regressed past the loose
-//! ratio thresholds.
+//! gates it against the committed baseline, failing the process (exit 1)
+//! when a deterministic work metric or a quality value moved. With
+//! `--write-baseline` it rewrites the baseline instead.
 //!
 //! ```text
-//! perf --quick                      # run the suite, print a summary
-//! perf --quick --gate               # gate work+quality vs BENCH_BASELINE.json
-//! perf --gate --wall                # full trials, also gate wall medians
-//! perf --write-baseline             # regenerate BENCH_BASELINE.json
-//! perf --list                       # print suite bench names
+//! perf                          # gate the suite against BENCH_BASELINE.json
+//! perf --filter kernel/mcf      # gate the selected benches only
+//! perf --write-baseline         # regenerate BENCH_BASELINE.json
+//! perf --list                   # print suite bench names
 //! ```
-//!
-//! Gated runs append one JSON line to `BENCH_TRAJECTORY.jsonl` (suppress
-//! with `--no-trajectory`) recording git revision, status, and totals.
 
 #![forbid(unsafe_code)]
 
 use sor_bench::perf::{
-    bench_names, gate, parse_baseline, render_suite_summary, run_suite, suite_to_json,
-    trajectory_line, GatePolicy, PerfConfig, BASELINE_FORMAT,
+    baseline_json, bench_names, gate, parse_baseline, run_suite, selected, Status, BASELINE_FORMAT,
 };
 use std::fs;
-use std::io::Write as _;
-use std::process::{Command, ExitCode};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: perf [options]
 
-modes (default: run the suite and print a summary)
-  --gate                gate the run against the baseline; exit 1 on FAIL
-  --write-baseline      run the suite and (re)write the baseline file
-  --list                print the suite's bench names and exit
+Runs every bench twice and gates its work and quality metrics against the
+baseline: exit 0 on PASS or WARN, 1 on FAIL, 2 on a usage or baseline error.
 
-suite
-  --quick               CI posture: fewer trials/warmups (same workloads,
-                        same seeds -- work/quality metrics are identical
-                        to a full run by construction)
-  --trials N            override timed trials per bench
-  --warmup N            override untimed warmup runs per bench
-  --filter SUBSTR       only run benches whose name contains SUBSTR
-
-gate policy
-  --baseline PATH       baseline file (default BENCH_BASELINE.json)
-  --tol-work X          relative tolerance for work metrics (default 0 = exact)
-  --tol-quality X       relative tolerance for quality metrics (default 1e-9)
-  --wall                also gate wall-time medians (loose ratios)
-  --no-wall             never compare wall times (default)
-
-outputs
-  --report-json PATH    write the machine-readable gate report
-  --report-md PATH      write the markdown gate report
-  --trajectory PATH     trajectory file (default BENCH_TRAJECTORY.jsonl)
-  --no-trajectory       do not append a trajectory line
+  --baseline PATH     baseline file (default BENCH_BASELINE.json)
+  --filter SUBSTR     run and gate only the benches whose name contains SUBSTR
+  --write-baseline    rewrite the baseline from a full run instead of gating
+  --list              print the suite's bench names and exit
 ";
 
 struct Args {
-    gate: bool,
     write_baseline: bool,
     list: bool,
-    quick: bool,
-    trials: Option<usize>,
-    warmup: Option<usize>,
     filter: Option<String>,
     baseline: String,
-    tol_work: f64,
-    tol_quality: f64,
-    wall: bool,
-    report_json: Option<String>,
-    report_md: Option<String>,
-    trajectory: String,
-    no_trajectory: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        gate: false,
         write_baseline: false,
         list: false,
-        quick: false,
-        trials: None,
-        warmup: None,
         filter: None,
         baseline: "BENCH_BASELINE.json".to_string(),
-        tol_work: 0.0,
-        tol_quality: 1e-9,
-        wall: false,
-        report_json: None,
-        report_md: None,
-        trajectory: "BENCH_TRAJECTORY.jsonl".to_string(),
-        no_trajectory: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
-            "--gate" => args.gate = true,
             "--write-baseline" => args.write_baseline = true,
             "--list" => args.list = true,
-            "--quick" => args.quick = true,
-            "--trials" => {
-                args.trials = Some(
-                    value("--trials")?
-                        .parse()
-                        .map_err(|e| format!("--trials: {e}"))?,
-                );
-            }
-            "--warmup" => {
-                args.warmup = Some(
-                    value("--warmup")?
-                        .parse()
-                        .map_err(|e| format!("--warmup: {e}"))?,
-                );
-            }
             "--filter" => args.filter = Some(value("--filter")?),
             "--baseline" => args.baseline = value("--baseline")?,
-            "--tol-work" => {
-                args.tol_work = value("--tol-work")?
-                    .parse()
-                    .map_err(|e| format!("--tol-work: {e}"))?;
-            }
-            "--tol-quality" => {
-                args.tol_quality = value("--tol-quality")?
-                    .parse()
-                    .map_err(|e| format!("--tol-quality: {e}"))?;
-            }
-            "--wall" => args.wall = true,
-            "--no-wall" => args.wall = false,
-            "--report-json" => args.report_json = Some(value("--report-json")?),
-            "--report-md" => args.report_md = Some(value("--report-md")?),
-            "--trajectory" => args.trajectory = value("--trajectory")?,
-            "--no-trajectory" => args.no_trajectory = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -142,37 +61,18 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if args.gate && args.write_baseline {
-        return Err("--gate and --write-baseline are mutually exclusive".to_string());
+    if args.write_baseline && args.filter.is_some() {
+        return Err("--write-baseline rewrites the whole baseline, so it takes no --filter".into());
+    }
+    if let Some(filter) = &args.filter {
+        if !bench_names()
+            .iter()
+            .any(|name| selected(name, Some(filter)))
+        {
+            return Err(format!("--filter '{filter}' selects no bench (see --list)"));
+        }
     }
     Ok(args)
-}
-
-/// `git rev-parse --short HEAD` plus a dirty bit; `"unknown"` outside a
-/// work tree (the gate itself never depends on git).
-fn git_state() -> (String, bool) {
-    let rev = Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or_else(
-            || "unknown".to_string(),
-            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        );
-    let dirty = Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .is_some_and(|o| !o.stdout.is_empty());
-    (rev, dirty)
-}
-
-fn unix_ts() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs())
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -185,15 +85,6 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let mut cfg = PerfConfig::new(args.quick);
-    if let Some(t) = args.trials {
-        cfg.trials = t;
-    }
-    if let Some(w) = args.warmup {
-        cfg.warmup = w;
-    }
-    cfg.filter = args.filter.clone();
-
     let validators = if sor_flow::validate::validators_enabled() {
         "on"
     } else {
@@ -204,80 +95,32 @@ fn run() -> Result<ExitCode, String> {
     } else {
         "release"
     };
-    eprintln!(
-        "perf: suite={} trials={} warmup={} profile={profile} validators={validators}",
-        if args.quick { "quick" } else { "full" },
-        cfg.trials,
-        cfg.warmup
-    );
-
-    let suite = run_suite(&cfg);
-    if let Some(nd) = suite.runs.iter().find(|r| !r.deterministic) {
-        eprintln!(
-            "perf: WARNING: bench '{}' produced different work metrics across trials",
-            nd.name
-        );
-    }
+    eprintln!("perf: profile={profile} validators={validators}");
 
     if args.write_baseline {
-        // The wall section is informational (and the only nondeterministic
-        // part); work/quality serialize byte-identically run to run.
-        let text = suite_to_json(
-            &suite,
-            true,
-            &[("profile", profile), ("validators", validators)],
-        );
+        let runs = run_suite(None);
+        let text = baseline_json(&runs, &[("profile", profile), ("validators", validators)])?;
         fs::write(&args.baseline, &text).map_err(|e| format!("write {}: {e}", args.baseline))?;
         println!(
-            "wrote {} ({} benches, format {})",
+            "wrote {} ({} benches, format {BASELINE_FORMAT})",
             args.baseline,
-            suite.runs.len(),
-            BASELINE_FORMAT
+            runs.len()
         );
-        print!("{}", render_suite_summary(&suite));
         return Ok(ExitCode::SUCCESS);
     }
 
-    if !args.gate {
-        print!("{}", render_suite_summary(&suite));
-        return Ok(ExitCode::SUCCESS);
-    }
-
+    // Read the baseline first, so a bad file fails before the suite runs.
     let text = fs::read_to_string(&args.baseline).map_err(|e| {
         format!(
             "read baseline {}: {e} (run `perf --write-baseline` to create it)",
             args.baseline
         )
     })?;
-    let baseline = parse_baseline(&text)?;
-    let policy = GatePolicy {
-        work_tol: args.tol_work,
-        quality_tol: args.tol_quality,
-        wall: args.wall,
-        ..GatePolicy::default()
-    };
-    let report = gate(&baseline, &suite, &policy);
-
+    let baseline = parse_baseline(&text).map_err(|e| format!("{}: {e}", args.baseline))?;
+    let filter = args.filter.as_deref();
+    let report = gate(&baseline, &run_suite(filter), filter);
     print!("{}", report.render_text());
-    if let Some(path) = &args.report_json {
-        fs::write(path, report.render_json()).map_err(|e| format!("write {path}: {e}"))?;
-    }
-    if let Some(path) = &args.report_md {
-        fs::write(path, report.render_markdown()).map_err(|e| format!("write {path}: {e}"))?;
-    }
-
-    if !args.no_trajectory {
-        let (rev, dirty) = git_state();
-        let line = trajectory_line(&report, &suite, &rev, dirty, unix_ts());
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&args.trajectory)
-            .map_err(|e| format!("open {}: {e}", args.trajectory))?;
-        writeln!(f, "{line}").map_err(|e| format!("append {}: {e}", args.trajectory))?;
-    }
-
-    Ok(if report.status() == sor_obs::snapshot::DiffStatus::Fail {
+    Ok(if report.status() == Status::Fail {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

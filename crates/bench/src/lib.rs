@@ -1,14 +1,14 @@
 //! # sor-bench
 //!
 //! The experiment harness: one function per experiment in DESIGN.md's
-//! per-experiment index (E1–E12), each regenerating the corresponding
+//! per-experiment index (E1–E20), each regenerating the corresponding
 //! paper result as a printable [`Table`]. The `tables` binary runs them
-//! from the command line; the Criterion benches time the computational
-//! kernels underneath them.
+//! from the command line; the `perf` binary ([`perf`]) gates the exact
+//! work and quality of quick E1/E2/E7/E8 and the kernels underneath them.
 //!
 //! Every experiment takes a `quick` flag: `true` shrinks instance sizes
 //! and seed counts so the full suite finishes in a couple of minutes
-//! (used by tests and `cargo bench`); `false` is the paper-scale run
+//! (used by tests and the perf gate); `false` is the paper-scale run
 //! recorded in EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]

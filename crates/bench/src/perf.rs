@@ -1,128 +1,60 @@
-//! `sor-perf`: the deterministic performance & quality trajectory
-//! harness behind the `perf` binary.
+//! `sor-perf`: the exact work-and-quality gate behind the `perf` binary.
 //!
 //! A fixed suite of seeded benchmarks — quick variants of the macro
 //! experiments E1/E2/E7/E8 plus micro-kernels over the library's hot
 //! paths (FRT tree build, MWU restricted solve, randomized rounding,
 //! scheduler step loop, the §5.3 deletion process, MCF solves, …) — each
-//! run under `sor-obs` capture, producing three kinds of data per bench:
+//! run under `sor-obs` capture, producing two kinds of data per bench:
 //!
 //! * **work metrics** — counters, histograms, and span *call counts*
-//!   from the [`sor_obs::Snapshot`]. Deterministic under the fixed seeds
-//!   (the runner cross-checks trial-to-trial equality), so they gate
-//!   **exactly** against the committed baseline.
+//!   from the [`sor_obs::Snapshot`]. Deterministic under the fixed seeds,
+//!   so the integer values gate **exactly** against the committed
+//!   baseline; histogram sums are floats and gate within [`VALUE_TOL`].
 //! * **quality metrics** — competitive ratios / MLU ratios / survival
 //!   fractions, parsed back out of the experiment [`Table`]s or computed
-//!   directly. Deterministic too; gate within a tiny tolerance.
-//! * **wall times** — per span path and per whole bench, with robust
-//!   stats over warmup + N trials (median / min / MAD, outlier
-//!   rejection). Noisy by nature, so they gate *loosely* by ratio and
-//!   can be excluded entirely (`--no-wall`, the CI posture).
+//!   directly. Deterministic too; they gate within [`VALUE_TOL`].
 //!
-//! The `--quick` flag changes **only** the trial/warmup counts — never
-//! instance sizes or seeds — so a quick gate run checks the identical
-//! work/quality numbers the committed `BENCH_BASELINE.json` records.
-//!
-//! The baseline diff engine proper lives in [`sor_obs::snapshot`]
-//! ([`sor_obs::snapshot::diff`]); this module layers quality and
-//! wall-stat comparisons on top, reusing the same
-//! [`Delta`]/[`DiffStatus`] report machinery, and adds the append-only
-//! `BENCH_TRAJECTORY.jsonl` history line.
+//! Every bench runs exactly twice. The second trial exists only for the
+//! determinism check: both trials must give bit-identical gated values,
+//! or the bench cannot be trusted as a gate. Wall time is not measured
+//! here; the end-to-end benchmark `sorbench` (declared in
+//! `BENCHMARK.json`) owns timing.
 
 use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sor_obs::snapshot::{
-    diff, snapshot_from_value, Delta, DeltaKind, DiffPolicy, DiffStatus, SnapshotDiff,
-    SPAN_PATH_SEP,
-};
+use sor_obs::snapshot::snapshot_from_value;
 use sor_obs::{parse_json, JsonValue, Snapshot};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 mod kernels;
 
 /// Format tag written into / expected from baseline files.
 pub const BASELINE_FORMAT: &str = "sor-perf/1";
 
-/// How the suite is executed. `quick` trims trials/warmup only — the
-/// workloads themselves are identical, so work/quality metrics match
-/// between quick and full runs by construction.
-#[derive(Clone, Debug)]
-pub struct PerfConfig {
-    /// Fewer trials/warmups (CI posture). Never changes the workloads.
-    pub quick: bool,
-    /// Timed trials per bench.
-    pub trials: usize,
-    /// Untimed warmup runs per bench (capture off).
-    pub warmup: usize,
-    /// Run only benches whose name contains this substring.
-    pub filter: Option<String>,
-}
+/// Relative tolerance for the float-valued metrics, quality values and
+/// histogram sums (absolute when the baseline value is 0). Integer work
+/// metrics gate exactly.
+pub const VALUE_TOL: f64 = 1e-9;
 
-impl PerfConfig {
-    /// Defaults for the given mode: quick = 1 warmup / 2 trials,
-    /// full = 2 warmups / 5 trials.
-    pub fn new(quick: bool) -> Self {
-        PerfConfig {
-            quick,
-            trials: if quick { 2 } else { 5 },
-            warmup: if quick { 1 } else { 2 },
-            filter: None,
-        }
-    }
+/// Separator used when flattening a span path into one metric name.
+const SPAN_PATH_SEP: &str = " > ";
 
-    fn suite_name(&self) -> &'static str {
-        if self.quick {
-            "quick"
-        } else {
-            "full"
-        }
-    }
-}
-
-/// Robust wall-time statistics for one span path of one bench.
-#[derive(Clone, Debug)]
-pub struct PhaseWall {
-    /// Span path joined with [`SPAN_PATH_SEP`], or `"(total)"` for the
-    /// whole bench.
-    pub phase: String,
-    /// Median over surviving trials.
-    pub median_ns: u64,
-    /// Minimum over surviving trials (the least-noise estimate).
-    pub min_ns: u64,
-    /// Median absolute deviation over surviving trials.
-    pub mad_ns: u64,
-    /// Trials that survived outlier rejection.
-    pub trials: usize,
-}
-
-/// One executed benchmark.
+/// One benchmark, as run or as read back from a baseline.
 #[derive(Clone, Debug)]
 pub struct BenchRun {
     /// Suite-unique bench name (`macro/e1`, `kernel/frt`, …).
     pub name: String,
-    /// Deterministic work metrics: the trial-0 snapshot with wall-time
-    /// fields zeroed and zero-valued metrics stripped (so the view is
-    /// independent of which benches ran earlier in the process).
+    /// Deterministic work metrics: the first trial's snapshot with
+    /// wall-time fields zeroed and zero-valued metrics stripped (so the
+    /// view is independent of which benches ran earlier in the process).
     pub work: Snapshot,
     /// Derived quality metrics, in insertion order.
     pub quality: Vec<(String, f64)>,
-    /// Robust wall stats per span path plus `"(total)"`.
-    pub wall: Vec<PhaseWall>,
-    /// Whether every trial produced identical work metrics (it must —
-    /// a `false` here means the bench is nondeterministic and cannot be
-    /// trusted as a gate).
+    /// Whether both trials gave bit-identical work and quality values.
+    /// Always `true` when read from a baseline: the writer refuses a
+    /// nondeterministic bench.
     pub deterministic: bool,
-}
-
-/// One full suite execution.
-#[derive(Clone, Debug)]
-pub struct SuiteRun {
-    /// `"quick"` or `"full"`.
-    pub suite: String,
-    /// Executed benches, in suite order.
-    pub runs: Vec<BenchRun>,
 }
 
 type BenchFn = fn() -> Vec<(String, f64)>;
@@ -130,7 +62,7 @@ type BenchFn = fn() -> Vec<(String, f64)>;
 /// The fixed suite: (name, workload). Order matters — metric registries
 /// accumulate registrations process-wide, and the work view strips
 /// zeros, so each bench's work snapshot contains exactly the metrics it
-/// touched regardless of position; wall spans reset per trial.
+/// touched regardless of position.
 const BENCHES: &[(&str, BenchFn)] = &[
     ("macro/e1", kernels::macro_e1),
     ("macro/e2", kernels::macro_e2),
@@ -156,6 +88,12 @@ const BENCHES: &[(&str, BenchFn)] = &[
 /// Names of every bench in the suite, in order.
 pub fn bench_names() -> Vec<&'static str> {
     BENCHES.iter().map(|(n, _)| *n).collect()
+}
+
+/// Whether `--filter` selects a bench: a substring match, and `None`
+/// selects every bench.
+pub fn selected(name: &str, filter: Option<&str>) -> bool {
+    filter.is_none_or(|needle| name.contains(needle))
 }
 
 /// Derive gateable quality metrics from an experiment table: each row is
@@ -244,126 +182,38 @@ pub fn work_view(snap: &Snapshot) -> Snapshot {
     }
 }
 
-/// Median / min / MAD with one round of outlier rejection (drop samples
-/// above `median + 5·MAD`, then recompute). `samples` must be non-empty.
-fn robust_stats(samples: &[u64]) -> (u64, u64, u64, usize) {
-    fn median(sorted: &[u64]) -> u64 {
-        sorted[sorted.len() / 2]
-    }
-    fn mad(sorted: &[u64], med: u64) -> u64 {
-        let mut devs: Vec<u64> = sorted.iter().map(|&x| x.abs_diff(med)).collect();
-        devs.sort_unstable();
-        median(&devs)
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let med = median(&sorted);
-    let spread = mad(&sorted, med);
-    let kept: Vec<u64> = sorted
-        .iter()
-        .copied()
-        .filter(|&x| x <= med.saturating_add(spread.saturating_mul(5)))
-        .collect();
-    let sorted = if kept.is_empty() { sorted } else { kept };
-    let med = median(&sorted);
-    (med, sorted[0], mad(&sorted, med), sorted.len())
-}
-
-/// Execute one bench under the config: warmup (capture off), then timed
-/// trials bracketed by `reset` / `set_enabled`, each snapshotted.
-fn run_bench(name: &str, workload: BenchFn, cfg: &PerfConfig) -> BenchRun {
-    sor_obs::set_enabled(false);
-    for _ in 0..cfg.warmup {
-        sor_obs::reset();
-        let _ = workload();
-    }
-    let trials = cfg.trials.max(1);
-    let mut snaps: Vec<Snapshot> = Vec::with_capacity(trials);
-    let mut totals: Vec<u64> = Vec::with_capacity(trials);
-    let mut quality: Vec<(String, f64)> = Vec::new();
-    for t in 0..trials {
+/// Run one bench twice, each trial bracketed by `reset` / `set_enabled`,
+/// and keep the first trial; the second only checks determinism.
+fn run_bench(name: &str, workload: BenchFn) -> BenchRun {
+    let trial = || {
         sor_obs::reset();
         sor_obs::set_enabled(true);
-        let t0 = Instant::now();
-        let q = workload();
-        let elapsed = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let quality = workload();
         sor_obs::set_enabled(false);
-        snaps.push(sor_obs::snapshot());
-        totals.push(elapsed);
-        if t == 0 {
-            quality = q;
+        BenchRun {
+            name: name.to_string(),
+            work: work_view(&sor_obs::snapshot()),
+            quality,
+            deterministic: true,
         }
-    }
-
-    let work = work_view(&snaps[0]);
-    let exact = DiffPolicy::default();
-    let deterministic = snaps
-        .iter()
-        .skip(1)
-        .all(|s| diff(&work, &work_view(s), &exact).deltas.is_empty());
-
-    // Wall stats per span path across trials, plus the whole bench.
-    let mut wall: Vec<PhaseWall> = Vec::new();
-    let (median_ns, min_ns, mad_ns, kept) = robust_stats(&totals);
-    wall.push(PhaseWall {
-        phase: "(total)".to_string(),
-        median_ns,
-        min_ns,
-        mad_ns,
-        trials: kept,
-    });
-    for span in &snaps[0].spans {
-        let path = span.path.join(SPAN_PATH_SEP);
-        let samples: Vec<u64> = snaps
-            .iter()
-            .filter_map(|s| {
-                s.spans
-                    .iter()
-                    .find(|x| x.path == span.path)
-                    .map(|x| x.total_ns)
-            })
-            .collect();
-        if samples.is_empty() {
-            continue;
-        }
-        let (median_ns, min_ns, mad_ns, kept) = robust_stats(&samples);
-        wall.push(PhaseWall {
-            phase: path,
-            median_ns,
-            min_ns,
-            mad_ns,
-            trials: kept,
-        });
-    }
-
-    BenchRun {
-        name: name.to_string(),
-        work,
-        quality,
-        wall,
-        deterministic,
-    }
+    };
+    let mut run = trial();
+    let again = trial();
+    run.deterministic = gated_values(&run) == gated_values(&again);
+    run
 }
 
-/// Run the whole suite (honoring `cfg.filter`), with a progress line per
-/// bench on stderr.
-pub fn run_suite(cfg: &PerfConfig) -> SuiteRun {
-    let runs = BENCHES
+/// Run the suite's benches that `filter` selects, with a progress line
+/// per bench on stderr.
+pub fn run_suite(filter: Option<&str>) -> Vec<BenchRun> {
+    BENCHES
         .iter()
-        .filter(|(name, _)| {
-            cfg.filter
-                .as_deref()
-                .is_none_or(|needle| name.contains(needle))
-        })
+        .filter(|(name, _)| selected(name, filter))
         .map(|(name, workload)| {
-            eprintln!("perf: running {name} ({} trials)", cfg.trials.max(1));
-            run_bench(name, *workload, cfg)
+            eprintln!("perf: running {name}");
+            run_bench(name, *workload)
         })
-        .collect();
-    SuiteRun {
-        suite: cfg.suite_name().to_string(),
-        runs,
-    }
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -386,24 +236,20 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+/// Serialize benches as a baseline document, byte-deterministic for a
+/// fixed workspace revision. A nondeterministic bench is an error: its
+/// values could not gate a later run.
+pub fn baseline_json(runs: &[BenchRun], meta: &[(&str, &str)]) -> Result<String, String> {
+    if let Some(run) = runs.iter().find(|r| !r.deterministic) {
+        return Err(format!(
+            "bench '{}' gave different work or quality values in its two trials; \
+             a baseline cannot pin it",
+            run.name
+        ));
     }
-}
-
-/// Serialize a suite run as a baseline document. Work and quality
-/// sections are byte-deterministic for a fixed workspace revision; the
-/// `wall` section (omitted when `include_wall` is false) is the only
-/// part that varies run to run.
-pub fn suite_to_json(suite: &SuiteRun, include_wall: bool, meta: &[(&str, &str)]) -> String {
     let mut out = String::with_capacity(1 << 16);
     out.push_str("{\n  \"meta\": { \"format\": ");
     push_escaped(&mut out, BASELINE_FORMAT);
-    out.push_str(", \"suite\": ");
-    push_escaped(&mut out, &suite.suite);
     for (k, v) in meta {
         out.push_str(", ");
         push_escaped(&mut out, k);
@@ -411,17 +257,13 @@ pub fn suite_to_json(suite: &SuiteRun, include_wall: bool, meta: &[(&str, &str)]
         push_escaped(&mut out, v);
     }
     out.push_str(" },\n  \"benchmarks\": [");
-    for (i, run) in suite.runs.iter().enumerate() {
+    for (i, run) in runs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("\n    {\n      \"name\": ");
         push_escaped(&mut out, &run.name);
-        let _ = write!(
-            out,
-            ",\n      \"deterministic\": {},\n      \"quality\": [",
-            run.deterministic
-        );
+        out.push_str(",\n      \"deterministic\": true,\n      \"quality\": [");
         for (j, (qname, qval)) in run.quality.iter().enumerate() {
             if j > 0 {
                 out.push(',');
@@ -429,7 +271,11 @@ pub fn suite_to_json(suite: &SuiteRun, include_wall: bool, meta: &[(&str, &str)]
             out.push_str("\n        { \"name\": ");
             push_escaped(&mut out, qname);
             out.push_str(", \"value\": ");
-            push_f64(&mut out, *qval);
+            if qval.is_finite() {
+                let _ = write!(out, "{qval}");
+            } else {
+                out.push_str("null");
+            }
             out.push_str(" }");
         }
         if !run.quality.is_empty() {
@@ -439,42 +285,23 @@ pub fn suite_to_json(suite: &SuiteRun, include_wall: bool, meta: &[(&str, &str)]
         // The snapshot export is itself a JSON object; indentation is
         // cosmetic, so embed it as-is (minus its trailing newline).
         out.push_str(run.work.to_json().trim_end());
-        out.push_str(",\n      \"wall\": [");
-        if include_wall {
-            for (j, w) in run.wall.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        { \"phase\": ");
-                push_escaped(&mut out, &w.phase);
-                let _ = write!(
-                    out,
-                    ", \"median_ns\": {}, \"min_ns\": {}, \"mad_ns\": {}, \"trials\": {} }}",
-                    w.median_ns, w.min_ns, w.mad_ns, w.trials
-                );
-            }
-            if !run.wall.is_empty() {
-                out.push_str("\n      ");
-            }
-        }
-        out.push_str("]\n    }");
+        out.push_str("\n    }");
     }
-    if !suite.runs.is_empty() {
+    if !runs.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
-    out
+    Ok(out)
 }
 
-/// A baseline parsed back from disk: suite-shaped, snapshot per bench.
-pub type Baseline = SuiteRun;
-
-/// Parse a baseline document written by [`suite_to_json`].
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
+/// Parse a baseline document written by [`baseline_json`]. Every bench
+/// must carry its `work` snapshot and its `quality` array; an error
+/// names the bench.
+pub fn parse_baseline(text: &str) -> Result<Vec<BenchRun>, String> {
     let doc = parse_json(text).map_err(|e| e.to_string())?;
-    let meta = doc.get("meta").ok_or("missing 'meta'")?;
-    let format = meta
-        .get("format")
+    let format = doc
+        .get("meta")
+        .and_then(|m| m.get("format"))
         .and_then(JsonValue::as_str)
         .ok_or("missing meta.format")?;
     if format != BASELINE_FORMAT {
@@ -482,511 +309,393 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
             "baseline format '{format}' unsupported (expected '{BASELINE_FORMAT}')"
         ));
     }
-    let suite = meta
-        .get("suite")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("quick")
-        .to_string();
-    let mut runs = Vec::new();
-    for b in doc
-        .get("benchmarks")
+    doc.get("benchmarks")
         .and_then(JsonValue::as_arr)
         .ok_or("missing 'benchmarks' array")?
-    {
-        let name = b
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("benchmark missing 'name'")?
-            .to_string();
-        let work = snapshot_from_value(
-            b.get("work")
-                .ok_or_else(|| format!("benchmark '{name}' missing 'work' snapshot"))?,
-        )
-        .map_err(|e| format!("benchmark '{name}': {e}"))?;
-        let mut quality = Vec::new();
-        for qv in b.get("quality").and_then(JsonValue::as_arr).unwrap_or(&[]) {
+        .iter()
+        .map(bench_from_value)
+        .collect()
+}
+
+fn bench_from_value(b: &JsonValue) -> Result<BenchRun, String> {
+    let name = b
+        .get("name")
+        .and_then(JsonValue::as_str)
+        .ok_or("benchmark missing 'name'")?
+        .to_string();
+    let work = snapshot_from_value(
+        b.get("work")
+            .ok_or_else(|| format!("benchmark '{name}' missing 'work' snapshot"))?,
+    )
+    .map_err(|e| format!("benchmark '{name}': {e}"))?;
+    let quality = b
+        .get("quality")
+        .and_then(JsonValue::as_arr)
+        .ok_or_else(|| format!("benchmark '{name}' missing 'quality' array"))?
+        .iter()
+        .map(|qv| {
             let qname = qv
                 .get("name")
                 .and_then(JsonValue::as_str)
-                .ok_or("quality entry missing 'name'")?;
-            let value = qv
-                .get("value")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("quality '{qname}' missing numeric 'value'"))?;
-            quality.push((qname.to_string(), value));
-        }
-        let mut wall = Vec::new();
-        for wv in b.get("wall").and_then(JsonValue::as_arr).unwrap_or(&[]) {
-            wall.push(PhaseWall {
-                phase: wv
-                    .get("phase")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("wall entry missing 'phase'")?
-                    .to_string(),
-                median_ns: wv.get("median_ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                min_ns: wv.get("min_ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                mad_ns: wv.get("mad_ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                trials: usize::try_from(wv.get("trials").and_then(JsonValue::as_u64).unwrap_or(0))
-                    .unwrap_or(0),
-            });
-        }
-        let deterministic = b
-            .get("deterministic")
-            .map(|v| v == &JsonValue::Bool(true))
-            .unwrap_or(true);
-        runs.push(BenchRun {
-            name,
-            work,
-            quality,
-            wall,
-            deterministic,
-        });
-    }
-    Ok(SuiteRun { suite, runs })
+                .ok_or_else(|| format!("benchmark '{name}': quality entry missing 'name'"))?;
+            let value = qv.get("value").and_then(JsonValue::as_f64).ok_or_else(|| {
+                format!("benchmark '{name}': quality '{qname}' missing numeric 'value'")
+            })?;
+            Ok((qname.to_string(), value))
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(BenchRun {
+        name,
+        work,
+        quality,
+        deterministic: true,
+    })
 }
 
 // ---------------------------------------------------------------------
 // Gate engine
 // ---------------------------------------------------------------------
 
-/// Gate thresholds. Work gating delegates to the
-/// [`sor_obs::snapshot::diff`] engine; quality and wall comparisons are
-/// layered here because they operate on derived values and robust
-/// medians rather than raw snapshots.
-#[derive(Clone, Debug)]
-pub struct GatePolicy {
-    /// Relative tolerance for work metrics (0 = exact, the default).
-    pub work_tol: f64,
-    /// Relative tolerance for quality metrics.
-    pub quality_tol: f64,
-    /// Compare wall medians at all (off = CI noise-proof posture).
-    pub wall: bool,
-    /// Current median above this multiple of baseline median → warn.
-    pub wall_warn_ratio: f64,
-    /// Current median above this multiple of baseline median → fail.
-    pub wall_fail_ratio: f64,
-    /// Phases with baseline median below this floor are never compared.
-    pub min_wall_ns: u64,
+/// Severity of one [`Delta`], and of a whole [`GateReport`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Status {
+    /// Every comparison matched.
+    Pass,
+    /// Something new appeared that the baseline does not pin.
+    Warn,
+    /// A pinned value moved or vanished — the gate rejects the run.
+    Fail,
 }
 
-impl Default for GatePolicy {
-    fn default() -> Self {
-        GatePolicy {
-            work_tol: 0.0,
-            quality_tol: 1e-9,
-            wall: false,
-            wall_warn_ratio: 1.3,
-            wall_fail_ratio: 1.6,
-            min_wall_ns: 200_000,
+impl Status {
+    /// Short uppercase tag for reports.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Status::Pass => "PASS",
+            Status::Warn => "WARN",
+            Status::Fail => "FAIL",
         }
     }
 }
 
-/// Gate outcome for one bench.
+/// Which facet of a bench a [`Delta`] describes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DeltaKind {
+    /// A counter's value.
+    Counter,
+    /// A histogram's observation count.
+    HistogramCount,
+    /// A histogram's value sum.
+    HistogramSum,
+    /// A span path's call count.
+    SpanCalls,
+    /// A derived quality metric (competitive ratio, MLU ratio, …).
+    Quality,
+    /// The two trials of the current run disagreed.
+    Trials,
+    /// A metric or bench in the baseline that the current run lacks.
+    Missing,
+    /// A metric or bench the baseline lacks: the one kind that only
+    /// warns (refresh the baseline when the addition is intended).
+    Added,
+}
+
+impl DeltaKind {
+    /// Human label for reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            DeltaKind::Counter => "counter",
+            DeltaKind::HistogramCount => "histogram count",
+            DeltaKind::HistogramSum => "histogram sum",
+            DeltaKind::SpanCalls => "span calls",
+            DeltaKind::Quality => "quality",
+            DeltaKind::Trials => "trials disagree",
+            DeltaKind::Missing => "missing from this run",
+            DeltaKind::Added => "not in baseline",
+        }
+    }
+
+    /// What a delta of this kind does to the gate.
+    pub fn status(self) -> Status {
+        if self == DeltaKind::Added {
+            Status::Warn
+        } else {
+            Status::Fail
+        }
+    }
+}
+
+/// One comparison that did not pass.
 #[derive(Clone, Debug)]
-pub struct BenchReport {
-    /// Bench name.
-    pub name: String,
+pub struct Delta {
+    /// Bench the metric belongs to.
+    pub bench: String,
+    /// Metric name (span paths joined with `" > "`), or `"(bench)"` /
+    /// `"(trials)"` for a whole-bench delta.
+    pub metric: String,
+    /// Which facet differed.
+    pub kind: DeltaKind,
+    /// Baseline value (`NaN` when absent).
+    pub base: f64,
+    /// Current value (`NaN` when absent).
+    pub cur: f64,
+}
+
+/// Gate outcome: every comparison that did not pass, in bench order.
+#[derive(Clone, Debug, Default)]
+pub struct GateReport {
+    /// Benches compared.
+    pub benches: usize,
     /// Comparisons performed.
     pub checked: usize,
-    /// Non-pass deltas (work, quality, and wall combined).
+    /// Failing and warning comparisons.
     pub deltas: Vec<Delta>,
 }
 
-impl BenchReport {
-    /// Worst delta status (Pass when clean).
-    pub fn status(&self) -> DiffStatus {
+impl GateReport {
+    /// Worst status across deltas ([`Status::Pass`] when clean).
+    pub fn status(&self) -> Status {
         self.deltas
             .iter()
-            .map(|d| d.status)
+            .map(|d| d.kind.status())
             .max()
-            .unwrap_or(DiffStatus::Pass)
-    }
-}
-
-/// Gate outcome for the whole suite.
-#[derive(Clone, Debug)]
-pub struct GateReport {
-    /// Per-bench outcomes, in baseline order.
-    pub benches: Vec<BenchReport>,
-}
-
-impl GateReport {
-    /// Worst status across benches.
-    pub fn status(&self) -> DiffStatus {
-        self.benches
-            .iter()
-            .map(BenchReport::status)
-            .max()
-            .unwrap_or(DiffStatus::Pass)
+            .unwrap_or(Status::Pass)
     }
 
-    /// Total failing deltas.
-    pub fn num_fail(&self) -> usize {
-        self.benches
+    fn count(&self, status: Status) -> usize {
+        self.deltas
             .iter()
-            .flat_map(|b| &b.deltas)
-            .filter(|d| d.status == DiffStatus::Fail)
+            .filter(|d| d.kind.status() == status)
             .count()
     }
 
-    /// Total warning deltas.
-    pub fn num_warn(&self) -> usize {
-        self.benches
-            .iter()
-            .flat_map(|b| &b.deltas)
-            .filter(|d| d.status == DiffStatus::Warn)
-            .count()
+    /// Count one comparison and record it as a delta unless it passed.
+    fn check(
+        &mut self,
+        pass: bool,
+        bench: &str,
+        metric: &str,
+        kind: DeltaKind,
+        base: f64,
+        cur: f64,
+    ) {
+        self.checked += 1;
+        if !pass {
+            self.deltas.push(Delta {
+                bench: bench.to_string(),
+                metric: metric.to_string(),
+                kind,
+                base,
+                cur,
+            });
+        }
     }
 
-    /// Total comparisons performed.
-    pub fn num_checked(&self) -> usize {
-        self.benches.iter().map(|b| b.checked).sum()
-    }
-
-    /// Human-readable report.
+    /// Human-readable report: a summary line, then each delta under its
+    /// bench.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
             "perf gate: {} — {} benches, {} comparisons, {} fail / {} warn",
             self.status().tag(),
-            self.benches.len(),
-            self.num_checked(),
-            self.num_fail(),
-            self.num_warn()
+            self.benches,
+            self.checked,
+            self.count(Status::Fail),
+            self.count(Status::Warn)
         );
-        for b in &self.benches {
-            if b.deltas.is_empty() {
-                continue;
+        for (i, d) in self.deltas.iter().enumerate() {
+            if i == 0 || self.deltas[i - 1].bench != d.bench {
+                let bench_status = self
+                    .deltas
+                    .iter()
+                    .filter(|x| x.bench == d.bench)
+                    .map(|x| x.kind.status())
+                    .max()
+                    .unwrap_or(Status::Pass);
+                let _ = writeln!(out, "{} [{}]:", d.bench, bench_status.tag());
             }
-            let _ = writeln!(out, "{} [{}]:", b.name, b.status().tag());
-            let diff_view = SnapshotDiff {
-                checked: b.checked,
-                deltas: b.deltas.clone(),
-            };
-            out.push_str(&diff_view.render_text());
-        }
-        out
-    }
-
-    /// Machine-readable JSON report.
-    pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        let _ = write!(
-            out,
-            "{{\n  \"status\": \"{}\", \"checked\": {}, \"fail\": {}, \"warn\": {},\n  \"benches\": [",
-            self.status().tag(),
-            self.num_checked(),
-            self.num_fail(),
-            self.num_warn()
-        );
-        for (i, b) in self.benches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    { \"name\": ");
-            push_escaped(&mut out, &b.name);
             let _ = write!(
                 out,
-                ", \"status\": \"{}\", \"checked\": {}, \"deltas\": [",
-                b.status().tag(),
-                b.checked
+                "  [{}] {} ({})",
+                d.kind.status().tag(),
+                d.metric,
+                d.kind.label()
             );
-            for (j, d) in b.deltas.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n      { \"metric\": ");
-                push_escaped(&mut out, &d.metric);
+            if !(d.base.is_nan() && d.cur.is_nan()) {
                 let _ = write!(
                     out,
-                    ", \"kind\": \"{}\", \"status\": \"{}\", ",
-                    d.kind.label(),
-                    d.status.tag()
-                );
-                out.push_str("\"base\": ");
-                push_f64(&mut out, d.base);
-                out.push_str(", \"cur\": ");
-                push_f64(&mut out, d.cur);
-                out.push_str(", \"note\": ");
-                push_escaped(&mut out, &d.note);
-                out.push_str(" }");
-            }
-            if !b.deltas.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("] }");
-        }
-        if !self.benches.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Markdown report (for CI artifacts / PR summaries).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "## perf gate: {}\n\n{} benches, {} comparisons, **{} fail**, {} warn\n",
-            self.status().tag(),
-            self.benches.len(),
-            self.num_checked(),
-            self.num_fail(),
-            self.num_warn()
-        );
-        if self.benches.iter().all(|b| b.deltas.is_empty()) {
-            out.push_str("No deviations from baseline.\n");
-            return out;
-        }
-        out.push_str("| bench | metric | kind | baseline | current | status | note |\n");
-        out.push_str("|---|---|---|---|---|---|---|\n");
-        for b in &self.benches {
-            for d in &b.deltas {
-                let _ = writeln!(
-                    out,
-                    "| {} | `{}` | {} | {} | {} | {} | {} |",
-                    b.name,
-                    d.metric,
-                    d.kind.label(),
-                    fmt_json_num(d.base),
-                    fmt_json_num(d.cur),
-                    d.status.tag(),
-                    d.note
+                    ": baseline {} -> current {}",
+                    fmt_val(d.base),
+                    fmt_val(d.cur)
                 );
             }
+            out.push('\n');
         }
         out
     }
 }
 
-fn fmt_json_num(v: f64) -> String {
+/// Shortest round-trip form, so a move past [`VALUE_TOL`] stays visible.
+fn fmt_val(v: f64) -> String {
     if v.is_nan() {
         "—".to_string()
-    // sor-check: allow(float-eq) — fract()==0.0 is an exact integrality test for display
-    } else if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.0}")
     } else {
-        format!("{v:.4}")
+        v.to_string()
     }
 }
 
-/// Gate a current suite run against a baseline.
-pub fn gate(baseline: &Baseline, current: &SuiteRun, policy: &GatePolicy) -> GateReport {
-    let mut benches = Vec::new();
-    for base in &baseline.runs {
-        let mut report = BenchReport {
-            name: base.name.clone(),
-            checked: 0,
-            deltas: Vec::new(),
-        };
-        let Some(cur) = current.runs.iter().find(|r| r.name == base.name) else {
-            report.checked += 1;
-            report.deltas.push(Delta {
-                metric: "(bench)".to_string(),
-                kind: DeltaKind::Missing,
-                base: f64::NAN,
-                cur: f64::NAN,
-                status: DiffStatus::Fail,
-                note: "bench in baseline was not run (check --filter)".to_string(),
-            });
-            benches.push(report);
-            continue;
-        };
-
-        // Work metrics through the sor-obs diff engine, exact by default.
-        let work_policy = DiffPolicy {
-            counter_tol: policy.work_tol,
-            value_tol: policy.work_tol.max(1e-9),
-            compare_wall: false,
-            ..DiffPolicy::default()
-        };
-        let work_diff = diff(&base.work, &cur.work, &work_policy);
-        report.checked += work_diff.checked;
-        report.deltas.extend(work_diff.deltas);
-
-        if !cur.deterministic {
-            report.deltas.push(Delta {
-                metric: "(determinism)".to_string(),
-                kind: DeltaKind::Counter,
-                base: 1.0,
-                cur: 0.0,
-                status: DiffStatus::Fail,
-                note: "work metrics differed between trials of this run".to_string(),
-            });
-        }
-
-        // Quality metrics, tolerance compare by name.
-        for (qname, qbase) in &base.quality {
-            report.checked += 1;
-            match cur.quality.iter().find(|(n, _)| n == qname) {
-                None => report.deltas.push(Delta {
-                    metric: qname.clone(),
-                    kind: DeltaKind::Missing,
-                    base: *qbase,
-                    cur: f64::NAN,
-                    status: DiffStatus::Fail,
-                    note: "quality metric vanished".to_string(),
-                }),
-                Some((_, qcur)) => {
-                    // sor-check: allow(float-eq) — 0.0 is an exact sentinel (absolute-dev fallback)
-                    let dev = if *qbase == 0.0 {
-                        qcur.abs()
-                    } else {
-                        ((qcur - qbase) / qbase).abs()
-                    };
-                    if dev > policy.quality_tol {
-                        report.deltas.push(Delta {
-                            metric: qname.clone(),
-                            kind: DeltaKind::Quality,
-                            base: *qbase,
-                            cur: *qcur,
-                            status: DiffStatus::Fail,
-                            note: format!(
-                                "quality deviates beyond tolerance {}",
-                                policy.quality_tol
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        for (qname, qcur) in &cur.quality {
-            if !base.quality.iter().any(|(n, _)| n == qname) {
-                report.checked += 1;
-                report.deltas.push(Delta {
-                    metric: qname.clone(),
-                    kind: DeltaKind::Added,
-                    base: f64::NAN,
-                    cur: *qcur,
-                    status: DiffStatus::Warn,
-                    note: "new quality metric not in baseline".to_string(),
-                });
-            }
-        }
-
-        // Wall medians, loose ratios, only when enabled and recorded.
-        if policy.wall {
-            for bw in &base.wall {
-                if bw.median_ns < policy.min_wall_ns {
-                    continue;
-                }
-                let Some(cw) = cur.wall.iter().find(|w| w.phase == bw.phase) else {
-                    continue; // span vanished — already failed via work spans
-                };
-                report.checked += 1;
-                #[allow(clippy::cast_precision_loss)]
-                let ratio = cw.median_ns as f64 / (bw.median_ns as f64).max(1.0);
-                let status = if ratio > policy.wall_fail_ratio {
-                    DiffStatus::Fail
-                } else if ratio > policy.wall_warn_ratio {
-                    DiffStatus::Warn
-                } else {
-                    DiffStatus::Pass
-                };
-                if status != DiffStatus::Pass {
-                    #[allow(clippy::cast_precision_loss)]
-                    report.deltas.push(Delta {
-                        metric: format!("{}:{}", base.name, bw.phase),
-                        kind: DeltaKind::SpanWall,
-                        base: bw.median_ns as f64,
-                        cur: cw.median_ns as f64,
-                        status,
-                        note: format!(
-                            "median wall {ratio:.2}x baseline (warn >{:.2}x, fail >{:.2}x)",
-                            policy.wall_warn_ratio, policy.wall_fail_ratio
-                        ),
-                    });
-                }
-            }
-        }
-
-        benches.push(report);
-    }
-
-    // Benches run but absent from the baseline: warn (refresh intended?).
-    for cur in &current.runs {
-        if !baseline.runs.iter().any(|b| b.name == cur.name) {
-            benches.push(BenchReport {
-                name: cur.name.clone(),
-                checked: 1,
-                deltas: vec![Delta {
-                    metric: "(bench)".to_string(),
-                    kind: DeltaKind::Added,
-                    base: f64::NAN,
-                    cur: f64::NAN,
-                    status: DiffStatus::Warn,
-                    note: "bench not in baseline (refresh baseline if intended)".to_string(),
-                }],
-            });
-        }
-    }
-
-    GateReport { benches }
+/// One gated value: integer work metrics match exactly, floats within
+/// [`VALUE_TOL`].
+#[derive(Clone, Copy, Debug)]
+enum Value {
+    Exact(u64),
+    Close(f64),
 }
 
-/// One `BENCH_TRAJECTORY.jsonl` line for a gated run. `rev`/`dirty` come
-/// from git (the binary shells out); `unix_ts` from the system clock.
-pub fn trajectory_line(
-    report: &GateReport,
-    suite: &SuiteRun,
-    rev: &str,
-    dirty: bool,
-    unix_ts: u64,
-) -> String {
-    let wall_total_ns: u64 = suite
-        .runs
+/// Bitwise equality, the trial-to-trial determinism test: a NaN equals
+/// itself, and any other difference counts.
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Exact(a), Value::Exact(b)) => a == b,
+            (Value::Close(a), Value::Close(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
+}
+
+impl Value {
+    fn as_f64(self) -> f64 {
+        match self {
+            #[allow(clippy::cast_precision_loss)]
+            Value::Exact(v) => v as f64,
+            Value::Close(v) => v,
+        }
+    }
+
+    /// Whether the current value `cur` matches this baseline value.
+    fn matches(self, cur: Value) -> bool {
+        match (self, cur) {
+            (Value::Exact(b), Value::Exact(c)) => b == c,
+            (Value::Close(b), Value::Close(c)) => close(b, c),
+            _ => false,
+        }
+    }
+}
+
+/// Whether a float metric matches its baseline: both finite and within
+/// [`VALUE_TOL`] relative deviation (absolute at a zero baseline), or
+/// both non-finite. The baseline stores a non-finite value as `null`,
+/// which reads back as NaN, so the regression to catch is a *change* in
+/// non-finiteness — and a NaN deviation must never count as small.
+fn close(base: f64, cur: f64) -> bool {
+    if !base.is_finite() || !cur.is_finite() {
+        return !base.is_finite() && !cur.is_finite();
+    }
+    // sor-check: allow(float-eq) — a zero baseline is an exact sentinel for the absolute-deviation fallback
+    let dev = if base == 0.0 {
+        cur.abs()
+    } else {
+        ((cur - base) / base).abs()
+    };
+    dev <= VALUE_TOL
+}
+
+/// Every gated value of a bench, keyed by kind and metric name.
+fn gated_values(run: &BenchRun) -> Vec<(DeltaKind, String, Value)> {
+    let work = &run.work;
+    let mut out = Vec::with_capacity(
+        work.counters.len() + 2 * work.histograms.len() + work.spans.len() + run.quality.len(),
+    );
+    for c in &work.counters {
+        out.push((DeltaKind::Counter, c.name.clone(), Value::Exact(c.value)));
+    }
+    for h in &work.histograms {
+        out.push((
+            DeltaKind::HistogramCount,
+            h.name.clone(),
+            Value::Exact(h.count),
+        ));
+        out.push((DeltaKind::HistogramSum, h.name.clone(), Value::Close(h.sum)));
+    }
+    for s in &work.spans {
+        let path = s.path.join(SPAN_PATH_SEP);
+        out.push((DeltaKind::SpanCalls, path, Value::Exact(s.calls)));
+    }
+    for (name, v) in &run.quality {
+        out.push((DeltaKind::Quality, name.clone(), Value::Close(*v)));
+    }
+    out
+}
+
+/// Gate the current runs against the baseline benches that `filter`
+/// selects. A selected baseline bench that did not run fails; a run
+/// bench the baseline lacks warns.
+pub fn gate(baseline: &[BenchRun], current: &[BenchRun], filter: Option<&str>) -> GateReport {
+    let mut report = GateReport::default();
+    let baseline: Vec<&BenchRun> = baseline
         .iter()
-        .filter_map(|r| r.wall.iter().find(|w| w.phase == "(total)"))
-        .map(|w| w.median_ns)
-        .sum();
-    let mut out = String::with_capacity(256);
-    out.push_str("{ \"ts\": ");
-    let _ = write!(out, "{unix_ts}");
-    out.push_str(", \"rev\": ");
-    push_escaped(&mut out, rev);
-    let _ = write!(
-        out,
-        ", \"dirty\": {dirty}, \"suite\": \"{}\", \"status\": \"{}\", \"benches\": {}, \"checked\": {}, \"fail\": {}, \"warn\": {}, \"wall_total_ms\": {} }}",
-        suite.suite,
-        report.status().tag(),
-        suite.runs.len(),
-        report.num_checked(),
-        report.num_fail(),
-        report.num_warn(),
-        wall_total_ns / 1_000_000
-    );
-    out
+        .filter(|b| selected(&b.name, filter))
+        .collect();
+    for base in &baseline {
+        report.benches += 1;
+        match current.iter().find(|r| r.name == base.name) {
+            Some(cur) => compare_bench(&mut report, base, cur),
+            None => report.check(
+                false,
+                &base.name,
+                "(bench)",
+                DeltaKind::Missing,
+                f64::NAN,
+                f64::NAN,
+            ),
+        }
+    }
+    for cur in current {
+        if !baseline.iter().any(|b| b.name == cur.name) {
+            report.benches += 1;
+            report.check(
+                false,
+                &cur.name,
+                "(bench)",
+                DeltaKind::Added,
+                f64::NAN,
+                f64::NAN,
+            );
+        }
+    }
+    report
 }
 
-/// Summary table of a suite run (the no-gate default output).
-pub fn render_suite_summary(suite: &SuiteRun) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<24} {:>10} {:>8} {:>8} {:>7}  det",
-        "bench", "median_ms", "work", "quality", "phases"
-    );
-    for r in &suite.runs {
-        let total = r
-            .wall
-            .iter()
-            .find(|w| w.phase == "(total)")
-            .map_or(0, |w| w.median_ns);
-        let _ = writeln!(
-            out,
-            "{:<24} {:>10.2} {:>8} {:>8} {:>7}  {}",
-            r.name,
-            total as f64 / 1e6,
-            r.work.num_metrics(),
-            r.quality.len(),
-            r.wall.len().saturating_sub(1),
-            if r.deterministic { "yes" } else { "NO" }
-        );
+/// Compare one bench's gated values by kind and name: a matched value
+/// must match, a baseline value the run lacks fails, a new one warns.
+fn compare_bench(report: &mut GateReport, base: &BenchRun, cur: &BenchRun) {
+    let bench = base.name.as_str();
+    let (base_values, cur_values) = (gated_values(base), gated_values(cur));
+    for (kind, name, b) in &base_values {
+        match cur_values.iter().find(|(k, n, _)| k == kind && n == name) {
+            Some((_, _, c)) => {
+                report.check(b.matches(*c), bench, name, *kind, b.as_f64(), c.as_f64())
+            }
+            None => report.check(false, bench, name, DeltaKind::Missing, b.as_f64(), f64::NAN),
+        }
     }
-    out
+    for (kind, name, c) in &cur_values {
+        if !base_values.iter().any(|(k, n, _)| k == kind && n == name) {
+            report.check(false, bench, name, DeltaKind::Added, f64::NAN, c.as_f64());
+        }
+    }
+    // Not a comparison against the baseline, so not counted as one.
+    if !cur.deterministic {
+        report.deltas.push(Delta {
+            bench: bench.to_string(),
+            metric: "(trials)".to_string(),
+            kind: DeltaKind::Trials,
+            base: f64::NAN,
+            cur: f64::NAN,
+        });
+    }
 }
 
 /// Seeded RNG helper shared by the kernels (fixed stream per label).
@@ -997,6 +706,45 @@ fn rng_for(seed: u64) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sor_obs::{BucketCount, CounterSnapshot, HistogramSnapshot, SpanSnapshot};
+
+    fn sample_run() -> BenchRun {
+        BenchRun {
+            name: "kernel/x".to_string(),
+            work: Snapshot {
+                counters: vec![
+                    CounterSnapshot {
+                        name: "flow/oracle_calls".to_string(),
+                        value: 42,
+                    },
+                    CounterSnapshot {
+                        name: "flow/phases".to_string(),
+                        value: 7,
+                    },
+                ],
+                histograms: vec![HistogramSnapshot {
+                    name: "core/path/hops".to_string(),
+                    buckets: vec![
+                        BucketCount {
+                            le: Some(2.0),
+                            count: 3,
+                        },
+                        BucketCount { le: None, count: 1 },
+                    ],
+                    count: 4,
+                    sum: 11.5,
+                }],
+                spans: vec![SpanSnapshot {
+                    path: vec!["bench/run".to_string(), "frt/tree".to_string()],
+                    calls: 8,
+                    total_ns: 0,
+                    self_ns: 0,
+                }],
+            },
+            quality: vec![("q/ratio".to_string(), 1.25), ("q/zero".to_string(), 0.0)],
+            deterministic: true,
+        }
+    }
 
     #[test]
     fn table_quality_extracts_numeric_cells() {
@@ -1026,118 +774,196 @@ mod tests {
     }
 
     #[test]
-    fn robust_stats_rejects_outliers() {
-        let (med, min, _mad, kept) = robust_stats(&[100, 101, 102, 99, 5000]);
-        assert_eq!(min, 99);
-        assert!(med <= 102);
-        assert_eq!(kept, 4);
+    fn baseline_round_trip() {
+        let run = sample_run();
+        let text = baseline_json(std::slice::from_ref(&run), &[("validators", "off")])
+            .expect("deterministic");
+        let back = parse_baseline(&text).expect("parses");
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].work.counters, run.work.counters);
+        assert_eq!(back[0].work.histograms, run.work.histograms);
+        assert_eq!(back[0].work.spans, run.work.spans);
+        assert_eq!(back[0].quality, run.quality);
+        let report = gate(&back, &[run], None);
+        assert_eq!(report.status(), Status::Pass, "{}", report.render_text());
+        assert_eq!(report.benches, 1);
+        // 2 counters + histogram count and sum + 1 span + 2 quality
+        assert_eq!(report.checked, 7);
     }
 
     #[test]
-    fn baseline_round_trip() {
-        let suite = SuiteRun {
-            suite: "quick".to_string(),
-            runs: vec![BenchRun {
-                name: "kernel/x".to_string(),
-                work: Snapshot {
-                    counters: vec![sor_obs::CounterSnapshot {
-                        name: "a/b".to_string(),
-                        value: 3,
-                    }],
-                    histograms: vec![],
-                    spans: vec![],
+    fn gate_fails_each_moved_value_by_name_and_warns_on_additions() {
+        // (case, perturbation of the current run, the single expected
+        // delta — None when the gate must pass)
+        type Case = (
+            &'static str,
+            fn(&mut BenchRun),
+            Option<(DeltaKind, &'static str)>,
+        );
+        let cases: &[Case] = &[
+            ("identical", |_| {}, None),
+            (
+                "counter",
+                |r| r.work.counters[0].value += 1,
+                Some((DeltaKind::Counter, "flow/oracle_calls")),
+            ),
+            (
+                "histogram count",
+                |r| r.work.histograms[0].count += 1,
+                Some((DeltaKind::HistogramCount, "core/path/hops")),
+            ),
+            (
+                "histogram sum",
+                |r| r.work.histograms[0].sum = 12.5,
+                Some((DeltaKind::HistogramSum, "core/path/hops")),
+            ),
+            (
+                "histogram sum turns NaN",
+                |r| r.work.histograms[0].sum = f64::NAN,
+                Some((DeltaKind::HistogramSum, "core/path/hops")),
+            ),
+            (
+                "span calls",
+                |r| r.work.spans[0].calls += 1,
+                Some((DeltaKind::SpanCalls, "bench/run > frt/tree")),
+            ),
+            (
+                "quality beyond 1e-9",
+                |r| r.quality[0].1 *= 1.0 + 1e-8,
+                Some((DeltaKind::Quality, "q/ratio")),
+            ),
+            (
+                "quality within 1e-9",
+                |r| r.quality[0].1 *= 1.0 + 1e-12,
+                None,
+            ),
+            (
+                "quality turns NaN",
+                |r| r.quality[0].1 = f64::NAN,
+                Some((DeltaKind::Quality, "q/ratio")),
+            ),
+            (
+                "quality leaves zero",
+                |r| r.quality[1].1 = 1e-6,
+                Some((DeltaKind::Quality, "q/zero")),
+            ),
+            (
+                "trial disagreement",
+                |r| r.deterministic = false,
+                Some((DeltaKind::Trials, "(trials)")),
+            ),
+            (
+                "missing counter",
+                |r| {
+                    r.work.counters.remove(1);
                 },
-                quality: vec![("q/ratio".to_string(), 1.25)],
-                wall: vec![PhaseWall {
-                    phase: "(total)".to_string(),
-                    median_ns: 1000,
-                    min_ns: 900,
-                    mad_ns: 10,
-                    trials: 3,
-                }],
-                deterministic: true,
-            }],
-        };
-        let text = suite_to_json(&suite, true, &[("validators", "off")]);
-        let back = parse_baseline(&text).expect("parses");
-        assert_eq!(back.suite, "quick");
-        assert_eq!(back.runs.len(), 1);
-        assert_eq!(back.runs[0].work.counters[0].value, 3);
-        assert_eq!(back.runs[0].quality, suite.runs[0].quality);
-        assert_eq!(back.runs[0].wall[0].median_ns, 1000);
+                Some((DeltaKind::Missing, "flow/phases")),
+            ),
+            (
+                "missing quality",
+                |r| {
+                    r.quality.remove(0);
+                },
+                Some((DeltaKind::Missing, "q/ratio")),
+            ),
+            (
+                "added counter",
+                |r| {
+                    r.work.counters.push(CounterSnapshot {
+                        name: "new/metric".to_string(),
+                        value: 1,
+                    });
+                },
+                Some((DeltaKind::Added, "new/metric")),
+            ),
+        ];
+        let base = [sample_run()];
+        for (case, perturb, expected) in cases {
+            let mut cur = sample_run();
+            perturb(&mut cur);
+            let report = gate(&base, &[cur], None);
+            let text = report.render_text();
+            match expected {
+                None => assert!(report.deltas.is_empty(), "{case}: {text}"),
+                Some((kind, metric)) => {
+                    assert_eq!(report.deltas.len(), 1, "{case}: {text}");
+                    let d = &report.deltas[0];
+                    assert_eq!((d.kind, d.metric.as_str()), (*kind, *metric), "{case}");
+                    assert_eq!(report.status(), kind.status(), "{case}");
+                    assert!(text.contains(metric), "{case}: {text}");
+                }
+            }
+        }
+        // only an addition warns; everything else fails
+        assert_eq!(DeltaKind::Added.status(), Status::Warn);
+        assert_eq!(DeltaKind::Missing.status(), Status::Fail);
+    }
 
-        // gate against itself: clean
-        let report = gate(&back, &suite, &GatePolicy::default());
-        assert_eq!(report.status(), DiffStatus::Pass);
-
-        // perturb a work counter: named failure
-        let mut bad = suite.clone();
-        bad.runs[0].work.counters[0].value = 4;
-        let report = gate(&back, &bad, &GatePolicy::default());
-        assert_eq!(report.status(), DiffStatus::Fail);
-        assert!(report.render_text().contains("a/b"));
-        assert!(report.render_json().contains("\"a/b\""));
-        assert!(report.render_markdown().contains("`a/b`"));
-
-        // perturb a quality metric: named failure
-        let mut bad = suite.clone();
-        bad.runs[0].quality[0].1 = 1.5;
-        let report = gate(&back, &bad, &GatePolicy::default());
-        assert_eq!(report.status(), DiffStatus::Fail);
-        assert!(report.render_text().contains("q/ratio"));
-
-        // wall regression: pass without --wall, fail with
-        let mut slow = suite.clone();
-        slow.runs[0].wall[0].median_ns = 2000;
-        let mut policy = GatePolicy::default();
-        assert_eq!(gate(&back, &slow, &policy).status(), DiffStatus::Pass);
-        policy.wall = true;
-        policy.min_wall_ns = 0;
-        let report = gate(&back, &slow, &policy);
-        assert_eq!(report.status(), DiffStatus::Fail);
-        assert!(report.render_text().contains("(total)"));
+    #[test]
+    fn non_finite_matches_only_non_finite() {
+        let mut base = sample_run();
+        base.work.histograms[0].sum = f64::NAN;
+        let mut cur = base.clone();
+        assert_eq!(
+            gate(&[base.clone()], &[cur.clone()], None).status(),
+            Status::Pass
+        );
+        // the writer stores +inf as null, which reads back as NaN
+        cur.work.histograms[0].sum = f64::INFINITY;
+        assert_eq!(
+            gate(&[base.clone()], &[cur.clone()], None).status(),
+            Status::Pass
+        );
+        cur.work.histograms[0].sum = 11.5;
+        assert_eq!(gate(&[base], &[cur], None).status(), Status::Fail);
     }
 
     #[test]
     fn missing_bench_fails_added_bench_warns() {
         let mk = |name: &str| BenchRun {
             name: name.to_string(),
-            work: Snapshot {
-                counters: vec![],
-                histograms: vec![],
-                spans: vec![],
-            },
-            quality: vec![],
-            wall: vec![],
-            deterministic: true,
+            ..sample_run()
         };
-        let baseline = SuiteRun {
-            suite: "quick".into(),
-            runs: vec![mk("a"), mk("b")],
+        let report = gate(&[mk("a"), mk("b")], &[mk("a"), mk("c")], None);
+        assert_eq!(report.status(), Status::Fail);
+        assert_eq!(report.benches, 3);
+        let kind_of = |bench: &str| {
+            report
+                .deltas
+                .iter()
+                .find(|d| d.bench == bench)
+                .map(|d| d.kind)
         };
-        let current = SuiteRun {
-            suite: "quick".into(),
-            runs: vec![mk("a"), mk("c")],
-        };
-        let report = gate(&baseline, &current, &GatePolicy::default());
-        assert_eq!(report.status(), DiffStatus::Fail);
-        let b = report.benches.iter().find(|x| x.name == "b").expect("b");
-        assert_eq!(b.status(), DiffStatus::Fail);
-        let c = report.benches.iter().find(|x| x.name == "c").expect("c");
-        assert_eq!(c.status(), DiffStatus::Warn);
+        assert_eq!(kind_of("a"), None);
+        assert_eq!(kind_of("b"), Some(DeltaKind::Missing));
+        assert_eq!(kind_of("c"), Some(DeltaKind::Added));
+        // a filter narrows the baseline to the benches it selects
+        let filtered = gate(&[mk("a"), mk("b")], &[mk("a")], Some("a"));
+        assert_eq!(filtered.status(), Status::Pass);
+        assert_eq!(filtered.benches, 1);
     }
 
     #[test]
-    fn trajectory_line_is_one_json_object() {
-        let suite = SuiteRun {
-            suite: "quick".into(),
-            runs: vec![],
-        };
-        let report = gate(&suite, &suite, &GatePolicy::default());
-        let line = trajectory_line(&report, &suite, "abc123", false, 1700000000);
-        assert!(!line.contains('\n'));
-        let v = parse_json(&line).expect("valid json");
-        assert_eq!(v.get("rev").and_then(JsonValue::as_str), Some("abc123"));
-        assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("PASS"));
+    fn drifting_quality_is_nondeterministic_and_never_written() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        fn drifting() -> Vec<(String, f64)> {
+            let n = CALLS.fetch_add(1, Ordering::Relaxed);
+            #[allow(clippy::cast_precision_loss)]
+            let v = 1.0 + n as f64 * 1e-15;
+            vec![("drift/ratio".to_string(), v)]
+        }
+        let drift = run_bench("test/drift", drifting);
+        assert!(!drift.deterministic, "a 1e-15 drift is still a drift");
+        let err = baseline_json(&[drift], &[]).expect_err("refuses to pin it");
+        assert!(err.contains("test/drift"), "{err}");
+    }
+
+    #[test]
+    fn baseline_without_quality_array_is_rejected_by_name() {
+        let text = baseline_json(&[sample_run()], &[]).expect("deterministic");
+        let renamed = text.replace("\"quality\"", "\"qualities\"");
+        let err = parse_baseline(&renamed).expect_err("quality is required");
+        assert!(err.contains("kernel/x") && err.contains("quality"), "{err}");
     }
 }

@@ -1,13 +1,12 @@
 //! The fixed benchmark workloads behind the perf suite.
 //!
-//! Every kernel is **seeded and size-fixed** — `--quick` never reaches
-//! in here — so the counters and quality values each one produces are
-//! identical run to run and can gate exactly against the committed
-//! baseline. Between them the kernels also drive analysis entry points
-//! (deletion-process forensics, pattern counting, exact/integral
-//! evaluation, the two-star adversary, TE scheme comparisons,
-//! spectral/electrical machinery) that the experiment tables don't
-//! reach. A public API that only a kernel calls is exercised here, not
+//! Every kernel is **seeded and size-fixed**, so the counters and
+//! quality values each one produces are identical run to run and can
+//! gate exactly against the committed baseline. Between them the kernels
+//! also drive analysis entry points (deletion-process forensics, pattern
+//! counting, exact/integral evaluation, the two-star adversary, TE scheme
+//! comparisons, spectral/electrical machinery) that the experiment
+//! tables don't reach. A public API that only a kernel calls is exercised here, not
 //! needed, and is a candidate for removal.
 
 use super::{rng_for, table_quality};
@@ -551,10 +550,9 @@ pub fn adversary() -> Quality {
 /// pattern pool keeps hitting the path-system cache, while the
 /// `compare_fresh` baseline rebuilds the Räcke routing and resamples
 /// every epoch. The amortization shows up as the wall-time gap between
-/// the sibling `serve/epoch` and `serve/fresh_sample` spans (the warm
-/// epoch must be ≥5× faster); the quality metrics below pin the
-/// deterministic side: hit/miss totals, congestion, and the
-/// cached-vs-fresh quality ratio.
+/// the sibling `serve/epoch` and `serve/fresh_sample` spans of a traced
+/// run; the quality metrics below pin the deterministic side: hit/miss
+/// totals, congestion, and the cached-vs-fresh quality ratio.
 pub fn serve_warm_cache() -> Quality {
     let _span = sor_obs::span("perf/serve_warm");
     let g = gen::random_regular(32, 4, &mut rng_for(0x5f10));

@@ -1,9 +1,9 @@
 //! Hand-rolled JSON for [`crate::Snapshot`] (the registry is unreachable
 //! from CI, so no serde). The writer half serializes snapshots;
 //! the reader half ([`parse_json`] / [`JsonValue`]) is a small
-//! recursive-descent parser so the exports can be consumed back
-//! (baseline gating in `sor-bench`'s `perf` harness, the
-//! [`crate::snapshot::diff`] engine, round-trip tests).
+//! recursive-descent parser so the exports can be consumed back (the
+//! [`crate::snapshot`] reader, [`crate::parse_journal`], `sor-bench`'s
+//! perf baseline, round-trip tests).
 //!
 //! Output shape (all arrays name-sorted by construction, so two
 //! snapshots of the same run serialize identically):

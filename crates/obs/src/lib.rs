@@ -33,10 +33,11 @@
 //!
 //! [`snapshot`] collects every registered counter, histogram, and span
 //! into a deterministic, name-sorted [`Snapshot`]; `Snapshot::to_json`
-//! hand-rolls the machine-readable export (no serde in the tree). The
-//! `sor` CLI exposes it as `--metrics-out FILE` / `--trace`, and
-//! `sor-bench` writes `BENCH_<experiment>.json` next to its result
-//! tables.
+//! hand-rolls the machine-readable export (no serde in the tree), and
+//! the [`snapshot`](mod@snapshot) module reads it back. The `sor` CLI
+//! exposes it as `--metrics-out FILE` / `--trace`, `sor-bench` writes
+//! `BENCH_<experiment>.json` next to its result tables, and the `perf`
+//! gate embeds one work snapshot per bench in its baseline.
 //!
 //! # Live telemetry (v2)
 //!
