@@ -91,7 +91,9 @@ cargo test -q
 cargo test -q --workspace
 
 echo "==> sorbench tests (its own workspace: the workspace test run does not compile it)"
-cargo test -q --offline --manifest-path sorbench/Cargo.toml
+# --locked: an edit to a crate sorbench builds that would rewrite
+# sorbench/Cargo.lock fails here, naming the lock file.
+cargo test -q --offline --locked --manifest-path sorbench/Cargo.toml
 
 echo "==> instrumented smoke experiment (BENCH_*.json artifact)"
 mkdir -p target/obs

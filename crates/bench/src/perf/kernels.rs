@@ -2,40 +2,34 @@
 //!
 //! Every kernel is **seeded and size-fixed**, so the counters and
 //! quality values each one produces are identical run to run and can
-//! gate exactly against the committed baseline. Between them the kernels
-//! also drive analysis entry points (deletion-process forensics, pattern
-//! counting, exact/integral evaluation, the two-star adversary, TE scheme
-//! comparisons, spectral/electrical machinery) that the experiment
-//! tables don't reach. A public API that only a kernel calls is exercised here, not
-//! needed, and is a candidate for removal.
+//! gate exactly against the committed baseline. Besides the experiment
+//! tables, the kernels pin the pipeline stages one by one (sampling, the
+//! MWU solvers, rounding, scheduling, serving, the compact codec) and the
+//! analysis code the tables reach only in aggregate (the deletion
+//! process, exact evaluation, the two-star adversary). A public API that
+//! only a kernel calls is not thereby needed: it is a candidate for
+//! removal.
 
 use super::{rng_for, table_quality};
 use sor_core::completion::{CompletionResult, CompletionRouting};
-use sor_core::eval::{
-    enumerate_matching_demands, evaluate_vs_opt, DemandEval, EvalReport, IntegralEval,
-};
-use sor_core::lowerbound::{adversarial_demand_chain, AdversaryResult};
-use sor_core::negassoc::{correlation, joint_tail, union_bound};
-use sor_core::patterns::{count_bad_patterns, is_bad_pattern, pattern_count_bound, pattern_of_run};
-use sor_core::process::{
-    deletion_process_detailed, surviving_routing, weak_to_strong, ProcessOutcome,
-};
-use sor_core::sample::{demand_pairs, sample_k, sample_k_distinct, SampledSystem};
+use sor_core::eval::{enumerate_matching_demands, evaluate, DemandEval, EvalReport, IntegralEval};
+use sor_core::lowerbound::{adversarial_demand, AdversaryResult};
+use sor_core::patterns::{is_bad_pattern, pattern_of_run};
+use sor_core::process::{deletion_process, ProcessOutcome};
+use sor_core::sample::{demand_pairs, sample_k, SampledSystem};
 use sor_core::special::is_special;
 use sor_core::{PathSystem, SemiObliviousRouting};
-use sor_flow::concurrent::{
-    max_concurrent_flow_grouped, try_max_concurrent_flow, FlowError, OptResult,
-};
-use sor_flow::demand::{hotspot_tm, random_permutation, zipf_demand};
+use sor_flow::concurrent::{try_max_concurrent_flow, FlowError, OptResult};
+use sor_flow::demand::{random_permutation, zipf_demand};
 use sor_flow::exact::{all_simple_paths, exact_integral_restricted, exact_single_pair_fractional};
 use sor_flow::restricted::RestrictedEntry;
 use sor_flow::validate::TOLERANCE;
 use sor_flow::Demand;
-use sor_graph::gen::fattree::clos_spine;
 use sor_graph::gen::random::random_geometric;
+use sor_graph::gen::TwoStar;
 use sor_graph::globalcut::stoer_wagner;
-use sor_graph::shortest::{dijkstra, shortest_path, ShortestPathTree};
-use sor_graph::spectral::{is_expander, lambda2};
+use sor_graph::shortest::{dijkstra, ShortestPathTree};
+use sor_graph::spectral::{lambda2, spectral_gap};
 use sor_graph::traversal::{bfs_dists, bfs_parents, bfs_path, UNREACHABLE};
 use sor_graph::{connected_without, gen, EdgeId, EdgeRec, Graph, NodeId};
 use sor_hop::{dist_dilation, HopFamily};
@@ -43,9 +37,7 @@ use sor_oblivious::electrical::{decompose_flow, Laplacian};
 use sor_oblivious::frt::TreeNode;
 use sor_oblivious::hierarchy::SpectralHierarchy;
 use sor_oblivious::routing::{sample_from_dist, ObliviousRouting};
-use sor_oblivious::{
-    ElectricalRouting, FrtTree, KspRouting, RaeckeConfig, RaeckeRouting, ValiantHypercube,
-};
+use sor_oblivious::{ElectricalRouting, FrtTree, KspRouting, RaeckeRouting, ValiantHypercube};
 use sor_sched::sim::{try_simulate_released, SimResult};
 use sor_sched::Policy;
 use sor_serve::{
@@ -54,8 +46,8 @@ use sor_serve::{
     PublishedRoute, Request, SnapshotFormat, WorkloadConfig, WorkloadReport,
 };
 use sor_te::{
-    churn_experiment, failure_experiment, gravity_tm, online_simulation, run_scheme, ChurnResult,
-    FailureResult, OnlineStep, Scenario, Scheme, SchemeResult,
+    churn_experiment, failure_experiment, gravity_tm, run_scheme, ChurnResult, FailureResult,
+    Scenario, Scheme, SchemeResult,
 };
 
 type Quality = Vec<(String, f64)>;
@@ -121,7 +113,7 @@ pub fn mwu_restricted() -> Quality {
     let valiant = ValiantHypercube::new(g.clone());
     let demand = random_permutation(&g, &mut rng_for(0x5f02));
     let pairs = demand_pairs(&demand);
-    let sampled: SampledSystem = sample_k_distinct(&valiant, &pairs, 4, &mut rng_for(0x5f03));
+    let sampled: SampledSystem = sample_k(&valiant, &pairs, 4, &mut rng_for(0x5f03));
     let draws: usize = sampled.raw.iter().map(|(_, d)| d.len()).sum();
     let sor = SemiObliviousRouting::new(g, sampled.system.clone());
     let cong = sor.congestion(&demand, 0.25);
@@ -194,9 +186,9 @@ pub fn sched_steps() -> Quality {
     ]
 }
 
-/// The §5.3 deletion process with full forensics: detailed outcome,
-/// pattern bookkeeping (Definition 5.11), the weak→strong reduction
-/// (Lemma 5.8), and the negative-association tail arithmetic.
+/// The §5.3 deletion process with its bookkeeping: the outcome, the bad
+/// pattern a run witnesses (Definition 5.11), and the special-demand
+/// predicate (Definition 5.5).
 pub fn deletion() -> Quality {
     let _span = sor_obs::span("perf/deletion");
     let g = gen::hypercube(5);
@@ -206,12 +198,7 @@ pub fn deletion() -> Quality {
     let sampled = sample_k(&valiant, &pairs, 4, &mut rng_for(0x5f06));
     let tau = 2.0;
 
-    let (outcome, alive): (ProcessOutcome, _) =
-        deletion_process_detailed(&g, &sampled, &demand, tau);
-    let alive_draws: usize = alive
-        .values()
-        .map(|flags| flags.iter().filter(|&&a| a).count())
-        .sum();
+    let outcome: ProcessOutcome = deletion_process(&g, &sampled, &demand, tau);
 
     let max_draws = pairs
         .iter()
@@ -223,52 +210,22 @@ pub fn deletion() -> Quality {
         .as_deref()
         .map(|p| is_bad_pattern(p, 1, 2, max_draws.max(1) as u64))
         .unwrap_or(false);
-    #[allow(clippy::cast_precision_loss)]
-    let bad_count = count_bad_patterns(6, 1, 2, 8) as f64;
-    let bound = pattern_count_bound(6, 1, 8);
-
-    let (survivors, loads) = surviving_routing(&g, &sampled, &demand, tau);
-    let w2s = weak_to_strong(&g, &sampled, &demand, tau, 0.1, 32);
-    let (w2s_cong, w2s_rounds) = w2s
-        .map(|(l, r)| (l.congestion(&g), r as f64))
-        .unwrap_or((-1.0, -1.0));
-
-    // Tail arithmetic over the per-edge deletion weights.
-    let idx: Vec<f64> = (0..outcome.deleted_at.len()).map(|i| i as f64).collect();
-    let corr = correlation(&idx, &outcome.deleted_at);
-    let tails: Vec<f64> = outcome
-        .deleted_at
-        .iter()
-        .map(|&w| (w / 4.0).min(1.0))
-        .collect();
-    let joint = joint_tail(&tails[..tails.len().min(8)]);
-    let union = union_bound(tails.len() as f64, 1e-3);
 
     vec![
         q("deletion/survival", outcome.survival_fraction()),
         q("deletion/weak_success", b01(outcome.weak_success())),
         q("deletion/overcongested", outcome.overcongested.len() as f64),
-        q("deletion/alive_draws", alive_draws as f64),
         q(
             "deletion/final_congestion",
             outcome.final_loads.congestion(&g),
         ),
         q("deletion/pattern_bad", b01(bad)),
-        q("deletion/bad_patterns", bad_count),
-        q("deletion/pattern_bound", bound),
-        q("deletion/surviving_size", survivors.size()),
-        q("deletion/surviving_congestion", loads.congestion(&g)),
-        q("deletion/w2s_congestion", w2s_cong),
-        q("deletion/w2s_rounds", w2s_rounds),
         q("deletion/special", b01(is_special(&demand, &sampled, 0.5))),
-        q("deletion/corr", corr),
-        q("deletion/joint_tail", joint),
-        q("deletion/union_bound", union),
     ]
 }
 
-/// MCF solves: fallible API on a geometric random graph with Zipf
-/// demand, the grouped variant, and a hotspot matrix on a Clos fabric.
+/// MCF solve: the fallible API on a geometric random graph with Zipf
+/// demand.
 pub fn mcf() -> Quality {
     let _span = sor_obs::span("perf/mcf");
     let mut rng = rng_for(0x5f07);
@@ -286,13 +243,6 @@ pub fn mcf() -> Quality {
             unreachable!("connected instance at eps 0.25 failed: {e}")
         }
     };
-    let grouped = max_concurrent_flow_grouped(&g, &demand, 0.25);
-
-    let clos = gen::clos(3, 4, 1.0);
-    let spine0: NodeId = clos_spine(0);
-    let leaves: Vec<NodeId> = (3..7).map(NodeId::from_usize).collect();
-    let hot = hotspot_tm(&leaves, 6.0, 2, 5.0, &mut rng);
-    let hot_opt = max_concurrent_flow_grouped(&clos, &hot, 0.25);
 
     vec![
         q("mcf/upper", opt.congestion_upper),
@@ -300,9 +250,6 @@ pub fn mcf() -> Quality {
         q("mcf/gap", opt.gap()),
         q("mcf/estimate", opt.congestion_estimate()),
         q("mcf/paths", opt.paths.len() as f64),
-        q("mcf/grouped_upper", grouped.congestion_upper),
-        q("mcf/hotspot_upper", hot_opt.congestion_upper),
-        q("mcf/spine0_degree", clos.incident(spine0).len() as f64),
     ]
 }
 
@@ -321,14 +268,12 @@ pub fn graph_algos() -> Quality {
     let lengths = g.unit_lengths();
     let spt: ShortestPathTree = dijkstra(&g, NodeId(0), &lengths);
     let far = NodeId::from_usize(g.num_nodes() - 1);
-    let sp_hops = shortest_path(&g, NodeId(0), far, &lengths)
-        .or_else(|| spt.path_to(&g, far))
-        .map_or(-1.0, |p| p.hops() as f64);
+    let sp_hops = spt.path_to(&g, far).map_or(-1.0, |p| p.hops() as f64);
 
     let grid = gen::grid(4, 4);
     let (cut, side) = stoer_wagner(&grid);
     let l2 = lambda2(&grid, 200);
-    let expander = is_expander(&gen::hypercube(4), 0.2);
+    let expander = spectral_gap(&gen::hypercube(4), 200) >= 0.2;
 
     vec![
         q("graph/unreachable", unreachable as f64),
@@ -348,8 +293,7 @@ fn total_capacity(edges: &[EdgeRec]) -> f64 {
     edges.iter().map(|e| e.cap).sum()
 }
 
-/// Hop-bounded tree families, the electrical/spectral machinery, and a
-/// configured Räcke build.
+/// Hop-bounded tree families and the electrical/spectral machinery.
 pub fn hop_electrical() -> Quality {
     let _span = sor_obs::span("perf/hop_electrical");
     let g = gen::grid(5, 5);
@@ -381,16 +325,6 @@ pub fn hop_electrical() -> Quality {
     let hier = SpectralHierarchy::build(&g, &w, &mut rng);
     let hier_route = hier.route(NodeId(0), NodeId(24));
 
-    let raecke = RaeckeRouting::build_config(
-        g.clone(),
-        RaeckeConfig {
-            num_trees: 2,
-            eta: Some(1.0),
-        },
-        &mut rng,
-    );
-    let raecke_dist = raecke.path_distribution(NodeId(0), NodeId(24));
-
     vec![
         q("hop/scales", fam.scales().len() as f64),
         q("hop/stretch", stretch),
@@ -399,12 +333,11 @@ pub fn hop_electrical() -> Quality {
         q("elec/drawn_hops", drawn.hops() as f64),
         q("elec/er_support", er_dist.len() as f64),
         q("hier/route_hops", hier_route.hops() as f64),
-        q("raecke/support", raecke_dist.len() as f64),
     ]
 }
 
-/// TE scheme comparison on Abilene: one scheme run, the online drifting
-/// TM simulation, churn aggregate, and a failure replay.
+/// TE scheme comparison on Abilene: one scheme run, the churn aggregate
+/// over a drifting TM, and a failure replay.
 pub fn te_schemes() -> Quality {
     let _span = sor_obs::span("perf/te");
     let scenario = Scenario::abilene();
@@ -418,9 +351,6 @@ pub fn te_schemes() -> Quality {
         42,
         0.3,
     );
-    let steps: Vec<OnlineStep> = online_simulation(&scenario, &tm, 4, 0.2, 2, 2, 42, 0.3);
-    let mean_semi = steps.iter().map(|s| s.semi_ratio).sum::<f64>() / steps.len().max(1) as f64;
-    let mean_obl = steps.iter().map(|s| s.oblivious_ratio).sum::<f64>() / steps.len().max(1) as f64;
 
     let cr: ChurnResult = churn_experiment(&scenario, &tm, 3, 0.2, 2, 2, 42, 0.3);
     let fr: Option<FailureResult> = failure_experiment(&scenario, &tm, 2, 2, 1, 42, 0.3);
@@ -431,8 +361,6 @@ pub fn te_schemes() -> Quality {
     vec![
         q("te/mlu_ratio", sr.ratio_vs_opt),
         q("te/sparsity", sr.sparsity as f64),
-        q("te/online_mean_semi", mean_semi),
-        q("te/online_mean_oblivious", mean_obl),
         q("te/churn_semi_ratio", cr.semi_mean_ratio),
         q("te/churn_mcf", cr.mcf_path_churn),
         q("te/churn_semi", cr.semi_path_churn),
@@ -468,7 +396,7 @@ pub fn eval_exact() -> Quality {
                 .all(|&(s, t, _)| !sampled.system.paths(s, t).is_empty())
         })
         .collect();
-    let report: EvalReport = evaluate_vs_opt(&sor, &covered, 0.3);
+    let report: EvalReport = evaluate::<KspRouting>(&sor, &covered, None, 0.3);
     let per: Option<&DemandEval> = report.per_demand.first();
     let certified = per.map_or(-1.0, DemandEval::certified_ratio);
 
@@ -503,25 +431,22 @@ pub fn eval_exact() -> Quality {
     ]
 }
 
-/// The Section 8 adversary on a chained two-star family, plus the
-/// validator constants recorded as gate metrics.
+/// The Section 8 adversary on one two-star gadget with a 1-sparse system
+/// (as E5 runs it), plus the validator constants recorded as gate metrics.
 pub fn adversary() -> Quality {
     let _span = sor_obs::span("perf/adversary");
-    let chain = sor_graph::gen::TwoStarChain::new(&[(2, 4), (3, 5)]);
-    let g: &Graph = chain.graph();
+    let ts = TwoStar::new(3, 5);
+    let g: &Graph = ts.graph();
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-    for b in 0..chain.num_blocks() {
-        let (_, m) = chain.spec(b);
-        for i in 0..m {
-            for j in 0..m {
-                pairs.push((chain.left_leaf(b, i), chain.right_leaf(b, j)));
-            }
+    for i in 0..ts.num_leaves() {
+        for j in 0..ts.num_leaves() {
+            pairs.push((ts.left_leaf(i), ts.right_leaf(j)));
         }
     }
-    let base = KspRouting::new(g.clone(), 2);
+    let base = KspRouting::new(g.clone(), ts.num_middles());
     let sampled = sample_k(&base, &pairs, 1, &mut rng_for(0x5f0d));
     let system: &PathSystem = &sampled.system;
-    let res: Option<AdversaryResult> = adversarial_demand_chain(&chain, system);
+    let res: Option<AdversaryResult> = adversarial_demand(&ts, system);
     let (ratio, matched, certified, hitting) = res
         .map(|r| {
             (

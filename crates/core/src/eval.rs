@@ -22,9 +22,9 @@ pub struct DemandEval {
 
 impl DemandEval {
     /// Competitive ratio against the offline optimum, using the *upper*
-    /// bound (the conservative / pessimistic ratio: a feasible routing
-    /// exists with that congestion, so the true ratio is at least
-    /// `semi_cong / opt_upper`).
+    /// bound. A feasible routing exists with that congestion, so the true
+    /// ratio is at least `semi_cong / opt_upper`: this ratio can only
+    /// understate it, by at most the factor `opt_upper / opt_lower`.
     pub fn ratio_vs_opt(&self) -> f64 {
         self.semi_cong / self.opt_upper.max(1e-12)
     }
@@ -103,12 +103,6 @@ pub fn evaluate<O: ObliviousRouting>(
         })
         .collect();
     EvalReport { per_demand }
-}
-
-/// `evaluate` without a base routing (helps type inference at call sites
-/// that pass `None`).
-pub fn evaluate_vs_opt(sor: &SemiObliviousRouting, demands: &[Demand], eps: f64) -> EvalReport {
-    evaluate::<sor_oblivious::KspRouting>(sor, demands, None, eps)
 }
 
 /// Integral evaluation (Section 6): the integral semi-oblivious congestion

@@ -19,8 +19,8 @@
 //! The analysis machinery is executable too:
 //!
 //! * [`process`] — the dynamic deletion process of Section 5.3,
-//! * [`patterns`] — bad patterns (Definition 5.11) and their counting
-//!   bound (Lemma 5.13),
+//! * [`patterns`] — the bad pattern a failed run witnesses
+//!   (Definition 5.11, Lemma 5.12),
 //! * [`negassoc`] — Chernoff bounds for negatively associated variables
 //!   (Appendix B) as numeric functions,
 //! * [`special`] — special demands and the power-of-two bucketing
@@ -73,5 +73,5 @@ pub mod special;
 pub use eval::{evaluate, DemandEval, EvalReport};
 pub use path_system::PathSystem;
 pub use portable::{system_from_text, system_to_text};
-pub use sample::{sample_k, sample_k_distinct, sample_k_plus_cut, SampledSystem};
+pub use sample::{sample_k, sample_k_plus_cut, SampledSystem};
 pub use semioblivious::SemiObliviousRouting;

@@ -88,53 +88,9 @@ fn max_matching(nl: usize, nr: usize, adj: &[Vec<usize>]) -> Vec<(usize, usize)>
 /// Pairs without candidate paths are skipped (an honest system covers all
 /// leaf pairs). Returns `None` if no leaf pair is covered at all.
 pub fn adversarial_demand(ts: &TwoStar, system: &PathSystem) -> Option<AdversaryResult> {
-    let left: Vec<NodeId> = (0..ts.num_leaves()).map(|i| ts.left_leaf(i)).collect();
-    let right: Vec<NodeId> = (0..ts.num_leaves()).map(|j| ts.right_leaf(j)).collect();
-    adversary_core(ts.graph(), &left, &right, |v| ts.is_middle(v), system)
-}
-
-/// Run the Lemma 8.2 adversary against a path system installed on a
-/// [`sor_graph::gen::TwoStarChain`]: each block is attacked independently (bridges do not
-/// affect in-block simple paths) and the block with the best certified
-/// *ratio* wins — one graph witnessing the lower bound at every scale.
-pub fn adversarial_demand_chain(
-    chain: &sor_graph::gen::TwoStarChain,
-    system: &PathSystem,
-) -> Option<AdversaryResult> {
-    let mut best: Option<AdversaryResult> = None;
-    for b in 0..chain.num_blocks() {
-        let (r, m) = chain.spec(b);
-        let left: Vec<NodeId> = (0..m).map(|i| chain.left_leaf(b, i)).collect();
-        let right: Vec<NodeId> = (0..m).map(|j| chain.right_leaf(b, j)).collect();
-        let middles: std::collections::HashSet<NodeId> =
-            (0..r).map(|i| chain.middle(b, i)).collect();
-        if let Some(res) = adversary_core(
-            chain.graph(),
-            &left,
-            &right,
-            |v| middles.contains(&v),
-            system,
-        ) {
-            if best.as_ref().is_none_or(|b| res.ratio() > b.ratio()) {
-                best = Some(res);
-            }
-        }
-    }
-    best
-}
-
-/// The shared pigeonhole/matching search (Lemma 8.1 body), generic over
-/// which vertices count as middles so both the single gadget and chain
-/// blocks can use it.
-fn adversary_core(
-    g: &sor_graph::Graph,
-    left: &[NodeId],
-    right: &[NodeId],
-    is_middle: impl Fn(NodeId) -> bool,
-    system: &PathSystem,
-) -> Option<AdversaryResult> {
-    let m = left.len();
-    assert_eq!(m, right.len());
+    let m = ts.num_leaves();
+    let left: Vec<NodeId> = (0..m).map(|i| ts.left_leaf(i)).collect();
+    let right: Vec<NodeId> = (0..m).map(|j| ts.right_leaf(j)).collect();
     // Middle-set signature of each covered leaf pair.
     let mut mids_of: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
     for (i, &l) in left.iter().enumerate() {
@@ -146,7 +102,7 @@ fn adversary_core(
             let mut mids = BTreeSet::new();
             for p in paths {
                 for &v in p.nodes() {
-                    if is_middle(v) {
+                    if ts.is_middle(v) {
                         mids.insert(v.0);
                     }
                 }
@@ -206,7 +162,7 @@ fn adversary_core(
     let (certified, s_set, matching) = best?;
 
     let demand = Demand::from_pairs(matching.iter().map(|&(i, j)| (left[i], right[j])));
-    let opt = max_concurrent_flow(g, &demand, 0.1);
+    let opt = max_concurrent_flow(ts.graph(), &demand, 0.1);
     Some(AdversaryResult {
         matched: matching.len(),
         hitting_set: s_set.iter().map(|&v| NodeId(v)).collect(),
@@ -452,44 +408,6 @@ mod tests {
             res.ratio() < 2.5,
             "dense system should not be very exploitable, got ratio {}",
             res.ratio()
-        );
-    }
-
-    #[test]
-    fn chain_adversary_attacks_the_weakest_block() {
-        // Chain two gadgets of different scales with sparse systems:
-        // the bigger-r block yields the bigger certified ratio, and the
-        // chain adversary must find it.
-        use sor_graph::gen::TwoStarChain;
-        let chain = TwoStarChain::new(&[(2, 6), (5, 15)]);
-        let g = chain.graph().clone();
-        let r = KspRouting::new(g, 6);
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut pairs = Vec::new();
-        for b in 0..2 {
-            let (_, m) = chain.spec(b);
-            for i in 0..m {
-                for j in 0..m {
-                    pairs.push((chain.left_leaf(b, i), chain.right_leaf(b, j)));
-                }
-            }
-        }
-        let system = sample_k(&r, &pairs, 1, &mut rng).system;
-        let res = adversarial_demand_chain(&chain, &system).expect("covered");
-        assert!(res.ratio() > 2.0, "chain ratio {}", res.ratio());
-        // the winning demand should live in the large block: its leaves
-        // have ids ≥ the block-1 offset
-        let min_node = res
-            .demand
-            .entries()
-            .iter()
-            .map(|&(s, _, _)| s.0)
-            .min()
-            .unwrap();
-        let (off1, _) = chain.centers(1);
-        assert!(
-            min_node >= off1.0,
-            "adversary should attack the sparser-covered large block"
         );
     }
 

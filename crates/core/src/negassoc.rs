@@ -6,8 +6,7 @@
 //! so (ii) Chernoff upper-tail bounds apply to disjoint subset sums and
 //! multiply across disjoint subsets (Lemmas B.4–B.6). This module exposes
 //! the bounds as functions — the E7 experiment overlays them on measured
-//! failure rates — plus an empirical negative-correlation checker used by
-//! tests.
+//! failure rates.
 
 /// Chernoff upper tail for a sum of 0/1 negatively associated variables
 /// with mean `mu`: `P[X ≥ a] ≤ exp(a − mu − a·ln(a/mu))` for `a > mu`
@@ -22,19 +21,6 @@ pub fn chernoff_upper_tail(mu: f64, a: f64) -> f64 {
     (a - mu - a * (a / mu).ln()).exp().min(1.0)
 }
 
-/// The multiplied bound for `k` simultaneous lower-bounded disjoint subset
-/// sums (Lemma B.4 + independence of the bounds): product of individual
-/// tails.
-pub fn joint_tail(tails: &[f64]) -> f64 {
-    tails.iter().product::<f64>().min(1.0)
-}
-
-/// The union-bound failure estimate the Main Lemma assembles:
-/// `#patterns · max-pattern-probability`, clamped to 1.
-pub fn union_bound(count: f64, per_event: f64) -> f64 {
-    (count * per_event).min(1.0)
-}
-
 /// The paper's predicted competitiveness shape for an `s`-sample on an
 /// `n`-vertex graph (Theorem 2.5): `n^{Θ(1/s)}`, up to polylogs. Used to
 /// overlay theory curves in the benches; the constant in the exponent is
@@ -42,31 +28,6 @@ pub fn union_bound(count: f64, per_event: f64) -> f64 {
 pub fn predicted_ratio_shape(n: usize, s: usize) -> f64 {
     assert!(s >= 1);
     (n as f64).powf(1.0 / s as f64)
-}
-
-/// Empirical Pearson correlation between two samples (tests use this to
-/// confirm the per-pair sampling indicators are not positively
-/// correlated).
-pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    assert!(xs.len() >= 2);
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
-    if vx == 0.0 || vy == 0.0 {
-        0.0
-    } else {
-        cov / (vx * vy).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -108,13 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn joint_and_union() {
-        assert!((joint_tail(&[0.1, 0.2]) - 0.02).abs() < 1e-12);
-        assert_eq!(union_bound(1e9, 0.5), 1.0);
-        assert!((union_bound(10.0, 1e-3) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
     fn predicted_shape_decreases_exponentially_in_s() {
         let n = 1 << 10;
         let r1 = predicted_ratio_shape(n, 1);
@@ -123,27 +77,5 @@ mod tests {
         assert!((r1 - 1024.0).abs() < 1e-9);
         assert!((r2 - 32.0).abs() < 1e-9);
         assert!((r4 - r2.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multinomial_counts_negatively_correlated() {
-        // Sampling k paths among s options: indicator counts of two
-        // distinct options are negatively correlated (the Lemma B.2/B.3
-        // structure the proof relies on).
-        let mut rng = StdRng::seed_from_u64(7);
-        let (k, s, trials) = (8usize, 4usize, 5000usize);
-        let mut xs = Vec::with_capacity(trials);
-        let mut ys = Vec::with_capacity(trials);
-        for _ in 0..trials {
-            let mut counts = vec![0.0; s];
-            for _ in 0..k {
-                counts[rng.gen_range(0..s)] += 1.0;
-            }
-            xs.push(counts[0]);
-            ys.push(counts[1]);
-        }
-        let c = correlation(&xs, &ys);
-        assert!(c < 0.0, "expected negative correlation, got {c}");
-        assert!(c > -0.8, "implausibly strong correlation {c}");
     }
 }

@@ -17,7 +17,7 @@ use crate::sample::{demand_pairs, sample_k, SampledSystem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_flow::{Demand, EdgeLoads};
-use sor_graph::{EdgeId, Graph, NodeId};
+use sor_graph::{EdgeId, Graph};
 use sor_oblivious::routing::ObliviousRouting;
 
 /// Outcome of one run of the deletion process.
@@ -64,21 +64,6 @@ pub fn deletion_process(
     demand: &Demand,
     tau: f64,
 ) -> ProcessOutcome {
-    deletion_process_detailed(g, sampled, demand, tau).0
-}
-
-/// Like [`deletion_process`], additionally returning the per-draw alive
-/// flags for every demanded pair (indices follow the draw order of
-/// `sampled.raw`) — the certificate the weak-to-strong reduction consumes.
-pub fn deletion_process_detailed(
-    g: &Graph,
-    sampled: &SampledSystem,
-    demand: &Demand,
-    tau: f64,
-) -> (
-    ProcessOutcome,
-    std::collections::HashMap<(NodeId, NodeId), Vec<bool>>,
-) {
     assert!(tau > 0.0);
     // Flatten draws with their weights; zero-demand pairs contribute
     // nothing.
@@ -87,7 +72,6 @@ pub fn deletion_process_detailed(
         weight_of_pair.insert((s, t), d);
     }
     struct Draw<'a> {
-        pair: (NodeId, NodeId),
         path: &'a sor_graph::Path,
         weight: f64,
         alive: bool,
@@ -103,7 +87,6 @@ pub fn deletion_process_detailed(
         let w = d / paths.len() as f64;
         for p in paths {
             draws.push(Draw {
-                pair: (*s, *t),
                 path: p,
                 weight: w,
                 alive: true,
@@ -143,21 +126,13 @@ pub fn deletion_process_detailed(
     }
 
     let survived_weight = draws.iter().filter(|d| d.alive).map(|d| d.weight).sum();
-    let mut alive_of: std::collections::HashMap<(NodeId, NodeId), Vec<bool>> =
-        std::collections::HashMap::new();
-    for d in &draws {
-        alive_of.entry(d.pair).or_default().push(d.alive);
+    ProcessOutcome {
+        total_weight,
+        survived_weight,
+        overcongested,
+        deleted_at,
+        final_loads: loads,
     }
-    (
-        ProcessOutcome {
-            total_weight,
-            survived_weight,
-            overcongested,
-            deleted_at,
-            final_loads: loads,
-        },
-        alive_of,
-    )
 }
 
 /// Monte-Carlo estimate of the weak-routing failure rate: for `trials`
@@ -184,105 +159,6 @@ pub fn weak_failure_rate<O: ObliviousRouting>(
         }
     }
     failures as f64 / trials as f64
-}
-
-/// Route the demand through the survivors of a deletion-process run:
-/// every alive draw keeps its weight, giving a (partial) routing whose
-/// congestion is ≤ τ and which routes `survived_weight` of the demand —
-/// Lemma 5.10's certificate, as data.
-pub fn surviving_routing(
-    g: &Graph,
-    sampled: &SampledSystem,
-    demand: &Demand,
-    tau: f64,
-) -> (Demand, EdgeLoads) {
-    let outcome = deletion_process(g, sampled, demand, tau);
-    let survived = outcome.survival_fraction();
-    let routed: Vec<(NodeId, NodeId, f64)> = demand
-        .entries()
-        .iter()
-        .map(|&(s, t, d)| (s, t, d * survived))
-        .collect();
-    (Demand::from_triples(routed), outcome.final_loads)
-}
-
-/// The Lemma 5.8 weak-to-strong reduction, executable: repeatedly run the
-/// deletion process on the *remaining* demand; pairs keeping at least a
-/// quarter of their draws alive are routed **in full** over their
-/// surviving draws (weight `D(u,v)/alive` each) and removed; the rest
-/// carries to the next round. When the remaining demand is down to
-/// `tail_fraction` of the original it is routed greedily over all draws
-/// (the Lemma 5.16/5.17 tail bookkeeping: a tiny demand cannot congest
-/// much). Returns the accumulated loads and the number of rounds, or
-/// `None` if a round makes no progress within `max_rounds` (the sample
-/// was not weakly competitive at threshold `tau`).
-///
-/// Each successful round removes a constant fraction of the remaining
-/// pairs, so rounds = O(log |supp D|) — the log factor Lemma 5.8 pays —
-/// and every round adds at most ~4·tau congestion.
-pub fn weak_to_strong(
-    g: &Graph,
-    sampled: &SampledSystem,
-    demand: &Demand,
-    tau: f64,
-    tail_fraction: f64,
-    max_rounds: usize,
-) -> Option<(EdgeLoads, usize)> {
-    assert!(tau > 0.0 && (0.0..1.0).contains(&tail_fraction));
-    let mut loads = EdgeLoads::for_graph(g);
-    let mut remaining = demand.clone();
-    let target_tail = demand.size() * tail_fraction;
-    let mut rounds = 0usize;
-    while remaining.size() > target_tail && remaining.support_size() > 0 {
-        if rounds >= max_rounds {
-            return None;
-        }
-        rounds += 1;
-        let (_, alive_of) = deletion_process_detailed(g, sampled, &remaining, tau);
-        let mut kept: Vec<(NodeId, NodeId, f64)> = Vec::new();
-        let mut routed_any = false;
-        for &(s, t, d) in remaining.entries() {
-            // A pair without flags was never sampled; it simply carries
-            // to the next round like any non-competitive pair.
-            let flags = alive_of.get(&(s, t));
-            let draws = flags.and_then(|_| {
-                sampled
-                    .raw
-                    .iter()
-                    .find(|(pair, _)| *pair == (s, t))
-                    .map(|(_, draws)| draws)
-            });
-            let alive = flags.map(|f| f.iter().filter(|&&a| a).count()).unwrap_or(0);
-            let total = flags.map(Vec::len).unwrap_or(0);
-            if let (Some(flags), Some(draws)) = (flags, draws) {
-                if total > 0 && alive * 4 >= total {
-                    // route this pair fully over its surviving draws
-                    let per_draw = d / alive as f64;
-                    for (p, &ok) in draws.iter().zip(flags) {
-                        if ok {
-                            loads.add_path(p, per_draw);
-                        }
-                    }
-                    routed_any = true;
-                    continue;
-                }
-            }
-            kept.push((s, t, d));
-        }
-        if !routed_any {
-            return None;
-        }
-        remaining = Demand::from_triples(kept);
-    }
-    // Tail: spread each leftover pair over all of its draws.
-    for &(s, t, d) in remaining.entries() {
-        let (_, draws) = sampled.raw.iter().find(|(pair, _)| *pair == (s, t))?;
-        let per_draw = d / draws.len() as f64;
-        for p in draws {
-            loads.add_path(p, per_draw);
-        }
-    }
-    Some((loads, rounds))
 }
 
 #[cfg(test)]
@@ -356,72 +232,6 @@ mod tests {
             f6 <= f1 + 1e-12,
             "failure rate should not increase with sparsity: k=1 → {f1}, k=6 → {f6}"
         );
-    }
-
-    #[test]
-    fn survivors_route_claimed_fraction() {
-        let g = gen::hypercube(4);
-        let r = ValiantHypercube::new(g.clone());
-        let mut rng = StdRng::seed_from_u64(5);
-        let demand = sor_flow::demand::random_permutation(&g, &mut rng);
-        let sampled = sample_k(&r, &demand_pairs(&demand), 4, &mut rng);
-        let (routed, loads) = surviving_routing(&g, &sampled, &demand, 2.0);
-        assert!(routed.size() <= demand.size() + 1e-9);
-        assert!(loads.congestion(&g).is_finite());
-    }
-
-    #[test]
-    fn weak_to_strong_routes_everything() {
-        // Hypercube, permutation demand, generous sparsity: the reduction
-        // must route the full demand with congestion O(tau * rounds).
-        let g = gen::hypercube(5);
-        let r = ValiantHypercube::new(g.clone());
-        let mut rng = StdRng::seed_from_u64(8);
-        let demand = sor_flow::demand::random_permutation(&g, &mut rng);
-        let sampled = sample_k(&r, &demand_pairs(&demand), 6, &mut rng);
-        let tau = 2.0;
-        let (loads, rounds) = weak_to_strong(&g, &sampled, &demand, tau, 0.01, 20)
-            .expect("good sample should be weakly competitive");
-        assert!(rounds >= 1);
-        let cong = loads.congestion(&g);
-        // every round adds <= ~4*tau (pairs routed over >= quarter of
-        // their draws, each draw loaded <= 4x its process weight) + tail
-        let bound = 4.0 * tau * rounds as f64 + 1.0;
-        assert!(
-            cong <= bound,
-            "weak-to-strong congestion {cong} above {bound} ({rounds} rounds)"
-        );
-        // volume check: total load >= demand size (every unit crosses >= 1 edge)
-        assert!(loads.total() >= demand.size() * 0.9);
-    }
-
-    #[test]
-    fn weak_to_strong_fails_gracefully_at_tiny_tau() {
-        let g = gen::cycle_graph(8);
-        let r = KspRouting::new(g.clone(), 2);
-        let mut rng = StdRng::seed_from_u64(9);
-        let demand = Demand::from_pairs([(NodeId(0), NodeId(4)), (NodeId(1), NodeId(5))]);
-        let sampled = sample_k(&r, &demand_pairs(&demand), 2, &mut rng);
-        // tau so small every draw overcongests: no round can progress
-        assert!(weak_to_strong(&g, &sampled, &demand, 1e-6, 0.01, 5).is_none());
-    }
-
-    #[test]
-    fn detailed_flags_match_summary() {
-        let g = gen::hypercube(4);
-        let r = ValiantHypercube::new(g.clone());
-        let mut rng = StdRng::seed_from_u64(10);
-        let demand = sor_flow::demand::random_permutation(&g, &mut rng);
-        let sampled = sample_k(&r, &demand_pairs(&demand), 3, &mut rng);
-        let (out, alive_of) = deletion_process_detailed(&g, &sampled, &demand, 1.2);
-        let mut survived = 0.0;
-        for &(s, t, d) in demand.entries() {
-            if let Some(flags) = alive_of.get(&(s, t)) {
-                let w = d / flags.len() as f64;
-                survived += w * flags.iter().filter(|&&a| a).count() as f64;
-            }
-        }
-        assert!((survived - out.survived_weight).abs() < 1e-9);
     }
 
     #[test]

@@ -73,43 +73,6 @@ pub fn sample_k_plus_cut<O: ObliviousRouting, R: Rng + ?Sized>(
     sample_counts(routing, with_counts.into_iter(), rng)
 }
 
-/// Ablation variant of [`sample_k`]: keep drawing until `k` *distinct*
-/// paths are installed per pair (or the support is exhausted after
-/// `50·k` draws). The paper samples with replacement for analysis
-/// convenience; without-replacement can only produce a superset of some
-/// with-replacement sample, so it never hurts — this function lets tests
-/// and ablations quantify by how much.
-pub fn sample_k_distinct<O: ObliviousRouting, R: Rng + ?Sized>(
-    routing: &O,
-    pairs: &[(NodeId, NodeId)],
-    k: usize,
-    rng: &mut R,
-) -> SampledSystem {
-    assert!(k >= 1);
-    let mut system = PathSystem::new();
-    let mut raw = Vec::new();
-    for &(s, t) in pairs {
-        assert!(s != t, "self-pair in sample request");
-        let _pair_span = sor_obs::span("sample/pair");
-        let mut draws = Vec::new();
-        let mut attempts = 0;
-        while system.paths(s, t).len() < k && attempts < 50 * k {
-            attempts += 1;
-            let p = routing.sample_path(s, t, rng);
-            sor_obs::counter_add!("core/sample/draws");
-            if system.insert(s, t, p.clone()) {
-                draws.push(p);
-            } else {
-                sor_obs::counter_add!("core/sample/duplicates");
-            }
-        }
-        raw.push(((s, t), draws));
-    }
-    let out = SampledSystem { system, raw };
-    validate_sample(routing.graph(), &out);
-    out
-}
-
 /// Shared implementation: per-pair draw counts.
 fn sample_counts<O: ObliviousRouting, R: Rng + ?Sized>(
     routing: &O,
@@ -216,21 +179,6 @@ mod tests {
         // mincut is min-degree 4 → 2 + 4 = 6 draws
         let s2 = sample_k_plus_cut(&r, &g, &[(NodeId(1), NodeId(2))], 2, &mut rng);
         assert_eq!(s2.draws(NodeId(1), NodeId(2)), 6);
-    }
-
-    #[test]
-    fn distinct_sampling_fills_or_exhausts() {
-        let g = gen::cycle_graph(6);
-        // support size 2 per pair: asking for 4 distinct yields exactly 2
-        let r = KspRouting::new(g.clone(), 2);
-        let mut rng = StdRng::seed_from_u64(5);
-        let s = sample_k_distinct(&r, &[(NodeId(0), NodeId(3))], 4, &mut rng);
-        assert_eq!(s.system.paths(NodeId(0), NodeId(3)).len(), 2);
-        // rich support: asking for 3 distinct yields 3
-        let g2 = gen::hypercube(4);
-        let v = ValiantHypercube::new(g2);
-        let s2 = sample_k_distinct(&v, &[(NodeId(0), NodeId(15))], 3, &mut rng);
-        assert_eq!(s2.system.paths(NodeId(0), NodeId(15)).len(), 3);
     }
 
     #[test]

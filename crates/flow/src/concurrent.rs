@@ -229,121 +229,6 @@ pub fn opt_congestion(g: &Graph, demand: &Demand) -> OptResult {
     max_concurrent_flow(g, demand, 0.1)
 }
 
-/// Source-grouped variant of [`max_concurrent_flow`]: within each phase,
-/// one Dijkstra per distinct *source* routes a piece for every commodity
-/// sharing it (Fleischer's grouping). Lengths are updated per piece but
-/// the tree is reused within a sweep, so paths can be slightly stale —
-/// the certified dual lower bound still sandwiches the result honestly,
-/// and tests keep the two solvers' intervals overlapping. Use this on
-/// instances with many commodities per source (all-pairs TE matrices);
-/// the reference solver remains the default everywhere correctness is
-/// benchmarked.
-pub fn max_concurrent_flow_grouped(g: &Graph, demand: &Demand, eps: f64) -> OptResult {
-    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-    let _span = sor_obs::span("flow/opt_grouped");
-    let m = g.num_edges();
-    let entries = demand.entries();
-    if entries.is_empty() || m == 0 {
-        return OptResult {
-            congestion_upper: 0.0,
-            congestion_lower: 0.0,
-            loads: EdgeLoads::zeros(m),
-            paths: Vec::new(),
-        };
-    }
-
-    // commodities grouped by source, remembering original indices
-    type SourceGroup = (NodeId, Vec<(usize, NodeId, f64)>);
-    let mut by_source: Vec<SourceGroup> = Vec::new();
-    for (j, &(s, t, d)) in entries.iter().enumerate() {
-        match by_source.iter_mut().find(|(src, _)| *src == s) {
-            Some((_, v)) => v.push((j, t, d)),
-            None => by_source.push((s, vec![(j, t, d)])),
-        }
-    }
-
-    let delta = (m as f64 / (1.0 - eps)).powf(-1.0 / eps);
-    let mut len: Vec<f64> = g.edges().iter().map(|e| delta / e.cap).collect();
-    let mut volume: f64 = delta * m as f64;
-    let mut raw = EdgeLoads::zeros(m);
-    let mut path_amounts: HashMap<(usize, Path), f64> = HashMap::new();
-    let mut phases: u64 = 0;
-    let mut search = DijkstraSearch::with_nodes(g.num_nodes());
-    let mut targets: Vec<NodeId> = Vec::with_capacity(entries.len());
-    const MAX_PHASES: u64 = 1_000_000;
-
-    while volume < 1.0 {
-        phases += 1;
-        sor_obs::counter_add!("flow/mwu/phases");
-        assert!(phases <= MAX_PHASES, "grouped-flow phase bound exceeded");
-        for (s, commodities) in &by_source {
-            let mut remaining: Vec<f64> = commodities.iter().map(|&(_, _, d)| d).collect();
-            while remaining.iter().any(|&r| r > 1e-15) {
-                // one Dijkstra serves every commodity of this source
-                sor_obs::counter_add!("flow/mwu/oracle_calls");
-                targets.clear();
-                targets.extend(
-                    commodities
-                        .iter()
-                        .zip(&remaining)
-                        .filter(|&(_, &rem)| rem > 1e-15)
-                        .map(|(&(_, t, _), _)| t),
-                );
-                search.settle(g, *s, &len, &targets);
-                for ((j, t, _), rem) in commodities.iter().zip(remaining.iter_mut()) {
-                    if *rem <= 1e-15 {
-                        continue;
-                    }
-                    let path = search
-                        .path_to(g, *t)
-                        // sor-check: allow(unwrap, panic-path) — documented contract panic; the fallible reference solver is try_max_concurrent_flow
-                        .unwrap_or_else(|| panic!("demand pair {s}→{t} disconnected"));
-                    let bottleneck = path
-                        .edges()
-                        .iter()
-                        .map(|&e| g.cap(e))
-                        .fold(f64::INFINITY, f64::min);
-                    let f = rem.min(bottleneck);
-                    raw.add_path(&path, f);
-                    for &e in path.edges() {
-                        let cap = g.cap(e);
-                        let old = len[e.index()];
-                        let new = old * (1.0 + eps * f / cap);
-                        len[e.index()] = new;
-                        volume += cap * (new - old);
-                    }
-                    *path_amounts.entry((*j, path)).or_insert(0.0) += f;
-                    *rem -= f;
-                }
-            }
-        }
-    }
-
-    let scale = 1.0 / phases as f64;
-    let mut loads = raw;
-    loads.scale(scale);
-    let congestion_upper = loads.congestion(g);
-
-    let mut alpha = 0.0;
-    for (s, commodities) in &by_source {
-        targets.clear();
-        targets.extend(commodities.iter().map(|&(_, t, _)| t));
-        search.settle(g, *s, &len, &targets);
-        for &(_, t, d) in commodities {
-            alpha += d * search.dist(t);
-        }
-    }
-    let congestion_lower = alpha / volume;
-
-    let paths = sorted_paths(path_amounts, scale);
-    OptResult {
-        congestion_upper,
-        congestion_lower,
-        loads,
-        paths,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,46 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_solver_agrees_with_reference() {
-        // All-pairs-from-one-source instance (the grouped solver's home
-        // turf): both solvers' [lower, upper] intervals must overlap and
-        // stay tight.
-        let g = gen::grid(4, 4);
-        let mut triples = Vec::new();
-        for t in 1..16u32 {
-            triples.push((NodeId(0), NodeId(t), 0.25));
-        }
-        triples.push((NodeId(5), NodeId(10), 1.0));
-        let d = Demand::from_triples(triples);
-        let reference = max_concurrent_flow(&g, &d, 0.1);
-        let grouped = max_concurrent_flow_grouped(&g, &d, 0.1);
-        // intervals bracket the same OPT
-        assert!(grouped.congestion_lower <= reference.congestion_upper + 1e-9);
-        assert!(reference.congestion_lower <= grouped.congestion_upper + 1e-9);
-        assert!(grouped.gap() < 1.8, "grouped gap {}", grouped.gap());
-        // decomposition routes each commodity exactly once
-        let mut per = vec![0.0; d.support_size()];
-        for (j, _, w) in &grouped.paths {
-            per[*j] += w;
-        }
-        for (x, &(_, _, amt)) in per.iter().zip(d.entries()) {
-            assert!((x - amt).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn grouped_solver_single_pair_matches() {
-        let g = gen::cycle_graph(4);
-        let d = Demand::from_pairs([(NodeId(0), NodeId(2))]);
-        let r = max_concurrent_flow_grouped(&g, &d, 0.05);
-        assert!(
-            (r.congestion_upper - 0.5).abs() < 0.06,
-            "{}",
-            r.congestion_upper
-        );
-    }
-
-    #[test]
     fn invalid_epsilon_is_a_typed_error() {
         let g = gen::cycle_graph(4);
         let d = Demand::from_pairs([(NodeId(0), NodeId(2))]);
@@ -535,9 +380,6 @@ mod tests {
         let a = max_concurrent_flow(&g, &d, 0.1);
         let b = max_concurrent_flow(&g, &d, 0.1);
         assert!(a.paths.len() > 5);
-        assert_eq!(a.paths, b.paths);
-        let a = max_concurrent_flow_grouped(&g, &d, 0.1);
-        let b = max_concurrent_flow_grouped(&g, &d, 0.1);
         assert_eq!(a.paths, b.paths);
     }
 

@@ -257,37 +257,6 @@ pub fn zipf_demand<R: Rng>(
     d
 }
 
-/// A hotspot traffic matrix: a uniform background plus `hot` pairs carrying
-/// `boost`× the background amount each (the "elephant flows" of TE
-/// evaluations).
-pub fn hotspot_tm<R: Rng>(
-    endpoints: &[NodeId],
-    background_total: f64,
-    hot: usize,
-    boost: f64,
-    rng: &mut R,
-) -> Demand {
-    assert!(endpoints.len() >= 2);
-    let k = endpoints.len();
-    let per_pair = background_total / (k * (k - 1)) as f64;
-    let mut d = Demand::new();
-    for &s in endpoints {
-        for &t in endpoints {
-            if s != t {
-                d.add(s, t, per_pair);
-            }
-        }
-    }
-    for _ in 0..hot {
-        let s = endpoints[rng.gen_range(0..k)];
-        let t = endpoints[rng.gen_range(0..k)];
-        if s != t {
-            d.add(s, t, per_pair * boost);
-        }
-    }
-    d
-}
-
 /// A sequence of `steps` traffic matrices drifting from `base`: each step
 /// multiplies every entry by an independent factor in
 /// `[1−jitter, 1+jitter]` of the *base* matrix (bounded drift, the
@@ -445,16 +414,6 @@ mod tests {
             .map(|&(_, _, a)| a)
             .fold(f64::INFINITY, f64::min);
         assert!(min <= 100.0 / 19.0 + 1e-9, "min {min}");
-    }
-
-    #[test]
-    fn hotspot_adds_elephants() {
-        let eps: Vec<NodeId> = (0..5).map(NodeId).collect();
-        let mut rng = StdRng::seed_from_u64(6);
-        let d = hotspot_tm(&eps, 10.0, 3, 50.0, &mut rng);
-        let per_pair = 10.0 / 20.0;
-        assert!(d.max_entry() >= per_pair * 50.0);
-        assert!(d.size() > 10.0);
     }
 
     #[test]

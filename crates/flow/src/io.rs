@@ -37,7 +37,8 @@ pub fn demand_from_text(text: &str, num_nodes: usize) -> Result<Demand, String> 
         .ok_or("missing entry count")?
         .parse()
         .map_err(|_| "bad entry count")?;
-    let mut triples = Vec::with_capacity(count);
+    // not pre-sized from the header: the count is untrusted input
+    let mut triples = Vec::new();
     for (i, line) in lines.enumerate() {
         let mut parts = line.split_whitespace();
         if parts.next() != Some("flow") {
@@ -97,6 +98,7 @@ mod tests {
         assert!(demand_from_text("demand 1\nflow 0 0 1", 4).is_err()); // self
         assert!(demand_from_text("demand 2\nflow 0 1 1", 4).is_err()); // count
         assert!(demand_from_text("demand 1\nflow 0 1 -2", 4).is_err()); // amount
+        assert!(demand_from_text("demand 18446744073709551615", 4).is_err()); // huge count
     }
 
     #[test]

@@ -47,8 +47,7 @@ pub mod rounding;
 pub mod validate;
 
 pub use concurrent::{
-    max_concurrent_flow, max_concurrent_flow_grouped, opt_congestion, try_max_concurrent_flow,
-    FlowError, OptResult,
+    max_concurrent_flow, opt_congestion, try_max_concurrent_flow, FlowError, OptResult,
 };
 pub use demand::Demand;
 pub use io::{demand_from_text, demand_to_text};

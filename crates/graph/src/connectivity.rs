@@ -1,11 +1,9 @@
 //! Structural connectivity: bridges, articulation points, and failure-set
 //! admissibility.
 //!
-//! Used by the failure experiments (a failed bridge disconnects demand —
+//! Used by the failure experiments: a failed bridge disconnects demand —
 //! the TE harness avoids such failure sets, and these routines certify
-//! why) and by the lower-bound family (all inter-block edges of
-//! [`crate::gen::TwoStarChain`] are bridges, which is what localizes the
-//! adversary's argument to one block).
+//! why.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 
@@ -184,16 +182,23 @@ mod tests {
     }
 
     #[test]
-    fn two_star_chain_inter_block_edges_are_bridges() {
-        let chain = gen::TwoStarChain::new(&[(2, 3), (3, 4)]);
-        let g = chain.graph();
-        let bs = bridges(g);
-        let (c1a, _) = chain.centers(0);
-        let (c1b, _) = chain.centers(1);
-        assert!(bs.iter().any(|&e| {
-            let rec = g.edge(e);
-            (rec.u == c1a && rec.v == c1b) || (rec.u == c1b && rec.v == c1a)
-        }));
+    fn edge_gluing_two_gadgets_is_a_bridge() {
+        // Two two-star gadgets joined by one edge between their left
+        // centers: that edge is the only way across.
+        let gadget = gen::two_star(2, 3);
+        let n = gadget.num_nodes();
+        let mut g = Graph::new(2 * n);
+        for off in [0, n] {
+            for e in gadget.edges() {
+                g.add_edge(
+                    NodeId::from_usize(off + e.u.index()),
+                    NodeId::from_usize(off + e.v.index()),
+                    e.cap,
+                );
+            }
+        }
+        let glue = g.add_unit_edge(NodeId(0), NodeId::from_usize(n));
+        assert!(bridges(&g).contains(&glue));
     }
 
     #[test]

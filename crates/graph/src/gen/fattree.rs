@@ -24,11 +24,6 @@ pub fn clos(spines: usize, leaves: usize, cap: f64) -> Graph {
     g
 }
 
-/// NodeId of spine `i` in a [`clos`] graph.
-pub fn clos_spine(i: usize) -> NodeId {
-    NodeId::from_usize(i)
-}
-
 /// NodeId of leaf `i` in a [`clos`] graph built with `spines` spines.
 pub fn clos_leaf(spines: usize, i: usize) -> NodeId {
     NodeId::from_usize(spines + i)
@@ -46,7 +41,7 @@ mod tests {
         assert_eq!(g.num_edges(), 32);
         assert!(is_connected(&g));
         for s in 0..4 {
-            assert_eq!(g.degree(clos_spine(s)), 8);
+            assert_eq!(g.degree(NodeId::from_usize(s)), 8);
         }
         for l in 0..8 {
             assert_eq!(g.degree(clos_leaf(4, l)), 4);

@@ -20,5 +20,5 @@ pub use classic::{complete_graph, cycle_graph, dumbbell, grid, path_graph, star,
 pub use fattree::clos;
 pub use hypercube::{bit_reversal_perm, hypercube, transpose_perm};
 pub use random::{erdos_renyi_connected, random_geometric, random_regular, watts_strogatz};
-pub use twostar::{two_star, TwoStar, TwoStarChain};
+pub use twostar::{two_star, TwoStar};
 pub use wan::{abilene, att, b4, geant};

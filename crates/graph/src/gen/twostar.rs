@@ -7,9 +7,6 @@
 //! to at most `s` of the `r` middle vertices — the pigeonhole/Hall argument
 //! of Lemma 8.1 then extracts a permutation demand on which the system
 //! congests `≈ q/|S|` while OPT stays O(1).
-//!
-//! `TwoStarChain` glues several `TwoStar` blocks with bridge edges
-//! (Lemma 8.2) so a single graph witnesses the lower bound at every scale.
 
 use crate::graph::{Graph, NodeId};
 
@@ -102,97 +99,6 @@ pub fn two_star(r: usize, m: usize) -> Graph {
     TwoStar::new(r, m).into_graph()
 }
 
-/// Several [`TwoStar`] blocks glued in a chain by unit bridge edges between
-/// consecutive left centers (Lemma 8.2 — bridges do not affect cuts or
-/// simple paths *inside* a block).
-#[derive(Clone, Debug)]
-pub struct TwoStarChain {
-    /// (r, m) of each block, in order.
-    specs: Vec<(usize, usize)>,
-    /// Vertex-id offset of each block within the combined graph.
-    offsets: Vec<usize>,
-    graph: Graph,
-}
-
-impl TwoStarChain {
-    /// Build a chain of blocks with the given `(r, m)` parameters.
-    pub fn new(specs: &[(usize, usize)]) -> Self {
-        assert!(!specs.is_empty());
-        let mut offsets = Vec::with_capacity(specs.len());
-        let mut total = 0usize;
-        for &(r, m) in specs {
-            offsets.push(total);
-            total += 2 + r + 2 * m;
-        }
-        let mut g = Graph::new(total);
-        for (b, &(r, m)) in specs.iter().enumerate() {
-            let off = offsets[b];
-            let c1 = NodeId::from_usize(off);
-            let c2 = NodeId::from_usize(off + 1);
-            for i in 0..r {
-                let mid = NodeId::from_usize(off + 2 + i);
-                g.add_unit_edge(c1, mid);
-                g.add_unit_edge(mid, c2);
-            }
-            for i in 0..m {
-                g.add_unit_edge(c1, NodeId::from_usize(off + 2 + r + i));
-                g.add_unit_edge(c2, NodeId::from_usize(off + 2 + r + m + i));
-            }
-            if b > 0 {
-                // bridge from the previous block's left center
-                g.add_unit_edge(NodeId::from_usize(offsets[b - 1]), c1);
-            }
-        }
-        TwoStarChain {
-            specs: specs.to_vec(),
-            offsets,
-            graph: g,
-        }
-    }
-
-    /// The combined graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// `(r, m)` of block `b`.
-    pub fn spec(&self, b: usize) -> (usize, usize) {
-        self.specs[b]
-    }
-
-    /// Left/right center of block `b`.
-    pub fn centers(&self, b: usize) -> (NodeId, NodeId) {
-        let off = self.offsets[b];
-        (NodeId::from_usize(off), NodeId::from_usize(off + 1))
-    }
-
-    /// The `i`-th middle vertex of block `b`.
-    pub fn middle(&self, b: usize, i: usize) -> NodeId {
-        let (r, _) = self.specs[b];
-        assert!(i < r);
-        NodeId::from_usize(self.offsets[b] + 2 + i)
-    }
-
-    /// The `i`-th left leaf of block `b`.
-    pub fn left_leaf(&self, b: usize, i: usize) -> NodeId {
-        let (r, m) = self.specs[b];
-        assert!(i < m);
-        NodeId::from_usize(self.offsets[b] + (2 + r + i))
-    }
-
-    /// The `i`-th right leaf of block `b`.
-    pub fn right_leaf(&self, b: usize, i: usize) -> NodeId {
-        let (r, m) = self.specs[b];
-        assert!(i < m);
-        NodeId::from_usize(self.offsets[b] + (2 + r + m + i))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,37 +123,5 @@ mod tests {
         // leaf -> c1 -> mid -> c2 -> right leaf = 4 hops
         assert_eq!(d[ts.right_leaf(0).index()], 4);
         assert_eq!(d[ts.left_leaf(1).index()], 2);
-    }
-
-    #[test]
-    fn chain_shape() {
-        let chain = TwoStarChain::new(&[(2, 3), (4, 5), (1, 2)]);
-        let g = chain.graph();
-        assert!(is_connected(g));
-        let expect_nodes = (2 + 2 + 6) + (2 + 4 + 10) + (2 + 1 + 4);
-        assert_eq!(g.num_nodes(), expect_nodes);
-        // block edges + 2 bridges
-        let expect_edges = (4 + 6) + (8 + 10) + (2 + 4) + 2;
-        assert_eq!(g.num_edges(), expect_edges);
-        assert_eq!(chain.num_blocks(), 3);
-        assert_eq!(chain.spec(1), (4, 5));
-    }
-
-    #[test]
-    fn chain_block_accessors_are_disjoint() {
-        let chain = TwoStarChain::new(&[(2, 2), (2, 2)]);
-        let mut ids = std::collections::HashSet::new();
-        for b in 0..2 {
-            let (c1, c2) = chain.centers(b);
-            ids.insert(c1);
-            ids.insert(c2);
-            ids.insert(chain.middle(b, 0));
-            ids.insert(chain.middle(b, 1));
-            for i in 0..2 {
-                ids.insert(chain.left_leaf(b, i));
-                ids.insert(chain.right_leaf(b, i));
-            }
-        }
-        assert_eq!(ids.len(), 2 * (2 + 2 + 4));
     }
 }

@@ -44,6 +44,10 @@ pub fn graph_from_text(text: &str) -> Result<Graph, String> {
         .ok_or("missing m")?
         .parse()
         .map_err(|_| "bad m")?;
+    // the bounds `Graph::new` asserts: vertex ids are u32 indices
+    if n == 0 || n >= u32::MAX as usize {
+        return Err(format!("bad n {n}: need 1 to {} vertices", u32::MAX - 1));
+    }
     let mut g = Graph::new(n);
     for (i, line) in lines.enumerate() {
         let mut parts = line.split_whitespace();
@@ -122,5 +126,8 @@ mod tests {
         assert!(graph_from_text("graph 2 1\nedge 0 1 -1").is_err()); // cap
         assert!(graph_from_text("graph 2 2\nedge 0 1 1").is_err()); // count
         assert!(graph_from_text("graph 2 1\nfoo 0 1 1").is_err()); // keyword
+        assert!(graph_from_text("graph 0 0").is_err()); // no vertices
+        assert!(graph_from_text("graph 4294967295 0").is_err()); // past u32 ids
+        assert!(graph_from_text("graph 4294967296 0").is_err());
     }
 }

@@ -15,8 +15,8 @@
 //! * [`Path`] — a simple path as a node/edge sequence, the unit all routing
 //!   objects are built from,
 //! * traversal ([`bfs_dists`], [`is_connected`], hop metrics),
-//! * weighted shortest paths ([`dijkstra`], [`shortest_path`], and the
-//!   reusable, target-stopped [`DijkstraSearch`]),
+//! * weighted shortest paths ([`dijkstra`] and the reusable,
+//!   target-stopped [`DijkstraSearch`]),
 //! * Yen's loopless k-shortest paths ([`yen_ksp`]),
 //! * Dinic max-flow / s-t min-cut ([`max_flow`], [`st_min_cut`]),
 //! * Stoer–Wagner global min cut ([`global_min_cut`]),
@@ -65,7 +65,7 @@ pub use io::{graph_from_text, graph_to_text};
 pub use ksp::yen_ksp;
 pub use maxflow::{max_flow, st_min_cut};
 pub use path::Path;
-pub use shortest::{dijkstra, shortest_path, DijkstraSearch, ShortestPathTree};
-pub use spectral::{is_expander, spectral_gap};
+pub use shortest::{dijkstra, DijkstraSearch, ShortestPathTree};
+pub use spectral::spectral_gap;
 pub use traversal::{bfs_dists, bfs_path, diameter, is_connected};
 pub use units::{Capacity, Congestion, Rate};

@@ -269,13 +269,6 @@ pub fn dijkstra(g: &Graph, src: NodeId, lengths: &[f64]) -> ShortestPathTree {
     }
 }
 
-/// Shortest `s`-`t` path under `lengths`, or `None` if disconnected.
-pub fn shortest_path(g: &Graph, s: NodeId, t: NodeId, lengths: &[f64]) -> Option<Path> {
-    let mut search = DijkstraSearch::with_nodes(g.num_nodes());
-    search.settle(g, s, lengths, &[t]);
-    search.path_to(g, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +295,9 @@ mod tests {
         g.add_unit_edge(NodeId(0), NodeId(1)); // e0 len 10
         g.add_unit_edge(NodeId(0), NodeId(2)); // e1 len 1
         g.add_unit_edge(NodeId(2), NodeId(1)); // e2 len 1
-        let p = shortest_path(&g, NodeId(0), NodeId(1), &[10.0, 1.0, 1.0]).unwrap();
+        let p = dijkstra(&g, NodeId(0), &[10.0, 1.0, 1.0])
+            .path_to(&g, NodeId(1))
+            .unwrap();
         assert_eq!(p.hops(), 2);
         assert_eq!(p.nodes()[1], NodeId(2));
     }
@@ -312,7 +307,9 @@ mod tests {
         let mut g = Graph::new(2);
         let _heavy = g.add_unit_edge(NodeId(0), NodeId(1));
         let light = g.add_unit_edge(NodeId(0), NodeId(1));
-        let p = shortest_path(&g, NodeId(0), NodeId(1), &[5.0, 1.0]).unwrap();
+        let p = dijkstra(&g, NodeId(0), &[5.0, 1.0])
+            .path_to(&g, NodeId(1))
+            .unwrap();
         assert_eq!(p.edges(), &[light]);
     }
 
@@ -320,7 +317,9 @@ mod tests {
     fn unreachable_is_none() {
         let mut g = Graph::new(3);
         g.add_unit_edge(NodeId(0), NodeId(1));
-        assert!(shortest_path(&g, NodeId(0), NodeId(2), &g.unit_lengths()).is_none());
+        assert!(dijkstra(&g, NodeId(0), &g.unit_lengths())
+            .path_to(&g, NodeId(2))
+            .is_none());
     }
 
     #[test]
@@ -330,7 +329,6 @@ mod tests {
         let t = dijkstra(&g, NodeId(0), &[1.0, f64::INFINITY]);
         assert_eq!(t.dist[2], f64::INFINITY);
         assert!(t.path_to(&g, NodeId(2)).is_none());
-        assert!(shortest_path(&g, NodeId(0), NodeId(2), &[1.0, f64::INFINITY]).is_none());
     }
 
     #[test]

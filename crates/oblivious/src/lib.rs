@@ -59,7 +59,7 @@ pub use electrical::ElectricalRouting;
 pub use frt::FrtTree;
 pub use hierarchy::{HierRouting, SpectralHierarchy};
 pub use ksp_routing::KspRouting;
-pub use raecke::{RaeckeConfig, RaeckeRouting};
+pub use raecke::RaeckeRouting;
 pub use random_walk::RandomWalkRouting;
 pub use routing::{fractional_loads, oblivious_congestion, ObliviousRouting, PathDist};
 pub use valiant::{GreedyBitFix, ValiantHypercube};

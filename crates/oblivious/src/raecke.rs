@@ -8,7 +8,8 @@
 //! [`FrtTree`]:
 //!
 //! 1. start with zero accumulated load,
-//! 2. build a tree under lengths `ℓ_e ∝ exp(η · load_e / max_load) / cap_e`,
+//! 2. build a tree under lengths `ℓ_e ∝ exp(η · load_e / max_load) / cap_e`
+//!    with `η = ln(1 + m)`,
 //! 3. add the tree's normalized [`FrtTree::relative_loads`] to the
 //!    accumulator, and repeat;
 //! 4. the routing is the uniform mixture of the trees: to route `(s, t)`,
@@ -27,27 +28,6 @@ use sor_graph::{Graph, NodeId, Path};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Tunables of the Räcke MWU loop, exposed for the ablation experiments.
-#[derive(Clone, Copy, Debug)]
-pub struct RaeckeConfig {
-    /// Number of FRT trees in the mixture.
-    pub num_trees: usize,
-    /// Multiplicative-weights rate: edge lengths are
-    /// `exp(η · load/max_load) / cap`. `None` picks the default
-    /// `ln(1 + m)`.
-    pub eta: Option<f64>,
-}
-
-impl RaeckeConfig {
-    /// Default configuration with the given tree count.
-    pub fn with_trees(num_trees: usize) -> Self {
-        RaeckeConfig {
-            num_trees,
-            eta: None,
-        }
-    }
-}
-
 /// A mixture of FRT congestion trees with uniform weights.
 pub struct RaeckeRouting {
     g: Graph,
@@ -57,27 +37,20 @@ pub struct RaeckeRouting {
 
 impl RaeckeRouting {
     /// Build with `num_trees` trees (≥ `log₂ n` recommended; experiments
-    /// use 8–32) and the default MWU rate.
+    /// use 8–32) and the MWU rate `η = ln(1 + m)`.
     pub fn build<R: Rng + ?Sized>(g: Graph, num_trees: usize, rng: &mut R) -> Self {
-        Self::build_config(g, RaeckeConfig::with_trees(num_trees), rng)
-    }
-
-    /// Build with explicit tunables.
-    pub fn build_config<R: Rng + ?Sized>(g: Graph, cfg: RaeckeConfig, rng: &mut R) -> Self {
-        assert!(cfg.num_trees >= 1);
+        assert!(num_trees >= 1);
         let _span = sor_obs::span("hierarchy/build");
         let m = g.num_edges();
-        let eta = cfg.eta.unwrap_or_else(|| (1.0 + m as f64).ln());
-        assert!(eta >= 0.0 && eta.is_finite(), "η must be nonnegative");
+        let eta = (1.0 + m as f64).ln();
         let mut load = vec![0.0f64; m];
-        let mut trees = Vec::with_capacity(cfg.num_trees);
-        for _ in 0..cfg.num_trees {
+        let mut lengths = vec![0.0f64; m];
+        let mut trees = Vec::with_capacity(num_trees);
+        for _ in 0..num_trees {
             let max_load = load.iter().copied().fold(0.0, f64::max).max(1e-300);
-            let lengths: Vec<f64> = load
-                .iter()
-                .zip(g.edges())
-                .map(|(&l, e)| (eta * l / max_load.max(1.0)).exp() / e.cap)
-                .collect();
+            for ((len, &l), e) in lengths.iter_mut().zip(&load).zip(g.edges()) {
+                *len = (eta * l / max_load.max(1.0)).exp() / e.cap;
+            }
             let tree = {
                 let _tree_span = sor_obs::span("frt/tree");
                 sor_obs::counter_add!("oblivious/frt/trees");
@@ -203,37 +176,6 @@ mod tests {
         }
         assert!(worst < 12.0, "Räcke ratio {worst} too large on 4x4 grid");
         assert!(worst >= 1.0 - 0.35, "ratio {worst} suspiciously below 1");
-    }
-
-    #[test]
-    fn eta_zero_ignores_congestion_feedback() {
-        // With η = 0 every tree is built on the same (inverse-capacity)
-        // metric: feedback off. On a cycle the η>0 mixture should spread
-        // cut points at least as well.
-        let g = gen::cycle_graph(10);
-        let demand = sor_flow::demand::uniform_all_pairs(&g, 1.0);
-        let flat = RaeckeRouting::build_config(
-            g.clone(),
-            RaeckeConfig {
-                num_trees: 8,
-                eta: Some(0.0),
-            },
-            &mut StdRng::seed_from_u64(2),
-        );
-        let fed = RaeckeRouting::build_config(
-            g.clone(),
-            RaeckeConfig {
-                num_trees: 8,
-                eta: None,
-            },
-            &mut StdRng::seed_from_u64(2),
-        );
-        let c_flat = oblivious_congestion(&flat, &demand);
-        let c_fed = oblivious_congestion(&fed, &demand);
-        assert!(
-            c_fed <= c_flat * 1.1 + 1e-9,
-            "feedback ({c_fed}) should not lose to no-feedback ({c_flat})"
-        );
     }
 
     #[test]

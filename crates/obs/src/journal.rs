@@ -508,9 +508,10 @@ fn field_u32(v: &crate::JsonValue, key: &str) -> Result<u32, String> {
 
 fn field_f64(v: &crate::JsonValue, key: &str) -> Result<f64, String> {
     match v.get(key) {
-        Some(crate::JsonValue::Num(x)) => Ok(*x),
         Some(crate::JsonValue::Null) => Ok(f64::NAN),
-        _ => Err(format!("event missing numeric field '{key}'")),
+        x => x
+            .and_then(crate::JsonValue::as_f64)
+            .ok_or_else(|| format!("event missing numeric field '{key}'")),
     }
 }
 
@@ -810,6 +811,31 @@ mod tests {
                 .collect::<Vec<_>>(),
             sample_events()
         );
+    }
+
+    #[test]
+    fn wide_fingerprints_round_trip_exactly() {
+        // Above 2^53 an f64 no longer holds every integer: 2^53 + 1, the
+        // FNV-1a offset basis and u64::MAX - 1 must come back bit-exact.
+        let fps = [(1u64 << 53) + 1, 0xcbf2_9ce4_8422_2325, u64::MAX - 1];
+        let j = Journal::new();
+        for (epoch, &demand_fp) in (0u64..).zip(&fps) {
+            j.record(JournalEvent::Admit {
+                epoch,
+                count: 1,
+                demand_fp,
+            });
+        }
+        let dump = parse_journal(&j.dump_json(&[])).expect("round-trip parse");
+        let parsed: Vec<u64> = dump
+            .events
+            .iter()
+            .map(|(_, e)| match e {
+                JournalEvent::Admit { demand_fp, .. } => *demand_fp,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(parsed, fps);
     }
 
     #[test]

@@ -142,8 +142,11 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`; snapshot counters are integral
-    /// and round-trip exactly up to 2^53, far above any real count).
+    /// A number written as a plain non-negative integer that fits in
+    /// `u64`, kept exact (journal fingerprints use all 64 bits).
+    Int(u64),
+    /// Any other JSON number (negative, fractional, exponent form or past
+    /// `u64`), parsed as `f64`.
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -170,25 +173,23 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (an [`JsonValue::Int`]
+    /// above 2^53 rounds to the nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            #[allow(clippy::cast_precision_loss)]
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(x) => Some(*x),
             _ => None,
         }
     }
 
-    /// The numeric payload as a `u64` (must be a non-negative integer
-    /// within `u64` range).
+    /// The numeric payload as a `u64`, if this is an integer literal
+    /// within `u64` range (see [`JsonValue::Int`]).
     pub fn as_u64(&self) -> Option<u64> {
-        let x = self.as_f64()?;
-        // the boundary value 2^64 itself rounds out of range
-        // sor-check: allow(float-eq) — fract()==0.0 is an exact integrality test
-        if x >= 0.0 && x.fract() == 0.0 && x < u64::MAX as f64 {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Some(x as u64)
-        } else {
-            None
+        match self {
+            JsonValue::Int(n) => Some(*n),
+            _ => None,
         }
     }
 
@@ -432,6 +433,10 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
+        // digits only: an integer literal, exact when it fits in u64
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::Int(n));
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err(format!("invalid number '{text}'")))
@@ -439,7 +444,8 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse a JSON document (the whole input must be one value plus
-/// whitespace). Numbers become `f64`; object member order is preserved.
+/// whitespace). Integer literals within `u64` stay exact, other numbers
+/// become `f64`; object member order is preserved.
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
@@ -525,6 +531,20 @@ mod tests {
         s.histograms[0].sum = f64::NAN;
         let text = snapshot_to_json(&s, &[]);
         assert!(text.contains("\"sum\": null"));
+    }
+
+    #[test]
+    fn integer_literals_parse_exactly() {
+        let max = parse_json("18446744073709551615").expect("u64::MAX");
+        assert_eq!(max, JsonValue::Int(u64::MAX));
+        assert_eq!(max.as_u64(), Some(u64::MAX));
+        // past u64, negative or fractional: an f64, as before
+        let over = parse_json("18446744073709551616").expect("2^64");
+        assert_eq!(over.as_u64(), None);
+        assert_eq!(over.as_f64(), Some(2f64.powi(64)));
+        assert_eq!(parse_json("-1").expect("-1").as_u64(), None);
+        assert_eq!(parse_json("3.0").expect("3.0").as_u64(), None);
+        assert_eq!(parse_json("2.5").expect("2.5").as_f64(), Some(2.5));
     }
 
     #[test]

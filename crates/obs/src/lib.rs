@@ -20,12 +20,11 @@
 //!   routed through one process-wide sink, so `--quiet` can actually
 //!   silence the whole pipeline and tests can capture diagnostics.
 //!
-//! # Zero cost when disabled
+//! # Cheap when disabled
 //!
 //! Capture is **off by default**. Every recording call site first checks
-//! [`enabled`] — one relaxed atomic load, and with the `capture` cargo
-//! feature disabled the check is `const false` and the whole call folds
-//! away. Metrics never feed back into any algorithm, so seeded pipeline
+//! [`enabled`] — one relaxed atomic load — and does nothing more while
+//! capture is off. Metrics never feed back into any algorithm, so seeded pipeline
 //! output is bit-identical with observability on or off (the workspace's
 //! determinism test asserts exactly that).
 //!
@@ -96,19 +95,16 @@ pub use slo::{HealthSummary, SloBreach, SloConfig, SloInputs, SloWatchdog, SLO_R
 pub use span::{phase_report, render_phase_tree, span, Span, SpanSnapshot};
 pub use timeline::{EpochRecord, EpochTimeline};
 
-/// Runtime capture switch (compile-time gated by the `capture` feature).
+/// Runtime capture switch.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether metric/span capture is currently on. One relaxed atomic load;
-/// statically `false` when the crate is built without the `capture`
-/// feature, so guarded call sites vanish entirely.
+/// Whether metric/span capture is currently on. One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    cfg!(feature = "capture") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn metric/span capture on or off. A no-op (capture stays off) when
-/// the `capture` feature is compiled out.
+/// Turn metric/span capture on or off.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

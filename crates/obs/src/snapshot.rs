@@ -84,10 +84,11 @@ fn counter_from_value(v: &JsonValue) -> Result<CounterSnapshot, String> {
 fn histogram_from_value(v: &JsonValue) -> Result<HistogramSnapshot, String> {
     let name = str_field(v, "name")?;
     let sum = match v.get("sum") {
-        Some(JsonValue::Num(x)) => *x,
         // the writer emits null for non-finite sums
         Some(JsonValue::Null) => f64::NAN,
-        _ => return Err(format!("histogram '{name}': missing number field 'sum'")),
+        x => x
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("histogram '{name}': missing number field 'sum'"))?,
     };
     let buckets = v
         .get("buckets")
@@ -96,19 +97,21 @@ fn histogram_from_value(v: &JsonValue) -> Result<HistogramSnapshot, String> {
         .iter()
         .map(|b| {
             let le = match b.get("le") {
+                Some(JsonValue::Null) => None,
                 // a non-finite edge (e.g. an overlarge literal that
                 // parsed to inf) is the overflow bucket, same as null —
                 // it must never round-trip into a Some(inf)/NaN edge
-                Some(JsonValue::Num(x)) if x.is_finite() => Some(*x),
-                Some(JsonValue::Num(_) | JsonValue::Null) => None,
-                _ => return Err(format!("histogram '{name}': bucket missing 'le'")),
+                x => x
+                    .and_then(JsonValue::as_f64)
+                    .map(|x| x.is_finite().then_some(x))
+                    .ok_or_else(|| format!("histogram '{name}': bucket missing 'le'"))?,
             };
             Ok(BucketCount {
                 le,
                 count: u64_field(b, "count")?,
             })
         })
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect::<Result<Vec<_>, String>>()?;
     Ok(HistogramSnapshot {
         count: u64_field(v, "count")?,
         sum,

@@ -96,80 +96,10 @@ pub fn churn_experiment(
     }
 }
 
-/// One step of the online simulation.
-#[derive(Clone, Debug)]
-pub struct OnlineStep {
-    /// Step index.
-    pub step: usize,
-    /// Per-step optimum (MCF upper bound).
-    pub opt: f64,
-    /// Semi-oblivious MLU ratio after re-adapting rates to this TM.
-    pub semi_ratio: f64,
-    /// Static-oblivious MLU ratio (distribution fixed, no adaptation).
-    pub oblivious_ratio: f64,
-}
-
-/// Simulate online operation over a drifting TM sequence: the
-/// semi-oblivious controller re-optimizes rates each step on its fixed
-/// installed paths; the oblivious baseline never reacts. Returns the
-/// per-step ratio series (the time-series view behind E13's aggregate).
-#[allow(clippy::too_many_arguments)] // experiment knobs are individually meaningful
-pub fn online_simulation(
-    scenario: &Scenario,
-    base_tm: &Demand,
-    steps: usize,
-    jitter: f64,
-    s: usize,
-    trees: usize,
-    seed: u64,
-    eps: f64,
-) -> Vec<OnlineStep> {
-    let g = &scenario.graph;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base = RaeckeRouting::build(g.clone(), trees, &mut rng);
-    let sampled = sample_k(&base, &demand_pairs(base_tm), s, &mut rng);
-    let sor = SemiObliviousRouting::new(g.clone(), sampled.system);
-    let tms = sor_flow::demand::perturbed_sequence(base_tm, steps, jitter, &mut rng);
-    tms.iter()
-        .enumerate()
-        .map(|(i, tm)| {
-            let opt = max_concurrent_flow(g, tm, eps).congestion_upper;
-            let semi = sor.congestion(tm, eps);
-            let obl = sor_oblivious::routing::fractional_loads(&base, tm).congestion(g);
-            OnlineStep {
-                step: i,
-                opt,
-                semi_ratio: semi / opt.max(1e-12),
-                oblivious_ratio: obl / opt.max(1e-12),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::gravity_tm;
-
-    #[test]
-    fn online_series_adaptation_dominates() {
-        let sc = Scenario::abilene();
-        let mut rng = StdRng::seed_from_u64(4);
-        let tm = gravity_tm(&sc, 3.0, &mut rng);
-        let series = online_simulation(&sc, &tm, 5, 0.4, 4, 6, 9, 0.15);
-        assert_eq!(series.len(), 5);
-        let mean_semi: f64 = series.iter().map(|s| s.semi_ratio).sum::<f64>() / series.len() as f64;
-        let mean_obl: f64 =
-            series.iter().map(|s| s.oblivious_ratio).sum::<f64>() / series.len() as f64;
-        assert!(
-            mean_semi <= mean_obl + 1e-9,
-            "re-adaptation ({mean_semi}) should beat static oblivious ({mean_obl})"
-        );
-        for s in &series {
-            assert!(s.semi_ratio >= 1.0 - 0.2, "ratio {}", s.semi_ratio);
-            assert!(s.opt > 0.0);
-        }
-    }
 
     #[test]
     fn churn_runs_and_shows_the_gap() {

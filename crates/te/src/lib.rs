@@ -33,7 +33,7 @@ pub mod failures;
 pub mod scenario;
 pub mod schemes;
 
-pub use churn::{churn_experiment, online_simulation, ChurnResult, OnlineStep};
+pub use churn::{churn_experiment, ChurnResult};
 pub use failures::{emergency_path, failure_experiment, FailureResult};
 pub use scenario::{gravity_tm, Scenario};
 pub use schemes::{run_scheme, Scheme, SchemeResult};

@@ -20,7 +20,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use semi_oblivious_routing::cli::{flag_parse, flag_value, parse_demand, parse_graph};
+use semi_oblivious_routing::cli::{
+    flag_count, flag_eps, flag_parse, flag_parse_valid, flag_value, parse_demand, parse_graph,
+};
 use semi_oblivious_routing::core::sample::{demand_pairs, sample_k};
 use semi_oblivious_routing::core::SemiObliviousRouting;
 use semi_oblivious_routing::flow::max_concurrent_flow;
@@ -114,8 +116,8 @@ fn run(args: &[String]) {
         "export" => {
             // Build and print the installable artifact: topology + sampled
             // candidate path system, in the portable text format.
-            let trees: usize = or_die(flag_parse(args, "--trees", 8));
-            let s: usize = or_die(flag_parse(args, "--s", 4));
+            let trees: usize = or_die(flag_count(args, "--trees", 8));
+            let s: usize = or_die(flag_count(args, "--s", 4));
             let dspec = flag_value(args, "--demand").unwrap_or("perm");
             let demand = or_die(parse_demand(dspec, &g, seed));
             let mut rng = StdRng::seed_from_u64(seed);
@@ -130,9 +132,15 @@ fn run(args: &[String]) {
         "process" => {
             // Run the Main Lemma's deletion process once and print its
             // statistics (Section 5.3, live).
-            let s: usize = or_die(flag_parse(args, "--s", 4));
-            let tau: f64 = or_die(flag_parse(args, "--tau", 2.0));
-            let trees: usize = or_die(flag_parse(args, "--trees", 8));
+            let s: usize = or_die(flag_count(args, "--s", 4));
+            let tau: f64 = or_die(flag_parse_valid(
+                args,
+                "--tau",
+                2.0,
+                |&t| t > 0.0,
+                "must be positive",
+            ));
+            let trees: usize = or_die(flag_count(args, "--trees", 8));
             let dspec = flag_value(args, "--demand").unwrap_or("perm");
             let demand = or_die(parse_demand(dspec, &g, seed));
             let mut rng = StdRng::seed_from_u64(seed);
@@ -160,9 +168,9 @@ fn run(args: &[String]) {
             // an integral demand over it, and push the unit packets through
             // the store-and-forward scheduler. Exercises every pipeline
             // stage, so it is also the smoke test for `--metrics-out`.
-            let s: usize = or_die(flag_parse(args, "--s", 4));
-            let trees: usize = or_die(flag_parse(args, "--trees", 8));
-            let eps: f64 = or_die(flag_parse(args, "--eps", 0.15));
+            let s: usize = or_die(flag_count(args, "--s", 4));
+            let trees: usize = or_die(flag_count(args, "--trees", 8));
+            let eps: f64 = or_die(flag_eps(args, 0.15));
             let dspec = flag_value(args, "--demand").unwrap_or("perm");
             let demand = or_die(parse_demand(dspec, &g, seed));
             if !demand.is_integral() {
@@ -231,12 +239,12 @@ fn run(args: &[String]) {
                 ));
             }
             let ecfg = serve::EngineConfig {
-                sparsity: or_die(flag_parse(args, "--s", 3)),
-                trees: or_die(flag_parse(args, "--trees", 6)),
-                eps: or_die(flag_parse(args, "--eps", 0.2)),
+                sparsity: or_die(flag_count(args, "--s", 3)),
+                trees: or_die(flag_count(args, "--trees", 6)),
+                eps: or_die(flag_eps(args, 0.2)),
                 epoch_batch: or_die(flag_parse(args, "--batch", 64)),
                 queue_bound: or_die(flag_parse(args, "--queue-bound", 256)),
-                cache_capacity: or_die(flag_parse(args, "--cache-cap", 32)),
+                cache_capacity: or_die(flag_count(args, "--cache-cap", 32)),
                 integral: args.iter().any(|a| a == "--integral"),
                 compare_fresh: args.iter().any(|a| a == "--compare-fresh"),
                 snapshot_format: or_die(flag_value(args, "--snapshot-format").map_or(
@@ -248,8 +256,8 @@ fn run(args: &[String]) {
             let wcfg = serve::WorkloadConfig {
                 epochs: or_die(flag_parse(args, "--epochs", 8)),
                 rate: or_die(flag_parse(args, "--rate", 8)),
-                patterns: or_die(flag_parse(args, "--patterns", 3)),
-                pairs_per_pattern: or_die(flag_parse(args, "--pattern-pairs", 4)),
+                patterns: or_die(flag_count(args, "--patterns", 3)),
+                pairs_per_pattern: or_die(flag_count(args, "--pattern-pairs", 4)),
                 fail_at: flag_value(args, "--fail-at")
                     .map(|v| or_die(v.parse().map_err(|_| format!("bad --fail-at '{v}'")))),
                 restore_after: or_die(flag_parse(args, "--restore-after", 2)),
@@ -433,8 +441,8 @@ fn run(args: &[String]) {
             // tables (verified lossless — decode must bit-match before
             // stats are trusted), and report both encodings' footprints
             // next to the congestion the system achieves.
-            let eps: f64 = or_die(flag_parse(args, "--eps", 0.15));
-            let trees: usize = or_die(flag_parse(args, "--trees", 8));
+            let eps: f64 = or_die(flag_eps(args, 0.15));
+            let trees: usize = or_die(flag_count(args, "--trees", 8));
             let max_s: usize = or_die(flag_parse(args, "--max-s", 6));
             let dspec = flag_value(args, "--demand").unwrap_or("perm");
             let demand = or_die(parse_demand(dspec, &g, seed));
@@ -481,8 +489,14 @@ fn run(args: &[String]) {
             }
         }
         "eval" | "sweep" => {
-            let eps: f64 = or_die(flag_parse(args, "--eps", 0.15));
-            let trees: usize = or_die(flag_parse(args, "--trees", 8));
+            let eps: f64 = or_die(flag_eps(args, 0.15));
+            let trees: usize = or_die(flag_count(args, "--trees", 8));
+            let svals: Vec<usize> = if cmd == "eval" {
+                vec![or_die(flag_count(args, "--s", 4))]
+            } else {
+                let max_s: usize = or_die(flag_parse(args, "--max-s", 8));
+                (1..=max_s).collect()
+            };
             let dspec = flag_value(args, "--demand").unwrap_or("perm");
             let demand = or_die(parse_demand(dspec, &g, seed));
             let mut rng = StdRng::seed_from_u64(seed);
@@ -495,12 +509,6 @@ fn run(args: &[String]) {
                 opt.congestion_lower,
                 opt.congestion_upper
             );
-            let svals: Vec<usize> = if cmd == "eval" {
-                vec![or_die(flag_parse(args, "--s", 4))]
-            } else {
-                let max_s: usize = or_die(flag_parse(args, "--max-s", 8));
-                (1..=max_s).collect()
-            };
             println!("{:>3} {:>12} {:>10}", "s", "congestion", "ratio");
             for s in svals {
                 let sampled = sample_k(&base, &demand_pairs(&demand), s, &mut rng);

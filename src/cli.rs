@@ -12,7 +12,9 @@ use sor_graph::{gen, Graph};
 /// `hypercube:D`, `grid:RxC`, `torus:RxC`, `cycle:N`, `path:N`,
 /// `complete:N`, `star:N`, `expander:NxD` (random regular, seeded),
 /// `clos:SxL`, `dumbbell:KxB`, `twostar:RxM`, `smallworld:NxK` (β = 0.2,
-/// seeded), `abilene`, `att`, `b4`, `geant`.
+/// seeded), `abilene`, `att`, `b4`, `geant`. Sizes outside a family's
+/// range (the preconditions its generator asserts, at least 2 vertices,
+/// and vertex ids that fit in `u32`) are an error naming the spec.
 pub fn parse_graph(spec: &str, seed: u64) -> Result<Graph, String> {
     let (name, arg) = match spec.split_once(':') {
         Some((n, a)) => (n, Some(a)),
@@ -33,40 +35,113 @@ pub fn parse_graph(spec: &str, seed: u64) -> Result<Graph, String> {
             y.parse().map_err(|_| format!("bad number in '{spec}'"))?,
         ))
     };
+    // `nodes` is the family's vertex count (None on overflow); vertex
+    // ids are u32 indices, so `Graph::new` needs fewer than u32::MAX.
+    let check = |ok: bool, nodes: Option<usize>, need: &str| -> Result<(), String> {
+        if ok && nodes.is_some_and(|n| n < u32::MAX as usize) {
+            Ok(())
+        } else {
+            Err(format!(
+                "bad graph '{spec}': {need} and fewer than {} vertices",
+                u32::MAX
+            ))
+        }
+    };
     Ok(match name {
-        "hypercube" => gen::hypercube(one(arg)?),
-        "cycle" => gen::cycle_graph(one(arg)?),
-        "path" => gen::path_graph(one(arg)?),
-        "complete" => gen::complete_graph(one(arg)?),
-        "star" => gen::star(one(arg)?),
+        "hypercube" => {
+            let d = one(arg)?;
+            check(
+                (1..=24).contains(&d),
+                Some(1 << d.min(24)),
+                "hypercube:D needs 1 <= D <= 24",
+            )?;
+            gen::hypercube(d)
+        }
+        "cycle" => {
+            let n = one(arg)?;
+            check(n >= 3, Some(n), "cycle:N needs N >= 3")?;
+            gen::cycle_graph(n)
+        }
+        "path" => {
+            let n = one(arg)?;
+            check(n >= 2, Some(n), "path:N needs N >= 2")?;
+            gen::path_graph(n)
+        }
+        "complete" => {
+            let n = one(arg)?;
+            check(n >= 2, Some(n), "complete:N needs N >= 2")?;
+            gen::complete_graph(n)
+        }
+        "star" => {
+            let n = one(arg)?;
+            check(n >= 1, n.checked_add(1), "star:N needs N >= 1 leaves")?;
+            gen::star(n)
+        }
         "grid" => {
             let (r, c) = two(arg)?;
+            let n = r.checked_mul(c);
+            check(
+                r >= 1 && c >= 1 && n >= Some(2),
+                n,
+                "grid:RxC needs R, C >= 1 and R*C >= 2",
+            )?;
             gen::grid(r, c)
         }
         "torus" => {
             let (r, c) = two(arg)?;
+            check(
+                r >= 3 && c >= 3,
+                r.checked_mul(c),
+                "torus:RxC needs R, C >= 3",
+            )?;
             gen::torus(r, c)
         }
         "expander" => {
             let (n, d) = two(arg)?;
+            let even = n.checked_mul(d).is_some_and(|nd| nd.is_multiple_of(2));
+            check(
+                d >= 3 && d < n && even,
+                Some(n),
+                "expander:NxD needs 3 <= D < N, N*D even",
+            )?;
             let mut rng = StdRng::seed_from_u64(seed);
             gen::random_regular(n, d, &mut rng)
         }
         "smallworld" => {
             let (n, k) = two(arg)?;
+            check(
+                k >= 2 && k.is_multiple_of(2) && k < n,
+                Some(n),
+                "smallworld:NxK needs even 2 <= K < N",
+            )?;
             let mut rng = StdRng::seed_from_u64(seed);
             gen::watts_strogatz(n, k, 0.2, &mut rng)
         }
         "clos" => {
             let (s, l) = two(arg)?;
+            check(
+                s >= 1 && l >= 2,
+                s.checked_add(l),
+                "clos:SxL needs S >= 1, L >= 2",
+            )?;
             gen::clos(s, l, 1.0)
         }
         "dumbbell" => {
             let (k, b) = two(arg)?;
+            check(
+                k >= 2 && (1..=k).contains(&b),
+                k.checked_mul(2),
+                "dumbbell:KxB needs K >= 2, 1 <= B <= K",
+            )?;
             gen::dumbbell(k, b)
         }
         "twostar" => {
             let (r, m) = two(arg)?;
+            let n = m
+                .checked_mul(2)
+                .and_then(|x| x.checked_add(r))
+                .and_then(|x| x.checked_add(2));
+            check(r >= 1 && m >= 1, n, "twostar:RxM needs R, M >= 1")?;
             gen::two_star(r, m)
         }
         "abilene" => gen::abilene(),
@@ -149,6 +224,42 @@ pub fn flag_parse<T: std::str::FromStr>(
     }
 }
 
+/// [`flag_parse`] for a flag whose value must also satisfy `valid`;
+/// `need` says what a valid value is. The default must be valid, so an
+/// invalid result always comes from a value the user gave.
+pub fn flag_parse_valid<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+    need: &str,
+) -> Result<T, String> {
+    let v = flag_parse(args, flag, default)?;
+    if valid(&v) {
+        Ok(v)
+    } else {
+        let given = flag_value(args, flag).unwrap_or_default();
+        Err(format!("invalid value '{given}' for {flag}: {need}"))
+    }
+}
+
+/// A count flag (sample sizes, tree counts, capacities) that must be at
+/// least 1.
+pub fn flag_count(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    flag_parse_valid(args, flag, default, |&v| v >= 1, "must be at least 1")
+}
+
+/// The MWU accuracy `--eps`, which the solvers need in (0, 1).
+pub fn flag_eps(args: &[String], default: f64) -> Result<f64, String> {
+    flag_parse_valid(
+        args,
+        "--eps",
+        default,
+        |&e| e > 0.0 && e < 1.0,
+        "must be in (0, 1)",
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +277,23 @@ mod tests {
         assert!(parse_graph("bogus", 0).is_err());
         assert!(parse_graph("grid:3", 0).is_err());
         assert!(parse_graph("hypercube", 0).is_err());
+        // sizes the generators cannot build are errors naming the spec
+        for spec in ["hypercube:25", "torus:2x3", "star:0", "smallworld:10x3"] {
+            assert!(parse_graph(spec, 0).unwrap_err().contains(spec));
+        }
+        for spec in ["clos:1x1", "dumbbell:3x4", "path:4294967296"] {
+            assert!(parse_graph(spec, 0).is_err(), "{spec}");
+        }
+        // the smallest graph of each family still builds
+        for spec in [
+            "hypercube:1",
+            "grid:1x2",
+            "cycle:3",
+            "path:2",
+            "expander:4x3",
+        ] {
+            assert!(parse_graph(spec, 0).is_ok(), "{spec}");
+        }
     }
 
     #[test]
@@ -210,5 +338,15 @@ mod tests {
         let bad: Vec<String> = ["--eps", "fast"].iter().map(|s| s.to_string()).collect();
         let err = flag_parse(&bad, "--eps", 0.1f64).unwrap_err();
         assert_eq!(err, "invalid value 'fast' for --eps");
+        // a well-formed value outside the flag's range is an error too
+        let zero: Vec<String> = ["--s", "0", "--eps", "1.5"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = flag_count(&zero, "--s", 4).unwrap_err();
+        assert_eq!(err, "invalid value '0' for --s: must be at least 1");
+        assert!(flag_eps(&zero, 0.1).unwrap_err().contains("(0, 1)"));
+        assert_eq!(flag_count(&args, "--s", 1), Ok(4));
+        assert_eq!(flag_eps(&args, 0.1), Ok(0.2));
     }
 }
