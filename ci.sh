@@ -95,6 +95,25 @@ echo "==> sorbench tests (its own workspace: the workspace test run does not com
 # sorbench/Cargo.lock fails here, naming the lock file.
 cargo test -q --offline --locked --manifest-path sorbench/Cargo.toml
 
+echo "==> sorbench output check (every workload 1 s at seed 1; no timing is gated)"
+# sorbench checks every snapshot and solve it produces; its last stdout
+# line must report them all correct and none failed.
+for w in serve-warm serve-churn eval-perm eval-tm; do
+  if ! out="$(cargo run --release -q --offline --locked --manifest-path sorbench/Cargo.toml -- \
+    --workload "$w" --seconds 1 --seed 1)"; then
+    echo "sorbench $w exited non-zero: $(printf '%s\n' "$out" | tail -n 1)"
+    exit 1
+  fi
+  last="$(printf '%s\n' "$out" | tail -n 1)"
+  case "$last" in
+    *'"correct": true,'*'"failed": 0,'*) echo "sorbench $w: all outputs correct" ;;
+    *)
+      echo "sorbench $w failed its output check: $last"
+      exit 1
+      ;;
+  esac
+done
+
 echo "==> instrumented smoke experiment (BENCH_*.json artifact)"
 mkdir -p target/obs
 cargo run -q --release -p sor-bench --bin tables -- \

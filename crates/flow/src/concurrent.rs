@@ -11,8 +11,8 @@
 
 use crate::demand::Demand;
 use crate::loads::EdgeLoads;
-use sor_graph::{DijkstraSearch, Graph, NodeId, Path};
-use std::collections::{BTreeMap, HashMap};
+use sor_graph::{DijkstraSearch, EdgeId, Graph, NodeId, Path};
+use std::collections::BTreeMap;
 
 /// Result of the OPT-congestion computation for a demand.
 #[derive(Clone, Debug)]
@@ -128,8 +128,10 @@ pub fn try_max_concurrent_flow(
     let mut volume: f64 = delta * m as f64; // D(ℓ) = Σ c_e ℓ_e
 
     let mut raw = EdgeLoads::zeros(m);
-    // Path decomposition accumulated as (commodity, path) -> raw amount.
-    let mut path_amounts: HashMap<(usize, Path), f64> = HashMap::new();
+    // Path decomposition: per commodity, each distinct edge list with its
+    // raw amount, in first-seen order.
+    let mut found: Vec<Vec<(Vec<EdgeId>, f64)>> = vec![Vec::new(); entries.len()];
+    let mut path: Vec<EdgeId> = Vec::with_capacity(g.num_nodes());
     let mut phases: u64 = 0;
     let mut search = DijkstraSearch::with_nodes(g.num_nodes());
     // Safety valve: phases are Θ(log(m)/ε²) for this normalization; 10^6
@@ -145,24 +147,24 @@ pub fn try_max_concurrent_flow(
             while remaining > 1e-15 {
                 sor_obs::counter_add!("flow/mwu/oracle_calls");
                 search.settle(g, s, &len, &[t]);
-                let Some(path) = search.path_to(g, t) else {
+                if !search.edges_to(g, t, &mut path) {
                     return Err(FlowError::Disconnected { s, t });
-                };
-                let bottleneck = path
-                    .edges()
-                    .iter()
-                    .map(|&e| g.cap(e))
-                    .fold(f64::INFINITY, f64::min);
+                }
+                let bottleneck = path.iter().map(|&e| g.cap(e)).fold(f64::INFINITY, f64::min);
                 let f = remaining.min(bottleneck);
-                raw.add_path(&path, f);
-                for &e in path.edges() {
+                raw.add_edges(&path, f);
+                for &e in &path {
                     let cap = g.cap(e);
                     let old = len[e.index()];
                     let new = old * (1.0 + eps * f / cap);
                     len[e.index()] = new;
                     volume += cap * (new - old);
                 }
-                *path_amounts.entry((j, path)).or_insert(0.0) += f;
+                let seen = &mut found[j];
+                match seen.iter_mut().find(|(edges, _)| *edges == path) {
+                    Some((_, amount)) => *amount += f,
+                    None => seen.push((path.clone(), f)),
+                }
                 remaining -= f;
             }
         }
@@ -197,7 +199,25 @@ pub fn try_max_concurrent_flow(
     }
     let congestion_lower = alpha / volume;
 
-    let paths = sorted_paths(path_amounts, scale);
+    // Each distinct path is built, and so checked simple, once; a failed
+    // check surfaces as the per-call path extraction reported it.
+    let mut paths: Vec<(usize, Path, f64)> = Vec::with_capacity(found.iter().map(Vec::len).sum());
+    for (j, (seen, &(s, t, _))) in found.into_iter().zip(entries).enumerate() {
+        let first = paths.len();
+        for (edges, amount) in seen {
+            let Some(path) = Path::from_edges(g, s, edges) else {
+                return Err(FlowError::Disconnected { s, t });
+            };
+            paths.push((j, path, amount * scale));
+        }
+        // Node sequence, then edge sequence (parallel edges), so the order
+        // never depends on the order paths were first found.
+        paths[first..].sort_by(|a, b| {
+            a.1.nodes()
+                .cmp(b.1.nodes())
+                .then_with(|| a.1.edges().cmp(b.1.edges()))
+        });
+    }
 
     Ok(OptResult {
         congestion_upper,
@@ -205,22 +225,6 @@ pub fn try_max_concurrent_flow(
         loads,
         paths,
     })
-}
-
-/// The accumulated path decomposition scaled by `scale`, ordered by
-/// commodity, then node sequence, then edge sequence (parallel edges), so
-/// the order never depends on the hasher.
-fn sorted_paths(path_amounts: HashMap<(usize, Path), f64>, scale: f64) -> Vec<(usize, Path, f64)> {
-    let mut paths: Vec<(usize, Path, f64)> = path_amounts
-        .into_iter()
-        .map(|((j, p), a)| (j, p, a * scale))
-        .collect();
-    paths.sort_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| a.1.nodes().cmp(b.1.nodes()))
-            .then_with(|| a.1.edges().cmp(b.1.edges()))
-    });
-    paths
 }
 
 /// Convenience wrapper returning just the congestion sandwich
@@ -381,6 +385,106 @@ mod tests {
         let b = max_concurrent_flow(&g, &d, 0.1);
         assert!(a.paths.len() > 5);
         assert_eq!(a.paths, b.paths);
+    }
+
+    /// Reference solver: the oracle loop before the path-free one, which
+    /// built a `Path` per call and accumulated amounts in a
+    /// `HashMap<(commodity, Path), f64>` sorted at the end.
+    fn per_call_paths(g: &Graph, demand: &Demand, eps: f64) -> OptResult {
+        let m = g.num_edges();
+        let entries = demand.entries();
+        let delta = (m as f64 / (1.0 - eps)).powf(-1.0 / eps);
+        let mut len: Vec<f64> = g.edges().iter().map(|e| delta / e.cap).collect();
+        let mut volume: f64 = delta * m as f64;
+        let mut raw = EdgeLoads::zeros(m);
+        let mut path_amounts: std::collections::HashMap<(usize, Path), f64> =
+            std::collections::HashMap::new();
+        let mut phases: u64 = 0;
+        let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+        while volume < 1.0 {
+            phases += 1;
+            for (j, &(s, t, d)) in entries.iter().enumerate() {
+                let mut remaining = d;
+                while remaining > 1e-15 {
+                    search.settle(g, s, &len, &[t]);
+                    let path = search.path_to(g, t).unwrap();
+                    let bottleneck = path
+                        .edges()
+                        .iter()
+                        .map(|&e| g.cap(e))
+                        .fold(f64::INFINITY, f64::min);
+                    let f = remaining.min(bottleneck);
+                    raw.add_path(&path, f);
+                    for &e in path.edges() {
+                        let cap = g.cap(e);
+                        let old = len[e.index()];
+                        let new = old * (1.0 + eps * f / cap);
+                        len[e.index()] = new;
+                        volume += cap * (new - old);
+                    }
+                    *path_amounts.entry((j, path)).or_insert(0.0) += f;
+                    remaining -= f;
+                }
+            }
+        }
+        let scale = 1.0 / phases as f64;
+        let mut loads = raw;
+        loads.scale(scale);
+        let congestion_upper = loads.congestion(g);
+        let mut by_source: BTreeMap<NodeId, Vec<(NodeId, f64)>> = BTreeMap::new();
+        for &(s, t, d) in entries {
+            by_source.entry(s).or_default().push((t, d));
+        }
+        let mut alpha = 0.0;
+        for (&s, commodities) in &by_source {
+            let targets: Vec<NodeId> = commodities.iter().map(|&(t, _)| t).collect();
+            search.settle(g, s, &len, &targets);
+            for &(t, d) in commodities {
+                alpha += d * search.dist(t);
+            }
+        }
+        let mut paths: Vec<(usize, Path, f64)> = path_amounts
+            .into_iter()
+            .map(|((j, p), a)| (j, p, a * scale))
+            .collect();
+        paths.sort_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| a.1.nodes().cmp(b.1.nodes()))
+                .then_with(|| a.1.edges().cmp(b.1.edges()))
+        });
+        OptResult {
+            congestion_upper,
+            congestion_lower: alpha / volume,
+            loads,
+            paths,
+        }
+    }
+
+    #[test]
+    fn path_free_oracle_matches_per_call_paths() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(7);
+        // One commodity per source.
+        let cube = gen::hypercube(5);
+        let perm = crate::demand::random_permutation(&cube, &mut rng);
+        // Every ordered pair of a WAN, with unequal capacities: many
+        // commodities per source and parallel shortest-path choices.
+        let wan = gen::abilene();
+        let nodes: Vec<NodeId> = wan.nodes().collect();
+        let mass: Vec<f64> = (0..nodes.len()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let tm = crate::demand::gravity(&nodes, &mass, 10.0);
+        for (g, d, eps) in [(&cube, &perm, 0.1), (&wan, &tm, 0.1), (&wan, &tm, 0.3)] {
+            let a = max_concurrent_flow(g, d, eps);
+            let b = per_call_paths(g, d, eps);
+            assert_eq!(a.congestion_upper.to_bits(), b.congestion_upper.to_bits());
+            assert_eq!(a.congestion_lower.to_bits(), b.congestion_lower.to_bits());
+            assert_eq!(a.loads, b.loads);
+            assert_eq!(a.paths.len(), b.paths.len());
+            for (x, y) in a.paths.iter().zip(&b.paths) {
+                assert_eq!((x.0, &x.1, x.2.to_bits()), (y.0, &y.1, y.2.to_bits()));
+            }
+        }
     }
 
     #[test]

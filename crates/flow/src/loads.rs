@@ -27,7 +27,13 @@ impl EdgeLoads {
     /// load (used by local-search moves); callers are responsible for not
     /// driving loads below zero.
     pub fn add_path(&mut self, path: &Path, w: f64) {
-        for &e in path.edges() {
+        self.add_edges(path.edges(), w);
+    }
+
+    /// Add `w` units along every edge of `edges` (as [`Self::add_path`],
+    /// for an edge list that is not a [`Path`]).
+    pub(crate) fn add_edges(&mut self, edges: &[EdgeId], w: f64) {
+        for &e in edges {
             self.loads[e.index()] += w;
         }
     }

@@ -148,8 +148,9 @@ pub fn watts_strogatz<R: Rng>(n: usize, k: usize, beta: f64, rng: &mut R) -> Gra
     );
     assert!((0.0..=1.0).contains(&beta));
     'attempt: for _ in 0..1000 {
-        // edge set as (min, max) pairs to keep the graph simple
-        let mut edges: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
+        // edge set as (min, max) pairs to keep the graph simple; ordered,
+        // so the rewiring order and the edge order of the graph are fixed
+        let mut edges: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
         let key = |a: u32, b: u32| (a.min(b), a.max(b));
         // ring arithmetic runs in u32 node-id space; k < n < u32::MAX is
         // enforced by the assert above plus Graph::new below
@@ -184,9 +185,7 @@ pub fn watts_strogatz<R: Rng>(n: usize, k: usize, beta: f64, rng: &mut R) -> Gra
             }
         }
         let mut g = Graph::new(n);
-        let mut sorted: Vec<(u32, u32)> = edges.into_iter().collect();
-        sorted.sort();
-        for (u, v) in sorted {
+        for (u, v) in edges {
             g.add_unit_edge(NodeId(u), NodeId(v));
         }
         if is_connected(&g) {

@@ -5,7 +5,7 @@
 //! distinct simple paths between a pair.
 
 use crate::graph::{Graph, NodeId};
-use crate::path::Path;
+use crate::path::{LoopErasedWalk, Path};
 use crate::shortest::dijkstra;
 
 /// The `k` shortest loopless `s`-`t` paths under `lengths`, sorted by
@@ -27,6 +27,7 @@ pub fn yen_ksp(g: &Graph, s: NodeId, t: NodeId, k: usize, lengths: &[f64]) -> Ve
     // Candidate pool: (length, path). Kept sorted ascending; we pop the
     // smallest. Duplicates are filtered on insertion.
     let mut candidates: Vec<(f64, Path)> = Vec::new();
+    let mut walk = LoopErasedWalk::default();
 
     let first = match dijkstra(g, s, lengths).path_to(g, t) {
         Some(p) => p,
@@ -63,19 +64,18 @@ pub fn yen_ksp(g: &Graph, s: NodeId, t: NodeId, k: usize, lengths: &[f64]) -> Ve
             if spur_path.length(&banned).is_infinite() {
                 continue; // only reachable through banned edges
             }
-            // A prefix of an accepted path is always valid; skipping the
-            // spur is a safe fallback if that ever stopped holding.
-            let Some(root) = Path::from_edges(g, s, root_edges.to_vec()) else {
-                continue;
-            };
-            let Some(total) = root.join_simplified(&spur_path) else {
-                continue;
-            };
-            // join_simplified may shortcut; only keep genuine s-t simple paths
-            // that extend the root exactly (Yen requires root ++ spur simple).
-            if total.hops() != root.hops() + spur_path.hops() {
+            // Root ++ spur, loop-erased; erasure may shortcut, so keep only
+            // genuine s-t simple paths that extend the root exactly (Yen
+            // requires root ++ spur simple).
+            walk.start(s);
+            for (&e, &v) in root_edges.iter().zip(&root_nodes[1..]) {
+                walk.step(e, v);
+            }
+            walk.follow(&spur_path);
+            if walk.edges().len() != i + spur_path.hops() {
                 continue;
             }
+            let total = walk.to_path();
             let total_len = total.length(lengths);
             let duplicate =
                 accepted.contains(&total) || candidates.iter().any(|(_, p)| *p == total);

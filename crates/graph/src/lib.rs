@@ -64,7 +64,7 @@ pub use graph::{EdgeId, EdgeRec, Graph, NodeId};
 pub use io::{graph_from_text, graph_to_text};
 pub use ksp::yen_ksp;
 pub use maxflow::{max_flow, st_min_cut};
-pub use path::Path;
+pub use path::{LoopErasedWalk, Path};
 pub use shortest::{dijkstra, DijkstraSearch, ShortestPathTree};
 pub use spectral::spectral_gap;
 pub use traversal::{bfs_dists, bfs_path, diameter, is_connected};

@@ -126,49 +126,6 @@ impl Path {
         }
     }
 
-    /// Concatenate `self` (ending at `v`) with `other` (starting at `v`),
-    /// then *shortcut* any vertex repetitions so the result is simple.
-    ///
-    /// This implements the standard "make the walk vertex-simple" step the
-    /// paper invokes ("any routing can be made vertex-simple while not
-    /// increasing congestion or dilation"): whenever the combined walk
-    /// revisits a vertex, the loop between the visits is excised.
-    pub fn join_simplified(&self, other: &Path) -> Option<Path> {
-        if self.target() != other.source() {
-            return None;
-        }
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(self.nodes.len() + other.nodes.len());
-        let mut edges: Vec<EdgeId> = Vec::with_capacity(self.edges.len() + other.edges.len());
-        nodes.extend_from_slice(&self.nodes);
-        edges.extend_from_slice(&self.edges);
-        nodes.extend_from_slice(&other.nodes[1..]);
-        edges.extend_from_slice(&other.edges);
-        // Excise loops: keep a map from vertex to its position in the
-        // running prefix; on a repeat, truncate back to the first visit.
-        let mut pos: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-        let mut out_nodes: Vec<NodeId> = Vec::with_capacity(nodes.len());
-        let mut out_edges: Vec<EdgeId> = Vec::with_capacity(edges.len());
-        for (i, &v) in nodes.iter().enumerate() {
-            if let Some(&j) = pos.get(&v) {
-                // truncate back to position j
-                for dropped in out_nodes.drain(j + 1..) {
-                    pos.remove(&dropped);
-                }
-                out_edges.truncate(j);
-            } else {
-                if i > 0 {
-                    out_edges.push(edges[i - 1]);
-                }
-                pos.insert(v, out_nodes.len());
-                out_nodes.push(v);
-            }
-        }
-        Some(Path {
-            nodes: out_nodes,
-            edges: out_edges,
-        })
-    }
-
     /// Validate this path against a graph: adjacency, simplicity, length
     /// bookkeeping. Used by tests and debug assertions downstream.
     pub fn validate(&self, g: &Graph) -> bool {
@@ -210,6 +167,96 @@ impl fmt::Debug for Path {
             write!(f, "{v}")?;
         }
         write!(f, "]")
+    }
+}
+
+/// A walk whose loops are erased as it grows (chronological loop
+/// erasure), built one `(edge, next vertex)` step at a time.
+///
+/// The walk always holds the loop-erased form of everything fed so far:
+/// a step onto a vertex already on it cuts the walk back to that vertex.
+/// Erasure is online — after any prefix the state *is* the loop-erased
+/// prefix, a simple path — so erasing a concatenation once gives exactly
+/// the path that erasing each join of its pieces in turn would give.
+///
+/// `pos[v]` is `v`'s index on the walk, trusted only when it points back
+/// at `v`. A revisit is thus found in O(1) per step and nothing is reset
+/// between walks, the way stamps serve [`crate::DijkstraSearch`]. The
+/// array grows to the largest vertex id fed, so one walk can be reused
+/// for any number of walks on any graph.
+#[derive(Debug, Default)]
+pub struct LoopErasedWalk {
+    nodes: Vec<NodeId>,
+    edges: Vec<EdgeId>,
+    pos: Vec<usize>,
+}
+
+impl LoopErasedWalk {
+    /// Start a new walk at `source`, forgetting the previous one.
+    pub fn start(&mut self, source: NodeId) {
+        self.nodes.clear();
+        self.edges.clear();
+        self.visit(source);
+        self.pos[source.index()] = 0;
+        self.nodes.push(source);
+    }
+
+    /// Walk along `e` to `v`. The caller guarantees that `e` joins the
+    /// current head to `v`.
+    pub fn step(&mut self, e: EdgeId, v: NodeId) {
+        let p = self.visit(v);
+        if p < self.nodes.len() && self.nodes[p] == v {
+            // v is already on the walk: erase the loop since its visit.
+            self.nodes.truncate(p + 1);
+            self.edges.truncate(p);
+        } else {
+            self.pos[v.index()] = self.nodes.len();
+            self.nodes.push(v);
+            self.edges.push(e);
+        }
+    }
+
+    /// Walk along all of `path`, which must start at the head.
+    pub fn follow(&mut self, path: &Path) {
+        assert_eq!(path.source(), self.head(), "path must start at the head");
+        for (&e, &v) in path.edges.iter().zip(&path.nodes[1..]) {
+            self.step(e, v);
+        }
+    }
+
+    /// Walk along `path` backwards; it must end at the head.
+    pub fn follow_reversed(&mut self, path: &Path) {
+        assert_eq!(path.target(), self.head(), "path must end at the head");
+        for (&e, &v) in path.edges.iter().rev().zip(path.nodes.iter().rev().skip(1)) {
+            self.step(e, v);
+        }
+    }
+
+    /// The vertex the walk has reached. Panics before [`Self::start`].
+    pub fn head(&self) -> NodeId {
+        self.nodes[self.nodes.len() - 1]
+    }
+
+    /// Edges of the loop-erased walk so far, in walk order.
+    pub fn edges(&self) -> &[EdgeId] {
+        &self.edges
+    }
+
+    /// The loop-erased walk as a path, allocated at its exact length.
+    pub fn to_path(&self) -> Path {
+        assert!(!self.nodes.is_empty(), "walk was never started");
+        Path {
+            nodes: self.nodes.to_vec(),
+            edges: self.edges.to_vec(),
+        }
+    }
+
+    /// `v`'s recorded position, growing the array to cover `v`.
+    fn visit(&mut self, v: NodeId) -> usize {
+        if v.index() >= self.pos.len() {
+            self.pos.resize(v.index() + 1, usize::MAX);
+        }
+        self.pos[v.index()]
     }
 }
 
@@ -265,45 +312,126 @@ mod tests {
     }
 
     #[test]
-    fn join_simplified_shortcuts_loops() {
-        // Triangle 0-1-2-0; join 0->1->2 with 2->0->1... wait target mismatch.
-        let mut g = Graph::new(3);
-        g.add_unit_edge(NodeId(0), NodeId(1)); // e0
-        g.add_unit_edge(NodeId(1), NodeId(2)); // e1
-        g.add_unit_edge(NodeId(2), NodeId(0)); // e2
-        let a = Path::from_nodes(&g, &[NodeId(0), NodeId(1), NodeId(2)]).unwrap();
-        let b = Path::from_nodes(&g, &[NodeId(2), NodeId(0)]).unwrap();
-        // 0-1-2-0 loops back to source; simplification leaves the trivial path at 0.
-        let j = a.join_simplified(&b).unwrap();
-        assert_eq!(j.source(), NodeId(0));
-        assert_eq!(j.target(), NodeId(0));
-        assert_eq!(j.hops(), 0);
+    fn loop_erased_walks() {
+        // (graph edges, walk as (edge index taken, vertex reached) steps
+        // whose first entry is the start with an unused edge, erased
+        // vertex ids, erased edge indices)
+        type Case = (
+            &'static [(u32, u32)],
+            &'static [(usize, u32)],
+            &'static [u32],
+            &'static [u32],
+        );
+        let cases: [Case; 7] = [
+            // A triangle walked back to its source erases to the source.
+            (
+                &[(0, 1), (1, 2), (2, 0)],
+                &[(0, 0), (0, 1), (1, 2), (2, 0)],
+                &[0],
+                &[],
+            ),
+            // A simple walk is kept whole.
+            (
+                &[(0, 1), (1, 2), (2, 3), (3, 4)],
+                &[(0, 0), (0, 1), (1, 2), (2, 3), (3, 4)],
+                &[0, 1, 2, 3, 4],
+                &[0, 1, 2, 3],
+            ),
+            // 0-1-2-3 then 3-2-4 shortcuts to 0-1-2-4.
+            (
+                &[(0, 1), (1, 2), (2, 3), (2, 4)],
+                &[(0, 0), (0, 1), (1, 2), (2, 3), (2, 2), (3, 4)],
+                &[0, 1, 2, 4],
+                &[0, 1, 3],
+            ),
+            // Back at the source mid-walk, then onwards.
+            (
+                &[(0, 1), (1, 2), (2, 0), (0, 3)],
+                &[(0, 0), (0, 1), (1, 2), (2, 0), (3, 3)],
+                &[0, 3],
+                &[3],
+            ),
+            // Vertex 1 revisited twice.
+            (
+                &[(0, 1), (1, 2), (1, 3), (1, 4)],
+                &[(0, 0), (0, 1), (1, 2), (1, 1), (2, 3), (2, 1), (3, 4)],
+                &[0, 1, 4],
+                &[0, 3],
+            ),
+            // Parallel edges: the edge of the last crossing is kept.
+            (
+                &[(0, 1), (0, 1)],
+                &[(0, 0), (0, 1), (1, 0), (1, 1)],
+                &[0, 1],
+                &[1],
+            ),
+            // A simple walk over vertices the walks above left at other
+            // positions: stale entries must not read as revisits.
+            (
+                &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+                &[(0, 5), (4, 4), (3, 3), (2, 2), (1, 1), (0, 0)],
+                &[5, 4, 3, 2, 1, 0],
+                &[4, 3, 2, 1, 0],
+            ),
+        ];
+        // One walk serves every case, so nothing may leak between walks.
+        let mut walk = LoopErasedWalk::default();
+        for (edges, steps, want_nodes, want_edges) in cases {
+            let n = edges.iter().map(|&(u, v)| u.max(v)).max().unwrap() as usize + 1;
+            let mut g = Graph::new(n);
+            for &(u, v) in edges {
+                g.add_unit_edge(NodeId(u), NodeId(v));
+            }
+            let nodes: Vec<NodeId> = steps.iter().map(|&(_, v)| NodeId(v)).collect();
+            let walked: Vec<EdgeId> = steps[1..]
+                .iter()
+                .map(|&(e, _)| EdgeId::from_usize(e))
+                .collect();
+            walk.start(nodes[0]);
+            for (&e, &v) in walked.iter().zip(&nodes[1..]) {
+                walk.step(e, v);
+            }
+            let path = walk.to_path();
+            let want_nodes: Vec<NodeId> = want_nodes.iter().map(|&v| NodeId(v)).collect();
+            let want_edges: Vec<EdgeId> = want_edges.iter().map(|&e| EdgeId(e)).collect();
+            assert_eq!(path.nodes(), &want_nodes[..]);
+            assert_eq!(path.edges(), &want_edges[..]);
+            assert!(path.validate(&g));
+            assert_eq!(path.nodes().len(), path.nodes.capacity(), "exact-size path");
+        }
     }
 
     #[test]
-    fn join_simplified_plain_concat() {
-        let g = path_graph(5);
-        let a = Path::from_nodes(&g, &[NodeId(0), NodeId(1), NodeId(2)]).unwrap();
-        let b = Path::from_nodes(&g, &[NodeId(2), NodeId(3), NodeId(4)]).unwrap();
-        let j = a.join_simplified(&b).unwrap();
-        assert_eq!(j.hops(), 4);
-        assert!(j.validate(&g));
-        assert_eq!(j.target(), NodeId(4));
-    }
-
-    #[test]
-    fn join_simplified_partial_loop() {
-        // 0-1-2-3 joined with 3-2-4 should shortcut to 0-1-2-4.
+    fn follow_matches_stepwise_and_reversed() {
+        // 0-1-2-3, then the path 4-2-3 walked backwards from 3.
         let mut g = Graph::new(5);
-        g.add_unit_edge(NodeId(0), NodeId(1));
-        g.add_unit_edge(NodeId(1), NodeId(2));
-        g.add_unit_edge(NodeId(2), NodeId(3));
-        g.add_unit_edge(NodeId(2), NodeId(4));
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (2, 4)] {
+            g.add_unit_edge(NodeId(u), NodeId(v));
+        }
         let a = Path::from_nodes(&g, &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]).unwrap();
-        let b = Path::from_nodes(&g, &[NodeId(3), NodeId(2), NodeId(4)]).unwrap();
-        let j = a.join_simplified(&b).unwrap();
-        assert!(j.validate(&g));
-        assert_eq!(j.nodes(), &[NodeId(0), NodeId(1), NodeId(2), NodeId(4)]);
+        let b = Path::from_nodes(&g, &[NodeId(4), NodeId(2), NodeId(3)]).unwrap();
+        let mut walk = LoopErasedWalk::default();
+        walk.start(NodeId(0));
+        walk.follow(&a);
+        walk.follow_reversed(&b);
+        assert_eq!(walk.head(), NodeId(4));
+        assert_eq!(
+            walk.to_path().nodes(),
+            &[NodeId(0), NodeId(1), NodeId(2), NodeId(4)]
+        );
+        walk.start(NodeId(3));
+        walk.follow(&b.reversed());
+        assert_eq!(walk.to_path(), b.reversed());
+    }
+
+    #[test]
+    #[should_panic(expected = "path must start at the head")]
+    fn follow_rejects_a_gap() {
+        let g = path_graph(3);
+        let p = Path::from_nodes(&g, &[NodeId(1), NodeId(2)]).unwrap();
+        let mut walk = LoopErasedWalk::default();
+        walk.start(NodeId(0));
+        walk.follow(&p);
     }
 
     #[test]

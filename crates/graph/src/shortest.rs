@@ -165,6 +165,29 @@ impl DijkstraSearch {
         tree_path(g, self.source, &self.parent, t)
     }
 
+    /// Write the edges of the shortest path from the last search's source
+    /// to `t` into `edges`, source first, reusing its buffer. Returns
+    /// `false` and leaves `edges` empty if that search did not settle `t`.
+    /// Unlike [`DijkstraSearch::path_to`] this builds no [`Path`], so it
+    /// neither allocates nor checks that the edges form a simple path.
+    pub fn edges_to(&self, g: &Graph, t: NodeId, edges: &mut Vec<EdgeId>) -> bool {
+        edges.clear();
+        if self.stamp[t.index()] != self.epoch {
+            return false;
+        }
+        let mut cur = t;
+        while cur != self.source {
+            let Some(e) = self.parent[cur.index()] else {
+                edges.clear();
+                return false;
+            };
+            edges.push(e);
+            cur = g.edge(e).other(cur);
+        }
+        edges.reverse();
+        true
+    }
+
     /// The one relaxation loop behind every search in the workspace.
     fn explore(
         &mut self,
@@ -348,6 +371,25 @@ mod tests {
             "not settled by the stopped search"
         );
         assert!(search.path_to(&g, NodeId(0)).is_none());
+    }
+
+    #[test]
+    fn edges_to_matches_path_to() {
+        let g = gen::grid(4, 5);
+        let len: Vec<f64> = (0..g.num_edges()).map(|i| 1.0 + (i % 7) as f64).collect();
+        let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+        let mut edges = vec![EdgeId(99)];
+        for s in [NodeId(0), NodeId(13)] {
+            search.settle(&g, s, &len, &[]);
+            for t in g.nodes() {
+                assert!(search.edges_to(&g, t, &mut edges));
+                assert_eq!(edges, search.path_to(&g, t).unwrap().edges());
+            }
+        }
+        // A search stopped at its target has not settled the far corner.
+        search.settle(&g, NodeId(0), &len, &[NodeId(1)]);
+        assert!(!search.edges_to(&g, NodeId(19), &mut edges));
+        assert!(edges.is_empty());
     }
 
     #[test]

@@ -20,7 +20,8 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use sor_graph::{DijkstraSearch, Graph, NodeId, Path};
+use sor_graph::{DijkstraSearch, Graph, LoopErasedWalk, NodeId, Path};
+use std::cell::Cell;
 
 /// One node (cluster) of an FRT decomposition tree.
 #[derive(Clone, Debug)]
@@ -88,6 +89,75 @@ fn least_element_lists(
         }
     }
     (lists, ecc)
+}
+
+/// Reused by every [`tree_route`] on a thread, so a route allocates only
+/// the path it returns.
+#[derive(Default)]
+struct RouteBuffers {
+    walk: LoopErasedWalk,
+    s_chain: Vec<usize>,
+    t_chain: Vec<usize>,
+}
+
+thread_local! {
+    static ROUTE_BUFFERS: Cell<RouteBuffers> = Cell::new(RouteBuffers::default());
+}
+
+/// Route `s → t` through a rooted cluster tree whose leaves of `s` and
+/// `t` are `leaves`: the up-paths from `s`'s leaf to just below the lowest
+/// common ancestor, then the up-paths from there down to `t`'s leaf walked
+/// backwards, loop-erased in one pass. `parent` and `up_path` read the
+/// tree; a cluster without an up-path is skipped.
+pub(crate) fn tree_route<'a>(
+    s: NodeId,
+    t: NodeId,
+    leaves: (usize, usize),
+    parent: impl Fn(usize) -> Option<usize>,
+    up_path: impl Fn(usize) -> Option<&'a Path>,
+) -> Path {
+    if s == t {
+        return Path::trivial(s);
+    }
+    ROUTE_BUFFERS.with(|cell| {
+        let mut buffers = cell.take();
+        let RouteBuffers {
+            walk,
+            s_chain,
+            t_chain,
+        } = &mut buffers;
+        for (chain, leaf) in [(&mut *s_chain, leaves.0), (&mut *t_chain, leaves.1)] {
+            chain.clear();
+            let mut i = leaf;
+            chain.push(i);
+            while let Some(p) = parent(i) {
+                i = p;
+                chain.push(i);
+            }
+        }
+        // Trim the shared ancestors: what is left lies strictly below the
+        // lowest common ancestor on each side.
+        let (mut a, mut b) = (s_chain.len(), t_chain.len());
+        while a > 0 && b > 0 && s_chain[a - 1] == t_chain[b - 1] {
+            a -= 1;
+            b -= 1;
+        }
+        walk.start(s);
+        for &i in &s_chain[..a] {
+            if let Some(up) = up_path(i) {
+                walk.follow(up);
+            }
+        }
+        for &i in t_chain[..b].iter().rev() {
+            if let Some(up) = up_path(i) {
+                walk.follow_reversed(up);
+            }
+        }
+        debug_assert_eq!(walk.head(), t);
+        let path = walk.to_path();
+        cell.set(buffers);
+        path
+    })
 }
 
 impl FrtTree {
@@ -289,59 +359,13 @@ impl FrtTree {
     /// up-paths to the lowest common ancestor, then down-paths, all
     /// concatenated and loop-erased.
     pub fn route(&self, s: NodeId, t: NodeId) -> Path {
-        if s == t {
-            return Path::trivial(s);
-        }
-        let (up_chain, down_chain) = self.chains_to_lca(s, t);
-        let mut path = Path::trivial(s);
-        for i in up_chain {
-            if let Some(up) = &self.nodes[i].up_path {
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                path = path.join_simplified(up).expect("chained at leader");
-            }
-        }
-        for i in down_chain {
-            if let Some(up) = &self.nodes[i].up_path {
-                path = path
-                    .join_simplified(&up.reversed())
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                    .expect("chained at leader");
-            }
-        }
-        debug_assert_eq!(path.source(), s);
-        debug_assert_eq!(path.target(), t);
-        path
-    }
-
-    /// Tree-edge chains from `s` up to the LCA and from the LCA down to
-    /// `t` (the down chain is ordered top-to-bottom).
-    fn chains_to_lca(&self, s: NodeId, t: NodeId) -> (Vec<usize>, Vec<usize>) {
-        let mut sa = Vec::new();
-        let mut i = self.leaf(s);
-        sa.push(i);
-        while let Some(p) = self.nodes[i].parent {
-            i = p;
-            sa.push(i);
-        }
-        let mut ta = Vec::new();
-        let mut j = self.leaf(t);
-        ta.push(j);
-        while let Some(p) = self.nodes[j].parent {
-            j = p;
-            ta.push(j);
-        }
-        // Trim the common suffix (shared ancestors above the LCA).
-        let mut a = sa.len();
-        let mut b = ta.len();
-        while a > 0 && b > 0 && sa[a - 1] == ta[b - 1] {
-            a -= 1;
-            b -= 1;
-        }
-        // sa[..a] are strictly below the LCA on s's side; same for ta[..b].
-        let up: Vec<usize> = sa[..a].to_vec();
-        let mut down: Vec<usize> = ta[..b].to_vec();
-        down.reverse();
-        (up, down)
+        tree_route(
+            s,
+            t,
+            (self.leaf(s), self.leaf(t)),
+            |i| self.nodes[i].parent,
+            |i| self.nodes[i].up_path.as_ref(),
+        )
     }
 
     /// Räcke relative load: for each graph edge, the total cut capacity of
@@ -375,7 +399,7 @@ impl FrtTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -524,8 +548,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn least_element_build_matches_apsp_reference() {
+    /// The six graphs of the tree-build reference test, each once with
+    /// unit capacities and lengths and once with random capacities and
+    /// lengths (the random capacities make the order in which cut
+    /// capacities are summed show in the bits).
+    pub(crate) fn reference_instances() -> Vec<(Graph, Vec<f64>)> {
         let mut grng = StdRng::seed_from_u64(17);
         let graphs = [
             gen::grid(5, 6),
@@ -535,10 +562,8 @@ mod tests {
             gen::random_regular(40, 4, &mut grng),
             gen::abilene(),
         ];
+        let mut out = Vec::new();
         for (gi, unit) in graphs.into_iter().enumerate() {
-            // The random-length variant also draws random capacities, so
-            // the order in which cut capacities are summed shows in the
-            // bits.
             let mut rng = StdRng::seed_from_u64(100 + gi as u64);
             let mut weighted = Graph::new(unit.num_nodes());
             for e in unit.edges() {
@@ -548,11 +573,111 @@ mod tests {
                 .map(|_| 0.1 + 4.0 * rng.gen::<f64>())
                 .collect();
             let unit_lengths = unit.unit_lengths();
-            for (g, lengths) in [(&unit, unit_lengths), (&weighted, random)] {
-                for seed in 0..4 {
-                    let fast = FrtTree::build(g, &lengths, &mut StdRng::seed_from_u64(seed));
-                    let reference = build_apsp(g, &lengths, &mut StdRng::seed_from_u64(seed));
-                    assert_same_tree(&fast, &reference);
+            out.push((unit, unit_lengths));
+            out.push((weighted, random));
+        }
+        out
+    }
+
+    #[test]
+    fn least_element_build_matches_apsp_reference() {
+        for (g, lengths) in reference_instances() {
+            for seed in 0..4 {
+                let fast = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
+                let reference = build_apsp(&g, &lengths, &mut StdRng::seed_from_u64(seed));
+                assert_same_tree(&fast, &reference);
+            }
+        }
+    }
+
+    /// Reference join: concatenate `a` and `b` and excise loops through a
+    /// vertex → position `HashMap` rebuilt per join, as routes were built
+    /// before the one-pass [`LoopErasedWalk`].
+    fn join_with_map(g: &Graph, a: &Path, b: &Path) -> Path {
+        assert_eq!(a.target(), b.source(), "chained at leader");
+        let nodes: Vec<NodeId> = a.nodes().iter().chain(&b.nodes()[1..]).copied().collect();
+        let edges: Vec<_> = a.edges().iter().chain(b.edges()).copied().collect();
+        let mut pos: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
+        let mut out_nodes: Vec<NodeId> = Vec::new();
+        let mut out_edges = Vec::new();
+        for (i, &v) in nodes.iter().enumerate() {
+            if let Some(&j) = pos.get(&v) {
+                for dropped in out_nodes.drain(j + 1..) {
+                    pos.remove(&dropped);
+                }
+                out_edges.truncate(j);
+            } else {
+                if i > 0 {
+                    out_edges.push(edges[i - 1]);
+                }
+                pos.insert(v, out_nodes.len());
+                out_nodes.push(v);
+            }
+        }
+        let path = Path::from_edges(g, a.source(), out_edges).unwrap();
+        assert_eq!(path.nodes(), &out_nodes[..]);
+        path
+    }
+
+    /// Reference route: both ancestor chains collected, then one join per
+    /// tree level, the trivial path at `s` first.
+    pub(crate) fn join_chain_route<'a>(
+        g: &Graph,
+        s: NodeId,
+        t: NodeId,
+        leaves: (usize, usize),
+        parent: impl Fn(usize) -> Option<usize>,
+        up_path: impl Fn(usize) -> Option<&'a Path>,
+    ) -> Path {
+        if s == t {
+            return Path::trivial(s);
+        }
+        let chain = |leaf: usize| {
+            let mut c = vec![leaf];
+            while let Some(p) = parent(c[c.len() - 1]) {
+                c.push(p);
+            }
+            c
+        };
+        let (sa, ta) = (chain(leaves.0), chain(leaves.1));
+        let (mut a, mut b) = (sa.len(), ta.len());
+        while a > 0 && b > 0 && sa[a - 1] == ta[b - 1] {
+            a -= 1;
+            b -= 1;
+        }
+        let mut path = Path::trivial(s);
+        for &i in &sa[..a] {
+            if let Some(up) = up_path(i) {
+                path = join_with_map(g, &path, up);
+            }
+        }
+        for &i in ta[..b].iter().rev() {
+            if let Some(up) = up_path(i) {
+                path = join_with_map(g, &path, &up.reversed());
+            }
+        }
+        path
+    }
+
+    #[test]
+    fn one_pass_route_matches_level_by_level_joins() {
+        for (g, lengths) in reference_instances() {
+            for seed in 0..2 {
+                let tree = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
+                for s in g.nodes() {
+                    for t in g.nodes() {
+                        let reference = join_chain_route(
+                            &g,
+                            s,
+                            t,
+                            (tree.leaf(s), tree.leaf(t)),
+                            |i| tree.nodes[i].parent,
+                            |i| tree.nodes[i].up_path.as_ref(),
+                        );
+                        let path = tree.route(s, t);
+                        assert_eq!(path, reference, "{s}->{t}");
+                        assert_eq!(path.nodes().len(), path.hops() + 1);
+                    }
                 }
             }
         }

@@ -265,44 +265,13 @@ impl SpectralHierarchy {
     /// Route `s → t` through the hierarchy (up to the LCA, then down),
     /// loop-erased.
     pub fn route(&self, s: NodeId, t: NodeId) -> Path {
-        if s == t {
-            return Path::trivial(s);
-        }
-        let mut cur = self.leaf_of[s.index()];
-        let mut sa = vec![cur];
-        while let Some(p) = self.clusters[cur].parent {
-            sa.push(p);
-            cur = p;
-        }
-        let mut cur = self.leaf_of[t.index()];
-        let mut ta = vec![cur];
-        while let Some(p) = self.clusters[cur].parent {
-            ta.push(p);
-            cur = p;
-        }
-        let (mut a, mut b) = (sa.len(), ta.len());
-        while a > 0 && b > 0 && sa[a - 1] == ta[b - 1] {
-            a -= 1;
-            b -= 1;
-        }
-        let mut path = Path::trivial(s);
-        for &i in &sa[..a] {
-            if let Some(up) = &self.clusters[i].up_path {
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                path = path.join_simplified(up).expect("chained at leader");
-            }
-        }
-        for &i in ta[..b].iter().rev() {
-            if let Some(up) = &self.clusters[i].up_path {
-                path = path
-                    .join_simplified(&up.reversed())
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                    .expect("chained at leader");
-            }
-        }
-        debug_assert_eq!(path.source(), s);
-        debug_assert_eq!(path.target(), t);
-        path
+        crate::frt::tree_route(
+            s,
+            t,
+            (self.leaf_of[s.index()], self.leaf_of[t.index()]),
+            |i| self.clusters[i].parent,
+            |i| self.clusters[i].up_path.as_ref(),
+        )
     }
 
     /// Räcke relative load of this hierarchy (see
@@ -471,6 +440,27 @@ mod tests {
                 assert!(p.validate(&g));
                 assert_eq!(p.source(), s);
                 assert_eq!(p.target(), t);
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_route_matches_level_by_level_joins() {
+        use crate::frt::tests::{join_chain_route, reference_instances};
+        for (seed, (g, w)) in reference_instances().into_iter().enumerate() {
+            let h = SpectralHierarchy::build(&g, &w, &mut StdRng::seed_from_u64(seed as u64));
+            for s in g.nodes() {
+                for t in g.nodes() {
+                    let reference = join_chain_route(
+                        &g,
+                        s,
+                        t,
+                        (h.leaf_of[s.index()], h.leaf_of[t.index()]),
+                        |i| h.clusters[i].parent,
+                        |i| h.clusters[i].up_path.as_ref(),
+                    );
+                    assert_eq!(h.route(s, t), reference, "{s}->{t}");
+                }
             }
         }
     }

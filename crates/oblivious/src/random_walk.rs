@@ -7,7 +7,7 @@
 
 use crate::routing::{sample_from_dist, ObliviousRouting, PathDist};
 use rand::Rng;
-use sor_graph::{Graph, NodeId, Path};
+use sor_graph::{Graph, LoopErasedWalk, NodeId, Path};
 use std::sync::Arc;
 
 /// Routing whose `(s, t)` distribution is "run a random walk from `s`
@@ -34,37 +34,28 @@ impl RandomWalkRouting {
         }
     }
 
-    /// One loop-erased random walk from `s` to `t`.
-    fn walk<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
+    /// One loop-erased random walk from `s` to `t`, grown on `walk`.
+    fn walk<R: Rng + ?Sized>(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        rng: &mut R,
+        walk: &mut LoopErasedWalk,
+    ) -> Path {
         let n = self.g.num_nodes();
         // Hitting time on a connected graph is O(n^3) in the worst case;
         // this cap only guards against bugs.
         let max_steps = 100 * n * n * n + 1000;
-        // Walk recording (node, incoming edge); loop-erase on revisits.
-        let mut nodes = vec![s];
-        let mut edges = Vec::new();
-        let mut pos = std::collections::HashMap::new();
-        pos.insert(s, 0usize);
+        walk.start(s);
         let mut steps = 0usize;
-        // `nodes` starts with `[s]` and only grows
-        while nodes[nodes.len() - 1] != t {
+        while walk.head() != t {
             steps += 1;
             assert!(steps <= max_steps, "random walk failed to hit target");
-            let cur = nodes[nodes.len() - 1];
-            let inc = self.g.incident(cur);
+            let inc = self.g.incident(walk.head());
             let &(e, v) = &inc[rng.gen_range(0..inc.len())];
-            if let Some(&i) = pos.get(&v) {
-                // erase the loop back to the first visit of v
-                for dropped in nodes.drain(i + 1..) {
-                    pos.remove(&dropped);
-                }
-                edges.truncate(i);
-            } else {
-                pos.insert(v, nodes.len());
-                nodes.push(v);
-                edges.push(e);
-            }
+            walk.step(e, v);
         }
+        let edges = walk.edges().to_vec();
         // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
         Path::from_edges(&self.g, s, edges).expect("loop-erased walk is a simple path")
     }
@@ -87,8 +78,9 @@ impl ObliviousRouting for RandomWalkRouting {
         let mut rng = rand::rngs::StdRng::seed_from_u64(pair_seed);
         let mut merged: std::collections::HashMap<Path, f64> = std::collections::HashMap::new();
         let w = 1.0 / self.support_samples as f64;
+        let mut walk = LoopErasedWalk::default();
         for _ in 0..self.support_samples {
-            let p = self.walk(s, t, &mut rng);
+            let p = self.walk(s, t, &mut rng, &mut walk);
             *merged.entry(p).or_insert(0.0) += w;
         }
         // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below

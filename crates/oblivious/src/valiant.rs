@@ -13,7 +13,7 @@
 
 use crate::routing::{ObliviousRouting, PathDist};
 use rand::Rng;
-use sor_graph::{gen::hypercube::dim_of, Graph, NodeId, Path};
+use sor_graph::{gen::hypercube::dim_of, Graph, LoopErasedWalk, NodeId, Path};
 use std::sync::Arc;
 
 /// Bit-fixing walk from `a` to `b`: flips differing bits from least to
@@ -33,17 +33,17 @@ fn bitfix_nodes(a: u32, b: u32, d: usize) -> Vec<NodeId> {
     nodes
 }
 
-/// Build the `s → w → t` Valiant path, shortcutting any revisits so the
+/// Build the `s → w → t` Valiant path on `walk`, erasing any loops so the
 /// result is simple.
-fn valiant_path(g: &Graph, d: usize, s: u32, w: u32, t: u32) -> Path {
+fn valiant_path(g: &Graph, d: usize, s: u32, w: u32, t: u32, walk: &mut LoopErasedWalk) -> Path {
     // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
     let first = Path::from_nodes(g, &bitfix_nodes(s, w, d)).expect("bitfix walks are simple");
     // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
     let second = Path::from_nodes(g, &bitfix_nodes(w, t, d)).expect("bitfix walks are simple");
-    first
-        .join_simplified(&second)
-        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-        .expect("segments share the intermediate")
+    walk.start(NodeId(s));
+    walk.follow(&first);
+    walk.follow(&second);
+    walk.to_path()
 }
 
 /// Valiant–Brebner randomized routing on the hypercube `Q_d`.
@@ -84,8 +84,9 @@ impl ObliviousRouting for ValiantHypercube {
         let n = NodeId::from_usize(self.g.num_nodes()).0;
         let w_each = 1.0 / n as f64;
         let mut merged: std::collections::HashMap<Path, f64> = std::collections::HashMap::new();
+        let mut walk = LoopErasedWalk::default();
         for w in 0..n {
-            let p = valiant_path(&self.g, self.d, s.0, w, t.0);
+            let p = valiant_path(&self.g, self.d, s.0, w, t.0, &mut walk);
             *merged.entry(p).or_insert(0.0) += w_each;
         }
         // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
@@ -103,7 +104,7 @@ impl ObliviousRouting for ValiantHypercube {
     fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
         assert!(s != t);
         let w = rng.gen_range(0..NodeId::from_usize(self.g.num_nodes()).0);
-        valiant_path(&self.g, self.d, s.0, w, t.0)
+        valiant_path(&self.g, self.d, s.0, w, t.0, &mut LoopErasedWalk::default())
     }
 
     fn name(&self) -> &'static str {
