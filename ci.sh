@@ -120,6 +120,24 @@ cargo run -q --release -p sor-bench --bin tables -- \
   --exp e1 --quick --metrics-dir target/obs > /dev/null
 test -s target/obs/BENCH_e1.json
 
+echo "==> full E-series tables (stdout must equal the committed results_full.txt)"
+mkdir -p target/tables
+# Seeded and deterministic: any difference is a change in what the
+# experiments measure, which EXPERIMENTS.md quotes from this file.
+if ! cargo run -q --release -p sor-bench --bin tables -- --exp all \
+  > target/tables/full.txt 2> target/tables/full.err; then
+  echo "tables --exp all exited non-zero:"
+  tail -n 5 target/tables/full.err
+  exit 1
+fi
+if ! diff -u results_full.txt target/tables/full.txt; then
+  echo "results_full.txt is stale: review the diff, update the numbers"
+  echo "EXPERIMENTS.md quotes, then re-run"
+  echo "  cargo run -q --release -p sor-bench --bin tables -- --exp all > results_full.txt"
+  echo "and commit the result."
+  exit 1
+fi
+
 echo "==> online serving smoke (5 epochs, failure + recovery, snapshot + timeline artifacts)"
 mkdir -p target/serve
 cargo run -q --release --bin sor -- serve --graph expander:16x4 \

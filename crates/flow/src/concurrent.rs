@@ -1,16 +1,35 @@
 //! Max concurrent flow on the whole graph — the offline OPT oracle.
 //!
-//! Fleischer's FPTAS with exponential lengths: maintain edge lengths
-//! `ℓ_e = δ/c_e · Π (1+ε·f/c_e)`, repeatedly route each commodity along its
-//! currently-shortest path in capacity-bounded pieces, and stop once the
+//! Garg–Könemann with exponential lengths: maintain edge lengths
+//! `ℓ_e = δ/c_e · Π (1+ε·f/c_e)`, repeatedly route each commodity along a
+//! near-shortest path in capacity-bounded pieces, and stop once the
 //! total length volume `D(ℓ) = Σ_e c_e ℓ_e` reaches 1. Scaling the
 //! accumulated flow by the number of completed phases yields a *feasible*
 //! fractional routing of the demand whose congestion is within `(1+O(ε))`
 //! of optimal; LP duality turns the final lengths into a certified lower
 //! bound, so callers get a sandwich `lower ≤ OPT ≤ upper`.
+//!
+//! When sources have several commodities, most oracle calls run no
+//! search, as in Fleischer's variant of the algorithm. Each commodity `j`
+//! keeps the paths it has been routed on (the pool its path decomposition
+//! is built from) and a bound `lower[j]`: the exact `s_j→t_j` distance from
+//! the last search out of `s_j`. Lengths only ever grow, so `lower[j]`
+//! stays a lower bound on j's distance for the rest of the run. A call
+//! routes on j's cheapest pool path while that path is within `1+ε²` of
+//! `lower[j]`, and so within `1+ε²` of shortest; such an approximate oracle
+//! costs the analysis at most a factor `1+ε²`. Otherwise one Dijkstra from
+//! `s_j` settles every target of `s_j` and refreshes the bounds of all of
+//! `s_j`'s commodities. A commodity alone at its source searches for its
+//! first piece of each phase: only its own searches refresh its bound, and
+//! a phase of routes usually lengthens its paths by far more than `1+ε²`.
+//! The later pieces of a demand split at a bottleneck follow the rule
+//! above. The sandwich needs no such argument: the upper bound is the
+//! congestion of the routed, scaled flow and the lower bound is the exact
+//! dual at the end of the run.
 
 use crate::demand::Demand;
 use crate::loads::EdgeLoads;
+use crate::validate;
 use sor_graph::{DijkstraSearch, EdgeId, Graph, NodeId, Path};
 use std::collections::BTreeMap;
 
@@ -82,7 +101,7 @@ impl std::fmt::Display for FlowError {
 impl std::error::Error for FlowError {}
 
 /// Compute a `(1+O(ε))`-approximate min-congestion fractional routing of
-/// `demand` in `g` (Fleischer's max-concurrent-flow FPTAS, reinterpreted:
+/// `demand` in `g` (Garg–Könemann max concurrent flow, reinterpreted:
 /// min congestion = 1 / max concurrent throughput).
 ///
 /// Panics if some demand pair is disconnected in `g` or `eps` is not in
@@ -96,13 +115,38 @@ pub fn max_concurrent_flow(g: &Graph, demand: &Demand, eps: f64) -> OptResult {
     }
 }
 
+/// The commodities out of one source, in demand order.
+struct SourceGroup {
+    source: NodeId,
+    /// Commodity indices into the demand's entries.
+    members: Vec<usize>,
+    /// `targets[i]` is the target of commodity `members[i]`.
+    targets: Vec<NodeId>,
+}
+
+/// Index and length under `len` of the first shortest path in `pool`,
+/// each path summed in edge order; `None` for an empty pool.
+fn cheapest(pool: &[(Vec<EdgeId>, f64)], len: &[f64]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, (edges, _)) in pool.iter().enumerate() {
+        let l: f64 = edges.iter().map(|e| len[e.index()]).sum();
+        if best.is_none_or(|(_, b)| l < b) {
+            best = Some((i, l));
+        }
+    }
+    best
+}
+
 /// Fallible form of [`max_concurrent_flow`]: a disconnected demand pair
 /// is reported as [`FlowError::Disconnected`] and an ε outside (0, 1) as
 /// [`FlowError::InvalidEpsilon`] instead of a panic, so solver pipelines
 /// can surface them as a `Result`.
 ///
-/// Each oracle call is one Dijkstra from the commodity's source that stops
-/// once its target is settled, on a search workspace shared by all calls.
+/// An oracle call routes on the commodity's cheapest path so far when that
+/// path is within `1+ε²` of the commodity's distance bound (see the module
+/// doc for when a commodity alone at its source skips this); otherwise it
+/// runs one Dijkstra from the commodity's source that settles every target
+/// of that source, on a search workspace shared by all calls.
 pub fn try_max_concurrent_flow(
     g: &Graph,
     demand: &Demand,
@@ -127,13 +171,44 @@ pub fn try_max_concurrent_flow(
     let mut len: Vec<f64> = g.edges().iter().map(|e| delta / e.cap).collect();
     let mut volume: f64 = delta * m as f64; // D(ℓ) = Σ c_e ℓ_e
 
+    // Sources ascending, each group in demand order: one search settles
+    // a whole group, and the dual bound below sums over the groups in
+    // this order. α is a float sum, so the order must not depend on a
+    // hasher.
+    let mut by_source: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+    for (j, &(s, _, _)) in entries.iter().enumerate() {
+        by_source.entry(s).or_default().push(j);
+    }
+    let groups: Vec<SourceGroup> = by_source
+        .into_iter()
+        .map(|(source, members)| SourceGroup {
+            source,
+            targets: members.iter().map(|&j| entries[j].1).collect(),
+            members,
+        })
+        .collect();
+    let mut group_of = vec![0; entries.len()];
+    for (i, group) in groups.iter().enumerate() {
+        for &j in &group.members {
+            group_of[j] = i;
+        }
+    }
+
     let mut raw = EdgeLoads::zeros(m);
-    // Path decomposition: per commodity, each distinct edge list with its
-    // raw amount, in first-seen order.
+    // Per commodity, each distinct edge list it was routed on with its raw
+    // amount, in first-seen order: the reuse pool and the path
+    // decomposition.
     let mut found: Vec<Vec<(Vec<EdgeId>, f64)>> = vec![Vec::new(); entries.len()];
+    // `lower[j]`: j's distance at its source's last search, a lower bound
+    // on its distance from then on; 0 before the first.
+    let mut lower = vec![0.0; entries.len()];
+    let reuse = 1.0 + eps * eps;
     let mut path: Vec<EdgeId> = Vec::with_capacity(g.num_nodes());
     let mut phases: u64 = 0;
     let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+    // A second workspace, so the reuse check leaves `search` alone.
+    let mut exact =
+        validate::validators_enabled().then(|| DijkstraSearch::with_nodes(g.num_nodes()));
     // Safety valve: phases are Θ(log(m)/ε²) for this normalization; 10^6
     // would indicate a bug, not a hard instance.
     const MAX_PHASES: u64 = 1_000_000;
@@ -143,28 +218,66 @@ pub fn try_max_concurrent_flow(
         sor_obs::counter_add!("flow/mwu/phases");
         assert!(phases <= MAX_PHASES, "concurrent-flow phase bound exceeded");
         for (j, &(s, t, d)) in entries.iter().enumerate() {
+            let pool = &mut found[j];
+            let group = &groups[group_of[j]];
+            // A commodity alone at its source scans its pool only for the
+            // later pieces of a split demand, after this phase's search
+            // refreshed its bound (module doc); on permutation demands the
+            // first piece's scan cost more than it saved.
+            let shared = group.members.len() > 1;
             let mut remaining = d;
             while remaining > 1e-15 {
                 sor_obs::counter_add!("flow/mwu/oracle_calls");
-                search.settle(g, s, &len, &[t]);
-                if !search.edges_to(g, t, &mut path) {
-                    return Err(FlowError::Disconnected { s, t });
-                }
-                let bottleneck = path.iter().map(|&e| g.cap(e)).fold(f64::INFINITY, f64::min);
+                let reused = if shared || remaining < d {
+                    cheapest(pool, &len)
+                } else {
+                    None
+                };
+                let slot = match reused {
+                    Some((i, l)) if l <= reuse * lower[j] => {
+                        if let Some(exact) = exact.as_mut() {
+                            if let Err(msg) =
+                                validate::check_reused_path(g, &len, s, t, l, reuse, exact)
+                            {
+                                // sor-check: allow(unwrap, panic-path) — validator failure means a solver bug, not recoverable state
+                                panic!("max concurrent flow oracle reused a long path: {msg}");
+                            }
+                        }
+                        i
+                    }
+                    _ => {
+                        sor_obs::counter_add!("flow/mwu/searches");
+                        search.settle(g, s, &len, &group.targets);
+                        for (&k, &tk) in group.members.iter().zip(&group.targets) {
+                            lower[k] = search.dist(tk);
+                        }
+                        if !search.edges_to(g, t, &mut path) {
+                            return Err(FlowError::Disconnected { s, t });
+                        }
+                        match pool.iter().position(|(edges, _)| *edges == path) {
+                            Some(i) => i,
+                            None => {
+                                pool.push((path.clone(), 0.0));
+                                pool.len() - 1
+                            }
+                        }
+                    }
+                };
+                let (edges, amount) = &mut pool[slot];
+                let bottleneck = edges
+                    .iter()
+                    .map(|&e| g.cap(e))
+                    .fold(f64::INFINITY, f64::min);
                 let f = remaining.min(bottleneck);
-                raw.add_edges(&path, f);
-                for &e in &path {
+                raw.add_edges(edges, f);
+                for &e in edges.iter() {
                     let cap = g.cap(e);
                     let old = len[e.index()];
                     let new = old * (1.0 + eps * f / cap);
                     len[e.index()] = new;
                     volume += cap * (new - old);
                 }
-                let seen = &mut found[j];
-                match seen.iter_mut().find(|(edges, _)| *edges == path) {
-                    Some((_, amount)) => *amount += f,
-                    None => seen.push((path.clone(), f)),
-                }
+                *amount += f;
                 remaining -= f;
             }
         }
@@ -178,23 +291,15 @@ pub fn try_max_concurrent_flow(
     let congestion_upper = loads.congestion(g);
 
     // Dual bound: for any positive lengths ℓ,
-    //   OPT_cong ≥ (Σ_j d_j · dist_ℓ(s_j, t_j)) / (Σ_e c_e ℓ_e).
-    // Group commodities by source so each distinct source costs one
-    // Dijkstra. Ordered map: α is a float sum, so the iteration order
-    // below must not depend on the hasher.
-    let mut by_source: BTreeMap<NodeId, Vec<(NodeId, f64)>> = BTreeMap::new();
-    for &(s, t, d) in entries {
-        by_source.entry(s).or_default().push((t, d));
-    }
+    //   OPT_cong ≥ (Σ_j d_j · dist_ℓ(s_j, t_j)) / (Σ_e c_e ℓ_e),
+    // one search per source group.
     let mut alpha = 0.0;
-    let mut targets: Vec<NodeId> = Vec::with_capacity(entries.len());
-    for (&s, commodities) in &by_source {
+    for group in &groups {
         sor_obs::counter_add!("flow/mwu/oracle_calls");
-        targets.clear();
-        targets.extend(commodities.iter().map(|&(t, _)| t));
-        search.settle(g, s, &len, &targets);
-        for &(t, d) in commodities {
-            alpha += d * search.dist(t);
+        sor_obs::counter_add!("flow/mwu/searches");
+        search.settle(g, group.source, &len, &group.targets);
+        for (&k, &t) in group.members.iter().zip(&group.targets) {
+            alpha += entries[k].2 * search.dist(t);
         }
     }
     let congestion_lower = alpha / volume;
@@ -225,12 +330,6 @@ pub fn try_max_concurrent_flow(
         loads,
         paths,
     })
-}
-
-/// Convenience wrapper returning just the congestion sandwich
-/// `(lower, upper)` with a default ε.
-pub fn opt_congestion(g: &Graph, demand: &Demand) -> OptResult {
-    max_concurrent_flow(g, demand, 0.1)
 }
 
 #[cfg(test)]
@@ -308,19 +407,7 @@ mod tests {
         let g = gen::cycle_graph(6);
         let d = Demand::from_pairs([(NodeId(0), NodeId(3)), (NodeId(1), NodeId(4))]);
         let r = max_concurrent_flow(&g, &d, 0.1);
-        // Rebuild loads from the decomposition and compare.
-        let mut rebuilt = EdgeLoads::for_graph(&g);
-        let mut per_comm = vec![0.0; 2];
-        for (j, p, w) in &r.paths {
-            rebuilt.add_path(p, *w);
-            per_comm[*j] += w;
-        }
-        for e in g.edge_ids() {
-            assert!((rebuilt.load(e) - r.loads.load(e)).abs() < 1e-9);
-        }
-        for &x in &per_comm {
-            assert!((x - 1.0).abs() < 1e-9, "decomposition routes demand once");
-        }
+        decomposition_ok(&g, &d, &r);
     }
 
     #[test]
@@ -387,8 +474,8 @@ mod tests {
         assert_eq!(a.paths, b.paths);
     }
 
-    /// Reference solver: the oracle loop before the path-free one, which
-    /// built a `Path` per call and accumulated amounts in a
+    /// Reference solver: one early-stopping Dijkstra per oracle call,
+    /// a `Path` built per call, and amounts accumulated in a
     /// `HashMap<(commodity, Path), f64>` sorted at the end.
     fn per_call_paths(g: &Graph, demand: &Demand, eps: f64) -> OptResult {
         let m = g.num_edges();
@@ -460,29 +547,80 @@ mod tests {
         }
     }
 
+    /// Rebuild loads and per-commodity totals from `r`'s decomposition and
+    /// check them against `r.loads` and the demand.
+    fn decomposition_ok(g: &Graph, d: &Demand, r: &OptResult) {
+        let mut rebuilt = EdgeLoads::for_graph(g);
+        let mut per_comm = vec![0.0; d.entries().len()];
+        for (j, p, w) in &r.paths {
+            rebuilt.add_path(p, *w);
+            per_comm[*j] += w;
+        }
+        for e in g.edge_ids() {
+            let (have, want) = (r.loads.load(e), rebuilt.load(e));
+            assert!(
+                (have - want).abs() <= 1e-9 * want.max(1.0),
+                "edge {e}: {have} vs {want}"
+            );
+        }
+        for (&(_, _, dj), &x) in d.entries().iter().zip(&per_comm) {
+            assert!(
+                (x - dj).abs() <= 1e-9 * dj.max(1.0),
+                "weights {x} for demand {dj}"
+            );
+        }
+    }
+
     #[test]
-    fn path_free_oracle_matches_per_call_paths() {
+    fn reuse_matches_per_call_paths_with_one_commodity_per_source() {
+        // A permutation of unit demands on unit capacities: one commodity
+        // per source and one piece per phase, so every oracle call searches
+        // and the result is bit-identical to the reference.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(7);
-        // One commodity per source.
-        let cube = gen::hypercube(5);
-        let perm = crate::demand::random_permutation(&cube, &mut rng);
-        // Every ordered pair of a WAN, with unequal capacities: many
-        // commodities per source and parallel shortest-path choices.
-        let wan = gen::abilene();
-        let nodes: Vec<NodeId> = wan.nodes().collect();
-        let mass: Vec<f64> = (0..nodes.len()).map(|i| 1.0 + (i % 5) as f64).collect();
-        let tm = crate::demand::gravity(&nodes, &mass, 10.0);
-        for (g, d, eps) in [(&cube, &perm, 0.1), (&wan, &tm, 0.1), (&wan, &tm, 0.3)] {
-            let a = max_concurrent_flow(g, d, eps);
-            let b = per_call_paths(g, d, eps);
-            assert_eq!(a.congestion_upper.to_bits(), b.congestion_upper.to_bits());
-            assert_eq!(a.congestion_lower.to_bits(), b.congestion_lower.to_bits());
-            assert_eq!(a.loads, b.loads);
-            assert_eq!(a.paths.len(), b.paths.len());
-            for (x, y) in a.paths.iter().zip(&b.paths) {
-                assert_eq!((x.0, &x.1, x.2.to_bits()), (y.0, &y.1, y.2.to_bits()));
+        let g = gen::hypercube(5);
+        let d = crate::demand::random_permutation(&g, &mut rng);
+        let a = max_concurrent_flow(&g, &d, 0.1);
+        let b = per_call_paths(&g, &d, 0.1);
+        assert_eq!(a.congestion_upper.to_bits(), b.congestion_upper.to_bits());
+        assert_eq!(a.congestion_lower.to_bits(), b.congestion_lower.to_bits());
+        assert_eq!(a.loads, b.loads);
+        assert_eq!(a.paths.len(), b.paths.len());
+        for (x, y) in a.paths.iter().zip(&b.paths) {
+            assert_eq!((x.0, &x.1, x.2.to_bits()), (y.0, &y.1, y.2.to_bits()));
+        }
+    }
+
+    #[test]
+    fn reuse_stays_inside_the_reference_sandwich_on_wans() {
+        // Gravity TMs on every WAN: every ordered pair, many commodities
+        // per source, so the pool serves most oracle calls. In debug
+        // builds the solver also checks each reused path against an exact
+        // search.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for g in [gen::abilene(), gen::b4(), gen::geant(), gen::att()] {
+            let nodes: Vec<NodeId> = g.nodes().collect();
+            for seed in [1, 2] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mass: Vec<f64> = nodes.iter().map(|_| rng.gen_range(0.5..1.5)).collect();
+                let d = crate::demand::gravity(&nodes, &mass, 4.0);
+                for eps in [0.05, 0.1, 0.3] {
+                    let new = max_concurrent_flow(&g, &d, eps);
+                    let old = per_call_paths(&g, &d, eps);
+                    let at = format!("n={} seed {seed} eps {eps}", g.num_nodes());
+                    sandwich_ok(&new);
+                    assert!(new.congestion_lower <= old.congestion_upper, "{at}");
+                    assert!(old.congestion_lower <= new.congestion_upper, "{at}");
+                    assert!(
+                        new.gap() <= old.gap() * (1.0 + eps * eps),
+                        "{at}: gap {} vs reference {}",
+                        new.gap(),
+                        old.gap()
+                    );
+                    decomposition_ok(&g, &d, &new);
+                }
             }
         }
     }

@@ -46,9 +46,7 @@ pub mod restricted;
 pub mod rounding;
 pub mod validate;
 
-pub use concurrent::{
-    max_concurrent_flow, opt_congestion, try_max_concurrent_flow, FlowError, OptResult,
-};
+pub use concurrent::{max_concurrent_flow, try_max_concurrent_flow, FlowError, OptResult};
 pub use demand::Demand;
 pub use io::{demand_from_text, demand_to_text};
 pub use loads::EdgeLoads;

@@ -5,14 +5,16 @@
 //! conservation (each commodity's path weights sum to its demand), load
 //! consistency (the reported per-edge loads equal the loads induced by the
 //! weights), and capacity respect (the reported congestion really is the
-//! maximum load-to-capacity ratio). The checks run in debug builds and,
+//! maximum load-to-capacity ratio). The offline OPT solver in
+//! [`crate::concurrent`] checks every path it routes on without a search
+//! against a fresh exact search. The checks run in debug builds and,
 //! in release, when the `validate` cargo feature is enabled; see
 //! [`validators_enabled`]. Tests call the checkers directly.
 
 use crate::loads::EdgeLoads;
 use crate::restricted::{RestrictedEntry, RestrictedSolution};
 use crate::rounding::IntegralSolution;
-use sor_graph::Graph;
+use sor_graph::{DijkstraSearch, Graph, NodeId};
 
 /// Relative tolerance for the conservation and consistency checks. The
 /// solvers accumulate `O(phases · paths)` floating-point additions, so
@@ -151,6 +153,33 @@ pub fn check_integral(
     check_load_consistency(g, entries, &as_weights, &sol.loads, sol.congestion)
 }
 
+/// Relative tolerance for [`check_reused_path`], which compares two
+/// floating-point sums of edge lengths along possibly different paths.
+const REUSE_TOLERANCE: f64 = 1e-12;
+
+/// Check a path the OPT oracle reused instead of searching: its `length`
+/// under `lengths` is at most `slack` times the exact `s`→`t` distance,
+/// which a fresh search on the separate workspace `search` computes.
+pub(crate) fn check_reused_path(
+    g: &Graph,
+    lengths: &[f64],
+    s: NodeId,
+    t: NodeId,
+    length: f64,
+    slack: f64,
+    search: &mut DijkstraSearch,
+) -> Result<(), String> {
+    search.settle(g, s, lengths, &[t]);
+    let exact = search.dist(t);
+    if length <= slack * exact * (1.0 + REUSE_TOLERANCE) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{s}→{t}: reused path of length {length:e} exceeds {slack} × exact distance {exact:e}"
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +256,25 @@ mod tests {
         let entries = [entry(0, 3, 1.0, &paths)];
         assert!(check_flow_conservation(&entries, &[]).is_err());
         assert!(check_flow_conservation(&entries, &[vec![1.0]]).is_err());
+    }
+
+    #[test]
+    fn reused_path_within_slack_passes_and_longer_fails() {
+        // C4 with unit lengths: the exact 0→2 distance is 2.
+        let g = gen::cycle_graph(4);
+        let lengths = g.unit_lengths();
+        let mut search = sor_graph::DijkstraSearch::with_nodes(g.num_nodes());
+        let (s, t) = (NodeId(0), NodeId(2));
+        assert_eq!(
+            check_reused_path(&g, &lengths, s, t, 2.0, 1.01, &mut search),
+            Ok(())
+        );
+        assert_eq!(
+            check_reused_path(&g, &lengths, s, t, 2.02, 1.01, &mut search),
+            Ok(())
+        );
+        let err = check_reused_path(&g, &lengths, s, t, 2.03, 1.01, &mut search).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]

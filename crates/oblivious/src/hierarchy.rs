@@ -392,7 +392,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sor_flow::demand::random_permutation;
-    use sor_flow::opt_congestion;
+    use sor_flow::max_concurrent_flow;
     use sor_graph::gen;
 
     fn check_laminar(g: &Graph, h: &SpectralHierarchy) {
@@ -497,7 +497,7 @@ mod tests {
             let mut drng = StdRng::seed_from_u64(60 + seed);
             let dm = random_permutation(&g, &mut drng);
             let c = oblivious_congestion(&r, &dm);
-            let opt = opt_congestion(&g, &dm).congestion_upper;
+            let opt = max_concurrent_flow(&g, &dm, 0.1).congestion_upper;
             worst = worst.max(c / opt.max(1e-12));
         }
         assert!(worst < 15.0, "spectral ensemble ratio {worst} too large");

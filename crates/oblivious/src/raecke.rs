@@ -128,7 +128,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sor_flow::demand::random_permutation;
-    use sor_flow::opt_congestion;
+    use sor_flow::max_concurrent_flow;
     use sor_graph::gen;
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
             let mut drng = StdRng::seed_from_u64(100 + seed);
             let demand = random_permutation(&g, &mut drng);
             let c = oblivious_congestion(&r, &demand);
-            let opt = opt_congestion(&g, &demand);
+            let opt = max_concurrent_flow(&g, &demand, 0.1);
             worst = worst.max(c / opt.congestion_upper.max(1e-12));
         }
         assert!(worst < 12.0, "Räcke ratio {worst} too large on 4x4 grid");
