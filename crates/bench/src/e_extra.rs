@@ -400,7 +400,7 @@ pub fn e20_adversarial_search(quick: bool) -> Table {
         }
     }
     t.note("search: greedy hill-climb over matchings (swap/redirect/reverse moves)");
-    t.note("the worst-case/average-case gap shrinks as sparsity grows — Thm 2.5 at work");
+    t.note("the searched worst case falls as sparsity grows (Thm 2.5); the worst/average gap need not shrink");
     t
 }
 

@@ -40,6 +40,44 @@ impl PathSystem {
         }
     }
 
+    /// Add a pair's sampled paths: `distinct` holds pairwise distinct
+    /// `s → t` paths and `draws` indexes it. Paths already stored are
+    /// skipped, the rest appended in order, and `draws` rewritten to index
+    /// [`PathSystem::paths`]`(s, t)`. Returns how many paths were new.
+    pub(crate) fn insert_draws(
+        &mut self,
+        s: NodeId,
+        t: NodeId,
+        distinct: Vec<Path>,
+        draws: &mut [u32],
+    ) -> usize {
+        for p in &distinct {
+            assert_eq!(p.source(), s, "path source mismatch");
+            assert_eq!(p.target(), t, "path target mismatch");
+        }
+        let v = self.paths.entry((s.0, t.0)).or_default();
+        if v.is_empty() {
+            // a new pair: `draws` already index the list as stored
+            *v = distinct;
+            return v.len();
+        }
+        let before = v.len();
+        let mut slots = Vec::with_capacity(distinct.len());
+        for p in distinct {
+            let i = v.iter().position(|q| *q == p).unwrap_or_else(|| {
+                v.push(p);
+                v.len() - 1
+            });
+            // a pair's candidates are far fewer than u32::MAX
+            #[allow(clippy::cast_possible_truncation)]
+            slots.push(i as u32);
+        }
+        for d in draws {
+            *d = slots[*d as usize];
+        }
+        v.len() - before
+    }
+
     /// Candidate paths for `(s, t)` (empty slice if the pair is absent).
     pub fn paths(&self, s: NodeId, t: NodeId) -> &[Path] {
         self.paths

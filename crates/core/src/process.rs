@@ -78,16 +78,17 @@ pub fn deletion_process(
     }
     let mut draws: Vec<Draw> = Vec::new();
     let mut total_weight = 0.0;
-    for ((s, t), paths) in &sampled.raw {
+    for ((s, t), picks) in &sampled.raw {
         let d = *weight_of_pair.get(&(*s, *t)).unwrap_or(&0.0);
         // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
-        if d == 0.0 || paths.is_empty() {
+        if d == 0.0 || picks.is_empty() {
             continue;
         }
-        let w = d / paths.len() as f64;
-        for p in paths {
+        let paths = sampled.system.paths(*s, *t);
+        let w = d / picks.len() as f64;
+        for &i in picks {
             draws.push(Draw {
-                path: p,
+                path: &paths[i as usize],
                 weight: w,
                 alive: true,
             });

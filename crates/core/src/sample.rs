@@ -10,13 +10,13 @@
 //!   necessary).
 //!
 //! Both return a [`SampledSystem`] carrying the deduplicated
-//! [`PathSystem`] *and* the raw multiset of draws: the dynamic deletion
-//! process (Section 5.3) analyses the multiset, while routing uses the
-//! set.
+//! [`PathSystem`] *and* the raw multiset of draws, as indices into the
+//! system: the dynamic deletion process (Section 5.3) analyses the
+//! multiset, while routing uses the set.
 
 use crate::path_system::PathSystem;
 use rand::Rng;
-use sor_graph::{st_min_cut, Graph, NodeId, Path};
+use sor_graph::{st_min_cut, Graph, NodeId};
 use sor_oblivious::routing::ObliviousRouting;
 
 /// The result of sampling an oblivious routing over a set of pairs.
@@ -25,8 +25,9 @@ pub struct SampledSystem {
     /// Deduplicated candidate paths per pair (what gets installed).
     pub system: PathSystem,
     /// The raw draws per pair, with multiplicity, in draw order — the
-    /// object the Main Lemma's process manipulates.
-    pub raw: Vec<((NodeId, NodeId), Vec<Path>)>,
+    /// object the Main Lemma's process manipulates. Each draw is an index
+    /// into `system.paths(s, t)`.
+    pub raw: Vec<((NodeId, NodeId), Vec<u32>)>,
 }
 
 impl SampledSystem {
@@ -84,15 +85,16 @@ fn sample_counts<O: ObliviousRouting, R: Rng + ?Sized>(
     for ((s, t), count) in pairs {
         assert!(s != t, "self-pair in sample request");
         let _pair_span = sor_obs::span("sample/pair");
-        let mut draws = Vec::with_capacity(count);
-        for _ in 0..count {
-            let p = routing.sample_path(s, t, rng);
-            sor_obs::counter_add!("core/sample/draws");
-            sor_obs::observe_into!("core/path/hops", &sor_obs::POW2_BUCKETS, p.hops() as f64);
-            if !system.insert(s, t, p.clone()) {
-                sor_obs::counter_add!("core/sample/duplicates");
-            }
-            draws.push(p);
+        let (distinct, mut draws) = routing.sample_distinct(s, t, count, rng);
+        let fresh = system.insert_draws(s, t, distinct, &mut draws);
+        let paths = system.paths(s, t);
+        for &i in &draws {
+            let hops = paths[i as usize].hops();
+            sor_obs::observe_into!("core/path/hops", &sor_obs::POW2_BUCKETS, hops as f64);
+        }
+        sor_obs::counter_add!("core/sample/draws", count as u64);
+        if fresh < count {
+            sor_obs::counter_add!("core/sample/duplicates", (count - fresh) as u64);
         }
         raw.push(((s, t), draws));
     }
@@ -102,16 +104,28 @@ fn sample_counts<O: ObliviousRouting, R: Rng + ?Sized>(
 }
 
 /// Debug/`validate`-feature self-check: a sampled system must satisfy the
-/// path-system invariants, and its sparsity can never exceed the largest
-/// per-pair draw count.
+/// path-system invariants, its sparsity can never exceed the largest
+/// per-pair draw count (summed over a pair's repeats), and every draw must
+/// index one of its pair's candidates.
 fn validate_sample(g: &Graph, sampled: &SampledSystem) {
     if !(cfg!(debug_assertions) || cfg!(feature = "validate")) {
         return;
     }
-    let max_draws = sampled.raw.iter().map(|(_, v)| v.len()).max();
+    let mut draws_of = std::collections::BTreeMap::new();
+    for (pair, draws) in &sampled.raw {
+        *draws_of.entry(*pair).or_insert(0) += draws.len();
+    }
+    let max_draws = draws_of.into_values().max();
     if let Err(msg) = sampled.system.validate_detailed(g, max_draws) {
         // sor-check: allow(unwrap, panic-path) — validator failure means a sampler bug, not recoverable state
         panic!("sampled path system violates its invariants: {msg}");
+    }
+    for ((s, t), draws) in &sampled.raw {
+        let candidates = sampled.system.paths(*s, *t).len();
+        if let Some(&i) = draws.iter().find(|&&i| i as usize >= candidates) {
+            // sor-check: allow(unwrap, panic-path) — validator failure means a sampler bug, not recoverable state
+            panic!("pair {s}→{t} draws candidate {i} of {candidates}");
+        }
     }
 }
 
@@ -138,9 +152,10 @@ pub fn all_pairs(g: &Graph) -> Vec<(NodeId, NodeId)> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use rand::Rng;
     use rand::SeedableRng;
-    use sor_graph::gen;
-    use sor_oblivious::{KspRouting, ValiantHypercube};
+    use sor_graph::{gen, Path};
+    use sor_oblivious::{KspRouting, RaeckeRouting, ValiantHypercube};
 
     #[test]
     fn sample_k_shape() {
@@ -188,7 +203,105 @@ mod tests {
         let pairs = [(NodeId(0), NodeId(7))];
         let a = sample_k(&r, &pairs, 4, &mut StdRng::seed_from_u64(9));
         let b = sample_k(&r, &pairs, 4, &mut StdRng::seed_from_u64(9));
+        assert_eq!(a.system, b.system);
         assert_eq!(a.raw[0].1, b.raw[0].1);
+    }
+
+    /// The per-draw reference: one `sample_path` per draw, each inserted
+    /// into the system, the raw draws kept as paths.
+    fn per_draw_reference<O: ObliviousRouting>(
+        routing: &O,
+        counts: &[((NodeId, NodeId), usize)],
+        rng: &mut StdRng,
+    ) -> (PathSystem, Vec<Vec<Path>>) {
+        let mut system = PathSystem::new();
+        let mut raw = Vec::new();
+        for &((s, t), count) in counts {
+            let draws: Vec<Path> = (0..count).map(|_| routing.sample_path(s, t, rng)).collect();
+            for p in &draws {
+                system.insert(s, t, p.clone());
+            }
+            raw.push(draws);
+        }
+        (system, raw)
+    }
+
+    /// `sampled` holds the reference's system, resolves its draws to the
+    /// reference's paths, and left `rng` where the reference left its own.
+    fn assert_matches_reference(
+        sampled: &SampledSystem,
+        reference: &(PathSystem, Vec<Vec<Path>>),
+        rng: &mut StdRng,
+        reference_rng: &mut StdRng,
+    ) {
+        assert_eq!(sampled.system, reference.0);
+        assert_eq!(sampled.raw.len(), reference.1.len());
+        for (((s, t), draws), want) in sampled.raw.iter().zip(&reference.1) {
+            let paths = sampled.system.paths(*s, *t);
+            let got: Vec<&Path> = draws.iter().map(|&i| &paths[i as usize]).collect();
+            assert_eq!(got, want.iter().collect::<Vec<_>>(), "draws of {s}→{t}");
+        }
+        assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG position");
+    }
+
+    /// Both samplers against the per-draw reference, on `pairs` plus a
+    /// repeat of the first pair (its second draws land in a partly filled
+    /// candidate list).
+    fn check_against_reference<O: ObliviousRouting>(
+        routing: &O,
+        g: &Graph,
+        pairs: &[(NodeId, NodeId)],
+    ) {
+        let mut pairs = pairs.to_vec();
+        pairs.push(pairs[0]);
+        for k in [1, 3, 11, 20] {
+            let seed = 40 + k as u64;
+            let counts: Vec<_> = pairs.iter().map(|&p| (p, k)).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sampled = sample_k(routing, &pairs, k, &mut rng);
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            let reference = per_draw_reference(routing, &counts, &mut reference_rng);
+            assert_matches_reference(&sampled, &reference, &mut rng, &mut reference_rng);
+
+            #[allow(clippy::cast_possible_truncation)]
+            let counts: Vec<_> = pairs
+                .iter()
+                .map(|&(s, t)| ((s, t), k + st_min_cut(g, s, t).ceil() as usize))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sampled = sample_k_plus_cut(routing, g, &pairs, k, &mut rng);
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            let reference = per_draw_reference(routing, &counts, &mut reference_rng);
+            assert_matches_reference(&sampled, &reference, &mut rng, &mut reference_rng);
+        }
+    }
+
+    #[test]
+    fn raecke_sampling_matches_the_per_draw_reference() {
+        let graphs = [
+            gen::grid(5, 5),
+            gen::random_regular(32, 4, &mut StdRng::seed_from_u64(8)),
+            gen::hypercube(5),
+            gen::abilene(),
+        ];
+        for (i, g) in graphs.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(100 + i as u64);
+            let routing = RaeckeRouting::build(g.clone(), 8, &mut rng);
+            let pairs = demand_pairs(&sor_flow::demand::random_permutation(&g, &mut rng));
+            check_against_reference(&routing, &g, &pairs);
+        }
+    }
+
+    #[test]
+    fn default_sample_distinct_matches_the_per_draw_reference() {
+        // Valiant and KSP keep the trait's default `sample_distinct`.
+        let g = gen::hypercube(4);
+        let pairs = demand_pairs(&sor_flow::demand::random_permutation(
+            &g,
+            &mut StdRng::seed_from_u64(5),
+        ));
+        check_against_reference(&ValiantHypercube::new(g.clone()), &g, &pairs);
+        check_against_reference(&KspRouting::new(g.clone(), 4), &g, &pairs);
     }
 
     #[test]

@@ -7,20 +7,27 @@ use sor_flow::restricted::{restricted_min_congestion, RestrictedEntry, Restricte
 use sor_flow::rounding::{round_and_improve, IntegralSolution};
 use sor_flow::Demand;
 use sor_graph::Graph;
+use std::sync::Arc;
 
 /// A semi-oblivious routing: the installed candidate paths, bound to their
 /// graph. Routing a demand re-optimizes sending rates restricted to the
 /// candidates (Stage 4) — fractionally via the MWU LP solver, or
 /// integrally via randomized rounding + local search.
+///
+/// Graph and system are shared, not owned: a serving engine binds the
+/// same graph and a cached system to a new routing every epoch without
+/// copying either.
 #[derive(Clone, Debug)]
 pub struct SemiObliviousRouting {
-    g: Graph,
-    system: PathSystem,
+    g: Arc<Graph>,
+    system: Arc<PathSystem>,
 }
 
 impl SemiObliviousRouting {
-    /// Bind a path system to its graph.
-    pub fn new(g: Graph, system: PathSystem) -> Self {
+    /// Bind a path system to its graph. Either may be passed owned or
+    /// already shared.
+    pub fn new(g: impl Into<Arc<Graph>>, system: impl Into<Arc<PathSystem>>) -> Self {
+        let (g, system) = (g.into(), system.into());
         debug_assert!(system.validate(&g));
         SemiObliviousRouting { g, system }
     }
@@ -104,8 +111,8 @@ impl SemiObliviousRouting {
     /// installation needed).
     pub fn with_failures(&self, failed: &[sor_graph::EdgeId]) -> SemiObliviousRouting {
         SemiObliviousRouting {
-            g: self.g.clone(),
-            system: self.system.without_edges(failed),
+            g: Arc::clone(&self.g),
+            system: Arc::new(self.system.without_edges(failed)),
         }
     }
 }

@@ -51,6 +51,15 @@ fn graph_text_mutations_never_panic() {
 }
 
 #[test]
+fn huge_graph_header_is_an_error_not_an_allocation() {
+    // 18 bytes that once asked `Graph::new` for four billion vertex lists
+    assert!(graph_from_text("graph 4000000000 0").is_err());
+    never_panics("graph 4000000000 0", 0x3c6e_f372, |t| {
+        graph_from_text(t).is_ok()
+    });
+}
+
+#[test]
 fn demand_text_mutations_never_panic() {
     let demand = Demand::from_triples([
         (NodeId(0), NodeId(7), 1.5),

@@ -12,6 +12,12 @@
 
 use crate::graph::{Graph, NodeId};
 
+/// The most vertices [`graph_from_text`] accepts. The header's `n` sizes
+/// the vertex table before any edge line is read, so an unchecked header
+/// could ask for billions of adjacency lists; 2²⁰ is far beyond every
+/// graph the workspace builds.
+pub const MAX_TEXT_NODES: usize = 1 << 20;
+
 /// Serialize a graph to the text format.
 pub fn graph_to_text(g: &Graph) -> String {
     let mut out = String::with_capacity(16 * g.num_edges() + 32);
@@ -23,7 +29,8 @@ pub fn graph_to_text(g: &Graph) -> String {
 }
 
 /// Parse a graph from the text format. Edge ids are assigned in file
-/// order, so a round trip preserves every id.
+/// order, so a round trip preserves every id. A header with 0 or more
+/// than [`MAX_TEXT_NODES`] vertices is an error.
 pub fn graph_from_text(text: &str) -> Result<Graph, String> {
     let mut lines = text
         .lines()
@@ -44,9 +51,8 @@ pub fn graph_from_text(text: &str) -> Result<Graph, String> {
         .ok_or("missing m")?
         .parse()
         .map_err(|_| "bad m")?;
-    // the bounds `Graph::new` asserts: vertex ids are u32 indices
-    if n == 0 || n >= u32::MAX as usize {
-        return Err(format!("bad n {n}: need 1 to {} vertices", u32::MAX - 1));
+    if n == 0 || n > MAX_TEXT_NODES {
+        return Err(format!("bad n {n}: need 1 to {MAX_TEXT_NODES} vertices"));
     }
     let mut g = Graph::new(n);
     for (i, line) in lines.enumerate() {
@@ -129,5 +135,13 @@ mod tests {
         assert!(graph_from_text("graph 0 0").is_err()); // no vertices
         assert!(graph_from_text("graph 4294967295 0").is_err()); // past u32 ids
         assert!(graph_from_text("graph 4294967296 0").is_err());
+        // below u32::MAX, but four billion adjacency lists
+        assert!(graph_from_text("graph 4000000000 0").is_err());
+        let limit = format!("graph {MAX_TEXT_NODES} 0");
+        assert_eq!(
+            graph_from_text(&limit).map(|g| g.num_nodes()),
+            Ok(MAX_TEXT_NODES)
+        );
+        assert!(graph_from_text(&format!("graph {} 0", MAX_TEXT_NODES + 1)).is_err());
     }
 }

@@ -61,7 +61,7 @@ pub mod units;
 pub use connectivity::{articulation_points, bridges, connected_without};
 pub use globalcut::{global_min_cut, stoer_wagner};
 pub use graph::{EdgeId, EdgeRec, Graph, NodeId};
-pub use io::{graph_from_text, graph_to_text};
+pub use io::{graph_from_text, graph_to_text, MAX_TEXT_NODES};
 pub use ksp::yen_ksp;
 pub use maxflow::{max_flow, st_min_cut};
 pub use path::{LoopErasedWalk, Path};

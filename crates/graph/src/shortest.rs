@@ -7,34 +7,24 @@
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::path::Path;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Min-heap entry: (distance, node). `BinaryHeap` is a max-heap, so the
-/// ordering is reversed.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+/// Min-heap key of a (distance, vertex) entry, ordered by distance, then
+/// vertex id: the distance's bits above the vertex id. Non-negative
+/// `f64`s order like their bit patterns, and no distance is ever `-0.0`
+/// (the source starts at `+0.0` and lengths are non-negative), so one
+/// integer comparison orders entries exactly as comparing the distances
+/// and then the ids would.
+fn heap_key(dist: f64, node: NodeId) -> Reverse<u128> {
+    Reverse((u128::from(dist.to_bits()) << 32) | u128::from(node.0))
 }
 
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for min-heap; distances are finite non-NaN by
-        // construction, and total_cmp keeps the order total regardless.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.0.cmp(&self.node.0))
-    }
+/// The (distance, vertex) entry a [`heap_key`] packs.
+fn heap_entry(Reverse(key): Reverse<u128>) -> (f64, NodeId) {
+    // the low 32 bits are the vertex id, the next 64 the distance's bits
+    #[allow(clippy::cast_possible_truncation)]
+    (f64::from_bits((key >> 32) as u64), NodeId(key as u32))
 }
 
 /// The result of a single-source Dijkstra run: distances and parent edges.
@@ -107,7 +97,7 @@ pub struct DijkstraSearch {
     stamp: Vec<u32>,
     epoch: u32,
     is_target: Vec<bool>,
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl DijkstraSearch {
@@ -235,11 +225,8 @@ impl DijkstraSearch {
         dist[src.index()] = 0.0;
         parent[src.index()] = None;
         stamp[src.index()] = reached;
-        heap.push(HeapEntry {
-            dist: 0.0,
-            node: src,
-        });
-        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+        heap.push(heap_key(0.0, src));
+        while let Some((d, u)) = heap.pop().map(heap_entry) {
             // A vertex first pops at its final distance; later entries
             // for it are stale.
             if stamp[u.index()] == done || d > dist[u.index()] || !admit(u, d) {
@@ -268,7 +255,7 @@ impl DijkstraSearch {
                     stamp[v.index()] = reached;
                     dist[v.index()] = nd;
                     parent[v.index()] = Some(e);
-                    heap.push(HeapEntry { dist: nd, node: v });
+                    heap.push(heap_key(nd, v));
                 }
             }
         }

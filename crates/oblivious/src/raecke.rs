@@ -21,7 +21,7 @@
 //! theorems actually consume.
 
 use crate::frt::FrtTree;
-use crate::routing::{ObliviousRouting, PathDist};
+use crate::routing::{index_or_push, ObliviousRouting, PathDist};
 use parking_lot::Mutex;
 use rand::Rng;
 use sor_graph::{Graph, NodeId, Path};
@@ -114,6 +114,38 @@ impl ObliviousRouting for RaeckeRouting {
         sor_obs::counter_add!("oblivious/route_calls");
         let i = rng.gen_range(0..self.trees.len());
         self.trees[i].route(s, t)
+    }
+
+    /// The default's tree draws, but each drawn tree is routed once: a
+    /// tree's route is a pure function of `(s, t)`, so later draws of the
+    /// same tree reuse its slot.
+    fn sample_distinct<R: Rng + ?Sized>(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        count: usize,
+        rng: &mut R,
+    ) -> (Vec<Path>, Vec<u32>) {
+        assert!(s != t);
+        // `slot[i]`: tree `i`'s path as an index into `distinct`, once drawn
+        let mut slot: Vec<Option<u32>> = vec![None; self.trees.len()];
+        let mut distinct = Vec::with_capacity(count.min(self.trees.len()));
+        let mut draws = Vec::with_capacity(count);
+        for _ in 0..count {
+            let i = rng.gen_range(0..self.trees.len());
+            let j = match slot[i] {
+                Some(j) => j,
+                None => {
+                    sor_obs::counter_add!("oblivious/route_calls");
+                    // two trees may route the pair along the same path
+                    let j = index_or_push(&mut distinct, self.trees[i].route(s, t));
+                    slot[i] = Some(j);
+                    j
+                }
+            };
+            draws.push(j);
+        }
+        (distinct, draws)
     }
 
     fn name(&self) -> &'static str {

@@ -38,10 +38,50 @@ pub trait ObliviousRouting {
         sample_from_dist(&dist, rng)
     }
 
+    /// Draw `count` paths i.i.d. from the `(s, t)` distribution. Returns
+    /// the distinct paths in first-draw order, and each draw's index into
+    /// that list, in draw order.
+    ///
+    /// The default calls [`ObliviousRouting::sample_path`] once per draw
+    /// and deduplicates by equality. Mixtures whose components route
+    /// deterministically (Räcke) override it to route each drawn
+    /// component once; they must make the same RNG draws in the same
+    /// order, so the result and the RNG's position afterwards match the
+    /// default's bit for bit.
+    fn sample_distinct<R: Rng + ?Sized>(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        count: usize,
+        rng: &mut R,
+    ) -> (Vec<Path>, Vec<u32>)
+    where
+        Self: Sized,
+    {
+        let mut distinct: Vec<Path> = Vec::new();
+        let mut draws = Vec::with_capacity(count);
+        for _ in 0..count {
+            let p = self.sample_path(s, t, rng);
+            draws.push(index_or_push(&mut distinct, p));
+        }
+        (distinct, draws)
+    }
+
     /// A short human-readable name for tables.
     fn name(&self) -> &'static str {
         "oblivious"
     }
+}
+
+/// The index of `p` in `distinct`, appending it first if it is new.
+// a pair's distinct draws are far fewer than u32::MAX
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn index_or_push(distinct: &mut Vec<Path>, p: Path) -> u32 {
+    let i = distinct.iter().position(|q| *q == p).unwrap_or_else(|| {
+        distinct.push(p);
+        distinct.len() - 1
+    });
+    i as u32
 }
 
 /// Draw one path from a [`PathDist`].

@@ -20,7 +20,8 @@
 //! the fresh-sample comparison derives its RNG from (seed, epoch).
 
 use crate::cache::{
-    fnv1a_u64, pairs_fingerprint, CacheDeltas, CacheKey, CacheStats, PathSystemCache, FNV_OFFSET,
+    fnv1a_u64, graph_fingerprint, pairs_fingerprint, CacheDeltas, CacheKey, CacheStats,
+    PathSystemCache, FNV_OFFSET,
 };
 use crate::observer::{EpochMeasures, Observer};
 use rand::rngs::StdRng;
@@ -217,7 +218,11 @@ const TOP_EDGES_K: usize = 8;
 
 /// The long-running engine (see module docs for the lifecycle).
 pub struct Engine {
-    g: Graph,
+    /// Shared with every epoch's [`SemiObliviousRouting`]. It never
+    /// changes: failures live in `failed`.
+    g: Arc<Graph>,
+    /// [`graph_fingerprint`] of `g`, for every epoch's cache key.
+    graph_fp: u64,
     cfg: EngineConfig,
     routing: RaeckeRouting,
     cache: PathSystemCache,
@@ -252,6 +257,7 @@ impl Engine {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let routing = RaeckeRouting::build(g.clone(), cfg.trees, &mut rng);
         Engine {
+            graph_fp: graph_fingerprint(&g),
             cache: PathSystemCache::new(cfg.cache_capacity),
             queue: VecDeque::new(),
             failed: Vec::new(),
@@ -265,7 +271,7 @@ impl Engine {
             measures: EpochMeasures::default(),
             prev_rejected: 0,
             pair_fps: BTreeMap::new(),
-            g,
+            g: Arc::new(g),
             cfg,
             routing,
         }
@@ -429,7 +435,11 @@ impl Engine {
             count: admitted.len(),
             demand_fp: pairs_fingerprint(&pairs),
         });
-        let key = CacheKey::new(&self.g, &pairs, self.cfg.sparsity);
+        let key = CacheKey {
+            graph_fp: self.graph_fp,
+            pairs_fp: pairs_fingerprint(&pairs),
+            sparsity: self.cfg.sparsity,
+        };
         let lookup_start = self.observer.as_ref().map(|_| Instant::now());
         let Engine {
             cache,
@@ -495,7 +505,7 @@ impl Engine {
         }
 
         let sparsity = system.sparsity();
-        let sor = SemiObliviousRouting::new(self.g.clone(), system);
+        let sor = SemiObliviousRouting::new(Arc::clone(&self.g), system);
         let reopt_start = self.observer.as_ref().map(|_| Instant::now());
         let integral_solve = self.cfg.integral && demand.is_integral();
         let (weights, congestion, lower_bound) = if integral_solve {
@@ -692,11 +702,11 @@ impl Engine {
         let pairs = demand_pairs(&demand);
         let mut rng =
             StdRng::seed_from_u64(self.cfg.seed ^ snap.epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let base = RaeckeRouting::build(self.g.clone(), self.cfg.trees, &mut rng);
-        let sampled = sample_k(&base, &pairs, self.cfg.sparsity, &mut rng).system;
+        let base = RaeckeRouting::build(Graph::clone(&self.g), self.cfg.trees, &mut rng);
+        let sampled = Arc::new(sample_k(&base, &pairs, self.cfg.sparsity, &mut rng).system);
         let (system, _, unserved) = resolve_failures(&self.g, &sampled, &self.failed, &pairs);
         debug_assert!(unserved.is_empty(), "served pairs stay connected");
-        let sor = SemiObliviousRouting::new(self.g.clone(), system);
+        let sor = SemiObliviousRouting::new(Arc::clone(&self.g), system);
         sor.congestion(&demand, self.cfg.eps)
     }
 
@@ -742,7 +752,8 @@ impl Engine {
 
     /// The system the last non-empty epoch solved on (degraded + fallback
     /// paths included) — the containment-invariant tests check published
-    /// routes against exactly this.
+    /// routes against exactly this. With no edge down it is the cache
+    /// entry itself, not a copy.
     pub fn last_system(&self) -> Option<&PathSystem> {
         self.last.as_ref().map(SemiObliviousRouting::system)
     }
@@ -756,15 +767,16 @@ fn elapsed_ns(t0: Instant) -> u64 {
 /// Apply the failure set to a sampled system: drop crossing paths, give
 /// pairs that lost everything an emergency shortest path on the survivor
 /// graph (re-traced onto original edge ids, the `sor-te` failure-replay
-/// idiom), and report pairs the failures disconnected outright.
+/// idiom), and report pairs the failures disconnected outright. With no
+/// edge down the sampled system itself comes back, shared.
 fn resolve_failures(
     g: &Graph,
-    sampled: &PathSystem,
+    sampled: &Arc<PathSystem>,
     failed: &[EdgeId],
     pairs: &[(NodeId, NodeId)],
-) -> (PathSystem, usize, Vec<(NodeId, NodeId)>) {
+) -> (Arc<PathSystem>, usize, Vec<(NodeId, NodeId)>) {
     if failed.is_empty() {
-        return (sampled.clone(), 0, Vec::new());
+        return (Arc::clone(sampled), 0, Vec::new());
     }
     let mut system = sampled.without_edges(failed);
     let survivor = g.without_edges(failed);
@@ -783,7 +795,7 @@ fn resolve_failures(
         fallback_pairs += 1;
         system.insert(a, b, orig);
     }
-    (system, fallback_pairs, unserved)
+    (Arc::new(system), fallback_pairs, unserved)
 }
 
 #[cfg(test)]
@@ -833,6 +845,66 @@ mod tests {
         assert_eq!(first.routes, second.routes);
         let st = eng.cache_stats();
         assert_eq!((st.hits, st.misses), (1, 1));
+    }
+
+    #[test]
+    fn epochs_solve_on_the_cache_entry_itself_until_an_edge_fails() {
+        let mut eng = small_engine(false);
+        let pairs: Vec<(NodeId, NodeId)> = (0..4u32).map(|i| (NodeId(i), NodeId(7 - i))).collect();
+        let key = CacheKey::new(eng.graph(), &pairs, eng.config().sparsity);
+        let run = |eng: &mut Engine| {
+            for &(s, t) in &pairs {
+                eng.ingest(Request::unit(s, t));
+            }
+            eng.run_epoch()
+        };
+        let cold = run(&mut eng);
+        let warm = run(&mut eng);
+        assert!(!cold.cache_hit && warm.cache_hit);
+        let entry = eng
+            .cache()
+            .peek(&key)
+            .expect("the pattern's system is cached");
+        let last = eng.last_system().expect("a non-empty epoch ran");
+        assert!(
+            std::ptr::eq(last, Arc::as_ptr(&entry)),
+            "with no edge down the epoch shares the cache entry"
+        );
+
+        // With an edge down the epoch solves on a degraded copy instead,
+        // even when the entry survives because it never used the edge.
+        let unused = eng
+            .graph()
+            .edge_ids()
+            .find(|&e| {
+                !entry
+                    .pairs()
+                    .any(|(_, _, ps)| ps.iter().any(|p| p.contains_edge(e)))
+            })
+            .expect("3 trees leave some hypercube edge unused");
+        assert_eq!(eng.fail_edges(&[unused]), 0);
+        assert!(run(&mut eng).cache_hit);
+        let last = eng.last_system().expect("a non-empty epoch ran");
+        assert!(!std::ptr::eq(last, Arc::as_ptr(&entry)));
+        assert_eq!(last, &*entry);
+        eng.restore_all();
+
+        let used = entry.paths(pairs[0].0, pairs[0].1)[0].edges()[0];
+        assert_eq!(eng.fail_edges(&[used]), 1);
+        assert!(!run(&mut eng).cache_hit);
+        let resampled = eng
+            .cache()
+            .peek(&key)
+            .expect("the miss cached a new sample");
+        let last = eng.last_system().expect("a non-empty epoch ran");
+        assert!(!std::ptr::eq(last, Arc::as_ptr(&resampled)));
+        assert!(last
+            .pairs()
+            .all(|(_, _, ps)| ps.iter().all(|p| !p.contains_edge(used))));
+        eng.restore_all();
+        run(&mut eng);
+        let last = eng.last_system().expect("a non-empty epoch ran");
+        assert!(std::ptr::eq(last, Arc::as_ptr(&resampled)));
     }
 
     #[test]
