@@ -6,9 +6,8 @@
 //! one-line string-array values, `#` comments) — the registry is
 //! unreachable from CI, so no `toml` crate.
 //!
-//! Missing file ⇒ [`Config::default`]: every semantic rule that needs
-//! configuration (layering, panic scope, determinism scope, hot-path
-//! entries) is simply skipped, which is what the seeded test fixtures
+//! Missing file ⇒ [`Config::default`]: every semantic rule (layering,
+//! panic scope, determinism scope) is simply skipped, which is what the seeded test fixtures
 //! without a `check.toml` rely on. Any other read failure is an error,
 //! so an unreadable file cannot switch the rules off silently.
 
@@ -41,11 +40,6 @@ pub struct Config {
     /// The bench crate is deliberately out of scope — its hard-coded
     /// seeds *define* the experiments.
     pub rng_crates: Vec<String>,
-    /// `[hotpath] entries`: hot entry points (plain `name` or
-    /// `crate::name`). The hot-path rules walk the layering-filtered
-    /// call graph from each entry and audit everything reachable for
-    /// allocation and complexity cost. Empty ⇒ the family is skipped.
-    pub hotpath_entries: Vec<String>,
 }
 
 /// A `check.toml` read or parse failure, with a 1-based line number
@@ -125,7 +119,6 @@ impl Config {
             ("panics", "index_crates") => &mut self.panic_index_crates,
             ("determinism", "order_crates") => &mut self.order_crates,
             ("determinism", "rng_crates") => &mut self.rng_crates,
-            ("hotpath", "entries") => &mut self.hotpath_entries,
             _ => {
                 return Err(ConfigError {
                     line,
@@ -273,16 +266,6 @@ order_crates = ["sor-core"]
     }
 
     #[test]
-    fn hotpath_section_parses() {
-        let cfg = Config::parse("[hotpath]\nentries = [\"sample_k\", \"sor-oblivious::build\"]\n")
-            .expect("parse");
-        assert_eq!(
-            cfg.hotpath_entries,
-            vec!["sample_k", "sor-oblivious::build"]
-        );
-    }
-
-    #[test]
     fn panic_index_crates_parse() {
         let cfg = Config::parse("[panics]\nindex_crates = [\"sor-serve\"]\n").expect("parse");
         assert_eq!(cfg.panic_index_crates, vec!["sor-serve"]);
@@ -316,8 +299,8 @@ order_crates = ["sor-core"]
 
     #[test]
     fn non_array_value_is_rejected() {
-        let err = Config::parse("[hotpath]\nentries = \"sample_k\"\n").expect_err("scalar");
-        assert_eq!(err.to_string(), "check.toml:2: [hotpath] entries must be a one-line array of strings, got `\"sample_k\"`");
+        let err = Config::parse("[panics]\npublic_crates = \"sor-core\"\n").expect_err("scalar");
+        assert_eq!(err.to_string(), "check.toml:2: [panics] public_crates must be a one-line array of strings, got `\"sor-core\"`");
     }
 
     #[test]

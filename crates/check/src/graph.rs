@@ -5,7 +5,23 @@
 //! same crate → crates imported by the file → whole workspace); when a
 //! tier holds several same-named candidates they are *all* linked, so
 //! reachability analyses over-approximate rather than silently miss
-//! paths.
+//! paths. A call's shape narrows the candidates first:
+//!
+//! * `x.name(..)` links to methods: `fn`s inside an `impl` block, and
+//!   default bodies inside a `trait` body. The two groups take their
+//!   tiers separately, so a default body next to the caller does not
+//!   hide the overrides in other files, nor the reverse;
+//! * `Q::name(..)` links to associated fns of a type or trait named `Q`
+//!   (`Self` is the caller's own impl type or trait) and to free fns of
+//!   a module whose last segment is `Q`;
+//! * a bare `name(..)` links to free fns only.
+//!
+//! A bodyless declaration (a trait's required method) is no node. What
+//! resolution still misses: calls through function pointers and closure
+//! values, `<T as Tr>::name(..)` calls, macro-generated items, and the
+//! overrides of a call qualified by a trait (`Tr::name(..)`, or
+//! `Self::name(..)` inside the trait), which reaches only the trait's
+//! own default body.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -112,7 +128,9 @@ impl ItemGraph {
         let mut fns = Vec::new();
         for (fi, file) in ws.files.iter().enumerate() {
             for (ii, item) in file.items.iter().enumerate() {
-                if item.kind == ItemKind::Fn {
+                // A bodyless declaration (a trait's required method, whose
+                // signature ends at `;`) is no call target.
+                if item.kind == ItemKind::Fn && !item.signature.ends_with(';') {
                     fns.push(FnRef { file: fi, item: ii });
                 }
             }
@@ -135,6 +153,14 @@ impl ItemGraph {
                 .iter()
                 .filter_map(|u| u.krate.as_deref())
                 .collect();
+            // Preference tiers: same file → same crate → imported
+            // crates → workspace.
+            let tiers: [Box<dyn Fn(usize) -> bool>; 4] = [
+                Box::new(|c: usize| fns[c].file == fref.file),
+                Box::new(|c: usize| ws.files[fns[c].file].krate == file.krate),
+                Box::new(|c: usize| imported.contains(ws.files[fns[c].file].krate.as_str())),
+                Box::new(|_| true),
+            ];
             let mut out = BTreeSet::new();
             for call in &item.calls {
                 let Some(cands) = by_name.get(call.name.as_str()) else {
@@ -150,8 +176,13 @@ impl ItemGraph {
                             ci.self_ty.is_some()
                         } else if let Some(q) = &call.qualifier {
                             // `Q::name(..)`: associated fn of type Q, or a
-                            // free fn in a module whose tail is q.
-                            ci.self_ty.as_deref() == Some(q.as_str())
+                            // free fn in a module whose tail is q. `Self`
+                            // names the caller's own impl or trait.
+                            let q = match (q.as_str(), &item.self_ty) {
+                                ("Self", Some(own)) => own,
+                                _ => q,
+                            };
+                            ci.self_ty.as_ref() == Some(q)
                                 || (ci.self_ty.is_none()
                                     && ws.files[fns[c].file]
                                         .module
@@ -163,23 +194,19 @@ impl ItemGraph {
                         }
                     })
                     .collect();
-                // Preference tiers: same file → same crate → imported
-                // crates → workspace.
-                let tiers: [Box<dyn Fn(usize) -> bool>; 4] = [
-                    Box::new(|c: usize| fns[c].file == fref.file),
-                    Box::new(|c: usize| ws.files[fns[c].file].krate == file.krate),
-                    Box::new(|c: usize| imported.contains(ws.files[fns[c].file].krate.as_str())),
-                    Box::new(|_| true),
-                ];
-                for tier in tiers {
-                    let hits: Vec<usize> = shaped.iter().copied().filter(|&c| tier(c)).collect();
-                    if !hits.is_empty() {
-                        for h in hits {
-                            if h != i {
-                                out.insert(h);
-                            }
+                // Impl methods and trait default bodies take their tiers
+                // separately, so a default body near the caller does not
+                // hide the overrides farther away, nor the reverse.
+                let (defaults, impls): (Vec<usize>, Vec<usize>) = shaped
+                    .into_iter()
+                    .partition(|&c| ws.files[fns[c].file].items[fns[c].item].in_trait);
+                for group in [impls, defaults] {
+                    for tier in &tiers {
+                        let hits: Vec<usize> = group.iter().copied().filter(|&c| tier(c)).collect();
+                        if !hits.is_empty() {
+                            out.extend(hits.into_iter().filter(|&h| h != i));
+                            break;
                         }
-                        break;
                     }
                 }
             }
@@ -270,6 +297,63 @@ mod tests {
         assert_eq!(g.calls[caller].len(), 1);
         let callee = g.calls[caller][0];
         assert_eq!(ws.files[g.fns[callee].file].krate, "sor-flow");
+    }
+
+    /// Display paths of the fns the fn named `name` calls.
+    fn callees(ws: &Workspace, g: &ItemGraph, name: &str) -> Vec<String> {
+        let caller = g
+            .fns
+            .iter()
+            .position(|f| ws.files[f.file].items[f.item].name == name)
+            .expect("caller");
+        g.calls[caller].iter().map(|&c| g.fn_path(ws, c)).collect()
+    }
+
+    #[test]
+    fn self_calls_resolve_to_the_callers_own_type() {
+        let ws = ws_of(&[(
+            "crates/flow/src/a.rs",
+            "sor-flow",
+            "impl S {\n    pub fn a() {\n        Self::b();\n    }\n    fn b() {}\n}\nimpl T {\n    fn b() {}\n}\n",
+        )]);
+        let g = ItemGraph::build(&ws);
+        assert_eq!(callees(&ws, &g, "a"), ["sor-flow::a::S::b"]);
+    }
+
+    #[test]
+    fn trait_default_bodies_are_methods_not_free_fns() {
+        let ws = ws_of(&[(
+            "crates/flow/src/a.rs",
+            "sor-flow",
+            "pub trait Pick {\n    fn pick(&self) {}\n}\npub fn by_method(p: &S) {\n    p.pick();\n}\npub fn by_name() {\n    pick();\n}\n",
+        )]);
+        let g = ItemGraph::build(&ws);
+        assert_eq!(callees(&ws, &g, "by_method"), ["sor-flow::a::Pick::pick"]);
+        assert!(callees(&ws, &g, "by_name").is_empty());
+    }
+
+    #[test]
+    fn default_bodies_and_declarations_do_not_hide_overrides() {
+        let ws = ws_of(&[
+            (
+                "crates/flow/src/routing.rs",
+                "sor-flow",
+                "pub trait R {\n    fn dist(&self);\n    fn sample(&self) {\n        self.dist();\n    }\n    fn many(&self) {\n        self.sample();\n    }\n}\n",
+            ),
+            (
+                "crates/flow/src/imp.rs",
+                "sor-flow",
+                "impl R for A {\n    fn dist(&self) {}\n    fn sample(&self) {}\n}\n",
+            ),
+        ]);
+        let g = ItemGraph::build(&ws);
+        // the default `sample` and its override; the bodyless `dist`
+        // declaration is no node, so the call reaches the override
+        assert_eq!(
+            callees(&ws, &g, "many"),
+            ["sor-flow::routing::R::sample", "sor-flow::imp::A::sample"]
+        );
+        assert_eq!(callees(&ws, &g, "sample"), ["sor-flow::imp::A::dist"]);
     }
 
     #[test]

@@ -7,24 +7,19 @@
 //! declares (functions with signatures, structs, enums, traits, consts,
 //! type aliases), the `use` declarations that bind names into scope, and
 //! per-function *facts* (panic sites, RNG constructions, hash-container
-//! iterations, heap-allocation sites) plus outgoing *call references*
-//! that [`crate::graph::ItemGraph`] later resolves into edges. Every
-//! call and allocation site carries its lexical loop depth (see
-//! [`loop_depths`]) so the hot-path rules can attribute per-iteration
-//! cost.
+//! iterations) plus outgoing *call references* that
+//! [`crate::graph::ItemGraph`] later resolves into edges.
 //!
 //! # Honest limitations
 //!
 //! This is deliberately not a compiler. Signature parsing flattens
 //! whitespace; call references are `identifier(`-shaped tokens resolved
-//! by name, so same-named functions in sibling modules can alias;
-//! method calls resolve only when the receiver type is unambiguous by
-//! name. The loop-depth tracker is lexical too: a single-line loop body
-//! (`for x in xs { v.push(x) }`) is measured at the header's depth, and
-//! a closure argument inside a loop header counts as part of the body.
-//! Each rule built on top errs toward reporting (and the
-//! allowlist/baseline mechanisms absorb intended exceptions) rather
-//! than silently missing structure.
+//! by name, so same-named functions in sibling modules can alias, and a
+//! method call links to same-named methods of any type (impl methods
+//! and trait default bodies alike, see [`crate::graph`]) because
+//! receiver types are not inferred. Each rule built on top errs toward
+//! reporting (and the allowlist mechanism absorbs intended exceptions)
+//! rather than silently missing structure.
 
 use std::path::{Path, PathBuf};
 
@@ -84,32 +79,6 @@ pub struct PanicSite {
     pub token: String,
 }
 
-/// How an [`AllocSite`] allocates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AllocKind {
-    /// A heap-allocating constructor (`Vec::new`, `vec![`, `Box::new`, ...).
-    Ctor,
-    /// An allocating adaptor (`.collect()`, `.to_vec()`, `.to_owned()`, ...).
-    Adaptor,
-    /// `.clone()` — duplicates its receiver's heap storage.
-    Clone,
-}
-
-/// One heap-allocation site inside a function body.
-#[derive(Clone, Debug)]
-pub struct AllocSite {
-    /// 1-based line in the containing file.
-    pub line: usize,
-    /// Mechanism.
-    pub kind: AllocKind,
-    /// The offending token, for messages (`Vec::new`, `.collect()`, ...).
-    pub token: String,
-    /// Lexical loop depth at the site (see [`loop_depths`]).
-    pub depth: usize,
-    /// For clones: the receiver identifier, when recoverable.
-    pub recv: Option<String>,
-}
-
 /// Facts collected from one function body, consumed by the rules.
 #[derive(Clone, Debug, Default)]
 pub struct Facts {
@@ -119,8 +88,6 @@ pub struct Facts {
     pub rng_ctors: Vec<usize>,
     /// Lines that iterate a `HashMap`/`HashSet` local in arbitrary order.
     pub hash_iters: Vec<usize>,
-    /// Heap-allocation sites, source order.
-    pub allocs: Vec<AllocSite>,
 }
 
 /// An unresolved outgoing call from a function body.
@@ -135,8 +102,6 @@ pub struct CallRef {
     pub method: bool,
     /// 1-based line of the call.
     pub line: usize,
-    /// Lexical loop depth at the call site (see [`loop_depths`]).
-    pub depth: usize,
 }
 
 /// One declared item.
@@ -151,8 +116,11 @@ pub struct Item {
     /// 1-based declaration line.
     pub line: usize,
     /// For `fn`s declared inside `impl Foo {..}` / `impl Tr for Foo {..}`:
-    /// the `Foo`. Also set for trait-body method signatures.
+    /// the `Foo`; for `fn`s declared inside `trait Tr {..}`: the `Tr`.
     pub self_ty: Option<String>,
+    /// Declared inside a `trait` body (a required method or a default
+    /// method body) rather than an `impl` block.
+    pub in_trait: bool,
     /// For `fn`s: the signature flattened to one line (through `{`/`;`).
     pub signature: String,
     /// For `fn`s: facts found in the body.
@@ -255,56 +223,6 @@ pub fn test_mask(stripped: &[String]) -> Vec<bool> {
     mask
 }
 
-/// Per-line lexical loop depth over stripped lines: how many `for` /
-/// `while` / `loop` bodies enclose the first token of each line. A loop
-/// header line itself sits at the *outer* depth (its iterator expression
-/// is evaluated once per entry, not per iteration), and a line whose
-/// leading token is a run of closing braces is measured after those
-/// braces close.
-pub fn loop_depths(stripped: &[String]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(stripped.len());
-    let mut depth: i32 = 0; // brace depth
-    let mut loops: Vec<i32> = Vec::new(); // brace depth each loop body opened at
-    let mut armed = false; // saw a loop header, waiting for its `{`
-    for s in stripped {
-        let t = s.trim_start();
-        let lead = i32::try_from(t.chars().take_while(|&c| c == '}').count()).unwrap_or(i32::MAX);
-        let eff = depth - lead;
-        out.push(loops.iter().filter(|&&d| d < eff).count());
-        if is_loop_header(t) {
-            armed = true;
-        }
-        for ch in s.chars() {
-            match ch {
-                '{' => {
-                    if armed {
-                        loops.push(depth);
-                        armed = false;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    while loops.last().is_some_and(|&d| d >= depth) {
-                        loops.pop();
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
-/// Does a trimmed line begin a `for` / `while` / `loop` construct?
-fn is_loop_header(t: &str) -> bool {
-    t.starts_with("for ")
-        || t.starts_with("while ")
-        || t == "loop"
-        || t.starts_with("loop ")
-        || t.starts_with("loop{")
-}
-
 /// Derive the in-crate module path from a workspace-relative file path:
 /// `crates/flow/src/lib.rs` ⇒ `""`, `crates/graph/src/gen/wan.rs` ⇒
 /// `gen::wan`, `src/bin/sor.rs` ⇒ `bin::sor`.
@@ -350,7 +268,6 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
     let mut stripper = Stripper::new();
     let stripped: Vec<String> = raw.iter().map(|l| stripper.strip_line(l)).collect();
     let in_test = test_mask(&stripped);
-    let loop_depth = loop_depths(&stripped);
 
     let mut file = SourceFile {
         rel: rel.to_path_buf(),
@@ -384,7 +301,9 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
             // A use may span lines until `;`.
             let (text, consumed) = join_until(&stripped, &in_test, idx, ';');
             file.uses.push(parse_use(&text, idx + 1));
-            advance_depth(&mut depth, &mut stack, &stripped, &in_test, idx, consumed);
+            advance_depth(
+                &mut depth, &mut stack, &stripped, &in_test, idx, consumed, None,
+            );
             idx += consumed;
             continue;
         }
@@ -397,51 +316,55 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
                         ItemKind::Fn => join_signature(&stripped, &in_test, idx),
                         _ => (line.clone(), 1),
                     };
-                    let self_ty = enclosing_impl(&stack);
+                    let owner = enclosing_owner(&stack);
                     file.items.push(Item {
                         kind: decl.kind,
-                        name: decl.name,
+                        name: decl.name.clone(),
                         vis,
                         line: idx + 1,
-                        self_ty,
+                        in_trait: owner.as_ref().is_some_and(|(_, is_trait)| *is_trait),
+                        self_ty: owner.map(|(ty, _)| ty),
                         signature: sig,
                         facts: Facts::default(),
                         calls: Vec::new(),
                     });
-                    // fall through to brace tracking: if this fn opens a
-                    // body on one of the consumed lines, the Fn context
-                    // is pushed there.
                     let item_idx = file.items.len() - 1;
-                    // One-line bodies: the signature line may carry body
-                    // text after `{` that the main loop never revisits.
-                    if decl.kind == ItemKind::Fn {
-                        let last = (idx + consumed - 1).min(stripped.len() - 1);
-                        if !in_test[last] {
-                            if let Some(pos) = stripped[last].find('{') {
-                                let tail = &stripped[last][pos + 1..];
-                                collect_facts(
-                                    &mut file.items[item_idx],
-                                    tail,
-                                    last + 1,
-                                    loop_depth[last],
-                                );
-                                collect_calls(
-                                    &mut file.items[item_idx],
-                                    tail,
-                                    last + 1,
-                                    loop_depth[last],
-                                );
+                    match decl.kind {
+                        ItemKind::Fn => {
+                            // One-line bodies: the signature line may carry
+                            // body text after `{` that the main loop never
+                            // revisits.
+                            let last = (idx + consumed - 1).min(stripped.len() - 1);
+                            if !in_test[last] {
+                                if let Some(pos) = stripped[last].find('{') {
+                                    let tail = &stripped[last][pos + 1..];
+                                    collect_facts(&mut file.items[item_idx], tail, last + 1);
+                                    collect_calls(&mut file.items[item_idx], tail, last + 1);
+                                }
                             }
+                            let open = Some(Ctx::Fn { item: item_idx });
+                            advance_depth(
+                                &mut depth, &mut stack, &stripped, &in_test, idx, consumed, open,
+                            );
                         }
+                        // Default method bodies are methods of the trait.
+                        ItemKind::Trait => {
+                            let name = decl.name;
+                            advance_depth_ctx(
+                                &mut depth,
+                                &mut stack,
+                                &stripped[idx],
+                                Ctx::Trait { name },
+                            );
+                        }
+                        _ => advance_depth(
+                            &mut depth, &mut stack, &stripped, &in_test, idx, consumed, None,
+                        ),
                     }
-                    advance_depth_fn(
-                        &mut depth, &mut stack, &stripped, &in_test, idx, consumed, decl.kind,
-                        item_idx,
-                    );
                     idx += consumed;
                     continue;
                 }
-                if let Some(imp) = match_impl_or_trait(rest) {
+                if let Some(imp) = match_impl(rest) {
                     advance_depth_ctx(&mut depth, &mut stack, &stripped[idx], imp);
                     idx += 1;
                     continue;
@@ -457,21 +380,11 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
 
         // Body line of the innermost function: collect facts and calls.
         if let Some(item) = in_fn {
-            collect_facts(
-                &mut file.items[item],
-                &stripped[idx],
-                idx + 1,
-                loop_depth[idx],
-            );
-            collect_calls(
-                &mut file.items[item],
-                &stripped[idx],
-                idx + 1,
-                loop_depth[idx],
-            );
+            collect_facts(&mut file.items[item], &stripped[idx], idx + 1);
+            collect_calls(&mut file.items[item], &stripped[idx], idx + 1);
         }
 
-        advance_depth(&mut depth, &mut stack, &stripped, &in_test, idx, 1);
+        advance_depth(&mut depth, &mut stack, &stripped, &in_test, idx, 1, None);
         idx += 1;
     }
 
@@ -481,17 +394,20 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
     file
 }
 
-/// `self_ty` of the innermost enclosing impl/trait.
-fn enclosing_impl(stack: &[(i32, Ctx)]) -> Option<String> {
+/// Name of the innermost enclosing impl type or trait, and whether it
+/// is a trait.
+fn enclosing_owner(stack: &[(i32, Ctx)]) -> Option<(String, bool)> {
     stack.iter().rev().find_map(|(_, c)| match c {
-        Ctx::Impl { self_ty } => Some(self_ty.clone()),
-        Ctx::Trait { name } => Some(name.clone()),
+        Ctx::Impl { self_ty } => Some((self_ty.clone(), false)),
+        Ctx::Trait { name } => Some((name.clone(), true)),
         _ => None,
     })
 }
 
 /// Track braces across `count` lines starting at `idx`, popping contexts
-/// whose opening depth is reached again.
+/// whose opening depth is reached again. `open`, if any, is pushed at
+/// the first `{` of the span (a bodyless `fn` declaration has none, so
+/// nothing is pushed).
 fn advance_depth(
     depth: &mut i32,
     stack: &mut Vec<(i32, Ctx)>,
@@ -499,6 +415,7 @@ fn advance_depth(
     in_test: &[bool],
     idx: usize,
     count: usize,
+    mut open: Option<Ctx>,
 ) {
     for i in idx..(idx + count).min(stripped.len()) {
         if in_test[i] {
@@ -506,7 +423,12 @@ fn advance_depth(
         }
         for ch in stripped[i].chars() {
             match ch {
-                '{' => *depth += 1,
+                '{' => {
+                    if let Some(ctx) = open.take() {
+                        stack.push((*depth, ctx));
+                    }
+                    *depth += 1;
+                }
                 '}' => {
                     *depth -= 1;
                     while matches!(stack.last(), Some((d, _)) if *d >= *depth) {
@@ -547,46 +469,6 @@ fn advance_depth_ctx(depth: &mut i32, stack: &mut Vec<(i32, Ctx)>, line: &str, c
         // advance_depth would not know — so push now. The body opens at
         // the current depth in practice for rustfmt-formatted code.
         stack.push((*depth, ctx));
-    }
-}
-
-/// Like [`advance_depth`] but, for `fn` items, pushes the `Fn` context
-/// at the first `{` within the signature's line span (if the fn has a
-/// body at all — trait method declarations end with `;`).
-#[allow(clippy::too_many_arguments)]
-fn advance_depth_fn(
-    depth: &mut i32,
-    stack: &mut Vec<(i32, Ctx)>,
-    stripped: &[String],
-    in_test: &[bool],
-    idx: usize,
-    count: usize,
-    kind: ItemKind,
-    item_idx: usize,
-) {
-    let mut pushed = kind != ItemKind::Fn;
-    for i in idx..(idx + count).min(stripped.len()) {
-        if in_test[i] {
-            continue;
-        }
-        for ch in stripped[i].chars() {
-            match ch {
-                '{' => {
-                    if !pushed {
-                        stack.push((*depth, Ctx::Fn { item: item_idx }));
-                        pushed = true;
-                    }
-                    *depth += 1;
-                }
-                '}' => {
-                    *depth -= 1;
-                    while matches!(stack.last(), Some((d, _)) if *d >= *depth) {
-                        stack.pop();
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 }
 
@@ -646,32 +528,20 @@ fn match_item_decl(rest: &str) -> Option<DeclHead> {
     Some(DeclHead { kind, name })
 }
 
-/// Match an `impl`/`trait` header and produce its context.
-fn match_impl_or_trait(rest: &str) -> Option<Ctx> {
-    if let Some(body) = rest.strip_prefix("impl") {
-        let body = body.strip_prefix(char::is_whitespace).unwrap_or(
-            // `impl<T> ...`: skip the generics
-            body,
-        );
-        let body = skip_generics(body.trim_start());
-        // `Tr for Type {` vs `Type {`
-        let head = body.split('{').next().unwrap_or(body);
-        let ty_part = match head.find(" for ") {
-            Some(pos) => &head[pos + 5..],
-            None => head,
-        };
-        let self_ty = last_path_segment(ty_part.trim());
-        return Some(Ctx::Impl { self_ty });
-    }
-    if let Some(body) = rest.strip_prefix("trait ") {
-        let name: String = body
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        return Some(Ctx::Trait { name });
-    }
-    None
+/// Match an `impl` header and produce its context.
+fn match_impl(rest: &str) -> Option<Ctx> {
+    let body = rest.strip_prefix("impl")?;
+    // `impl<T> ...`: skip the generics
+    let body = body.strip_prefix(char::is_whitespace).unwrap_or(body);
+    let body = skip_generics(body.trim_start());
+    // `Tr for Type {` vs `Type {`
+    let head = body.split('{').next().unwrap_or(body);
+    let ty_part = match head.find(" for ") {
+        Some(pos) => &head[pos + 5..],
+        None => head,
+    };
+    let self_ty = last_path_segment(ty_part.trim());
+    Some(Ctx::Impl { self_ty })
 }
 
 /// Skip a balanced leading `<...>` generics list.
@@ -826,19 +696,6 @@ fn collect_use_leaves(body: &str, out: &mut Vec<String>) {
     }
 }
 
-/// Identifier bound by a (trimmed) `let ` line: `let mut out = ...` ⇒
-/// `out`. `None` for destructuring patterns.
-pub(crate) fn ident_after_let(t: &str) -> Option<String> {
-    let rest = t.strip_prefix("let ")?;
-    let rest = rest.trim_start().trim_start_matches("mut ").trim_start();
-    let name = ident_of(rest);
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
-}
-
 /// Leading identifier of `s`.
 fn ident_of(s: &str) -> String {
     s.trim()
@@ -853,79 +710,8 @@ fn ident_of(s: &str) -> String {
 /// deterministic and exactly what the audit wants code to do.
 const RNG_CTOR_TOKENS: [&str; 3] = ["from_entropy(", "thread_rng(", "from_os_rng("];
 
-/// Heap-allocating constructor tokens. `with_capacity` constructors are
-/// deliberately excluded: pre-sizing is exactly what the hot-path rules
-/// want code to do.
-const ALLOC_CTOR_TOKENS: [&str; 10] = [
-    "Vec::new(",
-    "vec![",
-    "String::new(",
-    "String::from(",
-    "Box::new(",
-    "HashMap::new(",
-    "HashSet::new(",
-    "BTreeMap::new(",
-    "BTreeSet::new(",
-    "VecDeque::new(",
-];
-
-/// Allocating adaptor tokens (matched anywhere in a line).
-const ALLOC_ADAPTOR_TOKENS: [&str; 5] = [
-    ".collect()",
-    ".collect::<",
-    ".to_vec()",
-    ".to_string()",
-    ".to_owned()",
-];
-
-/// Is the character before byte `pos` of `s` not part of an identifier
-/// (so a token starting at `pos` stands on its own)?
-fn token_at_boundary(s: &str, pos: usize) -> bool {
-    if pos == 0 {
-        return true;
-    }
-    let b = s.as_bytes()[pos - 1];
-    !(b.is_ascii_alphanumeric() || b == b'_')
-}
-
-/// Identifier ending at byte `pos` of `line`, skipping balanced
-/// `(..)`/`[..]` suffix groups, so `self.paths[i].clone()` and
-/// `path_for(key).clone()` both yield the ident left of the group.
-fn receiver_before(line: &str, pos: usize) -> Option<String> {
-    let bytes = line.as_bytes();
-    let mut i = pos;
-    while i > 0 && (bytes[i - 1] == b')' || bytes[i - 1] == b']') {
-        let close = bytes[i - 1];
-        let open = if close == b')' { b'(' } else { b'[' };
-        let mut depth = 0i32;
-        let mut j = i;
-        while j > 0 {
-            j -= 1;
-            if bytes[j] == close {
-                depth += 1;
-            } else if bytes[j] == open {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-        }
-        i = j;
-    }
-    let end = i;
-    while i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_') {
-        i -= 1;
-    }
-    if i < end {
-        Some(line[i..end].to_string())
-    } else {
-        None
-    }
-}
-
-/// Scan one stripped body line into the item's facts. `depth` is the
-/// line's lexical loop depth from [`loop_depths`].
-fn collect_facts(item: &mut Item, s: &str, line: usize, depth: usize) {
+/// Scan one stripped body line into the item's facts.
+fn collect_facts(item: &mut Item, s: &str, line: usize) {
     for (token, kind, shown) in [
         ("panic!(", PanicKind::Explicit, "panic!"),
         ("unreachable!(", PanicKind::Explicit, "unreachable!"),
@@ -952,39 +738,6 @@ fn collect_facts(item: &mut Item, s: &str, line: usize, depth: usize) {
     if RNG_CTOR_TOKENS.iter().any(|t| s.contains(t)) {
         item.facts.rng_ctors.push(line);
     }
-    for tok in ALLOC_CTOR_TOKENS {
-        for (pos, _) in s.match_indices(tok) {
-            if token_at_boundary(s, pos) {
-                item.facts.allocs.push(AllocSite {
-                    line,
-                    kind: AllocKind::Ctor,
-                    token: tok.trim_end_matches(['(', '[']).to_string(),
-                    depth,
-                    recv: None,
-                });
-            }
-        }
-    }
-    for tok in ALLOC_ADAPTOR_TOKENS {
-        for _ in s.match_indices(tok) {
-            item.facts.allocs.push(AllocSite {
-                line,
-                kind: AllocKind::Adaptor,
-                token: tok.trim_end_matches(['(', '<', ':']).to_string(),
-                depth,
-                recv: None,
-            });
-        }
-    }
-    for (pos, _) in s.match_indices(".clone()") {
-        item.facts.allocs.push(AllocSite {
-            line,
-            kind: AllocKind::Clone,
-            token: ".clone()".to_string(),
-            depth,
-            recv: receiver_before(s, pos),
-        });
-    }
 }
 
 /// `ident[`, `)[` or `][` — an index expression rather than an array
@@ -1010,9 +763,8 @@ const NON_CALL_KEYWORDS: [&str; 12] = [
     "if", "while", "for", "match", "return", "fn", "let", "in", "loop", "move", "as", "else",
 ];
 
-/// Scan one stripped body line for outgoing call references. `depth` is
-/// the line's lexical loop depth from [`loop_depths`].
-fn collect_calls(item: &mut Item, s: &str, line: usize, depth: usize) {
+/// Scan one stripped body line for outgoing call references.
+fn collect_calls(item: &mut Item, s: &str, line: usize) {
     let chars: Vec<char> = s.chars().collect();
     let mut i = 0usize;
     while i < chars.len() {
@@ -1066,59 +818,9 @@ fn collect_calls(item: &mut Item, s: &str, line: usize, depth: usize) {
             qualifier,
             method,
             line,
-            depth,
         });
         i += 1;
     }
-}
-
-/// 1-based body span of every `fn` item with a body, as `(item index,
-/// opening-`{` line, closing-`}` line)`. Mirrors the context discipline
-/// of the main parse: `#[cfg(test)]` regions are skipped and a bodyless
-/// trait-method declaration (a `;` before any `{`) produces no span.
-/// The hot-path growth and scan rules use this to walk each body with
-/// correct function attribution.
-pub fn body_spans(file: &SourceFile) -> Vec<(usize, usize, usize)> {
-    let mut out = Vec::new();
-    let mut armed: Option<usize> = None; // fn item waiting for its `{`
-    let mut open: Option<(usize, usize, i32)> = None; // (item, start, depth at `{`)
-    let mut depth: i32 = 0;
-    for (idx, s) in file.stripped.iter().enumerate() {
-        if file.in_test[idx] {
-            continue;
-        }
-        let line_no = idx + 1;
-        if armed.is_none() && open.is_none() {
-            armed = file
-                .items
-                .iter()
-                .position(|it| it.kind == ItemKind::Fn && it.line == line_no);
-        }
-        for ch in s.chars() {
-            match ch {
-                '{' => {
-                    if let Some(item) = armed.take() {
-                        open = Some((item, line_no, depth));
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if let Some((item, start, fd)) = open {
-                        if depth <= fd {
-                            out.push((item, start, line_no));
-                            open = None;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if armed.is_some() && s.contains(';') {
-            armed = None; // bodyless declaration (trait method)
-        }
-    }
-    out
 }
 
 /// Tokens that declare a hash-ordered local on a `let` line.
@@ -1274,6 +976,21 @@ mod tests {
     }
 
     #[test]
+    fn trait_methods_get_the_trait_as_self_ty() {
+        let f = parse("pub trait T {\n    fn decl(&self);\n    fn dflt(&self) {\n        helper();\n    }\n}\nfn after() {}\n");
+        let self_ty = |name: &str| {
+            let item = f.items.iter().find(|i| i.name == name).expect(name);
+            item.self_ty.clone()
+        };
+        assert_eq!(self_ty("decl").as_deref(), Some("T"));
+        assert_eq!(self_ty("dflt").as_deref(), Some("T"));
+        assert_eq!(self_ty("after"), None);
+        let dflt = f.items.iter().find(|i| i.name == "dflt").expect("dflt");
+        assert!(dflt.in_trait);
+        assert!(dflt.calls.iter().any(|c| c.name == "helper"));
+    }
+
+    #[test]
     fn facts_panics_and_rng() {
         let f = parse(
             "fn f(o: Option<u32>) -> u32 {\n    let mut rng = StdRng::from_entropy();\n    let _ = rng;\n    o.unwrap()\n}\n",
@@ -1334,25 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn body_spans_cover_fn_bodies() {
-        let f = parse(
-            "pub fn one() {}\n\npub fn multi(\n    a: usize,\n) -> usize {\n    let b = a + 1;\n    b\n}\n\ntrait T {\n    fn decl(&self);\n}\n",
-        );
-        let spans = body_spans(&f);
-        // `one` opens and closes on line 1; `multi`'s body is lines 5–8;
-        // the bodyless trait declaration yields no span.
-        let one = f.items.iter().position(|i| i.name == "one").expect("one");
-        let multi = f
-            .items
-            .iter()
-            .position(|i| i.name == "multi")
-            .expect("multi");
-        assert!(spans.contains(&(one, 1, 1)), "{spans:?}");
-        assert!(spans.contains(&(multi, 5, 8)), "{spans:?}");
-        assert_eq!(spans.len(), 2, "{spans:?}");
-    }
-
-    #[test]
     fn use_glob_binds_no_names() {
         let f = parse("pub use sor_graph::*;\nuse sor_flow::{self, restricted::*};\n");
         // a glob re-export records the crate but no leaf names, so name
@@ -1371,61 +1069,6 @@ mod tests {
         // to a same-file/same-crate item if one exists.
         assert_eq!(f.uses[0].names, vec!["sp".to_string()]);
         assert!(f.items[0].calls.iter().any(|c| c.name == "sp"));
-    }
-
-    #[test]
-    fn loop_depths_track_nesting() {
-        let text = "fn f() {\n    let a = 1;\n    for i in 0..3 {\n        let b = i;\n        while b > 0 {\n            work();\n        }\n        after();\n    }\n    tail();\n}\n";
-        let lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let d = loop_depths(&lines);
-        // header lines sit at the outer depth; bodies one deeper.
-        assert_eq!(d, vec![0, 0, 0, 1, 1, 2, 1, 1, 0, 0, 0], "{d:?}");
-    }
-
-    #[test]
-    fn loop_depth_attached_to_calls_and_allocs() {
-        let f = parse(
-            "fn f() {\n    let mut out = Vec::new();\n    for i in 0..3 {\n        out.push(helper(i));\n        let s = x.clone();\n    }\n}\n",
-        );
-        let item = &f.items[0];
-        let helper = item.calls.iter().find(|c| c.name == "helper").expect("h");
-        assert_eq!(helper.depth, 1);
-        let ctor = item
-            .facts
-            .allocs
-            .iter()
-            .find(|a| a.token == "Vec::new")
-            .expect("ctor");
-        assert_eq!((ctor.kind, ctor.depth, ctor.line), (AllocKind::Ctor, 0, 2));
-        let clone = item
-            .facts
-            .allocs
-            .iter()
-            .find(|a| a.kind == AllocKind::Clone)
-            .expect("clone");
-        assert_eq!(clone.depth, 1);
-        assert_eq!(clone.recv.as_deref(), Some("x"));
-    }
-
-    #[test]
-    fn receiver_walks_back_over_groups() {
-        assert_eq!(
-            receiver_before("self.paths[i].clone()", 13).as_deref(),
-            Some("paths")
-        );
-        assert_eq!(receiver_before("x.clone()", 1).as_deref(), Some("x"));
-        assert_eq!(receiver_before(".clone()", 0), None);
-    }
-
-    #[test]
-    fn alloc_tokens_respect_boundaries() {
-        let f = parse("fn f() {\n    let a = SmallVec::new();\n    let b = v.collect::<Vec<_>>();\n    let c = Vec::with_capacity(8);\n}\n");
-        let allocs = &f.items[0].facts.allocs;
-        // `SmallVec::new` is not `Vec::new`; `with_capacity` is not a
-        // finding token; `.collect::<` is.
-        assert!(!allocs.iter().any(|a| a.token == "Vec::new"), "{allocs:?}");
-        assert_eq!(allocs.len(), 1, "{allocs:?}");
-        assert_eq!(allocs[0].token, ".collect");
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! depends on — that library code never hides a failure behind
 //! `unwrap()` without a stated invariant, that no public solver entry
 //! point can reach a panic, that every random draw threads an explicit
-//! seeded [`rand::Rng`] so experiments stay reproducible, that hot paths
-//! do not allocate per iteration. This crate is a std-only source scanner
-//! (the registry is unreachable from CI, so no `syn`), run as
-//! `cargo run -p sor-check` and from CI; it exits non-zero when any rule
-//! fires.
+//! seeded [`rand::Rng`] so experiments stay reproducible. This crate is a
+//! std-only source scanner (the registry is unreachable from CI, so no
+//! `syn`), run as `cargo run -p sor-check` and from CI; it exits
+//! non-zero when any rule fires.
 //!
 //! # Lexical rules
 //!
@@ -16,6 +15,9 @@
 //! |----|-------|---------|
 //! | `unwrap` | library crates | no `.unwrap()` / `.expect(..)` / `panic!(..)` outside `#[cfg(test)]` |
 //! | `float-eq` | everywhere scanned | no `==` / `!=` against a floating-point literal (compare with a tolerance) |
+//!
+//! The semantic rules (`layering`, `panic-path`, `unseeded-rng`,
+//! `hash-order`) run over the item graph; see [`rules`].
 //!
 //! Checks that need type information are left to the toolchain, which
 //! has it: `unsafe_code = "forbid"` and clippy's `unwrap_used` /
@@ -48,7 +50,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod config;
 pub mod graph;
 pub mod items;
@@ -349,8 +350,8 @@ pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::R
     Ok(())
 }
 
-/// An analysis failure that is not a finding: unreadable sources, a
-/// malformed `check.toml`, or a malformed baseline.
+/// An analysis failure that is not a finding: unreadable sources or a
+/// malformed `check.toml`.
 #[derive(Debug)]
 pub enum AnalysisError {
     /// Filesystem error while loading sources.
@@ -383,25 +384,15 @@ impl From<config::ConfigError> for AnalysisError {
 /// Run both passes — the lexical rules and the semantic item-graph
 /// rules — over the workspace at `root`, returning every
 /// finding sorted by path, line, and rule. `check.toml` at `root`
-/// configures the semantic rules; without it they are skipped (except
-/// those that need no configuration).
+/// configures the semantic rules; without it they are skipped.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<report::Finding>, AnalysisError> {
-    analyze_workspace_with_cost(root).map(|(f, _)| f)
-}
-
-/// Like [`analyze_workspace`], also returning the per-entry hot-path
-/// cost report (empty when `check.toml` has no `[hotpath] entries`).
-pub fn analyze_workspace_with_cost(
-    root: &Path,
-) -> Result<(Vec<report::Finding>, Vec<rules::hotpath::EntryCost>), AnalysisError> {
     let cfg = config::Config::load(root)?;
     let mut findings: Vec<report::Finding> = scan_workspace(root)?
         .into_iter()
         .map(report::Finding::from)
         .collect();
     let ws = graph::load_workspace(root)?;
-    let (semantic, cost) = rules::run_semantic_with_cost(&ws, &cfg);
-    findings.extend(semantic);
+    findings.extend(rules::run_semantic(&ws, &cfg));
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)
@@ -409,7 +400,7 @@ pub fn analyze_workspace_with_cost(
             .then(a.rule.cmp(&b.rule))
             .then(a.symbol.cmp(&b.symbol))
     });
-    Ok((findings, cost))
+    Ok(findings)
 }
 
 #[cfg(test)]

@@ -4,9 +4,7 @@
 //! [`crate::Violation`]) and the semantic rules built on the item
 //! graph. A finding carries an optional *witness* — for
 //! panic-reachability, the shortest call chain from the reported public
-//! function to the offending site — and a stable [`Finding::fingerprint`]
-//! that the baseline mechanism keys on (deliberately line-free, so
-//! unrelated edits that shift line numbers do not churn the baseline).
+//! function to the offending site.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -14,9 +12,8 @@ use std::path::PathBuf;
 use crate::Violation;
 
 /// Identifier and one-line description of every rule either pass can
-/// fire, in reporting order (used by `--explain` and to validate
-/// baseline lines).
-pub const RULE_DESCRIPTIONS: [(&str, &str); 10] = [
+/// fire, in reporting order (used by `--explain`).
+pub const RULE_DESCRIPTIONS: [(&str, &str); 6] = [
     ("unwrap", "no .unwrap()/.expect()/panic! in library code"),
     ("float-eq", "no ==/!= against float literals"),
     (
@@ -34,22 +31,6 @@ pub const RULE_DESCRIPTIONS: [(&str, &str); 10] = [
     (
         "hash-order",
         "no HashMap/HashSet iteration order in solver/sampler output",
-    ),
-    (
-        "alloc-in-hot",
-        "no heap allocation at loop depth >= 1 reachable from a hot entry",
-    ),
-    (
-        "clone-in-loop",
-        "no .clone() at effective loop depth >= 1 anywhere in a hot call tree",
-    ),
-    (
-        "growth-without-capacity",
-        "collections grown in a loop are constructed with_capacity",
-    ),
-    (
-        "quadratic-scan",
-        "no linear Vec/slice scans inside a loop over a collection",
     ),
 ];
 
@@ -88,34 +69,6 @@ pub fn explain(id: &str) -> Option<String> {
              order — switch to BTreeMap or sort before iterating.",
             "[determinism] order_crates",
         ),
-        "alloc-in-hot" => (
-            "Walks the layering-filtered call graph from each [hotpath] entry; every\n\
-             non-clone heap-allocation site (Vec::new, vec![, String::new, Box::new,\n\
-             .collect(), .to_vec(), ...) whose effective loop depth — the maximum\n\
-             lexical loop depth along the shortest witness chain, call sites\n\
-             included — reaches 1 is reported. Depth-0 sites still count in the\n\
-             per-entry cost report (--hotpath-report).",
-            "[hotpath] entries",
-        ),
-        "clone-in-loop" => (
-            ".clone() at effective loop depth >= 1 anywhere in a hot tree — a clone\n\
-             per iteration, counting loops across function boundaries. Borrow,\n\
-             std::mem::take, or share via Arc instead.",
-            "[hotpath] entries",
-        ),
-        "growth-without-capacity" => (
-            "Within hot-tree functions: a local built with Vec::new()/vec![]/\n\
-             String::new()/HashMap::new()/... and then .push/.insert/.push_str-ed\n\
-             at a strictly deeper lexical loop depth pays repeated reallocation;\n\
-             construct it with_capacity.",
-            "[hotpath] entries",
-        ),
-        "quadratic-scan" => (
-            "Within hot-tree functions: a for-loop over a Vec/slice whose body runs\n\
-             .contains()/.iter().position()/.iter().find() against the same or a\n\
-             sibling Vec/slice is O(n*m); index into a HashSet/HashMap or sort once.",
-            "[hotpath] entries",
-        ),
         _ => return None,
     };
     let (_, short) = RULE_DESCRIPTIONS.iter().find(|(i, _)| *i == id)?;
@@ -141,20 +94,6 @@ pub struct Finding {
     /// Optional witness chain, outermost first. For `panic-path`: the
     /// call path ending in the panic site.
     pub witness: Vec<String>,
-}
-
-impl Finding {
-    /// Baseline key: rule + file + symbol (or the message when the
-    /// finding has no symbol). Line numbers are deliberately excluded so
-    /// the baseline survives unrelated edits above a finding.
-    pub fn fingerprint(&self) -> String {
-        let anchor = if self.symbol.is_empty() {
-            &self.message
-        } else {
-            &self.symbol
-        };
-        format!("{}:{}:{}", self.rule, self.file.display(), anchor)
-    }
 }
 
 impl From<Violation> for Finding {
@@ -187,22 +126,17 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Render the human report: new findings in full, baselined ones as a
-/// single summary count.
-pub fn render_text(new: &[Finding], baselined: usize) -> String {
+/// Render the human report: every finding in full, then a summary line.
+pub fn render_text(findings: &[Finding]) -> String {
     let mut out = String::new();
-    for f in new {
+    for f in findings {
         let _ = writeln!(out, "{f}");
     }
-    if new.is_empty() {
-        let _ = write!(out, "sor-check: clean");
+    if findings.is_empty() {
+        let _ = writeln!(out, "sor-check: clean");
     } else {
-        let _ = write!(out, "sor-check: {} new finding(s)", new.len());
+        let _ = writeln!(out, "sor-check: {} finding(s)", findings.len());
     }
-    if baselined > 0 {
-        let _ = write!(out, " ({baselined} baselined)");
-    }
-    let _ = writeln!(out);
     out
 }
 
@@ -225,20 +159,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_line_free() {
-        let mut f = sample();
-        let a = f.fingerprint();
-        f.line = 99;
-        assert_eq!(a, f.fingerprint());
-        assert!(a.starts_with("panic-path:"));
-    }
-
-    #[test]
     fn text_report_shows_witness_and_counts() {
-        let text = render_text(&[sample()], 2);
+        let text = render_text(&[sample()]);
         assert!(text.contains("via sor-flow::x::f"), "{text}");
-        assert!(text.contains("1 new finding(s) (2 baselined)"), "{text}");
-        let clean = render_text(&[], 0);
-        assert!(clean.contains("clean"));
+        assert!(text.ends_with("sor-check: 1 finding(s)\n"), "{text}");
+        assert_eq!(render_text(&[]), "sor-check: clean\n");
     }
 }

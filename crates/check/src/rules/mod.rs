@@ -6,18 +6,13 @@
 //! | `panic-path` | no panic reachable from `pub` fns of the configured crates, with a shortest witness call chain |
 //! | `unseeded-rng` | functions constructing an RNG take a seed/`Rng` parameter |
 //! | `hash-order` | no `HashMap`/`HashSet` iteration order observable in sampler/solver code |
-//! | `alloc-in-hot` | no deep heap allocation reachable from a hot entry |
-//! | `clone-in-loop` | no `.clone()` at loop depth ≥ 1 in a hot tree |
-//! | `growth-without-capacity` | collections grown in a loop are pre-sized |
-//! | `quadratic-scan` | no linear scans inside a loop over a collection |
 //!
 //! Every rule honors the same `sor-check: allow(<id>)` comment
 //! mechanism as the lexical pass (same line, the line directly above,
 //! or the declaration line of the owning item) — but unlike the lexical
 //! pass, a semantic allow is valid only when it carries a justification
 //! string after the closing parenthesis (`// sor-check: allow(id) —
-//! reason`). A bare allow is ignored. Anything deliberately tolerated
-//! long-term goes in `check-baseline.txt` instead.
+//! reason`). A bare allow is ignored.
 
 use crate::config::Config;
 use crate::graph::{ItemGraph, Workspace};
@@ -26,35 +21,15 @@ use crate::parse_allow_ids;
 use crate::report::Finding;
 
 pub mod determinism;
-pub mod hotpath;
-pub mod hotpath_clone;
-pub mod hotpath_growth;
-pub mod hotpath_scan;
 pub mod layering;
 pub mod panics;
 
 /// Run every semantic rule over a loaded workspace.
 pub fn run_semantic(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    run_semantic_with_cost(ws, cfg).0
-}
-
-/// Like [`run_semantic`], also returning the per-entry hot-path cost
-/// report (empty when `[hotpath] entries` is unconfigured).
-pub fn run_semantic_with_cost(
-    ws: &Workspace,
-    cfg: &Config,
-) -> (Vec<Finding>, Vec<hotpath::EntryCost>) {
-    let graph = ItemGraph::build(ws);
-    let hot = hotpath::Hot::build(ws, &graph, cfg);
     let mut out = layering::run(ws, cfg);
-    out.extend(panics::run(ws, &graph, cfg));
+    out.extend(panics::run(ws, &ItemGraph::build(ws), cfg));
     out.extend(determinism::run(ws, cfg));
-    out.extend(hotpath::run(ws, &graph, &hot));
-    out.extend(hotpath_clone::run(ws, &graph, &hot));
-    out.extend(hotpath_growth::run(ws, &graph, &hot));
-    out.extend(hotpath_scan::run(ws, &graph, &hot));
-    let cost = hotpath::cost_report(ws, &graph, &hot);
-    (out, cost)
+    out
 }
 
 /// Does the text after `marker`'s closing parenthesis on `line` carry a

@@ -12,7 +12,7 @@
 //! that the panic is acceptable on a public solver path. A site is
 //! excluded from reachability only with `allow(panic-path)` at the
 //! site, and a public function is excused only with `allow(panic-path)`
-//! at its declaration — everything else is fixed or baselined.
+//! at its declaration — everything else is fixed.
 
 use crate::config::Config;
 use crate::graph::{ItemGraph, Workspace};

@@ -2,10 +2,11 @@
 //! non-zero on a workspace seeded with violations, zero on a clean one,
 //! and zero on the real workspace (the acceptance gate CI enforces).
 //! The semantic pass is covered against the same fixtures: every
-//! item-graph rule fires on `bad_ws`, witness chains are exact, and the
-//! baseline turns the gate regression-only. Unreadable or malformed
-//! configuration and baselines exit 2, and the toolchain lints that
-//! replaced the type-blind lexical rules stay switched on.
+//! item-graph rule fires on `bad_ws` and witness chains are exact,
+//! including chains through `Self::` calls and trait default bodies.
+//! Unreadable or unknown configuration and retired flags exit 2, and
+//! the toolchain lints that replaced the type-blind lexical rules stay
+//! switched on.
 
 use std::ffi::{OsStr, OsString};
 use std::path::{Path, PathBuf};
@@ -84,16 +85,7 @@ fn binary_exits_zero_on_clean_fixture() {
 #[test]
 fn semantic_rules_all_fire_on_bad_ws() {
     let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
-    for rule in [
-        "layering",
-        "panic-path",
-        "unseeded-rng",
-        "hash-order",
-        "alloc-in-hot",
-        "clone-in-loop",
-        "growth-without-capacity",
-        "quadratic-scan",
-    ] {
+    for rule in ["layering", "panic-path", "unseeded-rng", "hash-order"] {
         assert!(
             findings.iter().any(|f| f.rule == rule),
             "semantic rule {rule} did not fire on bad_ws; got: {findings:#?}"
@@ -117,6 +109,50 @@ fn panic_path_reports_shortest_witness_chain() {
     assert!(f.message.contains("2 calls deep"), "{}", f.message);
 }
 
+/// The witness of the `panic-path` finding on `bad_ws`'s public fn
+/// `symbol`.
+fn panic_witness(symbol: &str) -> Vec<String> {
+    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
+    findings
+        .into_iter()
+        .find(|f| f.rule == "panic-path" && f.symbol == symbol)
+        .unwrap_or_else(|| panic!("no panic-path finding for {symbol}"))
+        .witness
+}
+
+#[test]
+fn panic_path_follows_self_calls() {
+    assert_eq!(
+        panic_witness("sor-core::resolve::Table::via_self"),
+        [
+            "sor-core::resolve::Table::via_self (crates/core/src/resolve.rs:9)",
+            "sor-core::resolve::Table::lookup (crates/core/src/resolve.rs:22)",
+            ".expect(..) at crates/core/src/resolve.rs:23",
+        ]
+    );
+    assert_eq!(
+        panic_witness("sor-core::resolve::Table::via_method"),
+        [
+            "sor-core::resolve::Table::via_method (crates/core/src/resolve.rs:14)",
+            "sor-core::resolve::Table::checked (crates/core/src/resolve.rs:18)",
+            "sor-core::resolve::Table::lookup (crates/core/src/resolve.rs:22)",
+            ".expect(..) at crates/core/src/resolve.rs:23",
+        ]
+    );
+}
+
+#[test]
+fn panic_path_reaches_trait_default_bodies() {
+    assert_eq!(
+        panic_witness("sor-core::resolve::route"),
+        [
+            "sor-core::resolve::route (crates/core/src/resolve.rs:35)",
+            "sor-core::resolve::Picker::pick (crates/core/src/resolve.rs:29)",
+            ".expect(..) at crates/core/src/resolve.rs:30",
+        ]
+    );
+}
+
 #[test]
 fn layering_violation_names_the_illegal_edge() {
     let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
@@ -135,132 +171,16 @@ fn clean_fixture_has_no_semantic_findings() {
 }
 
 #[test]
-fn alloc_in_hot_reports_the_interprocedural_chain_verbatim() {
-    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
-    let f = findings
-        .iter()
-        .find(|f| f.rule == "alloc-in-hot")
-        .expect("alloc-in-hot finding");
-    // entry → callee → the allocation site, with the effective loop depth
-    assert_eq!(
-        f.witness,
-        vec![
-            "sor-core::hot::hot_entry (crates/core/src/hot.rs:10)".to_string(),
-            "sor-core::hot::alloc_helper (crates/core/src/hot.rs:23)".to_string(),
-            "`Vec::new` at crates/core/src/hot.rs:24 (loop depth 1)".to_string(),
-        ],
-        "{:?}",
-        f.witness
-    );
-    assert!(
-        f.message.contains("effective loop depth 1")
-            && f.message.contains("hot path of `hot_entry`"),
-        "{}",
-        f.message
-    );
-}
-
-#[test]
-fn clone_in_loop_reports_depth_and_chain_verbatim() {
-    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
-    let f = findings
-        .iter()
-        .find(|f| f.rule == "clone-in-loop")
-        .expect("clone-in-loop finding");
-    assert_eq!(
-        f.witness,
-        vec![
-            "sor-core::hot::hot_entry (crates/core/src/hot.rs:10)".to_string(),
-            "sor-core::hot::clone_spin (crates/core/src/hot.rs:29)".to_string(),
-            "`name.clone()` at crates/core/src/hot.rs:32 (loop depth 1)".to_string(),
-        ],
-        "{:?}",
-        f.witness
-    );
-}
-
-#[test]
-fn growth_and_scan_report_two_step_witnesses_verbatim() {
-    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
-    let growth = findings
-        .iter()
-        .find(|f| f.rule == "growth-without-capacity")
-        .expect("growth-without-capacity finding");
-    assert_eq!(
-        growth.witness,
-        vec![
-            "`out` constructed without capacity at crates/core/src/hot.rs:41".to_string(),
-            "`out.push(..)` in a loop at crates/core/src/hot.rs:43 (loop depth 1)".to_string(),
-        ],
-        "{:?}",
-        growth.witness
-    );
-    let scan = findings
-        .iter()
-        .find(|f| f.rule == "quadratic-scan")
-        .expect("quadratic-scan finding");
-    assert_eq!(
-        scan.witness,
-        vec![
-            "loop over `xs` at crates/core/src/hot.rs:52 (loop depth 1)".to_string(),
-            "`ys.contains(..)` at crates/core/src/hot.rs:53".to_string(),
-        ],
-        "{:?}",
-        scan.witness
-    );
-}
-
-#[test]
-fn text_output_includes_the_cost_table() {
-    let out = Command::new(env!("CARGO_BIN_EXE_sor-check"))
-        .arg(fixture("bad_ws"))
-        .arg("--no-baseline")
-        .output()
-        .expect("text run");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("hot-path cost report"), "{stdout}");
-    assert!(
-        stdout
-            .lines()
-            .any(|l| l.trim_start().starts_with("hot_entry")),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn hotpath_report_flag_writes_cost_json() {
-    let tmp = std::env::temp_dir().join("sor_check_bad_ws_hotpath.json");
-    let status = Command::new(env!("CARGO_BIN_EXE_sor-check"))
-        .arg(fixture("bad_ws"))
-        .arg("--no-baseline")
-        .arg("--hotpath-report")
-        .arg(&tmp)
-        .status()
-        .expect("hotpath-report run");
-    assert_eq!(status.code(), Some(1), "seeded findings still gate");
-    let text = std::fs::read_to_string(&tmp).expect("cost report written");
-    std::fs::remove_file(&tmp).ok();
-    assert!(
-        text.contains(
-            "{\n      \"entry\": \"hot_entry\",\n      \"functions\": 5,\n      \
-             \"alloc_sites\": 2,\n      \"clone_sites\": 1,\n      \
-             \"max_loop_depth\": 1,\n      \"witnesses\": ["
-        ),
-        "{text}"
-    );
-}
-
-#[test]
 fn explain_prints_rule_doc_and_rejects_unknown_ids() {
     let out = Command::new(env!("CARGO_BIN_EXE_sor-check"))
         .arg("--explain")
-        .arg("alloc-in-hot")
+        .arg("panic-path")
         .output()
         .expect("explain run");
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.starts_with("alloc-in-hot — "), "{stdout}");
-    assert!(stdout.contains("allow(alloc-in-hot)"), "{stdout}");
+    assert!(stdout.starts_with("panic-path — "), "{stdout}");
+    assert!(stdout.contains("allow(panic-path)"), "{stdout}");
     let out = Command::new(env!("CARGO_BIN_EXE_sor-check"))
         .arg("--explain")
         .arg("no-such-rule")
@@ -269,44 +189,15 @@ fn explain_prints_rule_doc_and_rejects_unknown_ids() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown rule"), "{stderr}");
-    assert!(stderr.contains("quadratic-scan"), "{stderr}");
+    assert!(stderr.contains("hash-order"), "{stderr}");
 }
 
 #[test]
-fn baseline_makes_the_gate_regression_only() {
-    let tmp = std::env::temp_dir().join("sor_check_bad_ws_baseline.txt");
-    let status = Command::new(env!("CARGO_BIN_EXE_sor-check"))
-        .arg(fixture("bad_ws"))
-        .arg("--write-baseline")
-        .arg(&tmp)
-        .status()
-        .expect("write baseline");
-    assert_eq!(status.code(), Some(0), "--write-baseline must succeed");
-    let status = Command::new(env!("CARGO_BIN_EXE_sor-check"))
-        .arg(fixture("bad_ws"))
-        .arg("--baseline")
-        .arg(&tmp)
-        .status()
-        .expect("gated run");
-    std::fs::remove_file(&tmp).ok();
-    assert_eq!(
-        status.code(),
-        Some(0),
-        "every finding is baselined, so the gate must pass"
-    );
-}
-
-#[test]
-fn real_workspace_gate_passes_with_committed_baseline() {
-    let status = Command::new(env!("CARGO_BIN_EXE_sor-check"))
-        .arg(workspace_root())
-        .status()
-        .expect("run sor-check on the real workspace");
-    assert_eq!(
-        status.code(),
-        Some(0),
-        "the real workspace must have no findings beyond check-baseline.txt"
-    );
+fn real_workspace_gate_is_clean_with_no_baseline() {
+    let out = run_check([workspace_root()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert_eq!(stdout, "sor-check: clean\n");
 }
 
 #[test]
@@ -338,7 +229,7 @@ fn run_check<I: IntoIterator<Item = S>, S: AsRef<OsStr>>(args: I) -> Output {
 fn unreadable_check_toml_exits_2() {
     let root = temp_root("bad_utf8_config");
     std::fs::write(root.join("check.toml"), b"[layers]\n\xff = []\n").expect("write");
-    let out = run_check([root.as_os_str(), "--no-baseline".as_ref()]);
+    let out = run_check([&root]);
     std::fs::remove_dir_all(&root).ok();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
@@ -351,6 +242,10 @@ fn retired_flags_and_config_keys_exit_2() {
         &["--format", "sarif"][..],
         &["--output", "report.txt"],
         &["--fail-on-new"],
+        &["--baseline", "check-baseline.txt"],
+        &["--no-baseline"],
+        &["--write-baseline", "baseline.txt"],
+        &["--hotpath-report", "hotpath.json"],
     ] {
         let mut args = vec![fixture("clean_ws").into_os_string()];
         args.extend(flags.iter().map(OsString::from));
@@ -363,114 +258,19 @@ fn retired_flags_and_config_keys_exit_2() {
     for key in [
         "[panics]\ninclude_indexing = false\n",
         "[hotpath]\nalloc_min_depth = 1\n",
+        "[hotpath]\nentries = [\"sample_k\", \"sor-serve::run_epoch\"]\n",
         "[dead-api]\ncrates = [\"sor-graph\"]\n",
         "[concurrency]\ncrates = [\"sor-obs\"]\n",
         "[concurrency]\nexpensive = [\"build\"]\n",
         "[concurrency]\nparallel_targets = [\"sample_k\"]\n",
     ] {
         std::fs::write(root.join("check.toml"), key).expect("write");
-        let out = run_check([root.as_os_str(), "--no-baseline".as_ref()]);
+        let out = run_check([&root]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{key}: {stderr}");
         assert!(stderr.contains("unknown configuration key"), "{stderr}");
     }
     std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn malformed_or_unreadable_baseline_exits_2_naming_the_line() {
-    let root = temp_root("bad_baseline");
-    let baseline = root.join("baseline.txt");
-    std::fs::write(
-        &baseline,
-        "unwrap:crates/graph/src/lib.rs:x\nnot a fingerprint\n",
-    )
-    .expect("write");
-    let out = run_check([
-        root.as_os_str(),
-        "--baseline".as_ref(),
-        baseline.as_os_str(),
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    std::fs::write(&baseline, b"unwrap:crates/graph/src/lib.rs:\xff\n").expect("write");
-    let unreadable = run_check([
-        root.as_os_str(),
-        "--baseline".as_ref(),
-        baseline.as_os_str(),
-    ]);
-    std::fs::remove_dir_all(&root).ok();
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("baseline.txt:2: expected"), "{stderr}");
-    assert!(stderr.contains("not a fingerprint"), "{stderr}");
-    assert_eq!(unreadable.status.code(), Some(2));
-}
-
-#[test]
-fn crlf_baseline_with_trailing_newline_gates_clean() {
-    let root = temp_root("crlf_baseline");
-    let baseline = root.join("baseline.txt");
-    let written = run_check([
-        fixture("bad_ws").as_os_str(),
-        "--write-baseline".as_ref(),
-        baseline.as_os_str(),
-    ]);
-    assert_eq!(written.status.code(), Some(0));
-    let text = std::fs::read_to_string(&baseline).expect("baseline written");
-    assert!(text.ends_with('\n'), "{text}");
-    std::fs::write(&baseline, text.replace('\n', "\r\n")).expect("write crlf");
-    let out = run_check([
-        fixture("bad_ws").as_os_str(),
-        "--baseline".as_ref(),
-        baseline.as_os_str(),
-    ]);
-    std::fs::remove_dir_all(&root).ok();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(
-        stdout.starts_with("sor-check: clean (12 baselined)"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn write_baseline_is_sorted_and_deduplicated() {
-    let root = temp_root("dedup_baseline");
-    std::fs::write(
-        root.join("crates/graph/src/lib.rs"),
-        "pub fn f(a: Option<u32>, x: f64) -> u32 {\n    if x == 1.0 {\n        panic!(\"x\");\n    }\n    \
-         let b = a.unwrap();\n    b + a.unwrap()\n}\n",
-    )
-    .expect("write source");
-    let baseline = root.join("baseline.txt");
-    let out = run_check([
-        root.as_os_str(),
-        "--write-baseline".as_ref(),
-        baseline.as_os_str(),
-    ]);
-    let text = std::fs::read_to_string(&baseline).expect("baseline written");
-    std::fs::remove_dir_all(&root).ok();
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("wrote baseline with 4 finding(s)"),
-        "{stdout}"
-    );
-    let lines: Vec<&str> = text.lines().collect();
-    // the two `.unwrap()` findings share one fingerprint
-    assert_eq!(lines.len(), 3, "{text}");
-    assert!(lines.windows(2).all(|w| w[0] < w[1]), "not sorted: {text}");
-    assert!(
-        lines[0].starts_with("float-eq:crates/graph/src/lib.rs:"),
-        "{text}"
-    );
-    assert!(
-        lines[1].starts_with("unwrap:crates/graph/src/lib.rs:`.unwrap()`"),
-        "{text}"
-    );
-    assert!(
-        lines[2].starts_with("unwrap:crates/graph/src/lib.rs:`panic!(..)`"),
-        "{text}"
-    );
 }
 
 /// The trimmed lines of one `[header]` section of a TOML file.

@@ -91,14 +91,12 @@ pub fn sample_from_dist<R: Rng + ?Sized>(dist: &PathDist, rng: &mut R) -> Path {
     let mut x = rng.gen_range(0.0..total);
     for (p, w) in dist {
         if x < *w {
-            // sor-check: allow(clone-in-loop) — the drawn path is the return value; exactly one clone per call
             return p.clone();
         }
         x -= w;
     }
     // float residue can land `x` past the final bucket; clamp to it
     // (the assert above guarantees the index is valid)
-    // sor-check: allow(clone-in-loop) — the drawn path is the return value; exactly one clone per call
     dist[dist.len() - 1].0.clone()
 }
 
