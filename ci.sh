@@ -63,6 +63,9 @@ cargo clippy --workspace --all-targets
 echo "==> sor-check (lexical rules + semantic pass; any finding fails)"
 cargo run -q -p sor-check
 
+echo "==> cargo doc (broken, ambiguous or private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 

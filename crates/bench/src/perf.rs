@@ -83,6 +83,7 @@ const BENCHES: &[(&str, BenchFn)] = &[
     ("kernel/serve_failover", kernels::serve_failover),
     ("kernel/observer_overhead", kernels::observer_overhead),
     ("kernel/compact_tables", kernels::compact_tables),
+    ("kernel/mcf_wan", kernels::mcf_wan),
 ];
 
 /// Names of every bench in the suite, in order.

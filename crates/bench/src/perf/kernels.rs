@@ -22,7 +22,7 @@ use sor_core::{PathSystem, SemiObliviousRouting};
 use sor_flow::concurrent::{try_max_concurrent_flow, FlowError, OptResult};
 use sor_flow::demand::{random_permutation, zipf_demand};
 use sor_flow::exact::{all_simple_paths, exact_integral_restricted, exact_single_pair_fractional};
-use sor_flow::restricted::RestrictedEntry;
+use sor_flow::restricted::{restricted_min_congestion, RestrictedEntry};
 use sor_flow::validate::TOLERANCE;
 use sor_flow::Demand;
 use sor_graph::gen::random::random_geometric;
@@ -31,7 +31,7 @@ use sor_graph::globalcut::stoer_wagner;
 use sor_graph::shortest::{dijkstra, ShortestPathTree};
 use sor_graph::spectral::{lambda2, spectral_gap};
 use sor_graph::traversal::{bfs_dists, bfs_parents, bfs_path, UNREACHABLE};
-use sor_graph::{connected_without, gen, EdgeId, EdgeRec, Graph, NodeId};
+use sor_graph::{connected_without, gen, yen_ksp, EdgeId, EdgeRec, Graph, NodeId, Path};
 use sor_hop::{dist_dilation, HopFamily};
 use sor_oblivious::electrical::{decompose_flow, Laplacian};
 use sor_oblivious::frt::TreeNode;
@@ -250,6 +250,47 @@ pub fn mcf() -> Quality {
         q("mcf/gap", opt.gap()),
         q("mcf/estimate", opt.congestion_estimate()),
         q("mcf/paths", opt.paths.len() as f64),
+    ]
+}
+
+/// Both MWU solvers on an ATT gravity TM of 4.0 units at ε = 0.1: OPT,
+/// and the restricted solve on the 4 fewest-hop candidates per pair. The
+/// TM's optimal congestion is about 0.25, so both solvers scale it up
+/// before their runs, and their phase counters show the cut.
+pub fn mcf_wan() -> Quality {
+    let _span = sor_obs::span("perf/mcf_wan");
+    let scenario = Scenario::att();
+    let g = &scenario.graph;
+    let tm = gravity_tm(&scenario, 4.0, &mut rng_for(0x5f12));
+    let opt: OptResult = match try_max_concurrent_flow(g, &tm, 0.1) {
+        Ok(r) => r,
+        Err(e @ (FlowError::Disconnected { .. } | FlowError::InvalidEpsilon { .. })) => {
+            unreachable!("ATT at eps 0.1 failed: {e}")
+        }
+    };
+    let lists: Vec<Vec<Path>> = tm
+        .entries()
+        .iter()
+        .map(|&(s, t, _)| yen_ksp(g, s, t, 4, &g.unit_lengths()))
+        .collect();
+    let entries: Vec<RestrictedEntry<'_>> = tm
+        .entries()
+        .iter()
+        .zip(&lists)
+        .map(|(&(s, t, demand), paths)| RestrictedEntry {
+            s,
+            t,
+            demand,
+            paths,
+        })
+        .collect();
+    let restricted = restricted_min_congestion(g, &entries, 0.1);
+
+    vec![
+        q("mcf_wan/opt_upper", opt.congestion_upper),
+        q("mcf_wan/opt_lower", opt.congestion_lower),
+        q("mcf_wan/restricted_upper", restricted.congestion),
+        q("mcf_wan/restricted_lower", restricted.lower_bound),
     ]
 }
 

@@ -5,7 +5,11 @@
 //! same crate → crates imported by the file → whole workspace); when a
 //! tier holds several same-named candidates they are *all* linked, so
 //! reachability analyses over-approximate rather than silently miss
-//! paths. A call's shape narrows the candidates first:
+//! paths. Every tier holds only the caller's own crate and the crates of
+//! its `[layers]` closure in `check.toml` (any crate when `[layers]` does
+//! not declare the caller), so a same-named fn in a crate the caller
+//! cannot depend on is never linked. A call's shape narrows the
+//! candidates further:
 //!
 //! * `x.name(..)` links to methods: `fn`s inside an `impl` block, and
 //!   default bodies inside a `trait` body. The two groups take their
@@ -27,6 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::collect_rs_files;
+use crate::config::Config;
 use crate::items::{parse_file, ItemKind, SourceFile};
 
 /// All analyzed files.
@@ -123,8 +128,8 @@ pub struct ItemGraph {
 }
 
 impl ItemGraph {
-    /// Build the call graph for `ws`.
-    pub fn build(ws: &Workspace) -> ItemGraph {
+    /// Build the call graph for `ws` under `cfg`'s `[layers]`.
+    pub fn build(ws: &Workspace, cfg: &Config) -> ItemGraph {
         let mut fns = Vec::new();
         for (fi, file) in ws.files.iter().enumerate() {
             for (ii, item) in file.items.iter().enumerate() {
@@ -144,10 +149,24 @@ impl ItemGraph {
                 .push(i);
         }
 
+        // Per caller crate, the crates its `[layers]` closure reaches;
+        // `None` when `[layers]` does not declare it.
+        let mut closure: BTreeMap<&str, Option<Vec<String>>> = BTreeMap::new();
+        for file in &ws.files {
+            closure
+                .entry(file.krate.as_str())
+                .or_insert_with(|| cfg.allowed_deps(&file.krate));
+        }
+
         let mut calls: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
         for (i, fref) in fns.iter().enumerate() {
             let file = &ws.files[fref.file];
             let item = &file.items[fref.item];
+            let deps = closure.get(file.krate.as_str()).and_then(Option::as_ref);
+            let reachable = |c: usize| {
+                let k = &ws.files[fns[c].file].krate;
+                *k == file.krate || deps.is_none_or(|deps| deps.contains(k))
+            };
             let imported: BTreeSet<&str> = file
                 .uses
                 .iter()
@@ -166,10 +185,11 @@ impl ItemGraph {
                 let Some(cands) = by_name.get(call.name.as_str()) else {
                     continue; // std / vendor call
                 };
-                // Filter candidates by shape first.
+                // Filter candidates by reach, then by shape.
                 let shaped: Vec<usize> = cands
                     .iter()
                     .copied()
+                    .filter(|&c| reachable(c))
                     .filter(|&c| {
                         let ci = &ws.files[fns[c].file].items[fns[c].item];
                         if call.method {
@@ -244,7 +264,7 @@ mod tests {
             "sor-flow",
             "pub fn caller() {\n    helper();\n}\nfn helper() {}\n",
         )]);
-        let g = ItemGraph::build(&ws);
+        let g = ItemGraph::build(&ws, &Config::default());
         assert_eq!(g.fns.len(), 2);
         assert_eq!(g.calls[0], vec![1]);
         assert!(g.calls[1].is_empty());
@@ -260,7 +280,7 @@ mod tests {
             ),
             ("crates/flow/src/lib.rs", "sor-flow", "pub fn solve() {}\n"),
         ]);
-        let g = ItemGraph::build(&ws);
+        let g = ItemGraph::build(&ws, &Config::default());
         let run = g
             .fns
             .iter()
@@ -288,7 +308,7 @@ mod tests {
                 "struct T;\nimpl T {\n    pub fn frob(&self) {}\n}\n",
             ),
         ]);
-        let g = ItemGraph::build(&ws);
+        let g = ItemGraph::build(&ws, &Config::default());
         let caller = g
             .fns
             .iter()
@@ -316,7 +336,7 @@ mod tests {
             "sor-flow",
             "impl S {\n    pub fn a() {\n        Self::b();\n    }\n    fn b() {}\n}\nimpl T {\n    fn b() {}\n}\n",
         )]);
-        let g = ItemGraph::build(&ws);
+        let g = ItemGraph::build(&ws, &Config::default());
         assert_eq!(callees(&ws, &g, "a"), ["sor-flow::a::S::b"]);
     }
 
@@ -327,7 +347,7 @@ mod tests {
             "sor-flow",
             "pub trait Pick {\n    fn pick(&self) {}\n}\npub fn by_method(p: &S) {\n    p.pick();\n}\npub fn by_name() {\n    pick();\n}\n",
         )]);
-        let g = ItemGraph::build(&ws);
+        let g = ItemGraph::build(&ws, &Config::default());
         assert_eq!(callees(&ws, &g, "by_method"), ["sor-flow::a::Pick::pick"]);
         assert!(callees(&ws, &g, "by_name").is_empty());
     }
@@ -346,7 +366,7 @@ mod tests {
                 "impl R for A {\n    fn dist(&self) {}\n    fn sample(&self) {}\n}\n",
             ),
         ]);
-        let g = ItemGraph::build(&ws);
+        let g = ItemGraph::build(&ws, &Config::default());
         // the default `sample` and its override; the bodyless `dist`
         // declaration is no node, so the call reaches the override
         assert_eq!(
@@ -357,13 +377,55 @@ mod tests {
     }
 
     #[test]
+    fn calls_resolve_only_within_the_callers_layer_closure() {
+        let ws = ws_of(&[
+            (
+                "crates/obs/src/expose.rs",
+                "sor-obs",
+                "pub fn start(r: &R) {\n    r.name();\n}\n",
+            ),
+            (
+                "crates/oblivious/src/routing.rs",
+                "sor-oblivious",
+                "impl Raecke {\n    pub fn name(&self) {}\n}\npub fn describe(r: &Raecke) {\n    r.name();\n}\n",
+            ),
+            (
+                "crates/core/src/lib.rs",
+                "sor-core",
+                "pub fn label(r: &Raecke) {\n    r.name();\n}\n",
+            ),
+        ]);
+        let layered = Config {
+            layers: BTreeMap::from([
+                ("sor-obs".to_string(), vec![]),
+                ("sor-oblivious".to_string(), vec!["sor-obs".to_string()]),
+                ("sor-core".to_string(), vec!["sor-oblivious".to_string()]),
+            ]),
+            ..Config::default()
+        };
+        let g = ItemGraph::build(&ws, &layered);
+        // sor-obs cannot depend on sor-oblivious: no edge
+        assert!(callees(&ws, &g, "start").is_empty());
+        assert_eq!(
+            callees(&ws, &g, "label"),
+            ["sor-oblivious::routing::Raecke::name"]
+        );
+        // without [layers], the whole-workspace tier links it as before
+        let g = ItemGraph::build(&ws, &Config::default());
+        assert_eq!(
+            callees(&ws, &g, "start"),
+            ["sor-oblivious::routing::Raecke::name"]
+        );
+    }
+
+    #[test]
     fn fn_path_display() {
         let ws = ws_of(&[(
             "crates/graph/src/gen/wan.rs",
             "sor-graph",
             "impl G {\n    pub fn build(&self) {}\n}\n",
         )]);
-        let g = ItemGraph::build(&ws);
+        let g = ItemGraph::build(&ws, &Config::default());
         assert_eq!(g.fn_path(&ws, 0), "sor-graph::gen::wan::G::build");
     }
 }

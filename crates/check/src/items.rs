@@ -1,6 +1,6 @@
 //! Item extraction: the lightweight parser the semantic pass is built on.
 //!
-//! Works line-by-line over [`crate::strip`]-ed source, tracking brace
+//! Works line-by-line over `crate::strip`-ed source, tracking brace
 //! depth and a context stack (module / impl / fn) instead of building a
 //! real AST — the registry is unreachable from CI, so `syn` is not an
 //! option. The output per file is a [`SourceFile`]: the items it
@@ -100,8 +100,6 @@ pub struct CallRef {
     pub qualifier: Option<String>,
     /// Whether this was a `.name(..)` method call.
     pub method: bool,
-    /// 1-based line of the call.
-    pub line: usize,
 }
 
 /// One declared item.
@@ -147,8 +145,6 @@ impl Item {
 /// A `use` declaration, reduced to the names it binds.
 #[derive(Clone, Debug)]
 pub struct UseDecl {
-    /// 1-based line.
-    pub line: usize,
     /// Workspace crate the path roots in, in dash form (`sor-graph`),
     /// when it does (`use sor_graph::NodeId` ⇒ `Some("sor-graph")`).
     pub krate: Option<String>,
@@ -300,7 +296,7 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
         if at_item_level && (line.starts_with("use ") || line.starts_with("pub use ")) {
             // A use may span lines until `;`.
             let (text, consumed) = join_until(&stripped, &in_test, idx, ';');
-            file.uses.push(parse_use(&text, idx + 1));
+            file.uses.push(parse_use(&text));
             advance_depth(
                 &mut depth, &mut stack, &stripped, &in_test, idx, consumed, None,
             );
@@ -339,7 +335,7 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
                                 if let Some(pos) = stripped[last].find('{') {
                                     let tail = &stripped[last][pos + 1..];
                                     collect_facts(&mut file.items[item_idx], tail, last + 1);
-                                    collect_calls(&mut file.items[item_idx], tail, last + 1);
+                                    collect_calls(&mut file.items[item_idx], tail);
                                 }
                             }
                             let open = Some(Ctx::Fn { item: item_idx });
@@ -381,7 +377,7 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
         // Body line of the innermost function: collect facts and calls.
         if let Some(item) = in_fn {
             collect_facts(&mut file.items[item], &stripped[idx], idx + 1);
-            collect_calls(&mut file.items[item], &stripped[idx], idx + 1);
+            collect_calls(&mut file.items[item], &stripped[idx]);
         }
 
         advance_depth(&mut depth, &mut stack, &stripped, &in_test, idx, 1, None);
@@ -630,7 +626,7 @@ fn join_signature(stripped: &[String], in_test: &[bool], idx: usize) -> (String,
 }
 
 /// Parse one flattened `use` declaration.
-fn parse_use(text: &str, line: usize) -> UseDecl {
+fn parse_use(text: &str) -> UseDecl {
     let body = text
         .trim_start()
         .trim_start_matches("pub ")
@@ -646,7 +642,7 @@ fn parse_use(text: &str, line: usize) -> UseDecl {
         .map(|seg| seg.replace('_', "-"));
     let mut names = Vec::new();
     collect_use_leaves(body, &mut names);
-    UseDecl { line, krate, names }
+    UseDecl { krate, names }
 }
 
 /// Recursively collect the leaf names a use-tree binds.
@@ -764,7 +760,7 @@ const NON_CALL_KEYWORDS: [&str; 12] = [
 ];
 
 /// Scan one stripped body line for outgoing call references.
-fn collect_calls(item: &mut Item, s: &str, line: usize) {
+fn collect_calls(item: &mut Item, s: &str) {
     let chars: Vec<char> = s.chars().collect();
     let mut i = 0usize;
     while i < chars.len() {
@@ -817,7 +813,6 @@ fn collect_calls(item: &mut Item, s: &str, line: usize) {
             name,
             qualifier,
             method,
-            line,
         });
         i += 1;
     }

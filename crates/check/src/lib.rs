@@ -4,7 +4,7 @@
 //! depends on — that library code never hides a failure behind
 //! `unwrap()` without a stated invariant, that no public solver entry
 //! point can reach a panic, that every random draw threads an explicit
-//! seeded [`rand::Rng`] so experiments stay reproducible. This crate is a
+//! seeded `rand::Rng` so experiments stay reproducible. This crate is a
 //! std-only source scanner (the registry is unreachable from CI, so no
 //! `syn`), run as `cargo run -p sor-check` and from CI; it exits
 //! non-zero when any rule fires.

@@ -27,7 +27,7 @@ pub mod panics;
 /// Run every semantic rule over a loaded workspace.
 pub fn run_semantic(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
     let mut out = layering::run(ws, cfg);
-    out.extend(panics::run(ws, &ItemGraph::build(ws), cfg));
+    out.extend(panics::run(ws, &ItemGraph::build(ws, cfg), cfg));
     out.extend(determinism::run(ws, cfg));
     out
 }

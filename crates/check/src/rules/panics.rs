@@ -161,7 +161,7 @@ mod tests {
             "sor-flow",
             "pub fn entry() {\n    middle();\n}\nfn middle() {\n    deep();\n}\nfn deep(o: Option<u32>) {\n    o.unwrap();\n}\n",
         )]);
-        let graph = ItemGraph::build(&ws);
+        let graph = ItemGraph::build(&ws, &cfg());
         let fs = run(&ws, &graph, &cfg());
         assert_eq!(fs.len(), 1, "{fs:?}");
         let f = &fs[0];
@@ -182,7 +182,7 @@ mod tests {
             "sor-flow",
             "pub fn entry() {\n    long_way();\n    short_way();\n}\nfn long_way() {\n    short_way();\n}\nfn short_way() {\n    panic!(\"x\");\n}\n",
         )]);
-        let graph = ItemGraph::build(&ws);
+        let graph = ItemGraph::build(&ws, &cfg());
         let fs = run(&ws, &graph, &cfg());
         assert_eq!(fs.len(), 1);
         // entry → short_way → site: 3 witness entries, not 4
@@ -203,7 +203,7 @@ mod tests {
                 "pub fn public_panics() {\n    panic!(\"x\");\n}\n",
             ),
         ]);
-        let graph = ItemGraph::build(&ws);
+        let graph = ItemGraph::build(&ws, &cfg());
         assert!(run(&ws, &graph, &cfg()).is_empty());
     }
 
@@ -214,7 +214,7 @@ mod tests {
             "sor-flow",
             "pub fn entry(o: Option<u32>) {\n    // sor-check: allow(panic-path) — validated upstream\n    o.unwrap();\n}\n",
         )]);
-        let graph = ItemGraph::build(&at_site);
+        let graph = ItemGraph::build(&at_site, &cfg());
         assert!(run(&at_site, &graph, &cfg()).is_empty());
 
         let at_decl = ws(&[(
@@ -222,7 +222,7 @@ mod tests {
             "sor-flow",
             "// sor-check: allow(panic-path) — panicking front-end by contract\npub fn entry(o: Option<u32>) {\n    o.unwrap();\n}\n",
         )]);
-        let graph = ItemGraph::build(&at_decl);
+        let graph = ItemGraph::build(&at_decl, &cfg());
         assert!(run(&at_decl, &graph, &cfg()).is_empty());
     }
 
@@ -233,7 +233,7 @@ mod tests {
             "sor-flow",
             "pub fn entry(o: Option<u32>) {\n    // sor-check: allow(unwrap) — invariant documented\n    o.unwrap();\n}\n",
         )]);
-        let graph = ItemGraph::build(&ws);
+        let graph = ItemGraph::build(&ws, &cfg());
         assert_eq!(run(&ws, &graph, &cfg()).len(), 1);
     }
 
@@ -241,7 +241,7 @@ mod tests {
     fn indexing_only_when_configured() {
         let text = "pub fn entry(v: &[u32]) -> u32 {\n    v[0]\n}\n";
         let ws1 = ws(&[("crates/flow/src/a.rs", "sor-flow", text)]);
-        let graph = ItemGraph::build(&ws1);
+        let graph = ItemGraph::build(&ws1, &cfg());
         assert!(run(&ws1, &graph, &cfg()).is_empty());
         let mut with_idx = cfg();
         with_idx.panic_index_crates = vec!["sor-flow".into()];

@@ -5,7 +5,17 @@
 //! Same exponential-length MWU as [`crate::concurrent`], but the shortest
 //! path oracle only chooses among each pair's candidate paths, so each
 //! oracle call is a cheap scan instead of a Dijkstra.
+//!
+//! The demand is normalized as in [`crate::concurrent`], with the
+//! restricted problem's own bounds: the one-pass bound λ₁ routes each
+//! active entry whole on its cheapest candidate under the initial lengths
+//! and stops once an edge's load reaches its capacity (on unit demands over
+//! unit capacities, after the first entry); below 1, a coarse restricted
+//! run refines it. Weights, loads and both bounds come back divided by the
+//! scale, and [`crate::validate::check_restricted`] checks that unscaled
+//! solution against the caller's own entries.
 
+use crate::concurrent::{route_whole, unit_scale, Lengths, COARSE_EPS};
 use crate::loads::EdgeLoads;
 use sor_graph::{EdgeId, Graph, NodeId, Path};
 
@@ -48,6 +58,8 @@ struct CandidateArena {
     bottleneck: Vec<f64>,
     /// Active entry `k` owns paths `first[k]..first[k + 1]`.
     first: Vec<usize>,
+    /// Active entry `k` routes `demand[k]`.
+    demand: Vec<f64>,
 }
 
 impl CandidateArena {
@@ -62,6 +74,7 @@ impl CandidateArena {
             start: Vec::with_capacity(num_paths + 1),
             bottleneck: Vec::with_capacity(num_paths),
             first: Vec::with_capacity(active.len() + 1),
+            demand: active.iter().map(|&j| entries[j].demand).collect(),
         };
         arena.start.push(0);
         arena.first.push(0);
@@ -96,10 +109,82 @@ impl CandidateArena {
     fn length(&self, p: usize, len: &[f64]) -> f64 {
         self.edges(p).iter().map(|e| len[e.index()]).sum()
     }
+
+    /// The first cheapest candidate of active entry `k` under `len`
+    /// (`total_cmp` keeps this well-defined even for NaN lengths, and an
+    /// active entry has at least one candidate).
+    fn cheapest(&self, k: usize, len: &[f64]) -> usize {
+        let mut best = self.first[k];
+        let mut best_len = f64::INFINITY;
+        for p in self.candidates(k) {
+            let l = self.length(p, len);
+            if l.total_cmp(&best_len).is_lt() {
+                best = p;
+                best_len = l;
+            }
+        }
+        best
+    }
+
+    /// Loads of routing `weights[p]` on each path `p`, in path order.
+    fn loads(&self, m: usize, weights: &[f64]) -> EdgeLoads {
+        let mut loads = EdgeLoads::zeros(m);
+        for (p, &w) in weights.iter().enumerate() {
+            if w > 0.0 {
+                loads.add_edges(self.edges(p), w);
+            }
+        }
+        loads
+    }
+
+    /// The one-pass bound λ₁ ≥ λ when it is below 1: the congestion of
+    /// routing every active entry whole on its cheapest candidate under
+    /// the initial lengths `len`. `None` as soon as an edge's load reaches
+    /// its capacity (λ₁ ≥ 1), or when nothing loads an edge.
+    fn one_pass_congestion(&self, g: &Graph, len: &[f64]) -> Option<f64> {
+        let mut loads = EdgeLoads::zeros(g.num_edges());
+        for (k, &d) in self.demand.iter().enumerate() {
+            if !route_whole(g, &mut loads, self.edges(self.cheapest(k, len)), d) {
+                return None;
+            }
+        }
+        let lambda_one = loads.congestion(g);
+        (lambda_one > 0.0).then_some(lambda_one)
+    }
+
+    /// One run at accuracy `eps` that routes `sigma` times each active
+    /// entry's demand per phase: the phase count, the final lengths and
+    /// the raw flow on each path.
+    fn run(&self, g: &Graph, eps: f64, sigma: f64) -> (u64, Lengths, Vec<f64>) {
+        let mut lengths = Lengths::new(g, eps);
+        let mut weights = vec![0.0; self.bottleneck.len()];
+        let mut phases: u64 = 0;
+        const MAX_PHASES: u64 = 1_000_000;
+
+        while lengths.volume < 1.0 {
+            phases += 1;
+            sor_obs::counter_add!("flow/restricted/phases");
+            assert!(phases <= MAX_PHASES, "restricted-flow phase bound exceeded");
+            for (k, &d) in self.demand.iter().enumerate() {
+                let mut remaining = d * sigma;
+                while remaining > 1e-15 {
+                    sor_obs::counter_add!("flow/restricted/oracle_scans");
+                    let best = self.cheapest(k, &lengths.len);
+                    let f = remaining.min(self.bottleneck[best]);
+                    weights[best] += f;
+                    lengths.route(g, self.edges(best), f);
+                    remaining -= f;
+                }
+            }
+        }
+        (phases, lengths, weights)
+    }
 }
 
 /// Compute a `(1+O(ε))`-approximate min-congestion fractional routing of
 /// the given entries where entry `j` may only use `entries[j].paths`.
+/// Entries whose one-pass congestion is below 1 are solved scaled up to
+/// optimal congestion near 1, as [`crate::concurrent`] describes.
 ///
 /// Panics if an entry has positive demand but no candidate paths, or if a
 /// candidate path has the wrong endpoints (debug only).
@@ -142,71 +227,40 @@ pub fn restricted_min_congestion(
     }
 
     let arena = CandidateArena::new(g, entries, &active);
-    let delta = (m as f64 / (1.0 - eps)).powf(-1.0 / eps);
-    let mut len: Vec<f64> = g.edges().iter().map(|e| delta / e.cap).collect();
-    let mut volume: f64 = delta * m as f64;
-    let mut phases: u64 = 0;
-    const MAX_PHASES: u64 = 1_000_000;
-
-    while volume < 1.0 {
-        phases += 1;
-        sor_obs::counter_add!("flow/restricted/phases");
-        assert!(phases <= MAX_PHASES, "restricted-flow phase bound exceeded");
-        for (k, &j) in active.iter().enumerate() {
-            let first = arena.first[k];
-            let mut remaining = entries[j].demand;
-            while remaining > 1e-15 {
-                sor_obs::counter_add!("flow/restricted/oracle_scans");
-                // cheapest candidate under current lengths (total_cmp
-                // keeps this well-defined even for NaN lengths, and the
-                // nonempty-candidates assert above makes `best` valid)
-                let mut best = first;
-                let mut best_len = f64::INFINITY;
-                for p in arena.candidates(k) {
-                    let l = arena.length(p, &len);
-                    if l.total_cmp(&best_len).is_lt() {
-                        best = p;
-                        best_len = l;
-                    }
-                }
-                let f = remaining.min(arena.bottleneck[best]);
-                weights[j][best - first] += f;
-                for &e in arena.edges(best) {
-                    let cap = g.cap(e);
-                    let old = len[e.index()];
-                    let new = old * (1.0 + eps * f / cap);
-                    len[e.index()] = new;
-                    volume += cap * (new - old);
-                }
-                remaining -= f;
-            }
+    let sigma = match arena.one_pass_congestion(g, &Lengths::new(g, eps).len) {
+        Some(lambda_one) => {
+            let (phases, _, coarse) = arena.run(g, COARSE_EPS, 1.0 / lambda_one);
+            unit_scale(
+                lambda_one,
+                arena.loads(m, &coarse).congestion(g) / phases as f64,
+            )
         }
-    }
+        None => 1.0,
+    };
+    let (phases, lengths, mut flat) = arena.run(g, eps, sigma);
 
     // Scale the accumulated weights so each entry routes its demand once.
-    let scale = 1.0 / phases as f64;
-    let mut loads = EdgeLoads::zeros(m);
-    for (j, entry) in entries.iter().enumerate() {
-        for (i, w) in weights[j].iter_mut().enumerate() {
-            *w *= scale;
-            if *w > 0.0 {
-                loads.add_path(&entry.paths[i], *w);
-            }
-        }
+    let scale = 1.0 / (phases as f64 * sigma);
+    for w in &mut flat {
+        *w *= scale;
+    }
+    let loads = arena.loads(m, &flat);
+    for (k, &j) in active.iter().enumerate() {
+        weights[j].copy_from_slice(&flat[arena.candidates(k)]);
     }
     let congestion = loads.congestion(g);
 
     // Dual bound restricted to the path system: dist is the min candidate
-    // length under the final ℓ.
+    // length under the final ℓ, over the caller's own demands.
     let mut alpha = 0.0;
-    for (k, &j) in active.iter().enumerate() {
+    for (k, &d) in arena.demand.iter().enumerate() {
         let dist = arena
             .candidates(k)
-            .map(|p| arena.length(p, &len))
+            .map(|p| arena.length(p, &lengths.len))
             .fold(f64::INFINITY, f64::min);
-        alpha += entries[j].demand * dist;
+        alpha += d * dist;
     }
-    let lower_bound = alpha / volume;
+    let lower_bound = alpha / lengths.volume;
 
     let sol = RestrictedSolution {
         weights,
@@ -476,6 +530,122 @@ mod tests {
                 &per_path_scan(&g, &entries, eps),
             );
         }
+    }
+
+    /// A gravity TM of 4.0 units over `g`'s vertices, masses drawn from
+    /// `seed`, with the 4 fewest-hop candidates per pair.
+    fn gravity_candidates(g: &Graph, seed: u64) -> Vec<(NodeId, NodeId, f64, Vec<Path>)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        let mass: Vec<f64> = nodes.iter().map(|_| rng.gen_range(0.5..1.5)).collect();
+        crate::demand::gravity(&nodes, &mass, 4.0)
+            .entries()
+            .iter()
+            .map(|&(s, t, d)| (s, t, d, yen_ksp(g, s, t, 4, &g.unit_lengths())))
+            .collect()
+    }
+
+    /// `tm`'s entries with every demand multiplied by `factor`.
+    fn scaled_entries(
+        tm: &[(NodeId, NodeId, f64, Vec<Path>)],
+        factor: f64,
+    ) -> Vec<RestrictedEntry<'_>> {
+        tm.iter()
+            .map(|(s, t, d, paths)| RestrictedEntry {
+                s: *s,
+                t: *t,
+                demand: d * factor,
+                paths,
+            })
+            .collect()
+    }
+
+    fn gap(sol: &RestrictedSolution) -> f64 {
+        sol.congestion / sol.lower_bound
+    }
+
+    /// Both certified intervals overlap, and the solver's gap is within
+    /// `1+ε²` of the reference's.
+    fn inside_reference_sandwich(
+        new: &RestrictedSolution,
+        old: &RestrictedSolution,
+        eps: f64,
+        at: &str,
+    ) {
+        assert!(new.lower_bound <= new.congestion + 1e-9, "{at}");
+        assert!(new.lower_bound <= old.congestion, "{at}");
+        assert!(old.lower_bound <= new.congestion, "{at}");
+        assert!(
+            gap(new) <= gap(old) * (1.0 + eps * eps),
+            "{at}: gap {} vs reference {}",
+            gap(new),
+            gap(old)
+        );
+    }
+
+    #[test]
+    fn scaled_solves_stay_inside_the_reference_sandwich_on_wans() {
+        // On B4, GEANT and ATT these TMs' one-pass bound is below 1, so the
+        // solver scales them; the reference never scales. In debug builds
+        // the solver also checks each unscaled solution.
+        for g in [gen::abilene(), gen::b4(), gen::geant(), gen::att()] {
+            for seed in [1, 2] {
+                let tm = gravity_candidates(&g, seed);
+                let entries = scaled_entries(&tm, 1.0);
+                for eps in [0.05, 0.1, 0.3] {
+                    let at = format!("n={} seed {seed} eps {eps}", g.num_nodes());
+                    inside_reference_sandwich(
+                        &restricted_min_congestion(&g, &entries, eps),
+                        &per_path_scan(&g, &entries, eps),
+                        eps,
+                        &at,
+                    );
+                }
+            }
+        }
+    }
+
+    fn one_pass(g: &Graph, entries: &[RestrictedEntry<'_>], eps: f64) -> Option<f64> {
+        let active: Vec<usize> = (0..entries.len())
+            .filter(|&j| entries[j].demand > 0.0)
+            .collect();
+        CandidateArena::new(g, entries, &active).one_pass_congestion(g, &Lengths::new(g, eps).len)
+    }
+
+    /// The factor that puts the one-pass bound at ε = 0.1 of B4's seed-1
+    /// TM at `target`; the bound is linear in the demand.
+    fn factor_for_one_pass(g: &Graph, tm: &[(NodeId, NodeId, f64, Vec<Path>)], target: f64) -> f64 {
+        let lambda_one =
+            one_pass(g, &scaled_entries(tm, 1e-3), 0.1).expect("a thousandth of a TM fits");
+        target * 1e-3 / lambda_one
+    }
+
+    #[test]
+    fn one_pass_bound_just_above_one_keeps_every_bit() {
+        let g = gen::b4();
+        let tm = gravity_candidates(&g, 1);
+        let entries = scaled_entries(&tm, factor_for_one_pass(&g, &tm, 1.0 + 1e-9));
+        assert_eq!(one_pass(&g, &entries, 0.1), None);
+        assert_bit_equal(
+            &restricted_min_congestion(&g, &entries, 0.1),
+            &per_path_scan(&g, &entries, 0.1),
+        );
+    }
+
+    #[test]
+    fn one_pass_bound_just_below_one_stays_inside_the_reference_sandwich() {
+        let g = gen::b4();
+        let tm = gravity_candidates(&g, 1);
+        let entries = scaled_entries(&tm, factor_for_one_pass(&g, &tm, 1.0 - 1e-9));
+        assert!(one_pass(&g, &entries, 0.1).is_some_and(|l| l < 1.0));
+        inside_reference_sandwich(
+            &restricted_min_congestion(&g, &entries, 0.1),
+            &per_path_scan(&g, &entries, 0.1),
+            0.1,
+            "b4 seed 1",
+        );
     }
 
     #[test]

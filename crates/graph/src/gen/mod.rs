@@ -1,7 +1,7 @@
 //! Graph generators for every family the paper's results are exercised on.
 //!
 //! * [`classic`] — paths, cycles, cliques, stars, grids, tori, dumbbells,
-//! * [`hypercube`] — hypercubes plus the adversarial permutations used in
+//! * [`hypercube`](mod@hypercube) — hypercubes plus the adversarial permutations used in
 //!   the deterministic-routing experiments (bit reversal, transpose),
 //! * [`random`] — Erdős–Rényi and random-regular (expander) graphs,
 //! * [`fattree`] — leaf–spine Clos topologies,

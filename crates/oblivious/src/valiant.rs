@@ -53,7 +53,7 @@ pub struct ValiantHypercube {
 }
 
 impl ValiantHypercube {
-    /// Wrap a hypercube graph produced by [`sor_graph::gen::hypercube`].
+    /// Wrap a hypercube graph produced by [`sor_graph::gen::hypercube`](fn@sor_graph::gen::hypercube).
     /// Panics if `g`'s vertex count is not a power of two.
     pub fn new(g: Graph) -> Self {
         // sor-check: allow(unwrap) — invariant stated in the expect message

@@ -30,7 +30,7 @@
 //!
 //! # Snapshot / export
 //!
-//! [`snapshot`] collects every registered counter, histogram, and span
+//! [`snapshot`](fn@snapshot) collects every registered counter, histogram, and span
 //! into a deterministic, name-sorted [`Snapshot`]; `Snapshot::to_json`
 //! hand-rolls the machine-readable export (no serde in the tree), and
 //! the [`snapshot`](mod@snapshot) module reads it back. The `sor` CLI
@@ -121,7 +121,7 @@ pub fn reset() {
 }
 
 /// A full, deterministic (name-sorted) dump of the registry and the span
-/// tree. See [`snapshot`].
+/// tree. See [`snapshot`](fn@snapshot).
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// All registered counters, sorted by name.

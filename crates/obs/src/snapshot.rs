@@ -1,4 +1,4 @@
-//! Snapshot reader: the other half of the JSON export in [`crate::json`].
+//! Snapshot reader: the other half of the JSON export in `crate::json`.
 //!
 //! [`parse_snapshot`] reads an exported document back into a
 //! [`Snapshot`] plus its `meta` fields, and [`snapshot_from_value`] does

@@ -176,7 +176,7 @@ fn fmt_ns(ns: u64) -> String {
 }
 
 /// Render a snapshot of the phase tree (as produced by
-/// [`crate::snapshot`]) as an indented text report. Percentages are of
+/// [`crate::snapshot`](fn@crate::snapshot)) as an indented text report. Percentages are of
 /// the first root span's total.
 pub fn render_phase_tree(nodes: &[SpanSnapshot]) -> String {
     if nodes.is_empty() {
