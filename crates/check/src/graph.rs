@@ -5,11 +5,15 @@
 //! same crate → crates imported by the file → whole workspace); when a
 //! tier holds several same-named candidates they are *all* linked, so
 //! reachability analyses over-approximate rather than silently miss
-//! paths. Every tier holds only the caller's own crate and the crates of
-//! its `[layers]` closure in `check.toml` (any crate when `[layers]` does
-//! not declare the caller), so a same-named fn in a crate the caller
-//! cannot depend on is never linked. A call's shape narrows the
-//! candidates further:
+//! paths. Every tier holds only the fns the caller can reach under the
+//! `[layers]` table of `check.toml`: those of its own crate and of the
+//! crates in its closure (any crate when `[layers]` does not declare the
+//! caller). A method of `impl Tr for T` is in reach of a `.name(..)` call
+//! when its trait `Tr` is, wherever the impl lives: a `&dyn Tr` carries a
+//! higher crate's impl down into the caller. A trait declared outside the
+//! workspace (std's) is in every crate's reach. So a same-named fn in a
+//! crate the caller cannot depend on is linked only through a trait the
+//! caller can call. A call's shape narrows the candidates further:
 //!
 //! * `x.name(..)` links to methods: `fn`s inside an `impl` block, and
 //!   default bodies inside a `trait` body. The two groups take their
@@ -152,10 +156,18 @@ impl ItemGraph {
         // Per caller crate, the crates its `[layers]` closure reaches;
         // `None` when `[layers]` does not declare it.
         let mut closure: BTreeMap<&str, Option<Vec<String>>> = BTreeMap::new();
+        // trait name → the crates declaring a trait of that name
+        let mut trait_crates: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         for file in &ws.files {
             closure
                 .entry(file.krate.as_str())
                 .or_insert_with(|| cfg.allowed_deps(&file.krate));
+            for item in file.items.iter().filter(|i| i.kind == ItemKind::Trait) {
+                trait_crates
+                    .entry(item.name.as_str())
+                    .or_default()
+                    .insert(file.krate.as_str());
+            }
         }
 
         let mut calls: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
@@ -163,10 +175,8 @@ impl ItemGraph {
             let file = &ws.files[fref.file];
             let item = &file.items[fref.item];
             let deps = closure.get(file.krate.as_str()).and_then(Option::as_ref);
-            let reachable = |c: usize| {
-                let k = &ws.files[fns[c].file].krate;
-                *k == file.krate || deps.is_none_or(|deps| deps.contains(k))
-            };
+            let reaches =
+                |k: &str| k == file.krate || deps.is_none_or(|deps| deps.iter().any(|d| d == k));
             let imported: BTreeSet<&str> = file
                 .uses
                 .iter()
@@ -189,7 +199,15 @@ impl ItemGraph {
                 let shaped: Vec<usize> = cands
                     .iter()
                     .copied()
-                    .filter(|&c| reachable(c))
+                    .filter(|&c| {
+                        let ci = &ws.files[fns[c].file].items[fns[c].item];
+                        match (&ci.of_trait, call.method) {
+                            (Some(tr), true) => trait_crates
+                                .get(tr.as_str())
+                                .is_none_or(|ks| ks.iter().any(|k| reaches(k))),
+                            _ => reaches(&ws.files[fns[c].file].krate),
+                        }
+                    })
                     .filter(|&c| {
                         let ci = &ws.files[fns[c].file].items[fns[c].item];
                         if call.method {
@@ -415,6 +433,49 @@ mod tests {
         assert_eq!(
             callees(&ws, &g, "start"),
             ["sor-oblivious::routing::Raecke::name"]
+        );
+    }
+
+    #[test]
+    fn trait_impls_stay_in_reach_through_a_reachable_trait() {
+        let ws = ws_of(&[
+            (
+                "crates/obs/src/expose.rs",
+                "sor-obs",
+                "pub trait Handler {\n    fn metrics(&self) -> String;\n}\npub fn serve_one(h: &dyn Handler, w: &mut W) {\n    h.metrics();\n    w.next();\n    w.name();\n}\n",
+            ),
+            (
+                "crates/serve/src/observer.rs",
+                "sor-serve",
+                "impl Handler for Observer {\n    fn metrics(&self) -> String {\n        String::new()\n    }\n}\nimpl Iterator for Walk {\n    fn next(&mut self) -> Option<u32> {\n        None\n    }\n}\n",
+            ),
+            (
+                "crates/oblivious/src/raecke.rs",
+                "sor-oblivious",
+                "pub trait Routing {\n    fn name(&self) {}\n}\nimpl Routing for Raecke {\n    fn name(&self) {}\n}\n",
+            ),
+        ]);
+        let layered = Config {
+            layers: BTreeMap::from([
+                ("sor-obs".to_string(), vec![]),
+                ("sor-oblivious".to_string(), vec!["sor-obs".to_string()]),
+                (
+                    "sor-serve".to_string(),
+                    vec!["sor-oblivious".to_string(), "sor-obs".to_string()],
+                ),
+            ]),
+            ..Config::default()
+        };
+        let g = ItemGraph::build(&ws, &layered);
+        // sor-obs's own trait and std's dispatch into sor-serve's impls;
+        // sor-oblivious's trait, its default body and its impl are out of
+        // sor-obs's reach
+        assert_eq!(
+            callees(&ws, &g, "serve_one"),
+            [
+                "sor-serve::observer::Observer::metrics",
+                "sor-serve::observer::Walk::next"
+            ]
         );
     }
 

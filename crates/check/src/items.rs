@@ -119,6 +119,8 @@ pub struct Item {
     /// Declared inside a `trait` body (a required method or a default
     /// method body) rather than an `impl` block.
     pub in_trait: bool,
+    /// For `fn`s declared inside `impl Tr for Foo {..}`: the `Tr`.
+    pub of_trait: Option<String>,
     /// For `fn`s: the signature flattened to one line (through `{`/`;`).
     pub signature: String,
     /// For `fn`s: facts found in the body.
@@ -247,8 +249,12 @@ pub fn module_path(rel: &Path) -> String {
 /// Parser context: what the surrounding braces belong to.
 #[derive(Clone, Debug)]
 enum Ctx {
-    /// `impl Foo {` / `impl Tr for Foo {` — fns inside get `self_ty`.
-    Impl { self_ty: String },
+    /// `impl Foo {` / `impl Tr for Foo {` — fns inside get `self_ty`
+    /// (`Foo`) and `of_trait` (`Tr`, if any).
+    Impl {
+        self_ty: String,
+        of_trait: Option<String>,
+    },
     /// `trait Foo {` — default method bodies live here.
     Trait { name: String },
     /// A function body; the payload indexes into `SourceFile::items`.
@@ -312,14 +318,21 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
                         ItemKind::Fn => join_signature(&stripped, &in_test, idx),
                         _ => (line.clone(), 1),
                     };
-                    let owner = enclosing_owner(&stack);
+                    let (self_ty, in_trait, of_trait) = match enclosing_owner(&stack) {
+                        Some(Ctx::Impl { self_ty, of_trait }) => {
+                            (Some(self_ty.clone()), false, of_trait.clone())
+                        }
+                        Some(Ctx::Trait { name }) => (Some(name.clone()), true, None),
+                        _ => (None, false, None),
+                    };
                     file.items.push(Item {
                         kind: decl.kind,
                         name: decl.name.clone(),
                         vis,
                         line: idx + 1,
-                        in_trait: owner.as_ref().is_some_and(|(_, is_trait)| *is_trait),
-                        self_ty: owner.map(|(ty, _)| ty),
+                        self_ty,
+                        in_trait,
+                        of_trait,
                         signature: sig,
                         facts: Facts::default(),
                         calls: Vec::new(),
@@ -390,14 +403,13 @@ pub fn parse_file(rel: &Path, krate: &str, text: &str) -> SourceFile {
     file
 }
 
-/// Name of the innermost enclosing impl type or trait, and whether it
-/// is a trait.
-fn enclosing_owner(stack: &[(i32, Ctx)]) -> Option<(String, bool)> {
-    stack.iter().rev().find_map(|(_, c)| match c {
-        Ctx::Impl { self_ty } => Some((self_ty.clone(), false)),
-        Ctx::Trait { name } => Some((name.clone(), true)),
-        _ => None,
-    })
+/// The innermost enclosing `impl` or `trait` context.
+fn enclosing_owner(stack: &[(i32, Ctx)]) -> Option<&Ctx> {
+    stack
+        .iter()
+        .rev()
+        .map(|(_, c)| c)
+        .find(|c| matches!(c, Ctx::Impl { .. } | Ctx::Trait { .. }))
 }
 
 /// Track braces across `count` lines starting at `idx`, popping contexts
@@ -532,12 +544,12 @@ fn match_impl(rest: &str) -> Option<Ctx> {
     let body = skip_generics(body.trim_start());
     // `Tr for Type {` vs `Type {`
     let head = body.split('{').next().unwrap_or(body);
-    let ty_part = match head.find(" for ") {
-        Some(pos) => &head[pos + 5..],
-        None => head,
+    let (of_trait, ty_part) = match head.find(" for ") {
+        Some(pos) => (Some(last_path_segment(&head[..pos])), &head[pos + 5..]),
+        None => (None, head),
     };
     let self_ty = last_path_segment(ty_part.trim());
-    Some(Ctx::Impl { self_ty })
+    Some(Ctx::Impl { self_ty, of_trait })
 }
 
 /// Skip a balanced leading `<...>` generics list.
@@ -966,8 +978,13 @@ mod tests {
         let f = parse("struct S;\nimpl S {\n    pub fn m(&self) {}\n}\nimpl Clone for S {\n    fn clone(&self) -> S { S }\n}\n");
         let m = f.items.iter().find(|i| i.name == "m").expect("m");
         assert_eq!(m.self_ty.as_deref(), Some("S"));
+        assert_eq!(m.of_trait, None);
         let c = f.items.iter().find(|i| i.name == "clone").expect("clone");
         assert_eq!(c.self_ty.as_deref(), Some("S"));
+        assert_eq!(c.of_trait.as_deref(), Some("Clone"));
+        let g = parse("impl<T: Tr> sor_obs::Handler<T> for Wrap<T> {\n    fn h(&self) {}\n}\n");
+        assert_eq!(g.items[0].self_ty.as_deref(), Some("Wrap"));
+        assert_eq!(g.items[0].of_trait.as_deref(), Some("Handler"));
     }
 
     #[test]
