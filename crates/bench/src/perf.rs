@@ -726,11 +726,11 @@ mod tests {
                 histograms: vec![HistogramSnapshot {
                     name: "core/path/hops".to_string(),
                     buckets: vec![
+                        BucketCount { le: 2.0, count: 3 },
                         BucketCount {
-                            le: Some(2.0),
-                            count: 3,
+                            le: 2.5f64.exp2(),
+                            count: 1,
                         },
-                        BucketCount { le: None, count: 1 },
                     ],
                     count: 4,
                     sum: 11.5,

@@ -90,7 +90,7 @@ fn sample_counts<O: ObliviousRouting, R: Rng + ?Sized>(
         let paths = system.paths(s, t);
         for &i in &draws {
             let hops = paths[i as usize].hops();
-            sor_obs::observe_into!("core/path/hops", &sor_obs::POW2_BUCKETS, hops as f64);
+            sor_obs::observe_into!("core/path/hops", hops as f64);
         }
         sor_obs::counter_add!("core/sample/draws", count as u64);
         if fresh < count {

@@ -2,9 +2,8 @@
 //!
 //! [`render_prometheus`] turns a [`Snapshot`] into the text exposition
 //! format: counters as `# TYPE ... counter`, histograms as *cumulative*
-//! `_bucket{le="..."}` series ending in the mandatory `le="+Inf"` bucket
-//! (the PR-3 snapshot's `le: None` overflow bucket — rendering it as
-//! `+Inf` rather than dropping or NaN-ing it is the whole point), plus
+//! `_bucket{le="..."}` series over their occupied edges, closed by the
+//! mandatory `le="+Inf"` bucket (equal to the count), plus
 //! `_sum`/`_count`. Callers can append gauges (streaming percentiles,
 //! SLO breach counts) through [`PromGauges`].
 //!
@@ -15,7 +14,8 @@
 //! `/timeline` (epoch timeline JSON), `/health` (SLO summary), anything
 //! else 404. The handler trait decouples the server from the serve
 //! crate; all rendering happens before any socket write and outside any
-//! registry lock.
+//! registry lock. Mapping a request head to a response is the pure
+//! `respond`, so the request-line parsing is tested without a socket.
 
 use crate::Snapshot;
 use std::io::{Read as _, Write as _};
@@ -77,16 +77,6 @@ impl PromGauges {
         };
         self.samples.push((rendered, value));
     }
-
-    /// Number of gauges queued.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no gauge has been queued.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
 }
 
 /// Render a [`Snapshot`] (plus optional extra gauges) as Prometheus text
@@ -108,23 +98,16 @@ pub fn render_prometheus(snap: &Snapshot, gauges: &PromGauges) -> String {
         let name = prom_name(&h.name);
         out.push_str(&format!("# TYPE {name} histogram\n"));
         // Prometheus buckets are cumulative and must end at le="+Inf";
-        // the snapshot's per-bucket counts (overflow bucket `le: None`
-        // last) accumulate into exactly that.
+        // the snapshot's occupied buckets (inclusive edges, ascending)
+        // accumulate toward the count
         let mut cum = 0u64;
         for b in &h.buckets {
             cum += b.count;
             out.push_str(&format!("{name}_bucket{{le=\""));
-            match b.le {
-                Some(edge) => push_prom_f64(&mut out, edge),
-                None => out.push_str("+Inf"),
-            }
+            push_prom_f64(&mut out, b.le);
             out.push_str(&format!("\"}} {cum}\n"));
         }
-        if !h.buckets.iter().any(|b| b.le.is_none()) {
-            // a histogram without an explicit overflow bucket still
-            // needs the mandatory +Inf series
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        }
+        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
         out.push_str(&format!("{name}_sum "));
         push_prom_f64(&mut out, h.sum);
         out.push('\n');
@@ -238,7 +221,8 @@ fn accept_loop(listener: &TcpListener, stop: &AtomicBool, handler: &dyn Telemetr
     }
 }
 
-/// Read one request head (bounded, with a timeout) and answer it.
+/// Read one request head (bounded, with a timeout) and answer it with
+/// [`respond`].
 fn serve_one(mut stream: TcpStream, handler: &dyn TelemetryHandler) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
@@ -256,7 +240,19 @@ fn serve_one(mut stream: TcpStream, handler: &dyn TelemetryHandler) {
             Err(_) => break,
         }
     }
-    let request_line = String::from_utf8_lossy(&head);
+    let (status, content_type, body) = respond(&head, handler);
+    let response = format!(
+        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let _ = stream.write_all(response.as_bytes());
+    let _ = stream.flush();
+}
+
+/// Map a request head (any bytes, possibly truncated) to its status
+/// line, content type and body.
+fn respond(head: &[u8], handler: &dyn TelemetryHandler) -> (&'static str, &'static str, String) {
+    let request_line = String::from_utf8_lossy(head);
     let path = request_line
         .lines()
         .next()
@@ -273,7 +269,7 @@ fn serve_one(mut stream: TcpStream, handler: &dyn TelemetryHandler) {
             "bad query string\n".to_string(),
         )
     };
-    let (status, content_type, body) = match route {
+    match route {
         // only /timeline takes a query; a query anywhere else (or one
         // that is not exactly `last=N`) is a 400, not a silent ignore
         "/metrics" | "/" if query.is_none() => (
@@ -299,13 +295,7 @@ fn serve_one(mut stream: TcpStream, handler: &dyn TelemetryHandler) {
             "text/plain; charset=utf-8",
             "not found\n".to_string(),
         ),
-    };
-    let response = format!(
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
+    }
 }
 
 /// Parse a `/timeline` query string: exactly one `last=N` parameter with
@@ -332,15 +322,12 @@ mod tests {
             histograms: vec![HistogramSnapshot {
                 name: "serve/epoch_wall_ms".to_string(),
                 buckets: vec![
+                    BucketCount { le: 1.0, count: 2 },
+                    BucketCount { le: 4.0, count: 3 },
                     BucketCount {
-                        le: Some(1.0),
-                        count: 2,
+                        le: 2.75f64.exp2(),
+                        count: 1,
                     },
-                    BucketCount {
-                        le: Some(8.0),
-                        count: 3,
-                    },
-                    BucketCount { le: None, count: 1 },
                 ],
                 count: 6,
                 sum: 19.5,
@@ -357,30 +344,31 @@ mod tests {
     }
 
     #[test]
-    fn exposition_is_cumulative_with_inf_overflow() {
+    fn exposition_is_cumulative_and_closes_at_inf() {
         let text = render_prometheus(&sample_snapshot(), &PromGauges::new());
         assert!(text.contains("# TYPE sor_serve_cache_hits counter\n"));
         assert!(text.contains("sor_serve_cache_hits 42\n"));
-        assert!(text.contains("# TYPE sor_serve_epoch_wall_ms histogram\n"));
-        // cumulative: 2, then 2+3, then all 6 in the overflow bucket
-        assert!(text.contains("sor_serve_epoch_wall_ms_bucket{le=\"1\"} 2\n"));
-        assert!(text.contains("sor_serve_epoch_wall_ms_bucket{le=\"8\"} 5\n"));
+        // cumulative over the occupied edges (2, 2+3, 2+3+1), then +Inf
+        // equal to the count
         assert!(
-            text.contains("sor_serve_epoch_wall_ms_bucket{le=\"+Inf\"} 6\n"),
-            "le:null must render as +Inf, got:\n{text}"
+            text.contains(
+                "# TYPE sor_serve_epoch_wall_ms histogram\n\
+                 sor_serve_epoch_wall_ms_bucket{le=\"1\"} 2\n\
+                 sor_serve_epoch_wall_ms_bucket{le=\"4\"} 5\n\
+                 sor_serve_epoch_wall_ms_bucket{le=\"6.727171322029716\"} 6\n\
+                 sor_serve_epoch_wall_ms_bucket{le=\"+Inf\"} 6\n\
+                 sor_serve_epoch_wall_ms_sum 19.5\n\
+                 sor_serve_epoch_wall_ms_count 6\n"
+            ),
+            "got:\n{text}"
         );
-        assert!(!text.contains("NaN"), "no NaN leaks from the overflow edge");
-        assert!(text.contains("sor_serve_epoch_wall_ms_sum 19.5\n"));
-        assert!(text.contains("sor_serve_epoch_wall_ms_count 6\n"));
     }
 
     #[test]
     fn gauges_append_with_labels() {
         let mut g = PromGauges::new();
-        assert!(g.is_empty());
         g.push("serve/cache_hit_rate", "rule=\"min\"", 0.875);
         g.push("serve/epoch_wall_p99_ms", "", 12.0);
-        assert_eq!(g.len(), 2);
         let text = render_prometheus(
             &Snapshot {
                 counters: Vec::new(),
@@ -399,13 +387,7 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.histograms.push(HistogramSnapshot {
             name: "serve/never_observed".to_string(),
-            buckets: vec![
-                BucketCount {
-                    le: Some(1.0),
-                    count: 0,
-                },
-                BucketCount { le: None, count: 0 },
-            ],
+            buckets: Vec::new(),
             count: 0,
             sum: 0.0,
         });
@@ -454,6 +436,64 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read response");
         response
+    }
+
+    /// SplitMix64 over (seed, index), as in `tests/parser_fuzz.rs`.
+    fn mix(seed: u64, i: u64) -> u64 {
+        let mut z = seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(i.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every answer is a 200, 400 or 404; a 200 carries its route's
+    /// content type, anything else plain text.
+    fn check_response(head: &[u8]) {
+        let (status, content_type, body) = respond(head, &FixedHandler);
+        let want = match status {
+            "200 OK" if body == FixedHandler.metrics() => {
+                "text/plain; version=0.0.4; charset=utf-8"
+            }
+            "200 OK" => {
+                assert!(
+                    body.contains("\"sor-timeline/1\"") || body.contains("\"sor-health/1\""),
+                    "{body}"
+                );
+                "application/json"
+            }
+            "400 Bad Request" | "404 Not Found" => "text/plain; charset=utf-8",
+            other => panic!("status {other} for {:?}", String::from_utf8_lossy(head)),
+        };
+        assert_eq!(content_type, want, "{:?}", String::from_utf8_lossy(head));
+    }
+
+    #[test]
+    fn truncated_and_flipped_request_heads_get_well_formed_answers() {
+        let paths = [
+            "/metrics",
+            "/timeline?last=2",
+            "/health",
+            "/timeline?last=x",
+            "/nope",
+        ];
+        for (seed, path) in (0u64..).zip(paths) {
+            let head = format!("GET {path} HTTP/1.0\r\nHost: test\r\n\r\n").into_bytes();
+            for end in 0..=head.len() {
+                check_response(&head[..end]);
+            }
+            let len = u64::try_from(head.len()).expect("short head");
+            for round in 0..256u64 {
+                let mut bytes = head.clone();
+                for f in 0..1 + mix(seed, round) % 4 {
+                    let at =
+                        usize::try_from(mix(seed, 1_000 + round * 8 + f) % len).expect("in range");
+                    bytes[at] = mix(seed, 2_000 + round * 8 + f).to_le_bytes()[0];
+                }
+                check_response(&bytes);
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! `sor-forensics/1` JSON document.
 
 use crate::journal::{EdgeLoad, JournalEvent};
+use crate::json::push_f64;
 
 /// Causal buckets, in attribution precedence order (first match wins).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -294,14 +295,6 @@ impl ForensicsReport {
         }
         out.push_str("]}\n");
         out
-    }
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
     }
 }
 

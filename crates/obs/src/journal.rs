@@ -32,6 +32,7 @@
 //! depends on nothing), so events carry raw `u32` edge/node ids rather
 //! than `sor-graph` newtypes; the serving layer owns the translation.
 
+use crate::json::{push_escaped, push_f64};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
@@ -347,14 +348,6 @@ impl Journal {
     }
 }
 
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
     out.push_str(&format!(
         "{{\"seq\":{seq},\"type\":\"{}\",\"epoch\":{}",
@@ -400,9 +393,9 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
             ..
         } => {
             out.push_str(&format!(",\"pairs\":{pairs},\"congestion\":"));
-            push_json_f64(out, *congestion);
+            push_f64(out, *congestion);
             out.push_str(",\"lower_bound\":");
-            push_json_f64(out, *lower_bound);
+            push_f64(out, *lower_bound);
             out.push_str(&format!(",\"integral\":{integral}"));
         }
         JournalEvent::TopEdges { edges, .. } => {
@@ -412,9 +405,9 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
                     out.push(',');
                 }
                 out.push_str(&format!("{{\"edge\":{},\"load\":", el.edge));
-                push_json_f64(out, el.load);
+                push_f64(out, el.load);
                 out.push_str(",\"utilization\":");
-                push_json_f64(out, el.utilization);
+                push_f64(out, el.utilization);
                 out.push('}');
             }
             out.push(']');
@@ -439,7 +432,7 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
             out.push_str(&format!(
                 ",\"admitted\":{admitted},\"cache_hit\":{cache_hit},\"congestion\":"
             ));
-            push_json_f64(out, *congestion);
+            push_f64(out, *congestion);
             out.push_str(&format!(
                 ",\"fallback_pairs\":{fallback_pairs},\"unserved_pairs\":{unserved_pairs},\
                  \"failed_edges\":{failed_edges},\"epoch_wall_ns\":{epoch_wall_ns}"
@@ -458,10 +451,10 @@ fn events_to_json(
     let mut out = String::with_capacity(256 + events.len() * 128);
     out.push_str("{\"format\":\"sor-journal/1\"");
     for (k, v) in meta {
-        // meta keys/values are caller-controlled identifiers and specs;
-        // escape the two characters that could break the document
-        let vq = v.replace('\\', "\\\\").replace('"', "\\\"");
-        out.push_str(&format!(",\"{k}\":\"{vq}\""));
+        out.push(',');
+        push_escaped(&mut out, k);
+        out.push(':');
+        push_escaped(&mut out, v);
     }
     out.push_str(&format!(",\"recorded\":{recorded},\"dropped\":{dropped}"));
     out.push_str(",\"events\":[");
@@ -869,11 +862,13 @@ mod tests {
     fn meta_values_are_escaped() {
         let j = Journal::new();
         j.record(JournalEvent::CacheHit { epoch: 0 });
-        let json = j.dump_json(&[("note", "say \"hi\" \\ bye")]);
+        let note = "say \"hi\" \\ bye\nnext\u{1}";
+        let json = j.dump_json(&[("note", note)]);
+        assert!(
+            json.contains(r#""note":"say \"hi\" \\ bye\nnext\u0001""#),
+            "{json}"
+        );
         let dump = parse_journal(&json).expect("escaped meta parses");
-        assert!(dump
-            .meta
-            .iter()
-            .any(|(k, v)| k == "note" && v == "say \"hi\" \\ bye"));
+        assert!(dump.meta.iter().any(|(k, v)| k == "note" && v == note));
     }
 }

@@ -1,9 +1,11 @@
 //! Hand-rolled JSON for [`crate::Snapshot`] (the registry is unreachable
-//! from CI, so no serde). The writer half serializes snapshots;
-//! the reader half ([`parse_json`] / [`JsonValue`]) is a small
-//! recursive-descent parser so the exports can be consumed back (the
-//! [`crate::snapshot`] reader, [`crate::parse_journal`], `sor-bench`'s
-//! perf baseline, round-trip tests).
+//! from CI, so no serde). The writer half serializes snapshots, and its
+//! string and number writers serve every other JSON document the crate
+//! writes (timeline, journal, forensics); the reader half ([`parse_json`]
+//! / [`JsonValue`]) is a small recursive-descent parser so the exports
+//! can be consumed back (the [`crate::snapshot`] reader,
+//! [`crate::parse_journal`], `sor-bench`'s perf baseline, round-trip
+//! tests).
 //!
 //! Output shape (all arrays name-sorted by construction, so two
 //! snapshots of the same run serialize identically):
@@ -12,22 +14,26 @@
 //! {
 //!   "meta": { "experiment": "e1" },
 //!   "counters":   [ { "name": "flow/mwu/phases", "value": 42 } ],
-//!   "histograms": [ { "name": "core/path/hops", "count": 7, "sum": 21.0,
-//!                     "buckets": [ { "le": 1.0, "count": 0 },
-//!                                  { "le": null, "count": 0 } ] } ],
+//!   "histograms": [ { "name": "core/path/hops", "count": 7, "sum": 20,
+//!                     "buckets": [ { "le": 2, "count": 3 },
+//!                                  { "le": 3.363585661014858, "count": 2 },
+//!                                  { "le": 4, "count": 2 } ] } ],
 //!   "spans":      [ { "path": ["sor/run", "hierarchy/build"],
 //!                     "calls": 1, "total_ns": 12345, "self_ns": 12000 } ]
 //! }
 //! ```
 //!
-//! `le: null` marks a histogram's overflow bucket; non-finite floats
-//! (which no metric should produce) serialize as `null` rather than
-//! emitting invalid JSON.
+//! A histogram lists only its occupied buckets, each under its inclusive
+//! upper edge `le` (see [`crate::LogHistogram::buckets`]). Non-finite
+//! floats (which no metric should produce) serialize as `null` rather
+//! than emitting invalid JSON.
 
 use crate::Snapshot;
 use std::fmt::Write as _;
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string, escaping `"`, `\` and control
+/// characters.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -45,7 +51,8 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
+/// Append `v` as a JSON number, or `null` when it is not finite.
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // Rust's Display for f64 is shortest-roundtrip; ensure the
         // token stays a JSON number (Display never emits exponents
@@ -98,10 +105,7 @@ pub(crate) fn snapshot_to_json(snap: &Snapshot, meta: &[(&str, &str)]) -> String
                 out.push_str(", ");
             }
             out.push_str("{ \"le\": ");
-            match b.le {
-                Some(le) => push_f64(&mut out, le),
-                None => out.push_str("null"),
-            }
+            push_f64(&mut out, b.le);
             let _ = write!(out, ", \"count\": {} }}", b.count);
         }
         out.push_str("] }");
@@ -474,11 +478,11 @@ mod tests {
             histograms: vec![HistogramSnapshot {
                 name: "h \"q\"".to_string(),
                 buckets: vec![
+                    BucketCount { le: 1.0, count: 2 },
                     BucketCount {
-                        le: Some(1.5),
-                        count: 2,
+                        le: 1.25f64.exp2(),
+                        count: 1,
                     },
-                    BucketCount { le: None, count: 1 },
                 ],
                 count: 3,
                 sum: 4.25,
@@ -498,8 +502,8 @@ mod tests {
         assert!(text.contains("\"experiment\": \"e1\""));
         assert!(text.contains("\"name\": \"a/b\", \"value\": 3"));
         assert!(text.contains("\"h \\\"q\\\"\""));
-        assert!(text.contains("{ \"le\": 1.5, \"count\": 2 }"));
-        assert!(text.contains("{ \"le\": null, \"count\": 1 }"));
+        assert!(text.contains("{ \"le\": 1, \"count\": 2 }"));
+        assert!(text.contains("{ \"le\": 2.378414230005442, \"count\": 1 }"));
         assert!(text.contains("\"sum\": 4.25"));
         assert!(text.contains("\"path\": [\"sor/run\", \"x\"], \"calls\": 2"));
         // balanced braces/brackets — cheap structural sanity check

@@ -15,7 +15,8 @@
 //! * **Counters and histograms** ([`count`], [`observe`], and the
 //!   cached-handle macros [`counter_add!`] and [`observe_into!`]) — a
 //!   lock-cheap sharded [`MetricsRegistry`] built on the vendored
-//!   `parking_lot`; counters are single atomics after registration.
+//!   `parking_lot`; counters are single atomics after registration, and
+//!   every histogram is a [`LogHistogram`].
 //! * **Leveled logging** ([`error!`], [`warn!`], [`info!`], [`debug!`])
 //!   routed through one process-wide sink, so `--quiet` can actually
 //!   silence the whole pipeline and tests can capture diagnostics.
@@ -41,12 +42,12 @@
 //! # Live telemetry (v2)
 //!
 //! On top of the cumulative registry sit the pieces a long-running
-//! server needs: [`loghist`] (log-bucketed streaming percentiles),
-//! [`timeline`] (a bounded ring of per-epoch records), [`slo`]
-//! (declarative threshold watchdogs), and [`expose`] (Prometheus-style
-//! text exposition over a plain TCP scrape thread). All of it is
-//! read-only over recorded data — live telemetry can never perturb the
-//! bit-determinism contract.
+//! server needs: [`loghist`] (the registry's histogram type, here also
+//! giving streaming percentiles), [`timeline`] (a bounded ring of
+//! per-epoch records), [`slo`] (declarative threshold watchdogs), and
+//! [`expose`] (Prometheus-style text exposition over a plain TCP scrape
+//! thread). All of it is read-only over recorded data — live telemetry
+//! can never perturb the bit-determinism contract.
 //!
 //! # Flight recorder & forensics (v3)
 //!
@@ -89,7 +90,7 @@ pub use logging::{
 pub use loghist::LogHistogram;
 pub use metrics::{
     count, count_usize, counter, histogram, observe, registry, BucketCount, Counter,
-    CounterSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, POW2_BUCKETS, RATIO_BUCKETS,
+    CounterSnapshot, HistogramSnapshot, MetricsRegistry,
 };
 pub use slo::{HealthSummary, SloBreach, SloConfig, SloInputs, SloWatchdog, SLO_RULES};
 pub use span::{phase_report, render_phase_tree, span, Span, SpanSnapshot};
@@ -177,17 +178,16 @@ macro_rules! counter_add {
     };
 }
 
-/// Record a value into a named fixed-bucket histogram through a
-/// call-site-cached handle (see [`counter_add!`]). `$bounds` are the
-/// inclusive bucket upper edges used at first registration. No-op while
-/// capture is disabled.
+/// Record a value into a named [`LogHistogram`] through a
+/// call-site-cached handle (see [`counter_add!`]). No-op while capture
+/// is disabled.
 #[macro_export]
 macro_rules! observe_into {
-    ($name:expr, $bounds:expr, $value:expr) => {{
+    ($name:expr, $value:expr) => {{
         if $crate::enabled() {
-            static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
+            static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::LogHistogram>> =
                 ::std::sync::OnceLock::new();
-            CELL.get_or_init(|| $crate::histogram($name, $bounds))
+            CELL.get_or_init(|| $crate::histogram($name))
                 .observe($value);
         }
     }};
@@ -212,7 +212,7 @@ mod tests {
         let _guard = crate::metrics::test_lock();
         set_enabled(false);
         counter_add!("lib/test/disabled_counter");
-        observe_into!("lib/test/disabled_histo", &[1.0, 2.0], 1.5);
+        observe_into!("lib/test/disabled_histo", 1.5);
         let snap = snapshot();
         assert!(!snap
             .counters
@@ -230,7 +230,7 @@ mod tests {
         set_enabled(true);
         counter_add!("lib/test/macro_counter", 3);
         counter_add!("lib/test/macro_counter");
-        observe_into!("lib/test/macro_histo", &[1.0, 2.0], 1.5);
+        observe_into!("lib/test/macro_histo", 1.5);
         set_enabled(false);
         let snap = snapshot();
         let c = snap

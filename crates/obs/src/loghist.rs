@@ -1,31 +1,34 @@
-//! Log-bucketed streaming percentiles for wall durations.
+//! Log-bucketed histograms: the one histogram type in the process.
 //!
-//! [`LogHistogram`] is a log-bucketed histogram (geometric
-//! buckets, [`SUB_BUCKETS`] per doubling) whose quantile estimates are
-//! within one bucket — a factor `2^(1/SUB_BUCKETS)` — of the exact
-//! sorted-sample quantile. Recording is a couple of relaxed atomic
-//! adds, so it is safe on the epoch path.
+//! [`LogHistogram`] has geometric buckets, [`SUB_BUCKETS`] per doubling,
+//! whose edges are inclusive upper bounds, so each edge is a Prometheus
+//! `le`. The metrics registry's histogram cells (path hops, queue
+//! depths) and the serve observer's wall-time histograms are all
+//! `LogHistogram`s. Quantile estimates are within one bucket — a factor
+//! `2^(1/SUB_BUCKETS)` — of the exact sorted-sample quantile. Recording
+//! is a couple of relaxed atomic adds, so it is safe on the epoch path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Log-histogram resolution: buckets per doubling of the value. Bucket
-/// `i` covers `[2^(i/SUB_BUCKETS), 2^((i+1)/SUB_BUCKETS))`, so a
+/// `i > 0` covers `(2^((i-1)/SUB_BUCKETS), 2^(i/SUB_BUCKETS)]`, so a
 /// quantile estimate is within a factor `2^(1/SUB_BUCKETS)` (~19%) of
 /// the exact value — one bucket.
 pub const SUB_BUCKETS: usize = 4;
 
-/// Number of log buckets: covers `[1, 2^64)`, i.e. nanosecond latencies
-/// up to several centuries.
-const NUM_LOG_BUCKETS: usize = 64 * SUB_BUCKETS;
+/// Number of log buckets: bucket 0 holds exactly 1, and the rest cover
+/// `(1, 2^64]`, i.e. nanosecond latencies up to several centuries.
+/// Larger values clamp into the last bucket.
+const NUM_LOG_BUCKETS: usize = 64 * SUB_BUCKETS + 1;
 
-/// A log-bucketed histogram for streaming percentiles (p50/p90/p99/p999
-/// of epoch wall, re-opt wall, cache lookup, queue wait). Values below 1
-/// land in a dedicated underflow bucket; recording is lock-free (relaxed
-/// atomic adds), and quantiles come from a cumulative walk.
+/// A log-bucketed histogram: counts per inclusive upper edge
+/// `2^(i/SUB_BUCKETS)`, plus the count and sum, all lock-free (relaxed
+/// atomic adds). Values below 1 and non-finite ones have no log bucket;
+/// they form the underflow bucket, which shares edge 1 with bucket 0 and
+/// so is counted in it. Quantiles come from a cumulative walk.
 #[derive(Debug)]
 pub struct LogHistogram {
     buckets: Vec<AtomicU64>,
-    underflow: AtomicU64,
     count: AtomicU64,
     sum_bits: AtomicU64,
 }
@@ -34,16 +37,17 @@ impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram {
             buckets: (0..NUM_LOG_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            underflow: AtomicU64::new(0),
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
 }
 
-/// Bucket index of a value `>= 1`; values below 1 (or non-finite) have
-/// no log bucket and live in the underflow bucket. Public so tests can
-/// assert the "within one bucket" quantile contract.
+/// Bucket index of a value `>= 1`: `⌈SUB_BUCKETS·log₂ v⌉`, so a value
+/// exactly on an edge lands in the bucket that edge closes. Values below
+/// 1 (or non-finite) have no log bucket and live in the underflow
+/// bucket. Public so tests can assert the "within one bucket" quantile
+/// contract.
 pub fn log_bucket_of(v: f64) -> Option<usize> {
     if !v.is_finite() || v < 1.0 {
         return None;
@@ -51,14 +55,14 @@ pub fn log_bucket_of(v: f64) -> Option<usize> {
     #[allow(clippy::cast_precision_loss)]
     let scaled = v.log2() * SUB_BUCKETS as f64;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let idx = scaled.floor().max(0.0) as usize;
+    let idx = scaled.ceil() as usize;
     Some(idx.min(NUM_LOG_BUCKETS - 1))
 }
 
-/// Inclusive-exclusive upper edge of log bucket `i`.
+/// Inclusive upper edge of log bucket `i`: `2^(i/SUB_BUCKETS)`.
 fn log_bucket_upper(i: usize) -> f64 {
     #[allow(clippy::cast_precision_loss)]
-    let exp = (i + 1) as f64 / SUB_BUCKETS as f64;
+    let exp = i as f64 / SUB_BUCKETS as f64;
     exp.exp2()
 }
 
@@ -69,13 +73,10 @@ impl LogHistogram {
     }
 
     /// Record one observation (a couple of relaxed atomic adds; safe on
-    /// the epoch path).
+    /// the epoch path). The underflow bucket counts in bucket 0.
     pub fn observe(&self, v: f64) {
-        match log_bucket_of(v) {
-            // sor-check: allow(panic-path) — log_bucket_of clamps below the bucket count
-            Some(i) => self.buckets[i].fetch_add(1, Ordering::Relaxed),
-            None => self.underflow.fetch_add(1, Ordering::Relaxed),
-        };
+        // sor-check: allow(panic-path) — log_bucket_of clamps below the bucket count
+        self.buckets[log_bucket_of(v).unwrap_or(0)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         let add = if v.is_finite() { v } else { 0.0 };
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
@@ -103,6 +104,17 @@ impl LogHistogram {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
+    /// The occupied buckets as (inclusive upper edge, count), edges
+    /// ascending. Values below 1 and non-finite ones count under edge 1.
+    pub fn buckets(&self) -> Vec<(f64, u64)> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (log_bucket_upper(i), b.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    }
+
     /// Quantile estimate for `q` in `[0, 1]`: the upper edge of the
     /// bucket holding the rank-`⌈q·count⌉` observation (1.0 for the
     /// underflow bucket). `None` when empty. Within one log bucket of
@@ -116,10 +128,7 @@ impl LogHistogram {
         let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let rank = rank as u64;
-        let mut seen = self.underflow.load(Ordering::Relaxed);
-        if seen >= rank {
-            return Some(1.0);
-        }
+        let mut seen = 0;
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
@@ -127,7 +136,7 @@ impl LogHistogram {
             }
         }
         // Counts raced ahead of buckets under concurrent recording;
-        // answer with the largest occupied edge.
+        // answer with the largest edge.
         Some(log_bucket_upper(NUM_LOG_BUCKETS - 1))
     }
 
@@ -140,6 +149,16 @@ impl LogHistogram {
             self.quantile(0.99)?,
             self.quantile(0.999)?,
         ))
+    }
+
+    /// Zero the histogram in place, so a handle the registry handed out
+    /// keeps counting into a live cell.
+    pub(crate) fn reset(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -179,6 +198,33 @@ mod tests {
         h.observe(2.0);
         assert!(h.quantile(0.5).is_some());
         assert!(h.tail_summary().is_some());
+    }
+
+    #[test]
+    fn buckets_are_upper_inclusive_and_reset_empties_them() {
+        let h = LogHistogram::new();
+        for v in [0.0, 1.0, 2.0, 3.0, 4.0, 4.0] {
+            h.observe(v);
+        }
+        // 0 (underflow) and 1 share edge 1; 2 and 4 sit exactly on
+        // edges and count there, not one bucket up
+        assert_eq!(
+            h.buckets(),
+            vec![(1.0, 2), (2.0, 1), (1.75f64.exp2(), 1), (4.0, 2)]
+        );
+        h.reset();
+        assert_eq!(h.buckets(), Vec::new());
+        assert_eq!((h.count(), h.sum()), (0, 0.0));
+    }
+
+    #[test]
+    fn every_power_of_two_lands_in_the_bucket_it_closes() {
+        for k in 0..=64 {
+            let v = f64::from(k).exp2();
+            let i = usize::try_from(k).expect("small") * SUB_BUCKETS;
+            assert_eq!(log_bucket_of(v), Some(i), "2^{k}");
+            assert_eq!(log_bucket_upper(i), v);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The sharded metrics registry: monotonic counters and fixed-bucket
-//! histograms.
+//! The sharded metrics registry: monotonic counters and log-bucketed
+//! histograms ([`LogHistogram`]).
 //!
 //! Registration (name → cell) goes through one of `SHARDS` mutex-guarded
 //! maps picked by an FNV-1a hash of the metric name, so unrelated metrics
@@ -11,7 +11,7 @@
 //! increment is one relaxed atomic load (the [`crate::enabled`] guard)
 //! plus one atomic add.
 
-use crate::Snapshot;
+use crate::LogHistogram;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,15 +20,6 @@ use std::sync::{Arc, OnceLock};
 /// Number of registry shards (power of two; metric names hash across
 /// them so registration of unrelated metrics never contends).
 const SHARDS: usize = 16;
-
-/// Power-of-two bucket edges for small nonnegative counts (hop lengths,
-/// queue depths): `≤1, ≤2, ≤4, …, ≤128`, plus the implicit overflow
-/// bucket.
-pub const POW2_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
-
-/// Geometric bucket edges around 1.0 for ratio-like values (per-edge
-/// load / congestion): `≤⅛ … ≤32`, plus the implicit overflow bucket.
-pub const RATIO_BUCKETS: [f64; 9] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
 /// A monotonic event counter.
 #[derive(Debug, Default)]
@@ -59,98 +50,12 @@ impl Counter {
     }
 }
 
-/// A fixed-bucket histogram: `bounds` are inclusive upper edges; one
-/// extra overflow bucket catches everything above the last edge. The sum
-/// is kept as `f64` bits in an atomic, updated by compare-exchange, so
-/// recording stays lock-free.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        debug_assert!(
-            bounds.iter().all(|b| b.is_finite()),
-            "histogram bounds must be finite — the overflow bucket (le: null / le=\"+Inf\") \
-             is implicit and always present"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Record one observation. A value exactly on a bucket edge lands in
-    /// that bucket (edges are inclusive upper bounds); values above the
-    /// last edge land in the overflow bucket.
-    pub fn observe(&self, v: f64) {
-        let idx = self.bounds.partition_point(|b| *b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// The inclusive upper edges this histogram was registered with.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts, aligned with [`Histogram::bounds`] plus one
-    /// overflow bucket at the end.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// One bucket of a [`HistogramSnapshot`]: the inclusive upper edge
-/// (`None` = overflow bucket) and the count that landed in it.
+/// One occupied bucket of a [`HistogramSnapshot`]: the inclusive upper
+/// edge and the count that landed in it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BucketCount {
-    /// Inclusive upper edge; `None` for the overflow bucket.
-    pub le: Option<f64>,
+    /// Inclusive upper edge.
+    pub le: f64,
     /// Observations in this bucket.
     pub count: u64,
 }
@@ -169,7 +74,7 @@ pub struct CounterSnapshot {
 pub struct HistogramSnapshot {
     /// Registered metric name.
     pub name: String,
-    /// Per-bucket edges and counts (overflow bucket last).
+    /// The occupied buckets, edges ascending.
     pub buckets: Vec<BucketCount>,
     /// Total observations.
     pub count: u64,
@@ -180,7 +85,7 @@ pub struct HistogramSnapshot {
 #[derive(Default)]
 struct Shard {
     counters: Mutex<HashMap<&'static str, Arc<Counter>>>,
-    histograms: Mutex<HashMap<&'static str, Arc<Histogram>>>,
+    histograms: Mutex<HashMap<&'static str, Arc<LogHistogram>>>,
 }
 
 /// The process-wide sharded metrics store. Use [`registry`] for the
@@ -221,17 +126,10 @@ impl MetricsRegistry {
         )
     }
 
-    /// Get or register the histogram `name` with inclusive upper edges
-    /// `bounds` (used only at first registration).
-    pub fn histogram(&self, name: &'static str, bounds: &[f64]) -> Arc<Histogram> {
+    /// Get or register the histogram `name`.
+    pub fn histogram(&self, name: &'static str) -> Arc<LogHistogram> {
         let shard = &self.shards[shard_of(name)];
-        Arc::clone(
-            shard
-                .histograms
-                .lock()
-                .entry(name)
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        )
+        Arc::clone(shard.histograms.lock().entry(name).or_default())
     }
 
     /// Zero every counter and histogram in place (handles stay valid).
@@ -266,18 +164,13 @@ impl MetricsRegistry {
         let mut out = Vec::new();
         for shard in &self.shards {
             for (name, h) in shard.histograms.lock().iter() {
-                let counts = h.bucket_counts();
-                let buckets = h
-                    .bounds()
-                    .iter()
-                    .map(|&b| Some(b))
-                    .chain(std::iter::once(None))
-                    .zip(counts)
-                    .map(|(le, count)| BucketCount { le, count })
-                    .collect();
                 out.push(HistogramSnapshot {
                     name: (*name).to_string(),
-                    buckets,
+                    buckets: h
+                        .buckets()
+                        .into_iter()
+                        .map(|(le, count)| BucketCount { le, count })
+                        .collect(),
                     count: h.count(),
                     sum: h.sum(),
                 });
@@ -285,16 +178,6 @@ impl MetricsRegistry {
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
-    }
-
-    /// Full registry + span-tree snapshot (the export object of the
-    /// `--metrics-out` flag and the `BENCH_*.json` files).
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counter_snapshots(),
-            histograms: self.histogram_snapshots(),
-            spans: crate::span::span_snapshots(),
-        }
     }
 }
 
@@ -312,8 +195,8 @@ pub fn counter(name: &'static str) -> Arc<Counter> {
 }
 
 /// Get or register the global histogram `name`.
-pub fn histogram(name: &'static str, bounds: &[f64]) -> Arc<Histogram> {
-    registry().histogram(name, bounds)
+pub fn histogram(name: &'static str) -> Arc<LogHistogram> {
+    registry().histogram(name)
 }
 
 /// Add `n` to counter `name` if capture is enabled (registering it on
@@ -332,13 +215,12 @@ pub fn count_usize(name: &'static str, n: usize) {
     count(name, u64::try_from(n).unwrap_or(u64::MAX));
 }
 
-/// Record `v` into histogram `name` if capture is enabled, registering
-/// with `bounds` on first touch. For hot loops prefer
-/// [`crate::observe_into!`].
+/// Record `v` into histogram `name` if capture is enabled (registering
+/// it on first touch). For hot loops prefer [`crate::observe_into!`].
 #[inline]
-pub fn observe(name: &'static str, bounds: &[f64], v: f64) {
+pub fn observe(name: &'static str, v: f64) {
     if crate::enabled() {
-        registry().histogram(name, bounds).observe(v);
+        registry().histogram(name).observe(v);
     }
 }
 
@@ -366,57 +248,41 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_edges_are_inclusive() {
-        let h = Histogram::new(&[1.0, 2.0, 4.0]);
-        h.observe(0.5); // ≤1
-        h.observe(1.0); // ≤1 (exactly on the edge)
-        h.observe(1.0000001); // ≤2
-        h.observe(2.0); // ≤2
-        h.observe(4.0); // ≤4
-        h.observe(100.0); // overflow
-        assert_eq!(h.bucket_counts(), vec![2, 2, 1, 1]);
-        assert_eq!(h.count(), 6);
-        assert!((h.sum() - (0.5 + 1.0 + 1.0000001 + 2.0 + 4.0 + 100.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_extreme_values() {
-        let h = Histogram::new(&[1.0]);
-        h.observe(0.0);
-        h.observe(-3.0); // below every edge → first bucket
-        h.observe(f64::INFINITY); // overflow bucket
-        assert_eq!(h.bucket_counts(), vec![2, 1]);
-    }
-
-    #[test]
     fn registry_snapshot_is_sorted_and_complete() {
         let r = MetricsRegistry::default();
         r.counter("metrics/test/b").inc();
         r.counter("metrics/test/a").add(2);
-        r.histogram("metrics/test/h", &[1.0]).observe(0.5);
+        r.histogram("metrics/test/h").observe(0.5);
         let counters = r.counter_snapshots();
         let names: Vec<&str> = counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["metrics/test/a", "metrics/test/b"]);
         let histos = r.histogram_snapshots();
         assert_eq!(histos.len(), 1);
-        assert_eq!(histos[0].buckets.len(), 2);
-        assert_eq!(histos[0].buckets[1].le, None);
+        // a value below 1 is the underflow bucket, at edge 1
+        assert_eq!(histos[0].buckets, vec![BucketCount { le: 1.0, count: 1 }]);
     }
 
     #[test]
     fn reset_zeroes_in_place() {
         let r = MetricsRegistry::default();
         let c = r.counter("metrics/test/reset");
-        let h = r.histogram("metrics/test/reset_h", &[1.0]);
+        let h = r.histogram("metrics/test/reset_h");
         c.add(7);
         h.observe(0.5);
+        h.observe(300.0);
         r.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum(), 0.0);
+        assert!(h.buckets().is_empty());
         // cells survive the reset
         c.inc();
         assert_eq!(r.counter("metrics/test/reset").get(), 1);
+        h.observe(2.0);
+        assert_eq!(
+            r.histogram("metrics/test/reset_h").buckets(),
+            vec![(2.0, 1)]
+        );
     }
 
     #[test]

@@ -1,37 +1,20 @@
 //! Snapshot reader: the other half of the JSON export in `crate::json`.
 //!
-//! [`parse_snapshot`] reads an exported document back into a
-//! [`Snapshot`] plus its `meta` fields, and [`snapshot_from_value`] does
-//! the same for a snapshot embedded in a larger document, such as a
-//! bench entry of `sor-bench`'s `BENCH_BASELINE.json`. Comparing
-//! snapshots is the perf gate's job and lives with it in `sor-bench`.
+//! [`snapshot_from_value`] reads a parsed export (see
+//! [`crate::parse_json`]) back into a [`Snapshot`]: a whole
+//! `--metrics-out` document, or a snapshot embedded in a larger one,
+//! such as a bench entry of `sor-bench`'s `BENCH_BASELINE.json`.
+//! Comparing snapshots is the perf gate's job and lives with it in
+//! `sor-bench`.
 
-use crate::json::{parse_json, JsonValue};
+use crate::json::JsonValue;
 use crate::{BucketCount, CounterSnapshot, HistogramSnapshot, Snapshot, SpanSnapshot};
-
-/// Parse an exported snapshot document (as produced by
-/// [`Snapshot::to_json_with_meta`]) back into the snapshot plus its
-/// `meta` string fields. `sum: null` / `le: null` from non-finite floats
-/// map back to `NaN` (sums) and the overflow bucket (edges).
-pub fn parse_snapshot(text: &str) -> Result<(Snapshot, Vec<(String, String)>), String> {
-    let doc = parse_json(text).map_err(|e| e.to_string())?;
-    let snap = snapshot_from_value(&doc)?;
-    let mut meta = Vec::new();
-    if let Some(members) = doc.get("meta").and_then(JsonValue::as_obj) {
-        for (k, v) in members {
-            let v = v
-                .as_str()
-                .ok_or_else(|| format!("meta field '{k}' is not a string"))?;
-            meta.push((k.clone(), v.to_string()));
-        }
-    }
-    Ok((snap, meta))
-}
 
 /// Reconstruct a [`Snapshot`] from a parsed JSON document with the
 /// export's `counters` / `histograms` / `spans` sections. Usable on a
 /// nested [`JsonValue`] too (e.g. a snapshot embedded in a larger
-/// baseline document).
+/// baseline document). A `sum: null` (the writer's non-finite sum) reads
+/// back as `NaN`; a bucket edge `le` must be a finite number.
 pub fn snapshot_from_value(doc: &JsonValue) -> Result<Snapshot, String> {
     let counters = doc
         .get("counters")
@@ -96,16 +79,11 @@ fn histogram_from_value(v: &JsonValue) -> Result<HistogramSnapshot, String> {
         .ok_or_else(|| format!("histogram '{name}': missing 'buckets' array"))?
         .iter()
         .map(|b| {
-            let le = match b.get("le") {
-                Some(JsonValue::Null) => None,
-                // a non-finite edge (e.g. an overlarge literal that
-                // parsed to inf) is the overflow bucket, same as null —
-                // it must never round-trip into a Some(inf)/NaN edge
-                x => x
-                    .and_then(JsonValue::as_f64)
-                    .map(|x| x.is_finite().then_some(x))
-                    .ok_or_else(|| format!("histogram '{name}': bucket missing 'le'"))?,
-            };
+            let le = b
+                .get("le")
+                .and_then(JsonValue::as_f64)
+                .filter(|le| le.is_finite())
+                .ok_or_else(|| format!("histogram '{name}': bucket 'le' is not a finite number"))?;
             Ok(BucketCount {
                 le,
                 count: u64_field(b, "count")?,
@@ -143,6 +121,7 @@ fn span_from_value(v: &JsonValue) -> Result<SpanSnapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_json;
 
     fn snap() -> Snapshot {
         Snapshot {
@@ -159,14 +138,14 @@ mod tests {
             histograms: vec![HistogramSnapshot {
                 name: "core/path/hops".to_string(),
                 buckets: vec![
+                    BucketCount { le: 2.0, count: 3 },
                     BucketCount {
-                        le: Some(2.0),
-                        count: 3,
+                        le: 1.75f64.exp2(),
+                        count: 1,
                     },
-                    BucketCount { le: None, count: 1 },
                 ],
                 count: 4,
-                sum: 11.5,
+                sum: 9.0,
             }],
             spans: vec![SpanSnapshot {
                 path: vec!["bench/run".to_string(), "frt/tree".to_string()],
@@ -177,21 +156,17 @@ mod tests {
         }
     }
 
+    fn read(text: &str) -> Result<Snapshot, String> {
+        snapshot_from_value(&parse_json(text).map_err(|e| e.to_string())?)
+    }
+
     #[test]
     fn round_trip_through_reader() {
         let s = snap();
-        let text = s.to_json_with_meta(&[("experiment", "e1"), ("quick", "true")]);
-        let (back, meta) = parse_snapshot(&text).expect("parses");
+        let back = read(&s.to_json_with_meta(&[("experiment", "e1")])).expect("parses");
         assert_eq!(back.counters, s.counters);
         assert_eq!(back.histograms, s.histograms);
         assert_eq!(back.spans, s.spans);
-        assert_eq!(
-            meta,
-            vec![
-                ("experiment".to_string(), "e1".to_string()),
-                ("quick".to_string(), "true".to_string())
-            ]
-        );
     }
 
     #[test]
@@ -200,40 +175,29 @@ mod tests {
         s.histograms[0].sum = f64::INFINITY;
         let text = s.to_json();
         assert!(text.contains("\"sum\": null"));
-        let (back, _) = parse_snapshot(&text).expect("parses");
+        let back = read(&text).expect("parses");
         assert!(back.histograms[0].sum.is_nan());
     }
 
     #[test]
-    fn overflow_bucket_round_trips_without_nan() {
-        // writer: le: None renders as null; reader: null (or any
-        // non-finite numeric edge a foreign writer emits) maps back to
-        // None — never Some(inf)/NaN
-        let s = snap();
-        let text = s.to_json();
-        assert!(text.contains("\"le\": null"));
-        let (back, _) = parse_snapshot(&text).expect("parses");
-        assert_eq!(back.histograms[0].buckets[1].le, None);
-        assert!(back.histograms[0]
-            .buckets
-            .iter()
-            .all(|b| b.le.is_none() || b.le.is_some_and(f64::is_finite)));
-        // a foreign exposition that wrote an overlarge literal (parses
-        // to +inf) still lands in the overflow bucket
-        let foreign = text.replace("\"le\": null", "\"le\": 1e999");
-        let (back2, _) = parse_snapshot(&foreign).expect("parses");
-        assert_eq!(back2.histograms, s.histograms);
-        // and the Prometheus exposition of the round-tripped snapshot
-        // renders the overflow bucket as +Inf, not NaN
-        let prom = crate::render_prometheus(&back, &crate::PromGauges::new());
-        assert!(prom.contains("le=\"+Inf\""));
-        assert!(!prom.contains("NaN"));
+    fn bucket_edges_must_be_finite_numbers() {
+        let text = snap().to_json();
+        assert!(text.contains("{ \"le\": 2, \"count\": 3 }"));
+        // null, an overlarge literal that parses to +inf, and a missing
+        // edge are all errors naming the histogram
+        for bad in ["{ \"le\": null,", "{ \"le\": 1e999,", "{"] {
+            let err = read(&text.replacen("{ \"le\": 2,", bad, 1)).expect_err(bad);
+            assert!(
+                err.contains("core/path/hops") && err.contains("'le'"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn parse_errors_name_the_problem() {
-        assert!(parse_snapshot("{").is_err());
-        assert!(parse_snapshot("{\"meta\": {}}")
+        assert!(read("{").is_err());
+        assert!(read("{\"meta\": {}}")
             .expect_err("no sections")
             .contains("counters"));
     }

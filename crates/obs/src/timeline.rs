@@ -12,6 +12,7 @@
 //! Everything here is plain recorded data — the timeline never feeds
 //! back into routing, so it cannot perturb the bit-determinism contract.
 
+use crate::json::{push_escaped, push_f64};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
@@ -203,14 +204,6 @@ fn render_records_json(records: &[EpochRecord]) -> String {
     out
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_record_json(out: &mut String, r: &EpochRecord) {
     out.push_str(&format!(
         "{{\"epoch\":{},\"admitted\":{},\"rejected\":{},\"cache_hit\":{},",
@@ -241,10 +234,7 @@ fn push_record_json(out: &mut String, r: &EpochRecord) {
         if i > 0 {
             out.push(',');
         }
-        // rule names are identifiers; no escaping needed beyond quoting
-        out.push('"');
-        out.push_str(b);
-        out.push('"');
+        push_escaped(out, b);
     }
     out.push_str("]}");
 }

@@ -61,7 +61,7 @@ fn threads_hammering_macros_sum_exactly() {
                     sor_obs::counter_add!("conc/hammer/weighted", t + 1);
                     #[allow(clippy::cast_precision_loss)]
                     let value = i as f64;
-                    sor_obs::observe_into!("conc/hammer/histo", &[64.0, 4096.0], value);
+                    sor_obs::observe_into!("conc/hammer/histo", value);
                 }
             });
         }
@@ -82,11 +82,18 @@ fn threads_hammering_macros_sum_exactly() {
         .iter()
         .find(|h| h.name == "conc/hammer/histo")
         .expect("registered");
-    // per-bucket counts are exact too: values 0..ITERS, le edges 64/4096
-    assert_eq!(h.buckets[0].count, THREADS * 65); // 0..=64
-    assert_eq!(h.buckets[1].count, THREADS * (4096 - 64)); // 65..=4096
-    assert_eq!(h.buckets[2].count, THREADS * (ITERS - 4097)); // overflow
-                                                              // sum of 0..ITERS per thread, exact in f64 well below 2^53
+    // per-bucket counts are exact too: a single-threaded histogram fed
+    // the same values has the same buckets
+    let want = sor_obs::LogHistogram::new();
+    for _ in 0..THREADS {
+        for i in 0..ITERS {
+            #[allow(clippy::cast_precision_loss)]
+            want.observe(i as f64);
+        }
+    }
+    let got: Vec<(f64, u64)> = h.buckets.iter().map(|b| (b.le, b.count)).collect();
+    assert_eq!(got, want.buckets());
+    // sum of 0..ITERS per thread, exact in f64 well below 2^53
     #[allow(clippy::cast_precision_loss)]
     let expect_sum = (THREADS * ITERS * (ITERS - 1) / 2) as f64;
     assert!((h.sum - expect_sum).abs() < 1e-6);
@@ -100,7 +107,7 @@ fn reset_mid_flight_keeps_cached_handles_valid() {
 
     // Prime the call-site OnceLock caches.
     sor_obs::counter_add!("conc/reset/counter");
-    sor_obs::observe_into!("conc/reset/histo", &[10.0], 1.0);
+    sor_obs::observe_into!("conc/reset/histo", 1.0);
 
     // Hammer through the *same cached handles* while another thread
     // resets concurrently: every add must land in a live cell (no lost
@@ -111,7 +118,7 @@ fn reset_mid_flight_keeps_cached_handles_valid() {
             s.spawn(|| {
                 for _ in 0..ITERS {
                     sor_obs::counter_add!("conc/reset/counter");
-                    sor_obs::observe_into!("conc/reset/histo", &[10.0], 1.0);
+                    sor_obs::observe_into!("conc/reset/histo", 1.0);
                 }
             });
         }
@@ -131,7 +138,7 @@ fn reset_mid_flight_keeps_cached_handles_valid() {
     }
     assert_eq!(counter_value("conc/reset/counter"), ITERS);
     assert_eq!(histogram_count("conc/reset/histo"), 0);
-    sor_obs::observe_into!("conc/reset/histo", &[10.0], 3.0);
+    sor_obs::observe_into!("conc/reset/histo", 3.0);
     assert_eq!(histogram_count("conc/reset/histo"), 1);
     sor_obs::set_enabled(false);
 }

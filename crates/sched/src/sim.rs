@@ -216,11 +216,7 @@ pub fn try_simulate_released(
             let deferred = packets.len().saturating_sub(budget);
             max_queue = max_queue.max(deferred);
             sor_obs::count_usize("sched/deferred", deferred);
-            sor_obs::observe_into!(
-                "sched/queue_depth",
-                &sor_obs::POW2_BUCKETS,
-                packets.len() as f64
-            );
+            sor_obs::observe_into!("sched/queue_depth", packets.len() as f64);
             if packets.len() > budget {
                 if dynamic_longest {
                     // more hops left wins; ties by id for determinism

@@ -423,7 +423,7 @@ impl Engine {
         sor_obs::count_usize("serve/requests_admitted", admitted.len());
         #[allow(clippy::cast_precision_loss)]
         let depth = self.queue.len() as f64;
-        sor_obs::observe_into!("serve/queue_depth", &sor_obs::POW2_BUCKETS, depth);
+        sor_obs::observe_into!("serve/queue_depth", depth);
         if admitted.is_empty() {
             return EpochSnapshot::empty(epoch, self.queue.len());
         }

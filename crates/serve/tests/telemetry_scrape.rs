@@ -127,7 +127,7 @@ fn scrape_endpoint_serves_metrics_timeline_and_health() {
     );
     assert!(
         body.contains("le=\"+Inf\""),
-        "histogram exposition lacks the +Inf overflow bucket"
+        "histogram exposition lacks its closing le=\"+Inf\" bucket"
     );
     assert!(body.contains("# TYPE"), "exposition lacks TYPE metadata");
     assert!(

@@ -143,10 +143,31 @@ fn instrumented_run_meets_coverage_bar() {
     assert!(rendered.contains("test/pipeline"));
     assert!(obs::phase_report().contains("test/pipeline"));
 
-    // JSON export carries the same inventory.
+    // Each histogram lists its occupied buckets under strictly ascending
+    // edges, and they account for every observation.
+    for want in ["core/path/hops", "sched/queue_depth"] {
+        assert!(snap.histograms.iter().any(|h| h.name == want), "no {want}");
+    }
+    for h in &snap.histograms {
+        assert!(
+            h.buckets.windows(2).all(|w| w[0].le < w[1].le),
+            "{}: {:?}",
+            h.name,
+            h.buckets
+        );
+        let in_buckets: u64 = h.buckets.iter().map(|b| b.count).sum();
+        assert_eq!(in_buckets, h.count, "{}", h.name);
+    }
+
+    // JSON export carries the same inventory and reads back unchanged.
     let json = snap.to_json();
     assert!(json.contains("\"counters\""));
     assert!(json.contains("flow/restricted/phases"));
+    let doc = obs::parse_json(&json).expect("export parses");
+    let back = obs::snapshot::snapshot_from_value(&doc).expect("export reads back");
+    assert_eq!(back.counters, snap.counters);
+    assert_eq!(back.histograms, snap.histograms);
+    assert_eq!(back.spans, snap.spans);
 }
 
 #[test]
@@ -162,21 +183,35 @@ fn metrics_registry_surface() {
     obs::count_usize("test/api/counter", 3);
     assert_eq!(c.get(), 6);
 
-    let h: std::sync::Arc<obs::Histogram> = obs::histogram("test/api/ratio", &obs::RATIO_BUCKETS);
+    let h: std::sync::Arc<obs::LogHistogram> = obs::histogram("test/api/ratio");
     h.observe(0.5);
-    obs::observe("test/api/ratio", &obs::RATIO_BUCKETS, 100.0); // overflow bucket
+    obs::observe("test/api/ratio", 100.0);
 
     let reg: &obs::MetricsRegistry = obs::registry();
-    let snap = reg.snapshot();
+    assert!(reg
+        .counter_snapshots()
+        .iter()
+        .any(|c| c.name == "test/api/counter" && c.value == 6));
+    let snap = obs::snapshot();
     let hs = snap
         .histograms
         .iter()
         .find(|h| h.name == "test/api/ratio")
         .expect("histogram registered");
     assert_eq!(hs.count, 2);
-    let overflow: &obs::BucketCount = hs.buckets.last().expect("overflow bucket");
-    assert!(overflow.le.is_none());
-    assert_eq!(overflow.count, 1);
+    // 0.5 is the underflow bucket, at edge 1; 100 lands in the log
+    // bucket (2^6.5, 2^6.75], the first whose edge is above 100
+    let buckets: &[obs::BucketCount] = &hs.buckets;
+    assert_eq!(
+        buckets,
+        [
+            obs::BucketCount { le: 1.0, count: 1 },
+            obs::BucketCount {
+                le: 6.75f64.exp2(),
+                count: 1
+            },
+        ]
+    );
 
     obs::set_enabled(false);
 }

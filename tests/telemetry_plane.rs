@@ -45,7 +45,7 @@ fn observer_constants_and_stores_describe_the_plane() {
     // as they stand; per-epoch rates are the scraper's to derive
     let observer = Observer::default();
     obs::counter_add!("umbrella/ticked", 5);
-    obs::observe_into!("umbrella/obs_hist", &obs::POW2_BUCKETS, 3.0);
+    obs::observe_into!("umbrella/obs_hist", 3.0);
     let text = observer.metrics();
     obs::set_enabled(false);
     assert!(text.contains("# TYPE sor_umbrella_ticked counter\nsor_umbrella_ticked 5\n"));
