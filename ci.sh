@@ -173,8 +173,13 @@ cargo run -q --release --bin sor -- serve --graph expander:16x4 \
   --timeline-out target/journal/timeline.json > target/journal/attached.out
 cmp target/journal/plain.out target/journal/attached.out
 test -s target/journal/journal.json
-grep -q '"sor-journal/1"' target/journal/journal.json
+grep -q '"sor-journal/2"' target/journal/journal.json
 grep -q '"sor-timeline/1"' target/journal/timeline.json
+# The full-run dump, not only a breach dump, must analyze cleanly.
+cargo run -q --release --bin sor -- forensics \
+  --journal target/journal/journal.json \
+  --json target/journal/full-forensics.json > target/journal/full-forensics.txt
+grep -q '"sor-forensics/1"' target/journal/full-forensics.json
 # An unreachable hit-rate SLO breaches deterministically, so the engine
 # writes breach-stamped ring dumps; forensics must attribute the run's
 # congestion movement to the injected failure.
@@ -186,7 +191,7 @@ cargo run -q --release --bin sor -- serve --graph grid:4x4 \
   --dump-on-breach target/journal/breach > /dev/null
 dump="$(ls target/journal/breach-epoch*.json | tail -n 1)"
 test -s "$dump"
-grep -q '"sor-journal/1"' "$dump"
+grep -q '"sor-journal/2"' "$dump"
 grep -q '"reason":"slo-breach"' "$dump"
 cargo run -q --release --bin sor -- forensics --journal "$dump" \
   --json target/journal/forensics.json > target/journal/forensics.txt

@@ -24,13 +24,6 @@ pub mod table;
 
 pub use table::{f, Table};
 
-/// Run every experiment, quick or full.
-pub fn run_all(quick: bool) -> Vec<Table> {
-    IDS.iter()
-        .map(|id| run_one(id, quick).expect("known id"))
-        .collect()
-}
-
 /// All experiment ids, in order.
 pub const IDS: [&str; 20] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",

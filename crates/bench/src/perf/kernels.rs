@@ -649,15 +649,15 @@ pub fn serve_failover() -> Quality {
 }
 
 /// Observer-overhead gate: the same seeded serving workload runs once
-/// plain and once with an observer attached (journal, timeline, wall
-/// histograms, armed-but-unbreachable SLO watchdog). The published
-/// outputs must be bit-identical — the deterministic quality gate — and
-/// the observed wall stays within a loose multiple of the plain wall
-/// (generous slack: the point is catching a pathological regression like
-/// a lock held across a solve, not a 5% drift). Also pins the stores'
-/// accounting (one timeline row, one watchdog pass and one begin/end
-/// bracket per epoch, zero drops at this scale) and the `sor-journal/1`
-/// dump round-trip through the hand-rolled parser.
+/// plain and once with an observer attached (journal, wall histograms,
+/// armed-but-unbreachable SLO watchdog). The published outputs must be
+/// bit-identical — the deterministic quality gate — and the observed
+/// wall stays within a loose multiple of the plain wall (generous slack:
+/// the point is catching a pathological regression like a lock held
+/// across a solve, not a 5% drift). Also pins the journal's accounting
+/// (one timeline row, one watchdog pass and one begin/end bracket per
+/// epoch, zero drops at this scale) and the `sor-journal/2` dump
+/// round-trip through the hand-rolled parser.
 pub fn observer_overhead() -> Quality {
     use std::time::Instant;
 

@@ -1,6 +1,6 @@
 //! Per-edge load accounting.
 
-use sor_graph::{Capacity, Congestion, EdgeId, Graph, Path, Rate};
+use sor_graph::{EdgeId, Graph, Path};
 
 /// Accumulated (fractional) load per edge. Congestion of an edge is its
 /// load divided by its capacity; for the paper's unit-capacity multigraphs
@@ -97,27 +97,6 @@ impl EdgeLoads {
     pub fn total(&self) -> f64 {
         self.loads.iter().sum()
     }
-
-    /// Load of edge `e` as a typed [`Rate`] (validated non-negative and
-    /// finite).
-    pub fn rate(&self, e: EdgeId) -> Rate {
-        Rate::new(self.loads[e.index()])
-    }
-
-    /// Congestion of a single edge as the typed quotient
-    /// [`Rate`]` / `[`Capacity`].
-    pub fn edge_congestion(&self, e: EdgeId, cap: Capacity) -> Congestion {
-        self.rate(e) / cap
-    }
-
-    /// Maximum congestion as a typed [`Congestion`]; the typed counterpart
-    /// of [`EdgeLoads::congestion`].
-    pub fn max_congestion(&self, g: &Graph) -> Congestion {
-        assert_eq!(self.loads.len(), g.num_edges());
-        g.edge_ids()
-            .map(|e| self.edge_congestion(e, g.capacity(e)))
-            .fold(Congestion::ZERO, Congestion::max)
-    }
 }
 
 #[cfg(test)]
@@ -157,21 +136,6 @@ mod tests {
         a.add(&b);
         a.scale(0.5);
         assert!((a.max_load() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn typed_congestion_matches_raw() {
-        let mut g = sor_graph::Graph::new(3);
-        let e0 = g.add_edge(NodeId(0), NodeId(1), 4.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        let p = sor_graph::bfs_path(&g, NodeId(0), NodeId(2)).unwrap();
-        let mut l = EdgeLoads::for_graph(&g);
-        l.add_path(&p, 2.0);
-        assert_eq!(l.rate(e0), 2.0);
-        assert_eq!(l.edge_congestion(e0, g.capacity(e0)), 0.5);
-        let c = l.max_congestion(&g);
-        assert_eq!(c, l.congestion(&g));
-        assert_eq!(c, 2.0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The undirected multigraph type and its identifiers.
 
-use crate::units::Capacity;
 use std::fmt;
 
 /// Index of a vertex in a [`Graph`]. Stored as `u32` to keep adjacency
@@ -149,18 +148,11 @@ impl Graph {
         &self.edges[e.index()]
     }
 
-    /// Capacity of edge `e` as a raw `f64` (legacy accessor; prefer
-    /// [`Graph::capacity`] in new code).
+    /// Capacity of edge `e`. Always positive and finite:
+    /// [`Graph::add_edge`] rejects anything else.
     #[inline]
     pub fn cap(&self, e: EdgeId) -> f64 {
         self.edges[e.index()].cap
-    }
-
-    /// Capacity of edge `e` as a typed [`Capacity`]. Always valid:
-    /// [`Graph::add_edge`] rejects non-positive and non-finite values.
-    #[inline]
-    pub fn capacity(&self, e: EdgeId) -> Capacity {
-        Capacity::new(self.edges[e.index()].cap)
     }
 
     /// Add an undirected edge `{u, v}` with capacity `cap`; returns its id.
@@ -210,14 +202,6 @@ impl Graph {
     /// Total capacity over all edges.
     pub fn total_cap(&self) -> f64 {
         self.edges.iter().map(|e| e.cap).sum()
-    }
-
-    /// Smallest capacity over all edges (`+inf` for an edgeless graph).
-    pub fn min_cap(&self) -> f64 {
-        self.edges
-            .iter()
-            .map(|e| e.cap)
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Uniform edge lengths (all `1.0`), the default metric for shortest

@@ -56,7 +56,6 @@ mod path;
 pub mod shortest;
 pub mod spectral;
 pub mod traversal;
-pub mod units;
 
 pub use connectivity::{articulation_points, bridges, connected_without};
 pub use globalcut::{global_min_cut, stoer_wagner};
@@ -68,4 +67,3 @@ pub use path::{LoopErasedWalk, Path};
 pub use shortest::{dijkstra, DijkstraSearch, ShortestPathTree};
 pub use spectral::spectral_gap;
 pub use traversal::{bfs_dists, bfs_path, diameter, is_connected};
-pub use units::{Capacity, Congestion, Rate};

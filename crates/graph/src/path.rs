@@ -113,11 +113,6 @@ impl Path {
         self.edges.contains(&e)
     }
 
-    /// Whether vertex `v` lies on this path.
-    pub fn contains_node(&self, v: NodeId) -> bool {
-        self.nodes.contains(&v)
-    }
-
     /// The same path traversed in the opposite direction.
     pub fn reversed(&self) -> Path {
         Path {

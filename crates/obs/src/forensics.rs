@@ -30,6 +30,7 @@
 
 use crate::journal::{EdgeLoad, JournalEvent};
 use crate::json::push_f64;
+use crate::timeline::EpochRecord;
 
 /// Causal buckets, in attribution precedence order (first match wins).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,31 +69,13 @@ impl Cause {
     }
 }
 
-/// Per-epoch statistics folded out of the event stream.
+/// Per-epoch statistics folded out of the event stream: the epoch's
+/// `epoch_end` row plus what the other events add to it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpochStats {
-    /// Epoch index.
-    pub epoch: u64,
-    /// Requests admitted.
-    pub admitted: usize,
-    /// Whether the epoch hit the path-system cache.
-    pub cache_hit: bool,
-    /// Whether the epoch missed (sampled fresh).
-    pub cache_miss: bool,
-    /// Published max edge congestion.
-    pub congestion: f64,
-    /// Epoch wall in nanoseconds (0 when timing was off).
-    pub epoch_wall_ns: u64,
-    /// Pairs routed via emergency fallback.
-    pub fallback_pairs: usize,
-    /// Pairs dropped as unserved.
-    pub unserved_pairs: usize,
-    /// Edges failed while the epoch ran.
-    pub failed_edges: usize,
-    /// Capacity evictions charged to the epoch.
-    pub evictions: u64,
-    /// Failure-driven invalidations charged to the epoch.
-    pub invalidations: u64,
+    /// The epoch's timeline row (only `epoch` is set when the dump holds
+    /// no `epoch_end` for it).
+    pub row: EpochRecord,
     /// An `edge_fail` event is tagged with this epoch.
     pub edge_failed: bool,
     /// An `edge_restore` event is tagged with this epoch.
@@ -303,13 +286,12 @@ pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
     let mut epochs: Vec<EpochStats> = Vec::new();
     for ev in events {
         let epoch = ev.epoch();
-        let idx = match epochs.iter().position(|s| s.epoch == epoch) {
+        let idx = match epochs.iter().position(|s| s.row.epoch == epoch) {
             Some(i) => i,
             None => {
-                epochs.push(EpochStats {
-                    epoch,
-                    ..EpochStats::default()
-                });
+                let mut stats = EpochStats::default();
+                stats.row.epoch = epoch;
+                epochs.push(stats);
                 epochs.len() - 1
             }
         };
@@ -317,20 +299,9 @@ pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
             continue; // unreachable: idx < epochs.len() by construction
         };
         match ev {
-            JournalEvent::Admit {
-                count, demand_fp, ..
-            } => {
-                stats.admitted = *count;
-                stats.demand_fp = Some(*demand_fp);
-            }
-            JournalEvent::CacheHit { .. } => stats.cache_hit = true,
-            JournalEvent::CacheMiss { .. } => stats.cache_miss = true,
-            JournalEvent::CacheEvict { count, .. } => stats.evictions += count,
-            JournalEvent::CacheInvalidate { count, .. } => stats.invalidations += count,
+            JournalEvent::Admit { demand_fp, .. } => stats.demand_fp = Some(*demand_fp),
             JournalEvent::EdgeFail { .. } => stats.edge_failed = true,
             JournalEvent::EdgeRestore { .. } => stats.edge_restored = true,
-            JournalEvent::Fallback { pairs, .. } => stats.fallback_pairs = *pairs,
-            JournalEvent::Unserved { pairs, .. } => stats.unserved_pairs = *pairs,
             JournalEvent::TopEdges { edges, .. } => stats.top_edges.clone_from(edges),
             JournalEvent::PathChurn { new_pair, .. } => {
                 stats.churned_pairs += 1;
@@ -338,46 +309,28 @@ pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
                     stats.new_pairs += 1;
                 }
             }
-            JournalEvent::EpochEnd {
-                admitted,
-                cache_hit,
-                congestion,
-                fallback_pairs,
-                unserved_pairs,
-                failed_edges,
-                epoch_wall_ns,
-                ..
-            } => {
-                stats.admitted = *admitted;
-                stats.cache_hit |= *cache_hit;
-                stats.congestion = *congestion;
-                stats.fallback_pairs = *fallback_pairs;
-                stats.unserved_pairs = *unserved_pairs;
-                stats.failed_edges = *failed_edges;
-                stats.epoch_wall_ns = *epoch_wall_ns;
-            }
-            JournalEvent::EpochBegin { .. }
-            | JournalEvent::Reject { .. }
-            | JournalEvent::Reopt { .. } => {}
+            JournalEvent::EpochEnd(row) => stats.row.clone_from(row),
+            JournalEvent::EpochBegin { .. } | JournalEvent::Reopt { .. } => {}
         }
     }
-    epochs.sort_by_key(|s| s.epoch);
+    epochs.sort_by_key(|s| s.row.epoch);
     epochs
 }
 
 /// The dominant cause for the transition landing on `to`, given the
 /// demand fingerprints seen strictly before it.
 fn classify(to: &EpochStats, prev_fp: Option<u64>, seen_before: bool) -> Cause {
+    let row = &to.row;
     let failure = to.edge_failed
         || to.edge_restored
-        || to.failed_edges > 0
-        || to.fallback_pairs > 0
-        || to.unserved_pairs > 0
-        || to.invalidations > 0;
+        || row.failed_edges > 0
+        || row.fallback_pairs > 0
+        || row.unserved_pairs > 0
+        || row.cache_invalidations > 0;
     if failure {
         return Cause::Failure;
     }
-    if to.cache_miss {
+    if row.cache_misses > 0 {
         return if seen_before {
             Cause::Eviction
         } else {
@@ -416,11 +369,11 @@ pub fn analyze(events: &[JournalEvent], top_k: usize) -> ForensicsReport {
             }
         }
         #[allow(clippy::cast_precision_loss)]
-        let wall_delta_ns = to.epoch_wall_ns as f64 - from.epoch_wall_ns as f64;
+        let wall_delta_ns = to.row.epoch_wall_ns as f64 - from.row.epoch_wall_ns as f64;
         transitions.push(EpochTransition {
-            from: from.epoch,
-            to: to.epoch,
-            congestion_delta: to.congestion - from.congestion,
+            from: from.row.epoch,
+            to: to.row.epoch,
+            congestion_delta: to.row.congestion - from.row.congestion,
             wall_delta_ns,
             cause,
         });
@@ -485,7 +438,7 @@ fn edge_shift_table(
         }
         let cause = transitions
             .iter()
-            .find(|t| t.to == to.epoch)
+            .find(|t| t.to == to.row.epoch)
             .map_or(Cause::Steady, |t| t.cause);
         let mut ids: Vec<u32> = from
             .top_edges
@@ -515,7 +468,7 @@ fn edge_shift_table(
                 delta,
                 before,
                 after,
-                epoch: to.epoch,
+                epoch: to.row.epoch,
                 cause,
             };
             match best.iter_mut().find(|s| s.edge == id) {
@@ -547,7 +500,7 @@ mod tests {
         congestion: f64,
         top: &[(u32, f64)],
     ) -> Vec<JournalEvent> {
-        let mut evs = vec![
+        vec![
             JournalEvent::EpochBegin {
                 epoch,
                 queue_depth: 4,
@@ -557,34 +510,35 @@ mod tests {
                 count: 4,
                 demand_fp: fp,
             },
-            if hit {
-                JournalEvent::CacheHit { epoch }
-            } else {
-                JournalEvent::CacheMiss { epoch }
+            JournalEvent::TopEdges {
+                epoch,
+                edges: top
+                    .iter()
+                    .map(|&(edge, load)| EdgeLoad {
+                        edge,
+                        load,
+                        utilization: load,
+                    })
+                    .collect(),
             },
-        ];
-        evs.push(JournalEvent::TopEdges {
-            epoch,
-            edges: top
-                .iter()
-                .map(|&(edge, load)| EdgeLoad {
-                    edge,
-                    load,
-                    utilization: load,
-                })
-                .collect(),
-        });
-        evs.push(JournalEvent::EpochEnd {
-            epoch,
-            admitted: 4,
-            cache_hit: hit,
-            congestion,
-            fallback_pairs: 0,
-            unserved_pairs: 0,
-            failed_edges: 0,
-            epoch_wall_ns: 0,
-        });
-        evs
+            JournalEvent::EpochEnd(EpochRecord {
+                epoch,
+                admitted: 4,
+                cache_hit: hit,
+                cache_hits: u64::from(hit),
+                cache_misses: u64::from(!hit),
+                congestion,
+                ..EpochRecord::default()
+            }),
+        ]
+    }
+
+    /// The `epoch_end` row closing an [`epoch_events`] batch.
+    fn end_row(events: &mut [JournalEvent]) -> &mut EpochRecord {
+        match events.last_mut() {
+            Some(JournalEvent::EpochEnd(row)) => row,
+            other => panic!("batch ends in {other:?}"),
+        }
     }
 
     #[test]
@@ -597,11 +551,10 @@ mod tests {
             epoch: 2,
             edges: vec![5],
         });
-        events.push(JournalEvent::CacheInvalidate { epoch: 2, count: 1 });
         let mut fail_epoch = epoch_events(2, 1, false, 3.0, &[(0, 0.5), (7, 2.5)]);
-        if let Some(JournalEvent::EpochEnd { failed_edges, .. }) = fail_epoch.last_mut() {
-            *failed_edges = 1;
-        }
+        let row = end_row(&mut fail_epoch);
+        row.cache_invalidations = 1;
+        row.failed_edges = 1;
         events.extend(fail_epoch);
         events.extend(epoch_events(3, 1, true, 1.0, &[(0, 1.0)]));
         // epoch 3 still has no failure markers → its recovery delta is
@@ -636,7 +589,7 @@ mod tests {
         events.extend(epoch_events(0, 10, false, 1.0, &[])); // cold
         events.extend(epoch_events(1, 20, false, 1.2, &[])); // cold (new fp)
         let mut evicting = epoch_events(2, 30, false, 1.1, &[]);
-        evicting.insert(3, JournalEvent::CacheEvict { epoch: 2, count: 1 });
+        end_row(&mut evicting).cache_evictions = 1;
         events.extend(evicting); // cold + eviction happening
         events.extend(epoch_events(3, 10, false, 1.0, &[])); // seen fp missing again → eviction
         events.extend(epoch_events(4, 10, true, 1.0, &[])); // steady hit

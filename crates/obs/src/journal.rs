@@ -1,13 +1,17 @@
 //! Flight recorder: a bounded ring journal of causal events.
 //!
-//! The timeline ([`crate::timeline`]) answers "what were the numbers
-//! around epoch 37"; the journal answers "what *happened*" — the causal
-//! chain of admissions, cache movements, failures, fallbacks, re-opt
-//! summaries, per-edge load concentrations, and per-pair path churn that
-//! explains *why* congestion moved. A long-running `sor serve` keeps the
-//! recent past in a fixed-size ring; when the SLO watchdog fires, the
-//! serving layer snapshots the ring to a breach-stamped dump that the
-//! `sor forensics` analyzer ([`crate::forensics`]) can attribute.
+//! The journal is the one per-epoch store of a serving run. Each
+//! published epoch ends in an `epoch_end` event whose payload is that
+//! epoch's timeline row ([`EpochRecord`]: the numbers around epoch 37),
+//! and the events before it record what *happened* — admissions,
+//! failures and restores, re-opt summaries, per-edge load
+//! concentrations, and per-pair path churn that explains *why*
+//! congestion moved. The timeline ([`Journal::rows`]) and forensics
+//! ([`crate::forensics`]) are both folds over these events. A
+//! long-running `sor serve` keeps the recent past in a fixed-size ring;
+//! when the SLO watchdog fires, the serving layer snapshots the ring to
+//! a breach-stamped dump that the `sor forensics` analyzer can
+//! attribute.
 //!
 //! Design constraints, in order:
 //!
@@ -16,23 +20,26 @@
 //!   it. No lock is touched on the detached path.
 //! * **Bit-output-neutral attached.** Recording is strictly read-only
 //!   over the epoch's outputs — events carry copies of already-published
-//!   data, never feed anything back, and hold no wall clocks on the
-//!   deterministic path (the serve determinism test pins bit-equality of
-//!   published snapshots with and without an observer attached).
+//!   data and never feed anything back. The only wall clock is the
+//!   `epoch_end` row's `epoch_wall_ns` (the serve determinism test pins
+//!   bit-equality of published snapshots with and without an observer
+//!   attached, and equal journals up to that wall).
 //! * **Bounded and cheap.** One pre-sized `VecDeque` behind one mutex.
 //!   Every write comes from the engine, which holds `&mut Engine` while
 //!   it emits, so the lock is only ever contended by a reader taking a
-//!   dump. Past capacity the oldest event is dropped and counted.
+//!   dump or the timeline. Past capacity the oldest event is dropped and
+//!   counted.
 //!
-//! The dump format is versioned (`sor-journal/1`), hand-rolled like
-//! every JSON writer in the tree, and round-trips through the PR-4
-//! reader ([`crate::parse_json`]) via [`parse_journal`].
+//! The dump format is versioned (`sor-journal/2`), hand-rolled like
+//! every JSON writer in the tree, and round-trips through the tree's
+//! JSON reader ([`crate::parse_json`]) via [`parse_journal`].
 //!
 //! This crate sits at the bottom of the workspace layering (`sor-obs`
 //! depends on nothing), so events carry raw `u32` edge/node ids rather
 //! than `sor-graph` newtypes; the serving layer owns the translation.
 
 use crate::json::{push_escaped, push_f64};
+use crate::timeline::{push_record_fields, EpochRecord};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
@@ -74,37 +81,6 @@ pub enum JournalEvent {
         /// Fingerprint of the admitted pair set (0 for an empty epoch).
         demand_fp: u64,
     },
-    /// Backpressure rejections since the previous epoch.
-    Reject {
-        /// Epoch index.
-        epoch: u64,
-        /// Rejections attributed to this inter-epoch interval.
-        count: u64,
-    },
-    /// The path-system cache served the epoch's system.
-    CacheHit {
-        /// Epoch index.
-        epoch: u64,
-    },
-    /// The epoch sampled a fresh path system (cache miss).
-    CacheMiss {
-        /// Epoch index.
-        epoch: u64,
-    },
-    /// Capacity evictions attributed to this epoch.
-    CacheEvict {
-        /// Epoch index.
-        epoch: u64,
-        /// Entries evicted.
-        count: u64,
-    },
-    /// Failure-driven invalidations attributed to this epoch.
-    CacheInvalidate {
-        /// Epoch index.
-        epoch: u64,
-        /// Entries invalidated.
-        count: u64,
-    },
     /// Edges went down (raw edge ids).
     EdgeFail {
         /// First epoch the failure affects.
@@ -118,21 +94,6 @@ pub enum JournalEvent {
         epoch: u64,
         /// How many edges were restored.
         restored: usize,
-    },
-    /// Pairs that lost every sampled candidate and were routed on an
-    /// emergency shortest path.
-    Fallback {
-        /// Epoch index.
-        epoch: u64,
-        /// Pairs falling back.
-        pairs: usize,
-    },
-    /// Pairs disconnected outright and dropped from the epoch.
-    Unserved {
-        /// Epoch index.
-        epoch: u64,
-        /// Pairs dropped.
-        pairs: usize,
     },
     /// Rate re-optimization summary for the epoch's solve.
     Reopt {
@@ -166,27 +127,10 @@ pub enum JournalEvent {
         /// `true` when the pair had never been served before.
         new_pair: bool,
     },
-    /// The epoch published: the summary counters a transition analysis
-    /// needs, plus the epoch wall when telemetry timing was on (0
-    /// otherwise — walls never feed the deterministic path).
-    EpochEnd {
-        /// Epoch index.
-        epoch: u64,
-        /// Requests admitted.
-        admitted: usize,
-        /// Whether the system came from the cache.
-        cache_hit: bool,
-        /// Published max edge congestion.
-        congestion: f64,
-        /// Pairs routed via fallback.
-        fallback_pairs: usize,
-        /// Pairs dropped as unserved.
-        unserved_pairs: usize,
-        /// Edges failed while the epoch ran.
-        failed_edges: usize,
-        /// Wall time of the epoch in nanoseconds (0 when timing is off).
-        epoch_wall_ns: u64,
-    },
+    /// The epoch published: its timeline row. `epoch_wall_ns` is the
+    /// epoch wall when telemetry timing was on (0 otherwise — walls never
+    /// feed the deterministic path).
+    EpochEnd(EpochRecord),
 }
 
 impl JournalEvent {
@@ -195,19 +139,12 @@ impl JournalEvent {
         match *self {
             JournalEvent::EpochBegin { epoch, .. }
             | JournalEvent::Admit { epoch, .. }
-            | JournalEvent::Reject { epoch, .. }
-            | JournalEvent::CacheHit { epoch }
-            | JournalEvent::CacheMiss { epoch }
-            | JournalEvent::CacheEvict { epoch, .. }
-            | JournalEvent::CacheInvalidate { epoch, .. }
             | JournalEvent::EdgeFail { epoch, .. }
             | JournalEvent::EdgeRestore { epoch, .. }
-            | JournalEvent::Fallback { epoch, .. }
-            | JournalEvent::Unserved { epoch, .. }
             | JournalEvent::Reopt { epoch, .. }
             | JournalEvent::TopEdges { epoch, .. }
-            | JournalEvent::PathChurn { epoch, .. }
-            | JournalEvent::EpochEnd { epoch, .. } => epoch,
+            | JournalEvent::PathChurn { epoch, .. } => epoch,
+            JournalEvent::EpochEnd(ref row) => row.epoch,
         }
     }
 
@@ -216,19 +153,12 @@ impl JournalEvent {
         match self {
             JournalEvent::EpochBegin { .. } => "epoch_begin",
             JournalEvent::Admit { .. } => "admit",
-            JournalEvent::Reject { .. } => "reject",
-            JournalEvent::CacheHit { .. } => "cache_hit",
-            JournalEvent::CacheMiss { .. } => "cache_miss",
-            JournalEvent::CacheEvict { .. } => "cache_evict",
-            JournalEvent::CacheInvalidate { .. } => "cache_invalidate",
             JournalEvent::EdgeFail { .. } => "edge_fail",
             JournalEvent::EdgeRestore { .. } => "edge_restore",
-            JournalEvent::Fallback { .. } => "fallback",
-            JournalEvent::Unserved { .. } => "unserved",
             JournalEvent::Reopt { .. } => "reopt",
             JournalEvent::TopEdges { .. } => "top_edges",
             JournalEvent::PathChurn { .. } => "path_churn",
-            JournalEvent::EpochEnd { .. } => "epoch_end",
+            JournalEvent::EpochEnd(_) => "epoch_end",
         }
     }
 }
@@ -319,7 +249,26 @@ impl Journal {
         self.ring.lock().events.iter().cloned().collect()
     }
 
-    /// Serialize the whole retained ring as a `sor-journal/1` document
+    /// The newest `last` `epoch_end` rows still in the ring, oldest
+    /// first: the timeline. Scans the ring backwards under the lock and
+    /// copies only those rows, so a per-epoch reader stays cheap.
+    pub fn rows(&self, last: usize) -> Vec<EpochRecord> {
+        let ring = self.ring.lock();
+        let mut rows: Vec<EpochRecord> = ring
+            .events
+            .iter()
+            .rev()
+            .filter_map(|(_, e)| match e {
+                JournalEvent::EpochEnd(row) => Some(row.clone()),
+                _ => None,
+            })
+            .take(last)
+            .collect();
+        rows.reverse();
+        rows
+    }
+
+    /// Serialize the whole retained ring as a `sor-journal/2` document
     /// with extra top-level string fields (`meta`).
     pub fn dump_json(&self, meta: &[(&str, &str)]) -> String {
         self.dump_json_last(0, meta)
@@ -363,12 +312,6 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
         } => {
             out.push_str(&format!(",\"count\":{count},\"demand_fp\":{demand_fp}"));
         }
-        JournalEvent::Reject { count, .. }
-        | JournalEvent::CacheEvict { count, .. }
-        | JournalEvent::CacheInvalidate { count, .. } => {
-            out.push_str(&format!(",\"count\":{count}"));
-        }
-        JournalEvent::CacheHit { .. } | JournalEvent::CacheMiss { .. } => {}
         JournalEvent::EdgeFail { edges, .. } => {
             out.push_str(",\"edges\":[");
             for (i, id) in edges.iter().enumerate() {
@@ -381,9 +324,6 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
         }
         JournalEvent::EdgeRestore { restored, .. } => {
             out.push_str(&format!(",\"restored\":{restored}"));
-        }
-        JournalEvent::Fallback { pairs, .. } | JournalEvent::Unserved { pairs, .. } => {
-            out.push_str(&format!(",\"pairs\":{pairs}"));
         }
         JournalEvent::Reopt {
             pairs,
@@ -419,25 +359,7 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
                 ",\"src\":{src},\"dst\":{dst},\"new_pair\":{new_pair}"
             ));
         }
-        JournalEvent::EpochEnd {
-            admitted,
-            cache_hit,
-            congestion,
-            fallback_pairs,
-            unserved_pairs,
-            failed_edges,
-            epoch_wall_ns,
-            ..
-        } => {
-            out.push_str(&format!(
-                ",\"admitted\":{admitted},\"cache_hit\":{cache_hit},\"congestion\":"
-            ));
-            push_f64(out, *congestion);
-            out.push_str(&format!(
-                ",\"fallback_pairs\":{fallback_pairs},\"unserved_pairs\":{unserved_pairs},\
-                 \"failed_edges\":{failed_edges},\"epoch_wall_ns\":{epoch_wall_ns}"
-            ));
-        }
+        JournalEvent::EpochEnd(row) => push_record_fields(out, row),
     }
     out.push('}');
 }
@@ -449,7 +371,7 @@ fn events_to_json(
     meta: &[(&str, &str)],
 ) -> String {
     let mut out = String::with_capacity(256 + events.len() * 128);
-    out.push_str("{\"format\":\"sor-journal/1\"");
+    out.push_str("{\"format\":\"sor-journal/2\"");
     for (k, v) in meta {
         out.push(',');
         push_escaped(&mut out, k);
@@ -472,7 +394,7 @@ fn events_to_json(
     out
 }
 
-/// A parsed `sor-journal/1` document.
+/// A parsed `sor-journal/2` document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JournalDump {
     /// Top-level string metadata fields, in document order.
@@ -515,6 +437,47 @@ fn field_bool(v: &crate::JsonValue, key: &str) -> Result<bool, String> {
     }
 }
 
+/// An `epoch_end` event's row. The derived `congestion_ratio` is not
+/// read back: [`EpochRecord::congestion_ratio`] recomputes it.
+fn parse_row(v: &crate::JsonValue, epoch: u64) -> Result<EpochRecord, String> {
+    let cache = v
+        .get("cache")
+        .ok_or_else(|| "epoch_end missing 'cache'".to_string())?;
+    let fresh_congestion = match v.get("fresh_congestion") {
+        Some(crate::JsonValue::Null) => None,
+        _ => Some(field_f64(v, "fresh_congestion")?),
+    };
+    let breaches = v
+        .get("slo_breaches")
+        .and_then(crate::JsonValue::as_arr)
+        .ok_or_else(|| "epoch_end missing 'slo_breaches'".to_string())?;
+    let mut slo_breaches = Vec::with_capacity(breaches.len());
+    for b in breaches {
+        let rule = b
+            .as_str()
+            .ok_or_else(|| "bad rule name in slo_breaches".to_string())?;
+        slo_breaches.push(rule.to_string());
+    }
+    Ok(EpochRecord {
+        epoch,
+        admitted: field_usize(v, "admitted")?,
+        rejected: field_u64(v, "rejected")?,
+        cache_hit: field_bool(v, "cache_hit")?,
+        cache_hits: field_u64(cache, "hits")?,
+        cache_misses: field_u64(cache, "misses")?,
+        cache_evictions: field_u64(cache, "evictions")?,
+        cache_invalidations: field_u64(cache, "invalidations")?,
+        congestion: field_f64(v, "congestion")?,
+        fresh_congestion,
+        fallback_pairs: field_usize(v, "fallback_pairs")?,
+        unserved_pairs: field_usize(v, "unserved_pairs")?,
+        queue_depth: field_usize(v, "queue_depth")?,
+        failed_edges: field_usize(v, "failed_edges")?,
+        epoch_wall_ns: field_u64(v, "epoch_wall_ns")?,
+        slo_breaches,
+    })
+}
+
 fn parse_event(v: &crate::JsonValue) -> Result<(u64, JournalEvent), String> {
     let seq = field_u64(v, "seq")?;
     let epoch = field_u64(v, "epoch")?;
@@ -531,20 +494,6 @@ fn parse_event(v: &crate::JsonValue) -> Result<(u64, JournalEvent), String> {
             epoch,
             count: field_usize(v, "count")?,
             demand_fp: field_u64(v, "demand_fp")?,
-        },
-        "reject" => JournalEvent::Reject {
-            epoch,
-            count: field_u64(v, "count")?,
-        },
-        "cache_hit" => JournalEvent::CacheHit { epoch },
-        "cache_miss" => JournalEvent::CacheMiss { epoch },
-        "cache_evict" => JournalEvent::CacheEvict {
-            epoch,
-            count: field_u64(v, "count")?,
-        },
-        "cache_invalidate" => JournalEvent::CacheInvalidate {
-            epoch,
-            count: field_u64(v, "count")?,
         },
         "edge_fail" => {
             let arr = v
@@ -564,14 +513,6 @@ fn parse_event(v: &crate::JsonValue) -> Result<(u64, JournalEvent), String> {
         "edge_restore" => JournalEvent::EdgeRestore {
             epoch,
             restored: field_usize(v, "restored")?,
-        },
-        "fallback" => JournalEvent::Fallback {
-            epoch,
-            pairs: field_usize(v, "pairs")?,
-        },
-        "unserved" => JournalEvent::Unserved {
-            epoch,
-            pairs: field_usize(v, "pairs")?,
         },
         "reopt" => JournalEvent::Reopt {
             epoch,
@@ -601,28 +542,20 @@ fn parse_event(v: &crate::JsonValue) -> Result<(u64, JournalEvent), String> {
             dst: field_u32(v, "dst")?,
             new_pair: field_bool(v, "new_pair")?,
         },
-        "epoch_end" => JournalEvent::EpochEnd {
-            epoch,
-            admitted: field_usize(v, "admitted")?,
-            cache_hit: field_bool(v, "cache_hit")?,
-            congestion: field_f64(v, "congestion")?,
-            fallback_pairs: field_usize(v, "fallback_pairs")?,
-            unserved_pairs: field_usize(v, "unserved_pairs")?,
-            failed_edges: field_usize(v, "failed_edges")?,
-            epoch_wall_ns: field_u64(v, "epoch_wall_ns")?,
-        },
+        "epoch_end" => JournalEvent::EpochEnd(parse_row(v, epoch)?),
         other => return Err(format!("unknown journal event type '{other}'")),
     };
     Ok((seq, event))
 }
 
-/// Parse a `sor-journal/1` document produced by [`Journal::dump_json`]
+/// Parse a `sor-journal/2` document produced by [`Journal::dump_json`]
 /// (or a breach dump). Unknown top-level fields are ignored; unknown
-/// event types are an error (the format is versioned for exactly this).
+/// event types and every other format version are errors (the format is
+/// versioned for exactly this).
 pub fn parse_journal(text: &str) -> Result<JournalDump, String> {
     let doc = crate::parse_json(text).map_err(|e| format!("journal parse: {e}"))?;
     match doc.get("format").and_then(crate::JsonValue::as_str) {
-        Some("sor-journal/1") => {}
+        Some("sor-journal/2") => {}
         Some(other) => return Err(format!("unsupported journal format '{other}'")),
         None => return Err("not a sor-journal document (no 'format')".to_string()),
     }
@@ -665,6 +598,32 @@ pub fn parse_journal(text: &str) -> Result<JournalDump, String> {
 mod tests {
     use super::*;
 
+    /// A row with every field set off its default.
+    fn row(epoch: u64) -> EpochRecord {
+        EpochRecord {
+            epoch,
+            admitted: 8,
+            rejected: 2,
+            cache_hit: epoch > 0,
+            cache_hits: u64::from(epoch > 0),
+            cache_misses: u64::from(epoch == 0),
+            cache_evictions: 1,
+            cache_invalidations: u64::from(epoch == 1),
+            congestion: 1.5,
+            fresh_congestion: (epoch == 0).then_some(1.25),
+            fallback_pairs: 2,
+            unserved_pairs: 1,
+            queue_depth: 3,
+            failed_edges: 2,
+            epoch_wall_ns: 1_234_567,
+            slo_breaches: if epoch == 1 {
+                vec!["max_fallback_fraction".to_string()]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
     fn sample_events() -> Vec<JournalEvent> {
         vec![
             JournalEvent::EpochBegin {
@@ -676,8 +635,6 @@ mod tests {
                 count: 8,
                 demand_fp: 0xdead_beef,
             },
-            JournalEvent::Reject { epoch: 0, count: 2 },
-            JournalEvent::CacheMiss { epoch: 0 },
             JournalEvent::Reopt {
                 epoch: 0,
                 pairs: 4,
@@ -706,25 +663,12 @@ mod tests {
                 dst: 6,
                 new_pair: true,
             },
-            JournalEvent::EpochEnd {
-                epoch: 0,
-                admitted: 8,
-                cache_hit: false,
-                congestion: 1.5,
-                fallback_pairs: 0,
-                unserved_pairs: 0,
-                failed_edges: 0,
-                epoch_wall_ns: 0,
-            },
+            JournalEvent::EpochEnd(row(0)),
             JournalEvent::EdgeFail {
                 epoch: 1,
                 edges: vec![4, 9],
             },
-            JournalEvent::CacheInvalidate { epoch: 1, count: 1 },
-            JournalEvent::CacheHit { epoch: 1 },
-            JournalEvent::CacheEvict { epoch: 1, count: 1 },
-            JournalEvent::Fallback { epoch: 1, pairs: 2 },
-            JournalEvent::Unserved { epoch: 1, pairs: 1 },
+            JournalEvent::EpochEnd(row(1)),
             JournalEvent::EdgeRestore {
                 epoch: 2,
                 restored: 2,
@@ -739,11 +683,11 @@ mod tests {
             j.record(e);
         }
         let events = j.events();
-        assert_eq!(events.len(), 15);
-        assert_eq!(j.recorded(), 15);
+        assert_eq!(events.len(), 9);
+        assert_eq!(j.recorded(), 9);
         assert_eq!(j.dropped(), 0);
         let seqs: Vec<u64> = events.iter().map(|&(s, _)| s).collect();
-        assert_eq!(seqs, (0..15).collect::<Vec<_>>());
+        assert_eq!(seqs, (0..9).collect::<Vec<_>>());
         assert_eq!(
             events.iter().map(|(_, e)| e.clone()).collect::<Vec<_>>(),
             sample_events()
@@ -754,7 +698,10 @@ mod tests {
     fn ring_bounds_capacity_and_counts_drops() {
         let j = Journal::with_capacity(16);
         for i in 0..40u64 {
-            j.record(JournalEvent::CacheHit { epoch: i });
+            j.record(JournalEvent::EpochBegin {
+                epoch: i,
+                queue_depth: 0,
+            });
         }
         assert_eq!(j.len(), 16);
         assert_eq!(j.recorded(), 40);
@@ -789,8 +736,9 @@ mod tests {
             j.record(e);
         }
         let json = j.dump_json(&[("reason", "test"), ("graph", "cycle:8")]);
+        assert!(json.starts_with("{\"format\":\"sor-journal/2\""));
         let dump = parse_journal(&json).expect("round-trip parse");
-        assert_eq!(dump.recorded, 15);
+        assert_eq!(dump.recorded, 9);
         assert_eq!(dump.dropped, 0);
         assert!(dump.meta.iter().any(|(k, v)| k == "reason" && v == "test"));
         assert!(dump
@@ -840,28 +788,57 @@ mod tests {
         let json = j.dump_json_last(2, &[]);
         let dump = parse_journal(&json).expect("parse tail dump");
         // last 2 epochs relative to epoch 2 → epochs 1 and 2 only
-        assert_eq!(dump.events.len(), 7);
+        assert_eq!(dump.events.len(), 3);
         assert!(dump.events.iter().all(|(_, e)| e.epoch() >= 1));
         assert!(dump.events.iter().any(|(_, e)| e.epoch() == 2));
         // 0 means "everything"
         let full = parse_journal(&j.dump_json_last(0, &[])).expect("parse full dump");
-        assert_eq!(full.events.len(), 15);
+        assert_eq!(full.events.len(), 9);
+    }
+
+    #[test]
+    fn rows_are_the_newest_epoch_ends_oldest_first() {
+        let j = Journal::with_capacity(8);
+        assert!(j.rows(4).is_empty());
+        for epoch in 0..6u64 {
+            j.record(JournalEvent::EpochBegin {
+                epoch,
+                queue_depth: 0,
+            });
+            j.record(JournalEvent::EpochEnd(row(epoch)));
+        }
+        // 12 events through a ring of 8: epochs 0 and 1 are gone
+        assert_eq!(j.dropped(), 4);
+        let epochs = |k| j.rows(k).iter().map(|r| r.epoch).collect::<Vec<_>>();
+        assert_eq!(epochs(2), [4, 5]);
+        assert_eq!(epochs(100), [2, 3, 4, 5]);
+        assert!(epochs(0).is_empty());
+        assert_eq!(j.rows(1), vec![row(5)]);
     }
 
     #[test]
     fn parser_rejects_foreign_documents() {
         assert!(parse_journal("{\"format\":\"sor-timeline/1\",\"events\":[]}").is_err());
+        // the v1 epoch_end carried no row: unsupported, not misread
+        let v1 = parse_journal("{\"format\":\"sor-journal/1\",\"events\":[]}");
+        assert_eq!(
+            v1,
+            Err("unsupported journal format 'sor-journal/1'".to_string())
+        );
         assert!(parse_journal("{\"events\":[]}").is_err());
         assert!(parse_journal("[1,2,3]").is_err());
         let bad_event =
-            "{\"format\":\"sor-journal/1\",\"events\":[{\"seq\":0,\"type\":\"warp\",\"epoch\":0}]}";
+            "{\"format\":\"sor-journal/2\",\"events\":[{\"seq\":0,\"type\":\"warp\",\"epoch\":0}]}";
         assert!(parse_journal(bad_event).is_err());
     }
 
     #[test]
     fn meta_values_are_escaped() {
         let j = Journal::new();
-        j.record(JournalEvent::CacheHit { epoch: 0 });
+        j.record(JournalEvent::EpochBegin {
+            epoch: 0,
+            queue_depth: 0,
+        });
         let note = "say \"hi\" \\ bye\nnext\u{1}";
         let json = j.dump_json(&[("note", note)]);
         assert!(

@@ -43,21 +43,24 @@
 //!
 //! On top of the cumulative registry sit the pieces a long-running
 //! server needs: [`loghist`] (the registry's histogram type, here also
-//! giving streaming percentiles), [`timeline`] (a bounded ring of
-//! per-epoch records), [`slo`] (declarative threshold watchdogs), and
-//! [`expose`] (Prometheus-style text exposition over a plain TCP scrape
-//! thread). All of it is read-only over recorded data — live telemetry
-//! can never perturb the bit-determinism contract.
+//! giving streaming percentiles), [`timeline`] (the per-epoch row and
+//! its JSON and dashboard renderings), [`slo`] (declarative threshold
+//! watchdogs), and [`expose`] (Prometheus-style text exposition over a
+//! plain TCP scrape thread). All of it is read-only over recorded data —
+//! live telemetry can never perturb the bit-determinism contract.
 //!
 //! # Flight recorder & forensics (v3)
 //!
 //! [`journal`] is a bounded ring of structured *causal* events
-//! (admissions, cache movements, failures, fallbacks, re-opt summaries,
-//! top-k edge loads, path churn) with a versioned `sor-journal/1` dump
-//! format; [`forensics`] ingests a dump and attributes epoch-over-epoch
-//! congestion/wall deltas to causes (failure vs. eviction vs. cold
-//! sampling vs. demand churn). The serving layer snapshots the ring on
-//! SLO breaches; `sor forensics` analyzes the artifact offline.
+//! (admissions, failures and restores, re-opt summaries, top-k edge
+//! loads, path churn) closed per epoch by an `epoch_end` event that
+//! carries the epoch's timeline row, with a versioned `sor-journal/2`
+//! dump format. It is the one per-epoch store: the timeline is its
+//! newest rows, and [`forensics`] folds a dump's events to attribute
+//! epoch-over-epoch congestion/wall deltas to causes (failure vs.
+//! eviction vs. cold sampling vs. demand churn). The serving layer
+//! snapshots the ring on SLO breaches; `sor forensics` analyzes the
+//! artifact offline.
 
 #![forbid(unsafe_code)]
 
@@ -94,7 +97,7 @@ pub use metrics::{
 };
 pub use slo::{HealthSummary, SloBreach, SloConfig, SloInputs, SloWatchdog, SLO_RULES};
 pub use span::{phase_report, render_phase_tree, span, Span, SpanSnapshot};
-pub use timeline::{EpochRecord, EpochTimeline};
+pub use timeline::EpochRecord;
 
 /// Runtime capture switch.
 static ENABLED: AtomicBool = AtomicBool::new(false);

@@ -43,11 +43,13 @@ impl Default for LogHistogram {
     }
 }
 
-/// Bucket index of a value `>= 1`: `⌈SUB_BUCKETS·log₂ v⌉`, so a value
-/// exactly on an edge lands in the bucket that edge closes. Values below
-/// 1 (or non-finite) have no log bucket and live in the underflow
-/// bucket. Public so tests can assert the "within one bucket" quantile
-/// contract.
+/// Bucket index of a value `>= 1`: the least `i` whose exported edge
+/// (`2^(i/SUB_BUCKETS)` as `exp2` rounds it) is `>= v`, so a value
+/// exactly on an edge lands in the bucket that edge closes. The estimate
+/// `⌈SUB_BUCKETS·log₂ v⌉` is settled against those float edges, since
+/// `log2` and `exp2` each round. Values below 1 (or non-finite) have no
+/// log bucket and live in the underflow bucket. Public so tests can
+/// assert the "within one bucket" quantile contract.
 pub fn log_bucket_of(v: f64) -> Option<usize> {
     if !v.is_finite() || v < 1.0 {
         return None;
@@ -55,8 +57,14 @@ pub fn log_bucket_of(v: f64) -> Option<usize> {
     #[allow(clippy::cast_precision_loss)]
     let scaled = v.log2() * SUB_BUCKETS as f64;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let idx = scaled.ceil() as usize;
-    Some(idx.min(NUM_LOG_BUCKETS - 1))
+    let mut idx = (scaled.ceil() as usize).min(NUM_LOG_BUCKETS - 1);
+    while idx > 0 && v <= log_bucket_upper(idx - 1) {
+        idx -= 1;
+    }
+    while idx < NUM_LOG_BUCKETS - 1 && v > log_bucket_upper(idx) {
+        idx += 1;
+    }
+    Some(idx)
 }
 
 /// Inclusive upper edge of log bucket `i`: `2^(i/SUB_BUCKETS)`.
@@ -225,6 +233,25 @@ mod tests {
             assert_eq!(log_bucket_of(v), Some(i), "2^{k}");
             assert_eq!(log_bucket_upper(i), v);
         }
+    }
+
+    #[test]
+    fn every_exported_edge_closes_its_own_bucket() {
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        for i in 1..NUM_LOG_BUCKETS {
+            let edge = log_bucket_upper(i);
+            assert_eq!(log_bucket_of(edge), Some(i), "edge {i} = {edge}");
+            if i < NUM_LOG_BUCKETS - 1 {
+                assert_eq!(
+                    log_bucket_of(next_up(edge)),
+                    Some(i + 1),
+                    "next float above edge {i} = {edge}"
+                );
+            }
+        }
+        // bucket 2's edge is √2 rounded up, and it closes bucket 2
+        assert_eq!(log_bucket_upper(2), std::f64::consts::SQRT_2);
+        assert_eq!(log_bucket_of(std::f64::consts::SQRT_2), Some(2));
     }
 
     #[test]

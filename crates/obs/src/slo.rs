@@ -1,4 +1,4 @@
-//! SLO watchdogs: declarative per-epoch thresholds over the timeline.
+//! SLO watchdogs: declarative per-epoch thresholds over timeline rows.
 //!
 //! An operator states what "healthy" means — a cap on the congestion
 //! ratio vs. the fresh-sample baseline, a p99 epoch-wall budget, a floor
@@ -92,8 +92,8 @@ impl SloBreach {
 
 /// Live inputs a single [`EpochRecord`] cannot carry: tail latency from
 /// the epoch-wall [`LogHistogram`](crate::LogHistogram) and the cache
-/// hit rate over the current epoch and the timeline's most recent
-/// records (the serving layer computes both).
+/// hit rate over the current epoch and the journal's most recent
+/// rows (the serving layer computes both).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SloInputs {
     /// Current p99 of epoch wall time, milliseconds, if observed.

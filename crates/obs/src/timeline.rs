@@ -1,22 +1,24 @@
-//! Epoch timeline: a bounded ring of per-epoch serving records.
+//! Epoch timeline rows: one [`EpochRecord`] per published epoch.
 //!
 //! The registry answers "how much, ever"; the timeline answers "what
-//! happened around epoch 37". Each published epoch appends one
-//! [`EpochRecord`] — congestion vs. the fresh-sample baseline, the
-//! cache's per-epoch counter deltas, fallback/unserved counts, rejected
-//! ingest, the failure state, and any SLO breaches — into a fixed-size
-//! ring, so a long-running `sor serve` keeps the recent past at O(1)
-//! memory. The ring exports as JSON (`--timeline-out`, `/timeline` on
-//! the scrape endpoint) and renders as a text dashboard.
+//! happened around epoch 37". Each published epoch's row — congestion
+//! vs. the fresh-sample baseline, the cache's per-epoch counter deltas,
+//! fallback/unserved counts, rejected ingest, the failure state, and any
+//! SLO breaches — is the payload of the journal's `epoch_end` event
+//! ([`crate::journal`]); the journal is the only place a row is stored.
+//! The timeline is the newest rows the journal's ring still holds, at
+//! most [`DEFAULT_TIMELINE_CAPACITY`] of them ([`crate::Journal::rows`]).
+//! This module renders rows as JSON (`--timeline-out`, `/timeline` on
+//! the scrape endpoint) and as a text dashboard.
 //!
 //! Everything here is plain recorded data — the timeline never feeds
 //! back into routing, so it cannot perturb the bit-determinism contract.
 
 use crate::json::{push_escaped, push_f64};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 
-/// Default number of epochs the ring retains.
+/// The most rows the timeline shows: `/timeline`, `--timeline-out` and
+/// `--dashboard` read the newest this many `epoch_end` rows the journal
+/// still holds.
 pub const DEFAULT_TIMELINE_CAPACITY: usize = 256;
 
 /// One epoch's worth of serving telemetry (plain data; the serve crate
@@ -68,146 +70,77 @@ impl EpochRecord {
     }
 }
 
-/// Bounded ring of [`EpochRecord`]s. Push and read from any thread; the
-/// lock is held only to move plain data in or out.
-pub struct EpochTimeline {
-    ring: Mutex<VecDeque<EpochRecord>>,
-    capacity: usize,
-}
-
-impl Default for EpochTimeline {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_TIMELINE_CAPACITY)
-    }
-}
-
-impl EpochTimeline {
-    /// Timeline retaining the default number of epochs.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Timeline retaining the most recent `capacity` epochs.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "timeline needs capacity >= 1");
-        EpochTimeline {
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            capacity,
-        }
-    }
-
-    /// Append one epoch, evicting the oldest past capacity.
-    pub fn push(&self, rec: EpochRecord) {
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(rec);
-    }
-
-    /// Epochs currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    /// Whether no epoch has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.lock().is_empty()
-    }
-
-    /// Copy of the retained records, oldest first.
-    pub fn records(&self) -> Vec<EpochRecord> {
-        let ring = self.ring.lock();
-        ring.iter().cloned().collect()
-    }
-
-    /// Copy of the newest `n` retained records, oldest first. Copies
-    /// only those `n`, so a per-epoch reader stays O(n), not
-    /// O(capacity).
-    pub fn last(&self, n: usize) -> Vec<EpochRecord> {
-        let ring = self.ring.lock();
-        let skip = ring.len().saturating_sub(n);
-        ring.iter().skip(skip).cloned().collect()
-    }
-
-    /// The retained records as a JSON document:
-    /// `{"format":"sor-timeline/1","epochs":[...]}`. Hand-rolled like
-    /// the snapshot export; `null` for absent fresh baselines.
-    pub fn to_json(&self) -> String {
-        render_records_json(&self.records())
-    }
-
-    /// [`EpochTimeline::to_json`] truncated to the most recent `last`
-    /// records (the `/timeline?last=N` endpoint; `last = 0` serves an
-    /// empty document).
-    pub fn to_json_last(&self, last: usize) -> String {
-        render_records_json(&self.last(last))
-    }
-
-    /// Render the retained records as a fixed-width text dashboard.
-    pub fn render_dashboard(&self) -> String {
-        let records = self.records();
-        let mut out = String::new();
-        out.push_str(
-            "epoch   adm  rej hit  h/m/e/i      cong    fresh  ratio  fb uns  q fail   wall_ms  slo\n",
-        );
-        for r in &records {
-            let hit = if r.cache_hit { "y" } else { "n" };
-            let fresh = r
-                .fresh_congestion
-                .map_or_else(|| "     -".to_string(), |f| format!("{f:6.3}"));
-            let ratio = r
-                .congestion_ratio()
-                .map_or_else(|| "    -".to_string(), |x| format!("{x:5.2}"));
-            #[allow(clippy::cast_precision_loss)]
-            let wall_ms = r.epoch_wall_ns as f64 / 1e6;
-            let slo = if r.slo_breaches.is_empty() {
-                "-".to_string()
-            } else {
-                r.slo_breaches.join(",")
-            };
-            out.push_str(&format!(
-                "{:5} {:5} {:4}   {} {:2}/{}/{}/{} {:9.3} {} {} {:3} {:3} {:2} {:4} {:9.3}  {}\n",
-                r.epoch,
-                r.admitted,
-                r.rejected,
-                hit,
-                r.cache_hits,
-                r.cache_misses,
-                r.cache_evictions,
-                r.cache_invalidations,
-                r.congestion,
-                fresh,
-                ratio,
-                r.fallback_pairs,
-                r.unserved_pairs,
-                r.queue_depth,
-                r.failed_edges,
-                wall_ms,
-                slo,
-            ));
-        }
-        out
-    }
-}
-
-fn render_records_json(records: &[EpochRecord]) -> String {
+/// The rows as a JSON document, oldest first:
+/// `{"format":"sor-timeline/1","epochs":[...]}` (`--timeline-out` and
+/// `/timeline`). Hand-rolled like the snapshot export; `null` for absent
+/// fresh baselines.
+pub fn render_json(records: &[EpochRecord]) -> String {
     let mut out = String::with_capacity(256 + records.len() * 256);
     out.push_str("{\"format\":\"sor-timeline/1\",\"epochs\":[");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_record_json(&mut out, r);
+        out.push_str(&format!("{{\"epoch\":{}", r.epoch));
+        push_record_fields(&mut out, r);
+        out.push('}');
     }
     out.push_str("]}");
     out
 }
 
-fn push_record_json(out: &mut String, r: &EpochRecord) {
+/// Render the rows as a fixed-width text dashboard (`--dashboard`).
+pub fn render_dashboard(records: &[EpochRecord]) -> String {
+    let mut out = String::new();
+    out.push_str(
+        "epoch   adm  rej hit  h/m/e/i      cong    fresh  ratio  fb uns  q fail   wall_ms  slo\n",
+    );
+    for r in records {
+        let hit = if r.cache_hit { "y" } else { "n" };
+        let fresh = r
+            .fresh_congestion
+            .map_or_else(|| "     -".to_string(), |f| format!("{f:6.3}"));
+        let ratio = r
+            .congestion_ratio()
+            .map_or_else(|| "    -".to_string(), |x| format!("{x:5.2}"));
+        #[allow(clippy::cast_precision_loss)]
+        let wall_ms = r.epoch_wall_ns as f64 / 1e6;
+        let slo = if r.slo_breaches.is_empty() {
+            "-".to_string()
+        } else {
+            r.slo_breaches.join(",")
+        };
+        out.push_str(&format!(
+            "{:5} {:5} {:4}   {} {:2}/{}/{}/{} {:9.3} {} {} {:3} {:3} {:2} {:4} {:9.3}  {}\n",
+            r.epoch,
+            r.admitted,
+            r.rejected,
+            hit,
+            r.cache_hits,
+            r.cache_misses,
+            r.cache_evictions,
+            r.cache_invalidations,
+            r.congestion,
+            fresh,
+            ratio,
+            r.fallback_pairs,
+            r.unserved_pairs,
+            r.queue_depth,
+            r.failed_edges,
+            wall_ms,
+            slo,
+        ));
+    }
+    out
+}
+
+/// Every field of `r` after `epoch`, each led by a comma. The timeline
+/// row and the journal's `epoch_end` event both write through this, so
+/// the two documents carry the same fields in the same order.
+pub(crate) fn push_record_fields(out: &mut String, r: &EpochRecord) {
     out.push_str(&format!(
-        "{{\"epoch\":{},\"admitted\":{},\"rejected\":{},\"cache_hit\":{},",
-        r.epoch, r.admitted, r.rejected, r.cache_hit
+        ",\"admitted\":{},\"rejected\":{},\"cache_hit\":{},",
+        r.admitted, r.rejected, r.cache_hit
     ));
     out.push_str(&format!(
         "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"invalidations\":{}}},",
@@ -236,14 +169,14 @@ fn push_record_json(out: &mut String, r: &EpochRecord) {
         }
         push_escaped(out, b);
     }
-    out.push_str("]}");
+    out.push(']');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    pub(crate) fn record(epoch: u64) -> EpochRecord {
+    fn record(epoch: u64) -> EpochRecord {
         EpochRecord {
             epoch,
             admitted: 8,
@@ -265,33 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_bounds_and_orders() {
-        let t = EpochTimeline::with_capacity(3);
-        assert!(t.is_empty());
-        for e in 0..5 {
-            t.push(record(e));
-        }
-        assert_eq!(t.len(), 3);
-        let recs = t.records();
-        assert_eq!(
-            recs.iter().map(|r| r.epoch).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
-        let epochs = |n| t.last(n).iter().map(|r| r.epoch).collect::<Vec<_>>();
-        assert_eq!(epochs(2), vec![3, 4]);
-        assert_eq!(epochs(10), vec![2, 3, 4]);
-        assert!(epochs(0).is_empty());
-    }
-
-    #[test]
     fn json_round_trips_through_parser() {
-        let t = EpochTimeline::new();
-        t.push(record(0));
         let mut r = record(1);
         r.fresh_congestion = None;
         r.slo_breaches = vec!["max_congestion_ratio".to_string()];
-        t.push(r);
-        let json = t.to_json();
+        let json = render_json(&[record(0), r]);
         let v = crate::parse_json(&json).expect("valid JSON");
         assert_eq!(
             v.get("format").and_then(|f| f.as_str()),
@@ -318,57 +229,15 @@ mod tests {
             .and_then(|b| b.as_arr())
             .expect("array");
         assert_eq!(breaches.len(), 1);
-    }
-
-    #[test]
-    fn ring_wraps_exactly_at_capacity() {
-        let t = EpochTimeline::with_capacity(4);
-        // fill to exactly capacity: nothing evicted
-        for e in 0..4 {
-            t.push(record(e));
-        }
-        assert_eq!(t.len(), 4);
+        // no rows, no epochs
         assert_eq!(
-            t.records().iter().map(|r| r.epoch).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        // the next push evicts exactly the oldest
-        t.push(record(4));
-        assert_eq!(t.len(), 4, "capacity never exceeded");
-        assert_eq!(
-            t.records().iter().map(|r| r.epoch).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4]
-        );
-    }
-
-    #[test]
-    fn to_json_last_truncates_to_recent_epochs() {
-        let t = EpochTimeline::new();
-        for e in 0..5 {
-            t.push(record(e));
-        }
-        let json = t.to_json_last(2);
-        let v = crate::parse_json(&json).expect("valid JSON");
-        let epochs = v.get("epochs").and_then(|e| e.as_arr()).expect("array");
-        assert_eq!(epochs.len(), 2);
-        assert_eq!(epochs[0].get("epoch").and_then(|x| x.as_u64()), Some(3));
-        assert_eq!(epochs[1].get("epoch").and_then(|x| x.as_u64()), Some(4));
-        // over-asking serves everything; zero serves an empty document
-        let all = crate::parse_json(&t.to_json_last(100)).expect("valid");
-        assert_eq!(
-            all.get("epochs").and_then(|e| e.as_arr()).map(<[_]>::len),
-            Some(5)
-        );
-        let none = crate::parse_json(&t.to_json_last(0)).expect("valid");
-        assert_eq!(
-            none.get("epochs").and_then(|e| e.as_arr()).map(<[_]>::len),
-            Some(0)
+            render_json(&[]),
+            "{\"format\":\"sor-timeline/1\",\"epochs\":[]}"
         );
     }
 
     #[test]
     fn dashboard_survives_huge_cells_without_panicking() {
-        let t = EpochTimeline::new();
         let mut r = record(0);
         r.epoch = 12_345_678;
         r.admitted = 9_999_999;
@@ -381,8 +250,7 @@ mod tests {
         r.queue_depth = 2_000_000;
         r.failed_edges = 3_000_000;
         r.epoch_wall_ns = u64::MAX;
-        t.push(r);
-        let dash = t.render_dashboard();
+        let dash = render_dashboard(&[r]);
         let lines: Vec<&str> = dash.lines().collect();
         assert_eq!(lines.len(), 2, "header + 1 epoch");
         // fixed-width columns widen rather than truncate: every value
@@ -395,10 +263,7 @@ mod tests {
 
     #[test]
     fn dashboard_renders_one_line_per_epoch() {
-        let t = EpochTimeline::new();
-        t.push(record(0));
-        t.push(record(1));
-        let dash = t.render_dashboard();
+        let dash = render_dashboard(&[record(0), record(1)]);
         let lines: Vec<&str> = dash.lines().collect();
         assert_eq!(lines.len(), 3, "header + 2 epochs");
         assert!(lines[0].contains("cong"));

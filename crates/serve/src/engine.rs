@@ -278,11 +278,12 @@ impl Engine {
     }
 
     /// Attach an observer: every subsequent lifecycle step journals a
-    /// causal event, and every epoch closes into its timeline, wall
-    /// histograms and SLO watchdog. Observation is strictly read-only
-    /// over the epoch's outputs — published snapshots stay bit-identical
-    /// with or without it (the determinism test pins this), and an
-    /// engine without one takes no clock reading and builds no event.
+    /// causal event, and every epoch closes into its journaled timeline
+    /// row, wall histograms and SLO watchdog. Observation is strictly
+    /// read-only over the epoch's outputs — published snapshots stay
+    /// bit-identical with or without it (the determinism test pins
+    /// this), and an engine without one takes no clock reading and
+    /// builds no event.
     pub fn attach_observer(&mut self, observer: Arc<Observer>) {
         self.observer = Some(observer);
     }
@@ -333,17 +334,11 @@ impl Engine {
         sor_obs::count_usize("serve/edge_failures", edges.len());
         let invalidated = self.cache.invalidate_edges(edges);
         // Tagged with the *upcoming* epoch index: the failure takes
-        // effect on (and the invalidation misses land in) that epoch.
+        // effect on that epoch, whose row carries the invalidations.
         self.record(|| JournalEvent::EdgeFail {
             epoch: self.epoch,
             edges: edges.iter().map(|e| e.0).collect(),
         });
-        if invalidated > 0 {
-            self.record(|| JournalEvent::CacheInvalidate {
-                epoch: self.epoch,
-                count: invalidated as u64,
-            });
-        }
         invalidated
     }
 
@@ -399,16 +394,9 @@ impl Engine {
                 queue_depth: self.queue.len(),
             });
             // Rejections only happen at ingest, between epochs, so this
-            // delta is also the one the epoch's timeline row carries.
-            let rejected = self.rejected.saturating_sub(self.prev_rejected);
+            // delta is the one the epoch's timeline row carries.
+            self.measures.rejected = self.rejected.saturating_sub(self.prev_rejected);
             self.prev_rejected = self.rejected;
-            self.measures.rejected = rejected;
-            if rejected > 0 {
-                obs.record(JournalEvent::Reject {
-                    epoch,
-                    count: rejected,
-                });
-            }
         }
 
         let take = self.cfg.epoch_batch.min(self.queue.len());
@@ -455,13 +443,6 @@ impl Engine {
         if let Some(t0) = lookup_start {
             self.measures.cache_lookup_ns = elapsed_ns(t0);
         }
-        self.record(|| {
-            if cache_hit {
-                JournalEvent::CacheHit { epoch }
-            } else {
-                JournalEvent::CacheMiss { epoch }
-            }
-        });
 
         let (system, fallback_pairs, unserved) =
             resolve_failures(&self.g, &sampled, &self.failed, &pairs);
@@ -471,10 +452,6 @@ impl Engine {
                  emergency shortest-path fallback installed"
             );
             sor_obs::count_usize("serve/fallback_pairs", fallback_pairs);
-            self.record(|| JournalEvent::Fallback {
-                epoch,
-                pairs: fallback_pairs,
-            });
         }
         let demand = if unserved.is_empty() {
             demand
@@ -484,10 +461,6 @@ impl Engine {
                 unserved.len()
             );
             sor_obs::count_usize("serve/unserved_pairs", unserved.len());
-            self.record(|| JournalEvent::Unserved {
-                epoch,
-                pairs: unserved.len(),
-            });
             Demand::from_triples(
                 demand
                     .entries()
@@ -937,24 +910,8 @@ mod tests {
             eng.run_epoch();
         }
         assert_eq!(eng.rejected_total(), 4 + 2 + 1);
-        let rows: Vec<u64> = observer
-            .timeline()
-            .records()
-            .iter()
-            .map(|r| r.rejected)
-            .collect();
+        let rows: Vec<u64> = observer.timeline().iter().map(|r| r.rejected).collect();
         assert_eq!(rows, [4, 2, 0, 1], "timeline rows carry deltas, not totals");
-        let rejects: Vec<(u64, u64)> = observer
-            .journal()
-            .events()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                JournalEvent::Reject { epoch, count } => Some((*epoch, *count)),
-                _ => None,
-            })
-            .collect();
-        // one reject event per epoch with rejections, none for epoch 2
-        assert_eq!(rejects, [(0, 4), (1, 2), (3, 1)]);
     }
 
     #[test]
@@ -1043,7 +1000,6 @@ mod tests {
         for expected in [
             "epoch_begin",
             "admit",
-            "cache_miss",
             "reopt",
             "top_edges",
             "path_churn",
@@ -1051,8 +1007,10 @@ mod tests {
         ] {
             assert!(tags.contains(&expected), "missing {expected} in {tags:?}");
         }
-        // 4 pairs, all published for the first time
+        // 4 pairs, all published for the first time, on a sampled system
         assert_eq!(tags.iter().filter(|t| **t == "path_churn").count(), 4);
+        let cold = &journal.rows(1)[0];
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1));
         let before = journal.len();
         // identical demand again: warm hit, identical publication → no churn
         for i in 0..4u32 {
@@ -1068,8 +1026,12 @@ mod tests {
             .skip(before)
             .map(|(_, e)| e.type_tag())
             .collect();
-        assert!(tags2.contains(&"cache_hit"), "warm epoch hits: {tags2:?}");
-        assert!(!tags2.contains(&"cache_miss"));
+        let warm = &journal.rows(1)[0];
+        assert_eq!(
+            (warm.cache_hits, warm.cache_misses),
+            (1, 0),
+            "warm epoch hits"
+        );
         assert!(
             !tags2.contains(&"path_churn"),
             "identical publication churns nothing: {tags2:?}"
@@ -1109,24 +1071,16 @@ mod tests {
         assert!(
             events
                 .iter()
-                .any(|(_, e)| matches!(e, JournalEvent::CacheInvalidate { epoch: 1, count: 1 })),
-            "invalidation journaled"
-        );
-        assert!(
-            events
-                .iter()
                 .any(|(_, e)| matches!(e, JournalEvent::EdgeRestore { restored: 1, .. })),
             "restore journaled"
         );
-        // the degraded epoch's summary carries the live failure count
-        assert!(events.iter().any(|(_, e)| matches!(
-            e,
-            JournalEvent::EpochEnd {
-                epoch: 1,
-                failed_edges: 1,
-                ..
-            }
-        )));
+        // the degraded epoch's row carries the invalidation and the live
+        // failure count
+        let rows = observer.journal().rows(2);
+        assert_eq!(rows[1].epoch, 1);
+        assert_eq!(rows[1].cache_invalidations, 1, "invalidation journaled");
+        assert_eq!(rows[1].failed_edges, 1);
+        assert_eq!((rows[0].cache_invalidations, rows[0].failed_edges), (0, 0));
     }
 
     #[test]

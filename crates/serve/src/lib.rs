@@ -21,11 +21,11 @@
 //! * [`workload`] — deterministic closed-loop arrival processes and
 //!   failure schedules for the CLI, benches, and tests.
 //! * [`observer`] — one [`Observer`] owns every observation store: the
-//!   flight-recorder journal of causal events (admissions, cache
-//!   movement, failures, fallbacks, re-opt summaries, top-k edge loads,
-//!   path churn), the epoch timeline, streaming tail percentiles, the
-//!   SLO watchdog, and breach-triggered journal dumps — the artifact
-//!   `sor forensics` ingests. It also serves the Prometheus-style scrape
+//!   flight-recorder journal of causal events (admissions, failures,
+//!   re-opt summaries, top-k edge loads, path churn, and each epoch's
+//!   timeline row — the timeline is the journal's newest rows),
+//!   streaming tail percentiles, the SLO watchdog, and breach-triggered
+//!   journal dumps — the artifact `sor forensics` ingests. It also serves the Prometheus-style scrape
 //!   endpoint (`sor serve --telemetry-addr`).
 //!
 //! Everything is bit-deterministic for a fixed seed, with or without

@@ -1,26 +1,28 @@
 //! The engine's observer: every observation store behind one value.
 //!
-//! One [`Observer`] owns the flight-recorder journal, the epoch
-//! timeline, the SLO watchdog, the four wall-clock tail histograms and
-//! the optional breach-dump target. It is shared (`Arc`) between the
-//! engine, which attaches it with [`crate::Engine::attach_observer`],
-//! and readers such as the scrape thread (`/metrics`, `/timeline`,
-//! `/health`) or the CLI writing artifacts at exit.
+//! One [`Observer`] owns the flight-recorder journal, the SLO watchdog,
+//! the four wall-clock tail histograms and the optional breach-dump
+//! target. It is shared (`Arc`) between the engine, which attaches it
+//! with [`crate::Engine::attach_observer`], and readers such as the
+//! scrape thread (`/metrics`, `/timeline`, `/health`) or the CLI writing
+//! artifacts at exit.
 //!
 //! The engine makes two kinds of call: `record` for each causal event
-//! of the epoch lifecycle, and one epoch close per
-//! published epoch, which journals `epoch_end`, pushes the timeline row
-//! built from the same values, observes the walls, runs the watchdog and
-//! writes the journal dump on a breach. Observation is strictly
-//! read-only over the epoch's outputs: attaching an observer cannot
-//! change a published route or rate (`serve_determinism.rs` asserts
-//! bit-equality either way).
+//! of the epoch lifecycle, and one epoch close per published epoch,
+//! which observes the walls, builds the epoch's timeline row once, runs
+//! the watchdog on it, journals the row (breaches included) as the
+//! epoch's `epoch_end` event and writes the journal dump on a breach.
+//! The journal is the only per-epoch store: the timeline is its newest
+//! `epoch_end` rows. Observation is strictly read-only over the epoch's
+//! outputs: attaching an observer cannot change a published route or
+//! rate (`serve_determinism.rs` asserts bit-equality either way).
 
 use crate::engine::EpochSnapshot;
 use parking_lot::Mutex;
+use sor_obs::timeline::{render_json, DEFAULT_TIMELINE_CAPACITY};
 use sor_obs::{
-    EpochRecord, EpochTimeline, Journal, JournalEvent, LogHistogram, PromGauges, SloBreach,
-    SloConfig, SloInputs, SloWatchdog, TelemetryHandler, TelemetryServer,
+    EpochRecord, Journal, JournalEvent, LogHistogram, PromGauges, SloBreach, SloConfig, SloInputs,
+    SloWatchdog, TelemetryHandler, TelemetryServer,
 };
 use std::net::ToSocketAddrs;
 use std::sync::Arc;
@@ -57,7 +59,6 @@ struct BreachDump {
 /// Every observation store of a serving run (see module docs).
 pub struct Observer {
     journal: Journal,
-    timeline: EpochTimeline,
     watchdog: SloWatchdog,
     epoch_wall: LogHistogram,
     reopt_wall: LogHistogram,
@@ -79,7 +80,6 @@ impl Observer {
     pub fn new(slo: SloConfig) -> Self {
         Observer {
             journal: Journal::new(),
-            timeline: EpochTimeline::new(),
             watchdog: SloWatchdog::new(slo),
             epoch_wall: LogHistogram::new(),
             reopt_wall: LogHistogram::new(),
@@ -92,7 +92,7 @@ impl Observer {
 
     /// Arm breach-triggered dumps: every epoch that trips an SLO rule
     /// snapshots the journal's last `context_epochs` epochs (0 = all
-    /// retained) to `{prefix}-epoch{NNNNNN}.json`, the `sor-journal/1`
+    /// retained) to `{prefix}-epoch{NNNNNN}.json`, the `sor-journal/2`
     /// format `sor forensics` ingests, up to [`MAX_BREACH_DUMPS`] files.
     #[must_use]
     pub fn with_breach_dump(mut self, prefix: impl Into<String>, context_epochs: u64) -> Self {
@@ -114,26 +114,11 @@ impl Observer {
         self.queue_wait.observe(ns as f64);
     }
 
-    /// Close one published epoch: journal its evictions and `epoch_end`,
-    /// observe the walls, evaluate the SLO watchdog, push the timeline
-    /// row, and dump the journal if a rule was breached.
+    /// Close one published epoch: observe the walls, build the epoch's
+    /// row, evaluate the SLO watchdog on it, journal the row (with its
+    /// breaches) as `epoch_end`, and dump the journal if a rule was
+    /// breached.
     pub(crate) fn close_epoch(&self, snap: &EpochSnapshot, failed_edges: usize, m: EpochMeasures) {
-        if snap.cache.evictions > 0 {
-            self.record(JournalEvent::CacheEvict {
-                epoch: snap.epoch,
-                count: snap.cache.evictions,
-            });
-        }
-        self.record(JournalEvent::EpochEnd {
-            epoch: snap.epoch,
-            admitted: snap.admitted,
-            cache_hit: snap.cache_hit,
-            congestion: snap.congestion,
-            fallback_pairs: snap.fallback_pairs,
-            unserved_pairs: snap.unserved_pairs,
-            failed_edges,
-            epoch_wall_ns: m.epoch_ns,
-        });
         #[allow(clippy::cast_precision_loss)]
         {
             self.epoch_wall.observe(m.epoch_ns as f64);
@@ -144,7 +129,7 @@ impl Observer {
                 self.cache_lookup.observe(m.cache_lookup_ns as f64);
             }
         }
-        let mut rec = EpochRecord {
+        let mut row = EpochRecord {
             epoch: snap.epoch,
             admitted: snap.admitted,
             rejected: m.rejected,
@@ -164,23 +149,23 @@ impl Observer {
         };
         let inputs = SloInputs {
             p99_epoch_wall_ms: self.epoch_wall.quantile(0.99).map(|ns| ns / 1e6),
-            cache_hit_rate: self.windowed_hit_rate(&rec),
+            cache_hit_rate: self.windowed_hit_rate(&row),
         };
-        let breaches = self.watchdog.evaluate(&rec, inputs);
-        rec.slo_breaches = breaches.iter().map(|b| b.rule.to_string()).collect();
-        self.timeline.push(rec);
+        let breaches = self.watchdog.evaluate(&row, inputs);
+        row.slo_breaches = breaches.iter().map(|b| b.rule.to_string()).collect();
+        self.record(JournalEvent::EpochEnd(row));
         if !breaches.is_empty() {
             self.dump_on_breach(snap.epoch, &breaches);
         }
     }
 
-    /// Cache hit rate over the current epoch plus the last
-    /// `HIT_RATE_WINDOW - 1` timeline records; `None` until any lookup
-    /// happened (empty epochs perform none).
+    /// Cache hit rate over the current epoch plus the journal's last
+    /// `HIT_RATE_WINDOW - 1` rows; `None` until any lookup happened
+    /// (empty epochs perform none).
     fn windowed_hit_rate(&self, current: &EpochRecord) -> Option<f64> {
         let (mut hits, mut lookups) = (current.cache_hits, current.cache_hits);
         lookups += current.cache_misses;
-        for r in &self.timeline.last(HIT_RATE_WINDOW - 1) {
+        for r in &self.journal.rows(HIT_RATE_WINDOW - 1) {
             hits += r.cache_hits;
             lookups += r.cache_hits + r.cache_misses;
         }
@@ -234,9 +219,10 @@ impl Observer {
         &self.journal
     }
 
-    /// The epoch timeline (records, JSON, dashboard).
-    pub fn timeline(&self) -> &EpochTimeline {
-        &self.timeline
+    /// The timeline: the journal's newest `epoch_end` rows, at most
+    /// [`DEFAULT_TIMELINE_CAPACITY`], oldest first.
+    pub fn timeline(&self) -> Vec<EpochRecord> {
+        self.journal.rows(DEFAULT_TIMELINE_CAPACITY)
     }
 
     /// The SLO watchdog (config, health summary).
@@ -290,11 +276,11 @@ impl TelemetryHandler for Observer {
     }
 
     fn timeline_json(&self) -> String {
-        self.timeline.to_json()
+        render_json(&self.timeline())
     }
 
     fn timeline_json_last(&self, last: usize) -> String {
-        self.timeline.to_json_last(last)
+        render_json(&self.journal.rows(last.min(DEFAULT_TIMELINE_CAPACITY)))
     }
 
     fn health(&self) -> String {
@@ -347,8 +333,8 @@ mod tests {
                 },
             );
         }
-        assert_eq!(o.timeline().len(), 5);
-        let records = o.timeline().records();
+        let records = o.timeline();
+        assert_eq!(records.len(), 5);
         assert_eq!(records[0].rejected, 0);
         assert!(records[1..].iter().all(|r| r.rejected == 1));
         assert_eq!(o.journal().len(), 5, "one epoch_end per close");
@@ -365,7 +351,7 @@ mod tests {
         });
         // congestion 2.0 vs fresh 1.0 → ratio 2.0 > 1.5
         o.close_epoch(&snap(0, false), 0, EpochMeasures::default());
-        let records = o.timeline().records();
+        let records = o.timeline();
         assert_eq!(records[0].slo_breaches, vec!["max_congestion_ratio"]);
         let health = o.watchdog().summary();
         assert_eq!(health.total_breaches, 1);

@@ -188,8 +188,8 @@ pub fn scenario_patterns<R: Rng>(
 /// enqueues `rate` unit requests cycling over its pairs, and runs the
 /// engine; the failure schedule fires as configured. An attached
 /// `observer` never changes the report (bit-identical snapshots either
-/// way); it only fills its journal, timeline and SLO state as epochs
-/// run.
+/// way); it only fills its journal (timeline rows included) and SLO
+/// state as epochs run.
 pub fn run_workload(
     g: &Graph,
     ecfg: EngineConfig,

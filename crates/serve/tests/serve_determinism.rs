@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_graph::gen;
-use sor_obs::{JournalEvent, SloConfig};
+use sor_obs::{JournalEvent, SloConfig, TelemetryHandler};
 use sor_serve::{
     run_workload, EngineConfig, EpochSnapshot, Observer, SnapshotFormat, WorkloadConfig,
     WorkloadReport,
@@ -252,18 +252,16 @@ fn observer_does_not_change_published_routes() {
     assert_eq!(count("edge_fail"), plain.failures.len());
     assert_eq!(count("edge_restore"), 1);
     assert!(count("reopt") > 0 && count("top_edges") > 0);
-    // the journaled epoch summaries carry the published congestion bits
+    // the journaled epoch rows carry the published congestion bits
     for snap in &plain.snapshots {
         assert!(
             events.iter().any(|(_, e)| matches!(
                 e,
-                JournalEvent::EpochEnd {
-                    epoch,
-                    congestion,
-                    ..
-                } if *epoch == snap.epoch && congestion.to_bits() == snap.congestion.to_bits()
+                JournalEvent::EpochEnd(row)
+                    if row.epoch == snap.epoch
+                        && row.congestion.to_bits() == snap.congestion.to_bits()
             )),
-            "epoch {} summary missing or drifted",
+            "epoch {} row missing or drifted",
             snap.epoch
         );
     }
@@ -273,6 +271,64 @@ fn observer_does_not_change_published_routes() {
         .dump_json(&[("source", "serve_determinism")]);
     let parsed = sor_obs::parse_journal(&dump).expect("journal dump parses");
     assert_eq!(parsed.events.len(), events.len());
+}
+
+/// An SLO no run can meet once the cache is consulted: every epoch with
+/// a lookup breaches, with no wall clock involved.
+fn unreachable_hit_rate() -> SloConfig {
+    SloConfig {
+        min_cache_hit_rate: Some(2.0),
+        ..SloConfig::disabled()
+    }
+}
+
+#[test]
+fn journal_dump_carries_the_timeline() {
+    let _guard = serial();
+    let observer = Arc::new(Observer::new(unreachable_hit_rate()));
+    run_once_observed(Some(Arc::clone(&observer)));
+    let dump =
+        sor_obs::parse_journal(&observer.journal().dump_json(&[])).expect("journal dump parses");
+    let rows: Vec<sor_obs::EpochRecord> = dump
+        .events
+        .into_iter()
+        .filter_map(|(_, e)| match e {
+            JournalEvent::EpochEnd(row) => Some(row),
+            _ => None,
+        })
+        .collect();
+    assert!(rows.iter().any(|r| r.fresh_congestion.is_some()));
+    assert!(rows.iter().any(|r| !r.slo_breaches.is_empty()));
+    assert_eq!(
+        sor_obs::timeline::render_json(&rows),
+        observer.timeline_json(),
+        "the dump's epoch_end rows are the timeline"
+    );
+}
+
+#[test]
+fn seeded_journals_match_up_to_epoch_walls() {
+    let _guard = serial();
+    let journal_of = || {
+        let observer = Arc::new(Observer::new(unreachable_hit_rate()));
+        run_once_observed(Some(Arc::clone(&observer)));
+        let mut events = observer.journal().events();
+        for (_, e) in &mut events {
+            if let JournalEvent::EpochEnd(row) = e {
+                row.epoch_wall_ns = 0;
+            }
+        }
+        events
+    };
+    let first = journal_of();
+    assert!(first
+        .iter()
+        .any(|(_, e)| matches!(e, JournalEvent::EpochEnd(row) if !row.slo_breaches.is_empty())));
+    assert_eq!(
+        first,
+        journal_of(),
+        "two runs with one seed journaled different events"
+    );
 }
 
 #[test]

@@ -277,7 +277,7 @@ fn slo_breaches_on_failure_workload_emit_structured_events() {
     assert!(summary.render().contains("degraded"));
 
     // breaches also land on the matching timeline records
-    let records = observer.timeline().records();
+    let records = observer.timeline();
     assert!(
         records.iter().any(|r| !r.slo_breaches.is_empty()),
         "no timeline record carries its breaches"

@@ -30,13 +30,14 @@ use semi_oblivious_routing::graph::{
     articulation_points, bridges, diameter, global_min_cut, spectral_gap,
 };
 use semi_oblivious_routing::oblivious::RaeckeRouting;
+use semi_oblivious_routing::obs::timeline;
 use semi_oblivious_routing::sched::{try_simulate, Policy};
 use semi_oblivious_routing::serve;
 use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  sor info    --graph <spec> [--seed N]\n  sor eval    --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sweep   --graph <spec> [--max-s K] [--demand spec] [--eps E] [--seed N]\n  sor sim     --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor serve   --graph <spec> [--epochs E] [--rate R] [--patterns P] [--pattern-pairs K]\n              [--s K] [--trees T] [--eps E] [--batch B] [--queue-bound Q] [--cache-cap C]\n              [--fail-at E] [--restore-after R] [--compare-fresh] [--integral] [--seed N]\n              [--snapshot-format explicit|compact]\n  sor compact --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor forensics --journal FILE [--top K] [--json FILE]\n  sor export  --graph <spec> [--s K] [--trees T] [--demand spec] [--seed N]\n  sor process --graph <spec> [--s K] [--tau T] [--demand spec] [--seed N]\nobservability (any subcommand):\n  --trace             print the phase-tree timing report to stderr\n  --metrics-out FILE  write the metrics snapshot (counters/histograms/spans) as JSON\n  --quiet             silence diagnostic logging\nlive telemetry (serve only):\n  --telemetry-addr A  serve Prometheus exposition at A (e.g. 127.0.0.1:9100;\n                      port 0 binds an ephemeral port, printed to stderr)\n  --timeline-out FILE write the epoch timeline as JSON after the run\n  --dashboard         print the epoch timeline dashboard to stderr\n  --hold-ms MS        keep the scrape endpoint up MS ms after the run\n  --slo               arm the default SLO thresholds; or set individually:\n  --slo-max-ratio X --slo-max-p99-ms X --slo-min-hit-rate X --slo-max-fallback X\nflight recorder (serve only):\n  --journal-out FILE  write the causal event journal (sor-journal/1) after the run\n  --journal-epochs N  epochs of journal context per dump (default 16; 0 = all)\n  --dump-on-breach P  write {{P}}-epochNNNNNN.json whenever an epoch trips an SLO rule\nforensics (offline, on a journal dump):\n  --journal FILE      the sor-journal/1 artifact to analyze (required)\n  --top K             per-edge load-shift rows to show (default 8)\n  --json FILE         also write the sor-forensics/1 report as JSON"
+        "usage:\n  sor info    --graph <spec> [--seed N]\n  sor eval    --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sweep   --graph <spec> [--max-s K] [--demand spec] [--eps E] [--seed N]\n  sor sim     --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor serve   --graph <spec> [--epochs E] [--rate R] [--patterns P] [--pattern-pairs K]\n              [--s K] [--trees T] [--eps E] [--batch B] [--queue-bound Q] [--cache-cap C]\n              [--fail-at E] [--restore-after R] [--compare-fresh] [--integral] [--seed N]\n              [--snapshot-format explicit|compact]\n  sor compact --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor forensics --journal FILE [--top K] [--json FILE]\n  sor export  --graph <spec> [--s K] [--trees T] [--demand spec] [--seed N]\n  sor process --graph <spec> [--s K] [--tau T] [--demand spec] [--seed N]\nobservability (any subcommand):\n  --trace             print the phase-tree timing report to stderr\n  --metrics-out FILE  write the metrics snapshot (counters/histograms/spans) as JSON\n  --quiet             silence diagnostic logging\nlive telemetry (serve only):\n  --telemetry-addr A  serve Prometheus exposition at A (e.g. 127.0.0.1:9100;\n                      port 0 binds an ephemeral port, printed to stderr)\n  --timeline-out FILE write the epoch timeline as JSON after the run\n  --dashboard         print the epoch timeline dashboard to stderr\n  --hold-ms MS        keep the scrape endpoint up MS ms after the run\n  --slo               arm the default SLO thresholds; or set individually:\n  --slo-max-ratio X --slo-max-p99-ms X --slo-min-hit-rate X --slo-max-fallback X\nflight recorder (serve only):\n  --journal-out FILE  write the causal event journal (sor-journal/2) after the run\n  --journal-epochs N  epochs of journal context per dump (default 16; 0 = all)\n  --dump-on-breach P  write {{P}}-epochNNNNNN.json whenever an epoch trips an SLO rule\nforensics (offline, on a journal dump):\n  --journal FILE      the sor-journal/2 artifact to analyze (required)\n  --top K             per-edge load-shift rows to show (default 8)\n  --json FILE         also write the sor-forensics/1 report as JSON"
     );
     exit(2)
 }
@@ -399,11 +400,11 @@ fn run(args: &[String]) {
                 // The timeline contains wall clocks, so the dashboard and
                 // the health summary go to stderr like the throughput line.
                 if dashboard && !quiet {
-                    eprint!("{}", o.timeline().render_dashboard());
+                    eprint!("{}", timeline::render_dashboard(&o.timeline()));
                     eprint!("{}", o.watchdog().summary().render());
                 }
                 if let Some(path) = timeline_out {
-                    if let Err(e) = std::fs::write(path, o.timeline().to_json()) {
+                    if let Err(e) = std::fs::write(path, timeline::render_json(&o.timeline())) {
                         eprintln!("error: cannot write timeline to {path}: {e}");
                         exit(1);
                     }
@@ -525,7 +526,7 @@ fn run(args: &[String]) {
     }
 }
 
-/// `sor forensics`: ingest a `sor-journal/1` dump (breach-triggered or
+/// `sor forensics`: ingest a `sor-journal/2` dump (breach-triggered or
 /// `--journal-out`), attribute epoch-over-epoch congestion/wall movement
 /// to causes, and render the text report (optionally the JSON one too).
 fn run_forensics(args: &[String]) {

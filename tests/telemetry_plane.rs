@@ -14,8 +14,8 @@ use semi_oblivious_routing::obs;
 use semi_oblivious_routing::obs::loghist::{log_bucket_of, SUB_BUCKETS};
 use semi_oblivious_routing::obs::timeline::DEFAULT_TIMELINE_CAPACITY;
 use semi_oblivious_routing::obs::{
-    prom_name, EpochRecord, EpochTimeline, HealthSummary, JournalEvent, SloBreach, SloConfig,
-    SloInputs, SloWatchdog, TelemetryHandler, DEFAULT_JOURNAL_CAPACITY,
+    prom_name, EpochRecord, HealthSummary, Journal, JournalEvent, SloBreach, SloConfig, SloInputs,
+    SloWatchdog, TelemetryHandler, DEFAULT_JOURNAL_CAPACITY,
 };
 use semi_oblivious_routing::serve::{
     run_workload, CacheDeltas, EngineConfig, Observer, WorkloadConfig, MAX_BREACH_DUMPS,
@@ -35,8 +35,8 @@ fn observer_constants_and_stores_describe_the_plane() {
     obs::reset();
     obs::set_enabled(true);
 
-    // the documented bounds: the journal holds far more epochs of events
-    // than the timeline holds rows, and breach storms stop at the cap
+    // the documented bounds: the journal's ring holds far more events
+    // than the timeline shows rows, and breach storms stop at the cap
     assert_eq!(DEFAULT_JOURNAL_CAPACITY, 8192);
     assert_eq!(DEFAULT_TIMELINE_CAPACITY, 256);
     assert_eq!(MAX_BREACH_DUMPS, 16);
@@ -75,7 +75,7 @@ fn log_bucket_geometry_matches_sub_bucket_constant() {
 
 #[test]
 fn timeline_and_watchdog_round_trip_breaches() {
-    let timeline = EpochTimeline::with_capacity(obs::timeline::DEFAULT_TIMELINE_CAPACITY);
+    let journal = Journal::new();
     let watchdog = SloWatchdog::new(SloConfig {
         max_congestion_ratio: Some(1.5),
         max_p99_epoch_wall_ms: None,
@@ -96,8 +96,8 @@ fn timeline_and_watchdog_round_trip_breaches() {
     assert!((breaches[0].threshold - 1.5).abs() < 1e-9);
     assert!(breaches[0].event_line().starts_with("SLO breach epoch=0"));
     rec.slo_breaches = breaches.iter().map(|b| b.rule.to_string()).collect();
-    timeline.push(rec);
-    assert_eq!(timeline.len(), 1);
+    journal.record(JournalEvent::EpochEnd(rec.clone()));
+    assert_eq!(journal.rows(DEFAULT_TIMELINE_CAPACITY), vec![rec]);
 
     let summary: HealthSummary = watchdog.summary();
     assert_eq!(summary.epochs_evaluated, 1);
@@ -158,22 +158,24 @@ fn serve_walls_and_cache_deltas_flow_through_the_plane() {
     assert_eq!(total.hits, report.cache.hits);
     assert_eq!(total.misses, report.cache.misses);
 
-    // every epoch closes into one timeline row whose wall is the one its
-    // journaled epoch_end carries, and the walls feed the tail gauges
-    let rows = observer.timeline().records();
+    // every epoch closes into one journaled epoch_end row, the timeline
+    // is those rows, and the walls feed the tail gauges
+    let rows = observer.timeline();
     assert_eq!(rows.len(), report.snapshots.len());
-    let ends: Vec<u64> = observer
+    let ends: Vec<EpochRecord> = observer
         .journal()
         .events()
-        .iter()
+        .into_iter()
         .filter_map(|(_, e)| match e {
-            JournalEvent::EpochEnd { epoch_wall_ns, .. } => Some(*epoch_wall_ns),
+            JournalEvent::EpochEnd(row) => Some(row),
             _ => None,
         })
         .collect();
-    let walls: Vec<u64> = rows.iter().map(|r| r.epoch_wall_ns).collect();
-    assert_eq!(ends, walls);
-    assert!(walls.iter().all(|&w| w > 0), "observed epochs are timed");
+    assert_eq!(ends, rows);
+    assert!(
+        rows.iter().all(|r| r.epoch_wall_ns > 0),
+        "observed epochs are timed"
+    );
     for (row, snap) in rows.iter().zip(&report.snapshots) {
         assert_eq!(row.epoch, snap.epoch);
         assert_eq!(row.cache_hits, snap.cache.hits);
