@@ -135,18 +135,15 @@ test -s target/serve/serve-timeline.json
 grep -q '"epochs"' target/serve/serve-timeline.json
 grep -q '"sor-timeline/1"' target/serve/serve-timeline.json
 
-echo "==> compact snapshot smoke (byte-identical stdout across formats, trade-off table)"
+echo "==> compact tables smoke (usage errors, trade-off table)"
 mkdir -p target/compact
-# The compact codec is verified lossless, so a seeded serve run must
-# publish byte-identical stdout whether snapshots carry explicit paths
-# or compact next-hop tables.
-cargo run -q --release --bin sor -- serve --graph expander:16x4 \
-  --epochs 5 --rate 8 --patterns 2 --fail-at 2 --restore-after 2 \
-  --seed 7 --quiet > target/compact/explicit.out
-cargo run -q --release --bin sor -- serve --graph expander:16x4 \
-  --epochs 5 --rate 8 --patterns 2 --fail-at 2 --restore-after 2 \
-  --seed 7 --quiet --snapshot-format compact > target/compact/compact.out
-cmp target/compact/explicit.out target/compact/compact.out
+# Serving publishes one snapshot format; the retired selector is an
+# unknown flag, and unknown flags are usage errors.
+if cargo run -q --release --bin sor -- serve --graph expander:16x4 \
+  --epochs 2 --quiet --snapshot-format compact > /dev/null 2>&1; then
+  echo "expected --snapshot-format to be rejected as an unknown flag"
+  exit 1
+fi
 # Inert flag combinations are usage errors, not silent no-ops.
 if cargo run -q --release --bin sor -- serve --graph expander:16x4 \
   --epochs 2 --quiet --journal-epochs 4 > /dev/null 2>&1; then

@@ -4,7 +4,6 @@
 use crate::table::{f, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use sor_te::{failure_experiment, gravity_tm, run_scheme, Scenario, Scheme};
 
 /// E8 — the SMORE comparison: MLU ratio vs the MCF optimum across
@@ -38,7 +37,7 @@ pub fn e8_te_comparison(quick: bool) -> Table {
     let eps = if quick { 0.2 } else { 0.1 };
     for sc in &scenarios {
         let results: Vec<(String, f64, usize)> = schemes
-            .par_iter()
+            .iter()
             .map(|&scheme| {
                 let mut ratio_sum = 0.0;
                 let mut sparsity = 0;
@@ -85,7 +84,6 @@ pub fn e9_failures(quick: bool) -> Table {
     let eps = 0.15;
     for &fcount in fail_counts {
         let results: Vec<_> = (0..seeds)
-            .into_par_iter()
             .filter_map(|seed| {
                 let mut rng = StdRng::seed_from_u64(5000 + seed);
                 let tm = gravity_tm(&sc, 3.0, &mut rng);
@@ -131,7 +129,6 @@ pub fn e18_sparsity_robustness(quick: bool) -> Table {
     let eps = 0.15;
     for s in [1usize, 2, 4, 8] {
         let results: Vec<_> = (0..seeds)
-            .into_par_iter()
             .filter_map(|seed| {
                 let mut rng = StdRng::seed_from_u64(7000 + seed);
                 let tm = gravity_tm(&sc, 3.0, &mut rng);

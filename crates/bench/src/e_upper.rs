@@ -3,7 +3,6 @@
 use crate::table::{f, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use sor_core::eval::evaluate;
 use sor_core::sample::{demand_pairs, sample_k, sample_k_plus_cut};
 use sor_core::SemiObliviousRouting;
@@ -15,7 +14,7 @@ use sor_oblivious::{GreedyBitFix, RaeckeRouting, ValiantHypercube};
 
 /// Worst/mean competitive ratio of a `k`-sample of `routing` on random
 /// permutation demands, averaged over `seeds`.
-fn permutation_ratios<O: ObliviousRouting + Sync>(
+fn permutation_ratios<O: ObliviousRouting>(
     g: &Graph,
     routing: &O,
     k: usize,
@@ -23,7 +22,6 @@ fn permutation_ratios<O: ObliviousRouting + Sync>(
     eps: f64,
 ) -> (f64, f64, f64) {
     let per_seed: Vec<(f64, f64)> = (0..seeds)
-        .into_par_iter()
         .map(|seed| {
             let mut rng = StdRng::seed_from_u64(1000 + seed);
             let demand = random_permutation(g, &mut rng);

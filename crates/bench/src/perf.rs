@@ -24,7 +24,7 @@ use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_obs::snapshot::snapshot_from_value;
-use sor_obs::{parse_json, JsonValue, Snapshot};
+use sor_obs::{parse_json, push_escaped, push_f64, JsonValue, Snapshot};
 use std::fmt::Write as _;
 
 mod kernels;
@@ -221,22 +221,6 @@ pub fn run_suite(filter: Option<&str>) -> Vec<BenchRun> {
 // Baseline serialization
 // ---------------------------------------------------------------------
 
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Serialize benches as a baseline document, byte-deterministic for a
 /// fixed workspace revision. A nondeterministic bench is an error: its
 /// values could not gate a later run.
@@ -272,11 +256,7 @@ pub fn baseline_json(runs: &[BenchRun], meta: &[(&str, &str)]) -> Result<String,
             out.push_str("\n        { \"name\": ");
             push_escaped(&mut out, qname);
             out.push_str(", \"value\": ");
-            if qval.is_finite() {
-                let _ = write!(out, "{qval}");
-            } else {
-                out.push_str("null");
-            }
+            push_f64(&mut out, *qval);
             out.push_str(" }");
         }
         if !run.quality.is_empty() {

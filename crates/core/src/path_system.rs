@@ -1,7 +1,7 @@
 //! Path systems (Definition 2.1): the combinatorial object a semi-oblivious
 //! routing *is*.
 
-use sor_graph::{EdgeId, Graph, NodeId, Path};
+use sor_graph::{bfs_path_avoiding, EdgeId, Graph, NodeId, Path};
 use std::collections::BTreeMap;
 
 /// A collection of candidate simple paths per ordered vertex pair.
@@ -141,6 +141,36 @@ impl PathSystem {
         out
     }
 
+    /// The system an edge failure leaves for `pairs`: every path crossing
+    /// `failed` dropped ([`PathSystem::without_edges`]), then each pair
+    /// left without a candidate given one emergency shortest path on `g`
+    /// that avoids `failed` ([`bfs_path_avoiding`]). Returns the degraded
+    /// system, the number of pairs that fell back, and the pairs the
+    /// failure disconnects, which stay uncovered.
+    pub fn degraded(
+        &self,
+        g: &Graph,
+        failed: &[EdgeId],
+        pairs: &[(NodeId, NodeId)],
+    ) -> (PathSystem, usize, Vec<(NodeId, NodeId)>) {
+        let mut system = self.without_edges(failed);
+        let mut fallback_pairs = 0;
+        let mut unserved = Vec::new();
+        for &(s, t) in pairs {
+            if system.covers(s, t) {
+                continue;
+            }
+            match bfs_path_avoiding(g, s, t, failed) {
+                Some(p) => {
+                    system.insert(s, t, p);
+                    fallback_pairs += 1;
+                }
+                None => unserved.push((s, t)),
+            }
+        }
+        (system, fallback_pairs, unserved)
+    }
+
     /// Union of two systems (per-pair path union, deduplicated).
     pub fn union(&self, other: &PathSystem) -> PathSystem {
         let mut out = self.clone();
@@ -242,6 +272,50 @@ mod tests {
         // kill both first edges of both paths: pair disappears
         let dead = sys.without_edges(&[EdgeId(0), EdgeId(3)]);
         assert_eq!(dead.num_pairs(), 0);
+    }
+
+    #[test]
+    fn degraded_drops_dead_paths_and_falls_back() {
+        // cycle 0-1-2-3-4-5-0; edge i joins i and i+1
+        let g = gen::cycle_graph(6);
+        let mut sys = PathSystem::new();
+        for p in yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()) {
+            sys.insert(NodeId(0), NodeId(3), p);
+        }
+        sys.insert(
+            NodeId(1),
+            NodeId(2),
+            bfs_path(&g, NodeId(1), NodeId(2)).unwrap(),
+        );
+        let pairs = [(NodeId(0), NodeId(3)), (NodeId(1), NodeId(2))];
+
+        // no failure: the system as it was
+        let (same, fallback, unserved) = sys.degraded(&g, &[], &pairs);
+        assert_eq!(same, sys);
+        assert_eq!((fallback, unserved.len()), (0, 0));
+
+        // edge 0 down: 0→3 keeps its other candidate, 1→2 is untouched
+        let (d, fallback, unserved) = sys.degraded(&g, &[EdgeId(0)], &pairs);
+        assert_eq!(d, sys.without_edges(&[EdgeId(0)]));
+        assert_eq!(d.paths(NodeId(0), NodeId(3)).len(), 1);
+        assert_eq!((fallback, unserved.len()), (0, 0));
+
+        // edge 1 down: 1→2 loses its only path and falls back the long way
+        let (d, fallback, unserved) = sys.degraded(&g, &[EdgeId(1)], &pairs);
+        assert_eq!((fallback, unserved.len()), (1, 0));
+        let emergency = d.paths(NodeId(1), NodeId(2));
+        assert_eq!(emergency.len(), 1);
+        assert_eq!(emergency[0].hops(), 5);
+        assert!(!emergency[0].contains_edge(EdgeId(1)));
+        assert_eq!(d.paths(NodeId(0), NodeId(3)).len(), 1);
+        assert!(d.validate(&g));
+
+        // edges 1 and 3 down split the cycle into {2, 3} and {4, 5, 0, 1}:
+        // both pairs are cut off and reported, in `pairs` order
+        let (d, fallback, unserved) = sys.degraded(&g, &[EdgeId(1), EdgeId(3)], &pairs);
+        assert_eq!(fallback, 0);
+        assert_eq!(unserved, pairs);
+        assert_eq!(d.num_pairs(), 0);
     }
 
     #[test]

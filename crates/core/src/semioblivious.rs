@@ -104,17 +104,6 @@ impl SemiObliviousRouting {
         let frac = restricted_min_congestion(&self.g, &entries, eps);
         round_and_improve(&self.g, &entries, &frac.weights, 30, rng)
     }
-
-    /// Apply edge failures: drop candidate paths crossing `failed` and
-    /// return the surviving semi-oblivious routing (the TE robustness
-    /// operation — rates will be re-adapted on what remains, no new path
-    /// installation needed).
-    pub fn with_failures(&self, failed: &[sor_graph::EdgeId]) -> SemiObliviousRouting {
-        SemiObliviousRouting {
-            g: Arc::clone(&self.g),
-            system: Arc::new(self.system.without_edges(failed)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -189,10 +178,14 @@ mod tests {
         let r = sor_oblivious::KspRouting::new(g.clone(), 2);
         let mut rng = StdRng::seed_from_u64(4);
         let demand = Demand::from_pairs([(NodeId(0), NodeId(3))]);
-        let sampled = sample_k(&r, &demand_pairs(&demand), 12, &mut rng);
-        let sor = SemiObliviousRouting::new(g, sampled.system);
+        let pairs = demand_pairs(&demand);
+        let sampled = sample_k(&r, &pairs, 12, &mut rng);
+        let (survivors, fallback, unserved) =
+            sampled.system.degraded(&g, &[sor_graph::EdgeId(0)], &pairs);
+        assert_eq!((fallback, unserved.len()), (0, 0));
+        let sor = SemiObliviousRouting::new(g.clone(), sampled.system);
         assert_eq!(sor.sparsity(), 2);
-        let failed = sor.with_failures(&[sor_graph::EdgeId(0)]);
+        let failed = SemiObliviousRouting::new(g, survivors);
         assert_eq!(failed.sparsity(), 1);
         assert!(failed.covers(&demand));
         // congestion degrades but stays finite

@@ -66,4 +66,4 @@ pub use maxflow::{max_flow, st_min_cut};
 pub use path::{LoopErasedWalk, Path};
 pub use shortest::{dijkstra, DijkstraSearch, ShortestPathTree};
 pub use spectral::spectral_gap;
-pub use traversal::{bfs_dists, bfs_path, diameter, is_connected};
+pub use traversal::{bfs_dists, bfs_path, bfs_path_avoiding, diameter, is_connected};

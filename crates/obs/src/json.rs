@@ -1,7 +1,8 @@
 //! Hand-rolled JSON for [`crate::Snapshot`] (the registry is unreachable
 //! from CI, so no serde). The writer half serializes snapshots, and its
-//! string and number writers serve every other JSON document the crate
-//! writes (timeline, journal, forensics); the reader half ([`parse_json`]
+//! string and number writers ([`push_escaped`], [`push_f64`]) serve every
+//! other JSON document the workspace writes (timeline, journal,
+//! forensics, `sor-bench`'s perf baseline); the reader half ([`parse_json`]
 //! / [`JsonValue`]) is a small recursive-descent parser so the exports
 //! can be consumed back (the [`crate::snapshot`] reader,
 //! [`crate::parse_journal`], `sor-bench`'s perf baseline, round-trip
@@ -33,7 +34,7 @@ use std::fmt::Write as _;
 
 /// Append `s` as a quoted JSON string, escaping `"`, `\` and control
 /// characters.
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -52,7 +53,7 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
 }
 
 /// Append `v` as a JSON number, or `null` when it is not finite.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // Rust's Display for f64 is shortest-roundtrip; ensure the
         // token stays a JSON number (Display never emits exponents

@@ -17,7 +17,7 @@
 //!   lock-cheap sharded [`MetricsRegistry`] built on the vendored
 //!   `parking_lot`; counters are single atomics after registration, and
 //!   every histogram is a [`LogHistogram`].
-//! * **Leveled logging** ([`error!`], [`warn!`], [`info!`], [`debug!`])
+//! * **Leveled logging** ([`warn!`], [`debug!`])
 //!   routed through one process-wide sink, so `--quiet` can actually
 //!   silence the whole pipeline and tests can capture diagnostics.
 //!
@@ -86,7 +86,7 @@ pub use forensics::{
 pub use journal::{
     parse_journal, EdgeLoad, Journal, JournalDump, JournalEvent, DEFAULT_JOURNAL_CAPACITY,
 };
-pub use json::{parse_json, JsonError, JsonValue};
+pub use json::{parse_json, push_escaped, push_f64, JsonError, JsonValue};
 pub use logging::{
     log, log_enabled, log_level, set_log_level, set_sink, take_captured, Level, Sink,
 };

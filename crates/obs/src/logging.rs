@@ -1,11 +1,11 @@
 //! Leveled logging through one process-wide sink.
 //!
 //! The pipeline's diagnostics (rounding convergence warnings, topology
-//! build stats, failure-replay fallbacks, …) go through the [`error!`],
-//! [`warn!`], [`info!`], [`debug!`] macros instead of ad-hoc
-//! `eprintln!`s, so one switch silences everything: the `sor` CLI's
-//! `--quiet` maps to [`set_log_level`]`(Level::Off)` and tests can
-//! redirect output into a capture buffer with [`set_sink`].
+//! build stats, failure-replay fallbacks, …) go through the [`warn!`] and
+//! [`debug!`] macros instead of ad-hoc `eprintln!`s, so one switch
+//! silences everything: the `sor` CLI's `--quiet` maps to
+//! [`set_log_level`]`(Level::Off)` and tests can redirect output into a
+//! capture buffer with [`set_sink`].
 //!
 //! Logging is deliberately independent of the metric/span capture
 //! switch ([`crate::enabled`]): diagnostics default to [`Level::Warn`]
@@ -23,15 +23,14 @@ use std::sync::OnceLock;
 pub enum Level {
     /// Suppress everything (the `--quiet` setting).
     Off = 0,
-    /// Unrecoverable or wrong-answer conditions.
+    /// Unrecoverable or wrong-answer conditions only; as a threshold it
+    /// silences warnings and detail.
     Error = 1,
     /// Degraded behaviour the user should know about (fallbacks,
     /// non-convergence). The default.
     Warn = 2,
-    /// High-level progress.
-    Info = 3,
     /// Per-iteration / per-topology detail.
-    Debug = 4,
+    Debug = 3,
 }
 
 impl Level {
@@ -39,8 +38,7 @@ impl Level {
         match v {
             0 => Level::Off,
             1 => Level::Error,
-            3 => Level::Info,
-            4 => Level::Debug,
+            3 => Level::Debug,
             _ => Level::Warn,
         }
     }
@@ -50,7 +48,6 @@ impl Level {
             Level::Off => "off",
             Level::Error => "error",
             Level::Warn => "warn",
-            Level::Info => "info",
             Level::Debug => "debug",
         }
     }
@@ -61,9 +58,6 @@ impl Level {
 pub enum Sink {
     /// Write to standard error (the default).
     Stderr,
-    /// Drop everything (distinct from [`Level::Off`]: the level check
-    /// still runs, useful for benchmarking the logging path itself).
-    Silent,
     /// Append formatted lines to an in-memory buffer readable with
     /// [`take_captured`] — for tests.
     Memory,
@@ -114,19 +108,8 @@ pub fn log(level: Level, target: &str, args: fmt::Arguments<'_>) {
     let mut state = sink_state().lock();
     match state.0 {
         Sink::Stderr => eprintln!("{line}"),
-        Sink::Silent => {}
         Sink::Memory => state.1.push(line),
     }
-}
-
-/// Log at [`Level::Error`].
-#[macro_export]
-macro_rules! error {
-    ($($arg:tt)*) => {
-        if $crate::log_enabled($crate::Level::Error) {
-            $crate::log($crate::Level::Error, module_path!(), format_args!($($arg)*));
-        }
-    };
 }
 
 /// Log at [`Level::Warn`].
@@ -135,16 +118,6 @@ macro_rules! warn {
     ($($arg:tt)*) => {
         if $crate::log_enabled($crate::Level::Warn) {
             $crate::log($crate::Level::Warn, module_path!(), format_args!($($arg)*));
-        }
-    };
-}
-
-/// Log at [`Level::Info`].
-#[macro_export]
-macro_rules! info {
-    ($($arg:tt)*) => {
-        if $crate::log_enabled($crate::Level::Info) {
-            $crate::log($crate::Level::Info, module_path!(), format_args!($($arg)*));
         }
     };
 }
@@ -174,7 +147,7 @@ mod tests {
         set_log_level(Level::Debug);
         crate::debug!("now shown");
         set_log_level(Level::Off);
-        crate::error!("silenced entirely");
+        crate::warn!("silenced entirely");
         let lines = take_captured();
         set_log_level(Level::Warn);
         set_sink(Sink::Stderr);
@@ -189,13 +162,7 @@ mod tests {
     fn level_roundtrip_and_order() {
         assert!(Level::Error < Level::Warn);
         assert!(Level::Warn < Level::Debug);
-        for l in [
-            Level::Off,
-            Level::Error,
-            Level::Warn,
-            Level::Info,
-            Level::Debug,
-        ] {
+        for l in [Level::Off, Level::Error, Level::Warn, Level::Debug] {
             assert_eq!(Level::from_u8(l as u8), l);
         }
     }

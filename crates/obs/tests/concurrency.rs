@@ -6,16 +6,12 @@
 //! cells *in place*, so handles cached in call-site `OnceLock`s keep
 //! pointing at live metrics across resets.
 //!
-//! The vendored `rayon` is a sequential stand-in (`par_iter` is plain
-//! `iter`), so it cannot create real contention — it is exercised below
-//! only to pin the idiom the instrumented crates use. Real concurrency
-//! comes from `std::thread::scope`.
+//! Threads come from `std::thread::scope`.
 //!
 //! This is an integration test (own process), so the process-global
 //! registry is isolated from the crate's unit tests; the tests in this
 //! file still share it, hence the file-local serialization lock.
 
-use rayon::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 
@@ -141,28 +137,4 @@ fn reset_mid_flight_keeps_cached_handles_valid() {
     sor_obs::observe_into!("conc/reset/histo", 3.0);
     assert_eq!(histogram_count("conc/reset/histo"), 1);
     sor_obs::set_enabled(false);
-}
-
-#[test]
-fn rayon_par_iter_idiom_counts_exactly() {
-    let _guard = lock();
-    sor_obs::reset();
-    sor_obs::set_enabled(true);
-
-    // The idiom the instrumented crates use. With the vendored
-    // sequential rayon this runs on one thread — the assertion pins
-    // that the macros still sum exactly under par_iter regardless of
-    // the backing implementation.
-    let n: u64 = (0..ITERS)
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|_| {
-            sor_obs::counter_add!("conc/rayon/adds");
-            1u64
-        })
-        .sum();
-    sor_obs::set_enabled(false);
-
-    assert_eq!(n, ITERS);
-    assert_eq!(counter_value("conc/rayon/adds"), ITERS);
 }

@@ -106,9 +106,6 @@ impl CacheKey {
 
 struct Entry {
     system: Arc<PathSystem>,
-    /// Snapshot format the entry was inserted under — diagnostic truth
-    /// for "what encoding is this epoch actually serving from".
-    encoding: SnapshotFormat,
     last_used: u64,
 }
 
@@ -209,12 +206,12 @@ impl PathSystemCache {
     /// key cost exactly one build; if the insert pushes the shard over
     /// capacity, the least-recently-used entry is evicted (outstanding
     /// `Arc`s to it stay valid).
-    /// `encoding` tags the entry with the snapshot format it serves
-    /// (recorded on insert, readable via [`PathSystemCache::encoding`]).
+    /// The [`SnapshotFormat`] argument is accepted and ignored: there is
+    /// one format.
     pub fn get_or_insert_with(
         &self,
         key: CacheKey,
-        encoding: SnapshotFormat,
+        _format: SnapshotFormat,
         build: impl FnOnce() -> PathSystem,
     ) -> (Arc<PathSystem>, bool) {
         // sor-check: allow(panic-path) — shard_of is modulo len, always in bounds
@@ -234,7 +231,6 @@ impl PathSystemCache {
             key,
             Entry {
                 system: Arc::clone(&system),
-                encoding,
                 last_used: now,
             },
         );
@@ -260,14 +256,6 @@ impl PathSystemCache {
         // sor-check: allow(panic-path) — shard_of is modulo len, always in bounds
         let shard = &self.shards[key.shard_of(self.shards.len())];
         shard.lock().get(key).map(|e| Arc::clone(&e.system))
-    }
-
-    /// The snapshot format a resident entry was inserted under (peek
-    /// semantics: no LRU or counter movement; `None` if absent).
-    pub fn encoding(&self, key: &CacheKey) -> Option<SnapshotFormat> {
-        // sor-check: allow(panic-path) — shard_of is modulo len, always in bounds
-        let shard = &self.shards[key.shard_of(self.shards.len())];
-        shard.lock().get(key).map(|e| e.encoding)
     }
 
     /// Drop every entry whose system routes over any of `failed` —
@@ -404,23 +392,6 @@ mod tests {
         // no movement ⇒ all-zero deltas; reversed order saturates to zero
         assert_eq!(mid.delta_since(&mid), CacheDeltas::default());
         assert_eq!(before.delta_since(&mid), CacheDeltas::default());
-    }
-
-    #[test]
-    fn entries_record_their_encoding() {
-        let g = gen::cycle_graph(6);
-        let cache = PathSystemCache::new(4);
-        let k1 = CacheKey::new(&g, &[(NodeId(0), NodeId(2))], 1);
-        let k2 = CacheKey::new(&g, &[(NodeId(1), NodeId(4))], 1);
-        cache.get_or_insert_with(k1, SnapshotFormat::Explicit, || system_for(&g, 0, 2));
-        cache.get_or_insert_with(k2, SnapshotFormat::Compact, || system_for(&g, 1, 4));
-        assert_eq!(cache.encoding(&k1), Some(SnapshotFormat::Explicit));
-        assert_eq!(cache.encoding(&k2), Some(SnapshotFormat::Compact));
-        let missing = CacheKey::new(&g, &[(NodeId(2), NodeId(5))], 1);
-        assert_eq!(cache.encoding(&missing), None);
-        // peek semantics: reading the tag moved no counters
-        let st = cache.stats();
-        assert_eq!((st.hits, st.misses), (0, 2));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! epoch is just an MWU rate re-optimization ([`SemiObliviousRouting::
 //! route_fractional`]), which is the semi-oblivious model's operational
 //! promise. Edge failures invalidate only affected cache entries and the
-//! epoch routes on the degraded system, pairs that lost every candidate
-//! falling back to a surviving shortest path exactly like `sor-te`'s
-//! failure replay.
+//! epoch routes on [`PathSystem::degraded`], the routine `sor-te`'s
+//! failure replay uses too: pairs that lost every candidate fall back to
+//! a surviving shortest path.
 //!
 //! Everything is deterministic for a fixed seed: the cache is keyed and
 //! evicted deterministically, the engine RNG is a seeded `StdRng`, and
@@ -26,15 +26,12 @@ use crate::cache::{
 use crate::observer::{EpochMeasures, Observer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
-use sor_compact::{CompactStats, CompactSystem};
 use sor_core::sample::{demand_pairs, sample_k};
 use sor_core::{PathSystem, SemiObliviousRouting};
-use sor_flow::Demand;
+use sor_flow::{Demand, EdgeLoads};
 use sor_graph::{EdgeId, Graph, NodeId};
 use sor_oblivious::RaeckeRouting;
 use sor_obs::{EdgeLoad, JournalEvent};
-use sor_te::emergency_path;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,31 +58,16 @@ impl Request {
     }
 }
 
-/// How an epoch's path system is materialized for publication. Both
-/// formats publish bit-identical routes — compact mode re-encodes the
-/// system through `sor-compact`'s verified lossless tables and decodes
-/// the published edge lists from them, recording the size accounting on
-/// the snapshot.
+/// How an epoch's path system is materialized for publication: explicit
+/// per-pair edge lists, the one format the engine publishes. The enum and
+/// [`PathSystemCache::get_or_insert_with`]'s argument that takes it stay
+/// only because the end-to-end benchmark (`sorbench`) names both; a change
+/// that may touch the benchmark deletes them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SnapshotFormat {
-    /// Explicit per-pair edge lists (the historical format).
+    /// Explicit per-pair edge lists.
     #[default]
     Explicit,
-    /// o(n)-state label-interval next-hop tables ([`CompactSystem`]).
-    Compact,
-}
-
-impl SnapshotFormat {
-    /// Parse a CLI spelling (`explicit` / `compact`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "explicit" => Ok(SnapshotFormat::Explicit),
-            "compact" => Ok(SnapshotFormat::Compact),
-            other => Err(format!(
-                "unknown snapshot format {other:?} (expected explicit|compact)"
-            )),
-        }
-    }
 }
 
 /// Engine tuning knobs. Every field participates in the determinism
@@ -114,11 +96,6 @@ pub struct EngineConfig {
     pub compare_fresh: bool,
     /// Seed for the engine RNG and all derived per-epoch RNGs.
     pub seed: u64,
-    /// How published snapshots materialize their path systems (explicit
-    /// edge lists or compact next-hop tables). Published routes are
-    /// bit-identical either way; only the snapshot's size accounting and
-    /// the cache's encoding tag differ.
-    pub snapshot_format: SnapshotFormat,
 }
 
 impl Default for EngineConfig {
@@ -133,7 +110,6 @@ impl Default for EngineConfig {
             integral: false,
             compare_fresh: false,
             seed: 0,
-            snapshot_format: SnapshotFormat::Explicit,
         }
     }
 }
@@ -187,10 +163,6 @@ pub struct EpochSnapshot {
     pub cache: CacheDeltas,
     /// The rate assignment, one entry per served pair.
     pub routes: Vec<PublishedRoute>,
-    /// Size accounting of the compact encoding, present only when the
-    /// engine ran with [`SnapshotFormat::Compact`]. Routes themselves
-    /// are identical between formats (the codec is verified lossless).
-    pub compact: Option<CompactStats>,
 }
 
 impl EpochSnapshot {
@@ -208,7 +180,6 @@ impl EpochSnapshot {
             fresh_congestion: None,
             cache: CacheDeltas::default(),
             routes: Vec::new(),
-            compact: None,
         }
     }
 }
@@ -436,7 +407,7 @@ impl Engine {
             cfg,
             ..
         } = self;
-        let (sampled, cache_hit) = cache.get_or_insert_with(key, cfg.snapshot_format, || {
+        let (sampled, cache_hit) = cache.get_or_insert_with(key, SnapshotFormat::Explicit, || {
             let _span = sor_obs::span("serve/sample");
             sample_k(routing, &pairs, cfg.sparsity, rng).system
         });
@@ -481,82 +452,47 @@ impl Engine {
         let sor = SemiObliviousRouting::new(Arc::clone(&self.g), system);
         let reopt_start = self.observer.as_ref().map(|_| Instant::now());
         let integral_solve = self.cfg.integral && demand.is_integral();
-        let (weights, congestion, lower_bound) = if integral_solve {
+        let (weights, loads, congestion, lower_bound) = if integral_solve {
             let sol = sor.route_integral(&demand, self.cfg.eps, &mut self.rng);
             let weights: Vec<Vec<f64>> = sol
                 .counts
                 .iter()
                 .map(|c| c.iter().map(|&n| f64::from(n)).collect())
                 .collect();
-            (weights, sol.congestion, 0.0)
+            (weights, sol.loads, sol.congestion, 0.0)
         } else {
             let sol = sor.route_fractional(&demand, self.cfg.eps);
-            (sol.weights, sol.congestion, sol.lower_bound)
+            (sol.weights, sol.loads, sol.congestion, sol.lower_bound)
         };
         if let Some(t0) = reopt_start {
             self.measures.reopt_ns = elapsed_ns(t0);
         }
 
-        // Compact mode: re-encode the epoch's (failure-resolved) system
-        // through the verified lossless codec and publish the *decoded*
-        // routes — identical bits by the codec's round-trip guarantee,
-        // with the size accounting recorded on the snapshot.
-        let compact = (self.cfg.snapshot_format == SnapshotFormat::Compact).then(|| {
-            let _span = sor_obs::span("serve/compact_encode");
-            let tree = self
-                .routing
-                .trees()
-                .first()
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                .expect("RaeckeRouting::build produces at least one tree");
-            CompactSystem::encode(&self.g, tree, sor.system())
-        });
-
-        // Publish: per-commodity route extraction (rayon; the vendored
-        // stand-in runs it sequentially, deterministically).
-        let routes: Vec<PublishedRoute> = match &compact {
-            Some(cs) => demand
-                .entries()
-                .iter()
-                .zip(weights.iter())
-                .map(|(&(s, t, d), w)| PublishedRoute {
-                    s,
-                    t,
-                    demand: d,
-                    paths: cs
-                        .decode_pair(&self.g, s, t)
-                        .iter()
-                        .zip(w.iter())
-                        .filter(|&(_, &rate)| rate > 0.0)
-                        .map(|(p, &rate)| (p.edges().to_vec(), rate))
-                        .collect(),
-                })
-                .collect(),
-            None => demand
-                .entries()
-                .par_iter()
-                .zip(weights.par_iter())
-                .map(|(&(s, t, d), w)| PublishedRoute {
-                    s,
-                    t,
-                    demand: d,
-                    paths: sor
-                        .system()
-                        .paths(s, t)
-                        .par_iter()
-                        .zip(w.par_iter())
-                        .filter(|&(_, &rate)| rate > 0.0)
-                        .map(|(p, &rate)| (p.edges().to_vec(), rate))
-                        .collect(),
-                })
-                .collect(),
-        };
+        // Publish: each pair's candidates that carry a positive rate.
+        let routes: Vec<PublishedRoute> = demand
+            .entries()
+            .iter()
+            .zip(&weights)
+            .map(|(&(s, t, d), w)| PublishedRoute {
+                s,
+                t,
+                demand: d,
+                paths: sor
+                    .system()
+                    .paths(s, t)
+                    .iter()
+                    .zip(w)
+                    .filter(|&(_, &rate)| rate > 0.0)
+                    .map(|(p, &rate)| (p.edges().to_vec(), rate))
+                    .collect(),
+            })
+            .collect();
 
         if self.observer.is_some() {
             self.journal_solve_events(
                 epoch,
-                &demand,
                 &routes,
+                &loads,
                 congestion,
                 lower_bound,
                 integral_solve,
@@ -576,7 +512,6 @@ impl Engine {
             fresh_congestion: None,
             cache: CacheDeltas::default(),
             routes,
-            compact: compact.as_ref().map(CompactSystem::stats),
         };
         self.last = Some(sor);
         snap
@@ -584,14 +519,15 @@ impl Engine {
 
     /// Journal the solve's outcome: the re-opt summary, the top-k most
     /// utilized edges of the published assignment, and per-pair path
-    /// churn vs. the previous publication. Only called while an observer
-    /// is attached, so the load/fingerprint passes cost an unobserved
-    /// engine nothing.
+    /// churn vs. the previous publication. `loads` are the solve's own
+    /// per-edge loads, summed over exactly the published rates. Only
+    /// called while an observer is attached, so the ranking and
+    /// fingerprint passes cost an unobserved engine nothing.
     fn journal_solve_events(
         &mut self,
         epoch: u64,
-        demand: &Demand,
         routes: &[PublishedRoute],
+        loads: &EdgeLoads,
         congestion: f64,
         lower_bound: f64,
         integral: bool,
@@ -601,25 +537,13 @@ impl Engine {
         };
         obs.record(JournalEvent::Reopt {
             epoch,
-            pairs: demand.support_size(),
+            pairs: routes.len(),
             congestion,
             lower_bound,
             integral,
         });
-        // Per-edge loads of the published assignment: rates sum to the
-        // admitted demands, so this is exactly the utilization the epoch
-        // ships.
-        let mut loads = vec![0.0f64; self.g.num_edges()];
-        for r in routes {
-            for (edges, rate) in &r.paths {
-                for e in edges {
-                    if let Some(slot) = loads.get_mut(e.0 as usize) {
-                        *slot += *rate;
-                    }
-                }
-            }
-        }
         let mut top: Vec<EdgeLoad> = loads
+            .as_slice()
             .iter()
             .enumerate()
             .filter(|&(_, &load)| load > 0.0)
@@ -737,11 +661,8 @@ fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Apply the failure set to a sampled system: drop crossing paths, give
-/// pairs that lost everything an emergency shortest path on the survivor
-/// graph (re-traced onto original edge ids, the `sor-te` failure-replay
-/// idiom), and report pairs the failures disconnected outright. With no
-/// edge down the sampled system itself comes back, shared.
+/// Apply the failure set to a sampled system ([`PathSystem::degraded`]).
+/// With no edge down the sampled system itself comes back, shared.
 fn resolve_failures(
     g: &Graph,
     sampled: &Arc<PathSystem>,
@@ -751,23 +672,7 @@ fn resolve_failures(
     if failed.is_empty() {
         return (Arc::clone(sampled), 0, Vec::new());
     }
-    let mut system = sampled.without_edges(failed);
-    let survivor = g.without_edges(failed);
-    let mut fallback_pairs = 0;
-    let mut unserved = Vec::new();
-    for &(a, b) in pairs {
-        if system.covers(a, b) {
-            continue;
-        }
-        // `sor-te`'s emergency reroute: BFS on the survivor graph,
-        // re-traced onto original edge ids.
-        let Some(orig) = emergency_path(g, &survivor, failed, a, b) else {
-            unserved.push((a, b));
-            continue;
-        };
-        fallback_pairs += 1;
-        system.insert(a, b, orig);
-    }
+    let (system, fallback_pairs, unserved) = sampled.degraded(g, failed, pairs);
     (Arc::new(system), fallback_pairs, unserved)
 }
 

@@ -12,12 +12,8 @@
 //!   systems, keyed by (graph fingerprint, pair-set fingerprint,
 //!   sparsity), with selective failure invalidation.
 //! * [`engine`] — the epoch lifecycle: ingest → admit (backpressure) →
-//!   solve (cached system, failures degrade + fall back) → publish.
-//!   Snapshots publish in one of two formats behind
-//!   [`engine::SnapshotFormat`]: explicit per-pair edge lists, or
-//!   `sor-compact`'s o(n)-state next-hop tables — the published routes
-//!   are bit-identical either way (the codec is verified lossless), and
-//!   compact snapshots carry their size accounting.
+//!   solve (cached system, failures degrade + fall back) → publish
+//!   per-pair edge lists with their rates.
 //! * [`workload`] — deterministic closed-loop arrival processes and
 //!   failure schedules for the CLI, benches, and tests.
 //! * [`observer`] — one [`Observer`] owns every observation store: the

@@ -307,7 +307,6 @@ mod tests {
             fresh_congestion: Some(1.0),
             cache: CacheDeltas::default(),
             routes: Vec::new(),
-            compact: None,
         };
         if hit {
             s.cache.hits = 1;

@@ -118,31 +118,6 @@ impl WorkloadReport {
             Some(ratios.iter().sum::<f64>() / n)
         }
     }
-
-    /// Mean bits-per-node of the compact tables across epochs that
-    /// published them, paired with the mean bits-per-node the explicit
-    /// encoding would have cost. `None` unless the run used
-    /// [`SnapshotFormat::Compact`](crate::engine::SnapshotFormat).
-    pub fn mean_compact_bits_per_node(&self) -> Option<(f64, f64)> {
-        let stats: Vec<_> = self.snapshots.iter().filter_map(|s| s.compact).collect();
-        if stats.is_empty() {
-            return None;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let n = stats.len() as f64;
-        Some((
-            stats
-                .iter()
-                .map(sor_compact::CompactStats::bits_per_node)
-                .sum::<f64>()
-                / n,
-            stats
-                .iter()
-                .map(sor_compact::CompactStats::explicit_bits_per_node)
-                .sum::<f64>()
-                / n,
-        ))
-    }
 }
 
 /// A pattern pool of seeded random matchings (disjoint pairs — the

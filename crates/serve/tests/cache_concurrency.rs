@@ -5,8 +5,7 @@
 //! hit/miss counters sum exactly; eviction removes an entry from the
 //! map but never invalidates an `Arc` a caller already holds.
 //!
-//! The vendored `rayon` is a sequential stand-in, so real concurrency
-//! comes from `std::thread::scope` (mirroring
+//! Threads come from `std::thread::scope` (mirroring
 //! `crates/obs/tests/concurrency.rs`). The cache itself is per-instance
 //! state — no process-global registry — so the tests here need no
 //! serialization lock; `sor-obs` capture stays disabled (its default)

@@ -15,8 +15,7 @@ use rand::SeedableRng;
 use sor_graph::gen;
 use sor_obs::{JournalEvent, SloConfig, TelemetryHandler};
 use sor_serve::{
-    run_workload, EngineConfig, EpochSnapshot, Observer, SnapshotFormat, WorkloadConfig,
-    WorkloadReport,
+    run_workload, EngineConfig, EpochSnapshot, Observer, WorkloadConfig, WorkloadReport,
 };
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -32,10 +31,6 @@ fn run_once() -> WorkloadReport {
 }
 
 fn run_once_observed(observer: Option<Arc<Observer>>) -> WorkloadReport {
-    run_once_formatted(SnapshotFormat::Explicit, observer)
-}
-
-fn run_once_formatted(format: SnapshotFormat, observer: Option<Arc<Observer>>) -> WorkloadReport {
     let g = gen::random_regular(20, 4, &mut StdRng::seed_from_u64(3));
     let ecfg = EngineConfig {
         sparsity: 3,
@@ -45,7 +40,6 @@ fn run_once_formatted(format: SnapshotFormat, observer: Option<Arc<Observer>>) -
         cache_capacity: 8,
         compare_fresh: true,
         seed: 7,
-        snapshot_format: format,
         ..EngineConfig::default()
     };
     let wcfg = WorkloadConfig {
@@ -167,54 +161,6 @@ fn instrumented_run_records_serve_metrics() {
             .any(|s| s.path.last().is_some_and(|p| p == "serve/epoch")),
         "no serve/epoch span recorded"
     );
-}
-
-#[test]
-fn compact_snapshots_publish_identical_routes() {
-    let _guard = serial();
-    sor_obs::set_enabled(false);
-    sor_obs::reset();
-    let explicit = run_once();
-    let compact = run_once_formatted(SnapshotFormat::Compact, None);
-
-    // the codec is verified lossless, so the *published* plane — vertex
-    // sequences, rates, congestion — must be bit-identical across formats;
-    // only the size-accounting sidecar may differ
-    let mut explicit_bits = bits(&explicit);
-    let mut compact_bits = bits(&compact);
-    for snap in explicit_bits
-        .epochs
-        .iter_mut()
-        .chain(compact_bits.epochs.iter_mut())
-    {
-        snap.compact = None;
-    }
-    assert_eq!(
-        explicit_bits, compact_bits,
-        "compact snapshot format changed the published routes"
-    );
-
-    // and every solving epoch's snapshot carries its table accounting,
-    // with compact strictly smaller than the explicit encoding it replaces
-    for snap in &compact.snapshots {
-        if snap.admitted == 0 {
-            continue;
-        }
-        let stats = snap
-            .compact
-            .expect("compact-format snapshot carries size accounting");
-        assert!(stats.pairs > 0);
-        assert!(
-            stats.compact_bits < stats.explicit_bits,
-            "epoch {}: compact {} bits >= explicit {} bits",
-            snap.epoch,
-            stats.compact_bits,
-            stats.explicit_bits
-        );
-    }
-    for snap in &explicit.snapshots {
-        assert!(snap.compact.is_none(), "explicit snapshots carry no stats");
-    }
 }
 
 #[test]

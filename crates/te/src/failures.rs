@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use sor_core::sample::{demand_pairs, sample_k};
 use sor_core::SemiObliviousRouting;
 use sor_flow::{max_concurrent_flow, Demand, EdgeLoads};
-use sor_graph::{bfs_path, connected_without, EdgeId, Graph, NodeId, Path};
+use sor_graph::{bfs_path_avoiding, connected_without, EdgeId};
 use sor_oblivious::routing::ObliviousRouting;
 use sor_oblivious::RaeckeRouting;
 
@@ -45,39 +45,6 @@ impl FailureResult {
     }
 }
 
-/// Emergency reroute for a pair whose entire candidate set a failure
-/// destroyed: BFS shortest path on the survivor graph, re-traced onto
-/// *original* edge ids avoiding `failed` (a real deployment would install
-/// an emergency route the same way). Returns `None` when the failure
-/// disconnects the pair. Shared by the failure replay here and the online
-/// engine's degraded epochs (`sor-serve`).
-pub fn emergency_path(
-    g: &Graph,
-    survivor: &Graph,
-    failed: &[EdgeId],
-    a: NodeId,
-    b: NodeId,
-) -> Option<Path> {
-    let p = bfs_path(survivor, a, b)?;
-    // Translate the survivor-graph path back to original edge ids by
-    // re-tracing its node sequence on the original graph, avoiding
-    // failed edges.
-    let nodes = p.nodes().to_vec();
-    let mut edges = Vec::with_capacity(nodes.len().saturating_sub(1));
-    for w in nodes.windows(2) {
-        let e = g
-            .incident(w[0])
-            .iter()
-            .find(|&&(e, nb)| nb == w[1] && !failed.contains(&e))
-            .map(|&(e, _)| e)
-            // sor-check: allow(unwrap, panic-path) — survivor is a subgraph of g, so the edge exists
-            .expect("survivor-graph edge exists in the original graph");
-        edges.push(e);
-    }
-    // sor-check: allow(unwrap, panic-path) — nodes re-traced from a valid survivor path
-    Some(Path::from_edges(g, nodes[0], edges).expect("re-traced path is valid"))
-}
-
 /// Run one failure experiment: install an `s`-sample of a Räcke routing,
 /// fail `num_failures` random edges (retrying until the survivor graph is
 /// connected), re-adapt, and compare against renormalized-oblivious and
@@ -99,7 +66,6 @@ pub fn failure_experiment(
     let base = RaeckeRouting::build(g.clone(), trees, &mut rng);
     let pairs = demand_pairs(demand);
     let sampled = sample_k(&base, &pairs, s, &mut rng);
-    let sor = SemiObliviousRouting::new(g.clone(), sampled.system);
 
     // Pick a connected failure set.
     let failed: Vec<EdgeId> = 'search: {
@@ -131,19 +97,8 @@ pub fn failure_experiment(
 
     // Semi-oblivious: drop dead candidates, re-adapt; dead pairs fall back
     // to a surviving shortest path.
-    let mut survived = sor.with_failures(&failed);
-    let mut fallback_pairs = 0;
-    for &(a, b) in &pairs {
-        if !survived.system().covers(a, b) {
-            fallback_pairs += 1;
-            let mut sys = survived.system().clone();
-            let orig = emergency_path(g, &survivor_graph, &failed, a, b)
-                // sor-check: allow(unwrap) — invariant stated in the expect message
-                .expect("failure set keeps the graph connected");
-            sys.insert(a, b, orig);
-            survived = SemiObliviousRouting::new(g.clone(), sys);
-        }
-    }
+    let (survived, fallback_pairs, unserved) = sampled.system.degraded(g, &failed, &pairs);
+    assert!(unserved.is_empty(), "failure set keeps the graph connected");
     if fallback_pairs > 0 {
         sor_obs::warn!(
             "{fallback_pairs} pair(s) lost every sampled candidate to the failure; \
@@ -151,7 +106,7 @@ pub fn failure_experiment(
         );
         sor_obs::count_usize("te/fallback_pairs", fallback_pairs);
     }
-    let semi_mlu = survived.congestion(demand, eps);
+    let semi_mlu = SemiObliviousRouting::new(g.clone(), survived).congestion(demand, eps);
 
     // Oblivious with per-pair renormalization over surviving paths.
     let mut loads = EdgeLoads::for_graph(g);
@@ -163,7 +118,7 @@ pub fn failure_experiment(
             .collect();
         if surviving.is_empty() {
             // same emergency fallback as the semi-oblivious side
-            let orig = emergency_path(g, &survivor_graph, &failed, a, b)
+            let orig = bfs_path_avoiding(g, a, b, &failed)
                 // sor-check: allow(unwrap) — invariant stated in the expect message
                 .expect("failure set keeps the graph connected");
             loads.add_path(&orig, d);

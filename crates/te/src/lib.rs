@@ -34,6 +34,6 @@ pub mod scenario;
 pub mod schemes;
 
 pub use churn::{churn_experiment, ChurnResult};
-pub use failures::{emergency_path, failure_experiment, FailureResult};
+pub use failures::{failure_experiment, FailureResult};
 pub use scenario::{gravity_tm, Scenario};
 pub use schemes::{run_scheme, Scheme, SchemeResult};

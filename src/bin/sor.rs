@@ -3,10 +3,10 @@
 //! ```text
 //! sor info  --graph <spec> [--seed N]
 //! sor eval  --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]
-//! sor sweep --graph <spec> [--max-s K] [--demand spec] [--eps E] [--seed N]
+//! sor sweep --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]
 //! sor sim   --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]
 //! sor serve --graph <spec> [--epochs E] [--rate R] [--patterns P] [--s K] [--seed N] …
-//! sor compact --graph <spec> [--max-s K] [--demand spec] [--seed N]
+//! sor compact --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]
 //! ```
 //!
 //! Graph specs: `hypercube:8`, `grid:5x5`, `expander:64x4`, `abilene`,
@@ -16,7 +16,8 @@
 //! Observability flags (any subcommand): `--trace` prints the phase-tree
 //! wall-time report to stderr, `--metrics-out FILE` writes the full
 //! counter/histogram/span snapshot as JSON, `--quiet` silences the
-//! pipeline's diagnostic logging.
+//! pipeline's diagnostic logging. Any other flag a subcommand does not
+//! take is a usage error (exit 2), not a silent no-op.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,9 +38,65 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  sor info    --graph <spec> [--seed N]\n  sor eval    --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sweep   --graph <spec> [--max-s K] [--demand spec] [--eps E] [--seed N]\n  sor sim     --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor serve   --graph <spec> [--epochs E] [--rate R] [--patterns P] [--pattern-pairs K]\n              [--s K] [--trees T] [--eps E] [--batch B] [--queue-bound Q] [--cache-cap C]\n              [--fail-at E] [--restore-after R] [--compare-fresh] [--integral] [--seed N]\n              [--snapshot-format explicit|compact]\n  sor compact --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor forensics --journal FILE [--top K] [--json FILE]\n  sor export  --graph <spec> [--s K] [--trees T] [--demand spec] [--seed N]\n  sor process --graph <spec> [--s K] [--tau T] [--demand spec] [--seed N]\nobservability (any subcommand):\n  --trace             print the phase-tree timing report to stderr\n  --metrics-out FILE  write the metrics snapshot (counters/histograms/spans) as JSON\n  --quiet             silence diagnostic logging\nlive telemetry (serve only):\n  --telemetry-addr A  serve Prometheus exposition at A (e.g. 127.0.0.1:9100;\n                      port 0 binds an ephemeral port, printed to stderr)\n  --timeline-out FILE write the epoch timeline as JSON after the run\n  --dashboard         print the epoch timeline dashboard to stderr\n  --hold-ms MS        keep the scrape endpoint up MS ms after the run\n  --slo               arm the default SLO thresholds; or set individually:\n  --slo-max-ratio X --slo-max-p99-ms X --slo-min-hit-rate X --slo-max-fallback X\nflight recorder (serve only):\n  --journal-out FILE  write the causal event journal (sor-journal/2) after the run\n  --journal-epochs N  epochs of journal context per dump (default 16; 0 = all)\n  --dump-on-breach P  write {{P}}-epochNNNNNN.json whenever an epoch trips an SLO rule\nforensics (offline, on a journal dump):\n  --journal FILE      the sor-journal/2 artifact to analyze (required)\n  --top K             per-edge load-shift rows to show (default 8)\n  --json FILE         also write the sor-forensics/1 report as JSON"
+        "usage:\n  sor info    --graph <spec> [--seed N]\n  sor eval    --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sweep   --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sim     --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor serve   --graph <spec> [--epochs E] [--rate R] [--patterns P] [--pattern-pairs K]\n              [--s K] [--trees T] [--eps E] [--batch B] [--queue-bound Q] [--cache-cap C]\n              [--fail-at E] [--restore-after R] [--compare-fresh] [--integral] [--seed N]\n  sor compact --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor forensics --journal FILE [--top K] [--json FILE]\n  sor export  --graph <spec> [--s K] [--trees T] [--demand spec] [--seed N]\n  sor process --graph <spec> [--s K] [--tau T] [--trees T] [--demand spec] [--seed N]\nobservability (any subcommand):\n  --trace             print the phase-tree timing report to stderr\n  --metrics-out FILE  write the metrics snapshot (counters/histograms/spans) as JSON\n  --quiet             silence diagnostic logging\nlive telemetry (serve only):\n  --telemetry-addr A  serve Prometheus exposition at A (e.g. 127.0.0.1:9100;\n                      port 0 binds an ephemeral port, printed to stderr)\n  --timeline-out FILE write the epoch timeline as JSON after the run\n  --dashboard         print the epoch timeline dashboard to stderr\n  --hold-ms MS        keep the scrape endpoint up MS ms after the run\n  --slo               arm the default SLO thresholds; or set individually:\n  --slo-max-ratio X --slo-max-p99-ms X --slo-min-hit-rate X --slo-max-fallback X\nflight recorder (serve only):\n  --journal-out FILE  write the causal event journal (sor-journal/2) after the run\n  --journal-epochs N  epochs of journal context per dump (default 16; 0 = all)\n  --dump-on-breach P  write {{P}}-epochNNNNNN.json whenever an epoch trips an SLO rule\nforensics (offline, on a journal dump):\n  --journal FILE      the sor-journal/2 artifact to analyze (required)\n  --top K             per-edge load-shift rows to show (default 8)\n  --json FILE         also write the sor-forensics/1 report as JSON"
     );
     exit(2)
+}
+
+/// The observability flags every subcommand takes.
+const GLOBAL_FLAGS: &str = "--quiet --trace --metrics-out";
+
+/// The flags that take no value; every other flag takes one.
+const SWITCHES: &str = "--quiet --trace --compare-fresh --integral --dashboard --slo";
+
+/// Each subcommand's own flags, as [`usage`] lists them.
+const FLAGS: [(&str, &str); 9] = [
+    ("info", "--graph --seed"),
+    ("eval", "--graph --seed --s --trees --demand --eps"),
+    ("sweep", "--graph --seed --max-s --trees --demand --eps"),
+    ("sim", "--graph --seed --s --trees --demand --eps"),
+    (
+        "serve",
+        "--graph --seed --epochs --rate --patterns --pattern-pairs --s --trees --eps --batch \
+         --queue-bound --cache-cap --fail-at --restore-after --compare-fresh --integral \
+         --telemetry-addr --timeline-out --dashboard --hold-ms --slo --slo-max-ratio \
+         --slo-max-p99-ms --slo-min-hit-rate --slo-max-fallback --journal-out \
+         --journal-epochs --dump-on-breach",
+    ),
+    ("compact", "--graph --seed --max-s --trees --demand --eps"),
+    ("forensics", "--journal --top --json"),
+    ("export", "--graph --seed --s --trees --demand"),
+    ("process", "--graph --seed --s --tau --trees --demand"),
+];
+
+/// Whether the space-separated `list` names `flag`.
+fn lists(list: &str, flag: &str) -> bool {
+    list.split_whitespace().any(|f| f == flag)
+}
+
+/// Check `args` (subcommand first) against the subcommand's flags before
+/// it does any work, and return the subcommand: a flag it does not take,
+/// a flag missing its value, or a stray word is an error naming it. An
+/// unknown subcommand prints the usage.
+fn check_flags(args: &[String]) -> Result<&str, String> {
+    let Some(cmd) = args.first() else { usage() };
+    let Some((_, own)) = FLAGS.iter().find(|(c, _)| c == cmd) else {
+        usage()
+    };
+    let mut rest = args[1..].iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if !lists(own, arg) && !lists(GLOBAL_FLAGS, arg) {
+            return Err(if arg.starts_with("--") {
+                format!("sor {cmd} does not take {arg}")
+            } else {
+                format!("unexpected argument '{arg}' for sor {cmd}")
+            });
+        }
+        if !lists(SWITCHES, arg) && rest.next().is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("{arg} needs a value"));
+        }
+    }
+    Ok(cmd)
 }
 
 /// Unwrap a CLI parse result or exit with the error message (which names
@@ -86,9 +143,7 @@ fn main() {
 }
 
 fn run(args: &[String]) {
-    let Some(cmd) = args.first().map(String::as_str) else {
-        usage()
-    };
+    let cmd = or_die(check_flags(args));
     if cmd == "forensics" {
         // Offline analysis of a journal artifact: no graph, no seed —
         // everything comes out of the dump.
@@ -248,17 +303,21 @@ fn run(args: &[String]) {
                 cache_capacity: or_die(flag_count(args, "--cache-cap", 32)),
                 integral: args.iter().any(|a| a == "--integral"),
                 compare_fresh: args.iter().any(|a| a == "--compare-fresh"),
-                snapshot_format: or_die(flag_value(args, "--snapshot-format").map_or(
-                    Ok(serve::SnapshotFormat::Explicit),
-                    serve::SnapshotFormat::parse,
-                )),
                 seed,
             };
+            // `random_matching` draws disjoint pairs, at most n/2 of them.
+            let half = g.num_nodes() / 2;
             let wcfg = serve::WorkloadConfig {
                 epochs: or_die(flag_parse(args, "--epochs", 8)),
                 rate: or_die(flag_parse(args, "--rate", 8)),
                 patterns: or_die(flag_count(args, "--patterns", 3)),
-                pairs_per_pattern: or_die(flag_count(args, "--pattern-pairs", 4)),
+                pairs_per_pattern: or_die(flag_parse_valid(
+                    args,
+                    "--pattern-pairs",
+                    4,
+                    |&k| (1..=half).contains(&k),
+                    &format!("must be between 1 and n/2 = {half}"),
+                )),
                 fail_at: flag_value(args, "--fail-at")
                     .map(|v| or_die(v.parse().map_err(|_| format!("bad --fail-at '{v}'")))),
                 restore_after: or_die(flag_parse(args, "--restore-after", 2)),
@@ -371,15 +430,6 @@ fn run(args: &[String]) {
             println!("  mean cong : {:.3}", report.mean_congestion());
             if let Some(r) = report.mean_fresh_ratio() {
                 println!("  vs fresh  : {r:.3}x (mean cached/fresh congestion)");
-            }
-            // Size accounting goes to stderr so stdout stays byte-identical
-            // between --snapshot-format explicit and compact (CI cmp-checks
-            // exactly that; the routes themselves are bit-identical).
-            if let (Some((cb, eb)), false) = (report.mean_compact_bits_per_node(), quiet) {
-                eprintln!(
-                    "compact tables: {cb:.1} bits/node vs {eb:.1} explicit ({:.2}x)",
-                    cb / eb.max(1e-12)
-                );
             }
             for &(epoch, e) in &report.failures {
                 println!("  failure   : epoch {epoch}, edge {}", e.0);

@@ -225,9 +225,10 @@ pub fn flag_parse<T: std::str::FromStr>(
 }
 
 /// [`flag_parse`] for a flag whose value must also satisfy `valid`;
-/// `need` says what a valid value is. The default must be valid, so an
-/// invalid result always comes from a value the user gave.
-pub fn flag_parse_valid<T: std::str::FromStr>(
+/// `need` says what a valid value is. A default can be invalid too, when
+/// the bound depends on the input (a count limited by the graph's size);
+/// the error then names the default.
+pub fn flag_parse_valid<T: std::str::FromStr + std::fmt::Display>(
     args: &[String],
     flag: &str,
     default: T,
@@ -236,11 +237,12 @@ pub fn flag_parse_valid<T: std::str::FromStr>(
 ) -> Result<T, String> {
     let v = flag_parse(args, flag, default)?;
     if valid(&v) {
-        Ok(v)
-    } else {
-        let given = flag_value(args, flag).unwrap_or_default();
-        Err(format!("invalid value '{given}' for {flag}: {need}"))
+        return Ok(v);
     }
+    Err(match flag_value(args, flag) {
+        Some(given) => format!("invalid value '{given}' for {flag}: {need}"),
+        None => format!("invalid default {v} for {flag}: {need}"),
+    })
 }
 
 /// A count flag (sample sizes, tree counts, capacities) that must be at
