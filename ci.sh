@@ -170,13 +170,22 @@ cargo run -q --release --bin sor -- serve --graph expander:16x4 \
   --timeline-out target/journal/timeline.json > target/journal/attached.out
 cmp target/journal/plain.out target/journal/attached.out
 test -s target/journal/journal.json
-grep -q '"sor-journal/2"' target/journal/journal.json
+grep -q '"sor-journal/3"' target/journal/journal.json
 grep -q '"sor-timeline/1"' target/journal/timeline.json
 # The full-run dump, not only a breach dump, must analyze cleanly.
 cargo run -q --release --bin sor -- forensics \
   --journal target/journal/journal.json \
   --json target/journal/full-forensics.json > target/journal/full-forensics.txt
 grep -q '"sor-forensics/1"' target/journal/full-forensics.json
+# The retired sor-journal/2 format (separate epoch_begin/admit/reopt
+# events) is refused, not misread.
+printf '%s\n' '{"format":"sor-journal/2","recorded":1,"dropped":0,"events":[' \
+  '{"seq":0,"type":"epoch_begin","epoch":0,"queue_depth":0}]}' > target/journal/v2.json
+if cargo run -q --release --bin sor -- forensics \
+  --journal target/journal/v2.json > /dev/null 2>&1; then
+  echo "expected sor forensics to refuse a sor-journal/2 document"
+  exit 1
+fi
 # An unreachable hit-rate SLO breaches deterministically, so the engine
 # writes breach-stamped ring dumps; forensics must attribute the run's
 # congestion movement to the injected failure.
@@ -188,7 +197,7 @@ cargo run -q --release --bin sor -- serve --graph grid:4x4 \
   --dump-on-breach target/journal/breach > /dev/null
 dump="$(ls target/journal/breach-epoch*.json | tail -n 1)"
 test -s "$dump"
-grep -q '"sor-journal/2"' "$dump"
+grep -q '"sor-journal/3"' "$dump"
 grep -q '"reason":"slo-breach"' "$dump"
 cargo run -q --release --bin sor -- forensics --journal "$dump" \
   --json target/journal/forensics.json > target/journal/forensics.txt

@@ -655,9 +655,9 @@ pub fn serve_failover() -> Quality {
 /// wall stays within a loose multiple of the plain wall (generous slack:
 /// the point is catching a pathological regression like a lock held
 /// across a solve, not a 5% drift). Also pins the journal's accounting
-/// (one timeline row, one watchdog pass and one begin/end bracket per
-/// epoch, zero drops at this scale) and the `sor-journal/2` dump
-/// round-trip through the hand-rolled parser.
+/// (one timeline row, one watchdog pass and one `epoch_end` per epoch,
+/// zero drops at this scale) and the `sor-journal/3` dump round-trip
+/// through the hand-rolled parser.
 pub fn observer_overhead() -> Quality {
     use std::time::Instant;
 
@@ -745,7 +745,6 @@ pub fn observer_overhead() -> Quality {
                 .sum::<u64>() as f64,
         ),
         q("observer/events", events.len() as f64),
-        q("observer/epoch_begins", count("epoch_begin") as f64),
         q("observer/epoch_ends", count("epoch_end") as f64),
         q("observer/edge_fails", count("edge_fail") as f64),
         q("observer/dropped", journal.dropped() as f64),

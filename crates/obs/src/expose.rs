@@ -17,6 +17,7 @@
 //! registry lock. Mapping a request head to a response is the pure
 //! `respond`, so the request-line parsing is tested without a socket.
 
+use crate::timeline::DEFAULT_TIMELINE_CAPACITY;
 use crate::Snapshot;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -134,11 +135,10 @@ pub fn render_prometheus(snap: &Snapshot, gauges: &PromGauges) -> String {
 pub trait TelemetryHandler: Send + Sync {
     /// Body for `GET /metrics` (Prometheus text exposition).
     fn metrics(&self) -> String;
-    /// Body for `GET /timeline` (epoch timeline JSON).
-    fn timeline_json(&self) -> String;
-    /// Body for `GET /timeline?last=N` — the same document truncated to
-    /// the most recent `last` epochs.
-    fn timeline_json_last(&self, last: usize) -> String;
+    /// Body for `GET /timeline?last=N`: the epoch timeline JSON of the
+    /// most recent `last` epochs. A plain `GET /timeline` passes
+    /// [`DEFAULT_TIMELINE_CAPACITY`].
+    fn timeline_json(&self, last: usize) -> String;
     /// Body for `GET /health` (SLO health summary, JSON — served with
     /// `Content-Type: application/json`; see
     /// [`crate::slo::HealthSummary::render_json`] for the canonical
@@ -277,16 +277,9 @@ fn respond(head: &[u8], handler: &dyn TelemetryHandler) -> (&'static str, &'stat
             "text/plain; version=0.0.4; charset=utf-8",
             handler.metrics(),
         ),
-        "/timeline" => match query {
-            None => ("200 OK", "application/json", handler.timeline_json()),
-            Some(q) => match parse_timeline_query(q) {
-                Some(last) => (
-                    "200 OK",
-                    "application/json",
-                    handler.timeline_json_last(last),
-                ),
-                None => bad_request(),
-            },
+        "/timeline" => match query.map_or(Some(DEFAULT_TIMELINE_CAPACITY), parse_timeline_query) {
+            Some(last) => ("200 OK", "application/json", handler.timeline_json(last)),
+            None => bad_request(),
         },
         "/health" if query.is_none() => ("200 OK", "application/json", handler.health()),
         "/metrics" | "/" | "/health" => bad_request(),
@@ -417,10 +410,7 @@ mod tests {
         fn metrics(&self) -> String {
             "sor_test_metric 1\n".to_string()
         }
-        fn timeline_json(&self) -> String {
-            "{\"format\":\"sor-timeline/1\",\"epochs\":[]}".to_string()
-        }
-        fn timeline_json_last(&self, last: usize) -> String {
+        fn timeline_json(&self, last: usize) -> String {
             format!("{{\"format\":\"sor-timeline/1\",\"last\":{last},\"epochs\":[]}}")
         }
         fn health(&self) -> String {
@@ -509,6 +499,7 @@ mod tests {
         let timeline = get(addr, "/timeline");
         assert!(timeline.contains("Content-Type: application/json\r\n"));
         assert!(timeline.contains("sor-timeline/1"));
+        assert!(timeline.contains("\"last\":256"), "{timeline}");
         let health = get(addr, "/health");
         assert!(health.contains("health: ok"));
         assert!(

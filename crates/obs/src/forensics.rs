@@ -70,7 +70,7 @@ impl Cause {
 }
 
 /// Per-epoch statistics folded out of the event stream: the epoch's
-/// `epoch_end` row plus what the other events add to it.
+/// `epoch_end` payload plus what the other events add to it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpochStats {
     /// The epoch's timeline row (only `epoch` is set when the dump holds
@@ -80,8 +80,9 @@ pub struct EpochStats {
     pub edge_failed: bool,
     /// An `edge_restore` event is tagged with this epoch.
     pub edge_restored: bool,
-    /// Fingerprint of the admitted pair set, when an `admit` event was
-    /// in the dump.
+    /// Fingerprint of the admitted pair set, from the epoch's
+    /// `epoch_end` (`None` for an empty epoch, or when the dump holds no
+    /// `epoch_end` for it).
     pub demand_fp: Option<u64>,
     /// Pairs whose path set changed vs. their last service.
     pub churned_pairs: usize,
@@ -299,7 +300,6 @@ pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
             continue; // unreachable: idx < epochs.len() by construction
         };
         match ev {
-            JournalEvent::Admit { demand_fp, .. } => stats.demand_fp = Some(*demand_fp),
             JournalEvent::EdgeFail { .. } => stats.edge_failed = true,
             JournalEvent::EdgeRestore { .. } => stats.edge_restored = true,
             JournalEvent::TopEdges { edges, .. } => stats.top_edges.clone_from(edges),
@@ -309,8 +309,10 @@ pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
                     stats.new_pairs += 1;
                 }
             }
-            JournalEvent::EpochEnd(row) => stats.row.clone_from(row),
-            JournalEvent::EpochBegin { .. } | JournalEvent::Reopt { .. } => {}
+            JournalEvent::EpochEnd { row, demand_fp, .. } => {
+                stats.row.clone_from(row);
+                stats.demand_fp = *demand_fp;
+            }
         }
     }
     epochs.sort_by_key(|s| s.row.epoch);
@@ -501,15 +503,6 @@ mod tests {
         top: &[(u32, f64)],
     ) -> Vec<JournalEvent> {
         vec![
-            JournalEvent::EpochBegin {
-                epoch,
-                queue_depth: 4,
-            },
-            JournalEvent::Admit {
-                epoch,
-                count: 4,
-                demand_fp: fp,
-            },
             JournalEvent::TopEdges {
                 epoch,
                 edges: top
@@ -521,22 +514,26 @@ mod tests {
                     })
                     .collect(),
             },
-            JournalEvent::EpochEnd(EpochRecord {
-                epoch,
-                admitted: 4,
-                cache_hit: hit,
-                cache_hits: u64::from(hit),
-                cache_misses: u64::from(!hit),
-                congestion,
-                ..EpochRecord::default()
-            }),
+            JournalEvent::EpochEnd {
+                row: EpochRecord {
+                    epoch,
+                    admitted: 4,
+                    cache_hit: hit,
+                    cache_hits: u64::from(hit),
+                    cache_misses: u64::from(!hit),
+                    congestion,
+                    ..EpochRecord::default()
+                },
+                demand_fp: Some(fp),
+                lower_bound: congestion / 2.0,
+            },
         ]
     }
 
     /// The `epoch_end` row closing an [`epoch_events`] batch.
     fn end_row(events: &mut [JournalEvent]) -> &mut EpochRecord {
         match events.last_mut() {
-            Some(JournalEvent::EpochEnd(row)) => row,
+            Some(JournalEvent::EpochEnd { row, .. }) => row,
             other => panic!("batch ends in {other:?}"),
         }
     }

@@ -3,10 +3,11 @@
 //! The journal is the one per-epoch store of a serving run. Each
 //! published epoch ends in an `epoch_end` event whose payload is that
 //! epoch's timeline row ([`EpochRecord`]: the numbers around epoch 37),
-//! and the events before it record what *happened* — admissions,
-//! failures and restores, re-opt summaries, per-edge load
-//! concentrations, and per-pair path churn that explains *why*
-//! congestion moved. The timeline ([`Journal::rows`]) and forensics
+//! the admitted demand's fingerprint and the solve's lower bound. The
+//! other four event types record what *happened* — failures and
+//! restores between epochs, and within an epoch the per-edge load
+//! concentrations and per-pair path churn that explain *why* congestion
+//! moved. The timeline ([`Journal::rows`]) and forensics
 //! ([`crate::forensics`]) are both folds over these events. A
 //! long-running `sor serve` keeps the recent past in a fixed-size ring;
 //! when the SLO watchdog fires, the serving layer snapshots the ring to
@@ -15,9 +16,9 @@
 //!
 //! Design constraints, in order:
 //!
-//! * **Zero cost detached.** Nothing global: the engine reaches the
-//!   journal only through an attached observer and emits only behind
-//!   it. No lock is touched on the detached path.
+//! * **Zero cost detached.** Nothing global: the serving layer's
+//!   observer builds every event, and the engine calls it only when one
+//!   is attached. No lock is touched on the detached path.
 //! * **Bit-output-neutral attached.** Recording is strictly read-only
 //!   over the epoch's outputs — events carry copies of already-published
 //!   data and never feed anything back. The only wall clock is the
@@ -25,12 +26,12 @@
 //!   bit-equality of published snapshots with and without an observer
 //!   attached, and equal journals up to that wall).
 //! * **Bounded and cheap.** One pre-sized `VecDeque` behind one mutex.
-//!   Every write comes from the engine, which holds `&mut Engine` while
-//!   it emits, so the lock is only ever contended by a reader taking a
-//!   dump or the timeline. Past capacity the oldest event is dropped and
-//!   counted.
+//!   Every write comes from an engine call, which holds `&mut Engine`
+//!   while its observer records, so the lock is only ever contended by a
+//!   reader taking a dump or the timeline. Past capacity the oldest
+//!   event is dropped and counted.
 //!
-//! The dump format is versioned (`sor-journal/2`), hand-rolled like
+//! The dump format is versioned (`sor-journal/3`), hand-rolled like
 //! every JSON writer in the tree, and round-trips through the tree's
 //! JSON reader ([`crate::parse_json`]) via [`parse_journal`].
 //!
@@ -63,24 +64,6 @@ pub struct EdgeLoad {
 /// i.e. the first epoch the change affects).
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalEvent {
-    /// An epoch started: queue depth at entry (before admission).
-    EpochBegin {
-        /// Epoch index.
-        epoch: u64,
-        /// Requests queued when the epoch began.
-        queue_depth: usize,
-    },
-    /// The epoch admitted a batch. `demand_fp` fingerprints the ordered
-    /// admitted pair set — the forensics analyzer compares consecutive
-    /// fingerprints to detect demand churn.
-    Admit {
-        /// Epoch index.
-        epoch: u64,
-        /// Requests admitted.
-        count: usize,
-        /// Fingerprint of the admitted pair set (0 for an empty epoch).
-        demand_fp: u64,
-    },
     /// Edges went down (raw edge ids).
     EdgeFail {
         /// First epoch the failure affects.
@@ -94,19 +77,6 @@ pub enum JournalEvent {
         epoch: u64,
         /// How many edges were restored.
         restored: usize,
-    },
-    /// Rate re-optimization summary for the epoch's solve.
-    Reopt {
-        /// Epoch index.
-        epoch: u64,
-        /// Commodities solved.
-        pairs: usize,
-        /// Achieved max edge congestion.
-        congestion: f64,
-        /// LP lower bound (0 for integral solves).
-        lower_bound: f64,
-        /// Whether the solve was integral.
-        integral: bool,
     },
     /// The k most utilized edges under the epoch's published routing.
     TopEdges {
@@ -127,38 +97,42 @@ pub enum JournalEvent {
         /// `true` when the pair had never been served before.
         new_pair: bool,
     },
-    /// The epoch published: its timeline row. `epoch_wall_ns` is the
-    /// epoch wall when telemetry timing was on (0 otherwise — walls never
-    /// feed the deterministic path).
-    EpochEnd(EpochRecord),
+    /// The epoch published: its timeline row plus what forensics reads
+    /// beside it. `row.epoch_wall_ns` is the epoch wall when telemetry
+    /// timing was on (0 otherwise — walls never feed the deterministic
+    /// path).
+    EpochEnd {
+        /// The epoch's timeline row.
+        row: EpochRecord,
+        /// Fingerprint of the ordered admitted pair set (`None` for an
+        /// empty epoch) — the forensics analyzer compares consecutive
+        /// fingerprints to detect demand churn.
+        demand_fp: Option<u64>,
+        /// The solve's LP lower bound (0 for empty and integral solves).
+        lower_bound: f64,
+    },
 }
 
 impl JournalEvent {
     /// The epoch this event is tagged with.
     pub fn epoch(&self) -> u64 {
         match *self {
-            JournalEvent::EpochBegin { epoch, .. }
-            | JournalEvent::Admit { epoch, .. }
-            | JournalEvent::EdgeFail { epoch, .. }
+            JournalEvent::EdgeFail { epoch, .. }
             | JournalEvent::EdgeRestore { epoch, .. }
-            | JournalEvent::Reopt { epoch, .. }
             | JournalEvent::TopEdges { epoch, .. }
             | JournalEvent::PathChurn { epoch, .. } => epoch,
-            JournalEvent::EpochEnd(ref row) => row.epoch,
+            JournalEvent::EpochEnd { ref row, .. } => row.epoch,
         }
     }
 
     /// The stable `type` tag used in the dump format.
     pub fn type_tag(&self) -> &'static str {
         match self {
-            JournalEvent::EpochBegin { .. } => "epoch_begin",
-            JournalEvent::Admit { .. } => "admit",
             JournalEvent::EdgeFail { .. } => "edge_fail",
             JournalEvent::EdgeRestore { .. } => "edge_restore",
-            JournalEvent::Reopt { .. } => "reopt",
             JournalEvent::TopEdges { .. } => "top_edges",
             JournalEvent::PathChurn { .. } => "path_churn",
-            JournalEvent::EpochEnd(_) => "epoch_end",
+            JournalEvent::EpochEnd { .. } => "epoch_end",
         }
     }
 }
@@ -259,7 +233,7 @@ impl Journal {
             .iter()
             .rev()
             .filter_map(|(_, e)| match e {
-                JournalEvent::EpochEnd(row) => Some(row.clone()),
+                JournalEvent::EpochEnd { row, .. } => Some(row.clone()),
                 _ => None,
             })
             .take(last)
@@ -268,7 +242,7 @@ impl Journal {
         rows
     }
 
-    /// Serialize the whole retained ring as a `sor-journal/2` document
+    /// Serialize the whole retained ring as a `sor-journal/3` document
     /// with extra top-level string fields (`meta`).
     pub fn dump_json(&self, meta: &[(&str, &str)]) -> String {
         self.dump_json_last(0, meta)
@@ -304,14 +278,6 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
         e.epoch()
     ));
     match e {
-        JournalEvent::EpochBegin { queue_depth, .. } => {
-            out.push_str(&format!(",\"queue_depth\":{queue_depth}"));
-        }
-        JournalEvent::Admit {
-            count, demand_fp, ..
-        } => {
-            out.push_str(&format!(",\"count\":{count},\"demand_fp\":{demand_fp}"));
-        }
         JournalEvent::EdgeFail { edges, .. } => {
             out.push_str(",\"edges\":[");
             for (i, id) in edges.iter().enumerate() {
@@ -324,19 +290,6 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
         }
         JournalEvent::EdgeRestore { restored, .. } => {
             out.push_str(&format!(",\"restored\":{restored}"));
-        }
-        JournalEvent::Reopt {
-            pairs,
-            congestion,
-            lower_bound,
-            integral,
-            ..
-        } => {
-            out.push_str(&format!(",\"pairs\":{pairs},\"congestion\":"));
-            push_f64(out, *congestion);
-            out.push_str(",\"lower_bound\":");
-            push_f64(out, *lower_bound);
-            out.push_str(&format!(",\"integral\":{integral}"));
         }
         JournalEvent::TopEdges { edges, .. } => {
             out.push_str(",\"edges\":[");
@@ -359,7 +312,19 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
                 ",\"src\":{src},\"dst\":{dst},\"new_pair\":{new_pair}"
             ));
         }
-        JournalEvent::EpochEnd(row) => push_record_fields(out, row),
+        JournalEvent::EpochEnd {
+            row,
+            demand_fp,
+            lower_bound,
+        } => {
+            push_record_fields(out, row);
+            match demand_fp {
+                Some(fp) => out.push_str(&format!(",\"demand_fp\":{fp}")),
+                None => out.push_str(",\"demand_fp\":null"),
+            }
+            out.push_str(",\"lower_bound\":");
+            push_f64(out, *lower_bound);
+        }
     }
     out.push('}');
 }
@@ -371,7 +336,7 @@ fn events_to_json(
     meta: &[(&str, &str)],
 ) -> String {
     let mut out = String::with_capacity(256 + events.len() * 128);
-    out.push_str("{\"format\":\"sor-journal/2\"");
+    out.push_str("{\"format\":\"sor-journal/3\"");
     for (k, v) in meta {
         out.push(',');
         push_escaped(&mut out, k);
@@ -394,7 +359,7 @@ fn events_to_json(
     out
 }
 
-/// A parsed `sor-journal/2` document.
+/// A parsed `sor-journal/3` document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JournalDump {
     /// Top-level string metadata fields, in document order.
@@ -486,15 +451,6 @@ fn parse_event(v: &crate::JsonValue) -> Result<(u64, JournalEvent), String> {
         .and_then(crate::JsonValue::as_str)
         .ok_or_else(|| "event missing 'type'".to_string())?;
     let event = match tag {
-        "epoch_begin" => JournalEvent::EpochBegin {
-            epoch,
-            queue_depth: field_usize(v, "queue_depth")?,
-        },
-        "admit" => JournalEvent::Admit {
-            epoch,
-            count: field_usize(v, "count")?,
-            demand_fp: field_u64(v, "demand_fp")?,
-        },
         "edge_fail" => {
             let arr = v
                 .get("edges")
@@ -513,13 +469,6 @@ fn parse_event(v: &crate::JsonValue) -> Result<(u64, JournalEvent), String> {
         "edge_restore" => JournalEvent::EdgeRestore {
             epoch,
             restored: field_usize(v, "restored")?,
-        },
-        "reopt" => JournalEvent::Reopt {
-            epoch,
-            pairs: field_usize(v, "pairs")?,
-            congestion: field_f64(v, "congestion")?,
-            lower_bound: field_f64(v, "lower_bound")?,
-            integral: field_bool(v, "integral")?,
         },
         "top_edges" => {
             let arr = v
@@ -542,20 +491,27 @@ fn parse_event(v: &crate::JsonValue) -> Result<(u64, JournalEvent), String> {
             dst: field_u32(v, "dst")?,
             new_pair: field_bool(v, "new_pair")?,
         },
-        "epoch_end" => JournalEvent::EpochEnd(parse_row(v, epoch)?),
+        "epoch_end" => JournalEvent::EpochEnd {
+            row: parse_row(v, epoch)?,
+            demand_fp: match v.get("demand_fp") {
+                Some(crate::JsonValue::Null) => None,
+                _ => Some(field_u64(v, "demand_fp")?),
+            },
+            lower_bound: field_f64(v, "lower_bound")?,
+        },
         other => return Err(format!("unknown journal event type '{other}'")),
     };
     Ok((seq, event))
 }
 
-/// Parse a `sor-journal/2` document produced by [`Journal::dump_json`]
+/// Parse a `sor-journal/3` document produced by [`Journal::dump_json`]
 /// (or a breach dump). Unknown top-level fields are ignored; unknown
 /// event types and every other format version are errors (the format is
 /// versioned for exactly this).
 pub fn parse_journal(text: &str) -> Result<JournalDump, String> {
     let doc = crate::parse_json(text).map_err(|e| format!("journal parse: {e}"))?;
     match doc.get("format").and_then(crate::JsonValue::as_str) {
-        Some("sor-journal/2") => {}
+        Some("sor-journal/3") => {}
         Some(other) => return Err(format!("unsupported journal format '{other}'")),
         None => return Err("not a sor-journal document (no 'format')".to_string()),
     }
@@ -624,24 +580,18 @@ mod tests {
         }
     }
 
+    /// `row(epoch)`'s `epoch_end` event with the given demand
+    /// fingerprint.
+    fn end(epoch: u64, demand_fp: Option<u64>) -> JournalEvent {
+        JournalEvent::EpochEnd {
+            row: row(epoch),
+            demand_fp,
+            lower_bound: 1.25,
+        }
+    }
+
     fn sample_events() -> Vec<JournalEvent> {
         vec![
-            JournalEvent::EpochBegin {
-                epoch: 0,
-                queue_depth: 8,
-            },
-            JournalEvent::Admit {
-                epoch: 0,
-                count: 8,
-                demand_fp: 0xdead_beef,
-            },
-            JournalEvent::Reopt {
-                epoch: 0,
-                pairs: 4,
-                congestion: 1.5,
-                lower_bound: 1.25,
-                integral: false,
-            },
             JournalEvent::TopEdges {
                 epoch: 0,
                 edges: vec![
@@ -663,12 +613,12 @@ mod tests {
                 dst: 6,
                 new_pair: true,
             },
-            JournalEvent::EpochEnd(row(0)),
+            end(0, Some(0xdead_beef)),
             JournalEvent::EdgeFail {
                 epoch: 1,
                 edges: vec![4, 9],
             },
-            JournalEvent::EpochEnd(row(1)),
+            end(1, None),
             JournalEvent::EdgeRestore {
                 epoch: 2,
                 restored: 2,
@@ -683,11 +633,11 @@ mod tests {
             j.record(e);
         }
         let events = j.events();
-        assert_eq!(events.len(), 9);
-        assert_eq!(j.recorded(), 9);
+        assert_eq!(events.len(), 6);
+        assert_eq!(j.recorded(), 6);
         assert_eq!(j.dropped(), 0);
         let seqs: Vec<u64> = events.iter().map(|&(s, _)| s).collect();
-        assert_eq!(seqs, (0..9).collect::<Vec<_>>());
+        assert_eq!(seqs, (0..6).collect::<Vec<_>>());
         assert_eq!(
             events.iter().map(|(_, e)| e.clone()).collect::<Vec<_>>(),
             sample_events()
@@ -698,9 +648,9 @@ mod tests {
     fn ring_bounds_capacity_and_counts_drops() {
         let j = Journal::with_capacity(16);
         for i in 0..40u64 {
-            j.record(JournalEvent::EpochBegin {
+            j.record(JournalEvent::EdgeRestore {
                 epoch: i,
-                queue_depth: 0,
+                restored: 1,
             });
         }
         assert_eq!(j.len(), 16);
@@ -736,9 +686,9 @@ mod tests {
             j.record(e);
         }
         let json = j.dump_json(&[("reason", "test"), ("graph", "cycle:8")]);
-        assert!(json.starts_with("{\"format\":\"sor-journal/2\""));
+        assert!(json.starts_with("{\"format\":\"sor-journal/3\""));
         let dump = parse_journal(&json).expect("round-trip parse");
-        assert_eq!(dump.recorded, 9);
+        assert_eq!(dump.recorded, 6);
         assert_eq!(dump.dropped, 0);
         assert!(dump.meta.iter().any(|(k, v)| k == "reason" && v == "test"));
         assert!(dump
@@ -760,23 +710,19 @@ mod tests {
         // FNV-1a offset basis and u64::MAX - 1 must come back bit-exact.
         let fps = [(1u64 << 53) + 1, 0xcbf2_9ce4_8422_2325, u64::MAX - 1];
         let j = Journal::new();
-        for (epoch, &demand_fp) in (0u64..).zip(&fps) {
-            j.record(JournalEvent::Admit {
-                epoch,
-                count: 1,
-                demand_fp,
-            });
+        for (epoch, &fp) in (0u64..).zip(&fps) {
+            j.record(end(epoch, Some(fp)));
         }
         let dump = parse_journal(&j.dump_json(&[])).expect("round-trip parse");
-        let parsed: Vec<u64> = dump
+        let parsed: Vec<Option<u64>> = dump
             .events
             .iter()
             .map(|(_, e)| match e {
-                JournalEvent::Admit { demand_fp, .. } => *demand_fp,
+                JournalEvent::EpochEnd { demand_fp, .. } => *demand_fp,
                 other => panic!("unexpected event {other:?}"),
             })
             .collect();
-        assert_eq!(parsed, fps);
+        assert_eq!(parsed, fps.map(Some));
     }
 
     #[test]
@@ -793,7 +739,7 @@ mod tests {
         assert!(dump.events.iter().any(|(_, e)| e.epoch() == 2));
         // 0 means "everything"
         let full = parse_journal(&j.dump_json_last(0, &[])).expect("parse full dump");
-        assert_eq!(full.events.len(), 9);
+        assert_eq!(full.events.len(), 6);
     }
 
     #[test]
@@ -801,11 +747,8 @@ mod tests {
         let j = Journal::with_capacity(8);
         assert!(j.rows(4).is_empty());
         for epoch in 0..6u64 {
-            j.record(JournalEvent::EpochBegin {
-                epoch,
-                queue_depth: 0,
-            });
-            j.record(JournalEvent::EpochEnd(row(epoch)));
+            j.record(JournalEvent::EdgeRestore { epoch, restored: 1 });
+            j.record(end(epoch, None));
         }
         // 12 events through a ring of 8: epochs 0 and 1 are gone
         assert_eq!(j.dropped(), 4);
@@ -819,26 +762,26 @@ mod tests {
     #[test]
     fn parser_rejects_foreign_documents() {
         assert!(parse_journal("{\"format\":\"sor-timeline/1\",\"events\":[]}").is_err());
-        // the v1 epoch_end carried no row: unsupported, not misread
-        let v1 = parse_journal("{\"format\":\"sor-journal/1\",\"events\":[]}");
-        assert_eq!(
-            v1,
-            Err("unsupported journal format 'sor-journal/1'".to_string())
-        );
+        // v1's epoch_end carried no row and v2's no demand fingerprint:
+        // both are unsupported, not misread
+        for old in ["sor-journal/1", "sor-journal/2"] {
+            let doc = format!("{{\"format\":\"{old}\",\"events\":[]}}");
+            assert_eq!(
+                parse_journal(&doc),
+                Err(format!("unsupported journal format '{old}'"))
+            );
+        }
         assert!(parse_journal("{\"events\":[]}").is_err());
         assert!(parse_journal("[1,2,3]").is_err());
         let bad_event =
-            "{\"format\":\"sor-journal/2\",\"events\":[{\"seq\":0,\"type\":\"warp\",\"epoch\":0}]}";
+            "{\"format\":\"sor-journal/3\",\"events\":[{\"seq\":0,\"type\":\"warp\",\"epoch\":0}]}";
         assert!(parse_journal(bad_event).is_err());
     }
 
     #[test]
     fn meta_values_are_escaped() {
         let j = Journal::new();
-        j.record(JournalEvent::EpochBegin {
-            epoch: 0,
-            queue_depth: 0,
-        });
+        j.record(end(0, None));
         let note = "say \"hi\" \\ bye\nnext\u{1}";
         let json = j.dump_json(&[("note", note)]);
         assert!(

@@ -51,16 +51,16 @@
 //!
 //! # Flight recorder & forensics (v3)
 //!
-//! [`journal`] is a bounded ring of structured *causal* events
-//! (admissions, failures and restores, re-opt summaries, top-k edge
-//! loads, path churn) closed per epoch by an `epoch_end` event that
-//! carries the epoch's timeline row, with a versioned `sor-journal/2`
-//! dump format. It is the one per-epoch store: the timeline is its
-//! newest rows, and [`forensics`] folds a dump's events to attribute
-//! epoch-over-epoch congestion/wall deltas to causes (failure vs.
-//! eviction vs. cold sampling vs. demand churn). The serving layer
-//! snapshots the ring on SLO breaches; `sor forensics` analyzes the
-//! artifact offline.
+//! [`journal`] is a bounded ring of structured *causal* events of five
+//! types: edge failures and restores, top-k edge loads and path churn,
+//! each epoch closed by an `epoch_end` event that carries the epoch's
+//! timeline row, admitted-demand fingerprint and solve lower bound. Its
+//! dump format is the versioned `sor-journal/3`. It is the one
+//! per-epoch store: the timeline is its newest rows, and [`forensics`]
+//! folds a dump's events to attribute epoch-over-epoch congestion/wall
+//! deltas to causes (failure vs. eviction vs. cold sampling vs. demand
+//! churn). The serving layer snapshots the ring on SLO breaches;
+//! `sor forensics` analyzes the artifact offline.
 
 #![forbid(unsafe_code)]
 

@@ -2,7 +2,7 @@
 //!
 //! Both parsers sit on an input boundary (`sor forensics` reads journal
 //! dumps from disk), so malformed input must come back as an `Err`,
-//! never a panic. Each case builds a valid `sor-journal/2` dump from its
+//! never a panic. Each case builds a valid `sor-journal/3` dump from its
 //! seed, checks the unmutated dump round-trips event for event, then
 //! feeds `parse_json` and `parse_journal` every char-boundary truncation,
 //! a batch of byte flips, and nesting past the depth guard. (The vendored
@@ -25,18 +25,16 @@ fn mix(seed: u64, i: u64) -> u64 {
 /// One epoch of every journal event type. `E` takes the epoch, `N` a
 /// seeded integer and `F` a seeded float; `seq` is rewritten on record.
 /// The `epoch_end` row carries a fresh baseline and an SLO breach.
-const EPOCH_TEMPLATE: &str = r#"{"format":"sor-journal/2","events":[
-{"seq":0,"type":"epoch_begin","epoch":E,"queue_depth":N},
-{"seq":0,"type":"admit","epoch":E,"count":N,"demand_fp":N},
+const EPOCH_TEMPLATE: &str = r#"{"format":"sor-journal/3","events":[
 {"seq":0,"type":"edge_fail","epoch":E,"edges":[N,N]},
 {"seq":0,"type":"edge_restore","epoch":E,"restored":N},
-{"seq":0,"type":"reopt","epoch":E,"pairs":N,"congestion":F,"lower_bound":F,"integral":true},
 {"seq":0,"type":"top_edges","epoch":E,"edges":[{"edge":N,"load":F,"utilization":F}]},
 {"seq":0,"type":"path_churn","epoch":E,"src":N,"dst":N,"new_pair":false},
 {"seq":0,"type":"epoch_end","epoch":E,"admitted":N,"rejected":N,"cache_hit":true,
  "cache":{"hits":N,"misses":N,"evictions":N,"invalidations":N},"congestion":F,
  "fresh_congestion":F,"congestion_ratio":F,"fallback_pairs":N,"unserved_pairs":N,
- "queue_depth":N,"failed_edges":N,"epoch_wall_ns":N,"slo_breaches":["min_cache_hit_rate"]}]}"#;
+ "queue_depth":N,"failed_edges":N,"epoch_wall_ns":N,"slo_breaches":["min_cache_hit_rate"],
+ "demand_fp":N,"lower_bound":F}]}"#;
 
 /// The template's events for `epoch`, with seeded numbers filled in.
 fn epoch_events(seed: u64, epoch: u64) -> Vec<JournalEvent> {
@@ -139,7 +137,7 @@ fn nesting_past_the_depth_guard_is_an_error() {
     assert!(parse_json(&nest(100_000, "[", "]")).is_err());
     // inside a journal document, where the events array adds two levels
     let deep_events = format!(
-        "{{\"format\":\"sor-journal/2\",\"events\":[{}]}}",
+        "{{\"format\":\"sor-journal/3\",\"events\":[{}]}}",
         nest(65, "[", "]")
     );
     assert!(parse_journal(&deep_events).is_err());

@@ -20,19 +20,17 @@
 //! the fresh-sample comparison derives its RNG from (seed, epoch).
 
 use crate::cache::{
-    fnv1a_u64, graph_fingerprint, pairs_fingerprint, CacheDeltas, CacheKey, CacheStats,
-    PathSystemCache, FNV_OFFSET,
+    graph_fingerprint, pairs_fingerprint, CacheDeltas, CacheKey, CacheStats, PathSystemCache,
 };
 use crate::observer::{EpochMeasures, Observer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_core::sample::{demand_pairs, sample_k};
 use sor_core::{PathSystem, SemiObliviousRouting};
-use sor_flow::{Demand, EdgeLoads};
+use sor_flow::Demand;
 use sor_graph::{EdgeId, Graph, NodeId};
 use sor_oblivious::RaeckeRouting;
-use sor_obs::{EdgeLoad, JournalEvent};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -184,9 +182,6 @@ impl EpochSnapshot {
     }
 }
 
-/// Congested edges reported per `top_edges` journal event.
-const TOP_EDGES_K: usize = 8;
-
 /// The long-running engine (see module docs for the lifecycle).
 pub struct Engine {
     /// Shared with every epoch's [`SemiObliviousRouting`]. It never
@@ -208,16 +203,6 @@ pub struct Engine {
     /// Enqueue instants mirroring `queue`, kept only while an observer
     /// is attached (queue-wait percentiles).
     queue_times: VecDeque<Instant>,
-    /// The running epoch's rejection delta and wall clocks, filled only
-    /// while an observer is attached (wall time never reaches published
-    /// output).
-    measures: EpochMeasures,
-    /// Rejection total at the last observed epoch.
-    prev_rejected: u64,
-    /// Last published path-set fingerprint per pair — path-churn events
-    /// difference against this. BTreeMap: churn events come out in
-    /// deterministic pair order.
-    pair_fps: BTreeMap<(u32, u32), u64>,
 }
 
 impl Engine {
@@ -239,22 +224,19 @@ impl Engine {
             last_stats: CacheStats::default(),
             observer: None,
             queue_times: VecDeque::new(),
-            measures: EpochMeasures::default(),
-            prev_rejected: 0,
-            pair_fps: BTreeMap::new(),
             g: Arc::new(g),
             cfg,
             routing,
         }
     }
 
-    /// Attach an observer: every subsequent lifecycle step journals a
-    /// causal event, and every epoch closes into its journaled timeline
-    /// row, wall histograms and SLO watchdog. Observation is strictly
-    /// read-only over the epoch's outputs — published snapshots stay
-    /// bit-identical with or without it (the determinism test pins
-    /// this), and an engine without one takes no clock reading and
-    /// builds no event.
+    /// Attach an observer: every subsequent failure, restore and epoch
+    /// makes one observer call, which journals it (each epoch closing
+    /// into its timeline row, wall histograms and SLO watchdog).
+    /// Observation is strictly read-only over the epoch's outputs —
+    /// published snapshots stay bit-identical with or without it (the
+    /// determinism test pins this), and an engine without one takes no
+    /// clock reading and makes no call.
     pub fn attach_observer(&mut self, observer: Arc<Observer>) {
         self.observer = Some(observer);
     }
@@ -262,14 +244,6 @@ impl Engine {
     /// The attached observer, if any.
     pub fn observer(&self) -> Option<&Arc<Observer>> {
         self.observer.as_ref()
-    }
-
-    /// Journal a causal event; without an observer the event is never
-    /// built.
-    fn record(&self, event: impl FnOnce() -> JournalEvent) {
-        if let Some(obs) = &self.observer {
-            obs.record(event());
-        }
     }
 
     /// Offer a request. Returns `false` (and counts a rejection) when the
@@ -306,10 +280,9 @@ impl Engine {
         let invalidated = self.cache.invalidate_edges(edges);
         // Tagged with the *upcoming* epoch index: the failure takes
         // effect on that epoch, whose row carries the invalidations.
-        self.record(|| JournalEvent::EdgeFail {
-            epoch: self.epoch,
-            edges: edges.iter().map(|e| e.0).collect(),
-        });
+        if let Some(obs) = &self.observer {
+            obs.edges_failed(self.epoch, edges);
+        }
         invalidated
     }
 
@@ -319,11 +292,8 @@ impl Engine {
     pub fn restore_all(&mut self) {
         let restored = self.failed.len();
         self.failed.clear();
-        if restored > 0 {
-            self.record(|| JournalEvent::EdgeRestore {
-                epoch: self.epoch,
-                restored,
-            });
+        if let Some(obs) = self.observer.as_ref().filter(|_| restored > 0) {
+            obs.edges_restored(self.epoch, restored);
         }
     }
 
@@ -331,10 +301,10 @@ impl Engine {
     /// sampled) path system, publish the snapshot.
     pub fn run_epoch(&mut self) -> EpochSnapshot {
         let epoch_start = self.observer.is_some().then(Instant::now);
-        self.measures = EpochMeasures::default();
+        let mut m = EpochMeasures::default();
         let mut snap = {
             let _span = sor_obs::span("serve/epoch");
-            self.run_epoch_inner()
+            self.run_epoch_inner(&mut m)
         };
         if self.cfg.compare_fresh && snap.admitted > 0 {
             // Sibling span, *outside* serve/epoch: the wall-time ratio of
@@ -348,36 +318,31 @@ impl Engine {
         snap.cache = stats.delta_since(&self.last_stats);
         self.last_stats = stats;
         if let (Some(obs), Some(t0)) = (&self.observer, epoch_start) {
-            self.measures.epoch_ns = elapsed_ns(t0);
-            obs.close_epoch(&snap, self.failed.len(), self.measures);
+            m.epoch_ns = elapsed_ns(t0);
+            m.rejected_total = self.rejected;
+            obs.close_epoch(&self.g, &snap, self.failed.len(), m);
         }
         snap
     }
 
-    fn run_epoch_inner(&mut self) -> EpochSnapshot {
+    /// Admit, solve and publish one epoch, filling `m` with what the
+    /// observer needs besides the snapshot (walls only while one is
+    /// attached).
+    fn run_epoch_inner(&mut self, m: &mut EpochMeasures) -> EpochSnapshot {
         let epoch = self.epoch;
         self.epoch += 1;
         sor_obs::counter_add!("serve/epochs");
 
-        if let Some(obs) = &self.observer {
-            obs.record(JournalEvent::EpochBegin {
-                epoch,
-                queue_depth: self.queue.len(),
-            });
-            // Rejections only happen at ingest, between epochs, so this
-            // delta is the one the epoch's timeline row carries.
-            self.measures.rejected = self.rejected.saturating_sub(self.prev_rejected);
-            self.prev_rejected = self.rejected;
-        }
-
         let take = self.cfg.epoch_batch.min(self.queue.len());
         let admitted: Vec<Request> = self.queue.drain(..take).collect();
-        if let Some(obs) = &self.observer {
-            // queue-wait percentiles for the admitted batch (enqueue
-            // instants are only mirrored while an observer is attached)
-            for t0 in self.queue_times.drain(..take.min(self.queue_times.len())) {
-                obs.observe_queue_wait_ns(elapsed_ns(t0));
-            }
+        if self.observer.is_some() {
+            // queue waits of the admitted batch (enqueue instants are
+            // only mirrored while an observer is attached)
+            m.queue_waits_ns = self
+                .queue_times
+                .drain(..take.min(self.queue_times.len()))
+                .map(elapsed_ns)
+                .collect();
         }
         sor_obs::count_usize("serve/requests_admitted", admitted.len());
         #[allow(clippy::cast_precision_loss)]
@@ -389,16 +354,12 @@ impl Engine {
 
         let demand = Demand::from_triples(admitted.iter().map(|r| (r.src, r.dst, r.amount)));
         let pairs = demand_pairs(&demand);
-        self.record(|| JournalEvent::Admit {
-            epoch,
-            count: admitted.len(),
-            demand_fp: pairs_fingerprint(&pairs),
-        });
         let key = CacheKey {
             graph_fp: self.graph_fp,
             pairs_fp: pairs_fingerprint(&pairs),
             sparsity: self.cfg.sparsity,
         };
+        m.demand_fp = Some(key.pairs_fp);
         let lookup_start = self.observer.as_ref().map(|_| Instant::now());
         let Engine {
             cache,
@@ -412,7 +373,7 @@ impl Engine {
             sample_k(routing, &pairs, cfg.sparsity, rng).system
         });
         if let Some(t0) = lookup_start {
-            self.measures.cache_lookup_ns = elapsed_ns(t0);
+            m.cache_lookup_ns = elapsed_ns(t0);
         }
 
         let (system, fallback_pairs, unserved) =
@@ -451,8 +412,8 @@ impl Engine {
         let sparsity = system.sparsity();
         let sor = SemiObliviousRouting::new(Arc::clone(&self.g), system);
         let reopt_start = self.observer.as_ref().map(|_| Instant::now());
-        let integral_solve = self.cfg.integral && demand.is_integral();
-        let (weights, loads, congestion, lower_bound) = if integral_solve {
+        let (weights, loads, congestion, lower_bound) = if self.cfg.integral && demand.is_integral()
+        {
             let sol = sor.route_integral(&demand, self.cfg.eps, &mut self.rng);
             let weights: Vec<Vec<f64>> = sol
                 .counts
@@ -465,7 +426,7 @@ impl Engine {
             (sol.weights, sol.loads, sol.congestion, sol.lower_bound)
         };
         if let Some(t0) = reopt_start {
-            self.measures.reopt_ns = elapsed_ns(t0);
+            m.reopt_ns = elapsed_ns(t0);
         }
 
         // Publish: each pair's candidates that carry a positive rate.
@@ -487,17 +448,8 @@ impl Engine {
                     .collect(),
             })
             .collect();
-
-        if self.observer.is_some() {
-            self.journal_solve_events(
-                epoch,
-                &routes,
-                &loads,
-                congestion,
-                lower_bound,
-                integral_solve,
-            );
-        }
+        // the solve's own loads, summed over exactly the published rates
+        m.loads = Some(loads);
 
         let snap = EpochSnapshot {
             epoch,
@@ -515,79 +467,6 @@ impl Engine {
         };
         self.last = Some(sor);
         snap
-    }
-
-    /// Journal the solve's outcome: the re-opt summary, the top-k most
-    /// utilized edges of the published assignment, and per-pair path
-    /// churn vs. the previous publication. `loads` are the solve's own
-    /// per-edge loads, summed over exactly the published rates. Only
-    /// called while an observer is attached, so the ranking and
-    /// fingerprint passes cost an unobserved engine nothing.
-    fn journal_solve_events(
-        &mut self,
-        epoch: u64,
-        routes: &[PublishedRoute],
-        loads: &EdgeLoads,
-        congestion: f64,
-        lower_bound: f64,
-        integral: bool,
-    ) {
-        let Some(obs) = &self.observer else {
-            return;
-        };
-        obs.record(JournalEvent::Reopt {
-            epoch,
-            pairs: routes.len(),
-            congestion,
-            lower_bound,
-            integral,
-        });
-        let mut top: Vec<EdgeLoad> = loads
-            .as_slice()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &load)| load > 0.0)
-            .map(|(i, &load)| {
-                let e = EdgeId::from_usize(i);
-                EdgeLoad {
-                    edge: e.0,
-                    load,
-                    utilization: load / self.g.cap(e),
-                }
-            })
-            .collect();
-        top.sort_by(|a, b| {
-            b.utilization
-                .total_cmp(&a.utilization)
-                .then(a.edge.cmp(&b.edge))
-        });
-        top.truncate(TOP_EDGES_K);
-        obs.record(JournalEvent::TopEdges { epoch, edges: top });
-        // Path churn: fingerprint each pair's published path set and diff
-        // it against the pair's previous publication.
-        for r in routes {
-            let mut fp = FNV_OFFSET;
-            for (edges, _) in &r.paths {
-                fp = fnv1a_u64(fp, edges.len() as u64);
-                for e in edges {
-                    fp = fnv1a_u64(fp, u64::from(e.0));
-                }
-            }
-            let pair = (r.s.0, r.t.0);
-            let churn = match self.pair_fps.insert(pair, fp) {
-                None => Some(true),
-                Some(prev) if prev != fp => Some(false),
-                Some(_) => None,
-            };
-            if let Some(new_pair) = churn {
-                obs.record(JournalEvent::PathChurn {
-                    epoch,
-                    src: pair.0,
-                    dst: pair.1,
-                    new_pair,
-                });
-            }
-        }
     }
 
     /// The resample-per-epoch baseline: rebuild the oblivious routing and
@@ -680,6 +559,7 @@ fn resolve_failures(
 mod tests {
     use super::*;
     use sor_graph::gen;
+    use sor_obs::JournalEvent;
 
     fn small_engine(compare_fresh: bool) -> Engine {
         let g = gen::hypercube(3);
@@ -894,53 +774,68 @@ mod tests {
         let mut eng = small_engine(false);
         let observer = Arc::new(Observer::default());
         eng.attach_observer(Arc::clone(&observer));
-        let journal = observer.journal();
-        for _ in 0..2 {
-            for i in 0..4u32 {
-                eng.ingest(Request::unit(NodeId(i), NodeId(7 - i)));
+        let cold: Vec<(u32, u32)> = (0..4).map(|i| (i, 7 - i)).collect();
+        // cold, a warm repeat, an empty epoch, then new pairs
+        let batches = [cold.clone(), cold, Vec::new(), vec![(0, 3), (5, 6), (1, 7)]];
+        let mut snaps = Vec::new();
+        for batch in &batches {
+            for &(s, t) in batch {
+                eng.ingest(Request::unit(NodeId(s), NodeId(t)));
             }
+            snaps.push(eng.run_epoch());
         }
-        eng.run_epoch();
-        let tags: Vec<&'static str> = journal.events().iter().map(|(_, e)| e.type_tag()).collect();
-        for expected in [
-            "epoch_begin",
-            "admit",
-            "reopt",
-            "top_edges",
-            "path_churn",
-            "epoch_end",
-        ] {
-            assert!(tags.contains(&expected), "missing {expected} in {tags:?}");
-        }
-        // 4 pairs, all published for the first time, on a sampled system
-        assert_eq!(tags.iter().filter(|t| **t == "path_churn").count(), 4);
-        let cold = &journal.rows(1)[0];
-        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1));
-        let before = journal.len();
-        // identical demand again: warm hit, identical publication → no churn
-        for i in 0..4u32 {
-            eng.ingest(Request::unit(NodeId(i), NodeId(7 - i)));
-        }
-        for i in 0..4u32 {
-            eng.ingest(Request::unit(NodeId(i), NodeId(7 - i)));
-        }
-        eng.run_epoch();
-        let tags2: Vec<&'static str> = journal
-            .events()
+        assert!(snaps[1].cache_hit);
+        // a served epoch journals top_edges, its path churn (every pair
+        // that is new; the warm repeat publishes the same paths), then
+        // epoch_end; the empty epoch journals only its epoch_end
+        let served = |epoch: u64, churn: usize| {
+            let mut tags = vec![(epoch, "top_edges")];
+            tags.extend(vec![(epoch, "path_churn"); churn]);
+            tags.push((epoch, "epoch_end"));
+            tags
+        };
+        let want = [
+            served(0, 4),
+            served(1, 0),
+            vec![(2, "epoch_end")],
+            served(3, 3),
+        ]
+        .concat();
+        let events = observer.journal().events();
+        let tags: Vec<(u64, &str)> = events
             .iter()
-            .skip(before)
-            .map(|(_, e)| e.type_tag())
+            .map(|(_, e)| (e.epoch(), e.type_tag()))
             .collect();
-        let warm = &journal.rows(1)[0];
-        assert_eq!(
-            (warm.cache_hits, warm.cache_misses),
-            (1, 0),
-            "warm epoch hits"
-        );
-        assert!(
-            !tags2.contains(&"path_churn"),
-            "identical publication churns nothing: {tags2:?}"
-        );
+        assert_eq!(tags, want);
+        let ends = events.iter().filter_map(|(_, e)| match e {
+            JournalEvent::EpochEnd {
+                demand_fp,
+                lower_bound,
+                ..
+            } => Some((*demand_fp, *lower_bound)),
+            _ => None,
+        });
+        for ((batch, snap), (demand_fp, lower_bound)) in batches.iter().zip(&snaps).zip(ends) {
+            let demand =
+                Demand::from_triples(batch.iter().map(|&(s, t)| (NodeId(s), NodeId(t), 1.0)));
+            let fp = (!batch.is_empty()).then(|| pairs_fingerprint(&demand_pairs(&demand)));
+            assert_eq!(demand_fp, fp, "epoch {}", snap.epoch);
+            assert_eq!(lower_bound.to_bits(), snap.lower_bound.to_bits());
+        }
+
+        // the dump is sor-journal/3 and keeps every fingerprint bit,
+        // including those past f64's 2^53 integer range
+        let text = observer.journal().dump_json(&[]);
+        assert!(text.starts_with("{\"format\":\"sor-journal/3\""));
+        let dump = sor_obs::parse_journal(&text).expect("the dump parses");
+        assert_eq!(dump.events, observer.journal().events());
+        assert!(dump.events.iter().any(|(_, e)| matches!(
+            e,
+            JournalEvent::EpochEnd { demand_fp: Some(fp), .. } if *fp > 1 << 53
+        )));
+        // and the retired sor-journal/2 format is refused, not misread
+        let v2 = text.replacen("sor-journal/3", "sor-journal/2", 1);
+        assert!(sor_obs::parse_journal(&v2).is_err());
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //!   per-pair edge lists with their rates.
 //! * [`workload`] — deterministic closed-loop arrival processes and
 //!   failure schedules for the CLI, benches, and tests.
-//! * [`observer`] — one [`Observer`] owns every observation store: the
-//!   flight-recorder journal of causal events (admissions, failures,
-//!   re-opt summaries, top-k edge loads, path churn, and each epoch's
-//!   timeline row — the timeline is the journal's newest rows),
-//!   streaming tail percentiles, the SLO watchdog, and breach-triggered
-//!   journal dumps — the artifact `sor forensics` ingests. It also serves the Prometheus-style scrape
-//!   endpoint (`sor serve --telemetry-addr`).
+//! * [`observer`] — one [`Observer`] owns every observation store and,
+//!   from one engine call per epoch, failure or restore, builds every
+//!   event of the flight-recorder journal (failures and restores, top-k
+//!   edge loads, path churn, and each epoch's `epoch_end` timeline row —
+//!   the timeline is the journal's newest rows). It also keeps streaming
+//!   tail percentiles, the SLO watchdog, breach-triggered journal dumps
+//!   (the artifact `sor forensics` ingests) and the Prometheus-style
+//!   scrape endpoint (`sor serve --telemetry-addr`).
 //!
 //! Everything is bit-deterministic for a fixed seed, with or without
 //! `sor-obs` capture or an observer attached — the engine sits under the

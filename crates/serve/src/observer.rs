@@ -7,46 +7,79 @@
 //! scrape thread (`/metrics`, `/timeline`, `/health`) or the CLI writing
 //! artifacts at exit.
 //!
-//! The engine makes two kinds of call: `record` for each causal event
-//! of the epoch lifecycle, and one epoch close per published epoch,
-//! which observes the walls, builds the epoch's timeline row once, runs
-//! the watchdog on it, journals the row (breaches included) as the
-//! epoch's `epoch_end` event and writes the journal dump on a breach.
-//! The journal is the only per-epoch store: the timeline is its newest
+//! The observer is the only code that builds a journal event. The engine
+//! calls it once per edge failure or restore, and once per published
+//! epoch with the snapshot and what only the engine knows: its rejection
+//! total, the admitted pairs' fingerprint, the solve's own edge loads
+//! and the walls. The epoch close observes the walls, ranks the
+//! solve's edge loads into the epoch's `top_edges` event, diffs each
+//! served pair's published path set against its previous publication
+//! into `path_churn` events, builds the epoch's timeline row once, runs
+//! the watchdog on it, journals the row (breaches included) with the
+//! demand fingerprint and the solve's lower bound as the epoch's
+//! `epoch_end` event, and writes the journal dump on a breach. The
+//! journal is the only per-epoch store: the timeline is its newest
 //! `epoch_end` rows. Observation is strictly read-only over the epoch's
 //! outputs: attaching an observer cannot change a published route or
 //! rate (`serve_determinism.rs` asserts bit-equality either way).
 
-use crate::engine::EpochSnapshot;
+use crate::cache::{fnv1a_u64, FNV_OFFSET};
+use crate::engine::{EpochSnapshot, PublishedRoute};
 use parking_lot::Mutex;
+use sor_flow::EdgeLoads;
+use sor_graph::{EdgeId, Graph};
 use sor_obs::timeline::{render_json, DEFAULT_TIMELINE_CAPACITY};
 use sor_obs::{
-    EpochRecord, Journal, JournalEvent, LogHistogram, PromGauges, SloBreach, SloConfig, SloInputs,
-    SloWatchdog, TelemetryHandler, TelemetryServer,
+    EdgeLoad, EpochRecord, Journal, JournalEvent, LogHistogram, PromGauges, SloBreach, SloConfig,
+    SloInputs, SloWatchdog, TelemetryHandler, TelemetryServer,
 };
+use std::collections::BTreeMap;
 use std::net::ToSocketAddrs;
 use std::sync::Arc;
 
 /// How many recent epochs the windowed cache hit rate averages over.
 const HIT_RATE_WINDOW: usize = 10;
 
+/// Congested edges reported per `top_edges` journal event.
+const TOP_EDGES_K: usize = 8;
+
 /// Breach dumps written per run at most: a breach storm must not turn
 /// the flight recorder into a disk-filling loop.
 pub const MAX_BREACH_DUMPS: usize = 16;
 
-/// What the engine measured over one epoch besides its snapshot: the
-/// requests rejected since the previous epoch and the wall clocks
-/// (nanoseconds; zero when a phase did not run).
-#[derive(Clone, Copy, Debug, Default)]
+/// What the engine knows about one epoch besides its snapshot: its
+/// rejection total, the admitted pairs' fingerprint, the solve's own
+/// edge loads and the wall clocks (nanoseconds; zero when a phase did
+/// not run).
+#[derive(Debug, Default)]
 pub(crate) struct EpochMeasures {
-    /// Backpressure rejections since the previous epoch.
-    pub(crate) rejected: u64,
+    /// Backpressure rejections over the engine's lifetime; the observer
+    /// differences consecutive totals into the row's per-epoch count.
+    pub(crate) rejected_total: u64,
+    /// The cache key's fingerprint of the admitted pairs; `None` when
+    /// the epoch admitted nothing.
+    pub(crate) demand_fp: Option<u64>,
+    /// The solve's per-edge loads, summed over exactly the published
+    /// rates; `None` when nothing was solved.
+    pub(crate) loads: Option<EdgeLoads>,
+    /// How long each admitted request waited in the queue.
+    pub(crate) queue_waits_ns: Vec<u64>,
     /// Whole `run_epoch` call.
     pub(crate) epoch_ns: u64,
     /// The rate re-optimization (MWU / integral solve).
     pub(crate) reopt_ns: u64,
     /// The path-system cache lookup (including a miss's sampling).
     pub(crate) cache_lookup_ns: u64,
+}
+
+/// What the next epoch close differences against.
+#[derive(Default)]
+struct Previous {
+    /// The engine's rejection total at the last close.
+    rejected_total: u64,
+    /// Last published path-set fingerprint per pair. BTreeMap: no
+    /// hash-order dependence anywhere in the serving layer.
+    pair_fps: BTreeMap<(u32, u32), u64>,
 }
 
 /// Where breach dumps go: `{prefix}-epoch{NNNNNN}.json`, each holding
@@ -66,6 +99,7 @@ pub struct Observer {
     queue_wait: LogHistogram,
     breach_dump: Option<BreachDump>,
     dumps: Mutex<Vec<String>>,
+    previous: Mutex<Previous>,
 }
 
 impl Default for Observer {
@@ -87,12 +121,13 @@ impl Observer {
             queue_wait: LogHistogram::new(),
             breach_dump: None,
             dumps: Mutex::new(Vec::new()),
+            previous: Mutex::new(Previous::default()),
         }
     }
 
     /// Arm breach-triggered dumps: every epoch that trips an SLO rule
     /// snapshots the journal's last `context_epochs` epochs (0 = all
-    /// retained) to `{prefix}-epoch{NNNNNN}.json`, the `sor-journal/2`
+    /// retained) to `{prefix}-epoch{NNNNNN}.json`, the `sor-journal/3`
     /// format `sor forensics` ingests, up to [`MAX_BREACH_DUMPS`] files.
     #[must_use]
     pub fn with_breach_dump(mut self, prefix: impl Into<String>, context_epochs: u64) -> Self {
@@ -103,22 +138,33 @@ impl Observer {
         self
     }
 
-    /// Journal one causal event.
-    pub(crate) fn record(&self, event: JournalEvent) {
-        self.journal.record(event);
+    /// Journal edges going down before `epoch`, the first epoch the
+    /// failure affects (its row carries the invalidations).
+    pub(crate) fn edges_failed(&self, epoch: u64, edges: &[EdgeId]) {
+        self.journal.record(JournalEvent::EdgeFail {
+            epoch,
+            edges: edges.iter().map(|e| e.0).collect(),
+        });
     }
 
-    /// Record one queued request's wait (engine ingest → admission).
-    pub(crate) fn observe_queue_wait_ns(&self, ns: u64) {
-        #[allow(clippy::cast_precision_loss)]
-        self.queue_wait.observe(ns as f64);
+    /// Journal `restored` failed edges coming back up before `epoch`.
+    pub(crate) fn edges_restored(&self, epoch: u64, restored: usize) {
+        self.journal
+            .record(JournalEvent::EdgeRestore { epoch, restored });
     }
 
-    /// Close one published epoch: observe the walls, build the epoch's
+    /// Close one published epoch on graph `g`: observe the walls,
+    /// journal the epoch's `top_edges` and `path_churn` events, build its
     /// row, evaluate the SLO watchdog on it, journal the row (with its
     /// breaches) as `epoch_end`, and dump the journal if a rule was
     /// breached.
-    pub(crate) fn close_epoch(&self, snap: &EpochSnapshot, failed_edges: usize, m: EpochMeasures) {
+    pub(crate) fn close_epoch(
+        &self,
+        g: &Graph,
+        snap: &EpochSnapshot,
+        failed_edges: usize,
+        m: EpochMeasures,
+    ) {
         #[allow(clippy::cast_precision_loss)]
         {
             self.epoch_wall.observe(m.epoch_ns as f64);
@@ -128,11 +174,36 @@ impl Observer {
             if m.cache_lookup_ns > 0 {
                 self.cache_lookup.observe(m.cache_lookup_ns as f64);
             }
+            for &ns in &m.queue_waits_ns {
+                self.queue_wait.observe(ns as f64);
+            }
         }
+        let epoch = snap.epoch;
+        if let Some(loads) = &m.loads {
+            let edges = top_edges(g, loads);
+            self.journal.record(JournalEvent::TopEdges { epoch, edges });
+        }
+        let rejected = {
+            let mut prev = self.previous.lock();
+            for r in &snap.routes {
+                if let Some(new_pair) = churn(&mut prev.pair_fps, r) {
+                    self.journal.record(JournalEvent::PathChurn {
+                        epoch,
+                        src: r.s.0,
+                        dst: r.t.0,
+                        new_pair,
+                    });
+                }
+            }
+            // Rejections only happen at ingest, between epochs, so the
+            // difference is exactly this epoch's.
+            let total = std::mem::replace(&mut prev.rejected_total, m.rejected_total);
+            m.rejected_total.saturating_sub(total)
+        };
         let mut row = EpochRecord {
-            epoch: snap.epoch,
+            epoch,
             admitted: snap.admitted,
-            rejected: m.rejected,
+            rejected,
             cache_hit: snap.cache_hit,
             cache_hits: snap.cache.hits,
             cache_misses: snap.cache.misses,
@@ -153,9 +224,13 @@ impl Observer {
         };
         let breaches = self.watchdog.evaluate(&row, inputs);
         row.slo_breaches = breaches.iter().map(|b| b.rule.to_string()).collect();
-        self.record(JournalEvent::EpochEnd(row));
+        self.journal.record(JournalEvent::EpochEnd {
+            row,
+            demand_fp: m.demand_fp,
+            lower_bound: snap.lower_bound,
+        });
         if !breaches.is_empty() {
-            self.dump_on_breach(snap.epoch, &breaches);
+            self.dump_on_breach(epoch, &breaches);
         }
     }
 
@@ -275,11 +350,7 @@ impl TelemetryHandler for Observer {
         sor_obs::render_prometheus(&sor_obs::snapshot(), &gauges)
     }
 
-    fn timeline_json(&self) -> String {
-        render_json(&self.timeline())
-    }
-
-    fn timeline_json_last(&self, last: usize) -> String {
+    fn timeline_json(&self, last: usize) -> String {
         render_json(&self.journal.rows(last.min(DEFAULT_TIMELINE_CAPACITY)))
     }
 
@@ -288,10 +359,59 @@ impl TelemetryHandler for Observer {
     }
 }
 
+/// The [`TOP_EDGES_K`] most utilized edges of `g` under `loads`,
+/// utilization-descending (ties by edge id).
+fn top_edges(g: &Graph, loads: &EdgeLoads) -> Vec<EdgeLoad> {
+    let mut top: Vec<EdgeLoad> = loads
+        .as_slice()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &load)| load > 0.0)
+        .map(|(i, &load)| {
+            let e = EdgeId::from_usize(i);
+            EdgeLoad {
+                edge: e.0,
+                load,
+                utilization: load / g.cap(e),
+            }
+        })
+        .collect();
+    top.sort_by(|a, b| {
+        b.utilization
+            .total_cmp(&a.utilization)
+            .then(a.edge.cmp(&b.edge))
+    });
+    top.truncate(TOP_EDGES_K);
+    top
+}
+
+/// Fingerprint `r`'s published path set and store it as the pair's
+/// latest: `Some(true)` for a pair never published before, `Some(false)`
+/// for a changed path set, `None` for an unchanged one.
+fn churn(pair_fps: &mut BTreeMap<(u32, u32), u64>, r: &PublishedRoute) -> Option<bool> {
+    let mut fp = FNV_OFFSET;
+    for (edges, _) in &r.paths {
+        fp = fnv1a_u64(fp, edges.len() as u64);
+        for e in edges {
+            fp = fnv1a_u64(fp, u64::from(e.0));
+        }
+    }
+    match pair_fps.insert((r.s.0, r.t.0), fp) {
+        None => Some(true),
+        Some(prev) => (prev != fp).then_some(false),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CacheDeltas;
+
+    /// Close `snap` on a graph the snapshot's (route-free) epoch never
+    /// touches.
+    fn close(o: &Observer, snap: &EpochSnapshot, m: EpochMeasures) {
+        o.close_epoch(&sor_graph::gen::path_graph(2), snap, 0, m);
+    }
 
     fn snap(epoch: u64, hit: bool) -> EpochSnapshot {
         let mut s = EpochSnapshot {
@@ -319,16 +439,17 @@ mod tests {
     #[test]
     fn close_epoch_feeds_journal_timeline_and_hit_rate() {
         let o = Observer::new(SloConfig::disabled());
-        o.close_epoch(&snap(0, false), 0, EpochMeasures::default());
+        close(&o, &snap(0, false), EpochMeasures::default());
         for e in 1..5 {
-            o.close_epoch(
+            close(
+                &o,
                 &snap(e, true),
-                0,
                 EpochMeasures {
-                    rejected: 1,
+                    rejected_total: e,
                     epoch_ns: 1_000_000,
                     reopt_ns: 400_000,
                     cache_lookup_ns: 10_000,
+                    ..EpochMeasures::default()
                 },
             );
         }
@@ -349,7 +470,7 @@ mod tests {
             ..SloConfig::disabled()
         });
         // congestion 2.0 vs fresh 1.0 → ratio 2.0 > 1.5
-        o.close_epoch(&snap(0, false), 0, EpochMeasures::default());
+        close(&o, &snap(0, false), EpochMeasures::default());
         let records = o.timeline();
         assert_eq!(records[0].slo_breaches, vec!["max_congestion_ratio"]);
         let health = o.watchdog().summary();
@@ -369,7 +490,7 @@ mod tests {
         })
         .with_breach_dump(prefix.clone(), 2);
         for e in 0..MAX_BREACH_DUMPS as u64 + 3 {
-            o.close_epoch(&snap(e, false), 0, EpochMeasures::default());
+            close(&o, &snap(e, false), EpochMeasures::default());
         }
         let dumps = o.breach_dumps();
         assert_eq!(dumps.len(), MAX_BREACH_DUMPS);
@@ -385,15 +506,15 @@ mod tests {
     #[test]
     fn exposition_includes_percentiles_and_slo_gauges() {
         let o = Observer::new(SloConfig::serving_defaults());
-        o.observe_queue_wait_ns(5_000);
-        o.close_epoch(
+        close(
+            &o,
             &snap(0, false),
-            0,
             EpochMeasures {
-                rejected: 0,
+                queue_waits_ns: vec![5_000],
                 epoch_ns: 2_000_000,
                 reopt_ns: 900_000,
                 cache_lookup_ns: 50_000,
+                ..EpochMeasures::default()
             },
         );
         let text = o.metrics();
@@ -402,7 +523,7 @@ mod tests {
         assert!(text.contains("sor_slo_epochs_evaluated 1"));
         assert!(text.contains("sor_slo_breaches{rule=\"max_congestion_ratio\"}"));
         assert!(!text.contains("window="), "no window-rate gauges");
-        let json = o.timeline_json();
+        let json = o.timeline_json(DEFAULT_TIMELINE_CAPACITY);
         assert!(json.contains("\"format\":\"sor-timeline/1\""));
     }
 }

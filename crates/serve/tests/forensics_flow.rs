@@ -72,12 +72,12 @@ fn breach_dump_and_forensics_attribute_injected_failure() {
         "dump cap respected: {breach_dumps:?}"
     );
 
-    // Every artifact is a parseable sor-journal/2 document carrying the
+    // Every artifact is a parseable sor-journal/3 document carrying the
     // breach metadata.
     let mut saw_failure_event = false;
     for path in &breach_dumps {
         let text = std::fs::read_to_string(path).expect("breach dump exists on disk");
-        assert!(text.starts_with("{\"format\":\"sor-journal/2\""));
+        assert!(text.starts_with("{\"format\":\"sor-journal/3\""));
         let dump: JournalDump = sor_obs::parse_journal(&text).expect("breach dump parses");
         assert!(
             dump.meta

@@ -38,7 +38,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  sor info    --graph <spec> [--seed N]\n  sor eval    --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sweep   --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sim     --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor serve   --graph <spec> [--epochs E] [--rate R] [--patterns P] [--pattern-pairs K]\n              [--s K] [--trees T] [--eps E] [--batch B] [--queue-bound Q] [--cache-cap C]\n              [--fail-at E] [--restore-after R] [--compare-fresh] [--integral] [--seed N]\n  sor compact --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor forensics --journal FILE [--top K] [--json FILE]\n  sor export  --graph <spec> [--s K] [--trees T] [--demand spec] [--seed N]\n  sor process --graph <spec> [--s K] [--tau T] [--trees T] [--demand spec] [--seed N]\nobservability (any subcommand):\n  --trace             print the phase-tree timing report to stderr\n  --metrics-out FILE  write the metrics snapshot (counters/histograms/spans) as JSON\n  --quiet             silence diagnostic logging\nlive telemetry (serve only):\n  --telemetry-addr A  serve Prometheus exposition at A (e.g. 127.0.0.1:9100;\n                      port 0 binds an ephemeral port, printed to stderr)\n  --timeline-out FILE write the epoch timeline as JSON after the run\n  --dashboard         print the epoch timeline dashboard to stderr\n  --hold-ms MS        keep the scrape endpoint up MS ms after the run\n  --slo               arm the default SLO thresholds; or set individually:\n  --slo-max-ratio X --slo-max-p99-ms X --slo-min-hit-rate X --slo-max-fallback X\nflight recorder (serve only):\n  --journal-out FILE  write the causal event journal (sor-journal/2) after the run\n  --journal-epochs N  epochs of journal context per dump (default 16; 0 = all)\n  --dump-on-breach P  write {{P}}-epochNNNNNN.json whenever an epoch trips an SLO rule\nforensics (offline, on a journal dump):\n  --journal FILE      the sor-journal/2 artifact to analyze (required)\n  --top K             per-edge load-shift rows to show (default 8)\n  --json FILE         also write the sor-forensics/1 report as JSON"
+        "usage:\n  sor info    --graph <spec> [--seed N]\n  sor eval    --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sweep   --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor sim     --graph <spec> [--s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor serve   --graph <spec> [--epochs E] [--rate R] [--patterns P] [--pattern-pairs K]\n              [--s K] [--trees T] [--eps E] [--batch B] [--queue-bound Q] [--cache-cap C]\n              [--fail-at E] [--restore-after R] [--compare-fresh] [--integral] [--seed N]\n  sor compact --graph <spec> [--max-s K] [--trees T] [--demand spec] [--eps E] [--seed N]\n  sor forensics --journal FILE [--top K] [--json FILE]\n  sor export  --graph <spec> [--s K] [--trees T] [--demand spec] [--seed N]\n  sor process --graph <spec> [--s K] [--tau T] [--trees T] [--demand spec] [--seed N]\nobservability (any subcommand):\n  --trace             print the phase-tree timing report to stderr\n  --metrics-out FILE  write the metrics snapshot (counters/histograms/spans) as JSON\n  --quiet             silence diagnostic logging\nlive telemetry (serve only):\n  --telemetry-addr A  serve Prometheus exposition at A (e.g. 127.0.0.1:9100;\n                      port 0 binds an ephemeral port, printed to stderr)\n  --timeline-out FILE write the epoch timeline as JSON after the run\n  --dashboard         print the epoch timeline dashboard to stderr\n  --hold-ms MS        keep the scrape endpoint up MS ms after the run\n  --slo               arm the default SLO thresholds; or set individually:\n  --slo-max-ratio X --slo-max-p99-ms X --slo-min-hit-rate X --slo-max-fallback X\nflight recorder (serve only):\n  --journal-out FILE  write the causal event journal (sor-journal/3) after the run\n  --journal-epochs N  epochs of journal context per dump (default 16; 0 = all)\n  --dump-on-breach P  write {{P}}-epochNNNNNN.json whenever an epoch trips an SLO rule\nforensics (offline, on a journal dump):\n  --journal FILE      the sor-journal/3 artifact to analyze (required)\n  --top K             per-edge load-shift rows to show (default 8)\n  --json FILE         also write the sor-forensics/1 report as JSON"
     );
     exit(2)
 }
@@ -298,8 +298,8 @@ fn run(args: &[String]) {
                 sparsity: or_die(flag_count(args, "--s", 3)),
                 trees: or_die(flag_count(args, "--trees", 6)),
                 eps: or_die(flag_eps(args, 0.2)),
-                epoch_batch: or_die(flag_parse(args, "--batch", 64)),
-                queue_bound: or_die(flag_parse(args, "--queue-bound", 256)),
+                epoch_batch: or_die(flag_count(args, "--batch", 64)),
+                queue_bound: or_die(flag_count(args, "--queue-bound", 256)),
                 cache_capacity: or_die(flag_count(args, "--cache-cap", 32)),
                 integral: args.iter().any(|a| a == "--integral"),
                 compare_fresh: args.iter().any(|a| a == "--compare-fresh"),
@@ -309,7 +309,7 @@ fn run(args: &[String]) {
             let half = g.num_nodes() / 2;
             let wcfg = serve::WorkloadConfig {
                 epochs: or_die(flag_parse(args, "--epochs", 8)),
-                rate: or_die(flag_parse(args, "--rate", 8)),
+                rate: or_die(flag_count(args, "--rate", 8)),
                 patterns: or_die(flag_count(args, "--patterns", 3)),
                 pairs_per_pattern: or_die(flag_parse_valid(
                     args,
@@ -576,7 +576,7 @@ fn run(args: &[String]) {
     }
 }
 
-/// `sor forensics`: ingest a `sor-journal/2` dump (breach-triggered or
+/// `sor forensics`: ingest a `sor-journal/3` dump (breach-triggered or
 /// `--journal-out`), attribute epoch-over-epoch congestion/wall movement
 /// to causes, and render the text report (optionally the JSON one too).
 fn run_forensics(args: &[String]) {

@@ -153,9 +153,10 @@ pub fn parse_graph(spec: &str, seed: u64) -> Result<Graph, String> {
 }
 
 /// Parse a demand specification: `perm` (random permutation), `bitrev`
-/// (hypercubes only), `gravity:T` (total T over all vertices), `pairs:K`
-/// (K random unit pairs), `file:PATH` (text format of
-/// `sor_flow::io::demand_to_text`).
+/// (hypercubes only), `gravity:T` (finite total T > 0 over all
+/// vertices), `pairs:K` (K random disjoint unit pairs, 1 <= K <= n/2),
+/// `file:PATH` (text format of `sor_flow::io::demand_to_text`). A total
+/// or count outside its range is an error naming the spec.
 pub fn parse_demand(spec: &str, g: &Graph, seed: u64) -> Result<Demand, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (name, arg) = match spec.split_once(':') {
@@ -184,6 +185,11 @@ pub fn parse_demand(spec: &str, g: &Graph, seed: u64) -> Result<Demand, String> 
                 .ok_or("gravity needs a total, e.g. gravity:4")?
                 .parse()
                 .map_err(|_| "bad gravity total")?;
+            if !(total.is_finite() && total > 0.0) {
+                return Err(format!(
+                    "bad demand '{spec}': gravity:T needs a finite T > 0"
+                ));
+            }
             let endpoints: Vec<_> = g.nodes().collect();
             let masses = vec![1.0; endpoints.len()];
             demand::gravity(&endpoints, &masses, total)
@@ -193,7 +199,13 @@ pub fn parse_demand(spec: &str, g: &Graph, seed: u64) -> Result<Demand, String> 
                 .ok_or("pairs needs a count, e.g. pairs:10")?
                 .parse()
                 .map_err(|_| "bad pair count")?;
-            demand::random_matching(g, k.min(g.num_nodes() / 2), &mut rng)
+            let half = g.num_nodes() / 2;
+            if !(1..=half).contains(&k) {
+                return Err(format!(
+                    "bad demand '{spec}': pairs:K needs 1 <= K <= n/2 = {half}"
+                ));
+            }
+            demand::random_matching(g, k, &mut rng)
         }
         other => return Err(format!("unknown demand '{other}'")),
     })

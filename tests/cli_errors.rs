@@ -1,6 +1,6 @@
-//! The `sor` binary rejects degenerate flag values, graph specs and flags
-//! a subcommand does not take as usage errors: exit code 2, an `error:`
-//! line naming the flag or spec, and no panic.
+//! The `sor` binary rejects degenerate flag values, graph and demand
+//! specs, and flags a subcommand does not take as usage errors: exit code
+//! 2, an `error:` line naming the flag or spec, and no panic.
 
 use std::process::Command;
 
@@ -39,6 +39,27 @@ fn degenerate_flag_values_are_usage_errors() {
         args.extend(g);
         args.extend([flag, value]);
         rejects(&args, flag);
+    }
+    // a serve run that could never admit a request idles every epoch
+    for flag in ["--batch", "--queue-bound", "--rate"] {
+        let args = ["serve", "--graph", "hypercube:3", flag, "0"];
+        rejects(&args, &format!("{flag}: must be at least 1"));
+    }
+}
+
+#[test]
+fn degenerate_demand_specs_are_usage_errors() {
+    // gravity totals must be finite and positive; pairs:K must fit in a
+    // matching of the 8 vertices (1 <= K <= 4)
+    for spec in [
+        "gravity:0",
+        "gravity:-1",
+        "gravity:inf",
+        "pairs:0",
+        "pairs:5",
+        "pairs:100",
+    ] {
+        rejects(&["eval", "--graph", "hypercube:3", "--demand", spec], spec);
     }
 }
 

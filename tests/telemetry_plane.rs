@@ -96,7 +96,11 @@ fn timeline_and_watchdog_round_trip_breaches() {
     assert!((breaches[0].threshold - 1.5).abs() < 1e-9);
     assert!(breaches[0].event_line().starts_with("SLO breach epoch=0"));
     rec.slo_breaches = breaches.iter().map(|b| b.rule.to_string()).collect();
-    journal.record(JournalEvent::EpochEnd(rec.clone()));
+    journal.record(JournalEvent::EpochEnd {
+        row: rec.clone(),
+        demand_fp: None,
+        lower_bound: 0.0,
+    });
     assert_eq!(journal.rows(DEFAULT_TIMELINE_CAPACITY), vec![rec]);
 
     let summary: HealthSummary = watchdog.summary();
@@ -167,7 +171,7 @@ fn serve_walls_and_cache_deltas_flow_through_the_plane() {
         .events()
         .into_iter()
         .filter_map(|(_, e)| match e {
-            JournalEvent::EpochEnd(row) => Some(row),
+            JournalEvent::EpochEnd { row, .. } => Some(row),
             _ => None,
         })
         .collect();
