@@ -6,8 +6,9 @@
 //! consistency (the reported per-edge loads equal the loads induced by the
 //! weights), and capacity respect (the reported congestion really is the
 //! maximum load-to-capacity ratio). The offline OPT solver in
-//! [`crate::concurrent`] checks every path it routes on without a search
-//! against a fresh exact search. The checks run in debug builds and,
+//! [`crate::concurrent`] checks every path it routes on without a forward
+//! search (a reused pool path or a landmark A* path) against a fresh
+//! forward search. The checks run in debug builds and,
 //! in release, when the `validate` cargo feature is enabled; see
 //! [`validators_enabled`]. Tests call the checkers directly.
 
@@ -153,14 +154,16 @@ pub fn check_integral(
     check_load_consistency(g, entries, &as_weights, &sol.loads, sol.congestion)
 }
 
-/// Relative tolerance for [`check_reused_path`], which compares two
+/// Relative tolerance for [`check_oracle_path`], which compares two
 /// floating-point sums of edge lengths along possibly different paths.
-const REUSE_TOLERANCE: f64 = 1e-12;
+const ORACLE_TOLERANCE: f64 = 1e-12;
 
-/// Check a path the OPT oracle reused instead of searching: its `length`
-/// under `lengths` is at most `slack` times the exact `s`→`t` distance,
-/// which a fresh search on the separate workspace `search` computes.
-pub(crate) fn check_reused_path(
+/// Check a path the OPT oracle routes on without a forward search, either
+/// reused from the commodity's pool or found by a landmark A* search: its
+/// `length` under `lengths` is at most `slack` times the exact `s`→`t`
+/// distance, which a fresh forward search on the separate workspace
+/// `search` computes.
+pub(crate) fn check_oracle_path(
     g: &Graph,
     lengths: &[f64],
     s: NodeId,
@@ -171,11 +174,11 @@ pub(crate) fn check_reused_path(
 ) -> Result<(), String> {
     search.settle(g, s, lengths, &[t]);
     let exact = search.dist(t);
-    if length <= slack * exact * (1.0 + REUSE_TOLERANCE) {
+    if length <= slack * exact * (1.0 + ORACLE_TOLERANCE) {
         Ok(())
     } else {
         Err(format!(
-            "{s}→{t}: reused path of length {length:e} exceeds {slack} × exact distance {exact:e}"
+            "{s}→{t}: oracle path of length {length:e} exceeds {slack} × exact distance {exact:e}"
         ))
     }
 }
@@ -259,21 +262,21 @@ mod tests {
     }
 
     #[test]
-    fn reused_path_within_slack_passes_and_longer_fails() {
+    fn oracle_path_within_slack_passes_and_longer_fails() {
         // C4 with unit lengths: the exact 0→2 distance is 2.
         let g = gen::cycle_graph(4);
         let lengths = g.unit_lengths();
         let mut search = sor_graph::DijkstraSearch::with_nodes(g.num_nodes());
         let (s, t) = (NodeId(0), NodeId(2));
         assert_eq!(
-            check_reused_path(&g, &lengths, s, t, 2.0, 1.01, &mut search),
+            check_oracle_path(&g, &lengths, s, t, 2.0, 1.01, &mut search),
             Ok(())
         );
         assert_eq!(
-            check_reused_path(&g, &lengths, s, t, 2.02, 1.01, &mut search),
+            check_oracle_path(&g, &lengths, s, t, 2.02, 1.01, &mut search),
             Ok(())
         );
-        let err = check_reused_path(&g, &lengths, s, t, 2.03, 1.01, &mut search).unwrap_err();
+        let err = check_oracle_path(&g, &lengths, s, t, 2.03, 1.01, &mut search).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
     }
 

@@ -15,8 +15,8 @@
 //! * [`Path`] — a simple path as a node/edge sequence, the unit all routing
 //!   objects are built from,
 //! * traversal ([`bfs_dists`], [`is_connected`], hop metrics),
-//! * weighted shortest paths ([`dijkstra`] and the reusable,
-//!   target-stopped [`DijkstraSearch`]),
+//! * weighted shortest paths ([`dijkstra`], the reusable, target-stopped
+//!   [`DijkstraSearch`], and A* on [`Landmarks`] bounds),
 //! * Yen's loopless k-shortest paths ([`yen_ksp`]),
 //! * Dinic max-flow / s-t min-cut ([`max_flow`], [`st_min_cut`]),
 //! * Stoer–Wagner global min cut ([`global_min_cut`]),
@@ -64,6 +64,6 @@ pub use io::{graph_from_text, graph_to_text, MAX_TEXT_NODES};
 pub use ksp::yen_ksp;
 pub use maxflow::{max_flow, st_min_cut};
 pub use path::{LoopErasedWalk, Path};
-pub use shortest::{dijkstra, DijkstraSearch, ShortestPathTree};
+pub use shortest::{dijkstra, DijkstraSearch, Landmarks, ShortestPathTree};
 pub use spectral::spectral_gap;
 pub use traversal::{bfs_dists, bfs_path, bfs_path_avoiding, diameter, is_connected};
