@@ -27,13 +27,19 @@ run_tsan() {
   # TSan needs the sanitizer runtime in std, hence -Zbuild-std and an
   # explicit target triple. The suites under test are the ones that
   # actually exercise cross-thread interleavings: the sharded path cache,
-  # the obs metrics registry, and the lock-free log histogram.
+  # the obs metrics registry, the lock-free log histogram, and the FRT
+  # build's up-path workers (a unit test, since the worker count is
+  # crate-private: one worker and two must build the same tree).
   RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target "$host" \
     -p sor-serve --test cache_concurrency \
     -p sor-obs --test concurrency \
     -p sor-obs --test loghist_concurrency \
     -- --test-threads=4 2>&1 | tee target/tsan/tsan.log
+  RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+    cargo +nightly test -Zbuild-std --target "$host" \
+    -p sor-oblivious --lib frt::tests::parallel_up_paths_match_one_worker \
+    -- --exact 2>&1 | tee -a target/tsan/tsan.log
 }
 
 if [ "${SOR_TSAN_ONLY:-0}" = "1" ]; then

@@ -76,6 +76,45 @@ impl Potential for Toward<'_> {
     }
 }
 
+/// The distance a vertex must beat to enter a search's heap the first
+/// time that search reaches it, and what settling a vertex does to it.
+trait Records {
+    /// The record at `v`: a relaxation that does not go strictly below it
+    /// is skipped.
+    fn record(&self, v: NodeId) -> f64;
+    /// `v` settled at distance `d`.
+    fn settle(&mut self, v: NodeId, d: f64);
+}
+
+/// The records of an unpruned search: infinite, so every relaxation
+/// that improves on the search's own tentative distance goes ahead.
+struct Unpruned;
+
+impl Records for Unpruned {
+    fn record(&self, _: NodeId) -> f64 {
+        f64::INFINITY
+    }
+    fn settle(&mut self, _: NodeId, _: f64) {}
+}
+
+/// Prefix-minimum records of [`DijkstraSearch::settle_pruned`]: `best[v]`
+/// is the lowest distance any earlier search settled `v` at, lowered by
+/// each settle, which `report` hears.
+struct Best<'a, F> {
+    best: &'a mut [f64],
+    report: F,
+}
+
+impl<F: FnMut(NodeId, f64)> Records for Best<'_, F> {
+    fn record(&self, v: NodeId) -> f64 {
+        self.best[v.index()]
+    }
+    fn settle(&mut self, v: NodeId, d: f64) {
+        self.best[v.index()] = d;
+        (self.report)(v, d);
+    }
+}
+
 /// The result of a single-source Dijkstra run: distances and parent edges.
 #[derive(Clone, Debug)]
 pub struct ShortestPathTree {
@@ -128,13 +167,14 @@ fn tree_path(g: &Graph, source: NodeId, parent: &[Option<EdgeId>], t: NodeId) ->
 /// searches on graphs with the same vertex count. Each search stamps the
 /// vertices it reaches, so starting the next one resets nothing: an older
 /// stamp reads as unreached. A search can stop as soon as a target set is
-/// settled ([`DijkstraSearch::settle`]) or prune vertices through a
-/// predicate ([`DijkstraSearch::settle_pruned`]). Either way every vertex
-/// it settles carries exactly the distance bits and the parent edge a full
+/// settled ([`DijkstraSearch::settle`]); every vertex it settles then
+/// carries exactly the distance bits and the parent edge a full
 /// [`dijkstra`] run assigns: heap order is total (distance, then vertex
 /// id), so the settled prefix of a run does not depend on when the run
-/// stops. [`DijkstraSearch::settle_toward`] runs the same loop as A*
-/// toward one target and keeps only the distances exact.
+/// stops. [`DijkstraSearch::settle_pruned`] skips every vertex it cannot
+/// reach below a record array, and [`DijkstraSearch::settle_toward`] runs
+/// the same loop as A* toward one target and keeps only the distances
+/// exact.
 #[derive(Debug)]
 pub struct DijkstraSearch {
     source: NodeId,
@@ -176,7 +216,7 @@ impl DijkstraSearch {
     /// `targets` is settled or known unreachable. Empty `targets` runs
     /// the full search.
     pub fn settle(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]) {
-        self.explore(g, src, lengths, targets, Zero, |_, _| true);
+        self.explore(g, src, lengths, targets, Zero, Unpruned);
     }
 
     /// Search from `src` until `t` is settled or known unreachable, as A*
@@ -202,22 +242,29 @@ impl DijkstraSearch {
             goal: landmarks.row(t),
             bound: &mut bound,
         };
-        self.explore(g, src, lengths, &[t], toward, |_, _| true);
+        self.explore(g, src, lengths, &[t], toward, Unpruned);
         self.bound = bound;
     }
 
-    /// Full search from `src` that settles a vertex only if
-    /// `admit(v, d)` accepts its final distance `d`. A rejected vertex is
-    /// neither settled nor expanded. `admit` sees each vertex at most
-    /// once, in settling order.
+    /// Full search from `src` that settles exactly the vertices it
+    /// reaches strictly below their record `best[v]`, through settled
+    /// vertices only, lowers each such record to the vertex's distance
+    /// and reports `(v, d)` to `report` in settling order. A relaxation
+    /// that does not go below `best[v]` is skipped, so a vertex that
+    /// cannot beat its record never enters the heap. The vertices, their
+    /// distance bits and their order are those of a search that rejects,
+    /// as it pops them, the vertices whose final distance does not beat
+    /// the record: whatever beats it is pushed at its final distance.
     pub fn settle_pruned(
         &mut self,
         g: &Graph,
         src: NodeId,
         lengths: &[f64],
-        admit: impl FnMut(NodeId, f64) -> bool,
+        best: &mut [f64],
+        report: impl FnMut(NodeId, f64),
     ) {
-        self.explore(g, src, lengths, &[], Zero, admit);
+        assert_eq!(best.len(), self.stamp.len(), "record array size mismatch");
+        self.explore(g, src, lengths, &[], Zero, Best { best, report });
     }
 
     /// How many vertices the last search settled.
@@ -269,15 +316,17 @@ impl DijkstraSearch {
 
     /// The one relaxation loop behind every search in the workspace. A
     /// vertex's heap key is its distance plus its `potential`; with
-    /// [`Zero`] the keys and every bit settled are plain Dijkstra's.
-    fn explore<P: Potential>(
+    /// [`Zero`] the keys and every bit settled are plain Dijkstra's. A
+    /// vertex first reached enters the heap only below its `records`
+    /// entry; with [`Unpruned`] that is every vertex reached.
+    fn explore<P: Potential, B: Records>(
         &mut self,
         g: &Graph,
         src: NodeId,
         lengths: &[f64],
         targets: &[NodeId],
         mut potential: P,
-        mut admit: impl FnMut(NodeId, f64) -> bool,
+        mut records: B,
     ) {
         assert_eq!(lengths.len(), g.num_edges(), "length vector size mismatch");
         debug_assert!(
@@ -315,10 +364,13 @@ impl DijkstraSearch {
             }
         }
         let mut settled = 0usize;
-        dist[src.index()] = 0.0;
-        parent[src.index()] = None;
-        stamp[src.index()] = reached;
-        heap.push(heap_key(0.0 + potential.reach(src), src));
+        // A source that does not beat its record settles nothing.
+        if 0.0 < records.record(src) {
+            dist[src.index()] = 0.0;
+            parent[src.index()] = None;
+            stamp[src.index()] = reached;
+            heap.push(heap_key(0.0 + potential.reach(src), src));
+        }
         while let Some((key, u)) = heap.pop().map(heap_entry) {
             // A vertex first pops under its final distance's key; later
             // entries for it are stale.
@@ -329,11 +381,11 @@ impl DijkstraSearch {
             // takes the distance from the key, which is already in a
             // register, so the relaxations below need not wait for a load.
             let d = if P::ZERO { key } else { dist[u.index()] };
-            if !admit(u, d) {
-                continue;
-            }
+            // `d` beats `u`'s record: it was pushed below it, and only
+            // this settle lowers it.
             stamp[u.index()] = done;
             settled += 1;
+            records.settle(u, d);
             if pending > 0 && is_target[u.index()] {
                 is_target[u.index()] = false;
                 pending -= 1;
@@ -350,7 +402,7 @@ impl DijkstraSearch {
                 let (known, h) = if seen == reached {
                     (dist[v.index()], potential.at(v))
                 } else {
-                    (f64::INFINITY, potential.reach(v))
+                    (records.record(v), potential.reach(v))
                 };
                 if nd < known {
                     stamp[v.index()] = reached;

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sor_graph::{
     bfs_dists, bridges, connected_without, dijkstra, gen, global_min_cut, max_flow, spectral_gap,
@@ -161,6 +162,65 @@ proptest! {
                 prop_assert_eq!(search.dist(t).to_bits(), full.dist[t.index()].to_bits());
             }
         }
+    }
+
+    /// Pruned searches from every vertex, in a random center order and on
+    /// one shared record array, build the least-element lists a brute
+    /// force builds from one full search per center: `v` lists center `u`
+    /// with the distance bits of `u`'s full search exactly when that
+    /// distance is strictly below every earlier center's, in center
+    /// order. Lengths tie as in the tests above, or are 0 or 1, so that a
+    /// center can sit at distance 0 from an earlier one and list nothing
+    /// new; an isolated last vertex lists only itself.
+    #[test]
+    fn pruned_searches_build_prefix_minimum_records(
+        seed in 0u64..400,
+        n in 3usize..20,
+        kind in 0u8..4,
+    ) {
+        let base = arb_graph(n, seed);
+        let mut g = Graph::new(n + 1);
+        for e in base.edges() {
+            g.add_edge(e.u, e.v, e.cap);
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1e57);
+        let len: Vec<f64> = match kind {
+            0 => g.unit_lengths(),
+            1 => (0..g.num_edges()).map(|_| f64::from(rng.gen_range(1u32..4))).collect(),
+            2 => (0..g.num_edges()).map(|_| 0.05 + rng.gen::<f64>()).collect(),
+            _ => (0..g.num_edges()).map(|_| f64::from(rng.gen_range(0u32..2))).collect(),
+        };
+        let mut centers: Vec<NodeId> = g.nodes().collect();
+        centers.shuffle(&mut rng);
+
+        let mut best = vec![f64::INFINITY; g.num_nodes()];
+        let mut lists: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); g.num_nodes()];
+        let mut search = DijkstraSearch::with_nodes(g.num_nodes());
+        for &u in &centers {
+            let mut reported = 0;
+            search.settle_pruned(&g, u, &len, &mut best, |v, d| {
+                lists[v.index()].push((u, d.to_bits()));
+                reported += 1;
+            });
+            prop_assert_eq!(search.settled(), reported);
+        }
+
+        let mut record = vec![f64::INFINITY; g.num_nodes()];
+        let mut brute: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); g.num_nodes()];
+        for &u in &centers {
+            let full = dijkstra(&g, u, &len);
+            for v in g.nodes() {
+                let d = full.dist[v.index()];
+                if d < record[v.index()] {
+                    record[v.index()] = d;
+                    brute[v.index()].push((u, d.to_bits()));
+                }
+            }
+        }
+        prop_assert_eq!(&lists, &brute);
+        let bits = |r: &[f64]| r.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&best), bits(&record));
+        prop_assert_eq!(&lists[n], &vec![(NodeId::from_usize(n), 0f64.to_bits())]);
     }
 
     /// Landmark rows refreshed under some lengths stay consistent lower

@@ -22,6 +22,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use sor_graph::{DijkstraSearch, Graph, LoopErasedWalk, NodeId, Path};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One node (cluster) of an FRT decomposition tree.
 #[derive(Clone, Debug)]
@@ -57,11 +58,11 @@ pub struct FrtTree {
 /// first entry with `d ≤ r`, and each list has O(log n) expected length.
 ///
 /// One Dijkstra per center, in `pi` order, settles only the vertices it
-/// reaches strictly closer than every earlier center did. Pruning a
-/// vertex never hides a later list entry: if an earlier center reaches
-/// `w` at least as closely, it reaches every vertex past `w` at least as
-/// closely too. Also returns the eccentricity of `pi[0]`, whose search
-/// nothing prunes.
+/// reaches strictly closer than every earlier center did, and never
+/// pushes a vertex it reaches no closer. Pruning a vertex never hides a
+/// later list entry: if an earlier center reaches `w` at least as
+/// closely, it reaches every vertex past `w` at least as closely too.
+/// Also returns the eccentricity of `pi[0]`, whose search nothing prunes.
 fn least_element_lists(
     g: &Graph,
     lengths: &[f64],
@@ -73,15 +74,8 @@ fn least_element_lists(
     let mut lists: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
     let mut ecc = 0.0;
     for (i, &u) in pi.iter().enumerate() {
-        search.settle_pruned(g, u, lengths, |v, d| {
-            let b = &mut best[v.index()];
-            if d < *b {
-                *b = d;
-                lists[v.index()].push((u, d));
-                true
-            } else {
-                false
-            }
+        search.settle_pruned(g, u, lengths, &mut best, |v, d| {
+            lists[v.index()].push((u, d));
         });
         if i == 0 {
             ecc = best.iter().copied().fold(0.0, f64::max);
@@ -160,10 +154,126 @@ pub(crate) fn tree_route<'a>(
     })
 }
 
+/// The vertex count from which [`up_path_workers`] runs the up-path
+/// searches on every core. Below it a thread's start-up costs more than
+/// it saves (DESIGN.md, "FRT from least-element lists", has the measured
+/// break-even).
+const PARALLEL_MIN_NODES: usize = 512;
+
+/// How many workers [`up_paths`] gets on a graph of `n` vertices: one
+/// below [`PARALLEL_MIN_NODES`], every core from there on.
+pub(crate) fn up_path_workers(n: usize) -> usize {
+    if n < PARALLEL_MIN_NODES {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+}
+
+/// The physical up-paths of a cluster tree. `links[c]` is `Some((leader
+/// of c, leader of c's parent))`, `None` at the root; entry `c` of the
+/// result is the shortest path under `lengths` from `c`'s leader to its
+/// parent's (trivial when they coincide), `None` at the root.
+///
+/// A leader heads a chain of nested clusters, so the searches are grouped
+/// by parent leader: one search from each distinct parent leader, stopped
+/// once the leaders of the children of every cluster it leads are
+/// settled, yields all their paths. A stopped search's settled prefix
+/// carries the full search's distance bits and parent edges, so every
+/// path is the full search's. The searches are independent: `workers`
+/// threads (the caller's, with `search`, and `workers - 1` more, each with
+/// its own workspace) claim them in first-appearance order off a shared
+/// counter, and each path lands at its cluster's index, so the result
+/// does not depend on `workers`.
+pub(crate) fn up_paths(
+    g: &Graph,
+    lengths: &[f64],
+    links: &[Option<(NodeId, NodeId)>],
+    workers: usize,
+    search: &mut DijkstraSearch,
+) -> Vec<Option<Path>> {
+    // One job per distinct parent leader, found through a vertex-indexed
+    // array: the leader, and each cluster whose parent it leads with the
+    // cluster's own leader.
+    let mut job_of = vec![usize::MAX; g.num_nodes()];
+    let mut jobs: Vec<(NodeId, Vec<(usize, NodeId)>)> = Vec::new();
+    for (c, link) in links.iter().enumerate() {
+        let Some((own, up)) = *link else { continue };
+        match job_of[up.index()] {
+            usize::MAX => {
+                job_of[up.index()] = jobs.len();
+                jobs.push((up, vec![(c, own)]));
+            }
+            j => jobs[j].1.push((c, own)),
+        }
+    }
+    // The counter only hands out job indices: the jobs are written before
+    // any helper starts and the paths come back through `join`, so it
+    // publishes nothing and `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let work = |search: &mut DijkstraSearch| {
+        let mut found: Vec<(usize, Path)> = Vec::new();
+        let mut targets: Vec<NodeId> = Vec::new();
+        while let Some((source, children)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+            targets.clear();
+            targets.extend(children.iter().map(|&(_, own)| own));
+            search.settle(g, *source, lengths, &targets);
+            for &(c, own) in children {
+                let path = search
+                    .path_to(g, own)
+                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
+                    .expect("connected graph")
+                    .reversed();
+                found.push((c, path));
+            }
+        }
+        found
+    };
+    let found = std::thread::scope(|scope| {
+        // A helper that fails to start leaves its share to the others.
+        let helpers: Vec<_> = (1..workers.min(jobs.len()))
+            .filter_map(|_| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, || {
+                        work(&mut DijkstraSearch::with_nodes(g.num_nodes()))
+                    })
+                    .ok()
+            })
+            .collect();
+        let mut found = work(search);
+        for helper in helpers {
+            found.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        found
+    });
+    let mut paths = vec![None; links.len()];
+    for (c, path) in found {
+        paths[c] = Some(path);
+    }
+    paths
+}
+
 impl FrtTree {
     /// Build a random FRT tree over `g` with the metric induced by
-    /// per-edge `lengths` (all strictly positive).
+    /// per-edge `lengths` (all strictly positive). On a graph of at least
+    /// 512 vertices the up-path searches run on every core; the tree is
+    /// the same on any number of cores.
     pub fn build<R: Rng + ?Sized>(g: &Graph, lengths: &[f64], rng: &mut R) -> Self {
+        Self::build_on(g, lengths, rng, up_path_workers(g.num_nodes()))
+    }
+
+    /// [`FrtTree::build`] with its up-path searches on `workers` threads,
+    /// whatever the graph's size. The tree does not depend on `workers`.
+    pub(crate) fn build_on<R: Rng + ?Sized>(
+        g: &Graph,
+        lengths: &[f64],
+        rng: &mut R,
+        workers: usize,
+    ) -> Self {
         let n = g.num_nodes();
         assert_eq!(lengths.len(), g.num_edges());
         assert!(
@@ -318,27 +428,13 @@ impl FrtTree {
             }
         }
 
-        // Physical paths: one search per parent leader, stopped once every
-        // child leader is settled (paths extracted toward each child
-        // leader and reversed).
-        let mut targets: Vec<NodeId> = Vec::with_capacity(n);
-        for p in 0..nodes.len() {
-            if nodes[p].children.is_empty() {
-                continue;
-            }
-            let children = std::mem::take(&mut nodes[p].children);
-            targets.clear();
-            targets.extend(children.iter().map(|&c| nodes[c].leader));
-            search.settle(g, nodes[p].leader, lengths, &targets);
-            for &c in &children {
-                let path = search
-                    .path_to(g, nodes[c].leader)
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                    .expect("connected graph")
-                    .reversed();
-                nodes[c].up_path = Some(path);
-            }
-            nodes[p].children = children;
+        let links: Vec<_> = nodes
+            .iter()
+            .map(|node| node.parent.map(|p| (node.leader, nodes[p].leader)))
+            .collect();
+        let paths = up_paths(g, lengths, &links, workers, &mut search);
+        for (node, path) in nodes.iter_mut().zip(paths) {
+            node.up_path = path;
         }
 
         debug_assert!(leaf_of.iter().all(|&l| l != usize::MAX));
@@ -579,13 +675,41 @@ pub(crate) mod tests {
         out
     }
 
+    /// Every reference instance lies below the worker gate, so the build
+    /// runs once as `build` would (one worker) and once with two.
     #[test]
     fn least_element_build_matches_apsp_reference() {
         for (g, lengths) in reference_instances() {
+            assert_eq!(up_path_workers(g.num_nodes()), 1);
             for seed in 0..4 {
-                let fast = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
                 let reference = build_apsp(&g, &lengths, &mut StdRng::seed_from_u64(seed));
-                assert_same_tree(&fast, &reference);
+                for workers in [1, 2] {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let fast = FrtTree::build_on(&g, &lengths, &mut rng, workers);
+                    assert_same_tree(&fast, &reference);
+                }
+            }
+        }
+    }
+
+    /// Above the gate, one worker and two build the same tree, on a
+    /// random regular graph (random lengths) and a grid (unit lengths,
+    /// which tie).
+    #[test]
+    fn parallel_up_paths_match_one_worker() {
+        let mut grng = StdRng::seed_from_u64(5);
+        let expander = gen::random_regular(PARALLEL_MIN_NODES, 4, &mut grng);
+        let random: Vec<f64> = (0..expander.num_edges())
+            .map(|_| 0.1 + 4.0 * grng.gen::<f64>())
+            .collect();
+        let grid = gen::grid(24, 24);
+        let unit = grid.unit_lengths();
+        for (g, lengths) in [(&expander, &random), (&grid, &unit)] {
+            assert!(g.num_nodes() >= PARALLEL_MIN_NODES);
+            for seed in 0..2 {
+                let one = FrtTree::build_on(g, lengths, &mut StdRng::seed_from_u64(seed), 1);
+                let two = FrtTree::build_on(g, lengths, &mut StdRng::seed_from_u64(seed), 2);
+                assert_same_tree(&one, &two);
             }
         }
     }

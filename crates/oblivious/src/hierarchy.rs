@@ -12,11 +12,12 @@
 //!
 //! Experiment E12 compares the two substrates head to head.
 
+use crate::frt::{up_path_workers, up_paths};
 use crate::routing::{ObliviousRouting, PathDist};
 use parking_lot::Mutex;
 use rand::Rng;
-use sor_graph::{dijkstra, Graph, NodeId, Path};
-use std::collections::{BTreeMap, HashMap};
+use sor_graph::{DijkstraSearch, Graph, NodeId, Path};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One cluster of a spectral hierarchy.
@@ -239,24 +240,20 @@ impl SpectralHierarchy {
             }
         }
 
-        // physical up-paths: one Dijkstra per parent leader (ordered map
-        // so the construction order never depends on the hasher)
-        let mut children_of: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, c) in clusters.iter().enumerate() {
-            if let Some(p) = c.parent {
-                children_of.entry(p).or_default().push(i);
-            }
-        }
-        for (&p, kids) in &children_of {
-            let tree = dijkstra(g, clusters[p].leader, &lengths);
-            for &c in kids {
-                let path = tree
-                    .path_to(g, clusters[c].leader)
-                    // sor-check: allow(unwrap) — invariant stated in the expect message
-                    .expect("connected graph")
-                    .reversed();
-                clusters[c].up_path = Some(path);
-            }
+        // physical up-paths: one stopped search per distinct parent leader
+        let links: Vec<_> = clusters
+            .iter()
+            .map(|c| c.parent.map(|p| (c.leader, clusters[p].leader)))
+            .collect();
+        let paths = up_paths(
+            g,
+            &lengths,
+            &links,
+            up_path_workers(n),
+            &mut DijkstraSearch::with_nodes(n),
+        );
+        for (c, path) in clusters.iter_mut().zip(paths) {
+            c.up_path = path;
         }
         debug_assert!(leaf_of.iter().all(|&l| l != usize::MAX));
         SpectralHierarchy { clusters, leaf_of }

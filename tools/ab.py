@@ -11,7 +11,10 @@ distance between the parent's quartiles. A metric whose change median is
 worse than the parent's by more than its bound is flagged.
 
     python3 tools/ab.py PARENT_BIN CHANGE_BIN --workload eval-perm \\
-        [--seed 1] [--pairs 3] [--seconds 20]
+        [--seed 1] [--pairs 3] [--seconds 20] [--metric latency_ms]
+
+Each pair's progress line on stderr shows both runs' value of `--metric`
+(default `latency_ms`), any end-to-end metric of BENCHMARK.json.
 
 Build each binary from its own checkout first, e.g.
 `cargo build --release --offline --manifest-path sorbench/Cargo.toml`,
@@ -72,6 +75,9 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=3)
     ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
+    ap.add_argument("--metric", default="latency_ms",
+                    choices=[m["name"] for m in bench["end_to_end"]],
+                    help="metric shown in each pair's progress line")
     args = ap.parse_args()
     if args.pairs < 1 or args.seconds < 1:
         ap.error("--pairs and --seconds must be at least 1")
@@ -82,9 +88,9 @@ def main():
         for side in order:
             runs[side].append(run(getattr(args, side), args.workload,
                                   args.seed, args.seconds))
-        lat = "  ".join(f"{s} latency_ms {runs[s][-1]['latency_ms']:.4g}"
-                        for s in ("parent", "change"))
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {lat}",
+        shown = "  ".join(f"{s} {args.metric} {runs[s][-1][args.metric]:.4g}"
+                          for s in ("parent", "change"))
+        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {shown}",
               file=sys.stderr)
 
     print(f"{args.workload} seed {args.seed}: {args.pairs} alternating pairs "
