@@ -34,7 +34,6 @@ use sor_graph::traversal::{bfs_dists, bfs_parents, bfs_path, UNREACHABLE};
 use sor_graph::{connected_without, gen, yen_ksp, EdgeId, EdgeRec, Graph, NodeId, Path};
 use sor_hop::{dist_dilation, HopFamily};
 use sor_oblivious::electrical::{decompose_flow, Laplacian};
-use sor_oblivious::frt::TreeNode;
 use sor_oblivious::hierarchy::SpectralHierarchy;
 use sor_oblivious::routing::{sample_from_dist, ObliviousRouting};
 use sor_oblivious::{ElectricalRouting, FrtTree, KspRouting, RaeckeRouting, ValiantHypercube};
@@ -96,11 +95,10 @@ pub fn frt_build() -> Quality {
     let g = gen::grid(6, 6);
     let mut rng = rng_for(0x5f01);
     let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
-    let nodes: &[TreeNode] = tree.nodes();
     let route = tree.route(NodeId(0), NodeId(35));
     let max_rel = tree.relative_loads(&g).into_iter().fold(0.0f64, f64::max);
     vec![
-        q("frt/tree_nodes", nodes.len() as f64),
+        q("frt/tree_nodes", tree.len() as f64),
         q("frt/route_hops", route.hops() as f64),
         q("frt/max_rel_load", max_rel),
     ]

@@ -25,35 +25,22 @@ pub struct LabelAssignment {
 }
 
 impl LabelAssignment {
-    /// Assign labels by preorder DFS over `tree` (children in build
-    /// order). Leaves of an FRT tree are singleton clusters, so each
-    /// leaf visit emits exactly one vertex; the root covers all of them.
+    /// Label each vertex by its position in the root's vertex range,
+    /// which a tree keeps in DFS leaf order (preorder, children in build
+    /// order): each cluster's vertices get consecutive labels.
     pub fn from_tree(tree: &FrtTree) -> Self {
-        let n = tree.nodes()[0].vertices.len();
-        let mut label_of = vec![u32::MAX; n];
-        let mut node_of = Vec::with_capacity(n);
-        // Iterative preorder: push children reversed so the first-built
-        // child is visited first.
-        let mut stack = vec![0usize];
-        while let Some(i) = stack.pop() {
-            let node = &tree.nodes()[i];
-            if node.children.is_empty() {
-                for &v in &node.vertices {
-                    let label = u32::try_from(node_of.len())
-                        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                        .expect("node count fits u32 (NodeId is u32)");
-                    label_of[v.index()] = label;
-                    node_of.push(v);
-                }
-            } else {
-                stack.extend(node.children.iter().rev());
-            }
+        let node_of = tree.vertices(0).to_vec();
+        let mut label_of = vec![u32::MAX; node_of.len()];
+        for (label, &v) in node_of.iter().enumerate() {
+            label_of[v.index()] = u32::try_from(label)
+                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
+                .expect("node count fits u32 (NodeId is u32)");
         }
         debug_assert!(label_of.iter().all(|&l| l != u32::MAX));
         LabelAssignment {
+            label_bits: bits_for(node_of.len()),
             label_of,
             node_of,
-            label_bits: bits_for(n),
         }
     }
 
@@ -102,11 +89,91 @@ pub(crate) fn bits_for(count: usize) -> u32 {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use sor_graph::{gen, Graph};
 
     fn tree_for(g: &Graph, seed: u64) -> FrtTree {
         FrtTree::build(g, &g.unit_lengths(), &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// Reference labels: an iterative preorder DFS over the tree's
+    /// children, numbering each leaf's vertex as it is visited.
+    fn labels_by_walk(tree: &FrtTree) -> Vec<u32> {
+        let mut label_of = vec![u32::MAX; tree.vertices(0).len()];
+        let mut next = 0;
+        // Push children reversed so the first-built child is visited first.
+        let mut stack = vec![0usize];
+        while let Some(c) = stack.pop() {
+            if tree.children(c).is_empty() {
+                for &v in tree.vertices(c) {
+                    label_of[v.index()] = next;
+                    next += 1;
+                }
+            } else {
+                stack.extend(tree.children(c).rev());
+            }
+        }
+        label_of
+    }
+
+    /// The six graph families of sor-oblivious's tree-build reference
+    /// test (`frt::tests::reference_instances`, which other crates cannot
+    /// reach), each with unit and with random capacities and lengths, and
+    /// the graphs this crate's tests build trees on.
+    fn label_instances() -> Vec<(Graph, Vec<f64>)> {
+        let mut grng = StdRng::seed_from_u64(17);
+        let families = [
+            gen::grid(5, 6),
+            gen::hypercube(5),
+            gen::cycle_graph(13),
+            gen::path_graph(11),
+            gen::random_regular(40, 4, &mut grng),
+            gen::abilene(),
+        ];
+        let mut out = Vec::new();
+        for (gi, unit) in families.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(100 + gi as u64);
+            let mut weighted = Graph::new(unit.num_nodes());
+            for e in unit.edges() {
+                weighted.add_edge(e.u, e.v, 0.1 + rng.gen::<f64>());
+            }
+            let random: Vec<f64> = (0..unit.num_edges())
+                .map(|_| 0.1 + 4.0 * rng.gen::<f64>())
+                .collect();
+            let unit_lengths = unit.unit_lengths();
+            out.push((unit, unit_lengths));
+            out.push((weighted, random));
+        }
+        let compact = [
+            gen::grid(4, 4),
+            gen::grid(3, 5),
+            gen::grid(3, 3),
+            gen::cycle_graph(8),
+            gen::cycle_graph(6),
+            gen::random_regular(16, 4, &mut StdRng::seed_from_u64(2)),
+            gen::path_graph(24),
+            gen::erdos_renyi_connected(30, 0.3, &mut StdRng::seed_from_u64(4)),
+            Graph::new(1),
+        ];
+        out.extend(compact.into_iter().map(|g| {
+            let unit = g.unit_lengths();
+            (g, unit)
+        }));
+        out
+    }
+
+    #[test]
+    fn range_labels_match_the_preorder_walk() {
+        for (g, lengths) in label_instances() {
+            for seed in 0..3 {
+                let tree = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
+                let labels = LabelAssignment::from_tree(&tree);
+                let expected = labels_by_walk(&tree);
+                for v in g.nodes() {
+                    assert_eq!(labels.label(v), expected[v.index()], "{v}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -130,8 +197,8 @@ mod tests {
         let g = gen::grid(3, 5);
         let tree = tree_for(&g, 9);
         let labels = LabelAssignment::from_tree(&tree);
-        for node in tree.nodes() {
-            let mut ls: Vec<u32> = node.vertices.iter().map(|&v| labels.label(v)).collect();
+        for c in 0..tree.len() {
+            let mut ls: Vec<u32> = tree.vertices(c).iter().map(|&v| labels.label(v)).collect();
             ls.sort_unstable();
             for w in ls.windows(2) {
                 assert_eq!(w[1], w[0] + 1, "cluster labels not contiguous");

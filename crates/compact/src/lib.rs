@@ -29,7 +29,7 @@
 //!
 //! Why verify-and-except instead of trusting the tree? Because sampled
 //! paths are *loop-erased* concatenations of FRT up/down paths
-//! ([`sor_oblivious::FrtTree::route`]): the suffix of a path after an
+//! ([`sor_oblivious::ClusterTree::route`]): the suffix of a path after an
 //! intermediate node is not in general the path the tree would route
 //! from that node, so a pure (node, destination-label) → out-edge
 //! function cannot always reproduce the sample. The verify pass makes

@@ -17,38 +17,274 @@
 //! * each cluster records the total capacity leaving it (`cut_capacity`),
 //!   which is how much load any congestion-1 demand can push across the
 //!   corresponding tree edge — the quantity Räcke's MWU penalizes.
+//!
+//! Trees are stored flat ([`ClusterTree`]); the spectral hierarchies of
+//! [`crate::hierarchy`] use the same layout.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use sor_graph::{DijkstraSearch, Graph, LoopErasedWalk, NodeId, Path};
+use sor_graph::{DijkstraSearch, EdgeId, Graph, LoopErasedWalk, NodeId, Path};
 use std::cell::Cell;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One node (cluster) of an FRT decomposition tree.
-#[derive(Clone, Debug)]
-pub struct TreeNode {
-    /// Parent cluster index (`None` for the root).
-    pub parent: Option<usize>,
-    /// Child cluster indices.
-    pub children: Vec<usize>,
-    /// Representative graph vertex inside the cluster.
-    pub leader: NodeId,
-    /// Vertices of the cluster.
-    pub vertices: Vec<NodeId>,
-    /// Physical path `leader → parent.leader` under the construction
-    /// metric (`None` for the root or when the leaders coincide — then it
-    /// is a trivial path).
-    pub up_path: Option<Path>,
-    /// Total capacity of graph edges leaving the cluster.
-    pub cut_capacity: f64,
+/// A `u32` entry that names no index: the root's parent, and a slot not
+/// yet filled.
+const NONE: u32 = u32::MAX;
+
+/// A cluster or arena index as stored: the arrays hold `u32`s.
+fn stored(i: usize) -> u32 {
+    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
+    u32::try_from(i).expect("cluster tree index exceeds u32 range")
 }
 
-/// A rooted FRT decomposition tree with physical path mappings.
+/// A rooted laminar cluster tree over a graph's vertices, stored as flat
+/// per-cluster arrays (cluster 0 is the root).
+///
+/// * A parent precedes its children, and the children of one cluster are
+///   consecutive, so [`ClusterTree::children`] is an index range.
+/// * Every cluster's vertices are one range of a single vertex array kept
+///   in DFS leaf order: the children partition their parent's range in
+///   child order, a leaf's range is its one vertex, and the root's range
+///   lists every vertex in preorder leaf order.
+/// * Every up-path is one run of a single `(edge, vertex)` arena, in
+///   cluster order: the steps from the cluster's leader to its parent's.
 #[derive(Clone, Debug)]
-pub struct FrtTree {
-    nodes: Vec<TreeNode>,
-    /// Leaf (singleton cluster) index of each graph vertex.
-    leaf_of: Vec<usize>,
+pub struct ClusterTree {
+    parent: Vec<u32>,
+    depth: Vec<u32>,
+    leader: Vec<NodeId>,
+    cut_capacity: Vec<f64>,
+    /// Cluster `c`'s children are `children[c].0..children[c].1`.
+    children: Vec<(u32, u32)>,
+    /// Cluster `c`'s vertices are `order[span[c].0..span[c].1]`.
+    span: Vec<(u32, u32)>,
+    order: Vec<NodeId>,
+    /// Cluster `c`'s up-path is `steps[up_start[c]..up_start[c + 1]]`.
+    up_start: Vec<u32>,
+    steps: Vec<(EdgeId, NodeId)>,
+    /// Leaf (singleton cluster) of each graph vertex.
+    leaf_of: Vec<u32>,
+}
+
+/// Reused by every [`ClusterTree::route`] on a thread, so a route
+/// allocates only the path it returns.
+#[derive(Default)]
+struct RouteBuffers {
+    walk: LoopErasedWalk,
+    /// The clusters below the lowest common ancestor on `t`'s side.
+    down: Vec<usize>,
+}
+
+thread_local! {
+    static ROUTE_BUFFERS: Cell<RouteBuffers> = Cell::new(RouteBuffers::default());
+}
+
+impl ClusterTree {
+    /// A tree of one cluster holding `order`, led by `leader`; builders
+    /// refine it with [`ClusterTree::push_child`] and end with
+    /// [`ClusterTree::finish`].
+    pub(crate) fn with_root(order: Vec<NodeId>, leader: NodeId) -> Self {
+        ClusterTree {
+            parent: vec![NONE],
+            depth: vec![0],
+            leader: vec![leader],
+            cut_capacity: vec![0.0],
+            children: vec![(0, 0)],
+            span: vec![(0, stored(order.len()))],
+            order,
+            up_start: Vec::new(),
+            steps: Vec::new(),
+            leaf_of: Vec::new(),
+        }
+    }
+
+    /// Add a child of `parent` over the next `size` vertices of the
+    /// parent's range, led by `leader`, and return its index. The children
+    /// of one cluster are pushed one after another, so their ranges
+    /// partition the parent's in push order.
+    pub(crate) fn push_child(&mut self, parent: usize, size: usize, leader: NodeId) -> usize {
+        let c = self.parent.len();
+        let slot = &mut self.children[parent];
+        let start = if slot.0 == slot.1 {
+            *slot = (stored(c), stored(c));
+            self.span[parent].0
+        } else {
+            self.span[c - 1].1
+        };
+        debug_assert_eq!(slot.1 as usize, c, "children must be consecutive");
+        slot.1 += 1;
+        let end = start + stored(size);
+        debug_assert!(end <= self.span[parent].1, "children overflow their parent");
+        self.parent.push(stored(parent));
+        self.depth.push(self.depth[parent] + 1);
+        self.leader.push(leader);
+        self.cut_capacity.push(0.0);
+        self.children.push((0, 0));
+        self.span.push((start, end));
+        c
+    }
+
+    /// Cluster `c`'s vertices, for a builder to reorder in place.
+    pub(crate) fn vertices_mut(&mut self, c: usize) -> &mut [NodeId] {
+        let (a, b) = self.span[c];
+        &mut self.order[a as usize..b as usize]
+    }
+
+    /// Complete a built tree: the leaves, the cut capacities (under `g`'s
+    /// capacities) and the up-paths (shortest under `lengths`, searched on
+    /// `workers` threads, `search` being the calling thread's workspace).
+    pub(crate) fn finish(
+        mut self,
+        g: &Graph,
+        lengths: &[f64],
+        workers: usize,
+        search: &mut DijkstraSearch,
+    ) -> Self {
+        self.leaf_of = vec![NONE; g.num_nodes()];
+        for (c, &(a, b)) in self.span.iter().enumerate() {
+            if b - a == 1 {
+                self.leaf_of[self.order[a as usize].index()] = stored(c);
+            }
+        }
+        debug_assert!(self.leaf_of.iter().all(|&l| l != NONE));
+        // Cut capacities: an edge leaves exactly the clusters strictly
+        // below the lowest common ancestor of its endpoints' leaves.
+        // Charging edges in edge order adds each cluster's terms in the
+        // same order as a scan over all edges per cluster would.
+        for e in g.edges() {
+            let (mut a, mut b) = (self.leaf(e.u), self.leaf(e.v));
+            while a != b {
+                // The deeper side of two distinct clusters is never the root.
+                let side = if self.depth[a] >= self.depth[b] {
+                    &mut a
+                } else {
+                    &mut b
+                };
+                self.cut_capacity[*side] += e.cap;
+                *side = self.parent[*side] as usize;
+            }
+        }
+        (self.up_start, self.steps) =
+            up_paths(g, lengths, &self.parent, &self.leader, workers, search);
+        // The per-cluster arrays grew by pushes: hand back their slack.
+        self.parent.shrink_to_fit();
+        self.depth.shrink_to_fit();
+        self.leader.shrink_to_fit();
+        self.cut_capacity.shrink_to_fit();
+        self.children.shrink_to_fit();
+        self.span.shrink_to_fit();
+        self
+    }
+
+    /// Number of clusters.
+    pub fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// Always false (trees are nonempty).
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Leaf cluster index of graph vertex `v`.
+    pub fn leaf(&self, v: NodeId) -> usize {
+        self.leaf_of[v.index()] as usize
+    }
+
+    /// Parent cluster of `c` (`None` for the root).
+    pub fn parent(&self, c: usize) -> Option<usize> {
+        let p = self.parent[c];
+        (p != NONE).then_some(p as usize)
+    }
+
+    /// Child clusters of `c`, in build order (empty at a leaf).
+    pub fn children(&self, c: usize) -> Range<usize> {
+        let (a, b) = self.children[c];
+        a as usize..b as usize
+    }
+
+    /// Representative graph vertex inside cluster `c`.
+    pub fn leader(&self, c: usize) -> NodeId {
+        self.leader[c]
+    }
+
+    /// The vertices of cluster `c`, in DFS leaf order.
+    pub fn vertices(&self, c: usize) -> &[NodeId] {
+        let (a, b) = self.span[c];
+        &self.order[a as usize..b as usize]
+    }
+
+    /// Cluster `c`'s physical up-path, from its leader to its parent's
+    /// under the construction metric, as steps: each edge with the vertex
+    /// it reaches. Empty at the root and where the two leaders coincide.
+    pub fn up_path(&self, c: usize) -> &[(EdgeId, NodeId)] {
+        &self.steps[self.up_start[c] as usize..self.up_start[c + 1] as usize]
+    }
+
+    /// Total capacity of graph edges leaving cluster `c`.
+    pub fn cut_capacity(&self, c: usize) -> f64 {
+        self.cut_capacity[c]
+    }
+
+    /// The physical path obtained by routing `s → t` through the tree:
+    /// the up-paths from `s`'s leaf to just below the lowest common
+    /// ancestor, then the up-paths from there down to `t`'s leaf walked
+    /// backwards, loop-erased in one pass.
+    pub fn route(&self, s: NodeId, t: NodeId) -> Path {
+        if s == t {
+            return Path::trivial(s);
+        }
+        ROUTE_BUFFERS.with(|cell| {
+            let mut buffers = cell.take();
+            let RouteBuffers { walk, down } = &mut buffers;
+            walk.start(s);
+            down.clear();
+            // Climb the deeper side until the two meet at the lowest common
+            // ancestor: `s`'s side is walked on the way, `t`'s remembered.
+            let (mut a, mut b) = (self.leaf(s), self.leaf(t));
+            while a != b {
+                if self.depth[a] >= self.depth[b] {
+                    for &(e, v) in self.up_path(a) {
+                        walk.step(e, v);
+                    }
+                    a = self.parent[a] as usize;
+                } else {
+                    down.push(b);
+                    b = self.parent[b] as usize;
+                }
+            }
+            for &c in down.iter().rev() {
+                // Backwards, each step's edge leads to the vertex the step
+                // before reached, the first step's to the cluster's leader.
+                let up = self.up_path(c);
+                for (i, &(e, _)) in up.iter().enumerate().rev() {
+                    walk.step(e, if i == 0 { self.leader[c] } else { up[i - 1].1 });
+                }
+            }
+            debug_assert_eq!(walk.head(), t);
+            let path = walk.to_path();
+            cell.set(buffers);
+            path
+        })
+    }
+
+    /// Räcke relative load: for each graph edge, the total cut capacity of
+    /// tree edges whose physical path crosses it, divided by the edge's
+    /// capacity. This upper-bounds the congestion this tree inflicts on
+    /// any demand routable with congestion 1 in `g`.
+    pub fn relative_loads(&self, g: &Graph) -> Vec<f64> {
+        let mut load = vec![0.0; g.num_edges()];
+        for (c, &cut) in self.cut_capacity.iter().enumerate() {
+            for &(e, _) in self.up_path(c) {
+                load[e.index()] += cut;
+            }
+        }
+        for (l, e) in load.iter_mut().zip(g.edges()) {
+            *l /= e.cap;
+        }
+        load
+    }
 }
 
 /// Least-element lists (Cohen 1997) for the center order `pi`: entry `v`
@@ -85,75 +321,6 @@ fn least_element_lists(
     (lists, ecc)
 }
 
-/// Reused by every [`tree_route`] on a thread, so a route allocates only
-/// the path it returns.
-#[derive(Default)]
-struct RouteBuffers {
-    walk: LoopErasedWalk,
-    s_chain: Vec<usize>,
-    t_chain: Vec<usize>,
-}
-
-thread_local! {
-    static ROUTE_BUFFERS: Cell<RouteBuffers> = Cell::new(RouteBuffers::default());
-}
-
-/// Route `s → t` through a rooted cluster tree whose leaves of `s` and
-/// `t` are `leaves`: the up-paths from `s`'s leaf to just below the lowest
-/// common ancestor, then the up-paths from there down to `t`'s leaf walked
-/// backwards, loop-erased in one pass. `parent` and `up_path` read the
-/// tree; a cluster without an up-path is skipped.
-pub(crate) fn tree_route<'a>(
-    s: NodeId,
-    t: NodeId,
-    leaves: (usize, usize),
-    parent: impl Fn(usize) -> Option<usize>,
-    up_path: impl Fn(usize) -> Option<&'a Path>,
-) -> Path {
-    if s == t {
-        return Path::trivial(s);
-    }
-    ROUTE_BUFFERS.with(|cell| {
-        let mut buffers = cell.take();
-        let RouteBuffers {
-            walk,
-            s_chain,
-            t_chain,
-        } = &mut buffers;
-        for (chain, leaf) in [(&mut *s_chain, leaves.0), (&mut *t_chain, leaves.1)] {
-            chain.clear();
-            let mut i = leaf;
-            chain.push(i);
-            while let Some(p) = parent(i) {
-                i = p;
-                chain.push(i);
-            }
-        }
-        // Trim the shared ancestors: what is left lies strictly below the
-        // lowest common ancestor on each side.
-        let (mut a, mut b) = (s_chain.len(), t_chain.len());
-        while a > 0 && b > 0 && s_chain[a - 1] == t_chain[b - 1] {
-            a -= 1;
-            b -= 1;
-        }
-        walk.start(s);
-        for &i in &s_chain[..a] {
-            if let Some(up) = up_path(i) {
-                walk.follow(up);
-            }
-        }
-        for &i in t_chain[..b].iter().rev() {
-            if let Some(up) = up_path(i) {
-                walk.follow_reversed(up);
-            }
-        }
-        debug_assert_eq!(walk.head(), t);
-        let path = walk.to_path();
-        cell.set(buffers);
-        path
-    })
-}
-
 /// The vertex count from which [`up_path_workers`] runs the up-path
 /// searches on every core. Below it a thread's start-up costs more than
 /// it saves (DESIGN.md, "FRT from least-element lists", has the measured
@@ -170,10 +337,11 @@ pub(crate) fn up_path_workers(n: usize) -> usize {
     }
 }
 
-/// The physical up-paths of a cluster tree. `links[c]` is `Some((leader
-/// of c, leader of c's parent))`, `None` at the root; entry `c` of the
-/// result is the shortest path under `lengths` from `c`'s leader to its
-/// parent's (trivial when they coincide), `None` at the root.
+/// The up-path arena of a cluster tree given as its `parent` and `leader`
+/// arrays: cluster `c`'s run, `steps[start[c]..start[c + 1]]` of the
+/// returned `(start, steps)`, is the shortest path under `lengths` from
+/// `c`'s leader to its parent's, as steps (empty when the two coincide,
+/// and at the root).
 ///
 /// A leader heads a chain of nested clusters, so the searches are grouped
 /// by parent leader: one search from each distinct parent leader, stopped
@@ -183,55 +351,80 @@ pub(crate) fn up_path_workers(n: usize) -> usize {
 /// path is the full search's. The searches are independent: `workers`
 /// threads (the caller's, with `search`, and `workers - 1` more, each with
 /// its own workspace) claim them in first-appearance order off a shared
-/// counter, and each path lands at its cluster's index, so the result
-/// does not depend on `workers`.
-pub(crate) fn up_paths(
+/// counter, each writing its runs into one flat buffer, and every run is
+/// then copied to its cluster's place, so the arena does not depend on
+/// `workers`.
+fn up_paths(
     g: &Graph,
     lengths: &[f64],
-    links: &[Option<(NodeId, NodeId)>],
+    parent: &[u32],
+    leader: &[NodeId],
     workers: usize,
     search: &mut DijkstraSearch,
-) -> Vec<Option<Path>> {
-    // One job per distinct parent leader, found through a vertex-indexed
-    // array: the leader, and each cluster whose parent it leads with the
-    // cluster's own leader.
-    let mut job_of = vec![usize::MAX; g.num_nodes()];
-    let mut jobs: Vec<(NodeId, Vec<(usize, NodeId)>)> = Vec::new();
-    for (c, link) in links.iter().enumerate() {
-        let Some((own, up)) = *link else { continue };
-        match job_of[up.index()] {
-            usize::MAX => {
-                job_of[up.index()] = jobs.len();
-                jobs.push((up, vec![(c, own)]));
-            }
-            j => jobs[j].1.push((c, own)),
+) -> (Vec<u32>, Vec<(EdgeId, NodeId)>) {
+    // Number the distinct parent leaders in first-appearance order through
+    // a vertex-indexed array, then list the clusters job by job (a stable
+    // sort keeps each job's clusters in index order).
+    let mut job_of = vec![NONE; g.num_nodes()];
+    let mut jobs = 0;
+    let mut members: Vec<(u32, u32)> = Vec::with_capacity(parent.len());
+    for (c, &p) in parent.iter().enumerate() {
+        if p == NONE {
+            continue;
         }
+        let up = &mut job_of[leader[p as usize].index()];
+        if *up == NONE {
+            *up = jobs;
+            jobs += 1;
+        }
+        members.push((*up, stored(c)));
     }
+    members.sort_by_key(|&(job, _)| job);
+    // Job `j`'s clusters are `members[bounds[j]..bounds[j + 1]]`.
+    let mut bounds: Vec<usize> = (0..members.len())
+        .filter(|&i| i == 0 || members[i - 1].0 < members[i].0)
+        .collect();
+    bounds.push(members.len());
     // The counter only hands out job indices: the jobs are written before
-    // any helper starts and the paths come back through `join`, so it
+    // any helper starts and the runs come back through `join`, so it
     // publishes nothing and `Relaxed` suffices.
     let next = AtomicUsize::new(0);
     let work = |search: &mut DijkstraSearch| {
-        let mut found: Vec<(usize, Path)> = Vec::new();
+        // One `(cluster, run length)` per path found, in claim order, and
+        // the runs' steps one after another.
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut steps: Vec<(EdgeId, NodeId)> = Vec::new();
         let mut targets: Vec<NodeId> = Vec::new();
-        while let Some((source, children)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let mut edges: Vec<EdgeId> = Vec::new();
+        loop {
+            let j = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = bounds.get(j..j + 2) else {
+                break;
+            };
+            let clusters = &members[job[0]..job[1]];
+            let source = leader[parent[clusters[0].1 as usize] as usize];
             targets.clear();
-            targets.extend(children.iter().map(|&(_, own)| own));
-            search.settle(g, *source, lengths, &targets);
-            for &(c, own) in children {
-                let path = search
-                    .path_to(g, own)
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                    .expect("connected graph")
-                    .reversed();
-                found.push((c, path));
+            targets.extend(clusters.iter().map(|&(_, c)| leader[c as usize]));
+            search.settle(g, source, lengths, &targets);
+            for &(_, c) in clusters {
+                let own = leader[c as usize];
+                let reached = search.edges_to(g, own, &mut edges);
+                assert!(reached, "connected graph");
+                // `edges` runs from the parent's leader to `own`; the run
+                // walks it backwards from `own`.
+                let mut at = own;
+                for &e in edges.iter().rev() {
+                    at = g.edge(e).other(at);
+                    steps.push((e, at));
+                }
+                runs.push((c, stored(edges.len())));
             }
         }
-        found
+        (runs, steps)
     };
     let found = std::thread::scope(|scope| {
         // A helper that fails to start leaves its share to the others.
-        let helpers: Vec<_> = (1..workers.min(jobs.len()))
+        let helpers: Vec<_> = (1..workers.min(jobs as usize))
             .filter_map(|_| {
                 std::thread::Builder::new()
                     .spawn_scoped(scope, || {
@@ -240,9 +433,9 @@ pub(crate) fn up_paths(
                     .ok()
             })
             .collect();
-        let mut found = work(search);
+        let mut found = vec![work(search)];
         for helper in helpers {
-            found.extend(
+            found.push(
                 helper
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
@@ -250,11 +443,39 @@ pub(crate) fn up_paths(
         }
         found
     });
-    let mut paths = vec![None; links.len()];
-    for (c, path) in found {
-        paths[c] = Some(path);
+    let mut start = vec![0u32; parent.len() + 1];
+    for (runs, _) in &found {
+        for &(c, len) in runs {
+            start[c as usize + 1] = len;
+        }
     }
-    paths
+    for c in 0..parent.len() {
+        start[c + 1] += start[c];
+    }
+    let mut arena = vec![(EdgeId(0), NodeId(0)); start[parent.len()] as usize];
+    for (runs, steps) in &found {
+        let mut from = 0;
+        for &(c, len) in runs {
+            let (c, len) = (c as usize, len as usize);
+            arena[start[c] as usize..start[c + 1] as usize]
+                .copy_from_slice(&steps[from..from + len]);
+            from += len;
+        }
+    }
+    (start, arena)
+}
+
+/// A rooted FRT decomposition tree with physical path mappings; every
+/// [`ClusterTree`] accessor applies.
+#[derive(Clone, Debug)]
+pub struct FrtTree(ClusterTree);
+
+impl Deref for FrtTree {
+    type Target = ClusterTree;
+
+    fn deref(&self) -> &ClusterTree {
+        &self.0
+    }
 }
 
 impl FrtTree {
@@ -280,19 +501,10 @@ impl FrtTree {
             lengths.iter().all(|&l| l > 0.0 && l.is_finite()),
             "FRT needs strictly positive finite lengths"
         );
+        let mut search = DijkstraSearch::with_nodes(n);
         if n == 1 {
-            let node = TreeNode {
-                parent: None,
-                children: Vec::new(),
-                leader: NodeId(0),
-                vertices: vec![NodeId(0)],
-                up_path: None,
-                cut_capacity: 0.0,
-            };
-            return FrtTree {
-                nodes: vec![node],
-                leaf_of: vec![0],
-            };
+            let tree = ClusterTree::with_root(vec![NodeId(0)], NodeId(0));
+            return FrtTree(tree.finish(g, lengths, workers, &mut search));
         }
 
         // Random permutation and β ∈ [1, 2).
@@ -304,7 +516,6 @@ impl FrtTree {
             rank[u.index()] = i;
         }
 
-        let mut search = DijkstraSearch::with_nodes(n);
         let (lists, ecc) = least_element_lists(g, lengths, &pi, &mut search);
         // Top level: β·2^top ≥ 2·ecc(π₀) ≥ diameter, so everything fits in
         // one cluster.
@@ -316,181 +527,89 @@ impl FrtTree {
         #[allow(clippy::cast_possible_truncation)]
         let bottom = (dmin.log2().floor() as i32) - 2;
 
-        let mut nodes: Vec<TreeNode> = Vec::new();
-        let mut leaf_of = vec![usize::MAX; n];
-
-        let root_vertices: Vec<NodeId> = g.nodes().collect();
-        let root_leader = pi[0];
-        nodes.push(TreeNode {
-            parent: None,
-            children: Vec::new(),
-            leader: root_leader,
-            vertices: root_vertices,
-            up_path: None,
-            cut_capacity: 0.0,
-        });
-
+        let mut tree = ClusterTree::with_root(g.nodes().collect(), pi[0]);
         // Refine level by level. `frontier` holds indices of clusters that
         // are not yet singletons; `group_of[c]` is the index in `groups` of
-        // center `c`'s group within the cluster being split.
+        // center `c`'s group within the cluster being split, and `member`
+        // the group of each of its vertices in turn.
         let mut frontier = vec![0usize];
         let mut group_of = vec![usize::MAX; n];
+        // Per group: its center, its π-minimal member, and its size (then
+        // its end in the split cluster's range).
+        let mut groups: Vec<(NodeId, NodeId, usize)> = Vec::new();
+        let mut member: Vec<usize> = Vec::new();
+        let mut split: Vec<NodeId> = Vec::new();
         let mut level = top;
         while !frontier.is_empty() {
             assert!(level >= bottom, "FRT refinement failed to reach singletons");
             let radius = beta * (level as f64).exp2();
             let mut next_frontier = Vec::new();
             for &ci in &frontier {
-                // Partition nodes[ci].vertices by their first π-center
-                // within `radius`. Take the vertex list (pushing children
-                // below needs `nodes` mutably) and restore it afterwards —
-                // no per-level copy.
-                let verts = std::mem::take(&mut nodes[ci].vertices);
-                let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-                for &v in &verts {
+                // Partition cluster ci's vertices by their first π-center
+                // within `radius`.
+                groups.clear();
+                member.clear();
+                for &v in tree.vertices(ci) {
                     let (center, _) = *lists[v.index()]
                         .iter()
                         .find(|&&(_, d)| d <= radius)
                         // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                         .expect("v's own entry, at distance 0, qualifies at any radius");
-                    match group_of[center.index()] {
+                    let gi = match group_of[center.index()] {
                         usize::MAX => {
                             group_of[center.index()] = groups.len();
-                            groups.push((center, vec![v]));
+                            groups.push((center, v, 0));
+                            groups.len() - 1
                         }
-                        gi => groups[gi].1.push(v),
-                    }
-                }
-                for &(center, _) in &groups {
-                    group_of[center.index()] = usize::MAX;
-                }
-                if groups.len() == 1 && verts.len() > 1 {
-                    // No refinement at this level — reuse the node at the
-                    // next level instead of stacking unary chains.
-                    nodes[ci].vertices = verts;
-                    next_frontier.push(ci);
-                    continue;
-                }
-                nodes[ci].vertices = verts;
-                for (_, vs) in groups {
+                        gi => gi,
+                    };
                     // Leader: the center itself if inside, else the
                     // π-minimal member. No member precedes the center in π
                     // (each member is within `radius` of itself), so both
                     // cases are the π-minimal member.
-                    let leader = vs.iter().copied().fold(vs[0], |a, b| {
-                        if rank[b.index()] < rank[a.index()] {
-                            b
-                        } else {
-                            a
-                        }
-                    });
-                    let singleton = vs.len() == 1;
-                    let idx = nodes.len();
-                    nodes.push(TreeNode {
-                        parent: Some(ci),
-                        children: Vec::new(),
-                        leader,
-                        vertices: vs,
-                        up_path: None, // filled below
-                        cut_capacity: 0.0,
-                    });
-                    nodes[ci].children.push(idx);
-                    if singleton {
-                        let v = nodes[idx].vertices[0];
-                        leaf_of[v.index()] = idx;
-                    } else {
-                        next_frontier.push(idx);
+                    let group = &mut groups[gi];
+                    if rank[v.index()] < rank[group.1.index()] {
+                        group.1 = v;
                     }
+                    group.2 += 1;
+                    member.push(gi);
+                }
+                for &(center, ..) in &groups {
+                    group_of[center.index()] = usize::MAX;
+                }
+                if groups.len() == 1 {
+                    // No refinement at this level — reuse the node at the
+                    // next level instead of stacking unary chains.
+                    next_frontier.push(ci);
+                    continue;
+                }
+                // Stable partition of the range by group, groups in order
+                // of first appearance: sizes become starts, then ends.
+                let mut end = 0;
+                for group in &mut groups {
+                    end += group.2;
+                    group.2 = end - group.2;
+                }
+                split.clear();
+                split.resize(member.len(), NodeId(0));
+                for (&v, &gi) in tree.vertices(ci).iter().zip(&member) {
+                    split[groups[gi].2] = v;
+                    groups[gi].2 += 1;
+                }
+                tree.vertices_mut(ci).copy_from_slice(&split);
+                let mut lo = 0;
+                for &(_, leader, hi) in &groups {
+                    let child = tree.push_child(ci, hi - lo, leader);
+                    if hi - lo > 1 {
+                        next_frontier.push(child);
+                    }
+                    lo = hi;
                 }
             }
             frontier = next_frontier;
             level -= 1;
         }
-
-        // Cut capacities: an edge leaves exactly the clusters strictly
-        // below the lowest common ancestor of its endpoints' leaves.
-        // Charging edges in edge order adds each cluster's terms in the
-        // same order as a scan over all edges per cluster would.
-        let mut depth = vec![0usize; nodes.len()];
-        for (i, node) in nodes.iter().enumerate() {
-            if let Some(p) = node.parent {
-                depth[i] = depth[p] + 1;
-            }
-        }
-        for e in g.edges() {
-            let (mut a, mut b) = (leaf_of[e.u.index()], leaf_of[e.v.index()]);
-            while a != b {
-                let side = if depth[a] >= depth[b] { &mut a } else { &mut b };
-                nodes[*side].cut_capacity += e.cap;
-                // The deeper side of two distinct clusters is never the root.
-                let Some(p) = nodes[*side].parent else { break };
-                *side = p;
-            }
-        }
-
-        let links: Vec<_> = nodes
-            .iter()
-            .map(|node| node.parent.map(|p| (node.leader, nodes[p].leader)))
-            .collect();
-        let paths = up_paths(g, lengths, &links, workers, &mut search);
-        for (node, path) in nodes.iter_mut().zip(paths) {
-            node.up_path = path;
-        }
-
-        debug_assert!(leaf_of.iter().all(|&l| l != usize::MAX));
-        FrtTree { nodes, leaf_of }
-    }
-
-    /// All tree nodes (index 0 is the root).
-    pub fn nodes(&self) -> &[TreeNode] {
-        &self.nodes
-    }
-
-    /// Leaf cluster index of graph vertex `v`.
-    pub fn leaf(&self, v: NodeId) -> usize {
-        self.leaf_of[v.index()]
-    }
-
-    /// The physical path obtained by routing `s → t` through the tree:
-    /// up-paths to the lowest common ancestor, then down-paths, all
-    /// concatenated and loop-erased.
-    pub fn route(&self, s: NodeId, t: NodeId) -> Path {
-        tree_route(
-            s,
-            t,
-            (self.leaf(s), self.leaf(t)),
-            |i| self.nodes[i].parent,
-            |i| self.nodes[i].up_path.as_ref(),
-        )
-    }
-
-    /// Räcke relative load: for each graph edge, the total cut capacity of
-    /// tree edges whose physical path crosses it, divided by the edge's
-    /// capacity. This upper-bounds the congestion this tree inflicts on
-    /// any demand routable with congestion 1 in `g`.
-    pub fn relative_loads(&self, g: &Graph) -> Vec<f64> {
-        let mut load = vec![0.0; g.num_edges()];
-        for node in &self.nodes {
-            if let Some(up) = &node.up_path {
-                for &e in up.edges() {
-                    load[e.index()] += node.cut_capacity;
-                }
-            }
-        }
-        for (l, e) in load.iter_mut().zip(g.edges()) {
-            *l /= e.cap;
-        }
-        load
-    }
-
-    /// Number of tree nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Always false (trees are nonempty).
-    pub fn is_empty(&self) -> bool {
-        false
+        FrtTree(tree.finish(g, lengths, workers, &mut search))
     }
 }
 
@@ -501,38 +620,100 @@ pub(crate) mod tests {
     use rand::SeedableRng;
     use sor_graph::{dijkstra, gen};
 
-    fn check_tree(g: &Graph, tree: &FrtTree) {
-        // Root covers everything; leaves are singletons; children
-        // partition parents.
-        assert_eq!(tree.nodes()[0].vertices.len(), g.num_nodes());
-        for v in g.nodes() {
-            let l = tree.leaf(v);
-            assert_eq!(tree.nodes()[l].vertices, vec![v]);
+    /// Cluster `c`'s up-path as a [`Path`] (`None` at the root), checking
+    /// that each step's vertex is where its edge leads.
+    fn up_path_of(g: &Graph, tree: &ClusterTree, c: usize) -> Option<Path> {
+        tree.parent(c)?;
+        let edges = tree.up_path(c).iter().map(|&(e, _)| e).collect();
+        let path = Path::from_edges(g, tree.leader(c), edges).unwrap();
+        let reached: Vec<NodeId> = tree.up_path(c).iter().map(|&(_, v)| v).collect();
+        assert_eq!(path.nodes()[1..], reached[..]);
+        Some(path)
+    }
+
+    /// The layout's invariants: the root's range is a permutation of the
+    /// vertices; children follow their parent, name it as parent, and
+    /// partition its range in child order; childless clusters are exactly
+    /// the leaves, singletons matching [`ClusterTree::leaf`]; leaders lie
+    /// inside their cluster; depths count the steps to the root.
+    pub(crate) fn check_ranges(g: &Graph, tree: &ClusterTree) {
+        let mut root = tree.vertices(0).to_vec();
+        root.sort();
+        assert_eq!(root, g.nodes().collect::<Vec<_>>(), "root range");
+        assert_eq!((tree.parent(0), tree.depth[0]), (None, 0));
+        for c in 0..tree.len() {
+            assert!(tree.vertices(c).contains(&tree.leader(c)), "leader outside");
+            let kids = tree.children(c);
+            if kids.is_empty() {
+                assert_eq!(tree.vertices(c).len(), 1, "childless non-singleton");
+                assert_eq!(tree.leaf(tree.vertices(c)[0]), c);
+                continue;
+            }
+            assert!(kids.start > c && kids.len() >= 2, "children of {c}");
+            let mut at = tree.span[c].0;
+            for k in kids {
+                assert_eq!(tree.parent(k), Some(c));
+                assert_eq!(tree.depth[k], tree.depth[c] + 1);
+                assert_eq!(tree.span[k].0, at, "children leave a gap");
+                at = tree.span[k].1;
+            }
+            assert_eq!(at, tree.span[c].1, "children do not cover the parent");
         }
-        for (i, node) in tree.nodes().iter().enumerate() {
-            if !node.children.is_empty() {
-                let mut union: Vec<NodeId> = Vec::new();
-                for &c in &node.children {
-                    assert_eq!(tree.nodes()[c].parent, Some(i));
-                    union.extend_from_slice(&tree.nodes()[c].vertices);
+        for v in g.nodes() {
+            assert_eq!(tree.vertices(tree.leaf(v)), [v]);
+        }
+    }
+
+    /// Cut capacities and relative loads, bit for bit: each cluster's
+    /// capacity against a scan over every edge, and the loads against a
+    /// per-cluster sum over materialized up-paths.
+    pub(crate) fn check_cuts_and_loads(g: &Graph, tree: &ClusterTree) {
+        let mut inside = vec![false; g.num_nodes()];
+        let mut load = vec![0.0; g.num_edges()];
+        for c in 0..tree.len() {
+            for &v in tree.vertices(c) {
+                inside[v.index()] = true;
+            }
+            let mut cut = 0.0;
+            for e in g.edges() {
+                if inside[e.u.index()] != inside[e.v.index()] {
+                    cut += e.cap;
                 }
-                let mut a = union.clone();
-                a.sort();
-                a.dedup();
-                assert_eq!(a.len(), union.len(), "children overlap");
-                let mut b = node.vertices.clone();
-                b.sort();
-                assert_eq!(a, b, "children don't partition parent");
-                // leaders live inside their cluster
-                assert!(node.vertices.contains(&node.leader));
+            }
+            assert_eq!(tree.cut_capacity(c).to_bits(), cut.to_bits(), "cut of {c}");
+            inside.fill(false);
+            if let Some(up) = up_path_of(g, tree, c) {
+                for &e in up.edges() {
+                    load[e.index()] += tree.cut_capacity(c);
+                }
             }
         }
+        for (l, e) in load.iter_mut().zip(g.edges()) {
+            *l /= e.cap;
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tree.relative_loads(g)), bits(&load));
+    }
+
+    /// The old tree layout, one struct per cluster with its own vertex
+    /// list and up-path, as the APSP reference builds it.
+    struct RefNode {
+        parent: Option<usize>,
+        children: Vec<usize>,
+        leader: NodeId,
+        vertices: Vec<NodeId>,
+        up_path: Option<Path>,
+        cut_capacity: f64,
     }
 
     /// Reference construction: the π-first center within each radius is
     /// read off an all-pairs distance matrix, and every cut capacity and
     /// up-path comes from its own full scan or Dijkstra.
-    fn build_apsp<R: Rng + ?Sized>(g: &Graph, lengths: &[f64], rng: &mut R) -> FrtTree {
+    fn build_apsp<R: Rng + ?Sized>(
+        g: &Graph,
+        lengths: &[f64],
+        rng: &mut R,
+    ) -> (Vec<RefNode>, Vec<usize>) {
         let n = g.num_nodes();
         let dist: Vec<Vec<f64>> = g.nodes().map(|s| dijkstra(g, s, lengths).dist).collect();
         let mut dmax: f64 = 0.0;
@@ -553,7 +734,7 @@ pub(crate) mod tests {
         let top = dmax.log2().ceil() as i32 + 1;
         #[allow(clippy::cast_possible_truncation)]
         let bottom = (dmin.log2().floor() as i32) - 2;
-        let mut nodes = vec![TreeNode {
+        let mut nodes = vec![RefNode {
             parent: None,
             children: Vec::new(),
             leader: pi[0],
@@ -597,7 +778,7 @@ pub(crate) mod tests {
                     } else {
                         next_frontier.push(idx);
                     }
-                    nodes.push(TreeNode {
+                    nodes.push(RefNode {
                         parent: Some(ci),
                         children: Vec::new(),
                         leader,
@@ -628,20 +809,52 @@ pub(crate) mod tests {
                 nodes[c].up_path = Some(path);
             }
         }
-        FrtTree { nodes, leaf_of }
+        (nodes, leaf_of)
     }
 
-    fn assert_same_tree(a: &FrtTree, b: &FrtTree) {
-        assert_eq!(a.leaf_of, b.leaf_of);
-        assert_eq!(a.nodes.len(), b.nodes.len());
-        for (x, y) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(x.parent, y.parent);
-            assert_eq!(x.children, y.children);
-            assert_eq!(x.leader, y.leader);
-            assert_eq!(x.vertices, y.vertices);
-            assert_eq!(x.up_path, y.up_path);
-            assert_eq!(x.cut_capacity.to_bits(), y.cut_capacity.to_bits());
+    fn assert_matches_reference(
+        g: &Graph,
+        tree: &ClusterTree,
+        reference: &(Vec<RefNode>, Vec<usize>),
+    ) {
+        let (nodes, leaf_of) = reference;
+        assert_eq!(tree.len(), nodes.len());
+        for v in g.nodes() {
+            assert_eq!(tree.leaf(v), leaf_of[v.index()]);
         }
+        for (c, node) in nodes.iter().enumerate() {
+            assert_eq!(tree.parent(c), node.parent);
+            assert_eq!(tree.children(c).collect::<Vec<_>>(), node.children);
+            assert_eq!(tree.leader(c), node.leader);
+            let mut vertices = tree.vertices(c).to_vec();
+            let mut expected = node.vertices.clone();
+            vertices.sort();
+            expected.sort();
+            assert_eq!(vertices, expected);
+            assert_eq!(up_path_of(g, tree, c), node.up_path);
+            assert_eq!(tree.cut_capacity(c).to_bits(), node.cut_capacity.to_bits());
+        }
+    }
+
+    /// Every array of the two trees, the whole up-path arena included,
+    /// with cut capacities compared bit for bit.
+    fn assert_same_tree(a: &ClusterTree, b: &ClusterTree) {
+        assert_eq!(a.parent, b.parent);
+        assert_eq!(a.depth, b.depth);
+        assert_eq!(a.leader, b.leader);
+        let bits = |t: &ClusterTree| {
+            t.cut_capacity
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.children, b.children);
+        assert_eq!(a.span, b.span);
+        assert_eq!(a.order, b.order);
+        assert_eq!(a.up_start, b.up_start);
+        assert_eq!(a.steps, b.steps);
+        assert_eq!(a.leaf_of, b.leaf_of);
     }
 
     /// The six graphs of the tree-build reference test, each once with
@@ -686,7 +899,7 @@ pub(crate) mod tests {
                 for workers in [1, 2] {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let fast = FrtTree::build_on(&g, &lengths, &mut rng, workers);
-                    assert_same_tree(&fast, &reference);
+                    assert_matches_reference(&g, &fast, &reference);
                 }
             }
         }
@@ -743,9 +956,30 @@ pub(crate) mod tests {
         path
     }
 
+    /// Both ancestor chains of `leaves`, trimmed of their shared clusters:
+    /// what is left lies strictly below the lowest common ancestor.
+    fn trimmed_chains(
+        leaves: (usize, usize),
+        parent: impl Fn(usize) -> Option<usize>,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let chain = |leaf: usize| {
+            let mut c = vec![leaf];
+            while let Some(p) = parent(c[c.len() - 1]) {
+                c.push(p);
+            }
+            c
+        };
+        let (mut sa, mut ta) = (chain(leaves.0), chain(leaves.1));
+        while !sa.is_empty() && !ta.is_empty() && sa[sa.len() - 1] == ta[ta.len() - 1] {
+            sa.pop();
+            ta.pop();
+        }
+        (sa, ta)
+    }
+
     /// Reference route: both ancestor chains collected, then one join per
     /// tree level, the trivial path at `s` first.
-    pub(crate) fn join_chain_route<'a>(
+    fn join_chain_route<'a>(
         g: &Graph,
         s: NodeId,
         t: NodeId,
@@ -756,26 +990,14 @@ pub(crate) mod tests {
         if s == t {
             return Path::trivial(s);
         }
-        let chain = |leaf: usize| {
-            let mut c = vec![leaf];
-            while let Some(p) = parent(c[c.len() - 1]) {
-                c.push(p);
-            }
-            c
-        };
-        let (sa, ta) = (chain(leaves.0), chain(leaves.1));
-        let (mut a, mut b) = (sa.len(), ta.len());
-        while a > 0 && b > 0 && sa[a - 1] == ta[b - 1] {
-            a -= 1;
-            b -= 1;
-        }
+        let (sa, ta) = trimmed_chains(leaves, parent);
         let mut path = Path::trivial(s);
-        for &i in &sa[..a] {
+        for &i in &sa {
             if let Some(up) = up_path(i) {
                 path = join_with_map(g, &path, up);
             }
         }
-        for &i in ta[..b].iter().rev() {
+        for &i in ta.iter().rev() {
             if let Some(up) = up_path(i) {
                 path = join_with_map(g, &path, &up.reversed());
             }
@@ -783,26 +1005,78 @@ pub(crate) mod tests {
         path
     }
 
+    /// Reference route as cluster trees routed before the flat layout:
+    /// both ancestor chains collected, then one loop-erased walk along
+    /// each cluster's up-path `Path`.
+    fn chain_walk_route<'a>(
+        s: NodeId,
+        t: NodeId,
+        leaves: (usize, usize),
+        parent: impl Fn(usize) -> Option<usize>,
+        up_path: impl Fn(usize) -> Option<&'a Path>,
+    ) -> Path {
+        if s == t {
+            return Path::trivial(s);
+        }
+        let (sa, ta) = trimmed_chains(leaves, parent);
+        let mut walk = LoopErasedWalk::default();
+        walk.start(s);
+        for &i in &sa {
+            if let Some(up) = up_path(i) {
+                walk.follow(up);
+            }
+        }
+        for &i in ta.iter().rev() {
+            if let Some(up) = up_path(i) {
+                walk.follow_reversed(up);
+            }
+        }
+        assert_eq!(walk.head(), t);
+        walk.to_path()
+    }
+
+    /// [`ClusterTree::route`] against both reference routes, on every
+    /// ordered pair of `g`'s vertices.
+    pub(crate) fn check_routes(g: &Graph, tree: &ClusterTree) {
+        let paths: Vec<Option<Path>> = (0..tree.len()).map(|c| up_path_of(g, tree, c)).collect();
+        let parent = |c: usize| tree.parent(c);
+        let up_path = |c: usize| paths[c].as_ref();
+        for s in g.nodes() {
+            for t in g.nodes() {
+                let leaves = (tree.leaf(s), tree.leaf(t));
+                let route = tree.route(s, t);
+                assert_eq!(
+                    route,
+                    chain_walk_route(s, t, leaves, parent, up_path),
+                    "{s}->{t}"
+                );
+                assert_eq!(
+                    route,
+                    join_chain_route(g, s, t, leaves, parent, up_path),
+                    "{s}->{t}"
+                );
+                assert_eq!(route.nodes().len(), route.hops() + 1);
+            }
+        }
+    }
+
     #[test]
     fn one_pass_route_matches_level_by_level_joins() {
         for (g, lengths) in reference_instances() {
             for seed in 0..2 {
                 let tree = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
-                for s in g.nodes() {
-                    for t in g.nodes() {
-                        let reference = join_chain_route(
-                            &g,
-                            s,
-                            t,
-                            (tree.leaf(s), tree.leaf(t)),
-                            |i| tree.nodes[i].parent,
-                            |i| tree.nodes[i].up_path.as_ref(),
-                        );
-                        let path = tree.route(s, t);
-                        assert_eq!(path, reference, "{s}->{t}");
-                        assert_eq!(path.nodes().len(), path.hops() + 1);
-                    }
-                }
+                check_routes(&g, &tree);
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_cuts_and_loads_match_references() {
+        for (g, lengths) in reference_instances() {
+            for seed in 0..2 {
+                let tree = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
+                check_ranges(&g, &tree);
+                check_cuts_and_loads(&g, &tree);
             }
         }
     }
@@ -821,7 +1095,7 @@ pub(crate) mod tests {
         let g = gen::grid(4, 4);
         let mut rng = StdRng::seed_from_u64(3);
         let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
-        check_tree(&g, &tree);
+        check_ranges(&g, &tree);
     }
 
     #[test]
@@ -829,7 +1103,7 @@ pub(crate) mod tests {
         let g = gen::hypercube(4);
         let mut rng = StdRng::seed_from_u64(5);
         let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
-        check_tree(&g, &tree);
+        check_ranges(&g, &tree);
     }
 
     #[test]

@@ -12,32 +12,26 @@
 //!
 //! Experiment E12 compares the two substrates head to head.
 
-use crate::frt::{up_path_workers, up_paths};
+use crate::frt::{up_path_workers, ClusterTree};
 use crate::routing::{ObliviousRouting, PathDist};
 use parking_lot::Mutex;
 use rand::Rng;
 use sor_graph::{DijkstraSearch, Graph, NodeId, Path};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// One cluster of a spectral hierarchy.
+/// A rooted laminar decomposition built by recursive spectral bisection,
+/// stored like an FRT tree; every [`ClusterTree`] accessor applies.
 #[derive(Clone, Debug)]
-struct Cluster {
-    parent: Option<usize>,
-    /// Representative vertex inside the cluster.
-    leader: NodeId,
-    vertices: Vec<NodeId>,
-    /// Physical path `leader → parent.leader` (None at the root).
-    up_path: Option<Path>,
-    /// Total edge weight leaving the cluster.
-    cut_capacity: f64,
-}
+pub struct SpectralHierarchy(ClusterTree);
 
-/// A rooted laminar decomposition built by recursive spectral bisection.
-#[derive(Clone, Debug)]
-pub struct SpectralHierarchy {
-    clusters: Vec<Cluster>,
-    leaf_of: Vec<usize>,
+impl Deref for SpectralHierarchy {
+    type Target = ClusterTree;
+
+    fn deref(&self) -> &ClusterTree {
+        &self.0
+    }
 }
 
 /// Local Fiedler-style embedding of an induced subgraph: a few power
@@ -156,7 +150,8 @@ fn sweep_cut(g: &Graph, verts: &[NodeId], emb: &[f64], w: &[f64]) -> (Vec<NodeId
 impl SpectralHierarchy {
     /// Build one hierarchy under per-edge weights `w` (capacities ×
     /// congestion feedback). Physical up-paths are shortest paths under
-    /// `1/w` (prefer heavy edges).
+    /// `1/w` (prefer heavy edges); cut capacities are under the true
+    /// capacities.
     pub fn build<R: Rng + ?Sized>(g: &Graph, w: &[f64], rng: &mut R) -> Self {
         assert_eq!(w.len(), g.num_edges());
         assert!(w.iter().all(|&x| x > 0.0 && x.is_finite()));
@@ -164,8 +159,6 @@ impl SpectralHierarchy {
         sor_obs::counter_add!("oblivious/hierarchy/builds");
         let n = g.num_nodes();
         let lengths: Vec<f64> = w.iter().map(|&x| 1.0 / x).collect();
-        let mut clusters: Vec<Cluster> = Vec::new();
-        let mut leaf_of = vec![usize::MAX; n];
 
         let leader_of = |verts: &[NodeId]| -> NodeId {
             *verts
@@ -181,121 +174,32 @@ impl SpectralHierarchy {
                 .expect("nonempty cluster")
         };
 
-        // root
         let all: Vec<NodeId> = g.nodes().collect();
-        clusters.push(Cluster {
-            parent: None,
-            leader: leader_of(&all),
-            vertices: all,
-            up_path: None,
-            cut_capacity: 0.0,
-        });
+        let root_leader = leader_of(&all);
+        let mut tree = ClusterTree::with_root(all, root_leader);
         let mut stack = vec![0usize];
         while let Some(ci) = stack.pop() {
-            // take the vertex list (pushing children below needs `clusters`
-            // mutably) and restore it once the split is computed — no
-            // per-cluster copy of the vertex set.
-            let verts = std::mem::take(&mut clusters[ci].vertices);
+            let verts = tree.vertices(ci);
             if verts.len() == 1 {
-                leaf_of[verts[0].index()] = ci;
-                clusters[ci].vertices = verts;
                 continue;
             }
             let (left, right) = if verts.len() == 2 {
                 (vec![verts[0]], vec![verts[1]])
             } else {
-                let emb = local_fiedler(g, &verts, w, rng);
-                sweep_cut(g, &verts, &emb, w)
+                let emb = local_fiedler(g, verts, w, rng);
+                sweep_cut(g, verts, &emb, w)
             };
-            clusters[ci].vertices = verts;
+            // The range becomes left ++ right, each side in its own order.
+            let (l, r) = tree.vertices_mut(ci).split_at_mut(left.len());
+            l.copy_from_slice(&left);
+            r.copy_from_slice(&right);
             for side in [left, right] {
                 debug_assert!(!side.is_empty());
-                let idx = clusters.len();
-                clusters.push(Cluster {
-                    parent: Some(ci),
-                    leader: leader_of(&side),
-                    vertices: side,
-                    up_path: None,
-                    cut_capacity: 0.0,
-                });
-                stack.push(idx);
+                stack.push(tree.push_child(ci, side.len(), leader_of(&side)));
             }
         }
-
-        // cut capacities (under true capacities, not feedback weights)
-        let mut inside = vec![false; n];
-        for c in &mut clusters {
-            for &v in &c.vertices {
-                inside[v.index()] = true;
-            }
-            let mut cut = 0.0;
-            for e in g.edges() {
-                if inside[e.u.index()] != inside[e.v.index()] {
-                    cut += e.cap;
-                }
-            }
-            c.cut_capacity = cut;
-            for &v in &c.vertices {
-                inside[v.index()] = false;
-            }
-        }
-
-        // physical up-paths: one stopped search per distinct parent leader
-        let links: Vec<_> = clusters
-            .iter()
-            .map(|c| c.parent.map(|p| (c.leader, clusters[p].leader)))
-            .collect();
-        let paths = up_paths(
-            g,
-            &lengths,
-            &links,
-            up_path_workers(n),
-            &mut DijkstraSearch::with_nodes(n),
-        );
-        for (c, path) in clusters.iter_mut().zip(paths) {
-            c.up_path = path;
-        }
-        debug_assert!(leaf_of.iter().all(|&l| l != usize::MAX));
-        SpectralHierarchy { clusters, leaf_of }
-    }
-
-    /// Route `s → t` through the hierarchy (up to the LCA, then down),
-    /// loop-erased.
-    pub fn route(&self, s: NodeId, t: NodeId) -> Path {
-        crate::frt::tree_route(
-            s,
-            t,
-            (self.leaf_of[s.index()], self.leaf_of[t.index()]),
-            |i| self.clusters[i].parent,
-            |i| self.clusters[i].up_path.as_ref(),
-        )
-    }
-
-    /// Räcke relative load of this hierarchy (see
-    /// [`crate::frt::FrtTree::relative_loads`]).
-    pub fn relative_loads(&self, g: &Graph) -> Vec<f64> {
-        let mut load = vec![0.0; g.num_edges()];
-        for c in &self.clusters {
-            if let Some(up) = &c.up_path {
-                for &e in up.edges() {
-                    load[e.index()] += c.cut_capacity;
-                }
-            }
-        }
-        for (l, e) in load.iter_mut().zip(g.edges()) {
-            *l /= e.cap;
-        }
-        load
-    }
-
-    /// Number of clusters.
-    pub fn len(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Hierarchies are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
+        let workers = up_path_workers(n);
+        SpectralHierarchy(tree.finish(g, &lengths, workers, &mut DijkstraSearch::with_nodes(n)))
     }
 }
 
@@ -385,6 +289,9 @@ impl ObliviousRouting for HierRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frt::tests::{
+        check_cuts_and_loads, check_ranges, check_routes, reference_instances,
+    };
     use crate::routing::oblivious_congestion;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -392,37 +299,13 @@ mod tests {
     use sor_flow::max_concurrent_flow;
     use sor_graph::gen;
 
-    fn check_laminar(g: &Graph, h: &SpectralHierarchy) {
-        // root holds everything, leaves are singletons, children partition
-        assert_eq!(h.clusters[0].vertices.len(), g.num_nodes());
-        for v in g.nodes() {
-            assert_eq!(h.clusters[h.leaf_of[v.index()]].vertices, vec![v]);
-        }
-        let mut kids: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, c) in h.clusters.iter().enumerate() {
-            if let Some(p) = c.parent {
-                kids.entry(p).or_default().push(i);
-            }
-        }
-        for (&p, ks) in &kids {
-            let mut union: Vec<NodeId> = ks
-                .iter()
-                .flat_map(|&k| h.clusters[k].vertices.clone())
-                .collect();
-            union.sort();
-            let mut parent = h.clusters[p].vertices.clone();
-            parent.sort();
-            assert_eq!(union, parent, "children don't partition parent");
-        }
-    }
-
     #[test]
     fn hierarchy_is_laminar_on_grid() {
         let g = gen::grid(4, 4);
         let mut rng = StdRng::seed_from_u64(1);
         let w: Vec<f64> = g.edges().iter().map(|e| e.cap).collect();
         let h = SpectralHierarchy::build(&g, &w, &mut rng);
-        check_laminar(&g, &h);
+        check_ranges(&g, &h);
     }
 
     #[test]
@@ -441,24 +324,16 @@ mod tests {
         }
     }
 
+    /// Flat routes against both reference routes on every ordered pair,
+    /// the range invariants, and the cut capacities (charged per edge)
+    /// and relative loads against per-cluster references, bit for bit.
     #[test]
     fn one_pass_route_matches_level_by_level_joins() {
-        use crate::frt::tests::{join_chain_route, reference_instances};
         for (seed, (g, w)) in reference_instances().into_iter().enumerate() {
             let h = SpectralHierarchy::build(&g, &w, &mut StdRng::seed_from_u64(seed as u64));
-            for s in g.nodes() {
-                for t in g.nodes() {
-                    let reference = join_chain_route(
-                        &g,
-                        s,
-                        t,
-                        (h.leaf_of[s.index()], h.leaf_of[t.index()]),
-                        |i| h.clusters[i].parent,
-                        |i| h.clusters[i].up_path.as_ref(),
-                    );
-                    assert_eq!(h.route(s, t), reference, "{s}->{t}");
-                }
-            }
+            check_routes(&g, &h);
+            check_ranges(&g, &h);
+            check_cuts_and_loads(&g, &h);
         }
     }
 
@@ -471,9 +346,9 @@ mod tests {
         let w: Vec<f64> = g.edges().iter().map(|e| e.cap).collect();
         let h = SpectralHierarchy::build(&g, &w, &mut rng);
         // root's two children: one should be (mostly) clique A
-        let kids: Vec<&Cluster> = h.clusters.iter().filter(|c| c.parent == Some(0)).collect();
-        assert_eq!(kids.len(), 2);
-        let side_a: Vec<bool> = kids[0].vertices.iter().map(|v| v.index() < 6).collect();
+        assert_eq!(h.children(0).len(), 2);
+        let first = h.children(0).start;
+        let side_a: Vec<bool> = h.vertices(first).iter().map(|v| v.index() < 6).collect();
         let frac_a = side_a.iter().filter(|&&x| x).count() as f64 / side_a.len() as f64;
         assert!(
             frac_a <= 0.2 || frac_a >= 0.8,

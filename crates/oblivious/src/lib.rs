@@ -56,7 +56,7 @@ pub mod routing;
 pub mod valiant;
 
 pub use electrical::ElectricalRouting;
-pub use frt::FrtTree;
+pub use frt::{ClusterTree, FrtTree};
 pub use hierarchy::{HierRouting, SpectralHierarchy};
 pub use ksp_routing::KspRouting;
 pub use raecke::RaeckeRouting;

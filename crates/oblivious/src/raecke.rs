@@ -10,7 +10,8 @@
 //! 1. start with zero accumulated load,
 //! 2. build a tree under lengths `ℓ_e ∝ exp(η · load_e / max_load) / cap_e`
 //!    with `η = ln(1 + m)`,
-//! 3. add the tree's normalized [`FrtTree::relative_loads`] to the
+//! 3. add the tree's normalized
+//!    [`relative_loads`](crate::frt::ClusterTree::relative_loads) to the
 //!    accumulator, and repeat;
 //! 4. the routing is the uniform mixture of the trees: to route `(s, t)`,
 //!    pick a tree at random and follow its physical path.

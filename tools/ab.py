@@ -13,8 +13,10 @@ worse than the parent's by more than its bound is flagged.
     python3 tools/ab.py PARENT_BIN CHANGE_BIN --workload eval-perm \\
         [--seed 1] [--pairs 3] [--seconds 20] [--metric latency_ms]
 
-Each pair's progress line on stderr shows both runs' value of `--metric`
-(default `latency_ms`), any end-to-end metric of BENCHMARK.json.
+Each pair's progress line on stderr shows both runs' value of each
+`--metric` (default `latency_ms`): one end-to-end metric of
+BENCHMARK.json or a comma-separated list of them, e.g.
+`--metric peak_rss_mb,setup_s,latency_ms`.
 
 Build each binary from its own checkout first, e.g.
 `cargo build --release --offline --manifest-path sorbench/Cargo.toml`,
@@ -76,11 +78,17 @@ def main():
     ap.add_argument("--pairs", type=int, default=3)
     ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--metric", default="latency_ms",
-                    choices=[m["name"] for m in bench["end_to_end"]],
-                    help="metric shown in each pair's progress line")
+                    help="comma-separated metrics shown in each pair's "
+                         "progress line")
     args = ap.parse_args()
     if args.pairs < 1 or args.seconds < 1:
         ap.error("--pairs and --seconds must be at least 1")
+    known = [m["name"] for m in bench["end_to_end"]]
+    shown_metrics = args.metric.split(",")
+    for name in shown_metrics:
+        if name not in known:
+            ap.error(f"--metric: invalid choice: {name!r} "
+                     f"(choose from {', '.join(known)})")
 
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -88,7 +96,8 @@ def main():
         for side in order:
             runs[side].append(run(getattr(args, side), args.workload,
                                   args.seed, args.seconds))
-        shown = "  ".join(f"{s} {args.metric} {runs[s][-1][args.metric]:.4g}"
+        shown = "  ".join(f"{s} {name} {runs[s][-1][name]:.4g}"
+                          for name in shown_metrics
                           for s in ("parent", "change"))
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {shown}",
               file=sys.stderr)
