@@ -183,7 +183,7 @@ pub fn e12_raecke_quality(quick: bool) -> Table {
             &format!("{name} (spectral)"),
             &|k| {
                 let mut rng = StdRng::seed_from_u64(777);
-                Box::new(sor_oblivious::HierRouting::build(g.clone(), k, &mut rng))
+                Box::new(RaeckeRouting::spectral(g.clone(), k, &mut rng))
             },
             g,
             top,

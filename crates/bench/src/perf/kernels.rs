@@ -34,9 +34,8 @@ use sor_graph::traversal::{bfs_dists, bfs_parents, bfs_path, UNREACHABLE};
 use sor_graph::{connected_without, gen, yen_ksp, EdgeId, EdgeRec, Graph, NodeId, Path};
 use sor_hop::{dist_dilation, HopFamily};
 use sor_oblivious::electrical::{decompose_flow, Laplacian};
-use sor_oblivious::hierarchy::SpectralHierarchy;
 use sor_oblivious::routing::{sample_from_dist, ObliviousRouting};
-use sor_oblivious::{ElectricalRouting, FrtTree, KspRouting, RaeckeRouting, ValiantHypercube};
+use sor_oblivious::{ClusterTree, ElectricalRouting, KspRouting, RaeckeRouting, ValiantHypercube};
 use sor_sched::sim::{try_simulate_released, SimResult};
 use sor_sched::Policy;
 use sor_serve::{
@@ -94,7 +93,7 @@ pub fn frt_build() -> Quality {
     let _span = sor_obs::span("perf/frt");
     let g = gen::grid(6, 6);
     let mut rng = rng_for(0x5f01);
-    let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+    let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
     let route = tree.route(NodeId(0), NodeId(35));
     let max_rel = tree.relative_loads(&g).into_iter().fold(0.0f64, f64::max);
     vec![
@@ -361,7 +360,7 @@ pub fn hop_electrical() -> Quality {
     let er_dist = er.path_distribution(NodeId(0), NodeId(12));
 
     let w = vec![1.0; g.num_edges()];
-    let hier = SpectralHierarchy::build(&g, &w, &mut rng);
+    let hier = ClusterTree::spectral(&g, &w, &mut rng);
     let hier_route = hier.route(NodeId(0), NodeId(24));
 
     vec![

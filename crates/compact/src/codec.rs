@@ -18,7 +18,7 @@ use crate::labels::{bits_for, LabelAssignment};
 use crate::table::NextHopTable;
 use sor_core::PathSystem;
 use sor_graph::{EdgeId, Graph, NodeId, Path};
-use sor_oblivious::FrtTree;
+use sor_oblivious::ClusterTree;
 use std::collections::BTreeMap;
 
 /// A path system re-encoded as DFS labels + per-node next-hop tables +
@@ -88,7 +88,7 @@ impl CompactSystem {
     /// graph `g` (out-edge indices). Every path of `system` is either
     /// captured by the tables or demoted to an exception; decoding is
     /// exact either way.
-    pub fn encode(g: &Graph, tree: &FrtTree, system: &PathSystem) -> Self {
+    pub fn encode(g: &Graph, tree: &ClusterTree, system: &PathSystem) -> Self {
         let labels = LabelAssignment::from_tree(tree);
         let n = g.num_nodes();
         let sparsity = system.sparsity();
@@ -281,7 +281,7 @@ mod tests {
 
     /// Sample a small system by routing a few pairs through the tree
     /// itself — the same shape the samplers produce.
-    fn tree_system(_g: &Graph, tree: &FrtTree, pairs: &[(u32, u32)]) -> PathSystem {
+    fn tree_system(_g: &Graph, tree: &ClusterTree, pairs: &[(u32, u32)]) -> PathSystem {
         let mut sys = PathSystem::new();
         for &(s, t) in pairs {
             let (s, t) = (NodeId(s), NodeId(t));
@@ -294,7 +294,7 @@ mod tests {
     fn round_trip_is_exact_on_grid() {
         let g = gen::grid(4, 4);
         let mut rng = StdRng::seed_from_u64(5);
-        let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         let pairs: Vec<(u32, u32)> = (0..16u32).map(|i| (i, (i * 7 + 3) % 16)).collect();
         let sys = tree_system(&g, &tree, &pairs);
         let compact = CompactSystem::encode(&g, &tree, &sys);
@@ -310,8 +310,8 @@ mod tests {
     fn multi_slot_pairs_round_trip() {
         let g = gen::cycle_graph(8);
         let mut rng = StdRng::seed_from_u64(7);
-        let t1 = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
-        let t2 = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let t1 = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
+        let t2 = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         let mut sys = PathSystem::new();
         for (s, t) in [(0u32, 4u32), (1, 5), (2, 7)] {
             let (s, t) = (NodeId(s), NodeId(t));
@@ -332,7 +332,7 @@ mod tests {
         // verify pass must keep decode exact regardless.
         let g = gen::grid(3, 3);
         let mut rng = StdRng::seed_from_u64(11);
-        let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         let mut sys = PathSystem::new();
         for s in 0..9u32 {
             for t in 0..9u32 {
@@ -349,7 +349,7 @@ mod tests {
     fn uncovered_pair_decodes_empty() {
         let g = gen::cycle_graph(6);
         let mut rng = StdRng::seed_from_u64(3);
-        let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         let sys = tree_system(&g, &tree, &[(0, 3)]);
         let compact = CompactSystem::encode(&g, &tree, &sys);
         assert!(compact.decode_pair(&g, NodeId(1), NodeId(4)).is_empty());
@@ -359,7 +359,7 @@ mod tests {
     fn stats_are_consistent() {
         let g = gen::grid(4, 4);
         let mut rng = StdRng::seed_from_u64(9);
-        let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         let pairs: Vec<(u32, u32)> = (0..16u32)
             .map(|i| (i, 15 - i))
             .filter(|&(s, t)| s != t)

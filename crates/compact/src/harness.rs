@@ -18,7 +18,7 @@ use crate::codec::{CompactStats, CompactSystem};
 use sor_core::{PathSystem, SemiObliviousRouting};
 use sor_flow::Demand;
 use sor_graph::Graph;
-use sor_oblivious::FrtTree;
+use sor_oblivious::ClusterTree;
 
 /// Outcome of one round-trip verification.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,7 +52,7 @@ impl RoundTripReport {
 /// `eps` is the MWU accuracy used for the congestion comparison.
 pub fn verify_round_trip(
     g: &Graph,
-    tree: &FrtTree,
+    tree: &ClusterTree,
     system: &PathSystem,
     demand: &Demand,
     sparsity_bound: Option<usize>,

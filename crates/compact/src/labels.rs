@@ -10,7 +10,7 @@
 //! replica of a snapshot derives the identical labeling.
 
 use sor_graph::NodeId;
-use sor_oblivious::FrtTree;
+use sor_oblivious::ClusterTree;
 
 /// A bijection between graph vertices and `0..n` DFS labels, plus the
 /// bit width needed to store one label.
@@ -28,7 +28,7 @@ impl LabelAssignment {
     /// Label each vertex by its position in the root's vertex range,
     /// which a tree keeps in DFS leaf order (preorder, children in build
     /// order): each cluster's vertices get consecutive labels.
-    pub fn from_tree(tree: &FrtTree) -> Self {
+    pub fn from_tree(tree: &ClusterTree) -> Self {
         let node_of = tree.vertices(0).to_vec();
         let mut label_of = vec![u32::MAX; node_of.len()];
         for (label, &v) in node_of.iter().enumerate() {
@@ -92,13 +92,13 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use sor_graph::{gen, Graph};
 
-    fn tree_for(g: &Graph, seed: u64) -> FrtTree {
-        FrtTree::build(g, &g.unit_lengths(), &mut StdRng::seed_from_u64(seed))
+    fn tree_for(g: &Graph, seed: u64) -> ClusterTree {
+        ClusterTree::frt(g, &g.unit_lengths(), &mut StdRng::seed_from_u64(seed))
     }
 
     /// Reference labels: an iterative preorder DFS over the tree's
     /// children, numbering each leaf's vertex as it is visited.
-    fn labels_by_walk(tree: &FrtTree) -> Vec<u32> {
+    fn labels_by_walk(tree: &ClusterTree) -> Vec<u32> {
         let mut label_of = vec![u32::MAX; tree.vertices(0).len()];
         let mut next = 0;
         // Push children reversed so the first-built child is visited first.
@@ -166,7 +166,7 @@ mod tests {
     fn range_labels_match_the_preorder_walk() {
         for (g, lengths) in label_instances() {
             for seed in 0..3 {
-                let tree = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
+                let tree = ClusterTree::frt(&g, &lengths, &mut StdRng::seed_from_u64(seed));
                 let labels = LabelAssignment::from_tree(&tree);
                 let expected = labels_by_walk(&tree);
                 for v in g.nodes() {

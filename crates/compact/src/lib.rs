@@ -13,7 +13,7 @@
 //! builds into exactly that representation:
 //!
 //! * [`labels`] — deterministic DFS-interval labels over an
-//!   [`sor_oblivious::FrtTree`] (u32-packed, `⌈log₂ n⌉` bits each),
+//!   [`sor_oblivious::ClusterTree`] (u32-packed, `⌈log₂ n⌉` bits each),
 //! * [`table`] — per-node next-hop tables mapping destination-label
 //!   intervals to local out-edges, with exact bit accounting,
 //! * [`codec`] — [`codec::CompactSystem`]: a *lossless, verified*

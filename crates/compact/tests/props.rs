@@ -17,7 +17,7 @@ use sor_compact::CompactSystem;
 use sor_core::sample::sample_k;
 use sor_core::PathSystem;
 use sor_graph::{gen, Graph, NodeId};
-use sor_oblivious::{FrtTree, RaeckeRouting};
+use sor_oblivious::{ClusterTree, RaeckeRouting};
 
 fn arb_graph(n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -54,7 +54,7 @@ fn sampled_system(
     sample_k(routing, &pairs, sparsity, &mut rng).system
 }
 
-fn first_tree(routing: &RaeckeRouting) -> &FrtTree {
+fn first_tree(routing: &RaeckeRouting) -> &ClusterTree {
     routing
         .trees()
         .first()

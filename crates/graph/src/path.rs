@@ -17,7 +17,9 @@ use std::fmt;
 /// A zero-hop path (a single vertex) is permitted; it is what a demand from
 /// a vertex to itself would route on, and several reductions in the paper
 /// implicitly use it.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// Paths order by vertex sequence, then edge sequence.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Path {
     nodes: Vec<NodeId>,
     edges: Vec<EdgeId>,

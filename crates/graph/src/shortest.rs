@@ -543,7 +543,7 @@ pub fn dijkstra(g: &Graph, src: NodeId, lengths: &[f64]) -> ShortestPathTree {
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::traversal::{bfs_dists, UNREACHABLE};
+    use crate::traversal::bfs_dists;
 
     #[test]
     fn matches_bfs_on_unit_lengths() {

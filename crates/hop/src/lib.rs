@@ -12,7 +12,8 @@
 //! simulation with the same *interface guarantees* the paper uses:
 //!
 //! * **hard hop stretch** — every path in the `(s, t)` distribution has at
-//!   most `stretch · max(h, hopdist(s, t))` hops, enforced by construction;
+//!   most `STRETCH · max(h, hopdist(s, t))` hops ([`STRETCH`] = 4),
+//!   enforced by construction;
 //! * **congestion spreading** — candidate paths come from a Räcke-style
 //!   mixture of FRT trees built on the *hop metric* with multiplicative
 //!   congestion feedback, so load spreads like the congestion-only
@@ -34,20 +35,23 @@
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let r = HopRouting::build(gen::grid(4, 4), 2, 4, &mut rng);
 //! let dist = r.path_distribution(NodeId(0), NodeId(15));
-//! // hard guarantee: dilation ≤ stretch · max(h, hopdist)
+//! // hard guarantee: dilation ≤ STRETCH · max(h, hopdist)
 //! assert!(dist_dilation(&dist) <= r.hop_cap(NodeId(0), NodeId(15)));
 //! ```
 
 #![forbid(unsafe_code)]
 
-use parking_lot::Mutex;
 use rand::Rng;
 use sor_graph::traversal::all_pairs_hops;
 use sor_graph::{dijkstra, Graph, NodeId, Path};
-use sor_oblivious::frt::FrtTree;
-use sor_oblivious::routing::{ObliviousRouting, PathDist};
-use std::collections::HashMap;
+use sor_oblivious::raecke::feedback_trees;
+use sor_oblivious::routing::{merge_draws, DistMemo, ObliviousRouting, PathDist};
+use sor_oblivious::ClusterTree;
 use std::sync::Arc;
+
+/// The hop-stretch factor: every path a [`HopRouting`] returns has at
+/// most `STRETCH · max(h, hopdist(s, t))` hops.
+pub const STRETCH: usize = 4;
 
 /// Maximum hop length over the support of a path distribution.
 pub fn dist_dilation(dist: &PathDist) -> usize {
@@ -57,65 +61,39 @@ pub fn dist_dilation(dist: &PathDist) -> usize {
 /// A hop-constrained oblivious routing with hard hop-stretch guarantee.
 pub struct HopRouting {
     g: Graph,
-    trees: Vec<FrtTree>,
+    trees: Vec<ClusterTree>,
     /// Fallback near-hop-shortest lengths (hop metric + bounded congestion
     /// penalty), fixed at construction.
     fallback_lengths: Vec<f64>,
     /// Target hop bound `h`.
     h: usize,
-    /// Hop-stretch factor: every returned path has
-    /// ≤ `stretch · max(h, hopdist(s,t))` hops.
-    stretch: usize,
     hop_dists: Vec<Vec<u32>>,
-    cache: Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>,
+    memo: DistMemo,
 }
 
 impl HopRouting {
     /// Build a hop-constrained routing for hop bound `h` from `num_trees`
-    /// trees with hop-stretch 4.
+    /// trees.
     pub fn build<R: Rng + ?Sized>(g: Graph, h: usize, num_trees: usize, rng: &mut R) -> Self {
-        Self::with_stretch(g, h, num_trees, 4, rng)
-    }
-
-    /// Build with an explicit hop-stretch factor (≥ 2; smaller stretch
-    /// leaves less room for congestion spreading).
-    pub fn with_stretch<R: Rng + ?Sized>(
-        g: Graph,
-        h: usize,
-        num_trees: usize,
-        stretch: usize,
-        rng: &mut R,
-    ) -> Self {
-        assert!(h >= 1 && num_trees >= 1 && stretch >= 2);
-        let m = g.num_edges();
+        assert!(h >= 1 && num_trees >= 1);
         let hop_dists = all_pairs_hops(&g);
         // Räcke loop on the hop metric: lengths stay within [1, 1.5] per
         // edge so every shortest path is within 1.5× of hop-shortest,
         // while the penalty still steers trees away from loaded edges.
         const MU: f64 = 0.5;
-        let mut load = vec![0.0f64; m];
-        let mut trees = Vec::with_capacity(num_trees);
-        let mut last_lengths = vec![1.0; m];
-        for _ in 0..num_trees {
-            let max_load = load.iter().copied().fold(0.0, f64::max).max(1.0);
-            let lengths: Vec<f64> = load.iter().map(|&l| 1.0 + MU * l / max_load).collect();
-            let tree = FrtTree::build(&g, &lengths, rng);
-            let rload = tree.relative_loads(&g);
-            let rmax = rload.iter().copied().fold(0.0, f64::max).max(1e-300);
-            for (acc, r) in load.iter_mut().zip(&rload) {
-                *acc += r / rmax;
-            }
-            last_lengths = lengths;
-            trees.push(tree);
-        }
+        // the last tree's lengths become the fallback's
+        let mut lengths = Vec::new();
+        let trees = feedback_trees(&g, num_trees, |load, max_load| {
+            lengths = load.iter().map(|&l| 1.0 + MU * l / max_load).collect();
+            ClusterTree::frt(&g, &lengths, rng)
+        });
         HopRouting {
             g,
             trees,
-            fallback_lengths: last_lengths,
+            fallback_lengths: lengths,
             h,
-            stretch,
             hop_dists,
-            cache: Mutex::new(HashMap::new()),
+            memo: DistMemo::default(),
         }
     }
 
@@ -124,10 +102,10 @@ impl HopRouting {
         self.h
     }
 
-    /// The hard per-pair hop cap: `stretch · max(h, hopdist(s, t))`.
+    /// The hard per-pair hop cap: `STRETCH · max(h, hopdist(s, t))`.
     pub fn hop_cap(&self, s: NodeId, t: NodeId) -> usize {
         let hd = self.hop_dists[s.index()][t.index()] as usize;
-        self.stretch * self.h.max(hd)
+        STRETCH * self.h.max(hd)
     }
 
     /// Near-hop-shortest fallback path (lengths within [1, 1.5] per hop,
@@ -147,35 +125,18 @@ impl ObliviousRouting for HopRouting {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
-        if let Some(d) = self.cache.lock().get(&(s, t)) {
-            return Arc::clone(d);
-        }
-        let cap = self.hop_cap(s, t);
-        let w = 1.0 / self.trees.len() as f64;
-        let mut merged: HashMap<Path, f64> = HashMap::new();
-        for tree in &self.trees {
-            let p = tree.route(s, t);
-            let p = if p.hops() <= cap {
-                p
-            } else {
-                self.fallback(s, t)
-            };
-            *merged.entry(p).or_insert(0.0) += w;
-        }
-        let mut dist: PathDist = merged.into_iter().collect();
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        let dist = Arc::new(dist);
-        self.cache.lock().insert((s, t), Arc::clone(&dist));
-        dist
-    }
-
-    fn name(&self) -> &'static str {
-        "hop-raecke"
+        self.memo.get_or_insert_with(s, t, || {
+            let cap = self.hop_cap(s, t);
+            let routes = self.trees.iter().map(|tree| {
+                let p = tree.route(s, t);
+                if p.hops() <= cap {
+                    p
+                } else {
+                    self.fallback(s, t)
+                }
+            });
+            merge_draws(routes, 1.0 / self.trees.len() as f64)
+        })
     }
 }
 
@@ -219,15 +180,14 @@ impl HopFamily {
 
     /// Measured hop stretch of scale `idx` over the given pairs:
     /// `max dilation(s,t) / max(h, hopdist(s,t))` — the paper's hop-stretch
-    /// beta; by construction at most the configured stretch factor.
+    /// beta; by construction at most [`STRETCH`].
     pub fn measured_stretch(&self, idx: usize, pairs: &[(NodeId, NodeId)]) -> f64 {
         let r = &self.scales[idx];
         let mut worst: f64 = 0.0;
         for &(s, t) in pairs {
             let dist = r.path_distribution(s, t);
             let dil = dist_dilation(&dist) as f64;
-            // hop_cap = stretch * max(h, hopdist); default stretch is 4
-            let denom = r.hop_cap(s, t) as f64 / 4.0;
+            let denom = r.hop_cap(s, t) as f64 / STRETCH as f64;
             worst = worst.max(dil / denom.max(1.0));
         }
         worst
@@ -260,8 +220,8 @@ mod tests {
         for idx in 0..fam.scales().len() {
             let stretch = fam.measured_stretch(idx, &pairs);
             assert!(
-                stretch <= 4.0 + 1e-9,
-                "stretch {stretch} exceeds configured 4"
+                stretch <= STRETCH as f64 + 1e-9,
+                "stretch {stretch} exceeds STRETCH"
             );
         }
     }

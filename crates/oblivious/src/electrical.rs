@@ -14,10 +14,9 @@
 //! Listed in DESIGN.md as an extension beyond the paper's needs; it
 //! plugs into every sampling experiment through [`ObliviousRouting`].
 
-use crate::routing::{ObliviousRouting, PathDist};
-use parking_lot::Mutex;
+use crate::routing::{DistMemo, ObliviousRouting, PathDist};
 use sor_graph::{EdgeId, Graph, NodeId, Path};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Sparse symmetric Laplacian of a capacitated graph, with a CG solver.
@@ -198,7 +197,7 @@ pub fn decompose_flow(g: &Graph, s: NodeId, t: NodeId, mut flow: Vec<f64>) -> Pa
 pub struct ElectricalRouting {
     g: Graph,
     lap: Laplacian,
-    cache: Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>,
+    memo: DistMemo,
 }
 
 impl ElectricalRouting {
@@ -208,7 +207,7 @@ impl ElectricalRouting {
         ElectricalRouting {
             g,
             lap,
-            cache: Mutex::new(HashMap::new()),
+            memo: DistMemo::default(),
         }
     }
 }
@@ -220,28 +219,21 @@ impl ObliviousRouting for ElectricalRouting {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
-        if let Some(d) = self.cache.lock().get(&(s, t)) {
-            return Arc::clone(d);
-        }
-        let n = self.g.num_nodes();
-        let mut b = vec![0.0; n];
-        b[s.index()] = 1.0;
-        b[t.index()] = -1.0;
-        let phi = self.lap.solve(&b, 1e-10, 20 * n + 100);
-        // current on edge (u,v): c_uv (φ_u − φ_v), positive means u → v
-        let flow: Vec<f64> = self
-            .g
-            .edges()
-            .iter()
-            .map(|e| e.cap * (phi[e.u.index()] - phi[e.v.index()]))
-            .collect();
-        let dist = Arc::new(decompose_flow(&self.g, s, t, flow));
-        self.cache.lock().insert((s, t), Arc::clone(&dist));
-        dist
-    }
-
-    fn name(&self) -> &'static str {
-        "electrical"
+        self.memo.get_or_insert_with(s, t, || {
+            let n = self.g.num_nodes();
+            let mut b = vec![0.0; n];
+            b[s.index()] = 1.0;
+            b[t.index()] = -1.0;
+            let phi = self.lap.solve(&b, 1e-10, 20 * n + 100);
+            // current on edge (u,v): c_uv (φ_u − φ_v), positive means u → v
+            let flow: Vec<f64> = self
+                .g
+                .edges()
+                .iter()
+                .map(|e| e.cap * (phi[e.u.index()] - phi[e.v.index()]))
+                .collect();
+            decompose_flow(&self.g, s, t, flow)
+        })
     }
 }
 

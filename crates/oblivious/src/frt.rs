@@ -25,7 +25,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use sor_graph::{DijkstraSearch, EdgeId, Graph, LoopErasedWalk, NodeId, Path};
 use std::cell::Cell;
-use std::ops::{Deref, Range};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A `u32` entry that names no index: the root's parent, and a slot not
@@ -39,7 +39,8 @@ fn stored(i: usize) -> u32 {
 }
 
 /// A rooted laminar cluster tree over a graph's vertices, stored as flat
-/// per-cluster arrays (cluster 0 is the root).
+/// per-cluster arrays (cluster 0 is the root). [`ClusterTree::frt`]
+/// builds an FRT tree, [`ClusterTree::spectral`] a spectral hierarchy.
 ///
 /// * A parent precedes its children, and the children of one cluster are
 ///   consecutive, so [`ClusterTree::children`] is an index range.
@@ -465,31 +466,18 @@ fn up_paths(
     (start, arena)
 }
 
-/// A rooted FRT decomposition tree with physical path mappings; every
-/// [`ClusterTree`] accessor applies.
-#[derive(Clone, Debug)]
-pub struct FrtTree(ClusterTree);
-
-impl Deref for FrtTree {
-    type Target = ClusterTree;
-
-    fn deref(&self) -> &ClusterTree {
-        &self.0
-    }
-}
-
-impl FrtTree {
+impl ClusterTree {
     /// Build a random FRT tree over `g` with the metric induced by
     /// per-edge `lengths` (all strictly positive). On a graph of at least
     /// 512 vertices the up-path searches run on every core; the tree is
     /// the same on any number of cores.
-    pub fn build<R: Rng + ?Sized>(g: &Graph, lengths: &[f64], rng: &mut R) -> Self {
-        Self::build_on(g, lengths, rng, up_path_workers(g.num_nodes()))
+    pub fn frt<R: Rng + ?Sized>(g: &Graph, lengths: &[f64], rng: &mut R) -> Self {
+        Self::frt_on(g, lengths, rng, up_path_workers(g.num_nodes()))
     }
 
-    /// [`FrtTree::build`] with its up-path searches on `workers` threads,
+    /// [`ClusterTree::frt`] with its up-path searches on `workers` threads,
     /// whatever the graph's size. The tree does not depend on `workers`.
-    pub(crate) fn build_on<R: Rng + ?Sized>(
+    pub(crate) fn frt_on<R: Rng + ?Sized>(
         g: &Graph,
         lengths: &[f64],
         rng: &mut R,
@@ -504,7 +492,7 @@ impl FrtTree {
         let mut search = DijkstraSearch::with_nodes(n);
         if n == 1 {
             let tree = ClusterTree::with_root(vec![NodeId(0)], NodeId(0));
-            return FrtTree(tree.finish(g, lengths, workers, &mut search));
+            return tree.finish(g, lengths, workers, &mut search);
         }
 
         // Random permutation and β ∈ [1, 2).
@@ -609,7 +597,7 @@ impl FrtTree {
             frontier = next_frontier;
             level -= 1;
         }
-        FrtTree(tree.finish(g, lengths, workers, &mut search))
+        tree.finish(g, lengths, workers, &mut search)
     }
 }
 
@@ -898,7 +886,7 @@ pub(crate) mod tests {
                 let reference = build_apsp(&g, &lengths, &mut StdRng::seed_from_u64(seed));
                 for workers in [1, 2] {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let fast = FrtTree::build_on(&g, &lengths, &mut rng, workers);
+                    let fast = ClusterTree::frt_on(&g, &lengths, &mut rng, workers);
                     assert_matches_reference(&g, &fast, &reference);
                 }
             }
@@ -920,8 +908,8 @@ pub(crate) mod tests {
         for (g, lengths) in [(&expander, &random), (&grid, &unit)] {
             assert!(g.num_nodes() >= PARALLEL_MIN_NODES);
             for seed in 0..2 {
-                let one = FrtTree::build_on(g, lengths, &mut StdRng::seed_from_u64(seed), 1);
-                let two = FrtTree::build_on(g, lengths, &mut StdRng::seed_from_u64(seed), 2);
+                let one = ClusterTree::frt_on(g, lengths, &mut StdRng::seed_from_u64(seed), 1);
+                let two = ClusterTree::frt_on(g, lengths, &mut StdRng::seed_from_u64(seed), 2);
                 assert_same_tree(&one, &two);
             }
         }
@@ -1064,7 +1052,7 @@ pub(crate) mod tests {
     fn one_pass_route_matches_level_by_level_joins() {
         for (g, lengths) in reference_instances() {
             for seed in 0..2 {
-                let tree = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
+                let tree = ClusterTree::frt(&g, &lengths, &mut StdRng::seed_from_u64(seed));
                 check_routes(&g, &tree);
             }
         }
@@ -1074,7 +1062,7 @@ pub(crate) mod tests {
     fn ranges_cuts_and_loads_match_references() {
         for (g, lengths) in reference_instances() {
             for seed in 0..2 {
-                let tree = FrtTree::build(&g, &lengths, &mut StdRng::seed_from_u64(seed));
+                let tree = ClusterTree::frt(&g, &lengths, &mut StdRng::seed_from_u64(seed));
                 check_ranges(&g, &tree);
                 check_cuts_and_loads(&g, &tree);
             }
@@ -1087,14 +1075,14 @@ pub(crate) mod tests {
         let mut g = Graph::new(4);
         g.add_unit_edge(NodeId(0), NodeId(1));
         g.add_unit_edge(NodeId(2), NodeId(3));
-        FrtTree::build(&g, &g.unit_lengths(), &mut StdRng::seed_from_u64(0));
+        ClusterTree::frt(&g, &g.unit_lengths(), &mut StdRng::seed_from_u64(0));
     }
 
     #[test]
     fn tree_structure_on_grid() {
         let g = gen::grid(4, 4);
         let mut rng = StdRng::seed_from_u64(3);
-        let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         check_ranges(&g, &tree);
     }
 
@@ -1102,7 +1090,7 @@ pub(crate) mod tests {
     fn tree_structure_on_hypercube() {
         let g = gen::hypercube(4);
         let mut rng = StdRng::seed_from_u64(5);
-        let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         check_ranges(&g, &tree);
     }
 
@@ -1110,7 +1098,7 @@ pub(crate) mod tests {
     fn routes_are_valid_paths() {
         let g = gen::grid(3, 5);
         let mut rng = StdRng::seed_from_u64(7);
-        let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         for s in g.nodes() {
             for t in g.nodes() {
                 let p = tree.route(s, t);
@@ -1125,7 +1113,7 @@ pub(crate) mod tests {
     fn single_vertex_tree() {
         let g = Graph::new(1);
         let mut rng = StdRng::seed_from_u64(0);
-        let tree = FrtTree::build(&g, &[], &mut rng);
+        let tree = ClusterTree::frt(&g, &[], &mut rng);
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.route(NodeId(0), NodeId(0)).hops(), 0);
     }
@@ -1134,7 +1122,7 @@ pub(crate) mod tests {
     fn relative_loads_nonnegative_and_finite() {
         let g = gen::cycle_graph(8);
         let mut rng = StdRng::seed_from_u64(2);
-        let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng);
+        let tree = ClusterTree::frt(&g, &g.unit_lengths(), &mut rng);
         for &l in &tree.relative_loads(&g) {
             assert!(l >= 0.0 && l.is_finite());
         }
@@ -1148,8 +1136,8 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut total_ratio = 0.0;
         let mut count = 0.0;
-        let trees: Vec<FrtTree> = (0..4)
-            .map(|_| FrtTree::build(&g, &g.unit_lengths(), &mut rng))
+        let trees: Vec<ClusterTree> = (0..4)
+            .map(|_| ClusterTree::frt(&g, &g.unit_lengths(), &mut rng))
             .collect();
         for s in g.nodes() {
             for t in g.nodes() {

@@ -6,33 +6,16 @@
 //! cuts*: each cluster is split along a sweep cut of its local Fiedler
 //! (second-eigenvector) embedding, the classic spectral-partitioning
 //! heuristic behind practical Räcke implementations. A single hierarchy
-//! routes deterministically; an ensemble mixes hierarchies built under
-//! multiplicatively re-weighted edges (congestion feedback), exactly like
-//! [`crate::raecke::RaeckeRouting`] does with FRT trees.
+//! routes deterministically; [`crate::raecke::RaeckeRouting::spectral`]
+//! mixes hierarchies built under multiplicatively re-weighted edges
+//! (congestion feedback), exactly like the FRT mixture.
 //!
 //! Experiment E12 compares the two substrates head to head.
 
 use crate::frt::{up_path_workers, ClusterTree};
-use crate::routing::{ObliviousRouting, PathDist};
-use parking_lot::Mutex;
 use rand::Rng;
-use sor_graph::{DijkstraSearch, Graph, NodeId, Path};
+use sor_graph::{DijkstraSearch, Graph, NodeId};
 use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::Arc;
-
-/// A rooted laminar decomposition built by recursive spectral bisection,
-/// stored like an FRT tree; every [`ClusterTree`] accessor applies.
-#[derive(Clone, Debug)]
-pub struct SpectralHierarchy(ClusterTree);
-
-impl Deref for SpectralHierarchy {
-    type Target = ClusterTree;
-
-    fn deref(&self) -> &ClusterTree {
-        &self.0
-    }
-}
 
 /// Local Fiedler-style embedding of an induced subgraph: a few power
 /// iterations of the lazy walk restricted to `verts` under edge weights
@@ -147,12 +130,12 @@ fn sweep_cut(g: &Graph, verts: &[NodeId], emb: &[f64], w: &[f64]) -> (Vec<NodeId
     (left, right)
 }
 
-impl SpectralHierarchy {
-    /// Build one hierarchy under per-edge weights `w` (capacities ×
-    /// congestion feedback). Physical up-paths are shortest paths under
-    /// `1/w` (prefer heavy edges); cut capacities are under the true
-    /// capacities.
-    pub fn build<R: Rng + ?Sized>(g: &Graph, w: &[f64], rng: &mut R) -> Self {
+impl ClusterTree {
+    /// Build one rooted laminar decomposition by recursive spectral
+    /// bisection under per-edge weights `w` (capacities × congestion
+    /// feedback). Physical up-paths are shortest paths under `1/w` (prefer
+    /// heavy edges); cut capacities are under the true capacities.
+    pub fn spectral<R: Rng + ?Sized>(g: &Graph, w: &[f64], rng: &mut R) -> Self {
         assert_eq!(w.len(), g.num_edges());
         assert!(w.iter().all(|&x| x > 0.0 && x.is_finite()));
         let _span = sor_obs::span("hierarchy/spectral");
@@ -199,90 +182,7 @@ impl SpectralHierarchy {
             }
         }
         let workers = up_path_workers(n);
-        SpectralHierarchy(tree.finish(g, &lengths, workers, &mut DijkstraSearch::with_nodes(n)))
-    }
-}
-
-/// A congestion-feedback ensemble of spectral hierarchies — the spectral
-/// counterpart of [`crate::raecke::RaeckeRouting`].
-pub struct HierRouting {
-    g: Graph,
-    hierarchies: Vec<SpectralHierarchy>,
-    cache: Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>,
-}
-
-impl HierRouting {
-    /// Build `count` hierarchies with multiplicative congestion feedback.
-    pub fn build<R: Rng + ?Sized>(g: Graph, count: usize, rng: &mut R) -> Self {
-        assert!(count >= 1);
-        let m = g.num_edges();
-        let eta = (1.0 + m as f64).ln();
-        let mut load = vec![0.0f64; m];
-        let mut hierarchies = Vec::with_capacity(count);
-        for _ in 0..count {
-            let max_load = load.iter().copied().fold(0.0, f64::max).max(1.0);
-            // heavier weight = more attractive; penalized edges lose weight
-            let w: Vec<f64> = load
-                .iter()
-                .zip(g.edges())
-                .map(|(&l, e)| e.cap * (-eta * l / max_load).exp())
-                .collect();
-            let h = SpectralHierarchy::build(&g, &w, rng);
-            let rload = h.relative_loads(&g);
-            let rmax = rload.iter().copied().fold(0.0, f64::max).max(1e-300);
-            for (acc, r) in load.iter_mut().zip(&rload) {
-                *acc += r / rmax;
-            }
-            hierarchies.push(h);
-        }
-        HierRouting {
-            g,
-            hierarchies,
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Number of hierarchies in the mixture.
-    pub fn len(&self) -> usize {
-        self.hierarchies.len()
-    }
-
-    /// Mixtures are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
-impl ObliviousRouting for HierRouting {
-    fn graph(&self) -> &Graph {
-        &self.g
-    }
-
-    fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
-        assert!(s != t);
-        if let Some(d) = self.cache.lock().get(&(s, t)) {
-            return Arc::clone(d);
-        }
-        let w = 1.0 / self.hierarchies.len() as f64;
-        let mut merged: HashMap<Path, f64> = HashMap::new();
-        for h in &self.hierarchies {
-            *merged.entry(h.route(s, t)).or_insert(0.0) += w;
-        }
-        // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
-        let mut dist: PathDist = merged.into_iter().collect();
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        let dist = Arc::new(dist);
-        self.cache.lock().insert((s, t), Arc::clone(&dist));
-        dist
-    }
-
-    fn name(&self) -> &'static str {
-        "spectral-hier"
+        tree.finish(g, &lengths, workers, &mut DijkstraSearch::with_nodes(n))
     }
 }
 
@@ -292,7 +192,8 @@ mod tests {
     use crate::frt::tests::{
         check_cuts_and_loads, check_ranges, check_routes, reference_instances,
     };
-    use crate::routing::oblivious_congestion;
+    use crate::raecke::RaeckeRouting;
+    use crate::routing::{oblivious_congestion, ObliviousRouting};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sor_flow::demand::random_permutation;
@@ -304,7 +205,7 @@ mod tests {
         let g = gen::grid(4, 4);
         let mut rng = StdRng::seed_from_u64(1);
         let w: Vec<f64> = g.edges().iter().map(|e| e.cap).collect();
-        let h = SpectralHierarchy::build(&g, &w, &mut rng);
+        let h = ClusterTree::spectral(&g, &w, &mut rng);
         check_ranges(&g, &h);
     }
 
@@ -313,7 +214,7 @@ mod tests {
         let g = gen::abilene();
         let mut rng = StdRng::seed_from_u64(2);
         let w: Vec<f64> = g.edges().iter().map(|e| e.cap).collect();
-        let h = SpectralHierarchy::build(&g, &w, &mut rng);
+        let h = ClusterTree::spectral(&g, &w, &mut rng);
         for s in g.nodes() {
             for t in g.nodes() {
                 let p = h.route(s, t);
@@ -330,7 +231,7 @@ mod tests {
     #[test]
     fn one_pass_route_matches_level_by_level_joins() {
         for (seed, (g, w)) in reference_instances().into_iter().enumerate() {
-            let h = SpectralHierarchy::build(&g, &w, &mut StdRng::seed_from_u64(seed as u64));
+            let h = ClusterTree::spectral(&g, &w, &mut StdRng::seed_from_u64(seed as u64));
             check_routes(&g, &h);
             check_ranges(&g, &h);
             check_cuts_and_loads(&g, &h);
@@ -344,7 +245,7 @@ mod tests {
         let g = gen::dumbbell(6, 1);
         let mut rng = StdRng::seed_from_u64(3);
         let w: Vec<f64> = g.edges().iter().map(|e| e.cap).collect();
-        let h = SpectralHierarchy::build(&g, &w, &mut rng);
+        let h = ClusterTree::spectral(&g, &w, &mut rng);
         // root's two children: one should be (mostly) clique A
         assert_eq!(h.children(0).len(), 2);
         let first = h.children(0).start;
@@ -360,7 +261,7 @@ mod tests {
     fn ensemble_is_valid_and_moderately_competitive() {
         let g = gen::grid(4, 4);
         let mut rng = StdRng::seed_from_u64(4);
-        let r = HierRouting::build(g.clone(), 8, &mut rng);
+        let r = RaeckeRouting::spectral(g.clone(), 8, &mut rng);
         let dist = r.path_distribution(NodeId(0), NodeId(15));
         let total: f64 = dist.iter().map(|(_, w)| w).sum();
         assert!((total - 1.0).abs() < 1e-9);

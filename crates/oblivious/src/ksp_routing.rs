@@ -5,10 +5,8 @@
 //! It has no worst-case guarantee (all k paths can share a bottleneck) and
 //! experiment E10 shows where it loses to Räcke sampling.
 
-use crate::routing::{ObliviousRouting, PathDist};
-use parking_lot::Mutex;
+use crate::routing::{DistMemo, ObliviousRouting, PathDist};
 use sor_graph::{yen_ksp, Graph, NodeId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Uniform distribution over the `k` shortest `s`-`t` paths under a fixed
@@ -18,7 +16,7 @@ pub struct KspRouting {
     g: Graph,
     k: usize,
     lengths: Vec<f64>,
-    cache: Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>,
+    memo: DistMemo,
 }
 
 impl KspRouting {
@@ -43,7 +41,7 @@ impl KspRouting {
             g,
             k,
             lengths,
-            cache: Mutex::new(HashMap::new()),
+            memo: DistMemo::default(),
         }
     }
 
@@ -60,19 +58,12 @@ impl ObliviousRouting for KspRouting {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
-        if let Some(d) = self.cache.lock().get(&(s, t)) {
-            return Arc::clone(d);
-        }
-        let paths = yen_ksp(&self.g, s, t, self.k, &self.lengths);
-        assert!(!paths.is_empty(), "pair {s}→{t} disconnected");
-        let w = 1.0 / paths.len() as f64;
-        let dist = Arc::new(paths.into_iter().map(|p| (p, w)).collect::<PathDist>());
-        self.cache.lock().insert((s, t), Arc::clone(&dist));
-        dist
-    }
-
-    fn name(&self) -> &'static str {
-        "ksp"
+        self.memo.get_or_insert_with(s, t, || {
+            let paths = yen_ksp(&self.g, s, t, self.k, &self.lengths);
+            assert!(!paths.is_empty(), "pair {s}→{t} disconnected");
+            let w = 1.0 / paths.len() as f64;
+            paths.into_iter().map(|p| (p, w)).collect()
+        })
     }
 }
 

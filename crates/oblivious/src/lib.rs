@@ -18,12 +18,20 @@
 //!   sampling distribution,
 //! * [`ElectricalRouting`] — electrical flows via a from-scratch
 //!   Laplacian CG solver (extension),
-//! * [`frt`] — FRT random hierarchically-separated tree embeddings,
-//! * [`hierarchy`] — spectral recursive-bisection decomposition routing,
-//!   an independent second Räcke-style substrate (ablated in E12),
-//! * [`RaeckeRouting`] — Räcke-style multiplicative-weights mixture of FRT
-//!   trees, the `O(log n)`-competitive general-graph routing \[Räc08\]
-//!   (quality measured empirically by experiment E12).
+//! * [`RaeckeRouting`] — Räcke-style multiplicative-weights mixture of
+//!   congestion trees, the `O(log n)`-competitive general-graph routing
+//!   \[Räc08\] (quality measured empirically by experiment E12). Its
+//!   trees are [`ClusterTree`]s: FRT random hierarchically-separated tree
+//!   embeddings ([`ClusterTree::frt`], [`frt`]), or spectral
+//!   recursive-bisection hierarchies ([`ClusterTree::spectral`],
+//!   [`hierarchy`]), an independent second substrate ablated in E12 via
+//!   [`RaeckeRouting::spectral`].
+//!
+//! Every mixture merges its draws with [`routing::merge_draws`]: equal
+//! paths' weights summed in draw order, the support ordered by vertex
+//! sequence, then edge sequence, so a seeded build gives one distribution
+//! on multigraphs too. Routings whose distribution is costly memoize it
+//! per pair in a [`routing::DistMemo`].
 //!
 //! # Example
 //!
@@ -56,8 +64,7 @@ pub mod routing;
 pub mod valiant;
 
 pub use electrical::ElectricalRouting;
-pub use frt::{ClusterTree, FrtTree};
-pub use hierarchy::{HierRouting, SpectralHierarchy};
+pub use frt::ClusterTree;
 pub use ksp_routing::KspRouting;
 pub use raecke::RaeckeRouting;
 pub use random_walk::RandomWalkRouting;

@@ -1,15 +1,16 @@
-//! Räcke-style oblivious routing: a multiplicative-weights mixture of FRT
+//! Räcke-style oblivious routing: a multiplicative-weights mixture of
 //! congestion trees.
 //!
 //! \[Räc08\] shows that O(log n) random decomposition trees, built
 //! iteratively with edge lengths that exponentially penalize the load the
 //! previous trees placed on each edge, yield an O(log n)-competitive
-//! oblivious routing. We implement that loop directly on top of
-//! [`FrtTree`]:
+//! oblivious routing. [`feedback_trees`] runs that loop on any tree
+//! builder:
 //!
 //! 1. start with zero accumulated load,
-//! 2. build a tree under lengths `ℓ_e ∝ exp(η · load_e / max_load) / cap_e`
-//!    with `η = ln(1 + m)`,
+//! 2. build a tree under the caller's map of the load: for
+//!    [`RaeckeRouting::build`], FRT lengths
+//!    `ℓ_e = exp(η · load_e / max_load) / cap_e` with `η = ln(1 + m)`,
 //! 3. add the tree's normalized
 //!    [`relative_loads`](crate::frt::ClusterTree::relative_loads) to the
 //!    accumulator, and repeat;
@@ -21,58 +22,89 @@
 //! on every experiment topology, which is what the downstream sampling
 //! theorems actually consume.
 
-use crate::frt::FrtTree;
-use crate::routing::{index_or_push, ObliviousRouting, PathDist};
-use parking_lot::Mutex;
+use crate::frt::ClusterTree;
+use crate::routing::{index_or_push, merge_draws, DistMemo, ObliviousRouting, PathDist};
 use rand::Rng;
 use sor_graph::{Graph, NodeId, Path};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A mixture of FRT congestion trees with uniform weights.
+/// Räcke's congestion-feedback loop: build `count` trees, the next one
+/// by `next(load, max_load)` from the load the earlier trees placed on
+/// each edge (each tree's relative loads divided by their max) and its
+/// maximum (at least 1).
+pub fn feedback_trees(
+    g: &Graph,
+    count: usize,
+    mut next: impl FnMut(&[f64], f64) -> ClusterTree,
+) -> Vec<ClusterTree> {
+    let mut load = vec![0.0f64; g.num_edges()];
+    let mut trees = Vec::with_capacity(count);
+    for _ in 0..count {
+        let max_load = load.iter().copied().fold(0.0, f64::max).max(1.0);
+        let tree = next(&load, max_load);
+        let rload = tree.relative_loads(g);
+        let rmax = rload.iter().copied().fold(0.0, f64::max).max(1e-300);
+        for (acc, r) in load.iter_mut().zip(&rload) {
+            *acc += r / rmax;
+        }
+        trees.push(tree);
+    }
+    trees
+}
+
+/// A mixture of congestion trees with uniform weights.
 pub struct RaeckeRouting {
     g: Graph,
-    trees: Vec<FrtTree>,
-    cache: Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>,
+    trees: Vec<ClusterTree>,
+    memo: DistMemo,
 }
 
 impl RaeckeRouting {
-    /// Build with `num_trees` trees (≥ `log₂ n` recommended; experiments
-    /// use 8–32) and the MWU rate `η = ln(1 + m)`.
+    /// Build with `num_trees` FRT trees (≥ `log₂ n` recommended;
+    /// experiments use 8–32) and the MWU rate `η = ln(1 + m)`.
     pub fn build<R: Rng + ?Sized>(g: Graph, num_trees: usize, rng: &mut R) -> Self {
         assert!(num_trees >= 1);
         let _span = sor_obs::span("hierarchy/build");
-        let m = g.num_edges();
-        let eta = (1.0 + m as f64).ln();
-        let mut load = vec![0.0f64; m];
-        let mut lengths = vec![0.0f64; m];
-        let mut trees = Vec::with_capacity(num_trees);
-        for _ in 0..num_trees {
-            let max_load = load.iter().copied().fold(0.0, f64::max).max(1e-300);
-            for ((len, &l), e) in lengths.iter_mut().zip(&load).zip(g.edges()) {
-                *len = (eta * l / max_load.max(1.0)).exp() / e.cap;
+        let eta = (1.0 + g.num_edges() as f64).ln();
+        let mut lengths = vec![0.0f64; g.num_edges()];
+        let trees = feedback_trees(&g, num_trees, |load, max_load| {
+            for ((len, &l), e) in lengths.iter_mut().zip(load).zip(g.edges()) {
+                *len = (eta * l / max_load).exp() / e.cap;
             }
-            let tree = {
-                let _tree_span = sor_obs::span("frt/tree");
-                sor_obs::counter_add!("oblivious/frt/trees");
-                FrtTree::build(&g, &lengths, rng)
-            };
-            let rload = tree.relative_loads(&g);
-            let rmax = rload.iter().copied().fold(0.0, f64::max).max(1e-300);
-            for (acc, r) in load.iter_mut().zip(&rload) {
-                *acc += r / rmax;
-            }
-            trees.push(tree);
-        }
+            let _tree_span = sor_obs::span("frt/tree");
+            sor_obs::counter_add!("oblivious/frt/trees");
+            ClusterTree::frt(&g, &lengths, rng)
+        });
+        Self::mixture(g, trees)
+    }
+
+    /// Build with `count` spectral hierarchies: edge weights
+    /// `cap_e · exp(−η · load_e / max_load)`, so penalized edges lose
+    /// weight.
+    pub fn spectral<R: Rng + ?Sized>(g: Graph, count: usize, rng: &mut R) -> Self {
+        assert!(count >= 1);
+        let eta = (1.0 + g.num_edges() as f64).ln();
+        let trees = feedback_trees(&g, count, |load, max_load| {
+            let w: Vec<f64> = load
+                .iter()
+                .zip(g.edges())
+                .map(|(&l, e)| e.cap * (-eta * l / max_load).exp())
+                .collect();
+            ClusterTree::spectral(&g, &w, rng)
+        });
+        Self::mixture(g, trees)
+    }
+
+    fn mixture(g: Graph, trees: Vec<ClusterTree>) -> Self {
         RaeckeRouting {
             g,
             trees,
-            cache: Mutex::new(HashMap::new()),
+            memo: DistMemo::default(),
         }
     }
 
     /// The trees in the mixture.
-    pub fn trees(&self) -> &[FrtTree] {
+    pub fn trees(&self) -> &[ClusterTree] {
         &self.trees
     }
 
@@ -89,25 +121,10 @@ impl ObliviousRouting for RaeckeRouting {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
-        if let Some(d) = self.cache.lock().get(&(s, t)) {
-            return Arc::clone(d);
-        }
-        let w = 1.0 / self.trees.len() as f64;
-        let mut merged: HashMap<Path, f64> = HashMap::new();
-        for tree in &self.trees {
-            *merged.entry(tree.route(s, t)).or_insert(0.0) += w;
-        }
-        // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
-        let mut dist: PathDist = merged.into_iter().collect();
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        let dist = Arc::new(dist);
-        self.cache.lock().insert((s, t), Arc::clone(&dist));
-        dist
+        self.memo.get_or_insert_with(s, t, || {
+            let w = 1.0 / self.trees.len() as f64;
+            merge_draws(self.trees.iter().map(|tree| tree.route(s, t)), w)
+        })
     }
 
     fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
@@ -147,10 +164,6 @@ impl ObliviousRouting for RaeckeRouting {
             draws.push(j);
         }
         (distinct, draws)
-    }
-
-    fn name(&self) -> &'static str {
-        "raecke"
     }
 }
 

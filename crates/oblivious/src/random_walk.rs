@@ -5,8 +5,9 @@
 //! walks are the "maximally diverse but quality-blind" end of that
 //! spectrum.
 
-use crate::routing::{sample_from_dist, ObliviousRouting, PathDist};
-use rand::Rng;
+use crate::routing::{merge_draws, DistMemo, ObliviousRouting, PathDist};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sor_graph::{Graph, LoopErasedWalk, NodeId, Path};
 use std::sync::Arc;
 
@@ -14,13 +15,15 @@ use std::sync::Arc;
 /// until it hits `t`, then erase loops". The distribution has exponential
 /// support; [`ObliviousRouting::path_distribution`] returns a Monte-Carlo
 /// approximation with `support_samples` draws from a construction-seeded
-/// deterministic stream, so repeated calls agree.
+/// deterministic stream, so repeated calls agree, and memoizes it.
+/// Sampling draws from that fixed distribution, not a fresh walk.
 pub struct RandomWalkRouting {
     g: Graph,
     /// Number of Monte-Carlo samples used to approximate the distribution.
     support_samples: usize,
     /// Seed for the deterministic per-pair sample streams.
     seed: u64,
+    memo: DistMemo,
 }
 
 impl RandomWalkRouting {
@@ -31,6 +34,7 @@ impl RandomWalkRouting {
             g,
             support_samples,
             seed,
+            memo: DistMemo::default(),
         }
     }
 
@@ -68,49 +72,24 @@ impl ObliviousRouting for RandomWalkRouting {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
-        use rand::SeedableRng;
-        // Per-pair deterministic stream so the "distribution" is a fixed
-        // object, as obliviousness requires.
-        let pair_seed = self
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(((s.0 as u64) << 32) | t.0 as u64);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(pair_seed);
-        let mut merged: std::collections::HashMap<Path, f64> = std::collections::HashMap::new();
-        let w = 1.0 / self.support_samples as f64;
-        let mut walk = LoopErasedWalk::default();
-        for _ in 0..self.support_samples {
-            let p = self.walk(s, t, &mut rng, &mut walk);
-            *merged.entry(p).or_insert(0.0) += w;
-        }
-        // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
-        let mut dist: PathDist = merged.into_iter().collect();
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        Arc::new(dist)
-    }
-
-    fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
-        // Sample from the *fixed* approximate distribution, not a fresh
-        // walk, so sampling and the declared distribution agree.
-        let dist = self.path_distribution(s, t);
-        sample_from_dist(&dist, rng)
-    }
-
-    fn name(&self) -> &'static str {
-        "random-walk"
+        self.memo.get_or_insert_with(s, t, || {
+            // Per-pair deterministic stream so the "distribution" is a
+            // fixed object, as obliviousness requires.
+            let pair_seed = self
+                .seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(((s.0 as u64) << 32) | t.0 as u64);
+            let mut rng = StdRng::seed_from_u64(pair_seed);
+            let mut walk = LoopErasedWalk::default();
+            let walks = (0..self.support_samples).map(|_| self.walk(s, t, &mut rng, &mut walk));
+            merge_draws(walks, 1.0 / self.support_samples as f64)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use sor_graph::gen;
 
     #[test]

@@ -1,8 +1,11 @@
-//! The oblivious-routing trait and shared evaluation helpers.
+//! The oblivious-routing trait, the draw merger and per-pair memo its
+//! implementations share, and shared evaluation helpers.
 
+use parking_lot::Mutex;
 use rand::Rng;
 use sor_flow::{Demand, EdgeLoads};
 use sor_graph::{Graph, NodeId, Path};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A finite distribution over simple `s`-`t` paths; weights are positive
@@ -23,13 +26,17 @@ pub trait ObliviousRouting {
     ///
     /// Shared (`Arc`) so memoizing implementations hand out the cached
     /// distribution for the price of a reference-count bump instead of a
-    /// deep per-query copy — the serving epoch loop and the MWU solver
-    /// call this once per demand pair per iteration.
+    /// deep per-query copy. Whole-distribution readers call it: the
+    /// oblivious congestion ([`fractional_loads`]) of the E-tables,
+    /// `sor-core`'s evaluation and `sor-te`'s schemes, `sor-te`'s KSP
+    /// scheme and failure replay, and the default
+    /// [`ObliviousRouting::sample_path`]. `sor-serve` samples the Räcke
+    /// mixture, whose sampling overrides never call it.
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist>;
 
     /// Sample one path from the `(s, t)` distribution. The default draws
     /// from [`ObliviousRouting::path_distribution`]; schemes with cheaper
-    /// native samplers (Valiant, random walks) override it.
+    /// native samplers (Valiant, the Räcke mixture) override it.
     fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path
     where
         Self: Sized,
@@ -66,10 +73,36 @@ pub trait ObliviousRouting {
         }
         (distinct, draws)
     }
+}
 
-    /// A short human-readable name for tables.
-    fn name(&self) -> &'static str {
-        "oblivious"
+/// Merge equally weighted draws into a [`PathDist`]: each path gets `w`
+/// per draw, summed in draw order, and the result is ordered by vertex
+/// sequence, then edge sequence (`Path`'s `Ord`), so parallel edges never
+/// leave the order to chance.
+pub fn merge_draws(paths: impl IntoIterator<Item = Path>, w: f64) -> PathDist {
+    let mut merged: BTreeMap<Path, f64> = BTreeMap::new();
+    for p in paths {
+        *merged.entry(p).or_insert(0.0) += w;
+    }
+    merged.into_iter().collect()
+}
+
+/// A per-pair memo of path distributions, for routings whose
+/// distribution is a pure function of the pair and costly to build.
+#[derive(Default)]
+pub struct DistMemo(Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>);
+
+impl DistMemo {
+    /// The memoized distribution of `(s, t)`, built by `build` on the
+    /// pair's first call.
+    pub fn get_or_insert_with(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        build: impl FnOnce() -> PathDist,
+    ) -> Arc<PathDist> {
+        let mut memo = self.0.lock();
+        Arc::clone(memo.entry((s, t)).or_insert_with(|| Arc::new(build())))
     }
 }
 
@@ -130,7 +163,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sor_graph::{gen, yen_ksp};
+    use sor_graph::{gen, yen_ksp, EdgeId};
 
     /// A fixed 50/50 two-path routing used to test the helpers.
     struct TwoPath {
@@ -160,6 +193,41 @@ mod tests {
             assert!((loads.load(e) - 0.5).abs() < 1e-12);
         }
         assert!((oblivious_congestion(&r, &d) - 0.5).abs() < 1e-12);
+    }
+
+    /// Draws merge into one entry per path, weights summed, ordered by
+    /// vertex sequence and then by edge sequence on parallel edges.
+    #[test]
+    fn merge_draws_orders_by_vertices_then_edges() {
+        let mut g = Graph::new(3);
+        let a = g.add_edge(NodeId(0), NodeId(1), 1.0);
+        let b = g.add_edge(NodeId(0), NodeId(1), 1.0);
+        let c = g.add_edge(NodeId(1), NodeId(2), 1.0);
+        let d = g.add_edge(NodeId(0), NodeId(2), 1.0);
+        let path = |edges: Vec<EdgeId>| Path::from_edges(&g, NodeId(0), edges).unwrap();
+        let draws = [vec![b, c], vec![d], vec![a, c], vec![b, c]];
+        let dist = merge_draws(draws.into_iter().map(path), 0.25);
+        let got: Vec<(Vec<EdgeId>, f64)> =
+            dist.iter().map(|(p, w)| (p.edges().to_vec(), *w)).collect();
+        assert_eq!(
+            got,
+            [(vec![a, c], 0.25), (vec![b, c], 0.5), (vec![d], 0.25)]
+        );
+    }
+
+    #[test]
+    fn memo_builds_each_pair_once() {
+        let memo = DistMemo::default();
+        let builds = std::cell::Cell::new(0);
+        let build = || {
+            builds.set(builds.get() + 1);
+            vec![(Path::trivial(NodeId(0)), 1.0)]
+        };
+        let first = memo.get_or_insert_with(NodeId(0), NodeId(1), build);
+        let again = memo.get_or_insert_with(NodeId(0), NodeId(1), build);
+        assert!(Arc::ptr_eq(&first, &again));
+        memo.get_or_insert_with(NodeId(1), NodeId(0), build);
+        assert_eq!(builds.get(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   bit-reversal forces `Ω(√N / d)` congestion \[KKT91\], which experiment
 //!   E3 reproduces.
 
-use crate::routing::{ObliviousRouting, PathDist};
+use crate::routing::{merge_draws, ObliviousRouting, PathDist};
 use rand::Rng;
 use sor_graph::{gen::hypercube::dim_of, Graph, LoopErasedWalk, NodeId, Path};
 use std::sync::Arc;
@@ -82,33 +82,15 @@ impl ObliviousRouting for ValiantHypercube {
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
         let n = NodeId::from_usize(self.g.num_nodes()).0;
-        let w_each = 1.0 / n as f64;
-        let mut merged: std::collections::HashMap<Path, f64> = std::collections::HashMap::new();
         let mut walk = LoopErasedWalk::default();
-        for w in 0..n {
-            let p = valiant_path(&self.g, self.d, s.0, w, t.0, &mut walk);
-            *merged.entry(p).or_insert(0.0) += w_each;
-        }
-        // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
-        let mut dist: PathDist = merged.into_iter().collect();
-        // Deterministic order for reproducibility.
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        Arc::new(dist)
+        let paths = (0..n).map(|w| valiant_path(&self.g, self.d, s.0, w, t.0, &mut walk));
+        Arc::new(merge_draws(paths, 1.0 / n as f64))
     }
 
     fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
         assert!(s != t);
         let w = rng.gen_range(0..NodeId::from_usize(self.g.num_nodes()).0);
         valiant_path(&self.g, self.d, s.0, w, t.0, &mut LoopErasedWalk::default())
-    }
-
-    fn name(&self) -> &'static str {
-        "valiant"
     }
 }
 
@@ -140,10 +122,6 @@ impl ObliviousRouting for GreedyBitFix {
             // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
             .expect("bitfix walks are simple");
         Arc::new(vec![(p, 1.0)])
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy-bitfix"
     }
 }
 

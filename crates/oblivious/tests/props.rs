@@ -15,25 +15,29 @@ fn arb_graph(n: usize, seed: u64) -> Graph {
     gen::erdos_renyi_connected(n, p, &mut rng)
 }
 
-fn check_routing<O: ObliviousRouting>(r: &O, s: NodeId, t: NodeId) -> Result<(), TestCaseError> {
+fn check_routing<O: ObliviousRouting>(
+    label: &str,
+    r: &O,
+    s: NodeId,
+    t: NodeId,
+) -> Result<(), TestCaseError> {
     let dist = r.path_distribution(s, t);
-    prop_assert!(!dist.is_empty(), "{}: empty distribution", r.name());
+    prop_assert!(!dist.is_empty(), "{label}: empty distribution");
     let total: f64 = dist.iter().map(|(_, w)| w).sum();
     prop_assert!(
         (total - 1.0).abs() < 1e-6,
-        "{}: weights sum to {total}",
-        r.name()
+        "{label}: weights sum to {total}"
     );
     for (p, w) in dist.iter() {
         prop_assert!(*w > 0.0);
-        prop_assert!(p.validate(r.graph()), "{}: invalid path", r.name());
+        prop_assert!(p.validate(r.graph()), "{label}: invalid path");
         prop_assert_eq!(p.source(), s);
         prop_assert_eq!(p.target(), t);
     }
     // distinct support paths
     for (i, (p, _)) in dist.iter().enumerate() {
         for (q, _) in dist.iter().skip(i + 1) {
-            prop_assert!(p != q, "{}: duplicate path in support", r.name());
+            prop_assert!(p != q, "{label}: duplicate path in support");
         }
     }
     // sampling stays in support
@@ -42,8 +46,7 @@ fn check_routing<O: ObliviousRouting>(r: &O, s: NodeId, t: NodeId) -> Result<(),
         let p = r.sample_path(s, t, &mut rng);
         prop_assert!(
             dist.iter().any(|(q, _)| *q == p),
-            "{}: sampled path outside declared support",
-            r.name()
+            "{label}: sampled path outside declared support"
         );
     }
     Ok(())
@@ -56,7 +59,7 @@ proptest! {
     fn ksp_routing_valid(seed in 0u64..200, n in 5usize..12, k in 1usize..5) {
         let g = arb_graph(n, seed);
         let r = KspRouting::new(g, k);
-        check_routing(&r, NodeId(0), NodeId::from_usize(n - 1))?;
+        check_routing("ksp", &r, NodeId(0), NodeId::from_usize(n - 1))?;
     }
 
     #[test]
@@ -64,22 +67,22 @@ proptest! {
         let g = arb_graph(n, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1);
         let r = RaeckeRouting::build(g, trees, &mut rng);
-        check_routing(&r, NodeId(0), NodeId::from_usize(n - 1))?;
-        check_routing(&r, NodeId(1), NodeId(2))?;
+        check_routing("raecke", &r, NodeId(0), NodeId::from_usize(n - 1))?;
+        check_routing("raecke", &r, NodeId(1), NodeId(2))?;
     }
 
     #[test]
     fn electrical_routing_valid(seed in 0u64..150, n in 5usize..11) {
         let g = arb_graph(n, seed);
         let r = ElectricalRouting::new(g);
-        check_routing(&r, NodeId(0), NodeId::from_usize(n - 1))?;
+        check_routing("electrical", &r, NodeId(0), NodeId::from_usize(n - 1))?;
     }
 
     #[test]
     fn random_walk_routing_valid(seed in 0u64..150, n in 5usize..10) {
         let g = arb_graph(n, seed);
         let r = RandomWalkRouting::new(g, 8, seed);
-        check_routing(&r, NodeId(0), NodeId::from_usize(n - 1))?;
+        check_routing("random-walk", &r, NodeId(0), NodeId::from_usize(n - 1))?;
     }
 }
 
