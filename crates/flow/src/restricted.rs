@@ -15,7 +15,7 @@
 //! scale, and [`crate::validate::check_restricted`] checks that unscaled
 //! solution against the caller's own entries.
 
-use crate::concurrent::{route_whole, unit_scale, Lengths, COARSE_EPS};
+use crate::concurrent::{route_whole, unit_scale, FlowError, Lengths, COARSE_EPS};
 use crate::loads::EdgeLoads;
 use sor_graph::{EdgeId, Graph, NodeId, Path};
 
@@ -110,18 +110,40 @@ impl CandidateArena {
         self.edges(p).iter().map(|e| len[e.index()]).sum()
     }
 
-    /// The first cheapest candidate of active entry `k` under `len`
-    /// (`total_cmp` keeps this well-defined even for NaN lengths, and an
-    /// active entry has at least one candidate).
-    fn cheapest(&self, k: usize, len: &[f64]) -> usize {
-        let mut best = self.first[k];
-        let mut best_len = f64::INFINITY;
-        for p in self.candidates(k) {
-            let l = self.length(p, len);
-            if l.total_cmp(&best_len).is_lt() {
-                best = p;
-                best_len = l;
+    /// The first cheapest candidate of active entry `k` under `len` and
+    /// its length (`total_cmp` keeps this well-defined even for NaN
+    /// lengths, and an active entry has at least one candidate; when no
+    /// length sorts below +∞, the first candidate comes back with +∞).
+    ///
+    /// Candidates are summed four at a time, then a leftover pair, then a
+    /// last single one, so up to four independent add chains overlap
+    /// instead of one chain per candidate waiting on the last add. Each
+    /// length is bit-identical to [`CandidateArena::length`]: see
+    /// [`lengths_side_by_side`].
+    fn cheapest(&self, k: usize, len: &[f64]) -> (usize, f64) {
+        let (mut p, end) = (self.first[k], self.first[k + 1]);
+        let mut best = (p, f64::INFINITY);
+        let mut offer = |q: usize, l: f64| {
+            if l.total_cmp(&best.1).is_lt() {
+                best = (q, l);
             }
+        };
+        while end - p >= 4 {
+            let sums = lengths_side_by_side([p, p + 1, p + 2, p + 3].map(|q| self.edges(q)), len);
+            for (q, l) in (p..).zip(sums) {
+                offer(q, l);
+            }
+            p += 4;
+        }
+        if end - p >= 2 {
+            let sums = lengths_side_by_side([p, p + 1].map(|q| self.edges(q)), len);
+            for (q, l) in (p..).zip(sums) {
+                offer(q, l);
+            }
+            p += 2;
+        }
+        if p < end {
+            offer(p, self.length(p, len));
         }
         best
     }
@@ -144,7 +166,7 @@ impl CandidateArena {
     fn one_pass_congestion(&self, g: &Graph, len: &[f64]) -> Option<f64> {
         let mut loads = EdgeLoads::zeros(g.num_edges());
         for (k, &d) in self.demand.iter().enumerate() {
-            if !route_whole(g, &mut loads, self.edges(self.cheapest(k, len)), d) {
+            if !route_whole(g, &mut loads, self.edges(self.cheapest(k, len).0), d) {
                 return None;
             }
         }
@@ -169,7 +191,7 @@ impl CandidateArena {
                 let mut remaining = d * sigma;
                 while remaining > 1e-15 {
                     sor_obs::counter_add!("flow/restricted/oracle_scans");
-                    let best = self.cheapest(k, &lengths.len);
+                    let (best, _) = self.cheapest(k, &lengths.len);
                     let f = remaining.min(self.bottleneck[best]);
                     weights[best] += f;
                     lengths.route(g, self.edges(best), f);
@@ -181,19 +203,48 @@ impl CandidateArena {
     }
 }
 
+/// The lengths of `paths` under `len`: their common hop prefix summed in
+/// one loop with one accumulator per path, then each path's tail on its
+/// own. Every accumulator starts at −0.0, where `Iterator::sum` starts,
+/// and adds its path's edge lengths in path order, so each sum has the
+/// bits of [`CandidateArena::length`] while the `N` chains run side by
+/// side.
+fn lengths_side_by_side<const N: usize>(paths: [&[EdgeId]; N], len: &[f64]) -> [f64; N] {
+    let common = paths.iter().map(|p| p.len()).fold(usize::MAX, usize::min);
+    let heads = paths.map(|p| &p[..common]);
+    let mut sums = [-0.0; N];
+    for i in 0..common {
+        for (sum, head) in sums.iter_mut().zip(&heads) {
+            *sum += len[head[i].index()];
+        }
+    }
+    for (sum, path) in sums.iter_mut().zip(paths) {
+        for e in &path[common..] {
+            *sum += len[e.index()];
+        }
+    }
+    sums
+}
+
 /// Compute a `(1+O(ε))`-approximate min-congestion fractional routing of
 /// the given entries where entry `j` may only use `entries[j].paths`.
 /// Entries whose one-pass congestion is below 1 are solved scaled up to
 /// optimal congestion near 1, as [`crate::concurrent`] describes.
 ///
-/// Panics if an entry has positive demand but no candidate paths, or if a
-/// candidate path has the wrong endpoints (debug only).
+/// Panics if `eps` is not in (0, 1) (with the message
+/// [`FlowError::InvalidEpsilon`] prints), if an entry has positive demand
+/// but no candidate paths, or if a candidate path has the wrong endpoints
+/// (debug only).
 pub fn restricted_min_congestion(
     g: &Graph,
     entries: &[RestrictedEntry<'_>],
     eps: f64,
 ) -> RestrictedSolution {
-    assert!(eps > 0.0 && eps < 1.0);
+    assert!(
+        eps > 0.0 && eps < 1.0,
+        "{}",
+        FlowError::InvalidEpsilon { eps }
+    );
     let _span = sor_obs::span("mwu/restricted");
     let m = g.num_edges();
     let active: Vec<usize> = entries
@@ -254,11 +305,7 @@ pub fn restricted_min_congestion(
     // length under the final ℓ, over the caller's own demands.
     let mut alpha = 0.0;
     for (k, &d) in arena.demand.iter().enumerate() {
-        let dist = arena
-            .candidates(k)
-            .map(|p| arena.length(p, &lengths.len))
-            .fold(f64::INFINITY, f64::min);
-        alpha += d * dist;
+        alpha += d * arena.cheapest(k, &lengths.len).1;
     }
     let lower_bound = alpha / lengths.volume;
 
@@ -532,6 +579,170 @@ mod tests {
         }
     }
 
+    /// `unit`'s edges with capacities drawn from `rng` in [0.5, 2.5).
+    fn random_capacities(unit: &Graph, rng: &mut impl rand::Rng) -> Graph {
+        let mut g = Graph::new(unit.num_nodes());
+        for e in unit.edges() {
+            g.add_edge(e.u, e.v, rng.gen_range(0.5..2.5));
+        }
+        g
+    }
+
+    /// One length per edge of `g`, drawn from `rng` in [0.2, 1.0).
+    fn random_lengths(g: &Graph, rng: &mut impl rand::Rng) -> Vec<f64> {
+        (0..g.num_edges())
+            .map(|_| rng.gen_range(0.2..1.0))
+            .collect()
+    }
+
+    /// Whether some group of four candidates, as the scan takes them from
+    /// an entry's first candidate on, has paths of unequal hop counts.
+    fn has_ragged_group(lists: &[Vec<Path>]) -> bool {
+        lists.iter().any(|ps| {
+            ps.chunks_exact(4)
+                .any(|group| group.iter().any(|p| p.hops() != group[0].hops()))
+        })
+    }
+
+    #[test]
+    fn grouped_scan_matches_per_path_scan_on_every_group_shape() {
+        // Entries of 1 to 9 candidates take every mix of groups of four, a
+        // leftover pair and a last single candidate. The candidates are the
+        // k shortest under random lengths, so hop counts differ inside a
+        // group, and each list of two or more ends with a copy of its first
+        // candidate: in the same group, the pair or the single, or (from
+        // five candidates on) a later one. The copy ties the first
+        // candidate in every scan and must never take its flow.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(7);
+        let g = random_capacities(&gen::grid(6, 6), &mut rng);
+        let detour = random_lengths(&g, &mut rng);
+        let pairs = [
+            (0, 35),
+            (5, 30),
+            (1, 34),
+            (6, 29),
+            (2, 33),
+            (12, 23),
+            (3, 32),
+            (4, 31),
+            (7, 28),
+        ];
+        let lists: Vec<Vec<Path>> = (1..=9)
+            .zip(pairs)
+            .map(|(count, (s, t))| {
+                let mut ps = yen_ksp(&g, NodeId(s), NodeId(t), (count - 1).max(1), &detour);
+                if count > 1 {
+                    ps.push(ps[0].clone());
+                }
+                assert_eq!(ps.len(), count);
+                ps
+            })
+            .collect();
+        assert!(has_ragged_group(&lists));
+        let entries: Vec<RestrictedEntry<'_>> = (0u32..)
+            .zip(pairs.iter().zip(&lists))
+            .map(|(i, (&(s, t), ps))| entry(s, t, 1.0 + 0.1 * f64::from(i), ps))
+            .collect();
+        for eps in [0.1, 0.3] {
+            // Unscaled, so the reference (which never scales) keeps every bit.
+            assert_eq!(one_pass(&g, &entries, eps), None);
+            let reference = per_path_scan(&g, &entries, eps);
+            // The first candidate carries flow in a list whose copy sits in
+            // a later group, the pair or the single: the ties happened.
+            assert!((5..=9).any(|count| reference.weights[count - 1][0] > 0.0));
+            assert_bit_equal(&restricted_min_congestion(&g, &entries, eps), &reference);
+        }
+    }
+
+    #[test]
+    fn yen_candidates_on_an_expander_match_per_path_scan() {
+        // 11 candidates per pair, the k shortest under random lengths: two
+        // groups of four with ragged hop counts, a pair and a single.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let unit = gen::random_regular(256, 4, &mut rng);
+        let g = random_capacities(&unit, &mut rng);
+        let detour = random_lengths(&g, &mut rng);
+        let pairs: Vec<(u32, u32, f64)> = (0..16)
+            .map(|i| (i, 255 - 7 * i, rng.gen_range(0.5..1.5)))
+            .collect();
+        let lists: Vec<Vec<Path>> = pairs
+            .iter()
+            .map(|&(s, t, _)| yen_ksp(&g, NodeId(s), NodeId(t), 11, &detour))
+            .collect();
+        assert!(lists.iter().all(|ps| ps.len() == 11));
+        assert!(has_ragged_group(&lists));
+        let entries: Vec<RestrictedEntry<'_>> = pairs
+            .iter()
+            .zip(&lists)
+            .map(|(&(s, t, d), ps)| entry(s, t, d, ps))
+            .collect();
+        for eps in [0.1, 0.3] {
+            assert_eq!(one_pass(&g, &entries, eps), None);
+            assert_bit_equal(
+                &restricted_min_congestion(&g, &entries, eps),
+                &per_path_scan(&g, &entries, eps),
+            );
+        }
+    }
+
+    #[test]
+    fn cheapest_returns_the_first_minimum_with_its_length_bits() {
+        // Entries of 1 to 9 candidates with ragged hop counts, one list with
+        // copies of its first candidate in later groups, and one of seven
+        // trivial paths (a group, a pair and a single), whose lengths are
+        // −0.0: the sum of no edges. Unit lengths tie many candidates.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(11);
+        let unit = gen::random_regular(64, 4, &mut rng);
+        let g = random_capacities(&unit, &mut rng);
+        let detour = random_lengths(&g, &mut rng);
+        let mut lists: Vec<Vec<Path>> = (1..=9)
+            .map(|count| {
+                yen_ksp(
+                    &g,
+                    NodeId(count),
+                    NodeId(63 - count),
+                    count as usize,
+                    &detour,
+                )
+            })
+            .collect();
+        let copies = lists[8].clone();
+        lists.push([copies.clone(), copies].concat());
+        lists.push(vec![Path::trivial(NodeId(12)); 7]);
+        assert!(has_ragged_group(&lists));
+        let entries: Vec<RestrictedEntry<'_>> = lists
+            .iter()
+            .map(|ps| {
+                let (s, t) = (ps[0].source(), ps[0].target());
+                entry(s.0, t.0, 1.0, ps)
+            })
+            .collect();
+        let active: Vec<usize> = (0..entries.len()).collect();
+        let arena = CandidateArena::new(&g, &entries, &active);
+        let mut tables = vec![g.unit_lengths()];
+        tables.extend((0..4).map(|_| random_lengths(&g, &mut rng)));
+        for len in &tables {
+            for k in 0..active.len() {
+                let mut first_min = (arena.first[k], f64::INFINITY);
+                for p in arena.candidates(k) {
+                    let l = arena.length(p, len);
+                    if l.total_cmp(&first_min.1).is_lt() {
+                        first_min = (p, l);
+                    }
+                }
+                let (best, l) = arena.cheapest(k, len);
+                assert_eq!(best, first_min.0, "entry {k}");
+                assert_eq!(l.to_bits(), arena.length(best, len).to_bits(), "entry {k}");
+            }
+        }
+    }
+
     /// A gravity TM of 4.0 units over `g`'s vertices, masses drawn from
     /// `seed`, with the 4 fewest-hop candidates per pair.
     fn gravity_candidates(g: &Graph, seed: u64) -> Vec<(NodeId, NodeId, f64, Vec<Path>)> {
@@ -646,6 +857,15 @@ mod tests {
             0.1,
             "b4 seed 1",
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "eps must be in (0,1), got 1")]
+    fn epsilon_of_one_panics_with_the_typed_message() {
+        let g = gen::cycle_graph(4);
+        let paths = yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths());
+        let entries = [entry(0, 2, 1.0, &paths)];
+        restricted_min_congestion(&g, &entries, 1.0);
     }
 
     #[test]

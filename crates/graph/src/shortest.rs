@@ -204,8 +204,7 @@ impl DijkstraSearch {
             parent: vec![None; n],
             stamp: vec![0; n],
             epoch: 1,
-            // sized by the first search that has targets
-            is_target: Vec::new(),
+            is_target: vec![false; n],
             bound: Vec::new(),
             heap: BinaryHeap::with_capacity(n),
             settled: 0,
@@ -342,9 +341,6 @@ impl DijkstraSearch {
         };
         let (reached, done) = (self.epoch - 1, self.epoch);
         self.source = src;
-        if !targets.is_empty() {
-            self.is_target.resize(self.stamp.len(), false);
-        }
         // Slices and a local heap rather than `self.` fields inside the
         // loop, so heap pushes cannot force buffer pointers and the heap's
         // length to be reloaded from memory.

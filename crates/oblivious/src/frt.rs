@@ -354,7 +354,11 @@ pub(crate) fn up_path_workers(n: usize) -> usize {
 /// its own workspace) claim them in first-appearance order off a shared
 /// counter, each writing its runs into one flat buffer, and every run is
 /// then copied to its cluster's place, so the arena does not depend on
-/// `workers`.
+/// `workers`. The calling thread makes each helper's workspace and
+/// buffers with room for the job and frees them after the join, so a
+/// helper allocates nothing of its own unless a buffer outgrows its room
+/// (a thread that allocates gets its own malloc arena, whose pages can
+/// stay resident after the thread exits).
 fn up_paths(
     g: &Graph,
     lengths: &[f64],
@@ -386,17 +390,18 @@ fn up_paths(
         .filter(|&i| i == 0 || members[i - 1].0 < members[i].0)
         .collect();
     bounds.push(members.len());
+    let largest_job = bounds.windows(2).map(|w| w[1] - w[0]).max();
+    let buffers = || UpPathBuffers {
+        runs: Vec::with_capacity(members.len()),
+        steps: Vec::with_capacity(STEPS_PER_CLUSTER * members.len()),
+        targets: Vec::with_capacity(largest_job.unwrap_or(0)),
+        edges: Vec::with_capacity(g.num_nodes()),
+    };
     // The counter only hands out job indices: the jobs are written before
     // any helper starts and the runs come back through `join`, so it
     // publishes nothing and `Relaxed` suffices.
     let next = AtomicUsize::new(0);
-    let work = |search: &mut DijkstraSearch| {
-        // One `(cluster, run length)` per path found, in claim order, and
-        // the runs' steps one after another.
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut steps: Vec<(EdgeId, NodeId)> = Vec::new();
-        let mut targets: Vec<NodeId> = Vec::new();
-        let mut edges: Vec<EdgeId> = Vec::new();
+    let work = |search: &mut DijkstraSearch, mut out: UpPathBuffers| {
         loop {
             let j = next.fetch_add(1, Ordering::Relaxed);
             let Some(job) = bounds.get(j..j + 2) else {
@@ -404,49 +409,49 @@ fn up_paths(
             };
             let clusters = &members[job[0]..job[1]];
             let source = leader[parent[clusters[0].1 as usize] as usize];
-            targets.clear();
-            targets.extend(clusters.iter().map(|&(_, c)| leader[c as usize]));
-            search.settle(g, source, lengths, &targets);
+            out.targets.clear();
+            out.targets
+                .extend(clusters.iter().map(|&(_, c)| leader[c as usize]));
+            search.settle(g, source, lengths, &out.targets);
             for &(_, c) in clusters {
                 let own = leader[c as usize];
-                let reached = search.edges_to(g, own, &mut edges);
+                let reached = search.edges_to(g, own, &mut out.edges);
                 assert!(reached, "connected graph");
                 // `edges` runs from the parent's leader to `own`; the run
                 // walks it backwards from `own`.
                 let mut at = own;
-                for &e in edges.iter().rev() {
+                for &e in out.edges.iter().rev() {
                     at = g.edge(e).other(at);
-                    steps.push((e, at));
+                    out.steps.push((e, at));
                 }
-                runs.push((c, stored(edges.len())));
+                out.runs.push((c, stored(out.edges.len())));
             }
         }
-        (runs, steps)
+        out
     };
     let found = std::thread::scope(|scope| {
-        // A helper that fails to start leaves its share to the others.
+        // A helper that fails to start leaves its share to the others; its
+        // workspace and buffers come back through `join`.
         let helpers: Vec<_> = (1..workers.min(jobs as usize))
             .filter_map(|_| {
+                let (mut own, out) = (DijkstraSearch::with_nodes(g.num_nodes()), buffers());
                 std::thread::Builder::new()
-                    .spawn_scoped(scope, || {
-                        work(&mut DijkstraSearch::with_nodes(g.num_nodes()))
-                    })
+                    .spawn_scoped(scope, move || (work(&mut own, out), own))
                     .ok()
             })
             .collect();
-        let mut found = vec![work(search)];
+        let mut found = vec![work(search, buffers())];
         for helper in helpers {
-            found.push(
-                helper
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
+            let (out, _workspace) = helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            found.push(out);
         }
         found
     });
     let mut start = vec![0u32; parent.len() + 1];
-    for (runs, _) in &found {
-        for &(c, len) in runs {
+    for out in &found {
+        for &(c, len) in &out.runs {
             start[c as usize + 1] = len;
         }
     }
@@ -454,16 +459,33 @@ fn up_paths(
         start[c + 1] += start[c];
     }
     let mut arena = vec![(EdgeId(0), NodeId(0)); start[parent.len()] as usize];
-    for (runs, steps) in &found {
+    for out in &found {
         let mut from = 0;
-        for &(c, len) in runs {
+        for &(c, len) in &out.runs {
             let (c, len) = (c as usize, len as usize);
             arena[start[c] as usize..start[c + 1] as usize]
-                .copy_from_slice(&steps[from..from + len]);
+                .copy_from_slice(&out.steps[from..from + len]);
             from += len;
         }
     }
     (start, arena)
+}
+
+/// Up-path steps per cluster that [`up_paths`] reserves in each worker's
+/// step buffer. The six FRT trees `sor serve --graph expander:2048x4`
+/// builds hold 2.9–3.3 steps per cluster in all, and one of two workers
+/// wrote at most 64% of them; a worker that needs more grows its buffer
+/// itself.
+const STEPS_PER_CLUSTER: usize = 4;
+
+/// What one worker of [`up_paths`] writes: one `(cluster, run length)` per
+/// path found, in claim order, the runs' steps one after another, and one
+/// search's targets and path.
+struct UpPathBuffers {
+    runs: Vec<(u32, u32)>,
+    steps: Vec<(EdgeId, NodeId)>,
+    targets: Vec<NodeId>,
+    edges: Vec<EdgeId>,
 }
 
 impl ClusterTree {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Alternating A/B of two built sorbench binaries on one workload.
+"""Alternating A/B of two built sorbench binaries on one or more workloads.
 
 Runs N pairs of the parent and the change binary, alternating which side
 runs first (odd pairs parent first), each run for `--seconds` at one seed.
@@ -13,6 +13,10 @@ worse than the parent's by more than its bound is flagged.
     python3 tools/ab.py PARENT_BIN CHANGE_BIN --workload eval-perm \\
         [--seed 1] [--pairs 3] [--seconds 20] [--metric latency_ms]
 
+`--workload` takes one workload, a comma-separated list of them, or
+`all`. The workloads run one after another in BENCHMARK.json order, all
+pairs of one before the next, and each prints its own table.
+
 Each pair's progress line on stderr shows both runs' value of each
 `--metric` (default `latency_ms`): one end-to-end metric of
 BENCHMARK.json or a comma-separated list of them, e.g.
@@ -24,7 +28,9 @@ and copy `sorbench/target/release/sorbench` aside.
 
 Exit status: 0 when every run was correct and nothing is flagged, 1 when
 a metric is flagged, 2 when a run exits non-zero, prints no result line,
-or reports an incorrect output or a failed operation.
+or reports an incorrect output or a failed operation. Such a run ends its
+workload's pairs; the next workload still runs, and the exit status is the
+worst of all the workloads'.
 """
 
 import argparse
@@ -37,13 +43,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def fail(msg):
-    print(msg, file=sys.stderr)
-    sys.exit(2)
+class RunFailed(Exception):
+    """A run that exited non-zero, printed no result, or was not correct."""
 
 
 def run(binary, workload, seed, seconds):
-    """One sorbench run; returns its metric values or exits 2."""
+    """One sorbench run; returns its metric values or raises RunFailed."""
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, capture_output=True, text=True)
@@ -53,10 +58,10 @@ def run(binary, workload, seed, seconds):
     except (IndexError, ValueError):
         result = None
     if out.returncode != 0 or result is None:
-        fail(f"{binary} exited {out.returncode}:\n{out.stderr}")
+        raise RunFailed(f"{binary} exited {out.returncode}:\n{out.stderr}")
     if not result["correct"] or result["failed"] != 0:
-        fail(f"{binary}: correct={result['correct']} "
-             f"failed={result['failed']}/{result['attempted']}")
+        raise RunFailed(f"{binary}: correct={result['correct']} "
+                        f"failed={result['failed']}/{result['attempted']}")
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
@@ -67,42 +72,25 @@ def quartiles(values):
     return q1, q3
 
 
-def main():
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", help="sorbench binary built from the parent")
-    ap.add_argument("change", help="sorbench binary built from the change")
-    ap.add_argument("--workload", required=True, choices=names)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--pairs", type=int, default=3)
-    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    ap.add_argument("--metric", default="latency_ms",
-                    help="comma-separated metrics shown in each pair's "
-                         "progress line")
-    args = ap.parse_args()
-    if args.pairs < 1 or args.seconds < 1:
-        ap.error("--pairs and --seconds must be at least 1")
-    known = [m["name"] for m in bench["end_to_end"]]
-    shown_metrics = args.metric.split(",")
-    for name in shown_metrics:
-        if name not in known:
-            ap.error(f"--metric: invalid choice: {name!r} "
-                     f"(choose from {', '.join(known)})")
-
+def compare(args, bench, workload, shown_metrics):
+    """All pairs of one workload and its table; returns its exit status."""
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            runs[side].append(run(getattr(args, side), args.workload,
-                                  args.seed, args.seconds))
+            try:
+                runs[side].append(run(getattr(args, side), workload,
+                                      args.seed, args.seconds))
+            except RunFailed as e:
+                print(f"{workload} seed {args.seed}: {e}", file=sys.stderr)
+                return 2
         shown = "  ".join(f"{s} {name} {runs[s][-1][name]:.4g}"
                           for name in shown_metrics
                           for s in ("parent", "change"))
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {shown}",
-              file=sys.stderr)
+        print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): "
+              f"{shown}", file=sys.stderr)
 
-    print(f"{args.workload} seed {args.seed}: {args.pairs} alternating pairs "
+    print(f"{workload} seed {args.seed}: {args.pairs} alternating pairs "
           f"of {args.seconds} s, every run correct with 0 failed")
     print(f"{'metric':<16} {'parent':>12} {'change':>12} {'ratio':>7} "
           f"{'wins':>5} {'parent q1-q3':>25} {'>IQR':>4}  verdict")
@@ -125,7 +113,46 @@ def main():
               f"{'yes' if beyond_iqr else 'no':>4}  {verdict}")
     if flagged:
         print(f"flagged: {', '.join(flagged)}")
-        sys.exit(1)
+        return 1
+    return 0
+
+
+def main():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="sorbench binary built from the parent")
+    ap.add_argument("change", help="sorbench binary built from the change")
+    ap.add_argument("--workload", required=True,
+                    help=f"comma-separated workloads, or all "
+                         f"(from {', '.join(names)})")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
+    ap.add_argument("--metric", default="latency_ms",
+                    help="comma-separated metrics shown in each pair's "
+                         "progress line")
+    args = ap.parse_args()
+    if args.pairs < 1 or args.seconds < 1:
+        ap.error("--pairs and --seconds must be at least 1")
+    asked = names if args.workload == "all" else args.workload.split(",")
+    for name in asked:
+        if name not in names:
+            ap.error(f"--workload: invalid choice: {name!r} "
+                     f"(choose from {', '.join(names)}, or all)")
+    known = [m["name"] for m in bench["end_to_end"]]
+    shown_metrics = args.metric.split(",")
+    for name in shown_metrics:
+        if name not in known:
+            ap.error(f"--metric: invalid choice: {name!r} "
+                     f"(choose from {', '.join(known)})")
+
+    status = 0
+    for i, workload in enumerate(w for w in names if w in asked):
+        if i > 0:
+            print()
+        status = max(status, compare(args, bench, workload, shown_metrics))
+    sys.exit(status)
 
 
 if __name__ == "__main__":
