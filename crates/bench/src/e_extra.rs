@@ -275,7 +275,7 @@ pub fn e17_packet_level(quick: bool) -> Table {
                 break;
             }
         }
-        routes_adapted.push(sor.system().paths(s0, t0)[pick].clone());
+        routes_adapted.push(sor.system().paths(s0, t0).get(pick).to_path(sor.graph()));
     }
     let sim_a = simulate_released(
         &g,

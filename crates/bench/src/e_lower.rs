@@ -136,7 +136,7 @@ pub fn e6_completion_time(quick: bool) -> Table {
     for (counts, &(a, b, _)) in integral.counts.iter().zip(demand.entries()) {
         for (i, &c) in counts.iter().enumerate() {
             for _ in 0..c {
-                routes.push(sor.system().paths(a, b)[i].clone());
+                routes.push(sor.system().paths(a, b).get(i).to_path(sor.graph()));
             }
         }
     }

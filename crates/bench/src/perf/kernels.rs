@@ -31,7 +31,7 @@ use sor_graph::globalcut::stoer_wagner;
 use sor_graph::shortest::{dijkstra, ShortestPathTree};
 use sor_graph::spectral::{lambda2, spectral_gap};
 use sor_graph::traversal::{bfs_dists, bfs_parents, bfs_path, UNREACHABLE};
-use sor_graph::{connected_without, gen, yen_ksp, EdgeId, EdgeRec, Graph, NodeId, Path};
+use sor_graph::{connected_without, gen, yen_ksp, EdgeId, EdgeRec, Graph, NodeId, PathList};
 use sor_hop::{dist_dilation, HopFamily};
 use sor_oblivious::electrical::{decompose_flow, Laplacian};
 use sor_oblivious::routing::{sample_from_dist, ObliviousRouting};
@@ -265,10 +265,10 @@ pub fn mcf_wan() -> Quality {
             unreachable!("ATT at eps 0.1 failed: {e}")
         }
     };
-    let lists: Vec<Vec<Path>> = tm
+    let lists: Vec<PathList> = tm
         .entries()
         .iter()
-        .map(|&(s, t, _)| yen_ksp(g, s, t, 4, &g.unit_lengths()))
+        .map(|&(s, t, _)| PathList::from_paths(s, &yen_ksp(g, s, t, 4, &g.unit_lengths())))
         .collect();
     let entries: Vec<RestrictedEntry<'_>> = tm
         .entries()

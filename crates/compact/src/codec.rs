@@ -106,9 +106,7 @@ impl CompactSystem {
             let dest = labels.label(t);
             for (slot, p) in paths.iter().enumerate() {
                 explicit_bits += 16 + p.hops() as u64 * 32;
-                for (i, &e) in p.edges().iter().enumerate() {
-                    let u = p.nodes()[i];
-                    let next = p.nodes()[i + 1];
+                for ((&e, u), next) in p.edges().iter().zip(p.nodes(g)).zip(p.nodes(g).skip(1)) {
                     let out = local_out(g, u, e, next)
                         // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                         .expect("path edge is incident to its own vertex");
@@ -321,7 +319,8 @@ mod tests {
         let compact = CompactSystem::encode(&g, &t1, &sys);
         assert_eq!(compact.decode(&g), sys);
         for (s, t, paths) in sys.pairs() {
-            assert_eq!(compact.decode_pair(&g, s, t), paths.to_vec());
+            let want: Vec<_> = paths.iter().map(|p| p.to_path(&g)).collect();
+            assert_eq!(compact.decode_pair(&g, s, t), want);
         }
     }
 

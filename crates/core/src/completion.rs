@@ -118,7 +118,7 @@ impl CompletionRouting {
         for (counts, &(s, t, _)) in integral.counts.iter().zip(demand.entries()) {
             for (i, &c) in counts.iter().enumerate() {
                 for _ in 0..c {
-                    let p = sor.system().paths(s, t)[i].clone();
+                    let p = sor.system().paths(s, t).get(i).to_path(&self.g);
                     dilation = dilation.max(p.hops());
                     routes.push(p);
                 }
@@ -149,7 +149,7 @@ impl CompletionRouting {
             for (w, &(s, t, _)) in sol.weights.iter().zip(demand.entries()) {
                 for (i, &wi) in w.iter().enumerate() {
                     if wi > 1e-9 {
-                        dilation = dilation.max(sor.system().paths(s, t)[i].hops());
+                        dilation = dilation.max(sor.system().paths(s, t).get(i).hops());
                     }
                 }
             }

@@ -101,7 +101,7 @@ pub fn adversarial_demand(ts: &TwoStar, system: &PathSystem) -> Option<Adversary
             }
             let mut mids = BTreeSet::new();
             for p in paths {
-                for &v in p.nodes() {
+                for v in p.nodes(ts.graph()) {
                     if ts.is_middle(v) {
                         mids.insert(v.0);
                     }

@@ -1,7 +1,7 @@
 //! Path systems (Definition 2.1): the combinatorial object a semi-oblivious
 //! routing *is*.
 
-use sor_graph::{bfs_path_avoiding, EdgeId, Graph, NodeId, Path};
+use sor_graph::{bfs_path_avoiding, EdgeId, Graph, NodeId, Path, PathList};
 use std::collections::BTreeMap;
 
 /// A collection of candidate simple paths per ordered vertex pair.
@@ -12,13 +12,20 @@ use std::collections::BTreeMap;
 /// sparsity. Iteration order is deterministic (pairs sorted by id, paths in
 /// insertion order), which keeps all seeded experiments reproducible.
 ///
+/// Each pair's paths are one [`PathList`]: their edges back to back in one
+/// vector plus where each path ends, so a pair costs two allocations however
+/// many candidates it holds.
+///
 /// `PartialEq` compares the exact stored structure — same pairs, same
 /// paths, same order — which is the round-trip contract the compact
 /// snapshot codec (`sor-compact`) certifies against.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PathSystem {
-    paths: BTreeMap<(u32, u32), Vec<Path>>,
+    paths: BTreeMap<(u32, u32), PathList>,
 }
+
+/// The list [`PathSystem::paths`] hands out for a pair it does not cover.
+static NO_PATHS: PathList = PathList::new(NodeId(0));
 
 impl PathSystem {
     /// Empty system.
@@ -31,59 +38,55 @@ impl PathSystem {
     pub fn insert(&mut self, s: NodeId, t: NodeId, path: Path) -> bool {
         assert_eq!(path.source(), s, "path source mismatch");
         assert_eq!(path.target(), t, "path target mismatch");
-        let v = self.paths.entry((s.0, t.0)).or_default();
-        if v.contains(&path) {
-            false
-        } else {
-            v.push(path);
-            true
-        }
+        let list = self.list_mut(s, t);
+        let before = list.len();
+        list.index_or_push(path.edges());
+        list.len() > before
+    }
+
+    /// The stored list of `(s, t)`, created empty if the pair is new.
+    fn list_mut(&mut self, s: NodeId, t: NodeId) -> &mut PathList {
+        self.paths
+            .entry((s.0, t.0))
+            .or_insert_with(|| PathList::new(s))
     }
 
     /// Add a pair's sampled paths: `distinct` holds pairwise distinct
-    /// `s → t` paths and `draws` indexes it. Paths already stored are
-    /// skipped, the rest appended in order, and `draws` rewritten to index
-    /// [`PathSystem::paths`]`(s, t)`. Returns how many paths were new.
+    /// `s → t` paths of `g` and `draws` indexes it. Paths already stored
+    /// are skipped, the rest appended in order, and `draws` rewritten to
+    /// index [`PathSystem::paths`]`(s, t)`. Returns how many paths were new.
     pub(crate) fn insert_draws(
         &mut self,
+        g: &Graph,
         s: NodeId,
         t: NodeId,
-        distinct: Vec<Path>,
+        distinct: PathList,
         draws: &mut [u32],
     ) -> usize {
         for p in &distinct {
             assert_eq!(p.source(), s, "path source mismatch");
-            assert_eq!(p.target(), t, "path target mismatch");
+            assert_eq!(p.target(g), t, "path target mismatch");
         }
-        let v = self.paths.entry((s.0, t.0)).or_default();
-        if v.is_empty() {
+        let list = self.list_mut(s, t);
+        if list.is_empty() {
             // a new pair: `draws` already index the list as stored
-            *v = distinct;
-            return v.len();
+            *list = distinct;
+            return list.len();
         }
-        let before = v.len();
-        let mut slots = Vec::with_capacity(distinct.len());
-        for p in distinct {
-            let i = v.iter().position(|q| *q == p).unwrap_or_else(|| {
-                v.push(p);
-                v.len() - 1
-            });
-            // a pair's candidates are far fewer than u32::MAX
-            #[allow(clippy::cast_possible_truncation)]
-            slots.push(i as u32);
-        }
+        let before = list.len();
+        let slots: Vec<u32> = distinct
+            .iter()
+            .map(|p| list.index_or_push(p.edges()))
+            .collect();
         for d in draws {
             *d = slots[*d as usize];
         }
-        v.len() - before
+        list.len() - before
     }
 
-    /// Candidate paths for `(s, t)` (empty slice if the pair is absent).
-    pub fn paths(&self, s: NodeId, t: NodeId) -> &[Path] {
-        self.paths
-            .get(&(s.0, t.0))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Candidate paths for `(s, t)` (an empty list if the pair is absent).
+    pub fn paths(&self, s: NodeId, t: NodeId) -> &PathList {
+        self.paths.get(&(s.0, t.0)).unwrap_or(&NO_PATHS)
     }
 
     /// Whether the pair has at least one candidate path.
@@ -92,10 +95,10 @@ impl PathSystem {
     }
 
     /// Iterator over `(s, t, paths)`.
-    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId, &[Path])> {
+    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId, &PathList)> {
         self.paths
             .iter()
-            .map(|(&(s, t), v)| (NodeId(s), NodeId(t), v.as_slice()))
+            .map(|(&(s, t), list)| (NodeId(s), NodeId(t), list))
     }
 
     /// Number of covered pairs.
@@ -105,12 +108,12 @@ impl PathSystem {
 
     /// Total number of stored paths.
     pub fn total_paths(&self) -> usize {
-        self.paths.values().map(Vec::len).sum()
+        self.paths.values().map(PathList::len).sum()
     }
 
     /// The sparsity `max_{u,v} |P_{u,v}|` (0 for the empty system).
     pub fn sparsity(&self) -> usize {
-        self.paths.values().map(Vec::len).max().unwrap_or(0)
+        self.paths.values().map(PathList::len).max().unwrap_or(0)
     }
 
     /// Maximum hop length over all stored paths (the system's worst-case
@@ -118,7 +121,7 @@ impl PathSystem {
     pub fn dilation(&self) -> usize {
         self.paths
             .values()
-            .flat_map(|v| v.iter().map(Path::hops))
+            .flat_map(|list| list.iter().map(|p| p.hops()))
             .max()
             .unwrap_or(0)
     }
@@ -128,12 +131,14 @@ impl PathSystem {
     /// re-adapted on the survivors). Pairs left with no paths are removed.
     pub fn without_edges(&self, failed: &[EdgeId]) -> PathSystem {
         let mut out = PathSystem::new();
-        for (&(s, t), v) in &self.paths {
-            let kept: Vec<Path> = v
-                .iter()
-                .filter(|p| !failed.iter().any(|&e| p.contains_edge(e)))
-                .cloned()
-                .collect();
+        for (&(s, t), list) in &self.paths {
+            let (kept, ()) = PathList::build_exact(NodeId(s), |kept| {
+                for p in list {
+                    if !failed.iter().any(|&e| p.contains_edge(e)) {
+                        kept.push(p.edges());
+                    }
+                }
+            });
             if !kept.is_empty() {
                 out.paths.insert((s, t), kept);
             }
@@ -174,9 +179,10 @@ impl PathSystem {
     /// Union of two systems (per-pair path union, deduplicated).
     pub fn union(&self, other: &PathSystem) -> PathSystem {
         let mut out = self.clone();
-        for (&(s, t), v) in &other.paths {
-            for p in v {
-                out.insert(NodeId(s), NodeId(t), p.clone());
+        for (s, t, list) in other.pairs() {
+            let into = out.list_mut(s, t);
+            for p in list {
+                into.index_or_push(p.edges());
             }
         }
         out
@@ -192,9 +198,9 @@ impl PathSystem {
     /// Checked invariants (Definition 2.1):
     /// * every pair has a non-empty path list (empty pairs are removed, not
     ///   stored),
-    /// * every path runs `s → t` for its pair,
     /// * every path is a valid simple path of `g` (edges in bounds and
     ///   consecutive),
+    /// * every path runs `s → t` for its pair,
     /// * paths within a pair are distinct (a path system is a *set*),
     /// * with `sparsity_bound = Some(s)`, no pair holds more than `s`
     ///   paths — the `s`-sparsity promise a `k`-sample must keep.
@@ -216,25 +222,123 @@ impl PathSystem {
                 }
             }
             for (i, p) in ps.iter().enumerate() {
-                if p.source() != s || p.target() != t {
-                    return Err(format!(
-                        "pair {s}→{t} path {i} runs {}→{} instead",
-                        p.source(),
-                        p.target()
-                    ));
-                }
-                if !p.validate(g) {
+                let Some(path) = p.checked_path(g) else {
                     return Err(format!(
                         "pair {s}→{t} path {i} is not a simple path of the graph \
                          (out-of-bounds or non-consecutive edges)"
                     ));
+                };
+                if path.source() != s || path.target() != t {
+                    return Err(format!(
+                        "pair {s}→{t} path {i} runs {}→{} instead",
+                        path.source(),
+                        path.target()
+                    ));
                 }
-                if ps[..i].contains(p) {
+                if ps.iter().take(i).any(|q| q == p) {
                     return Err(format!("pair {s}→{t} stores path {i} twice"));
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// A test-only reference for [`PathSystem`]: every candidate an owned
+/// [`Path`] in a per-pair `Vec`, the representation before [`PathList`],
+/// with its operations as they were written then.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::PathSystem;
+    use sor_graph::{bfs_path_avoiding, EdgeId, Graph, NodeId, Path};
+    use std::collections::BTreeMap;
+
+    #[derive(Clone, Debug, Default)]
+    pub(crate) struct VecSystem(BTreeMap<(u32, u32), Vec<Path>>);
+
+    impl VecSystem {
+        /// The index of `path` in `(s, t)`'s paths, appending it first if
+        /// it is new.
+        pub(crate) fn index_or_push(&mut self, s: NodeId, t: NodeId, path: Path) -> u32 {
+            let v = self.0.entry((s.0, t.0)).or_default();
+            let i = v.iter().position(|q| *q == path).unwrap_or_else(|| {
+                v.push(path);
+                v.len() - 1
+            });
+            u32::try_from(i).unwrap()
+        }
+
+        pub(crate) fn insert(&mut self, s: NodeId, t: NodeId, path: Path) -> bool {
+            let before = self.0.get(&(s.0, t.0)).map_or(0, Vec::len);
+            self.index_or_push(s, t, path);
+            self.0[&(s.0, t.0)].len() > before
+        }
+
+        pub(crate) fn without_edges(&self, failed: &[EdgeId]) -> VecSystem {
+            let mut out = VecSystem::default();
+            for (&(s, t), v) in &self.0 {
+                let kept: Vec<Path> = v
+                    .iter()
+                    .filter(|p| !failed.iter().any(|&e| p.contains_edge(e)))
+                    .cloned()
+                    .collect();
+                if !kept.is_empty() {
+                    out.0.insert((s, t), kept);
+                }
+            }
+            out
+        }
+
+        pub(crate) fn degraded(
+            &self,
+            g: &Graph,
+            failed: &[EdgeId],
+            pairs: &[(NodeId, NodeId)],
+        ) -> (VecSystem, usize, Vec<(NodeId, NodeId)>) {
+            let mut system = self.without_edges(failed);
+            let mut fallback_pairs = 0;
+            let mut unserved = Vec::new();
+            for &(s, t) in pairs {
+                if system.0.contains_key(&(s.0, t.0)) {
+                    continue;
+                }
+                match bfs_path_avoiding(g, s, t, failed) {
+                    Some(p) => {
+                        system.insert(s, t, p);
+                        fallback_pairs += 1;
+                    }
+                    None => unserved.push((s, t)),
+                }
+            }
+            (system, fallback_pairs, unserved)
+        }
+
+        pub(crate) fn union(&self, other: &VecSystem) -> VecSystem {
+            let mut out = self.clone();
+            for (&(s, t), v) in &other.0 {
+                for p in v {
+                    out.insert(NodeId(s), NodeId(t), p.clone());
+                }
+            }
+            out
+        }
+
+        /// `system` holds the same pairs with the same paths in the same
+        /// order.
+        pub(crate) fn assert_matches(&self, system: &PathSystem, g: &Graph) {
+            let got: Vec<((u32, u32), Vec<Path>)> = system
+                .pairs()
+                .map(|(s, t, list)| ((s.0, t.0), list.iter().map(|p| p.to_path(g)).collect()))
+                .collect();
+            let want: Vec<((u32, u32), Vec<Path>)> =
+                self.0.iter().map(|(&k, v)| (k, v.clone())).collect();
+            assert_eq!(got, want);
+            assert_eq!(system.total_paths(), self.0.values().map(Vec::len).sum());
+            assert_eq!(
+                system.dilation(),
+                self.0.values().flatten().map(Path::hops).max().unwrap_or(0)
+            );
+        }
     }
 }
 
@@ -305,8 +409,8 @@ mod tests {
         assert_eq!((fallback, unserved.len()), (1, 0));
         let emergency = d.paths(NodeId(1), NodeId(2));
         assert_eq!(emergency.len(), 1);
-        assert_eq!(emergency[0].hops(), 5);
-        assert!(!emergency[0].contains_edge(EdgeId(1)));
+        assert_eq!(emergency.get(0).hops(), 5);
+        assert!(!emergency.get(0).contains_edge(EdgeId(1)));
         assert_eq!(d.paths(NodeId(0), NodeId(3)).len(), 1);
         assert!(d.validate(&g));
 
@@ -359,6 +463,11 @@ mod tests {
         let err = alien.validate_detailed(&g2, None).unwrap_err();
         assert!(err.contains("not a simple path"), "{err}");
         assert!(!alien.validate(&g2));
+        // so is a trivial path at a vertex the graph does not have
+        let mut outside = PathSystem::new();
+        outside.insert(NodeId(99), NodeId(99), sor_graph::Path::trivial(NodeId(99)));
+        let err = outside.validate_detailed(&g, None).unwrap_err();
+        assert!(err.contains("not a simple path"), "{err}");
     }
 
     #[test]
@@ -369,5 +478,99 @@ mod tests {
         PathSystem::new().insert(NodeId(1), NodeId(2), p);
     }
 
+    /// A multigraph: the cycle 0-1-2-3-4-5-0 (edge i joins i and i+1),
+    /// each of its first three edges doubled (edges 6, 7, 8), plus the
+    /// chords 0-3 and 1-4 (edges 9, 10).
+    fn doubled_cycle() -> Graph {
+        let mut g = gen::cycle_graph(6);
+        for i in 0..3 {
+            g.add_unit_edge(NodeId(i), NodeId(i + 1));
+        }
+        g.add_unit_edge(NodeId(0), NodeId(3));
+        g.add_unit_edge(NodeId(1), NodeId(4));
+        g
+    }
+
+    /// Every simple path `s → t` of `g`, in DFS order.
+    fn simple_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Path> {
+        sor_flow::exact::all_simple_paths(g, s, t)
+    }
+
+    /// A system and its reference, built by the same inserts: for each
+    /// pair, every `stride`-th simple path from `offset` on, then the
+    /// first few again (duplicates).
+    fn systems(g: &Graph, stride: usize, offset: usize) -> (PathSystem, VecSystem) {
+        let mut sys = PathSystem::new();
+        let mut reference = VecSystem::default();
+        for (s, t) in [(0, 3), (3, 0), (1, 4), (2, 5), (0, 1)] {
+            let (s, t) = (NodeId(s), NodeId(t));
+            let all = simple_paths(g, s, t);
+            let picked: Vec<&Path> = all.iter().skip(offset).step_by(stride).collect();
+            for p in picked.iter().chain(picked.iter().take(2)) {
+                assert_eq!(
+                    sys.insert(s, t, (*p).clone()),
+                    reference.insert(s, t, (*p).clone())
+                );
+            }
+        }
+        (sys, reference)
+    }
+
+    #[test]
+    fn operations_match_the_vec_reference() {
+        let g = doubled_cycle();
+        let (a, ref_a) = systems(&g, 3, 0);
+        let (b, ref_b) = systems(&g, 2, 1);
+        ref_a.assert_matches(&a, &g);
+        ref_b.assert_matches(&b, &g);
+        assert!(a.validate(&g) && b.validate(&g));
+        ref_a.union(&ref_b).assert_matches(&a.union(&b), &g);
+        ref_b.union(&ref_a).assert_matches(&b.union(&a), &g);
+
+        let pairs: Vec<(NodeId, NodeId)> = [(0, 3), (3, 0), (1, 4), (2, 5), (0, 1), (4, 2)]
+            .iter()
+            .map(|&(s, t)| (NodeId(s), NodeId(t)))
+            .collect();
+        let failures: [&[u32]; 6] = [&[], &[0], &[6], &[0, 6], &[9, 10, 3], &[0, 5, 6, 9]];
+        for failed in failures {
+            let failed: Vec<EdgeId> = failed.iter().map(|&e| EdgeId(e)).collect();
+            for (sys, reference) in [(&a, &ref_a), (&b, &ref_b)] {
+                reference
+                    .without_edges(&failed)
+                    .assert_matches(&sys.without_edges(&failed), &g);
+                let (got, got_fallback, got_unserved) = sys.degraded(&g, &failed, &pairs);
+                let (want, want_fallback, want_unserved) = reference.degraded(&g, &failed, &pairs);
+                want.assert_matches(&got, &g);
+                assert_eq!((got_fallback, got_unserved), (want_fallback, want_unserved));
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_edges_are_distinct_paths() {
+        // 0→1 over edge 0 or its twin 6: equal vertices, distinct paths.
+        let g = doubled_cycle();
+        let over = |e: u32| Path::from_edges(&g, NodeId(0), vec![EdgeId(e)]).unwrap();
+        let mut sys = PathSystem::new();
+        assert!(sys.insert(NodeId(0), NodeId(1), over(0)));
+        assert!(sys.insert(NodeId(0), NodeId(1), over(6)));
+        assert!(!sys.insert(NodeId(0), NodeId(1), over(0)));
+        assert_eq!(over(0).nodes(), over(6).nodes());
+        assert_eq!(sys.paths(NodeId(0), NodeId(1)).len(), 2);
+        assert_eq!(sys.validate_detailed(&g, Some(2)), Ok(()));
+    }
+
+    #[test]
+    fn absent_pairs_read_as_empty_lists() {
+        let sys = PathSystem::new();
+        assert!(sys.paths(NodeId(4), NodeId(2)).is_empty());
+        assert!(!sys.covers(NodeId(4), NodeId(2)));
+        assert_eq!(
+            (sys.sparsity(), sys.dilation(), sys.total_paths()),
+            (0, 0, 0)
+        );
+    }
+
+    use super::reference::VecSystem;
     use sor_graph::{EdgeId, NodeId};
 }

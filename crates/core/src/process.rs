@@ -72,7 +72,7 @@ pub fn deletion_process(
         weight_of_pair.insert((s, t), d);
     }
     struct Draw<'a> {
-        path: &'a sor_graph::Path,
+        path: sor_graph::PathRef<'a>,
         weight: f64,
         alive: bool,
     }
@@ -88,7 +88,7 @@ pub fn deletion_process(
         let w = d / picks.len() as f64;
         for &i in picks {
             draws.push(Draw {
-                path: &paths[i as usize],
+                path: paths.get(i as usize),
                 weight: w,
                 alive: true,
             });
@@ -104,7 +104,7 @@ pub fn deletion_process(
         for &e in d.path.edges() {
             crossing[e.index()].push(i as u32);
         }
-        loads.add_path(d.path, d.weight);
+        loads.add_edges(d.path.edges(), d.weight);
     }
 
     let mut overcongested = Vec::new();
@@ -119,7 +119,7 @@ pub fn deletion_process(
                 if d.alive {
                     d.alive = false;
                     deleted_here += d.weight;
-                    loads.add_path(d.path, -d.weight);
+                    loads.add_edges(d.path.edges(), -d.weight);
                 }
             }
             deleted_at[e.index()] = deleted_here;

@@ -86,10 +86,10 @@ fn sample_counts<O: ObliviousRouting, R: Rng + ?Sized>(
         assert!(s != t, "self-pair in sample request");
         let _pair_span = sor_obs::span("sample/pair");
         let (distinct, mut draws) = routing.sample_distinct(s, t, count, rng);
-        let fresh = system.insert_draws(s, t, distinct, &mut draws);
+        let fresh = system.insert_draws(routing.graph(), s, t, distinct, &mut draws);
         let paths = system.paths(s, t);
         for &i in &draws {
-            let hops = paths[i as usize].hops();
+            let hops = paths.get(i as usize).hops();
             sor_obs::observe_into!("core/path/hops", hops as f64);
         }
         sor_obs::counter_add!("core/sample/draws", count as u64);
@@ -151,10 +151,11 @@ pub fn all_pairs(g: &Graph) -> Vec<(NodeId, NodeId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path_system::reference::VecSystem;
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
-    use sor_graph::{gen, Path};
+    use sor_graph::gen;
     use sor_oblivious::{KspRouting, RaeckeRouting, ValiantHypercube};
 
     #[test]
@@ -207,61 +208,65 @@ mod tests {
         assert_eq!(a.raw[0].1, b.raw[0].1);
     }
 
+    /// Seed offsets of the reference checks; 40 is the original set.
+    const SEED_BASES: [u64; 3] = [40, 140, 240];
+
+    /// Raw draws as [`SampledSystem::raw`] files them.
+    type Raw = Vec<((NodeId, NodeId), Vec<u32>)>;
+
     /// The per-draw reference: one `sample_path` per draw, each inserted
-    /// into the system, the raw draws kept as paths.
+    /// into a [`VecSystem`] (one owned `Path` per candidate), the raw draws
+    /// kept under their pair as indices into that pair's paths.
     fn per_draw_reference<O: ObliviousRouting>(
         routing: &O,
         counts: &[((NodeId, NodeId), usize)],
         rng: &mut StdRng,
-    ) -> (PathSystem, Vec<Vec<Path>>) {
-        let mut system = PathSystem::new();
+    ) -> (VecSystem, Raw) {
+        let mut system = VecSystem::default();
         let mut raw = Vec::new();
         for &((s, t), count) in counts {
-            let draws: Vec<Path> = (0..count).map(|_| routing.sample_path(s, t, rng)).collect();
-            for p in &draws {
-                system.insert(s, t, p.clone());
-            }
-            raw.push(draws);
+            let draws: Vec<u32> = (0..count)
+                .map(|_| system.index_or_push(s, t, routing.sample_path(s, t, rng)))
+                .collect();
+            raw.push(((s, t), draws));
         }
         (system, raw)
     }
 
-    /// `sampled` holds the reference's system, resolves its draws to the
-    /// reference's paths, and left `rng` where the reference left its own.
+    /// `sampled` holds the reference's pairs and paths in the same order,
+    /// files the same draw indices under the same pairs in the same order,
+    /// and left `rng` where the reference left its own.
     fn assert_matches_reference(
+        g: &Graph,
         sampled: &SampledSystem,
-        reference: &(PathSystem, Vec<Vec<Path>>),
+        reference: &(VecSystem, Raw),
         rng: &mut StdRng,
         reference_rng: &mut StdRng,
     ) {
-        assert_eq!(sampled.system, reference.0);
-        assert_eq!(sampled.raw.len(), reference.1.len());
-        for (((s, t), draws), want) in sampled.raw.iter().zip(&reference.1) {
-            let paths = sampled.system.paths(*s, *t);
-            let got: Vec<&Path> = draws.iter().map(|&i| &paths[i as usize]).collect();
-            assert_eq!(got, want.iter().collect::<Vec<_>>(), "draws of {s}→{t}");
-        }
+        reference.0.assert_matches(&sampled.system, g);
+        assert_eq!(sampled.raw, reference.1, "raw draws by pair");
         assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG position");
     }
 
-    /// Both samplers against the per-draw reference, on `pairs` plus a
-    /// repeat of the first pair (its second draws land in a partly filled
-    /// candidate list).
+    /// Both samplers against the per-draw reference, seeded `base + k` for
+    /// each draw count `k`, on `pairs` plus a repeat of the first pair (its
+    /// second draws land in a partly filled candidate list).
     fn check_against_reference<O: ObliviousRouting>(
         routing: &O,
         g: &Graph,
         pairs: &[(NodeId, NodeId)],
+        base: u64,
     ) {
         let mut pairs = pairs.to_vec();
         pairs.push(pairs[0]);
         for k in [1, 3, 11, 20] {
-            let seed = 40 + k as u64;
+            let seed = base + k as u64;
             let counts: Vec<_> = pairs.iter().map(|&p| (p, k)).collect();
             let mut rng = StdRng::seed_from_u64(seed);
             let sampled = sample_k(routing, &pairs, k, &mut rng);
             let mut reference_rng = StdRng::seed_from_u64(seed);
             let reference = per_draw_reference(routing, &counts, &mut reference_rng);
-            assert_matches_reference(&sampled, &reference, &mut rng, &mut reference_rng);
+            assert_matches_reference(g, &sampled, &reference, &mut rng, &mut reference_rng);
 
             #[allow(clippy::cast_possible_truncation)]
             let counts: Vec<_> = pairs
@@ -272,7 +277,7 @@ mod tests {
             let sampled = sample_k_plus_cut(routing, g, &pairs, k, &mut rng);
             let mut reference_rng = StdRng::seed_from_u64(seed);
             let reference = per_draw_reference(routing, &counts, &mut reference_rng);
-            assert_matches_reference(&sampled, &reference, &mut rng, &mut reference_rng);
+            assert_matches_reference(g, &sampled, &reference, &mut rng, &mut reference_rng);
         }
     }
 
@@ -288,7 +293,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(100 + i as u64);
             let routing = RaeckeRouting::build(g.clone(), 8, &mut rng);
             let pairs = demand_pairs(&sor_flow::demand::random_permutation(&g, &mut rng));
-            check_against_reference(&routing, &g, &pairs);
+            for base in SEED_BASES {
+                check_against_reference(&routing, &g, &pairs, base);
+            }
         }
     }
 
@@ -300,8 +307,10 @@ mod tests {
             &g,
             &mut StdRng::seed_from_u64(5),
         ));
-        check_against_reference(&ValiantHypercube::new(g.clone()), &g, &pairs);
-        check_against_reference(&KspRouting::new(g.clone(), 4), &g, &pairs);
+        for base in SEED_BASES {
+            check_against_reference(&ValiantHypercube::new(g.clone()), &g, &pairs, base);
+            check_against_reference(&KspRouting::new(g.clone(), 4), &g, &pairs, base);
+        }
     }
 
     #[test]

@@ -219,11 +219,22 @@ struct SourceGroup {
     targets: Vec<NodeId>,
 }
 
+/// One distinct path a commodity was routed on.
+#[derive(Clone, Debug)]
+struct Pooled {
+    edges: Vec<EdgeId>,
+    /// The smallest capacity on the path, folded once when it joins the
+    /// pool.
+    bottleneck: f64,
+    /// The raw amount routed on it so far.
+    amount: f64,
+}
+
 /// Index and length under `len` of the first shortest path in `pool`,
 /// each path summed in edge order; `None` for an empty pool.
-fn cheapest(pool: &[(Vec<EdgeId>, f64)], len: &[f64]) -> Option<(usize, f64)> {
+fn cheapest(pool: &[Pooled], len: &[f64]) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
-    for (i, (edges, _)) in pool.iter().enumerate() {
+    for (i, Pooled { edges, .. }) in pool.iter().enumerate() {
         let l: f64 = edges.iter().map(|e| len[e.index()]).sum();
         if best.is_none_or(|(_, b)| l < b) {
             best = Some((i, l));
@@ -257,10 +268,9 @@ struct Run {
     lengths: Lengths,
     /// Loads of all `phases` routings of the scaled demand.
     raw: EdgeLoads,
-    /// Per commodity, each distinct edge list it was routed on with its raw
-    /// amount, in first-seen order: the reuse pool and the path
-    /// decomposition.
-    found: Vec<Vec<(Vec<EdgeId>, f64)>>,
+    /// Per commodity, each distinct path it was routed on, in first-seen
+    /// order: the reuse pool and the path decomposition.
+    found: Vec<Vec<Pooled>>,
 }
 
 /// One solve's commodities, grouped by source, and its search workspaces.
@@ -343,7 +353,7 @@ impl<'a> Solver<'a> {
         let (g, entries) = (self.g, self.entries);
         let mut lengths = Lengths::new(g, eps);
         let mut raw = EdgeLoads::zeros(g.num_edges());
-        let mut found: Vec<Vec<(Vec<EdgeId>, f64)>> = vec![Vec::new(); entries.len()];
+        let mut found: Vec<Vec<Pooled>> = vec![Vec::new(); entries.len()];
         // `lower[j]`: j's distance at its source's last search, a lower
         // bound on its distance from then on; 0 before the first.
         let mut lower = vec![0.0; entries.len()];
@@ -417,24 +427,27 @@ impl<'a> Solver<'a> {
                             if !self.search.edges_to(g, t, &mut path) {
                                 return Err(FlowError::Disconnected { s, t });
                             }
-                            match pool.iter().position(|(edges, _)| *edges == path) {
+                            match pool.iter().position(|p| p.edges == path) {
                                 Some(i) => i,
                                 None => {
-                                    pool.push((path.clone(), 0.0));
+                                    pool.push(Pooled {
+                                        edges: path.clone(),
+                                        bottleneck: path
+                                            .iter()
+                                            .map(|&e| g.cap(e))
+                                            .fold(f64::INFINITY, f64::min),
+                                        amount: 0.0,
+                                    });
                                     pool.len() - 1
                                 }
                             }
                         }
                     };
-                    let (edges, amount) = &mut pool[slot];
-                    let bottleneck = edges
-                        .iter()
-                        .map(|&e| g.cap(e))
-                        .fold(f64::INFINITY, f64::min);
-                    let f = remaining.min(bottleneck);
-                    raw.add_edges(edges, f);
-                    lengths.route(g, edges, f);
-                    *amount += f;
+                    let pooled = &mut pool[slot];
+                    let f = remaining.min(pooled.bottleneck);
+                    raw.add_edges(&pooled.edges, f);
+                    lengths.route(g, &pooled.edges, f);
+                    pooled.amount += f;
                     remaining -= f;
                 }
             }
@@ -527,7 +540,7 @@ pub fn try_max_concurrent_flow(
     let mut paths: Vec<(usize, Path, f64)> = Vec::with_capacity(found.iter().map(Vec::len).sum());
     for (j, (seen, &(s, t, _))) in found.into_iter().zip(entries).enumerate() {
         let first = paths.len();
-        for (edges, amount) in seen {
+        for Pooled { edges, amount, .. } in seen {
             let Some(path) = Path::from_edges(g, s, edges) else {
                 return Err(FlowError::Disconnected { s, t });
             };

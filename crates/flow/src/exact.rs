@@ -6,7 +6,7 @@
 
 use crate::loads::EdgeLoads;
 use crate::restricted::RestrictedEntry;
-use sor_graph::{Graph, NodeId, Path};
+use sor_graph::{Graph, NodeId, Path, PathList};
 
 /// Exact optimal *integral* congestion restricted to the given candidate
 /// paths: every unit of every entry is assigned to one candidate path,
@@ -16,7 +16,7 @@ use sor_graph::{Graph, NodeId, Path};
 /// tiny (tests use ≤ a few thousand leaves).
 pub fn exact_integral_restricted(g: &Graph, entries: &[RestrictedEntry<'_>]) -> f64 {
     // Flatten to one unit per slot.
-    let mut slots: Vec<&[Path]> = Vec::new();
+    let mut slots: Vec<&PathList> = Vec::new();
     for e in entries {
         let d = e.demand.round();
         assert!((e.demand - d).abs() < 1e-9, "integral demands required");
@@ -28,7 +28,7 @@ pub fn exact_integral_restricted(g: &Graph, entries: &[RestrictedEntry<'_>]) -> 
     }
     let mut loads = EdgeLoads::for_graph(g);
     let mut best = f64::INFINITY;
-    fn rec(g: &Graph, slots: &[&[Path]], i: usize, loads: &mut EdgeLoads, best: &mut f64) {
+    fn rec(g: &Graph, slots: &[&PathList], i: usize, loads: &mut EdgeLoads, best: &mut f64) {
         // Bound: current congestion can only grow.
         let cur = loads.congestion(g);
         if cur >= *best {
@@ -39,9 +39,9 @@ pub fn exact_integral_restricted(g: &Graph, entries: &[RestrictedEntry<'_>]) -> 
             return;
         }
         for p in slots[i] {
-            loads.add_path(p, 1.0);
+            loads.add_edges(p.edges(), 1.0);
             rec(g, slots, i + 1, loads, best);
-            loads.add_path(p, -1.0);
+            loads.add_edges(p.edges(), -1.0);
         }
     }
     rec(g, &slots, 0, &mut loads, &mut best);
@@ -105,10 +105,10 @@ pub fn all_simple_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Path> {
 /// Exact optimal integral congestion over *all* simple paths — the true
 /// integral offline optimum `OPT_int` for tiny instances.
 pub fn exact_integral_opt(g: &Graph, demand: &crate::demand::Demand) -> f64 {
-    let path_sets: Vec<Vec<Path>> = demand
+    let path_sets: Vec<PathList> = demand
         .entries()
         .iter()
-        .map(|&(s, t, _)| all_simple_paths(g, s, t))
+        .map(|&(s, t, _)| PathList::from_paths(s, &all_simple_paths(g, s, t)))
         .collect();
     let entries: Vec<RestrictedEntry> = demand
         .entries()
@@ -141,7 +141,10 @@ mod tests {
     #[test]
     fn exact_restricted_even_split() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [RestrictedEntry {
             s: NodeId(0),
             t: NodeId(3),

@@ -31,8 +31,9 @@ impl EdgeLoads {
     }
 
     /// Add `w` units along every edge of `edges` (as [`Self::add_path`],
-    /// for an edge list that is not a [`Path`]).
-    pub(crate) fn add_edges(&mut self, edges: &[EdgeId], w: f64) {
+    /// for an edge list that is not a [`Path`], such as a
+    /// [`sor_graph::PathRef`]'s).
+    pub fn add_edges(&mut self, edges: &[EdgeId], w: f64) {
         for &e in edges {
             self.loads[e.index()] += w;
         }

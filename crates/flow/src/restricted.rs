@@ -17,7 +17,7 @@
 
 use crate::concurrent::{route_whole, unit_scale, FlowError, Lengths, COARSE_EPS};
 use crate::loads::EdgeLoads;
-use sor_graph::{EdgeId, Graph, NodeId, Path};
+use sor_graph::{EdgeId, Graph, NodeId, PathList};
 
 /// A solution to the restricted min-congestion problem.
 #[derive(Clone, Debug)]
@@ -43,12 +43,12 @@ pub struct RestrictedEntry<'a> {
     pub t: NodeId,
     /// Amount to route.
     pub demand: f64,
-    /// Candidate paths (each must run `s → t`).
-    pub paths: &'a [Path],
+    /// Candidate paths (each must run `s → t`), borrowed as stored.
+    pub paths: &'a PathList,
 }
 
-/// The active entries' candidate paths flattened into one edge-id arena,
-/// so an oracle scan reads contiguous memory instead of one `Vec` per path.
+/// The active entries' candidate lists copied into one edge-id arena, so
+/// an oracle scan reads one contiguous run instead of one list per entry.
 /// Paths are numbered across the active entries in order; path `p` runs
 /// over `edges[start[p]..start[p + 1]]` and can carry at most
 /// `bottleneck[p]`, the smallest capacity on it.
@@ -67,7 +67,7 @@ impl CandidateArena {
         let (mut num_paths, mut num_edges) = (0, 0);
         for &j in active {
             num_paths += entries[j].paths.len();
-            num_edges += entries[j].paths.iter().map(Path::hops).sum::<usize>();
+            num_edges += entries[j].paths.all_edges().len();
         }
         let mut arena = CandidateArena {
             edges: Vec::with_capacity(num_edges),
@@ -79,9 +79,12 @@ impl CandidateArena {
         arena.start.push(0);
         arena.first.push(0);
         for &j in active {
-            for path in entries[j].paths {
-                arena.edges.extend_from_slice(path.edges());
-                arena.start.push(arena.edges.len());
+            let list = entries[j].paths;
+            let mut end = arena.edges.len();
+            arena.edges.extend_from_slice(list.all_edges());
+            for path in list {
+                end += path.hops();
+                arena.start.push(end);
                 let bottleneck = path
                     .edges()
                     .iter()
@@ -105,7 +108,7 @@ impl CandidateArena {
     }
 
     /// Length of path `p` under `len`, summed in path order as
-    /// [`Path::length`] sums it.
+    /// [`sor_graph::Path::length`] sums it.
     fn length(&self, p: usize, len: &[f64]) -> f64 {
         self.edges(p).iter().map(|e| len[e.index()]).sum()
     }
@@ -265,7 +268,7 @@ pub fn restricted_min_congestion(
         debug_assert!(e
             .paths
             .iter()
-            .all(|p| p.source() == e.s && p.target() == e.t));
+            .all(|p| p.source() == e.s && p.target(g) == e.t));
     }
     let mut weights: Vec<Vec<f64>> = entries.iter().map(|e| vec![0.0; e.paths.len()]).collect();
     if active.is_empty() || m == 0 {
@@ -327,9 +330,14 @@ pub fn restricted_min_congestion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sor_graph::{gen, yen_ksp};
+    use sor_graph::{gen, yen_ksp, Path};
 
-    fn entry<'a>(s: u32, t: u32, d: f64, paths: &'a [Path]) -> RestrictedEntry<'a> {
+    /// `paths` as one list, repeats kept (from `NodeId(0)` when empty).
+    fn as_list(paths: &[Path]) -> PathList {
+        PathList::from_paths(paths.first().map_or(NodeId(0), Path::source), paths)
+    }
+
+    fn entry<'a>(s: u32, t: u32, d: f64, paths: &'a PathList) -> RestrictedEntry<'a> {
         RestrictedEntry {
             s: NodeId(s),
             t: NodeId(t),
@@ -342,7 +350,7 @@ mod tests {
     fn splits_over_two_candidates() {
         // C4, 0→2, both 2-hop paths offered: congestion 0.5.
         let g = gen::cycle_graph(4);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths());
+        let paths = as_list(&yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths()));
         assert_eq!(paths.len(), 2);
         let entries = [entry(0, 2, 1.0, &paths)];
         let sol = restricted_min_congestion(&g, &entries, 0.05);
@@ -357,7 +365,7 @@ mod tests {
     #[test]
     fn single_candidate_forces_path() {
         let g = gen::cycle_graph(4);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(2), 1, &g.unit_lengths());
+        let paths = as_list(&yen_ksp(&g, NodeId(0), NodeId(2), 1, &g.unit_lengths()));
         let entries = [entry(0, 2, 2.0, &paths)];
         let sol = restricted_min_congestion(&g, &entries, 0.05);
         assert!((sol.congestion - 2.0).abs() < 0.2, "{}", sol.congestion);
@@ -369,7 +377,8 @@ mod tests {
         // bridge path forces congestion ~1, while the full graph gets ~1/3.
         let g = gen::dumbbell(4, 3);
         let all = yen_ksp(&g, NodeId(0), NodeId(4), 8, &g.unit_lengths());
-        let one = vec![all[0].clone()];
+        let one = as_list(&all[..1]);
+        let all = as_list(&all);
         let full_entries = [entry(0, 4, 1.0, &all)];
         let one_entries = [entry(0, 4, 1.0, &one)];
         let full = restricted_min_congestion(&g, &full_entries, 0.05);
@@ -382,8 +391,8 @@ mod tests {
     fn multiple_commodities_share() {
         // Two commodities on C6 with overlapping candidate sets.
         let g = gen::cycle_graph(6);
-        let p02 = yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths());
-        let p35 = yen_ksp(&g, NodeId(3), NodeId(5), 2, &g.unit_lengths());
+        let p02 = as_list(&yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths()));
+        let p35 = as_list(&yen_ksp(&g, NodeId(3), NodeId(5), 2, &g.unit_lengths()));
         let entries = [entry(0, 2, 1.0, &p02), entry(3, 5, 1.0, &p35)];
         let sol = restricted_min_congestion(&g, &entries, 0.1);
         // The short arcs are edge-disjoint but the long alternatives all
@@ -396,8 +405,8 @@ mod tests {
     #[test]
     fn zero_demand_entries_ignored() {
         let g = gen::cycle_graph(4);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths());
-        let empty: Vec<Path> = Vec::new();
+        let paths = as_list(&yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths()));
+        let empty = PathList::new(NodeId(0));
         let entries = [entry(0, 2, 0.0, &empty), entry(0, 2, 1.0, &paths)];
         let sol = restricted_min_congestion(&g, &entries, 0.1);
         assert!(sol.congestion > 0.0);
@@ -425,13 +434,13 @@ mod tests {
                     let mut best = 0usize;
                     let mut best_len = f64::INFINITY;
                     for (i, p) in entry.paths.iter().enumerate() {
-                        let l = p.length(&len);
+                        let l: f64 = p.edges().iter().map(|e| len[e.index()]).sum();
                         if l.total_cmp(&best_len).is_lt() {
                             best = i;
                             best_len = l;
                         }
                     }
-                    let path = &entry.paths[best];
+                    let path = entry.paths.get(best);
                     let bottleneck = path
                         .edges()
                         .iter()
@@ -456,7 +465,7 @@ mod tests {
             for (i, w) in weights[j].iter_mut().enumerate() {
                 *w *= scale;
                 if *w > 0.0 {
-                    loads.add_path(&entry.paths[i], *w);
+                    loads.add_edges(entry.paths.get(i).edges(), *w);
                 }
             }
         }
@@ -466,7 +475,7 @@ mod tests {
             let dist = entries[j]
                 .paths
                 .iter()
-                .map(|p| p.length(&len))
+                .map(|p| p.edges().iter().map(|e| len[e.index()]).sum::<f64>())
                 .fold(f64::INFINITY, f64::min);
             alpha += entries[j].demand * dist;
         }
@@ -508,19 +517,19 @@ mod tests {
         };
         let path = |s: u32, ids: &[usize]| Path::from_edges(&g, NodeId(s), e(ids)).unwrap();
         // Repeated candidates: the first copy must keep winning ties.
-        let p02 = vec![
+        let p02 = as_list(&[
             path(0, &[0, 2]),
             path(0, &[1, 2]),
             path(0, &[3]),
             path(0, &[1, 2]),
-        ];
-        let p03 = vec![
+        ]);
+        let p03 = as_list(&[
             path(0, &[3, 4]),
             path(0, &[1, 5]),
             path(0, &[0, 5]),
             path(0, &[3, 4]),
-        ];
-        let p13 = vec![path(1, &[5]), path(1, &[2, 4])];
+        ]);
+        let p13 = as_list(&[path(1, &[5]), path(1, &[2, 4])]);
         let entries = [
             entry(0, 2, 1.3, &p02),
             entry(0, 3, 0.0, &p03),
@@ -556,12 +565,12 @@ mod tests {
             (12, 17, 0.4),
             (2, 33, 1.2),
         ];
-        let lists: Vec<Vec<Path>> = pairs
+        let lists: Vec<PathList> = pairs
             .iter()
             .map(|&(s, t, _)| {
                 let mut ps = yen_ksp(&g, NodeId(s), NodeId(t), 3, &g.unit_lengths());
                 ps.extend(ps.clone());
-                ps
+                as_list(&ps)
             })
             .collect();
         let entries: Vec<RestrictedEntry<'_>> = pairs
@@ -641,6 +650,7 @@ mod tests {
             })
             .collect();
         assert!(has_ragged_group(&lists));
+        let lists: Vec<PathList> = lists.iter().map(|ps| as_list(ps)).collect();
         let entries: Vec<RestrictedEntry<'_>> = (0u32..)
             .zip(pairs.iter().zip(&lists))
             .map(|(i, (&(s, t), ps))| entry(s, t, 1.0 + 0.1 * f64::from(i), ps))
@@ -675,6 +685,7 @@ mod tests {
             .collect();
         assert!(lists.iter().all(|ps| ps.len() == 11));
         assert!(has_ragged_group(&lists));
+        let lists: Vec<PathList> = lists.iter().map(|ps| as_list(ps)).collect();
         let entries: Vec<RestrictedEntry<'_>> = pairs
             .iter()
             .zip(&lists)
@@ -716,12 +727,15 @@ mod tests {
         lists.push([copies.clone(), copies].concat());
         lists.push(vec![Path::trivial(NodeId(12)); 7]);
         assert!(has_ragged_group(&lists));
-        let entries: Vec<RestrictedEntry<'_>> = lists
+        let ends: Vec<(u32, u32)> = lists
             .iter()
-            .map(|ps| {
-                let (s, t) = (ps[0].source(), ps[0].target());
-                entry(s.0, t.0, 1.0, ps)
-            })
+            .map(|ps| (ps[0].source().0, ps[0].target().0))
+            .collect();
+        let lists: Vec<PathList> = lists.iter().map(|ps| as_list(ps)).collect();
+        let entries: Vec<RestrictedEntry<'_>> = ends
+            .iter()
+            .zip(&lists)
+            .map(|(&(s, t), ps)| entry(s, t, 1.0, ps))
             .collect();
         let active: Vec<usize> = (0..entries.len()).collect();
         let arena = CandidateArena::new(&g, &entries, &active);
@@ -745,7 +759,7 @@ mod tests {
 
     /// A gravity TM of 4.0 units over `g`'s vertices, masses drawn from
     /// `seed`, with the 4 fewest-hop candidates per pair.
-    fn gravity_candidates(g: &Graph, seed: u64) -> Vec<(NodeId, NodeId, f64, Vec<Path>)> {
+    fn gravity_candidates(g: &Graph, seed: u64) -> Vec<(NodeId, NodeId, f64, PathList)> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -754,13 +768,13 @@ mod tests {
         crate::demand::gravity(&nodes, &mass, 4.0)
             .entries()
             .iter()
-            .map(|&(s, t, d)| (s, t, d, yen_ksp(g, s, t, 4, &g.unit_lengths())))
+            .map(|&(s, t, d)| (s, t, d, as_list(&yen_ksp(g, s, t, 4, &g.unit_lengths()))))
             .collect()
     }
 
     /// `tm`'s entries with every demand multiplied by `factor`.
     fn scaled_entries(
-        tm: &[(NodeId, NodeId, f64, Vec<Path>)],
+        tm: &[(NodeId, NodeId, f64, PathList)],
         factor: f64,
     ) -> Vec<RestrictedEntry<'_>> {
         tm.iter()
@@ -827,7 +841,7 @@ mod tests {
 
     /// The factor that puts the one-pass bound at ε = 0.1 of B4's seed-1
     /// TM at `target`; the bound is linear in the demand.
-    fn factor_for_one_pass(g: &Graph, tm: &[(NodeId, NodeId, f64, Vec<Path>)], target: f64) -> f64 {
+    fn factor_for_one_pass(g: &Graph, tm: &[(NodeId, NodeId, f64, PathList)], target: f64) -> f64 {
         let lambda_one =
             one_pass(g, &scaled_entries(tm, 1e-3), 0.1).expect("a thousandth of a TM fits");
         target * 1e-3 / lambda_one
@@ -863,7 +877,7 @@ mod tests {
     #[should_panic(expected = "eps must be in (0,1), got 1")]
     fn epsilon_of_one_panics_with_the_typed_message() {
         let g = gen::cycle_graph(4);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths());
+        let paths = as_list(&yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths()));
         let entries = [entry(0, 2, 1.0, &paths)];
         restricted_min_congestion(&g, &entries, 1.0);
     }
@@ -872,7 +886,7 @@ mod tests {
     #[should_panic(expected = "no candidate paths")]
     fn demand_without_paths_panics() {
         let g = gen::cycle_graph(4);
-        let empty: Vec<Path> = Vec::new();
+        let empty = PathList::new(NodeId(0));
         let entries = [entry(0, 2, 1.0, &empty)];
         restricted_min_congestion(&g, &entries, 0.1);
     }

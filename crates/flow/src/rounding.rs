@@ -14,7 +14,7 @@
 use crate::loads::EdgeLoads;
 use crate::restricted::RestrictedEntry;
 use rand::Rng;
-use sor_graph::Graph;
+use sor_graph::{Graph, PathRef};
 
 /// An integral assignment of each unit of demand to one candidate path.
 #[derive(Clone, Debug)]
@@ -77,7 +77,7 @@ pub fn round_and_improve<R: Rng>(
                     x -= wi;
                 }
                 c[pick] += 1;
-                loads.add_path(&entry.paths[pick], 1.0);
+                loads.add_edges(entry.paths.get(pick).edges(), 1.0);
             }
         }
         counts.push(c);
@@ -106,7 +106,7 @@ pub fn round_and_improve<R: Rng>(
                     if to == from {
                         continue;
                     }
-                    let delta = move_delta(g, &loads, &entry.paths[from], &entry.paths[to]);
+                    let delta = move_delta(g, &loads, entry.paths.get(from), entry.paths.get(to));
                     if delta < -1e-12 && best.is_none_or(|(_, bd)| delta < bd) {
                         best = Some((to, delta));
                     }
@@ -114,8 +114,8 @@ pub fn round_and_improve<R: Rng>(
                 if let Some((to, _)) = best {
                     counts[j][from] -= 1;
                     counts[j][to] += 1;
-                    loads.add_path(&entry.paths[from], -1.0);
-                    loads.add_path(&entry.paths[to], 1.0);
+                    loads.add_edges(entry.paths.get(from).edges(), -1.0);
+                    loads.add_edges(entry.paths.get(to).edges(), 1.0);
                     moves += 1;
                     sor_obs::counter_add!("flow/rounding/moves");
                     improved = true;
@@ -153,7 +153,7 @@ pub fn round_and_improve<R: Rng>(
 
 /// Potential change of moving one unit from path `a` to path `b`. Only
 /// edges in the symmetric difference contribute.
-fn move_delta(g: &Graph, loads: &EdgeLoads, a: &sor_graph::Path, b: &sor_graph::Path) -> f64 {
+fn move_delta(g: &Graph, loads: &EdgeLoads, a: PathRef<'_>, b: PathRef<'_>) -> f64 {
     let mut delta = 0.0;
     for &e in a.edges() {
         if b.contains_edge(e) {
@@ -180,9 +180,9 @@ mod tests {
     use crate::restricted::restricted_min_congestion;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sor_graph::{gen, yen_ksp, NodeId, Path};
+    use sor_graph::{gen, yen_ksp, NodeId, Path, PathList};
 
-    fn entry<'a>(s: u32, t: u32, d: f64, paths: &'a [Path]) -> RestrictedEntry<'a> {
+    fn entry<'a>(s: u32, t: u32, d: f64, paths: &'a PathList) -> RestrictedEntry<'a> {
         RestrictedEntry {
             s: NodeId(s),
             t: NodeId(t),
@@ -194,7 +194,10 @@ mod tests {
     #[test]
     fn counts_match_demand_and_loads() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 4.0, &paths)];
         let frac = restricted_min_congestion(&g, &entries, 0.1);
         let mut rng = StdRng::seed_from_u64(5);
@@ -203,7 +206,7 @@ mod tests {
         // rebuild loads
         let mut rebuilt = EdgeLoads::for_graph(&g);
         for (i, &c) in sol.counts[0].iter().enumerate() {
-            rebuilt.add_path(&paths[i], c as f64);
+            rebuilt.add_edges(paths.get(i).edges(), c as f64);
         }
         for e in g.edge_ids() {
             assert!((rebuilt.load(e) - sol.loads.load(e)).abs() < 1e-9);
@@ -215,7 +218,10 @@ mod tests {
     fn local_search_balances_even_split() {
         // 4 units over 2 disjoint 3-hop paths on C6: optimum = 2 per path.
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 4.0, &paths)];
         // Deliberately lopsided fractional weights; local search must fix it.
         let weights = vec![vec![4.0, 0.000001]];
@@ -233,7 +239,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 3.0);
         let p0 = Path::from_edges(&g, NodeId(0), vec![sor_graph::EdgeId(0)]).unwrap();
         let p1 = Path::from_edges(&g, NodeId(0), vec![sor_graph::EdgeId(1)]).unwrap();
-        let paths = vec![p0, p1];
+        let paths = PathList::from_paths(NodeId(0), &[p0, p1]);
         let entries = [entry(0, 1, 4.0, &paths)];
         let weights = vec![vec![2.0, 2.0]];
         let mut rng = StdRng::seed_from_u64(3);
@@ -245,7 +251,10 @@ mod tests {
     #[test]
     fn zero_demand_ok() {
         let g = gen::cycle_graph(4);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 2, 0.0, &paths)];
         let weights = vec![vec![0.0, 0.0]];
         let mut rng = StdRng::seed_from_u64(3);
@@ -260,9 +269,12 @@ mod tests {
         let g = gen::random_regular(24, 4, &mut rng);
         // several unit demands with 3 candidates each
         let pairs = [(0u32, 12u32), (1, 13), (2, 14), (3, 15), (4, 16)];
-        let path_sets: Vec<Vec<Path>> = pairs
+        let path_sets: Vec<PathList> = pairs
             .iter()
-            .map(|&(s, t)| yen_ksp(&g, NodeId(s), NodeId(t), 3, &g.unit_lengths()))
+            .map(|&(s, t)| {
+                let ps = yen_ksp(&g, NodeId(s), NodeId(t), 3, &g.unit_lengths());
+                PathList::from_paths(NodeId(s), &ps)
+            })
             .collect();
         let entries: Vec<RestrictedEntry> = pairs
             .iter()

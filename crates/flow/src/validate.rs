@@ -92,7 +92,7 @@ fn check_load_consistency(
     for (entry, w) in entries.iter().zip(weights) {
         for (i, &wi) in w.iter().enumerate() {
             if wi > 0.0 {
-                rebuilt.add_path(&entry.paths[i], wi);
+                rebuilt.add_edges(entry.paths.get(i).edges(), wi);
             }
         }
     }
@@ -190,9 +190,9 @@ mod tests {
     use crate::rounding::round_and_improve;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sor_graph::{gen, yen_ksp, NodeId, Path};
+    use sor_graph::{gen, yen_ksp, NodeId, PathList};
 
-    fn entry<'a>(s: u32, t: u32, d: f64, paths: &'a [Path]) -> RestrictedEntry<'a> {
+    fn entry<'a>(s: u32, t: u32, d: f64, paths: &'a PathList) -> RestrictedEntry<'a> {
         RestrictedEntry {
             s: NodeId(s),
             t: NodeId(t),
@@ -204,7 +204,10 @@ mod tests {
     #[test]
     fn solver_output_passes() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 2.0, &paths)];
         let sol = restricted_min_congestion(&g, &entries, 0.1);
         assert_eq!(check_restricted(&g, &entries, &sol), Ok(()));
@@ -213,7 +216,10 @@ mod tests {
     #[test]
     fn tampered_weights_fail_conservation() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 2.0, &paths)];
         let mut sol = restricted_min_congestion(&g, &entries, 0.1);
         sol.weights[0][0] += 0.5;
@@ -224,7 +230,10 @@ mod tests {
     #[test]
     fn tampered_loads_fail_consistency() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 2.0, &paths)];
         let mut sol = restricted_min_congestion(&g, &entries, 0.1);
         sol.loads.scale(1.5);
@@ -235,7 +244,10 @@ mod tests {
     #[test]
     fn understated_congestion_fails() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 2.0, &paths)];
         let mut sol = restricted_min_congestion(&g, &entries, 0.1);
         sol.congestion /= 2.0;
@@ -245,7 +257,10 @@ mod tests {
     #[test]
     fn negative_weight_rejected() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 1.0, &paths)];
         let weights = vec![vec![1.5, -0.5]];
         let err = check_flow_conservation(&entries, &weights).unwrap_err();
@@ -255,7 +270,10 @@ mod tests {
     #[test]
     fn shape_mismatch_rejected() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 1.0, &paths)];
         assert!(check_flow_conservation(&entries, &[]).is_err());
         assert!(check_flow_conservation(&entries, &[vec![1.0]]).is_err());
@@ -283,7 +301,10 @@ mod tests {
     #[test]
     fn integral_output_passes_and_tampering_fails() {
         let g = gen::cycle_graph(6);
-        let paths = yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths());
+        let paths = PathList::from_paths(
+            NodeId(0),
+            &yen_ksp(&g, NodeId(0), NodeId(3), 2, &g.unit_lengths()),
+        );
         let entries = [entry(0, 3, 4.0, &paths)];
         let frac = restricted_min_congestion(&g, &entries, 0.1);
         let mut rng = StdRng::seed_from_u64(7);

@@ -10,7 +10,7 @@ use sor_flow::exact::{
 use sor_flow::restricted::{restricted_min_congestion, RestrictedEntry};
 use sor_flow::rounding::round_and_improve;
 use sor_flow::{max_concurrent_flow, Demand, EdgeLoads};
-use sor_graph::{gen, yen_ksp, Graph, NodeId};
+use sor_graph::{gen, yen_ksp, Graph, NodeId, PathList};
 
 fn arb_graph(n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -70,13 +70,15 @@ proptest! {
         let eps = 0.08;
         let free = max_concurrent_flow(&g, &dm, eps);
         let all = all_simple_paths(&g, s, t);
+        let first = PathList::from_paths(s, &all[..1]);
+        let all = PathList::from_paths(s, &all);
         let entries = [RestrictedEntry { s, t, demand: 1.0, paths: &all }];
         let full = restricted_min_congestion(&g, &entries, eps);
         // full path set ≈ unrestricted (both are (1+O(eps))-approx)
         prop_assert!(full.congestion <= free.congestion_upper * 1.25 + 1e-9);
         prop_assert!(free.congestion_upper <= full.congestion * 1.25 + 1e-9);
         // single-path restriction is at least as congested
-        let one = [RestrictedEntry { s, t, demand: 1.0, paths: &all[..1] }];
+        let one = [RestrictedEntry { s, t, demand: 1.0, paths: &first }];
         let single = restricted_min_congestion(&g, &one, eps);
         prop_assert!(single.congestion >= full.congestion - 1e-6);
     }
@@ -88,7 +90,7 @@ proptest! {
         let g = arb_graph(n, seed);
         let s = NodeId(0);
         let t = NodeId::from_usize(n - 1);
-        let paths = yen_ksp(&g, s, t, 3, &g.unit_lengths());
+        let paths = PathList::from_paths(s, &yen_ksp(&g, s, t, 3, &g.unit_lengths()));
         let entries = [RestrictedEntry {
             s,
             t,
@@ -144,7 +146,7 @@ proptest! {
         let g = arb_graph(n, seed);
         let s = NodeId(0);
         let t = NodeId::from_usize(n - 1);
-        let paths = yen_ksp(&g, s, t, 2, &g.unit_lengths());
+        let paths = PathList::from_paths(s, &yen_ksp(&g, s, t, 2, &g.unit_lengths()));
         let entries = [RestrictedEntry {
             s,
             t,

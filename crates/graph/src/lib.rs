@@ -13,7 +13,8 @@
 //!
 //! * [`Graph`] — compact undirected multigraph with adjacency lists,
 //! * [`Path`] — a simple path as a node/edge sequence, the unit all routing
-//!   objects are built from,
+//!   objects are built from, and [`PathList`] — one source's candidate
+//!   paths as one flat edge list, the form path systems store,
 //! * traversal ([`bfs_dists`], [`is_connected`], hop metrics),
 //! * weighted shortest paths ([`dijkstra`], the reusable, target-stopped
 //!   [`DijkstraSearch`], and A* on [`Landmarks`] bounds),
@@ -63,7 +64,7 @@ pub use graph::{EdgeId, EdgeRec, Graph, NodeId};
 pub use io::{graph_from_text, graph_to_text, MAX_TEXT_NODES};
 pub use ksp::yen_ksp;
 pub use maxflow::{max_flow, st_min_cut};
-pub use path::{LoopErasedWalk, Path};
+pub use path::{LoopErasedWalk, Path, PathIter, PathList, PathRef};
 pub use shortest::{dijkstra, DijkstraSearch, Landmarks, ShortestPathTree};
 pub use spectral::spectral_gap;
 pub use traversal::{bfs_dists, bfs_path, bfs_path_avoiding, diameter, is_connected};

@@ -1,6 +1,7 @@
 //! Simple paths: the atomic object every routing in the workspace is made of.
 
 use crate::graph::{EdgeId, Graph, NodeId};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -257,6 +258,244 @@ impl LoopErasedWalk {
     }
 }
 
+/// The candidate paths of one source as one flat edge list: every path's
+/// edges back to back in one vector, plus the offset where each path
+/// ends. A list owns two allocations however many paths it holds, where
+/// as many [`Path`]s would own two each.
+///
+/// Only edges are stored; a path's vertices come from the graph on
+/// demand ([`PathRef::nodes`], [`PathRef::to_path`]). Every path starts
+/// at the list's source, so two paths are the same [`Path`] exactly when
+/// their edge slices are equal, parallel edges included: that is how
+/// [`PathList::index_or_push`] deduplicates.
+///
+/// Lists compare by source and then path by path, in order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PathList {
+    source: NodeId,
+    edges: Vec<EdgeId>,
+    /// Path `i` is `edges[ends[i - 1]..ends[i]]`, the first from 0.
+    ends: Vec<u32>,
+}
+
+thread_local! {
+    /// The buffer [`PathList::build_exact`] fills before copying out.
+    static LIST_BUFFER: Cell<PathList> = const { Cell::new(PathList::new(NodeId(0))) };
+}
+
+impl PathList {
+    /// An empty list of paths from `source`.
+    pub const fn new(source: NodeId) -> Self {
+        PathList {
+            source,
+            edges: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    /// The list of `paths`, in order and with any repeats kept. Panics if
+    /// a path does not start at `source`.
+    pub fn from_paths<'p>(source: NodeId, paths: impl IntoIterator<Item = &'p Path>) -> Self {
+        let mut list = PathList::new(source);
+        for p in paths {
+            assert_eq!(p.source(), source, "path source mismatch");
+            list.push(p.edges());
+        }
+        list
+    }
+
+    /// Fill a list from `source` with `fill` in a buffer this thread
+    /// reuses, and return a copy allocated at its exact size together
+    /// with what `fill` returned. Growing the list in place would keep
+    /// up to half of each vector as slack.
+    pub fn build_exact<T>(source: NodeId, fill: impl FnOnce(&mut PathList) -> T) -> (Self, T) {
+        LIST_BUFFER.with(|cell| {
+            let mut buffer = cell.replace(PathList::new(source));
+            buffer.source = source;
+            buffer.edges.clear();
+            buffer.ends.clear();
+            let out = fill(&mut buffer);
+            // `Vec::clone` allocates exactly `len` elements
+            let list = buffer.clone();
+            cell.set(buffer);
+            (list, out)
+        })
+    }
+
+    /// Number of paths.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the list holds no path.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Path `i`. Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> PathRef<'_> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        PathRef {
+            source: self.source,
+            edges: &self.edges[start..self.ends[i] as usize],
+        }
+    }
+
+    /// The paths in order.
+    pub fn iter(&self) -> PathIter<'_> {
+        PathIter {
+            source: self.source,
+            edges: &self.edges,
+            ends: self.ends.iter(),
+            start: 0,
+        }
+    }
+
+    /// Every path's edges, back to back in path order.
+    pub fn all_edges(&self) -> &[EdgeId] {
+        &self.edges
+    }
+
+    /// Append the path with edge sequence `edges`, even if the list holds
+    /// it already. The caller guarantees it is a simple path from the
+    /// list's source.
+    pub fn push(&mut self, edges: &[EdgeId]) {
+        self.edges.extend_from_slice(edges);
+        let end = u32::try_from(self.edges.len())
+            // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
+            .expect("a path list holds fewer than 2^32 edges");
+        self.ends.push(end);
+    }
+
+    /// The index of the first path with edge sequence `edges`, if any.
+    pub fn position(&self, edges: &[EdgeId]) -> Option<usize> {
+        self.iter().position(|p| p.edges == edges)
+    }
+
+    /// The index of the path with edge sequence `edges`, appending it
+    /// first if the list does not hold it.
+    // a list's paths are far fewer than u32::MAX
+    #[allow(clippy::cast_possible_truncation)]
+    pub fn index_or_push(&mut self, edges: &[EdgeId]) -> u32 {
+        let i = self.position(edges).unwrap_or_else(|| {
+            self.push(edges);
+            self.len() - 1
+        });
+        i as u32
+    }
+}
+
+impl<'a> IntoIterator for &'a PathList {
+    type Item = PathRef<'a>;
+    type IntoIter = PathIter<'a>;
+
+    fn into_iter(self) -> PathIter<'a> {
+        self.iter()
+    }
+}
+
+/// The paths of a [`PathList`], in order.
+#[derive(Clone, Debug)]
+pub struct PathIter<'a> {
+    source: NodeId,
+    edges: &'a [EdgeId],
+    ends: std::slice::Iter<'a, u32>,
+    start: usize,
+}
+
+impl<'a> Iterator for PathIter<'a> {
+    type Item = PathRef<'a>;
+
+    fn next(&mut self) -> Option<PathRef<'a>> {
+        let end = *self.ends.next()? as usize;
+        let edges = &self.edges[self.start..end];
+        self.start = end;
+        Some(PathRef {
+            source: self.source,
+            edges,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for PathIter<'_> {}
+
+/// One path of a [`PathList`], borrowed: its source and its edges.
+///
+/// Two views are equal when their sources and edge sequences are, which
+/// is when their paths are equal as [`Path`]s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PathRef<'a> {
+    source: NodeId,
+    edges: &'a [EdgeId],
+}
+
+impl<'a> PathRef<'a> {
+    /// First vertex.
+    #[inline]
+    pub fn source(&self) -> NodeId {
+        self.source
+    }
+
+    /// The edge sequence.
+    #[inline]
+    pub fn edges(&self) -> &'a [EdgeId] {
+        self.edges
+    }
+
+    /// Number of edges.
+    #[inline]
+    pub fn hops(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Whether edge `e` lies on this path.
+    pub fn contains_edge(&self, e: EdgeId) -> bool {
+        self.edges.contains(&e)
+    }
+
+    /// The vertex sequence, read off `g` from the source on.
+    pub fn nodes<'g>(&self, g: &'g Graph) -> impl Iterator<Item = NodeId> + 'g
+    where
+        'a: 'g,
+    {
+        let tail = self.edges.iter().scan(self.source, move |cur, &e| {
+            *cur = g.edge(e).other(*cur);
+            Some(*cur)
+        });
+        std::iter::once(self.source).chain(tail)
+    }
+
+    /// Last vertex, read off `g`.
+    pub fn target(&self, g: &Graph) -> NodeId {
+        self.nodes(g).last().unwrap_or(self.source)
+    }
+
+    /// The path as an owned [`Path`] of `g`, or `None` when the edges are
+    /// not a simple walk of `g` from the source (an out-of-range source or
+    /// edge id included).
+    pub fn checked_path(&self, g: &Graph) -> Option<Path> {
+        if self.source.index() >= g.num_nodes()
+            || self.edges.iter().any(|e| e.index() >= g.num_edges())
+        {
+            return None;
+        }
+        Path::from_edges(g, self.source, self.edges.to_vec())
+    }
+
+    /// The path as an owned [`Path`] of `g`. Panics if it is not one.
+    pub fn to_path(&self, g: &Graph) -> Path {
+        self.checked_path(g)
+            // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
+            .expect("a path list holds simple paths of its graph")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,6 +668,123 @@ mod tests {
         let mut walk = LoopErasedWalk::default();
         walk.start(NodeId(0));
         walk.follow(&p);
+    }
+
+    /// A multigraph: 0-1 twice (edges 0 and 1), then 1-2 (edge 2), 2-3
+    /// (edge 3) and 1-3 (edge 4).
+    fn doubled_edge_graph() -> Graph {
+        let mut g = Graph::new(4);
+        for (u, v) in [(0, 1), (0, 1), (1, 2), (2, 3), (1, 3)] {
+            g.add_unit_edge(NodeId(u), NodeId(v));
+        }
+        g
+    }
+
+    fn edge_ids(ids: &[u32]) -> Vec<EdgeId> {
+        ids.iter().map(|&e| EdgeId(e)).collect()
+    }
+
+    #[test]
+    fn lists_deduplicate_by_edges_on_a_multigraph() {
+        let g = doubled_edge_graph();
+        let mut list = PathList::new(NodeId(0));
+        // 0-1-3 over either parallel edge: equal vertices, distinct edges
+        let a = edge_ids(&[0, 4]);
+        let b = edge_ids(&[1, 4]);
+        let c = edge_ids(&[0, 2, 3]);
+        assert_eq!(list.index_or_push(&a), 0);
+        assert_eq!(list.index_or_push(&b), 1);
+        assert_eq!(list.index_or_push(&a), 0);
+        assert_eq!(list.index_or_push(&c), 2);
+        assert_eq!(list.index_or_push(&b), 1);
+        assert_eq!(list.index_or_push(&c), 2);
+        assert_eq!(list.len(), 3);
+        assert_eq!(list.all_edges(), &edge_ids(&[0, 4, 1, 4, 0, 2, 3])[..]);
+        let (pa, pb) = (list.get(0).to_path(&g), list.get(1).to_path(&g));
+        assert_eq!(pa.nodes(), pb.nodes());
+        assert_ne!(pa, pb);
+        assert_ne!(list.get(0), list.get(1));
+        assert_eq!(list.position(&c), Some(2));
+        assert_eq!(list.position(&edge_ids(&[0, 2])), None);
+        // `push` appends a repeat as its own path
+        list.push(&a);
+        assert_eq!(list.len(), 4);
+        assert_eq!(list.get(3), list.get(0));
+    }
+
+    #[test]
+    fn trivial_paths_in_lists() {
+        let g = doubled_edge_graph();
+        let mut list = PathList::new(NodeId(2));
+        assert_eq!(list.index_or_push(&[]), 0);
+        assert_eq!(list.index_or_push(&edge_ids(&[3])), 1);
+        assert_eq!(list.index_or_push(&[]), 0);
+        list.push(&[]);
+        let hops: Vec<usize> = list.iter().map(|p| p.hops()).collect();
+        assert_eq!(hops, [0, 1, 0]);
+        let trivial = list.get(2);
+        assert_eq!(trivial.to_path(&g), Path::trivial(NodeId(2)));
+        assert_eq!(trivial.nodes(&g).collect::<Vec<_>>(), [NodeId(2)]);
+        assert_eq!(trivial.target(&g), NodeId(2));
+        assert_eq!(list.get(1).target(&g), NodeId(3));
+    }
+
+    #[test]
+    fn list_paths_round_trip_through_to_path() {
+        let g = doubled_edge_graph();
+        let paths: Vec<Path> = [&[0, 4][..], &[1, 2, 3], &[1, 4], &[0, 2]]
+            .iter()
+            .map(|ids| Path::from_edges(&g, NodeId(0), edge_ids(ids)).unwrap())
+            .collect();
+        let list = PathList::from_paths(NodeId(0), &paths);
+        assert_eq!(list.len(), paths.len());
+        assert_eq!(list.iter().len(), paths.len());
+        for (i, (p, want)) in list.iter().zip(&paths).enumerate() {
+            assert_eq!(p, list.get(i));
+            assert_eq!(p.source(), NodeId(0));
+            assert_eq!(p.edges(), want.edges());
+            assert_eq!(p.hops(), want.hops());
+            assert_eq!(p.nodes(&g).collect::<Vec<_>>(), want.nodes());
+            assert_eq!(p.target(&g), want.target());
+            assert_eq!(p.to_path(&g), *want);
+            assert_eq!(p.checked_path(&g).as_ref(), Some(want));
+            assert!(p.contains_edge(want.edges()[0]));
+        }
+        // not a walk of the graph, and an edge id out of range
+        let mut bad = PathList::new(NodeId(0));
+        bad.push(&edge_ids(&[2]));
+        bad.push(&edge_ids(&[0, 9]));
+        assert_eq!(bad.get(0).checked_path(&g), None);
+        assert_eq!(bad.get(1).checked_path(&g), None);
+        // a trivial path at a vertex the graph does not have
+        let mut outside = PathList::new(NodeId::from_usize(g.num_nodes()));
+        outside.push(&[]);
+        assert_eq!(outside.get(0).checked_path(&g), None);
+    }
+
+    #[test]
+    fn built_lists_are_allocated_at_their_exact_size() {
+        let g = doubled_edge_graph();
+        let mut lists = Vec::new();
+        for round in 0..3u32 {
+            // the buffer keeps the capacity of the round before
+            let (list, count) = PathList::build_exact(NodeId(0), |list| {
+                for ids in [&[0, 4][..], &[1, 2, 3], &[1, 4], &[0, 2, 3]]
+                    .iter()
+                    .skip(round as usize)
+                {
+                    list.index_or_push(&edge_ids(ids));
+                }
+                list.len()
+            });
+            assert_eq!(list.len(), count);
+            lists.push(list);
+        }
+        assert_eq!(lists[1].get(0).to_path(&g).nodes().len(), 4);
+        for list in &lists {
+            assert_eq!(list.edges.capacity(), list.edges.len(), "edges");
+            assert_eq!(list.ends.capacity(), list.ends.len(), "ends");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use sor_graph::{DijkstraSearch, EdgeId, Graph, LoopErasedWalk, NodeId, Path};
+use sor_graph::{DijkstraSearch, EdgeId, Graph, LoopErasedWalk, NodeId, Path, PathList};
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,8 +68,9 @@ pub struct ClusterTree {
     leaf_of: Vec<u32>,
 }
 
-/// Reused by every [`ClusterTree::route`] on a thread, so a route
-/// allocates only the path it returns.
+/// Reused by every route through a tree on a thread, so
+/// [`ClusterTree::route`] allocates only the path it returns and
+/// [`ClusterTree::route_into`] nothing but list growth.
 #[derive(Default)]
 struct RouteBuffers {
     walk: LoopErasedWalk,
@@ -233,9 +234,20 @@ impl ClusterTree {
     /// ancestor, then the up-paths from there down to `t`'s leaf walked
     /// backwards, loop-erased in one pass.
     pub fn route(&self, s: NodeId, t: NodeId) -> Path {
-        if s == t {
-            return Path::trivial(s);
-        }
+        self.walk_route(s, t, LoopErasedWalk::to_path)
+    }
+
+    /// The index in `list` of the path [`ClusterTree::route`] returns,
+    /// its edges appended to `list` first if the list does not hold them.
+    /// `list` must hold paths from `s`.
+    pub fn route_into(&self, s: NodeId, t: NodeId, list: &mut PathList) -> u32 {
+        self.walk_route(s, t, |walk| list.index_or_push(walk.edges()))
+    }
+
+    /// Walk `s → t` as [`ClusterTree::route`] describes and hand the
+    /// loop-erased walk to `read`. The walk is this thread's reused
+    /// buffer, so the route itself allocates nothing.
+    fn walk_route<T>(&self, s: NodeId, t: NodeId, read: impl FnOnce(&LoopErasedWalk) -> T) -> T {
         ROUTE_BUFFERS.with(|cell| {
             let mut buffers = cell.take();
             let RouteBuffers { walk, down } = &mut buffers;
@@ -264,9 +276,9 @@ impl ClusterTree {
                 }
             }
             debug_assert_eq!(walk.head(), t);
-            let path = walk.to_path();
+            let out = read(walk);
             cell.set(buffers);
-            path
+            out
         })
     }
 

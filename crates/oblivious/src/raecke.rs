@@ -23,9 +23,9 @@
 //! theorems actually consume.
 
 use crate::frt::ClusterTree;
-use crate::routing::{index_or_push, merge_draws, DistMemo, ObliviousRouting, PathDist};
+use crate::routing::{merge_draws, DistMemo, ObliviousRouting, PathDist};
 use rand::Rng;
-use sor_graph::{Graph, NodeId, Path};
+use sor_graph::{Graph, NodeId, Path, PathList};
 use std::sync::Arc;
 
 /// Räcke's congestion-feedback loop: build `count` trees, the next one
@@ -134,35 +134,31 @@ impl ObliviousRouting for RaeckeRouting {
         self.trees[i].route(s, t)
     }
 
-    /// The default's tree draws, but each drawn tree is routed once: a
-    /// tree's route is a pure function of `(s, t)`, so later draws of the
-    /// same tree reuse its slot.
+    /// The default's tree draws, but each drawn tree is routed once,
+    /// straight into the list: a tree's route is a pure function of
+    /// `(s, t)`, so later draws of the same tree reuse its slot.
     fn sample_distinct<R: Rng + ?Sized>(
         &self,
         s: NodeId,
         t: NodeId,
         count: usize,
         rng: &mut R,
-    ) -> (Vec<Path>, Vec<u32>) {
+    ) -> (PathList, Vec<u32>) {
         assert!(s != t);
-        // `slot[i]`: tree `i`'s path as an index into `distinct`, once drawn
+        // `slot[i]`: tree `i`'s path as an index into the list, once drawn
         let mut slot: Vec<Option<u32>> = vec![None; self.trees.len()];
-        let mut distinct = Vec::with_capacity(count.min(self.trees.len()));
         let mut draws = Vec::with_capacity(count);
-        for _ in 0..count {
-            let i = rng.gen_range(0..self.trees.len());
-            let j = match slot[i] {
-                Some(j) => j,
-                None => {
+        let (distinct, ()) = PathList::build_exact(s, |list| {
+            for _ in 0..count {
+                let i = rng.gen_range(0..self.trees.len());
+                let j = *slot[i].get_or_insert_with(|| {
                     sor_obs::counter_add!("oblivious/route_calls");
                     // two trees may route the pair along the same path
-                    let j = index_or_push(&mut distinct, self.trees[i].route(s, t));
-                    slot[i] = Some(j);
-                    j
-                }
-            };
-            draws.push(j);
-        }
+                    self.trees[i].route_into(s, t, list)
+                });
+                draws.push(j);
+            }
+        });
         (distinct, draws)
     }
 }
@@ -201,6 +197,56 @@ mod tests {
             let p = r.sample_path(NodeId(0), NodeId(4), &mut rng);
             assert!(dist.iter().any(|(q, _)| *q == p));
         }
+    }
+
+    /// The mixture with the trait's default `sample_distinct`: one
+    /// `sample_path` per draw, each new path's edges pushed.
+    struct DefaultSampling<'a>(&'a RaeckeRouting);
+
+    impl ObliviousRouting for DefaultSampling<'_> {
+        fn graph(&self) -> &Graph {
+            self.0.graph()
+        }
+        fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
+            self.0.path_distribution(s, t)
+        }
+        fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
+            self.0.sample_path(s, t, rng)
+        }
+    }
+
+    #[test]
+    fn list_writing_override_matches_the_default() {
+        // A grid routes many pairs along the same path in several trees,
+        // so the override's dedup runs on routed lists, not only on slots.
+        use rand::Rng as _;
+        let mut shared_routes = 0;
+        for (i, g) in [gen::grid(5, 5), gen::hypercube(5), gen::abilene()]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(20 + i as u64);
+            let r = RaeckeRouting::build(g.clone(), 8, &mut rng);
+            let n = u32::try_from(g.num_nodes()).unwrap();
+            for (s, t) in [(0, n - 1), (n - 1, 0), (1, n / 2), (n / 3, 2)] {
+                let (s, t) = (NodeId(s), NodeId(t));
+                let routes: Vec<Path> = r.trees().iter().map(|tree| tree.route(s, t)).collect();
+                shared_routes += (1..routes.len())
+                    .filter(|&i| routes[..i].contains(&routes[i]))
+                    .count();
+                for count in [1, 2, 7, 11, 40] {
+                    let seed = 1000 + u64::from(s.0) * 64 + count as u64;
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = StdRng::seed_from_u64(seed);
+                    let got = r.sample_distinct(s, t, count, &mut a);
+                    let want = DefaultSampling(&r).sample_distinct(s, t, count, &mut b);
+                    assert_eq!(got, want, "{s}→{t} count {count}");
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG position");
+                    assert!(got.0.iter().all(|p| routes.contains(&p.to_path(&g))));
+                }
+            }
+        }
+        assert!(shared_routes > 0, "no two trees routed a pair alike");
     }
 
     #[test]

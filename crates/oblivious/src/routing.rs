@@ -4,7 +4,7 @@
 use parking_lot::Mutex;
 use rand::Rng;
 use sor_flow::{Demand, EdgeLoads};
-use sor_graph::{Graph, NodeId, Path};
+use sor_graph::{Graph, NodeId, Path, PathList};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -46,11 +46,11 @@ pub trait ObliviousRouting {
     }
 
     /// Draw `count` paths i.i.d. from the `(s, t)` distribution. Returns
-    /// the distinct paths in first-draw order, and each draw's index into
-    /// that list, in draw order.
+    /// the distinct paths in first-draw order as one list of exact size,
+    /// and each draw's index into that list, in draw order.
     ///
     /// The default calls [`ObliviousRouting::sample_path`] once per draw
-    /// and deduplicates by equality. Mixtures whose components route
+    /// and pushes each new path's edges. Mixtures whose components route
     /// deterministically (Räcke) override it to route each drawn
     /// component once; they must make the same RNG draws in the same
     /// order, so the result and the RNG's position afterwards match the
@@ -61,16 +61,17 @@ pub trait ObliviousRouting {
         t: NodeId,
         count: usize,
         rng: &mut R,
-    ) -> (Vec<Path>, Vec<u32>)
+    ) -> (PathList, Vec<u32>)
     where
         Self: Sized,
     {
-        let mut distinct: Vec<Path> = Vec::new();
         let mut draws = Vec::with_capacity(count);
-        for _ in 0..count {
-            let p = self.sample_path(s, t, rng);
-            draws.push(index_or_push(&mut distinct, p));
-        }
+        let (distinct, ()) = PathList::build_exact(s, |list| {
+            for _ in 0..count {
+                let p = self.sample_path(s, t, rng);
+                draws.push(list.index_or_push(p.edges()));
+            }
+        });
         (distinct, draws)
     }
 }
@@ -104,17 +105,6 @@ impl DistMemo {
         let mut memo = self.0.lock();
         Arc::clone(memo.entry((s, t)).or_insert_with(|| Arc::new(build())))
     }
-}
-
-/// The index of `p` in `distinct`, appending it first if it is new.
-// a pair's distinct draws are far fewer than u32::MAX
-#[allow(clippy::cast_possible_truncation)]
-pub(crate) fn index_or_push(distinct: &mut Vec<Path>, p: Path) -> u32 {
-    let i = distinct.iter().position(|q| *q == p).unwrap_or_else(|| {
-        distinct.push(p);
-        distinct.len() - 1
-    });
-    i as u32
 }
 
 /// Draw one path from a [`PathDist`].

@@ -271,11 +271,10 @@ impl PathSystemCache {
         for shard in &self.shards {
             let mut map = shard.lock();
             map.retain(|_, entry| {
-                let uses = entry.system.pairs().any(|(_, _, paths)| {
-                    paths
-                        .iter()
-                        .any(|p| failed.iter().any(|&e| p.contains_edge(e)))
-                });
+                let uses = entry
+                    .system
+                    .pairs()
+                    .any(|(_, _, paths)| paths.all_edges().iter().any(|e| failed.contains(e)));
                 if uses {
                     removed += 1;
                 }

@@ -647,7 +647,7 @@ mod tests {
         assert_eq!(last, &*entry);
         eng.restore_all();
 
-        let used = entry.paths(pairs[0].0, pairs[0].1)[0].edges()[0];
+        let used = entry.paths(pairs[0].0, pairs[0].1).get(0).edges()[0];
         assert_eq!(eng.fail_edges(&[used]), 1);
         assert!(!run(&mut eng).cache_hit);
         let resampled = eng

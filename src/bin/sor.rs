@@ -246,7 +246,7 @@ fn run(args: &[String]) {
                 let paths = sor.system().paths(a, b);
                 for (i, &c) in integral.counts[j].iter().enumerate() {
                     for _ in 0..c {
-                        routes.push(paths[i].clone());
+                        routes.push(paths.get(i).to_path(&g));
                     }
                 }
             }

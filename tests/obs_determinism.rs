@@ -53,7 +53,7 @@ fn run_pipeline() -> RunOutput {
         let paths = sor.system().paths(a, b);
         for (i, &c) in integral.counts[j].iter().enumerate() {
             for _ in 0..c {
-                routes.push(paths[i].clone());
+                routes.push(paths.get(i).to_path(&g));
             }
         }
     }

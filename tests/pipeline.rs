@@ -80,7 +80,7 @@ fn integral_routing_feeds_scheduler() {
     for (counts, &(a, b, _)) in integral.counts.iter().zip(dm.entries()) {
         for (i, &c) in counts.iter().enumerate() {
             for _ in 0..c {
-                routes.push(sor.system().paths(a, b)[i].clone());
+                routes.push(sor.system().paths(a, b).get(i).to_path(sor.graph()));
             }
         }
     }

@@ -14,8 +14,10 @@ worse than the parent's by more than its bound is flagged.
         [--seed 1] [--pairs 3] [--seconds 20] [--metric latency_ms]
 
 `--workload` takes one workload, a comma-separated list of them, or
-`all`. The workloads run one after another in BENCHMARK.json order, all
-pairs of one before the next, and each prints its own table.
+`all`. `--seed` takes one seed or a comma-separated list of them. The
+workloads run one after another in BENCHMARK.json order; within a
+workload the seeds run in the order given, all pairs of one seed before
+the next, and each (workload, seed) prints its own table.
 
 Each pair's progress line on stderr shows both runs' value of each
 `--metric` (default `latency_ms`): one end-to-end metric of
@@ -29,8 +31,8 @@ and copy `sorbench/target/release/sorbench` aside.
 Exit status: 0 when every run was correct and nothing is flagged, 1 when
 a metric is flagged, 2 when a run exits non-zero, prints no result line,
 or reports an incorrect output or a failed operation. Such a run ends its
-workload's pairs; the next workload still runs, and the exit status is the
-worst of all the workloads'.
+(workload, seed)'s pairs; the next one still runs, and the exit status is
+the worst of all the tables'.
 """
 
 import argparse
@@ -72,25 +74,26 @@ def quartiles(values):
     return q1, q3
 
 
-def compare(args, bench, workload, shown_metrics):
-    """All pairs of one workload and its table; returns its exit status."""
+def compare(args, bench, workload, seed, shown_metrics):
+    """All pairs of one workload at one seed and their table; returns
+    its exit status."""
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             try:
                 runs[side].append(run(getattr(args, side), workload,
-                                      args.seed, args.seconds))
+                                      seed, args.seconds))
             except RunFailed as e:
-                print(f"{workload} seed {args.seed}: {e}", file=sys.stderr)
+                print(f"{workload} seed {seed}: {e}", file=sys.stderr)
                 return 2
         shown = "  ".join(f"{s} {name} {runs[s][-1][name]:.4g}"
                           for name in shown_metrics
                           for s in ("parent", "change"))
-        print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): "
-              f"{shown}", file=sys.stderr)
+        print(f"{workload} seed {seed} pair {i + 1}/{args.pairs} "
+              f"({order[0]} first): {shown}", file=sys.stderr)
 
-    print(f"{workload} seed {args.seed}: {args.pairs} alternating pairs "
+    print(f"{workload} seed {seed}: {args.pairs} alternating pairs "
           f"of {args.seconds} s, every run correct with 0 failed")
     print(f"{'metric':<16} {'parent':>12} {'change':>12} {'ratio':>7} "
           f"{'wins':>5} {'parent q1-q3':>25} {'>IQR':>4}  verdict")
@@ -126,7 +129,8 @@ def main():
     ap.add_argument("--workload", required=True,
                     help=f"comma-separated workloads, or all "
                          f"(from {', '.join(names)})")
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", default="1",
+                    help="one seed or a comma-separated list of them")
     ap.add_argument("--pairs", type=int, default=3)
     ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--metric", default="latency_ms",
@@ -140,6 +144,10 @@ def main():
         if name not in names:
             ap.error(f"--workload: invalid choice: {name!r} "
                      f"(choose from {', '.join(names)}, or all)")
+    try:
+        seeds = [int(s) for s in args.seed.split(",")]
+    except ValueError:
+        ap.error(f"--seed: expected integers, got {args.seed!r}")
     known = [m["name"] for m in bench["end_to_end"]]
     shown_metrics = args.metric.split(",")
     for name in shown_metrics:
@@ -148,10 +156,12 @@ def main():
                      f"(choose from {', '.join(known)})")
 
     status = 0
-    for i, workload in enumerate(w for w in names if w in asked):
+    tables = [(w, s) for w in names if w in asked for s in seeds]
+    for i, (workload, seed) in enumerate(tables):
         if i > 0:
             print()
-        status = max(status, compare(args, bench, workload, shown_metrics))
+        status = max(status,
+                     compare(args, bench, workload, seed, shown_metrics))
     sys.exit(status)
 
 
